@@ -10,9 +10,9 @@
 //! or individual artifacts (`fig3 fig4 fig5 fig6 fig7 gat`), optionally with
 //! `--quick` (fewer loop iterations), `--bench <name>` filters, `--jobs N`
 //! (worker threads; defaults to the machine's parallelism), and
-//! `--json PATH` (machine-readable rows plus timings). Micro-benches
-//! (`cargo bench -p om-bench`) time the build pipeline itself — the paper's
-//! Figure 7 comparison — under a measurement harness.
+//! `--json PATH` (machine-readable rows plus timings). `fig7` times the
+//! build pipeline itself — the paper's Figure 7 comparison; the `omperf`
+//! benchmark in `perfbench/` times it end to end and per layer.
 //!
 //! The harness is parallel and duplicate-work-free: benchmarks build and
 //! measure on a scoped worker pool ([`par::parallel_map`]), and

@@ -15,8 +15,8 @@
 //!
 //! Mutants come in two layers. **Image mutants** corrupt a correctly linked
 //! image post-hoc (classes prefixed `img-`): the artifacts of the clean link
-//! ([`om_core::Emitted`]) are kept so the verifier can re-check the corrupt
-//! image against the unchanged modules and layout. **Pass-fault mutants**
+//! (a [`Snapshot`]) are kept so the verifier can re-check the corrupt image
+//! against the unchanged modules and layout. **Pass-fault mutants**
 //! (classes prefixed `fault-`) re-run the pipeline with a
 //! [`FaultPlan`] armed, making the optimizer itself emit wrong code
 //! mid-pass — all downstream bookkeeping is consistent with the lie, which
@@ -30,9 +30,9 @@
 
 use crate::fuzz::{self, FuzzConfig, INTERP_STEPS};
 use om_alpha::{decode, encode, Inst, MemOp, Reg};
+use om_core::analysis::Snapshot;
 use om_core::{
-    optimize_and_link_artifacts, Emitted, FaultKind, FaultPlan, OmLevel, OmOptions, OmOutput,
-    Profile,
+    optimize_and_link_artifacts, FaultKind, FaultPlan, OmLevel, OmOptions, OmOutput, Profile,
 };
 use om_objfile::{Archive, Module, RelocKind, SecId};
 use om_sim::{run_covered_fast, run_fast, run_profiled_fast, Divergence, RunResult};
@@ -167,7 +167,7 @@ pub struct CleanBuild {
     /// The mini-C interpreter's checksum (never touches the pipeline).
     pub reference: i64,
     pub output: OmOutput,
-    pub emitted: Emitted,
+    pub emitted: Snapshot,
     /// The clean image's simulated run (checksum equals `reference`).
     pub clean: RunResult,
     /// Execution profile of the clean image, for the PGO-layer fault class.

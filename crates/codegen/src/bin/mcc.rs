@@ -19,6 +19,15 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// Writes one output file, or reports why it cannot and exits 1.
+fn write(path: &Path, bytes: &[u8]) {
+    if let Err(e) = std::fs::write(path, bytes) {
+        eprintln!("mcc: cannot write {}: {e}", path.display());
+        exit(1);
+    }
+    eprintln!("mcc: wrote {}", path.display());
+}
+
 fn main() {
     let mut opts = CompileOpts::o2();
     let mut inputs: Vec<PathBuf> = Vec::new();
@@ -79,8 +88,7 @@ fn main() {
             exit(1);
         });
         let out = output.unwrap_or_else(|| PathBuf::from(format!("{name}.o")));
-        std::fs::write(&out, binary::write_module(&module)).unwrap();
-        eprintln!("mcc: wrote {}", out.display());
+        write(&out, &binary::write_module(&module));
         return;
     }
 
@@ -102,8 +110,7 @@ fn main() {
                 exit(1);
             });
         }
-        std::fs::write(&arpath, binary::write_archive(&ar)).unwrap();
-        eprintln!("mcc: wrote {}", arpath.display());
+        write(&arpath, &binary::write_archive(&ar));
         return;
     }
 
@@ -112,14 +119,11 @@ fn main() {
             eprintln!("mcc: -o requires exactly one input (use --ar or --all)");
             exit(2);
         }
-        std::fs::write(&out, binary::write_module(&modules[0].1)).unwrap();
-        eprintln!("mcc: wrote {}", out.display());
+        write(&out, &binary::write_module(&modules[0].1));
         return;
     }
 
     for (p, m) in modules {
-        let out = p.with_extension("o");
-        std::fs::write(&out, binary::write_module(&m)).unwrap();
-        eprintln!("mcc: wrote {}", out.display());
+        write(&p.with_extension("o"), &binary::write_module(&m));
     }
 }

@@ -11,11 +11,15 @@ use om_linker::{layout, sym_addr, LayoutOpts, ProgramLayout, SymbolTable};
 use om_objfile::{Module, RelocKind, SymbolDef};
 use std::collections::{HashMap, HashSet};
 
-/// A provisional whole-program layout used for reachability decisions.
+/// Emitted modules with their symbol table and layout. OM-simple and each
+/// OM-full round capture a provisional one for reachability decisions; the
+/// pipeline returns the final link's from
+/// [`crate::optimize_and_link_artifacts`].
 ///
 /// Distances only shrink as OM deletes instructions and GAT slots, so any
 /// "fits in 16/21 bits" decision made against a snapshot remains valid for
 /// the final layout.
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     pub modules: Vec<Module>,
     pub symtab: SymbolTable,

@@ -154,7 +154,10 @@ fn main() {
 
     match result {
         Ok(output) => {
-            std::fs::write(&out, output.image.to_bytes()).unwrap();
+            if let Err(e) = std::fs::write(&out, output.image.to_bytes()) {
+                eprintln!("om: cannot write {}: {e}", out.display());
+                exit(1);
+            }
             eprintln!(
                 "om: wrote {} ({}, text {} bytes)",
                 out.display(),

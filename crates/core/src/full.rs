@@ -25,20 +25,8 @@ use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProgram};
 use om_alpha::{BrOp, Effects, Inst, Reg};
 use std::collections::{HashMap, HashSet};
 
-/// Runs OM-full over the program.
-///
-/// # Errors
-///
-/// Propagates snapshot (layout) failures.
-pub fn run(
-    program: &mut SymProgram,
-    stats: &mut OmStats,
-    book: &mut CallBook,
-) -> Result<(), OmError> {
-    run_with(program, stats, book, &crate::pipeline::OmOptions::default())
-}
-
-/// [`run`] with explicit ablation options (layout policy, fixpoint budget).
+/// Runs OM-full over the program under `options` (layout policy, fixpoint
+/// budget, preemptible symbols, fault plan).
 ///
 /// # Errors
 ///

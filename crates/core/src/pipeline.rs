@@ -7,7 +7,9 @@ use crate::cache::OmCaches;
 use crate::hash::{archive_hash, link_key, module_hash, ContentHash};
 use crate::stats::OmStats;
 use crate::sym::{resolve_symbolic, translate_module, InstId, LocalSymModule, OmError, SymProgram};
-use om_linker::{build_symbol_table, link_modules, select_modules, Image, LayoutOpts, LinkStats};
+use om_linker::{
+    build_symbol_table, layout, link_selected, select_modules, Image, LayoutOpts, LinkStats,
+};
 use om_objfile::{Archive, Module};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,29 +139,9 @@ pub struct OmOutput {
     pub verify: Option<crate::verify::VerifyReport>,
 }
 
-/// The intermediate link products behind an [`OmOutput`]: exactly what
-/// [`crate::verify::verify_linked`] needs to re-check an image after the
-/// fact. The mutation harness corrupts a copy of the image and replays the
-/// verifier against these unchanged artifacts.
-#[derive(Debug, Clone)]
-pub struct Emitted {
-    /// The transformed modules, as emitted for the final link.
-    pub modules: Vec<Module>,
-    /// Symbol table over [`Emitted::modules`].
-    pub symtab: om_linker::SymbolTable,
-    /// The layout the final link used.
-    pub layout: om_linker::ProgramLayout,
-}
-
 /// Counts the pre-transformation statistics.
-fn collect_before(
-    program: &SymProgram,
-    snap: &Snapshot,
-    stats: &mut OmStats,
-    book: &mut CallBook,
-) {
+fn collect_before(program: &SymProgram, stats: &mut OmStats, book: &mut CallBook) {
     stats.insts_before = program.inst_count();
-    stats.gat_slots_before = snap.gat_slots();
     for (mi, m) in program.modules.iter().enumerate() {
         for (pi, p) in m.procs.iter().enumerate() {
             stats.addr_loads_total += crate::analysis::literal_loads(p).len();
@@ -216,9 +198,10 @@ pub fn optimize_and_link_with(
     optimize_and_link_artifacts(objects, libs, level, options).map(|(out, _)| out)
 }
 
-/// [`optimize_and_link_with`], additionally returning the [`Emitted`]
-/// artifacts of the final link (for post-hoc image verification — the
-/// mutation harness's image mutators are built on this).
+/// [`optimize_and_link_with`], additionally returning the final link's
+/// artifacts as a [`Snapshot`]: the emitted modules plus the symbol table
+/// and layout the image was patched against (for post-hoc image
+/// verification — the mutation harness's image mutators are built on this).
 ///
 /// # Errors
 ///
@@ -228,7 +211,7 @@ pub fn optimize_and_link_artifacts(
     libs: &[Archive],
     level: OmLevel,
     options: &OmOptions,
-) -> Result<(OmOutput, Emitted), OmError> {
+) -> Result<(OmOutput, Snapshot), OmError> {
     run_pipeline(objects, libs, level, options, None)
 }
 
@@ -286,7 +269,7 @@ fn run_pipeline(
     level: OmLevel,
     options: &OmOptions,
     caches: Option<&OmCaches>,
-) -> Result<(OmOutput, Emitted), OmError> {
+) -> Result<(OmOutput, Snapshot), OmError> {
     PIPELINE_RUNS.fetch_add(1, Ordering::Relaxed);
     let mut pipeline_span = om_obs::span("pipeline");
     om_obs::count("pipeline.runs", 1);
@@ -330,9 +313,12 @@ fn run_pipeline(
 
     let mut stats = OmStats::default();
     let mut book: CallBook = HashMap::new();
-    let snap0 = Snapshot::capture(&program)?;
-    collect_before(&program, &snap0, &mut stats, &mut book);
-    drop(snap0);
+    collect_before(&program, &mut stats, &mut book);
+    // The untransformed program's GAT is the inputs' GAT: translation keeps
+    // every `.lita` entry, and the slot count ignores common placement.
+    stats.gat_slots_before = layout(&modules, &symtab, &LayoutOpts::default())?.gat_slots;
+    // The symbolic program holds its own copy of each input.
+    drop(modules);
 
     match level {
         OmLevel::None => {}
@@ -373,33 +359,32 @@ fn run_pipeline(
         stats.insts_deleted += 1;
     }
 
-    // Final link with OM's layout policy.
+    // Final link with OM's layout policy: the only layout of the emitted
+    // program, reused for the GAT count, the verifier, and the artifacts.
     let final_modules = {
         let _s = om_obs::span("emit");
         crate::sym::emit_all(&program)?
     };
-    stats.gat_slots_after = {
-        let st = build_symbol_table(&final_modules)?;
-        om_linker::layout(&final_modules, &st, &LayoutOpts { sort_commons: options.sort_commons })?
-            .gat_slots
-    };
     let link_opts = LayoutOpts { sort_commons: level != OmLevel::None && options.sort_commons };
-    let link_span = om_obs::span("link");
-    let (image, link) = link_modules(&final_modules, &[], &link_opts).map_err(OmError::Link)?;
-
-    // The layout the final link saw, recomputed for post-hoc verification.
-    let symtab = build_symbol_table(&final_modules)?;
-    let layout = om_linker::layout(&final_modules, &symtab, &link_opts)?;
-    drop(link_span);
+    let linked = {
+        let _s = om_obs::span("link");
+        link_selected(&final_modules, &link_opts)?
+    };
+    stats.gat_slots_after = linked.stats.gat_slots;
     if om_obs::enabled() {
-        om_obs::count("pipeline.image_bytes", image.to_bytes().len() as u64);
+        om_obs::count("pipeline.image_bytes", linked.image.to_bytes().len() as u64);
     }
 
     let verify = if options.verify {
         let _s = om_obs::span("verify");
         let mut report = crate::verify::verify_sym(&program);
         report.merge(crate::verify::verify_stats(&program, &stats));
-        report.merge(crate::verify::verify_linked(&final_modules, &symtab, &layout, &image));
+        report.merge(crate::verify::verify_linked(
+            &final_modules,
+            &linked.symtab,
+            &linked.layout,
+            &linked.image,
+        ));
         if !report.is_ok() {
             return Err(OmError::Verify {
                 checks: report.checks,
@@ -411,6 +396,6 @@ fn run_pipeline(
         None
     };
 
-    let emitted = Emitted { modules: final_modules, symtab, layout };
-    Ok((OmOutput { image, stats, link, verify }, emitted))
+    let out = OmOutput { image: linked.image, stats, link: linked.stats, verify };
+    Ok((out, Snapshot { modules: final_modules, symtab: linked.symtab, layout: linked.layout }))
 }

@@ -16,14 +16,10 @@ use om_alpha::timing::{can_dual_issue, latency};
 use om_alpha::{Effects, Inst};
 use std::collections::{HashMap, HashSet};
 
-/// Reschedules every procedure and aligns backward-branch targets.
-pub fn run(program: &mut SymProgram, stats: &mut OmStats) {
-    run_with(program, stats, true, None);
-}
-
-/// [`run`] with the alignment pass optional (the ablation the paper itself
-/// performed on `ear`: "when we scheduled it without alignment the
-/// performance was improved") and an optional mutation-testing fault plan.
+/// Reschedules every procedure and, when `align` is set, aligns
+/// backward-branch targets (the paper itself ablated alignment on `ear`:
+/// "when we scheduled it without alignment the performance was improved").
+/// `fault` is an optional mutation-testing fault plan.
 pub fn run_with(
     program: &mut SymProgram,
     stats: &mut OmStats,

@@ -35,20 +35,8 @@ pub fn bsr_reachable(from: u64, to: u64) -> bool {
     (-(1 << 20)..(1 << 20)).contains(&words)
 }
 
-/// Runs OM-simple over the program.
-///
-/// # Errors
-///
-/// Propagates snapshot (layout) failures.
-pub fn run(
-    program: &mut SymProgram,
-    stats: &mut OmStats,
-    book: &mut CallBook,
-) -> Result<(), OmError> {
-    run_with(program, stats, book, &crate::pipeline::OmOptions::default())
-}
-
-/// [`run`] with explicit ablation options.
+/// Runs OM-simple over the program under `options` (layout policy,
+/// preemptible symbols, fault plan).
 ///
 /// # Errors
 ///

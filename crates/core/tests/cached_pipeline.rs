@@ -4,9 +4,7 @@
 //! that module's translation entry.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
-use om_core::{
-    optimize_and_link, optimize_and_link_cached, pipeline_runs, OmCaches, OmLevel, OmOptions,
-};
+use om_core::{optimize_and_link, optimize_and_link_cached, OmCaches, OmLevel, OmOptions};
 use om_objfile::Module;
 use om_workloads::build::CompileMode;
 use om_workloads::scale::{build_scale, ScaleSpec};
@@ -46,28 +44,33 @@ fn program(tag: &str, helper_body: &str) -> Vec<Module> {
 #[test]
 fn link_cache_hits_skip_the_pipeline() {
     // Unique sources so this test's keys cannot collide with other tests
-    // sharing the process (mirrors the memoize.rs convention).
+    // sharing the process (mirrors the memoize.rs convention). Runs are
+    // counted on this thread's trace, not by the process-wide
+    // `pipeline_runs()`, which also counts the links of the tests running
+    // beside this one.
     let objects = program("skip", "int helper(int x) { return x + 7; }");
     let caches = OmCaches::default();
     let options = OmOptions::default();
+    let trace = om_obs::Trace::new();
+    let _on = trace.install();
+    let runs = || trace.counters().get("pipeline.runs").copied().unwrap_or(0);
 
-    let runs0 = pipeline_runs();
     let (first, hit1) =
         optimize_and_link_cached(&objects, &[], OmLevel::Full, &options, &caches).unwrap();
     assert!(!hit1);
-    assert_eq!(pipeline_runs() - runs0, 1, "a cold link runs the pipeline once");
+    assert_eq!(runs(), 1, "a cold link runs the pipeline once");
 
     let (second, hit2) =
         optimize_and_link_cached(&objects, &[], OmLevel::Full, &options, &caches).unwrap();
     assert!(hit2);
-    assert_eq!(pipeline_runs() - runs0, 1, "a link-cache hit must not re-run the pipeline");
+    assert_eq!(runs(), 1, "a link-cache hit must not re-run the pipeline");
     assert_eq!(first.image.to_bytes(), second.image.to_bytes());
 
     // A different level is a different key: the pipeline runs again.
     let (_, hit3) =
         optimize_and_link_cached(&objects, &[], OmLevel::Simple, &options, &caches).unwrap();
     assert!(!hit3);
-    assert_eq!(pipeline_runs() - runs0, 2);
+    assert_eq!(runs(), 2);
 }
 
 #[test]

@@ -146,3 +146,31 @@ fn dangling_lituse_link_at_emit_is_internal_error_not_panic() {
     let e = emit_all(&program).unwrap_err();
     assert!(matches!(e, OmError::Internal { .. }), "{e}");
 }
+
+#[test]
+fn unwritable_output_path_exits_1_without_panic() {
+    // `om` links fine but cannot create its output inside a missing
+    // directory: a clean diagnostic and exit code 1, not an unwrap panic.
+    let dir = std::env::temp_dir().join(format!("om-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut objs = Vec::new();
+    for (name, m) in [
+        ("crt0.o", crt0::module().unwrap()),
+        ("m.o", compiled("m", "int main() { return 7; }")),
+    ] {
+        let p = dir.join(name);
+        std::fs::write(&p, om_objfile::binary::write_module(&m)).unwrap();
+        objs.push(p);
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_om"))
+        .arg("-o")
+        .arg(dir.join("missing").join("a.exe"))
+        .args(&objs)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("om: cannot write"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -4,17 +4,35 @@
 //! `om_core::verify` — it proves the invariants hold on real compiler
 //! output, not just hand-built modules.
 //!
+//! The same sweep pins the link-once invariants: the GAT counts in
+//! `OmStats` are the ones a snapshot of the translated inputs and the final
+//! link report, and the returned symbol table and layout are exactly what a
+//! fresh layout of the returned modules yields under the link's policy.
+//!
 //! The profile-guided sweep goes one step further: it runs each scheduled
 //! image, collects an execution profile, relinks with the profile (verify
 //! still on), and re-diffs the checksum — profile-guided layout must never
 //! change program meaning.
 
-use om_core::{optimize_and_link_with, OmLevel, OmOptions};
+use om_core::analysis::Snapshot;
+use om_core::sym::translate;
+use om_core::{optimize_and_link_artifacts, optimize_and_link_with, OmLevel, OmOptions};
+use om_linker::{build_symbol_table, layout, select_modules, LayoutOpts};
+use om_objfile::{Archive, Module};
 use om_sim::{run_image, run_profiled};
 use om_workloads::{build::build, spec, CompileMode};
 
 /// Simulator instruction budget per run (quick-spec workloads are small).
 const SIM_STEPS: u64 = 200_000_000;
+
+/// The GAT slot count of a snapshot of the translated, untransformed
+/// program.
+fn translated_gat_slots(objects: &[Module], libs: &[Archive]) -> usize {
+    let modules = select_modules(objects, libs).expect("select");
+    let symtab = build_symbol_table(&modules).expect("symtab");
+    let program = translate(&modules, &symtab).expect("translate");
+    Snapshot::capture(&program).expect("snapshot").gat_slots()
+}
 
 #[test]
 fn verifier_passes_on_every_workload_mode_and_level() {
@@ -23,19 +41,22 @@ fn verifier_passes_on_every_workload_mode_and_level() {
         let quick = spec::quick(&s);
         for mode in CompileMode::ALL {
             let b = build(&quick, mode).expect("build");
+            let gat_before = translated_gat_slots(&b.objects, &b.libs);
             for level in OmLevel::ALL {
-                let out = optimize_and_link_with(&b.objects, &b.libs, level, &options)
-                    .unwrap_or_else(|e| {
-                        panic!("{} [{}] {}: {e}", s.name, mode.name(), level.name())
-                    });
+                let ctx = format!("{} [{}] {}", s.name, mode.name(), level.name());
+                let (out, art) = optimize_and_link_artifacts(&b.objects, &b.libs, level, &options)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 let report = out.verify.expect("verify requested");
-                assert!(
-                    report.checks > 0,
-                    "{} [{}] {}: no checks ran",
-                    s.name,
-                    mode.name(),
-                    level.name()
-                );
+                assert!(report.checks > 0, "{ctx}: no checks ran");
+
+                assert_eq!(out.stats.gat_slots_before, gat_before, "{ctx}: GAT before");
+                assert_eq!(out.stats.gat_slots_after, out.link.gat_slots, "{ctx}: GAT after");
+                let opts =
+                    LayoutOpts { sort_commons: level != OmLevel::None && options.sort_commons };
+                let symtab = build_symbol_table(&art.modules).expect("symtab");
+                let fresh = layout(&art.modules, &symtab, &opts).expect("layout");
+                assert!(art.symtab == symtab, "{ctx}: symbol table is not the link's");
+                assert!(art.layout == fresh, "{ctx}: layout is not the link's");
             }
         }
     }

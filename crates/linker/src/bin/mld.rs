@@ -69,7 +69,10 @@ fn main() {
     }
     match linker.link() {
         Ok((image, stats)) => {
-            std::fs::write(&out, image.to_bytes()).unwrap();
+            if let Err(e) = std::fs::write(&out, image.to_bytes()) {
+                eprintln!("mld: cannot write {}: {e}", out.display());
+                exit(1);
+            }
             eprintln!(
                 "mld: wrote {} ({} modules, text {} bytes, GAT {} slots in {} group(s))",
                 out.display(),

@@ -31,7 +31,7 @@ pub struct LayoutOpts {
 
 
 /// Per-module section bases.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModuleBases {
     pub text: u64,
     pub data: u64,
@@ -49,7 +49,7 @@ enum GatKey {
 }
 
 /// The computed program layout.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProgramLayout {
     pub bases: Vec<ModuleBases>,
     /// GAT group of each module.

@@ -112,18 +112,49 @@ pub fn link_modules(
     libs: &[Archive],
     opts: &LayoutOpts,
 ) -> Result<(Image, LinkStats), LinkError> {
-    let modules = select_modules(objects, libs)?;
-    let symtab = build_symbol_table(&modules)?;
+    // Every selected module is validated: objects by `select_modules`,
+    // archive members when they were added.
+    let linked = link_validated(&select_modules(objects, libs)?, opts)?;
+    Ok((linked.image, linked.stats))
+}
+
+/// A finished link plus the symbol table and layout its image was patched
+/// against.
+#[derive(Debug, Clone)]
+pub struct Linked {
+    pub image: Image,
+    pub stats: LinkStats,
+    pub symtab: SymbolTable,
+    pub layout: ProgramLayout,
+}
+
+/// Links an already-selected module list (no archive search, no copy of
+/// the modules). Every module is validated before it reaches
+/// [`build_image`].
+///
+/// # Errors
+///
+/// See [`Linker::link`].
+pub fn link_selected(modules: &[Module], opts: &LayoutOpts) -> Result<Linked, LinkError> {
+    for m in modules {
+        m.validate()?;
+    }
+    link_validated(modules, opts)
+}
+
+/// [`link_selected`] over modules that already passed `Module::validate`.
+fn link_validated(modules: &[Module], opts: &LayoutOpts) -> Result<Linked, LinkError> {
+    let symtab = build_symbol_table(modules)?;
     let lay = {
         let mut s = om_obs::span("link.layout");
-        let lay = layout(&modules, &symtab, opts)?;
+        let lay = layout(modules, &symtab, opts)?;
         s.arg("gat_slots", lay.gat_slots as u64);
         s.arg("gp_groups", lay.gp_values.len() as u64);
         lay
     };
     let image = {
         let _s = om_obs::span("link.image");
-        build_image(&modules, &symtab, &lay)?
+        build_image(modules, &symtab, &lay)?
     };
     if om_obs::enabled() {
         om_obs::count("link.gat_slots", lay.gat_slots as u64);
@@ -141,7 +172,7 @@ pub fn link_modules(
         text_bytes: lay.info.text.size,
         data_bytes: image.segments[1].bytes.len() as u64,
     };
-    Ok((image, stats))
+    Ok(Linked { image, stats, symtab, layout: lay })
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ pub fn select_modules(
 }
 
 /// The program-wide symbol table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SymbolTable {
     /// Exported strong definitions: name → (module index, symbol id).
     pub globals: HashMap<String, (usize, SymId)>,

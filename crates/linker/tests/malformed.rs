@@ -4,7 +4,7 @@
 //! a long-running link server cannot afford to abort the process on one bad
 //! request.
 
-use om_linker::{link_modules, LayoutOpts, LinkError, Linker};
+use om_linker::{link_modules, link_selected, LayoutOpts, LinkError, Linker};
 use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, Symbol};
 
 /// A well-formed standalone program: `__start` loads `g`'s address through
@@ -23,8 +23,13 @@ fn base_module() -> Module {
     m
 }
 
+/// Links `m` through both entry points: `link_selected` (which OM uses on
+/// its emitted modules) must validate and fail exactly as `link_modules`.
 fn link(m: Module) -> Result<(), LinkError> {
-    link_modules(&[m], &[], &LayoutOpts::default()).map(|_| ())
+    let selected = link_selected(std::slice::from_ref(&m), &LayoutOpts::default()).map(|_| ());
+    let r = link_modules(&[m], &[], &LayoutOpts::default()).map(|_| ());
+    assert_eq!(selected, r, "link_selected disagrees with link_modules");
+    r
 }
 
 #[test]
@@ -160,4 +165,25 @@ fn errors_render_without_panicking() {
     m.relocs.push(Reloc::text(14, RelocKind::Gprel16 { sym: SymId(1), addend: 0, gp_group: 0 }));
     let e = link(m).unwrap_err();
     assert!(!e.to_string().is_empty());
+}
+
+#[test]
+fn unwritable_output_path_exits_1_without_panic() {
+    // `mld` links fine but cannot create its output inside a missing
+    // directory: a clean diagnostic and exit code 1, not an unwrap panic.
+    let dir = std::env::temp_dir().join(format!("mld-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let obj = dir.join("m.o");
+    std::fs::write(&obj, om_objfile::binary::write_module(&base_module())).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mld"))
+        .arg("-o")
+        .arg(dir.join("missing").join("a.exe"))
+        .arg(&obj)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("mld: cannot write"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

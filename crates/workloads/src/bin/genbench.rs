@@ -25,7 +25,7 @@ use om_objfile::binary;
 use om_workloads::build::stdlib_archive;
 use om_workloads::scale;
 use om_workloads::spec;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 fn main() {
@@ -73,32 +73,39 @@ fn main() {
     write_out(&dir, user_sources);
 }
 
+/// Exits 1 with `genbench: cannot write PATH: ERR` when writing `path`
+/// failed.
+fn written(path: &Path, result: std::io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("genbench: cannot write {}: {e}", path.display());
+        exit(1);
+    }
+}
+
 fn write_out(dir: &str, user_sources: Vec<(String, String)>) {
     let dir = PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    written(&dir, std::fs::create_dir_all(&dir));
     let libdir = dir.join("lib");
-    std::fs::create_dir_all(&libdir).unwrap();
+    written(&libdir, std::fs::create_dir_all(&libdir));
 
     let n_user = user_sources.len();
     for (module, src) in user_sources {
         let p = dir.join(format!("{module}.mc"));
-        std::fs::write(&p, src).unwrap();
+        written(&p, std::fs::write(&p, src));
     }
     eprintln!("genbench: wrote {n_user} sources to {}", dir.display());
     for (module, src) in om_workloads::stdlib::STDLIB_SOURCES {
         let p = libdir.join(format!("{module}.mc"));
-        std::fs::write(&p, src).unwrap();
+        written(&p, std::fs::write(&p, src));
     }
     eprintln!("genbench: wrote {} library sources to {}", om_workloads::stdlib::STDLIB_SOURCES.len(), libdir.display());
 
     // Convenience: a pre-built libstd.a and crt0.o so the tool pipeline can
     // start immediately.
+    let (lib_a, crt0_o) = (dir.join("libstd.a"), dir.join("crt0.o"));
     let ar = stdlib_archive().unwrap();
-    std::fs::write(dir.join("libstd.a"), binary::write_archive(&ar)).unwrap();
-    std::fs::write(
-        dir.join("crt0.o"),
-        binary::write_module(&crt0::module().unwrap()),
-    )
-    .unwrap();
-    eprintln!("genbench: wrote {} and {}", dir.join("libstd.a").display(), dir.join("crt0.o").display());
+    written(&lib_a, std::fs::write(&lib_a, binary::write_archive(&ar)));
+    let start = crt0::module().expect("the built-in crt0 assembles");
+    written(&crt0_o, std::fs::write(&crt0_o, binary::write_module(&start)));
+    eprintln!("genbench: wrote {} and {}", lib_a.display(), crt0_o.display());
 }

@@ -49,6 +49,13 @@ cargo run --release -p om-obs --bin omtrace -- check "$tracedir/trace.json" \
     --require-counter pipeline.runs --require-counter pipeline.image_bytes \
     --require-counter link.gat_slots
 
+echo "== omperf smoke (the benchmark's rebuilt pipeline, byte identity) =="
+# The benchmark rebuilds the OM link from public calls and requires its
+# image and statistics to equal optimize_and_link_with's. Running it at smoke
+# size here makes a pipeline change that breaks either fail CI, not the
+# next benchmark run.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== figure drift =="
 scripts/bench.sh --refresh
 

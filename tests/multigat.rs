@@ -9,11 +9,15 @@
 //!   exist exactly for this case),
 //! * OM-simple must *keep* the GP-reset code across the group boundary,
 //! * OM-full's GAT reduction collapses the dead slots, re-unifying the
-//!   program into one group and unlocking the full optimization.
+//!   program into one group and unlocking the full optimization,
+//! * and across the split, OM's GAT counts are the translated program's
+//!   (before) and the final link's (after).
 
 use om_repro::codegen::{compile_source, crt0, CompileOpts};
-use om_repro::core::{optimize_and_link, OmLevel};
-use om_repro::linker::{LayoutOpts, Linker};
+use om_repro::core::analysis::Snapshot;
+use om_repro::core::sym::translate;
+use om_repro::core::{optimize_and_link, OmLevel, OmOutput};
+use om_repro::linker::{build_symbol_table, select_modules, LayoutOpts, Linker};
 use om_repro::objfile::Module;
 use om_repro::sim::run_image;
 use om_repro::workloads::scale::{overflow_slots_per_module, pad_gat};
@@ -74,6 +78,16 @@ fn expected() -> i64 {
     .unwrap()
 }
 
+/// OM's GAT counts come from the link, not from extra layouts: before is a
+/// snapshot of the translated inputs, after is the final link's.
+fn assert_gat_counts(objects: &[Module], out: &OmOutput) {
+    let modules = select_modules(objects, &[]).unwrap();
+    let program = translate(&modules, &build_symbol_table(&modules).unwrap()).unwrap();
+    let before = Snapshot::capture(&program).unwrap().gat_slots();
+    assert_eq!(out.stats.gat_slots_before, before, "{:?}", out.stats);
+    assert_eq!(out.stats.gat_slots_after, out.link.gat_slots, "{:?}", out.stats);
+}
+
 #[test]
 fn standard_link_splits_groups_and_still_runs() {
     let objects = build_program();
@@ -98,6 +112,7 @@ fn om_simple_keeps_cross_group_gp_resets() {
         out.stats
     );
     assert_eq!(run_image(&out.image, 10_000_000).unwrap().result, expected());
+    assert_gat_counts(&objects, &out);
 }
 
 #[test]
@@ -109,6 +124,7 @@ fn om_full_collapses_dead_slots_back_to_one_group() {
     assert_eq!(out.stats.calls_gp_reset_after, 0, "{:?}", out.stats);
     assert!(out.stats.gat_slots_after < 100, "{:?}", out.stats);
     assert_eq!(run_image(&out.image, 10_000_000).unwrap().result, expected());
+    assert_gat_counts(&objects, &out);
 }
 
 #[test]
