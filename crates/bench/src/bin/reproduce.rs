@@ -5,17 +5,24 @@
 //! ```text
 //! reproduce [fig3] [fig4] [fig5] [fig6] [fig7] [gat] [pgo] [fleet] [passes]
 //!           [scale] [all] [--quick] [--bench NAME]... [--jobs N] [--json PATH]
+//! reproduce check RUN [BASELINE]
 //! ```
 //!
 //! Benchmarks are built and measured on a worker pool (`--jobs`, default =
 //! available parallelism); results are rendered in spec order, so stdout is
 //! byte-identical at any width. `--json` additionally writes machine-
 //! readable per-figure rows plus harness wall-clock and per-phase timings.
+//!
+//! `check` is the BENCH drift gate ([`json::check`]): it checks a `--json`
+//! report's figure coverage and oracle markers and, given a baseline,
+//! compares its deterministic rows field by field. It exits 1 on any
+//! finding or an unreadable report, 2 on bad arguments.
 
 use om_bench::figures::{self, phase, Prepared, Selection};
 use om_bench::fleet::{self, FleetConfig};
 use om_bench::par::{default_jobs, parallel_map};
 use om_bench::{json, render};
+use om_obs::json::JsonValue;
 use om_workloads::spec;
 use std::time::Instant;
 
@@ -26,14 +33,48 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: reproduce [fig3|fig4|fig5|fig6|fig7|gat|pgo|fleet|passes|scale|all] [--quick] \
-         [--bench NAME]... [--jobs N] [--json PATH]"
+         [--bench NAME]... [--jobs N] [--json PATH]\n       reproduce check RUN [BASELINE]"
     );
     std::process::exit(2);
+}
+
+/// `reproduce check RUN [BASELINE]`.
+fn check(paths: &[String]) -> ! {
+    if paths.is_empty() || paths.len() > 2 || paths.iter().any(|p| p.starts_with('-')) {
+        usage("check needs a run report and at most one baseline");
+    }
+    let docs: Vec<JsonValue> = paths
+        .iter()
+        .map(|path| {
+            std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| om_obs::json::parse(&text))
+                .unwrap_or_else(|e| {
+                    eprintln!("reproduce check: {path}: {e}");
+                    std::process::exit(1);
+                })
+        })
+        .collect();
+    let findings = json::check(&docs[0], docs.get(1));
+    for f in &findings {
+        eprintln!("FAIL: {f}");
+    }
+    let against = paths.get(1).map_or(String::new(), |b| format!(" against {b}"));
+    if !findings.is_empty() {
+        eprintln!("reproduce check: {} finding(s) in {}{against}", findings.len(), paths[0]);
+        std::process::exit(1);
+    }
+    let drift = paths.get(1).map_or(String::new(), |b| format!(", figure rows match {b}"));
+    println!("OK: {}: every figure present, every oracle marker holds{drift}", paths[0]);
+    std::process::exit(0);
 }
 
 fn main() {
     let t_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "check") {
+        check(&args[1..]);
+    }
     let mut which: Vec<&str> = Vec::new();
     let mut quick = false;
     let mut filter: Vec<String> = Vec::new();

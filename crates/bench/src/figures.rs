@@ -7,22 +7,25 @@
 //!
 //! [`Prepared`] memoizes the expensive middle of the harness: each
 //! `(CompileMode, OmLevel)` OM pipeline result is computed exactly once per
-//! benchmark (behind a [`OnceLock`] grid), so fig3/fig4/fig5/fig6 and the
-//! GAT table share one `optimize_and_link` run per configuration instead of
-//! each re-running it. The standard-link image is cached the same way. All
-//! caches are interior and thread-safe: the harness measures many benchmarks
-//! concurrently with shared references. Figure 7 is the deliberate
-//! exception — it times fresh pipeline runs, so it bypasses every cache.
+//! benchmark behind a [`OnceLock`] grid, so fig3/fig4/fig5/fig6 and the GAT
+//! table share one `optimize_and_link_with` run per configuration instead of
+//! each re-running it. The grid is the harness's only memo layer: it does
+//! not go through `omd`'s relink cache ([`om_core::OmCaches`]). The
+//! standard-link image, the profile and the profile-guided relink are cached
+//! the same way. All caches are interior and thread-safe: the harness
+//! measures many benchmarks concurrently with shared references. Figure 7
+//! is the deliberate exception — it times fresh pipeline runs, so it
+//! bypasses every cache.
 
 use om_core::{
-    optimize_and_link, optimize_and_link_cached, OmLevel, OmOptions, OmOutput, OmStats, Profile,
+    optimize_and_link, optimize_and_link_with, OmLevel, OmOptions, OmOutput, OmStats, Profile,
 };
 use om_linker::{link_modules, Image, LayoutOpts};
 use om_sim::{run_profiled_fast, run_timed_fast, TimingStats};
 use om_workloads::build::{build, BuiltBenchmark, CompileMode};
 use om_workloads::gen::BenchSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Simulator instruction budget per run.
@@ -67,10 +70,8 @@ pub struct Prepared {
     pub each: BuiltBenchmark,
     pub all: BuiltBenchmark,
     /// OM results, indexed `[mode.index()][level.index()]`, computed on
-    /// first use through the process-wide relink cache
-    /// ([`om_core::cache::shared`]) — the promotion of this struct's
-    /// original private `OnceLock` grid to a store `omd` shares.
-    om: [[OnceLock<Arc<OmOutput>>; OmLevel::ALL.len()]; CompileMode::ALL.len()],
+    /// first use.
+    om: [[OnceLock<OmOutput>; OmLevel::ALL.len()]; CompileMode::ALL.len()],
     /// Standard-link images per mode, computed on first use.
     std_image: [OnceLock<Image>; CompileMode::ALL.len()],
     /// Execution profiles per mode (one functional run of the cached
@@ -78,7 +79,7 @@ pub struct Prepared {
     profile: [OnceLock<Profile>; CompileMode::ALL.len()],
     /// Profile-guided relinks per mode (built with verification on),
     /// computed on first use.
-    pgo: [OnceLock<Arc<OmOutput>>; CompileMode::ALL.len()],
+    pgo: [OnceLock<OmOutput>; CompileMode::ALL.len()],
     /// Cumulative simulator wall time spent on this benchmark, in
     /// nanoseconds (the per-benchmark slice of [`phase::totals`]'s sim
     /// column). Report-only.
@@ -136,14 +137,8 @@ impl Prepared {
         self.om[mode.index()][level.index()].get_or_init(|| {
             let b = self.built(mode);
             let t0 = Instant::now();
-            let (out, _) = optimize_and_link_cached(
-                &b.objects,
-                &b.libs,
-                level,
-                &OmOptions::default(),
-                om_core::cache::shared(),
-            )
-            .unwrap_or_else(|e| panic!("{} {}: {e}", self.spec.name, level.name()));
+            let out = optimize_and_link_with(&b.objects, &b.libs, level, &OmOptions::default())
+                .unwrap_or_else(|e| panic!("{} {}: {e}", self.spec.name, level.name()));
             phase::add_om(t0.elapsed());
             out
         })
@@ -234,14 +229,8 @@ impl Prepared {
             };
             let b = self.built(mode);
             let t0 = Instant::now();
-            let (out, _) = optimize_and_link_cached(
-                &b.objects,
-                &b.libs,
-                OmLevel::FullSched,
-                &options,
-                om_core::cache::shared(),
-            )
-            .unwrap_or_else(|e| panic!("{} pgo: {e}", self.spec.name));
+            let out = optimize_and_link_with(&b.objects, &b.libs, OmLevel::FullSched, &options)
+                .unwrap_or_else(|e| panic!("{} pgo: {e}", self.spec.name));
             phase::add_om(t0.elapsed());
             out
         })

@@ -1,14 +1,23 @@
 //! Machine-readable output for `reproduce --json PATH` (hand-rolled; the
-//! registry is offline, so no serde).
+//! registry is offline, so no serde), and the drift gate that reads it back,
+//! `reproduce check RUN [BASELINE]` ([`check`]).
 //!
-//! The layout is deliberately line-oriented: every figure row is one line
-//! containing `"fig"` and `"bench"` keys, so `scripts/bench.sh` can diff
-//! runs with `grep`/`diff` alone. Timings (`fig7` rows, `wall_seconds`,
-//! `phase_seconds`) are wall-clock and therefore excluded from such diffs;
-//! every other row is bit-deterministic.
+//! Every figure row is one object keyed by its `"fig"` and `"bench"`,
+//! written one per line so a human diff stays readable. The gate reads the
+//! report through [`om_obs::json`] and judges it by the schema declared
+//! here, next to the writer: the [`REQUIRED`] figures, the [`MARKERS`]
+//! oracles, and the [`REPORT_ONLY`] wall-clock figures (`fig7`, `simsec`,
+//! `fleet`, `scaletime`) that are never compared. Every other row is
+//! bit-deterministic. `wall_seconds` and `phase_seconds` are wall-clock too
+//! and sit outside the rows.
 
 use crate::figures::BenchRows;
+use om_obs::json::{quote, JsonValue};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+
+/// The report's schema tag.
+pub const SCHEMA: &str = "om-reproduce/v1";
 
 fn f(v: f64) -> String {
     // Shortest representation that round-trips; always valid JSON for the
@@ -22,7 +31,7 @@ fn f(v: f64) -> String {
 
 /// One figure row as a single JSON-object line.
 fn push_row(out: &mut String, fig: &str, bench: &str, fields: &[(impl AsRef<str>, String)]) {
-    let _ = write!(out, "    {{\"fig\":\"{fig}\",\"bench\":\"{bench}\"");
+    let _ = write!(out, "    {{\"fig\":{},\"bench\":{}", quote(fig), quote(bench));
     for (k, v) in fields {
         let _ = write!(out, ",\"{}\":{v}", k.as_ref());
     }
@@ -153,8 +162,8 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
     }
     if let Some(x) = r.fleet {
         sep(out);
-        // Latency and throughput are wall-clock; bench.sh excludes the
-        // whole fleet row from baseline diffs (like fig7 and simsec).
+        // Latency and throughput are wall-clock, so the whole fleet row is
+        // report-only (like fig7 and simsec).
         push_row(
             out,
             "fleet",
@@ -235,7 +244,7 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
             &r.name,
             &[
                 ("seconds", f(r.sim_seconds)),
-                ("engine", format!("\"{}\"", crate::figures::SIM_ENGINE)),
+                ("engine", quote(crate::figures::SIM_ENGINE)),
             ],
         );
     }
@@ -253,8 +262,8 @@ pub fn report(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"om-reproduce/v1\",");
-    let _ = writeln!(out, "  \"engine\": \"{}\",", crate::figures::SIM_ENGINE);
+    let _ = writeln!(out, "  \"schema\": {},", quote(SCHEMA));
+    let _ = writeln!(out, "  \"engine\": {},", quote(crate::figures::SIM_ENGINE));
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"benchmarks\": {},", rows.len());
@@ -283,25 +292,158 @@ pub fn report(
     out
 }
 
+// ---------------------------------------------------------------------------
+// The drift gate (`reproduce check`)
+// ---------------------------------------------------------------------------
+
+/// Wall-clock figures: their rows must carry their [`MARKERS`] but are
+/// never compared against a baseline.
+pub const REPORT_ONLY: [&str; 4] = ["fig7", "simsec", "fleet", "scaletime"];
+
+/// Figures a `reproduce all --quick` run must produce at least one row of;
+/// a silently skipped figure would otherwise shrink the comparison instead
+/// of failing it.
+pub const REQUIRED: [&str; 11] = [
+    "fig3", "fig4", "fig5", "fig6", "gat", "pgo", "fleet", "simsec", "passes", "scale", "scaletime",
+];
+
+/// Oracle markers, checked on every row of their figure: `(fig, field,
+/// value as written)`, where `None` only requires the field. The harness
+/// enforces these oracles itself; the gate re-checks what it recorded so a
+/// harness regression cannot slip an unverified row into the baseline.
+pub const MARKERS: [(&str, &str, Option<&str>); 8] = [
+    ("pgo", "pgo_cycles_each", None),
+    ("simsec", "engine", None),
+    ("fleet", "byte_identical", Some("true")),
+    ("passes", "reconciled", Some("true")),
+    ("scale", "verified_variants", Some("8")),
+    ("scale", "sampled_exact", Some("true")),
+    ("scale", "shared_identical", Some("true")),
+    ("scale", "edit_module_misses", Some("1")),
+];
+
+/// A report's figure rows by `(fig, bench)`.
+type Rows<'a> = BTreeMap<(&'a str, &'a str), &'a BTreeMap<String, JsonValue>>;
+
+/// Indexes `doc`'s rows, reporting (as `doc_name`) a wrong schema tag, a
+/// row without string `fig` and `bench` keys, and a repeated `(fig, bench)`.
+fn index<'a>(doc: &'a JsonValue, doc_name: &str, findings: &mut Vec<String>) -> Rows<'a> {
+    if doc.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
+        findings.push(format!("{doc_name}: not an {SCHEMA} report"));
+    }
+    let mut rows = Rows::new();
+    let all = doc.get("rows").and_then(JsonValue::as_arr).unwrap_or_default();
+    for (i, row) in all.iter().enumerate() {
+        let key = |k| row.get(k).and_then(JsonValue::as_str);
+        match (row, key("fig"), key("bench")) {
+            (JsonValue::Obj(fields), Some(fig), Some(bench)) => {
+                if rows.insert((fig, bench), fields).is_some() {
+                    findings.push(format!("{doc_name}: {fig} {bench}: duplicate row"));
+                }
+            }
+            _ => findings.push(format!("{doc_name}: row {i} has no string fig and bench")),
+        }
+    }
+    rows
+}
+
+fn show(v: Option<&JsonValue>) -> String {
+    v.map_or_else(|| "absent".to_string(), ToString::to_string)
+}
+
+/// Gates a `reproduce --json` report: every [`REQUIRED`] figure has a row,
+/// and every row carries its figure's [`MARKERS`]. Against a `baseline`,
+/// every row outside [`REPORT_ONLY`] must also appear in both reports under
+/// the same `(fig, bench)` with the same fields, each value equal exactly
+/// as written. Row order and formatting do not matter.
+///
+/// Returns one finding per violation, naming the figure, benchmark and
+/// field; empty means the report passes.
+pub fn check(run: &JsonValue, baseline: Option<&JsonValue>) -> Vec<String> {
+    let mut findings = Vec::new();
+    let rows = index(run, "run", &mut findings);
+    for fig in REQUIRED {
+        if !rows.keys().any(|(f, _)| *f == fig) {
+            findings.push(format!("{fig}: run has no rows"));
+        }
+    }
+    for ((fig, bench), fields) in &rows {
+        for (_, field, want) in MARKERS.iter().filter(|(f, ..)| f == fig) {
+            let got = fields.get(*field);
+            let ok = match (got, want) {
+                (None, _) => false,
+                (Some(_), None) => true,
+                (Some(v), Some(w)) => v.to_string() == *w,
+            };
+            if !ok {
+                let want = want.unwrap_or("present");
+                findings.push(format!("{fig} {bench} {field}: {} (want {want})", show(got)));
+            }
+        }
+    }
+    let Some(baseline) = baseline else {
+        return findings;
+    };
+    let base = index(baseline, "baseline", &mut findings);
+    let keys: BTreeSet<_> = base.keys().chain(rows.keys()).collect();
+    for key @ (fig, bench) in keys.into_iter().filter(|(fig, _)| !REPORT_ONLY.contains(fig)) {
+        match (base.get(key), rows.get(key)) {
+            (Some(b), Some(r)) => {
+                for field in b.keys().chain(r.keys()).collect::<BTreeSet<_>>() {
+                    let (bv, rv) = (b.get(field), r.get(field));
+                    if bv != rv {
+                        findings.push(format!(
+                            "{fig} {bench} {field}: baseline {}, run {}",
+                            show(bv),
+                            show(rv)
+                        ));
+                    }
+                }
+            }
+            (Some(_), None) => findings.push(format!("{fig} {bench}: row missing from run")),
+            (None, _) => findings.push(format!("{fig} {bench}: row not in baseline")),
+        }
+    }
+    findings
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::{Fig5Row, GatRow, PassesRow, PgoRow, PASS_NAMES};
+    use crate::figures::{
+        Fig3Row, Fig4Row, Fig5Row, Fig6Row, Fig7Row, GatRow, PassesRow, PgoRow, PASS_NAMES,
+    };
+    use om_obs::json;
 
-    #[test]
-    fn rows_are_single_grepable_lines() {
-        let rows = vec![BenchRows {
-            name: "compress".into(),
-            fig3: None,
-            fig4: None,
+    /// One benchmark with a row in every figure.
+    fn sample(name: &str) -> BenchRows {
+        BenchRows {
+            name: name.into(),
+            fig3: Some(Fig3Row {
+                each_simple: (0.25, 0.375),
+                each_full: (0.25, 0.625),
+                all_simple: (0.25, 0.5),
+                all_full: (0.25, 0.75),
+            }),
+            fig4: Some(Fig4Row { pv: [[0.875, 0.75, 0.0]; 2], gp_reset: [[0.875, 0.0, 0.0]; 2] }),
             fig5: Some(Fig5Row {
                 each_simple: 0.0625,
                 each_full: 0.125,
                 all_simple: 0.05,
                 all_full: 0.1,
             }),
-            fig6: None,
-            fig7: None,
+            fig6: Some(Fig6Row {
+                improvement: [[0.5, 6.25, 6.5], [0.5, 6.0, 6.125]],
+                base_cycles: [587631, 587000],
+            }),
+            fig7: Some(Fig7Row {
+                standard_link: 0.0003,
+                interproc_build: 0.0037,
+                om_none: 0.0018,
+                om_simple: 0.0022,
+                om_full: 0.0031,
+                om_full_sched: 0.0043,
+            }),
             gat: Some(GatRow { each_before: 40, each_after: 5, all_before: 38, all_after: 4 }),
             pgo: Some(PgoRow {
                 sched_cycles: [1000, 2000],
@@ -367,6 +509,17 @@ mod tests {
                 relink_edit: 0.002,
             }),
             sim_seconds: 0.375,
+        }
+    }
+
+    #[test]
+    fn rows_are_single_grepable_lines() {
+        let rows = vec![BenchRows {
+            fig3: None,
+            fig4: None,
+            fig6: None,
+            fig7: None,
+            ..sample("compress")
         }];
         let s = report(&rows, true, 4, 1.5, (0.5, 0.25, 0.75));
         let bench_lines: Vec<&str> = s.lines().filter(|l| l.contains("\"bench\"")).collect();
@@ -392,8 +545,136 @@ mod tests {
         assert!(bench_lines[7].contains("\"engine\":\"block\""), "{s}");
         assert!(s.contains("\"engine\": \"block\""), "{s}");
         assert!(s.contains("\"phase_seconds\""), "{s}");
-        // Valid-enough JSON: balanced braces/brackets on the skeleton.
-        assert_eq!(s.matches('{').count(), s.matches('}').count(), "{s}");
-        assert_eq!(s.matches('[').count(), s.matches(']').count(), "{s}");
+        let doc = json::parse(&s).expect("the report is JSON");
+        assert_eq!(doc.get("rows").and_then(JsonValue::as_arr).map(<[_]>::len), Some(8));
+    }
+
+    /// A two-benchmark report: every figure present, two `scale` rows.
+    fn two_bench_report() -> String {
+        report(&[sample("alpha"), sample("beta")], true, 1, 1.5, (0.5, 0.25, 0.75))
+    }
+
+    /// `text` with `field` on the `(fig, bench)` row replaced by `value`.
+    fn edit(text: &str, fig: &str, bench: &str, field: &str, value: &str) -> String {
+        let row = format!("{{\"fig\":\"{fig}\",\"bench\":\"{bench}\",");
+        let key = format!("\"{field}\":");
+        let mut edited = 0;
+        let out: Vec<String> = text
+            .lines()
+            .map(|line| match line.find(&key).filter(|_| line.contains(&row)) {
+                Some(at) => {
+                    edited += 1;
+                    let at = at + key.len();
+                    let end = at + line[at..].find([',', '}']).expect("value end");
+                    format!("{}{value}{}", &line[..at], &line[end..])
+                }
+                None => line.to_string(),
+            })
+            .collect();
+        assert_eq!(edited, 1, "{fig} {bench} {field}");
+        out.join("\n")
+    }
+
+    fn check_text(run: &str, baseline: Option<&str>) -> Vec<String> {
+        let base = baseline.map(|b| json::parse(b).expect("baseline parses"));
+        check(&json::parse(run).expect("run parses"), base.as_ref())
+    }
+
+    #[test]
+    fn check_flags_a_bad_marker_on_either_scale_row() {
+        let good = two_bench_report();
+        assert_eq!(check_text(&good, Some(&good)), Vec::<String>::new());
+        for (field, value) in [("edit_module_misses", "12"), ("verified_variants", "80")] {
+            for bench in ["alpha", "beta"] {
+                let bad = edit(&good, "scale", bench, field, value);
+                let want = format!("scale {bench} {field}: {value} (want ");
+                let findings = check_text(&bad, None);
+                assert!(findings.iter().any(|f| f.starts_with(&want)), "{findings:?}");
+            }
+        }
+        for (fig, field) in [("fleet", "byte_identical"), ("passes", "reconciled")] {
+            let findings = check_text(&edit(&good, fig, "beta", field, "false"), None);
+            assert_eq!(findings, [format!("{fig} beta {field}: false (want true)")]);
+        }
+    }
+
+    #[test]
+    fn check_names_the_drifted_field_exactly() {
+        let base = two_bench_report();
+        let run = edit(&base, "gat", "beta", "each_after", "6");
+        assert_eq!(check_text(&run, Some(&base)), ["gat beta each_after: baseline 5, run 6"]);
+        // Past 2^53 an f64 cannot tell these apart; the gate compares text.
+        let base = edit(&base, "scale", "alpha", "checksum", "9007199254740993");
+        let run = edit(&base, "scale", "alpha", "checksum", "9007199254740992");
+        assert_eq!(
+            check_text(&run, Some(&base)),
+            ["scale alpha checksum: baseline 9007199254740993, run 9007199254740992"]
+        );
+        // A field or row present on one side only is drift too.
+        let run = base.replace(",\"all_after\":4}", "}");
+        assert_eq!(
+            check_text(&run, Some(&base)),
+            [
+                "gat alpha all_after: baseline 4, run absent",
+                "gat beta all_after: baseline 4, run absent"
+            ]
+        );
+    }
+
+    #[test]
+    fn check_rejects_duplicate_rows_and_missing_figures() {
+        let good = two_bench_report();
+        let gat = good.lines().find(|l| l.contains("\"fig\":\"gat\"")).unwrap();
+        let dup = good.replacen(gat, &format!("{gat}\n{gat}"), 1);
+        assert_eq!(check_text(&dup, None), ["run: gat alpha: duplicate row"]);
+        let no_fig6 = report(
+            &[BenchRows { fig6: None, ..sample("alpha") }],
+            true,
+            1,
+            1.5,
+            (0.5, 0.25, 0.75),
+        );
+        assert_eq!(check_text(&no_fig6, None), ["fig6: run has no rows"]);
+        let with_fig6 = report(&[sample("alpha")], true, 1, 1.5, (0.5, 0.25, 0.75));
+        assert_eq!(
+            check_text(&no_fig6, Some(&with_fig6)),
+            ["fig6: run has no rows", "fig6 alpha: row missing from run"]
+        );
+    }
+
+    #[test]
+    fn check_ignores_order_formatting_and_report_only_values() {
+        let base = two_bench_report();
+        // Every row reversed.
+        let (head, rest) = base.split_once("\"rows\": [\n").unwrap();
+        let (body, tail) = rest.split_once("\n  ]").unwrap();
+        let mut rows: Vec<&str> = body.split(",\n").collect();
+        rows.reverse();
+        let reversed = format!("{head}\"rows\": [\n{}\n  ]{tail}", rows.join(",\n"));
+        // The same report on one line, and re-indented with tabs and CRLF.
+        let one_line: String = base.lines().map(str::trim).collect();
+        let tabbed: String = base.lines().map(|l| format!("\t{}\r\n", l.trim())).collect();
+        // Wall-clock values of every report-only figure changed.
+        let mut timed = base.clone();
+        for (fig, field) in [
+            ("fig7", "om_full"),
+            ("simsec", "seconds"),
+            ("fleet", "p99_us"),
+            ("scaletime", "relink_edit"),
+        ] {
+            timed = edit(&timed, fig, "alpha", field, "12345.5");
+        }
+        for run in [reversed, one_line, tabbed, timed] {
+            assert_eq!(check_text(&run, Some(&base)), Vec::<String>::new(), "{run}");
+        }
+    }
+
+    #[test]
+    fn committed_baseline_passes_against_itself_only() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        let base = std::fs::read_to_string(path).expect("BENCH_baseline.json");
+        assert_eq!(check_text(&base, Some(&base)), Vec::<String>::new());
+        let run = edit(&base, "gat", "compress", "each_after", "6");
+        assert_eq!(check_text(&run, Some(&base)), ["gat compress each_after: baseline 5, run 6"]);
     }
 }

@@ -35,6 +35,7 @@ use om_core::{
     optimize_and_link_artifacts, FaultKind, FaultPlan, OmLevel, OmOptions, OmOutput, Profile,
 };
 use om_objfile::{Archive, Module, RelocKind, SecId};
+use om_obs::json::{self, quote, JsonValue};
 use om_sim::{run_covered_fast, run_fast, run_profiled_fast, Divergence, RunResult};
 use std::collections::HashSet;
 use om_workloads::stdlib::STDLIB_SOURCES;
@@ -658,25 +659,6 @@ pub fn scorecard(rows: Vec<MutantRecord>) -> Scorecard {
     Scorecard { mutants: rows.len(), killed, escaped: rows.len() - killed, classes, rows }
 }
 
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders the scorecard as line-oriented JSON (same idiom as
 /// [`crate::json`]: one object per line, grep/diff-able, no serde).
 pub fn render_json(card: &Scorecard) -> String {
@@ -692,7 +674,7 @@ pub fn render_json(card: &Scorecard) -> String {
         let _ = writeln!(
             out,
             "    {{\"kind\":\"class\",\"class\":{},\"total\":{},\"verify\":{},\"checksum\":{},\"interp\":{},\"escaped\":{}}}{sep}",
-            jstr(&c.class), c.total, c.verify, c.checksum, c.interp, c.escaped
+            quote(&c.class), c.total, c.verify, c.checksum, c.interp, c.escaped
         );
     }
     out.push_str("  ],\n  \"rows\": [\n");
@@ -701,7 +683,7 @@ pub fn render_json(card: &Scorecard) -> String {
         let _ = writeln!(
             out,
             "    {{\"kind\":\"mutant\",\"class\":{},\"seed\":{},\"site\":{},\"verify\":{},\"checksum\":{},\"interp\":{},\"detail\":{}}}{sep}",
-            jstr(r.class), r.seed, r.site, r.verify, r.checksum, r.interp, jstr(&r.detail)
+            quote(r.class), r.seed, r.site, r.verify, r.checksum, r.interp, quote(&r.detail)
         );
     }
     out.push_str("  ]\n}\n");
@@ -721,46 +703,35 @@ pub struct Baseline {
     pub classes: Vec<(String, usize, usize)>,
 }
 
-fn field_usize(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let end = line[at..].find('"')?;
-    Some(&line[at..at + end])
-}
-
-/// Parses a baseline produced by [`render_json`] (line-oriented; tolerant of
-/// the surrounding skeleton).
+/// Parses a baseline produced by [`render_json`] through
+/// [`om_obs::json`] (any formatting; unknown keys ignored).
 ///
 /// # Errors
 ///
-/// Returns a message when the summary counters or class lines are missing.
+/// Returns a message when the text is not JSON, not an `omkill/v1`
+/// scorecard, or its summary counters or class entries are missing.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut base = Baseline::default();
-    let mut have_mutants = false;
-    for line in text.lines() {
-        let t = line.trim();
-        if t.starts_with("\"mutants\":") {
-            base.mutants = field_usize(t, "mutants").ok_or("bad \"mutants\" line")?;
-            have_mutants = true;
-        } else if t.starts_with("\"killed\":") {
-            base.killed = field_usize(t, "killed").ok_or("bad \"killed\" line")?;
-        } else if t.contains("\"kind\":\"class\"") {
-            let class = field_str(t, "class").ok_or("class line without a name")?.to_string();
-            let total = field_usize(t, "total").ok_or("class line without a total")?;
-            let escaped = field_usize(t, "escaped").ok_or("class line without escapes")?;
-            base.classes.push((class, total, escaped));
-        }
+    let doc = json::parse(text)?;
+    if doc.get("schema").and_then(JsonValue::as_str) != Some("omkill/v1") {
+        return Err("not an omkill/v1 scorecard".into());
     }
-    if !have_mutants || base.classes.is_empty() {
-        return Err("not an omkill scorecard (no mutant count or class lines)".into());
+    let count = |obj: &JsonValue, key: &str| {
+        obj.get(key)
+            .and_then(JsonValue::as_u64)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or(format!("missing or non-integer {key:?}"))
+    };
+    let mut base = Baseline {
+        mutants: count(&doc, "mutants")?,
+        killed: count(&doc, "killed")?,
+        classes: Vec::new(),
+    };
+    for c in doc.get("classes").and_then(JsonValue::as_arr).unwrap_or_default() {
+        let class = c.get("class").and_then(JsonValue::as_str).ok_or("class entry without a name")?;
+        base.classes.push((class.to_string(), count(c, "total")?, count(c, "escaped")?));
+    }
+    if base.classes.is_empty() {
+        return Err("scorecard has no class entries".into());
     }
     Ok(base)
 }
@@ -853,6 +824,10 @@ mod tests {
             base.classes,
             vec![("img-a".to_string(), 1, 0), ("img-b".to_string(), 1, 0)]
         );
+        // Formatting is not part of the format: the same scorecard on one
+        // line parses to the same baseline.
+        let compact: String = text.lines().map(str::trim).collect();
+        assert_eq!(parse_baseline(&compact).unwrap(), base);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! against the full run, so sampling is a sound oracle at sizes where full
 //! timing runs are impractical.
 //!
-//! The measured fields split into two row kinds so `scripts/bench.sh` can
-//! gate one and not the other:
+//! The measured fields split into two row kinds so `reproduce check`
+//! ([`crate::json::check`]) can gate one and not the other:
 //!
 //! * [`ScaleRow`] (`"fig":"scale"`) — bit-deterministic: GAT geometry,
-//!   checksums, scenario-pack outcomes, cache-invalidation counts. Diffed
-//!   against `BENCH_baseline.json` like fig3–fig5.
+//!   checksums, scenario-pack outcomes, cache-invalidation counts. Compared
+//!   against `BENCH_baseline.json` like fig3–fig5, with its oracle markers
+//!   checked on every row.
 //! * [`ScaleTimeRow`] (`"fig":"scaletime"`) — wall-clock link and relink
 //!   times (fig7 extended to the scaling curve). Report-only, like fig7.
 

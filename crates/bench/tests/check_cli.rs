@@ -1,0 +1,58 @@
+//! `reproduce check`'s exit codes: 2 with the usage line for bad arguments,
+//! 1 for an unreadable or unparsable report or any finding, and 0 for the
+//! committed baseline checked against itself.
+
+use std::process::Command;
+
+/// Runs `reproduce check ARGS...` from the workspace root; returns the exit
+/// code and stderr.
+fn check(args: &[&str]) -> (i32, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("check")
+        .args(args)
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("reproduce runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code().expect("an exit code"), stderr)
+}
+
+#[test]
+fn check_exit_codes() {
+    let base = "BENCH_baseline.json";
+    for args in [&[][..], &[base, base, base], &["--quick"]] {
+        let (code, err) = check(args);
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert!(err.contains("usage: reproduce"), "{args:?}: {err}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("om-check-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let missing = dir.join("missing.json");
+    let unparsable = write("cut.json", "{\"schema\": \"om-reproduce/v1\", \"rows\": [");
+    let empty = write(
+        "empty.json",
+        "{\"schema\": \"om-reproduce/v1\", \"rows\": []}",
+    );
+    for path in [missing.to_str().unwrap(), &unparsable] {
+        let (code, err) = check(&[path]);
+        assert_eq!(code, 1, "{path}: {err}");
+        assert!(err.contains(path), "{err}");
+    }
+    let (code, err) = check(&[&empty, base]);
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains("FAIL: fig3: run has no rows"), "{err}");
+    assert!(
+        err.contains("FAIL: gat compress: row missing from run"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let (code, err) = check(&[base, base]);
+    assert_eq!(code, 0, "{err}");
+}

@@ -1,8 +1,8 @@
 //! The shared relink cache: a keyed LRU with in-flight coalescing.
 //!
-//! This promotes PR 1's per-process `OnceLock` memo grid into a real
-//! bounded, shared, content-addressed store — the heart of `omd`'s
-//! incremental relinking. Two properties matter beyond plain memoization:
+//! A bounded, shared, content-addressed store: the heart of `omd`'s
+//! incremental relinking, and what the fleet and scale harnesses relink
+//! through. Two properties matter beyond plain memoization:
 //!
 //! * **Coalescing**: when N requests need the same missing key
 //!   concurrently, exactly one computes it; the rest block on a condvar and
@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Cache observability counters (a snapshot; see [`Lru::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -252,19 +252,11 @@ impl OmCaches {
 }
 
 impl Default for OmCaches {
-    /// The defaults `shared()` uses: room for every module of a sizable CI
-    /// fleet (19 workloads × dozens of modules) plus hundreds of distinct
-    /// link configurations.
+    /// Room for every module of a sizable CI fleet (19 workloads × dozens
+    /// of modules) plus hundreds of distinct link configurations.
     fn default() -> OmCaches {
         OmCaches::new(4096, 512)
     }
-}
-
-/// The process-wide shared cache (the evaluation harness and in-process
-/// link servers default to this one).
-pub fn shared() -> &'static OmCaches {
-    static SHARED: OnceLock<OmCaches> = OnceLock::new();
-    SHARED.get_or_init(OmCaches::default)
 }
 
 #[cfg(test)]

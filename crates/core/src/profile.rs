@@ -17,10 +17,12 @@
 //!   rank `k` in the profiled image is rank `k` in the rebuild.
 //! * call edges (caller → callee counts), for diagnostics and tooling.
 //!
-//! The on-disk format is line-oriented JSON, hand-rolled like the rest of
-//! the workspace (the build is offline; no serde). Serialization is
-//! deterministic: procedures sort by name, edges by (caller, callee).
+//! The on-disk format is line-oriented JSON, written here and read through
+//! the workspace's one JSON reader, [`om_obs::json`] (the build is offline;
+//! no serde). Serialization is deterministic: procedures sort by name, edges
+//! by (caller, callee).
 
+use om_obs::json::{self, quote, JsonValue};
 use std::fmt;
 
 /// Per-procedure execution counts. The `name` is the procedure's linked-image
@@ -101,7 +103,7 @@ impl Profile {
             let counts: Vec<String> = p.back_targets.iter().map(u64::to_string).collect();
             out.push_str(&format!(
                 "    {{\"name\":{},\"calls\":{},\"insts\":{},\"back_targets\":[{}]}}{}\n",
-                escape(&p.name),
+                quote(&p.name),
                 p.calls,
                 p.insts,
                 counts.join(","),
@@ -113,8 +115,8 @@ impl Profile {
         for (i, e) in self.edges.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"caller\":{},\"callee\":{},\"count\":{}}}{}\n",
-                escape(&e.caller),
-                escape(&e.callee),
+                quote(&e.caller),
+                quote(&e.callee),
                 e.count,
                 if i + 1 < self.edges.len() { "," } else { "" }
             ));
@@ -123,46 +125,44 @@ impl Profile {
         out
     }
 
-    /// Parses the JSON format (key order does not matter; unknown keys are
-    /// ignored for forward compatibility).
+    /// Parses the JSON format through [`om_obs::json`] (key order does not
+    /// matter; unknown keys are ignored for forward compatibility). Counts
+    /// must be plain unsigned integers that fit a `u64`.
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError`] on malformed JSON, a wrong schema tag, or
-    /// missing required keys.
+    /// missing or mistyped required keys.
     pub fn from_json(s: &str) -> Result<Profile, ProfileError> {
-        let top = parse_value(&mut Cursor::new(s))?.into_obj("top level")?;
+        let top = json::parse(s).map_err(ProfileError)?;
         match top.get("schema") {
-            Some(Val::Str(tag)) if tag == "om-profile/v1" => {}
-            Some(Val::Str(tag)) => {
+            Some(JsonValue::Str(tag)) if tag == "om-profile/v1" => {}
+            Some(JsonValue::Str(tag)) => {
                 return Err(ProfileError(format!("unsupported schema {tag:?}")))
             }
             _ => return Err(ProfileError("missing schema tag".into())),
         }
         let mut profile = Profile {
-            total_insts: top.req_num("total_insts")?,
+            total_insts: count(&top, "total_insts")?,
             procs: Vec::new(),
             edges: Vec::new(),
         };
-        for v in top.req_arr("procs")? {
-            let o = v.into_obj("proc entry")?;
-            let mut back_targets = Vec::new();
-            for c in o.req_arr("back_targets")? {
-                back_targets.push(c.into_num("back_targets element")?);
-            }
+        for p in array(&top, "procs")? {
             profile.procs.push(ProcProfile {
-                name: o.req_str("name")?,
-                calls: o.req_num("calls")?,
-                insts: o.req_num("insts")?,
-                back_targets,
+                name: string(p, "name")?,
+                calls: count(p, "calls")?,
+                insts: count(p, "insts")?,
+                back_targets: array(p, "back_targets")?
+                    .iter()
+                    .map(|c| c.as_u64().ok_or_else(|| not_a("back_targets element", "count")))
+                    .collect::<Result<_, _>>()?,
             });
         }
-        for v in top.req_arr("edges")? {
-            let o = v.into_obj("edge entry")?;
+        for e in array(&top, "edges")? {
             profile.edges.push(CallEdge {
-                caller: o.req_str("caller")?,
-                callee: o.req_str("callee")?,
-                count: o.req_num("count")?,
+                caller: string(e, "caller")?,
+                callee: string(e, "callee")?,
+                count: count(e, "count")?,
             });
         }
         profile.normalize();
@@ -170,250 +170,24 @@ impl Profile {
     }
 }
 
-/// JSON string escaping for names (control characters, quote, backslash).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn not_a(key: &str, what: &str) -> ProfileError {
+    ProfileError(format!("{key}: expected a {what}"))
 }
 
-/// Minimal JSON value model: only what the profile format uses.
-#[derive(Debug, Clone)]
-enum Val {
-    Str(String),
-    Num(u64),
-    Arr(Vec<Val>),
-    Obj(Vec<(String, Val)>),
+fn field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ProfileError> {
+    obj.get(key).ok_or_else(|| ProfileError(format!("missing key {key:?}")))
 }
 
-impl Val {
-    fn into_obj(self, what: &str) -> Result<Obj, ProfileError> {
-        match self {
-            Val::Obj(pairs) => Ok(Obj(pairs)),
-            _ => Err(ProfileError(format!("{what}: expected an object"))),
-        }
-    }
-
-    fn into_num(self, what: &str) -> Result<u64, ProfileError> {
-        match self {
-            Val::Num(n) => Ok(n),
-            _ => Err(ProfileError(format!("{what}: expected a number"))),
-        }
-    }
+fn count(obj: &JsonValue, key: &str) -> Result<u64, ProfileError> {
+    field(obj, key)?.as_u64().ok_or_else(|| not_a(key, "count"))
 }
 
-/// An object with by-key access (linear scan; objects here are tiny).
-struct Obj(Vec<(String, Val)>);
-
-impl Obj {
-    fn get(&self, key: &str) -> Option<&Val> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn take(&self, key: &str) -> Result<Val, ProfileError> {
-        self.get(key)
-            .cloned()
-            .ok_or_else(|| ProfileError(format!("missing key {key:?}")))
-    }
-
-    fn req_num(&self, key: &str) -> Result<u64, ProfileError> {
-        self.take(key)?.into_num(key)
-    }
-
-    fn req_str(&self, key: &str) -> Result<String, ProfileError> {
-        match self.take(key)? {
-            Val::Str(s) => Ok(s),
-            _ => Err(ProfileError(format!("{key}: expected a string"))),
-        }
-    }
-
-    fn req_arr(&self, key: &str) -> Result<Vec<Val>, ProfileError> {
-        match self.take(key)? {
-            Val::Arr(v) => Ok(v),
-            _ => Err(ProfileError(format!("{key}: expected an array"))),
-        }
-    }
+fn string(obj: &JsonValue, key: &str) -> Result<String, ProfileError> {
+    field(obj, key)?.as_str().map(str::to_string).ok_or_else(|| not_a(key, "string"))
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, ProfileError> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| ProfileError("unexpected end of input".into()))
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), ProfileError> {
-        if self.peek()? == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(ProfileError(format!(
-                "expected {:?} at byte {}",
-                c as char, self.pos
-            )))
-        }
-    }
-}
-
-fn parse_value(c: &mut Cursor) -> Result<Val, ProfileError> {
-    match c.peek()? {
-        b'"' => parse_string(c).map(Val::Str),
-        b'{' => {
-            c.pos += 1;
-            let mut pairs = Vec::new();
-            if c.peek()? == b'}' {
-                c.pos += 1;
-                return Ok(Val::Obj(pairs));
-            }
-            loop {
-                let key = parse_string(c)?;
-                c.expect(b':')?;
-                pairs.push((key, parse_value(c)?));
-                match c.peek()? {
-                    b',' => c.pos += 1,
-                    b'}' => {
-                        c.pos += 1;
-                        return Ok(Val::Obj(pairs));
-                    }
-                    other => {
-                        return Err(ProfileError(format!(
-                            "expected ',' or '}}', found {:?}",
-                            other as char
-                        )))
-                    }
-                }
-            }
-        }
-        b'[' => {
-            c.pos += 1;
-            let mut items = Vec::new();
-            if c.peek()? == b']' {
-                c.pos += 1;
-                return Ok(Val::Arr(items));
-            }
-            loop {
-                items.push(parse_value(c)?);
-                match c.peek()? {
-                    b',' => c.pos += 1,
-                    b']' => {
-                        c.pos += 1;
-                        return Ok(Val::Arr(items));
-                    }
-                    other => {
-                        return Err(ProfileError(format!(
-                            "expected ',' or ']', found {:?}",
-                            other as char
-                        )))
-                    }
-                }
-            }
-        }
-        b'0'..=b'9' => parse_number(c).map(Val::Num),
-        other => Err(ProfileError(format!(
-            "unexpected {:?} at byte {}",
-            other as char, c.pos
-        ))),
-    }
-}
-
-fn parse_number(c: &mut Cursor) -> Result<u64, ProfileError> {
-    let start = c.pos;
-    while c.pos < c.bytes.len() && c.bytes[c.pos].is_ascii_digit() {
-        c.pos += 1;
-    }
-    let digits = std::str::from_utf8(&c.bytes[start..c.pos]).expect("ascii digits");
-    digits
-        .parse::<u64>()
-        .map_err(|_| ProfileError(format!("number out of range: {digits}")))
-}
-
-fn parse_string(c: &mut Cursor) -> Result<String, ProfileError> {
-    c.expect(b'"')?;
-    let mut out = String::new();
-    loop {
-        let Some(&b) = c.bytes.get(c.pos) else {
-            return Err(ProfileError("unterminated string".into()));
-        };
-        c.pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&e) = c.bytes.get(c.pos) else {
-                    return Err(ProfileError("unterminated escape".into()));
-                };
-                c.pos += 1;
-                match e {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = c
-                            .bytes
-                            .get(c.pos..c.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| ProfileError("truncated \\u escape".into()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| ProfileError(format!("bad \\u escape {hex:?}")))?;
-                        c.pos += 4;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| ProfileError(format!("bad code point {code:#x}")))?,
-                        );
-                    }
-                    other => {
-                        return Err(ProfileError(format!("bad escape \\{}", other as char)))
-                    }
-                }
-            }
-            _ => {
-                // Re-decode the UTF-8 sequence starting at the byte we took
-                // (shortest valid prefix = exactly one character).
-                let s = &c.bytes[c.pos - 1..];
-                let ch = (1..=4.min(s.len()))
-                    .find_map(|n| std::str::from_utf8(&s[..n]).ok())
-                    .and_then(|t| t.chars().next())
-                    .ok_or_else(|| ProfileError("invalid UTF-8 in string".into()))?;
-                c.pos += ch.len_utf8() - 1;
-                out.push(ch);
-            }
-        }
-    }
+fn array<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], ProfileError> {
+    field(obj, key)?.as_arr().ok_or_else(|| not_a(key, "array"))
 }
 
 #[cfg(test)]
@@ -479,6 +253,16 @@ mod tests {
         // Truncated input.
         let good = sample().to_json();
         assert!(Profile::from_json(&good[..good.len() / 2]).is_err());
+        // Trailing garbage after the document, and a leading-zero count.
+        assert!(Profile::from_json(&format!("{good}}}")).is_err());
+        assert!(Profile::from_json(&format!("{good}x")).is_err());
+        let s = "{\"schema\":\"om-profile/v1\",\"total_insts\":007,\"procs\":[],\"edges\":[]}";
+        assert!(Profile::from_json(s).is_err());
+        // Counts are unsigned integers: no sign, fraction or exponent.
+        for bad in ["-7", "7.0", "7e0"] {
+            let s = format!("{{\"schema\":\"om-profile/v1\",\"total_insts\":{bad},\"procs\":[],\"edges\":[]}}");
+            assert!(Profile::from_json(&s).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -1,19 +1,31 @@
-//! A minimal JSON reader and the chrome-trace structural validator.
+//! The workspace's one JSON reader and string quoter, plus the
+//! chrome-trace structural validator.
 //!
-//! The workspace is fully offline (no serde); this is the small, strict
-//! parser the `omtrace check` CI step and the trace tests use to prove an
-//! emitted `--trace-json` file is well-formed and that its spans nest
-//! properly. It parses the full JSON grammar except `\uXXXX` surrogate
-//! pairs (accepted, decoded as the raw code unit when lone).
+//! The workspace is fully offline (no serde). Every JSON document it reads
+//! goes through [`parse`]: execution profiles, the `omkill` scorecard, the
+//! `reproduce` report that the BENCH drift gate checks, and `--trace-json`
+//! files. Every JSON string it writes goes through [`quote`].
+//!
+//! The reader is strict and lossless. It follows the RFC 8259 grammar
+//! exactly (no leading zeros, no bare `.5` or `1.`, exactly four hex digits
+//! in `\u` escapes), rejects duplicate object keys and trailing garbage, and
+//! keeps every number as its source text, so [`JsonValue::as_u64`] and
+//! [`JsonValue::as_i64`] are exact over their whole range. A `\u` escape of
+//! a UTF-16 surrogate, paired or not, decodes to U+FFFD ([`quote`] never
+//! writes one: non-ASCII text goes out verbatim).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
     Bool(bool),
-    Num(f64),
+    /// A number as written in the source (already grammar-checked). Two
+    /// numbers are equal when their text is: `1.0` and `1` differ.
+    Num(String),
     Str(String),
     Arr(Vec<JsonValue>),
     Obj(BTreeMap<String, JsonValue>),
@@ -28,10 +40,32 @@ impl JsonValue {
         }
     }
 
-    /// The numeric value, if this is a number.
+    /// The numeric value, if this is a number (nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(n) => Some(*n),
+            JsonValue::Num(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this is a number written as an unsigned integer
+    /// that fits a `u64` (no sign, fraction or exponent).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Num(text) if text.bytes().all(|c| c.is_ascii_digit()) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this is a number written as an integer that fits
+    /// an `i64` (no fraction or exponent).
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            JsonValue::Num(text)
+                if text.trim_start_matches('-').bytes().all(|c| c.is_ascii_digit()) =>
+            {
+                text.parse().ok()
+            }
             _ => None,
         }
     }
@@ -51,6 +85,54 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+/// Compact JSON: numbers exactly as parsed, strings through [`quote`],
+/// object keys in sorted order.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Num(text) => f.write_str(text),
+            JsonValue::Str(s) => f.write_str(&quote(s)),
+            JsonValue::Arr(v) => {
+                f.write_str("[")?;
+                for (i, x) in v.iter().enumerate() {
+                    write!(f, "{}{x}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            JsonValue::Obj(m) => {
+                f.write_str("{")?;
+                for (i, (k, x)) in m.iter().enumerate() {
+                    write!(f, "{}{}:{x}", if i > 0 { "," } else { "" }, quote(k))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// `s` as a JSON string literal: quote and backslash escaped, `\n` `\t` `\r`
+/// in their short forms, other control characters as `\u00XX`, everything
+/// else (non-ASCII included) verbatim.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Parses one JSON document (rejecting trailing garbage).
@@ -99,10 +181,18 @@ fn value(b: &[u8], at: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(b, at);
+                let key_at = *at;
                 let k = string(b, at)?;
                 expect(b, at, b':')?;
                 let v = value(b, at)?;
-                m.insert(k, v);
+                match m.entry(k) {
+                    Entry::Vacant(e) => {
+                        e.insert(v);
+                    }
+                    Entry::Occupied(e) => {
+                        return Err(format!("duplicate key {} at byte {key_at}", quote(e.key())))
+                    }
+                }
                 skip_ws(b, at);
                 match b.get(*at) {
                     Some(b',') => *at += 1,
@@ -152,18 +242,49 @@ fn lit(b: &[u8], at: &mut usize, word: &str) -> Result<(), String> {
     }
 }
 
+/// Skips a run of ASCII digits; false when there was none.
+fn digits(b: &[u8], at: &mut usize) -> bool {
+    let from = *at;
+    while b.get(*at).is_some_and(u8::is_ascii_digit) {
+        *at += 1;
+    }
+    *at > from
+}
+
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, kept as text.
 fn number(b: &[u8], at: &mut usize) -> Result<JsonValue, String> {
     let start = *at;
+    let bad = || format!("bad number at byte {start}");
     if b.get(*at) == Some(&b'-') {
         *at += 1;
     }
-    while *at < b.len() && matches!(b[*at], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *at += 1;
+    match b.get(*at) {
+        Some(b'0') => *at += 1,
+        Some(b'1'..=b'9') => {
+            digits(b, at);
+        }
+        _ => return Err(bad()),
     }
-    let s = std::str::from_utf8(&b[start..*at]).map_err(|_| "non-utf8 number")?;
-    s.parse::<f64>()
-        .map(JsonValue::Num)
-        .map_err(|_| format!("bad number `{s}` at byte {start}"))
+    if b.get(*at) == Some(&b'.') {
+        *at += 1;
+        if !digits(b, at) {
+            return Err(bad());
+        }
+    }
+    if matches!(b.get(*at), Some(b'e' | b'E')) {
+        *at += 1;
+        if matches!(b.get(*at), Some(b'+' | b'-')) {
+            *at += 1;
+        }
+        if !digits(b, at) {
+            return Err(bad());
+        }
+    }
+    // Only a leading `0` can stop the scan right before a digit (`007`).
+    if b.get(*at).is_some_and(u8::is_ascii_digit) {
+        return Err(bad());
+    }
+    Ok(JsonValue::Num(b[start..*at].iter().map(|&c| char::from(c)).collect()))
 }
 
 fn string(b: &[u8], at: &mut usize) -> Result<String, String> {
@@ -191,12 +312,11 @@ fn string(b: &[u8], at: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
+                        let cp = b
                             .get(*at + 1..*at + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|h| u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
+                            .ok_or(format!("bad \\u escape at byte {at}"))?;
                         out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                         *at += 4;
                     }
@@ -346,18 +466,44 @@ mod tests {
     fn parses_scalars_and_structures() {
         assert_eq!(parse("null").unwrap(), JsonValue::Null);
         assert_eq!(parse(" true ").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse("-1.5e2").unwrap(), JsonValue::Num(-150.0));
+        assert_eq!(parse("-1.5e2").unwrap().as_f64(), Some(-150.0));
         assert_eq!(parse(r#""a\nb\u0041""#).unwrap(), JsonValue::Str("a\nbA".into()));
         let v = parse(r#"{"a":[1,2,{"b":"c"}],"d":{}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert!(v.get("d").is_some());
+        // Numbers are exact: integers past 2^53 and at u64::MAX survive.
+        let num = |s: &str| parse(s).unwrap();
+        assert_eq!(num("18446744073709551615").as_u64(), Some(u64::MAX));
+        assert_eq!(num("9007199254740993").as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(num("18446744073709551616").as_u64(), None);
+        assert_eq!(num("-9223372036854775808").as_i64(), Some(i64::MIN));
+        assert_eq!(num("9223372036854775808").as_i64(), None);
+        for inexact in ["-1", "1.0", "1e2", "0.5"] {
+            assert_eq!(num(inexact).as_u64(), None, "{inexact}");
+        }
+        assert_eq!(num("1E+2").as_i64(), None);
+        assert_eq!(num("-0").as_i64(), Some(0));
+        // Display writes numbers back exactly as written.
+        let doc = parse(r#"{"b":[1.50,-0],"a":"q\"t"}"#).unwrap();
+        assert_eq!(doc.to_string(), r#"{"a":"q\"t","b":[1.50,-0]}"#);
     }
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"\\x\"", "{\"a\":1,}"] {
+        for bad in [
+            "", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"\\x\"", "{\"a\":1,}", "007", "1.", ".5",
+            "-", "+1", "01", "1e", "1e+", "-.5", "[00]", "\"\\u+041\"", "\"\\u00g1\"",
+            "{\"a\":1,\"a\":1}",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn quote_escapes_and_roundtrips() {
+        let s = "q\"b\\n\nt\tr\rbell\u{7}é";
+        assert_eq!(quote(s), r#""q\"b\\n\nt\tr\rbell\u0007é""#);
+        assert_eq!(parse(&quote(s)).unwrap().as_str(), Some(s));
     }
 
     #[test]

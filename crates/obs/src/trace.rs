@@ -12,6 +12,7 @@
 //! [`Sink::counters_json`]) is byte-identical at any thread count. Spans
 //! and timers carry wall-clock time and are report-only.
 
+use crate::json::quote;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -75,7 +76,7 @@ impl Sink {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{v}", escape(k));
+            let _ = write!(out, "{}:{v}", quote(k));
         }
         out.push_str("}}");
         out
@@ -159,22 +160,22 @@ impl Trace {
         let _ = write!(
             out,
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(process_name)
+             \"args\":{{\"name\":{}}}}}",
+            quote(process_name)
         );
         for e in &sink.spans {
             let _ = write!(
                 out,
-                ",\n{{\"name\":\"{}\",\"cat\":\"om\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                ",\n{{\"name\":{},\"cat\":\"om\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":1,\"tid\":{},\"args\":{{\"depth\":{}",
-                escape(&e.name),
+                quote(&e.name),
                 us(e.start_ns),
                 us(e.dur_ns),
                 e.tid,
                 e.depth,
             );
             for (k, v) in &e.args {
-                let _ = write!(out, ",\"{}\":{v}", escape(k));
+                let _ = write!(out, ",{}:{v}", quote(k));
             }
             out.push_str("}}");
         }
@@ -183,14 +184,14 @@ impl Trace {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{v}", escape(k));
+            let _ = write!(out, "{}:{v}", quote(k));
         }
         out.push_str("},\n\"timersNs\":{");
         for (i, (k, v)) in sink.timers_ns.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{v}", escape(k));
+            let _ = write!(out, "{}:{v}", quote(k));
         }
         out.push_str("},\n\"displayTimeUnit\":\"ms\"}\n");
         out
@@ -230,21 +231,6 @@ impl Trace {
 /// (chrome's `ts`/`dur` unit), using integer math only.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct Ctx {
