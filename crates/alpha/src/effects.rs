@@ -111,7 +111,8 @@ impl Effects {
 
     /// True if `self` must stay ordered after `earlier` (RAW, WAR, WAW on a
     /// register file, any memory conflict, or either being a control
-    /// transfer). This is the dependence test both schedulers use.
+    /// transfer). This is the dependence test of
+    /// [`crate::timing::list_schedule`], the compiler's and OM's scheduler.
     pub fn depends_on(&self, earlier: &Effects) -> bool {
         if self.control || earlier.control {
             return true;

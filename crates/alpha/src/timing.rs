@@ -11,7 +11,12 @@
 //!   cycle only when they sit in the same aligned quadword and fall into
 //!   compatible pipes, which is why OM-full quadword-aligns the targets of
 //!   backward branches.
+//!
+//! [`list_schedule`] is the one list scheduler built on these tables: the
+//! compiler runs it per basic block at `-O2`, and OM's final rescheduling
+//! pass runs it again over the optimized code.
 
+use crate::effects::Effects;
 use crate::inst::{Inst, MemOp};
 
 /// Issue-pipe classification used by the pairing rule.
@@ -81,6 +86,77 @@ pub fn can_dual_issue(first: &Inst, second: &Inst) -> bool {
         (_, Branch) => true,
         _ => false,
     }
+}
+
+/// Latency-driven list scheduling of one basic block, in place. `inst`
+/// projects the instruction out of each element, so the compiler's and OM's
+/// instruction wrappers (with their marks) move as units.
+///
+/// The scheduler never reorders across a dependence
+/// ([`Effects::depends_on`]: register hazards, memory conflicts, control).
+/// Among ready instructions it picks the longest critical path, then the
+/// larger fan-out, then one that dual-issues with the previous pick, then
+/// source order.
+pub fn list_schedule<T>(block: &mut Vec<T>, inst: impl Fn(&T) -> &Inst) {
+    let n = block.len();
+    if n < 2 {
+        return;
+    }
+    let effects: Vec<Effects> = block.iter().map(|t| Effects::of(inst(t))).collect();
+
+    // Dependence edges: succs[i] lists j > i that must follow i.
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut npreds: Vec<usize> = vec![0; n];
+    for j in 0..n {
+        for i in 0..j {
+            if effects[j].depends_on(&effects[i]) {
+                succs[i].push(j);
+                npreds[j] += 1;
+            }
+        }
+    }
+
+    // Critical-path priority and fan-out.
+    let mut prio: Vec<u32> = vec![0; n];
+    for i in (0..n).rev() {
+        let tail = succs[i].iter().map(|&j| prio[j]).max().unwrap_or(0);
+        prio[i] = latency(inst(&block[i])) + tail;
+    }
+    let fanout: Vec<usize> = succs.iter().map(Vec::len).collect();
+
+    let mut ready: Vec<usize> = (0..n).filter(|&i| npreds[i] == 0).collect();
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut remaining_preds = npreds;
+    while let Some(&first) = ready.first() {
+        let mut best = first;
+        for &c in &ready {
+            let key = |i: usize| {
+                let pairs = order
+                    .last()
+                    .map(|&p| can_dual_issue(inst(&block[p]), inst(&block[i])))
+                    .unwrap_or(false);
+                (prio[i], fanout[i], pairs as u32, std::cmp::Reverse(i))
+            };
+            if key(c) > key(best) {
+                best = c;
+            }
+        }
+        ready.retain(|&i| i != best);
+        order.push(best);
+        for &j in &succs[best] {
+            remaining_preds[j] -= 1;
+            if remaining_preds[j] == 0 {
+                ready.push(j);
+            }
+        }
+    }
+
+    debug_assert_eq!(order.len(), n);
+    let mut slots: Vec<Option<T>> = std::mem::take(block).into_iter().map(Some).collect();
+    *block = order
+        .into_iter()
+        .map(|i| slots[i].take().expect("instruction scheduled twice"))
+        .collect();
 }
 
 #[cfg(test)]

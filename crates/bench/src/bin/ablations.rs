@@ -17,22 +17,28 @@ use om_sim::run_timed;
 use om_workloads::build::{build, CompileMode};
 use om_workloads::spec;
 
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: ablations [--bench NAME]...");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut filter: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--bench" {
-            i += 1;
-            match args.get(i) {
-                Some(name) if !name.is_empty() && !name.starts_with('-') => {
-                    filter.push(name.clone());
-                }
-                _ => {
-                    eprintln!("error: --bench needs a benchmark name");
-                    std::process::exit(2);
+        match args[i].as_str() {
+            "--bench" => {
+                i += 1;
+                match args.get(i) {
+                    Some(name) if !name.is_empty() && !name.starts_with('-') => {
+                        filter.push(name.clone());
+                    }
+                    _ => usage("--bench needs a benchmark name"),
                 }
             }
+            a => usage(&format!("unknown argument `{a}`")),
         }
         i += 1;
     }
@@ -40,6 +46,9 @@ fn main() {
         .into_iter()
         .filter(|s| filter.is_empty() || filter.iter().any(|f| f == s.name))
         .collect();
+    if specs.is_empty() {
+        usage("no benchmarks match the filter");
+    }
 
     println!(
         "{:10} | {:>9} {:>9} | {:>8} {:>8} | {:>10} {:>10}",

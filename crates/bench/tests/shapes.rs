@@ -2,7 +2,8 @@
 //! of quick-mode benchmarks. These are the claims the reproduction must keep
 //! true under any future change:
 //!
-//! * OM-full removes strictly more than OM-simple (Figures 3, 5);
+//! * OM-simple deletes nothing, and OM-full removes strictly more than it
+//!   (Figures 3, 5);
 //! * OM-simple converts but barely touches PV loads; OM-full leaves PV loads
 //!   only at procedure-variable calls (Figure 4);
 //! * GP resets vanish in single-GAT programs (Figure 4, bottom);
@@ -29,6 +30,9 @@ fn full_dominates_simple_statically() {
         for mode in [CompileMode::Each, CompileMode::All] {
             let s = p.om_stats(mode, OmLevel::Simple);
             let f = p.om_stats(mode, OmLevel::Full);
+            // OM-simple replaces instructions one for one; only OM-full
+            // deletes (§4).
+            assert_eq!(s.insts_deleted, 0, "{} {}: {s:?}", p.spec.name, mode.name());
             assert!(
                 f.inst_fraction_removed() > s.inst_fraction_removed(),
                 "{} {}: {f:?} vs {s:?}",

@@ -7,13 +7,14 @@
 //! prologue ("unfortunately, compile-time scheduling often moved them"), and
 //! what OM-full undoes by restoring the pair to its logical place.
 //!
-//! The scheduler never reorders across a dependence ([`Effects::depends_on`]:
-//! register hazards, memory conflicts, control), so scheduled code is
-//! behaviorally identical — property-tested at the pipeline level.
+//! The scheduler is [`list_schedule`], shared with OM's final rescheduling
+//! pass. It never reorders across a dependence
+//! ([`om_alpha::Effects::depends_on`]: register hazards, memory conflicts,
+//! control), so scheduled code is behaviorally identical — property-tested
+//! at the pipeline level.
 
-use crate::code::{CBlock, CFunc, CInst};
-use om_alpha::timing::{can_dual_issue, latency};
-use om_alpha::Effects;
+use crate::code::{CBlock, CFunc};
+use om_alpha::timing::list_schedule;
 
 /// Schedules every block of `f` in place.
 pub fn schedule_func(f: &mut CFunc) {
@@ -22,70 +23,9 @@ pub fn schedule_func(f: &mut CFunc) {
     }
 }
 
-/// List-schedules one block.
+/// List-schedules one block ([`list_schedule`]).
 pub fn schedule_block(b: &mut CBlock) {
-    let n = b.insts.len();
-    if n < 2 {
-        return;
-    }
-    let effects: Vec<Effects> = b.insts.iter().map(|i| Effects::of(&i.inst)).collect();
-
-    // Dependence edges: succs[i] lists j > i that must follow i.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut npreds: Vec<usize> = vec![0; n];
-    for j in 0..n {
-        for i in 0..j {
-            if effects[j].depends_on(&effects[i]) {
-                succs[i].push(j);
-                npreds[j] += 1;
-            }
-        }
-    }
-
-    // Critical-path priority and fan-out.
-    let mut prio: Vec<u32> = vec![0; n];
-    for i in (0..n).rev() {
-        let tail = succs[i].iter().map(|&j| prio[j]).max().unwrap_or(0);
-        prio[i] = latency(&b.insts[i].inst) + tail;
-    }
-    let fanout: Vec<usize> = succs.iter().map(Vec::len).collect();
-
-    // Greedy pick: highest critical path, then fan-out, then source order;
-    // prefer an instruction that dual-issues with the previous pick on ties.
-    let mut ready: Vec<usize> = (0..n).filter(|&i| npreds[i] == 0).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining_preds = npreds;
-    while let Some(&first) = ready.first() {
-        let mut best = first;
-        for &c in &ready {
-            let key = |i: usize| {
-                let pairs = order
-                    .last()
-                    .map(|&p| can_dual_issue(&b.insts[p].inst, &b.insts[i].inst))
-                    .unwrap_or(false);
-                (prio[i], fanout[i], pairs as u32, std::cmp::Reverse(i))
-            };
-            if key(c) > key(best) {
-                best = c;
-            }
-        }
-        ready.retain(|&i| i != best);
-        order.push(best);
-        for &j in &succs[best] {
-            remaining_preds[j] -= 1;
-            if remaining_preds[j] == 0 {
-                ready.push(j);
-            }
-        }
-    }
-
-    debug_assert_eq!(order.len(), n);
-    let old = std::mem::take(&mut b.insts);
-    let mut slots: Vec<Option<CInst>> = old.into_iter().map(Some).collect();
-    b.insts = order
-        .into_iter()
-        .map(|i| slots[i].take().expect("instruction scheduled twice"))
-        .collect();
+    list_schedule(&mut b.insts, |i| &i.inst);
 }
 
 #[cfg(test)]

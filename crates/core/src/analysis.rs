@@ -8,7 +8,7 @@
 use crate::sym::{GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProc, SymProgram};
 use om_alpha::{Effects, Inst, JmpOp, Reg};
 use om_linker::{layout, sym_addr, LayoutOpts, ProgramLayout, SymbolTable};
-use om_objfile::{Module, RelocKind, SymbolDef};
+use om_objfile::{Module, RelocKind};
 use std::collections::{HashMap, HashSet};
 
 /// Emitted modules with their symbol table and layout. OM-simple and each
@@ -216,7 +216,7 @@ pub fn address_taken(program: &SymProgram) -> HashSet<GlobalRef> {
                 continue;
             }
             if let RelocKind::RefQuad { sym, .. } = r.kind {
-                taken.insert(crate::analysis::resolve_like(program, mi, sym));
+                taken.insert(crate::sym::resolve_ref(&m.source, &program.symtab, mi, sym));
             }
         }
         // The entry procedure.
@@ -227,18 +227,6 @@ pub fn address_taken(program: &SymProgram) -> HashSet<GlobalRef> {
         }
     }
     taken
-}
-
-/// Resolves a module-local symbol id the same way translation did.
-pub fn resolve_like(program: &SymProgram, mi: usize, sym: om_objfile::SymId) -> GlobalRef {
-    let s = program.modules[mi].source.symbol(sym);
-    if s.is_defined() && !matches!(s.def, SymbolDef::Common { .. }) {
-        return GlobalRef::Def { module: mi, sym };
-    }
-    if let Some(&(dm, did)) = program.symtab.globals.get(&s.name) {
-        return GlobalRef::Def { module: dm, sym: did };
-    }
-    GlobalRef::Common { name: s.name.clone() }
 }
 
 /// True if the procedure's first two instructions are its entry GPDISP pair.

@@ -31,15 +31,16 @@ pub enum FaultKind {
     /// instead of leaving the no-op, while still counting it as a
     /// nullification — the instruction accounting no longer balances.
     NullifyDelete,
-    /// `full::remove_prologues_and_convert_calls`: at a conversion that
-    /// deletes the PV load *and* compensates by entering the callee at
-    /// `entry+8` (skipping its GP-from-PV prologue), drop the compensation:
-    /// branch to `entry+0`. The callee's GPDISP pair then rebuilds GP from
-    /// whatever stale value PV happens to hold.
+    /// `simple::convert_calls` (armed at OM-simple and OM-full alike): at a
+    /// conversion that removes the PV load *and* compensates by entering the
+    /// callee at `entry+8` (skipping its GP-from-PV prologue), drop the
+    /// compensation: branch to `entry+0`. The callee's GPDISP pair then
+    /// rebuilds GP from whatever stale value PV happens to hold.
     PvLoadDrop,
-    /// `full::remove_prologues_and_convert_calls`: emit a prologue-skipping
-    /// `BSR target+8` for a callee whose first two instructions are real
-    /// code (its GPDISP pair was deleted), silently skipping them.
+    /// `simple::convert_calls` (armed at OM-simple and OM-full alike): emit a
+    /// prologue-skipping `BSR target+8` for a callee whose first two
+    /// instructions are real code (its GPDISP pair was deleted, or
+    /// compile-time scheduling moved it), silently skipping them.
     BsrSkew,
     /// `resched::schedule_proc`: after scheduling, swap the first adjacent
     /// truly-dependent instruction pair of the procedure — the consumer now

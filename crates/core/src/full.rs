@@ -8,21 +8,24 @@
 //! * a procedure whose address never escapes and whose every call site is a
 //!   same-GAT BSR loses its prologue GP setup entirely, and every call site
 //!   loses its PV load;
-//! * removed instructions are deleted (the code shrinks), not nullified;
+//! * removed instructions are deleted (the code shrinks), not nullified —
+//!   the call sites go through OM-simple's rewriter
+//!   ([`crate::simple::convert_calls`]) with [`Removal::Delete`], and the
+//!   no-ops the address-load pass leaves are deleted after it;
 //! * the GAT is reduced to a fixpoint: dropping dead slots pulls small data
 //!   closer to GP, which lets more address loads be nullified, which kills
 //!   more slots — "perhaps enabling a fresh round of the other improvements".
 
 use crate::analysis::{
-    address_taken, call_sites, find_entry_pair, prologue_pair_at_entry, reads_pv_outside,
-    use_index, CallKind, Snapshot, UseKind,
+    address_taken, find_entry_pair, prologue_pair_at_entry, reads_pv_outside, CallKind, Snapshot,
 };
-use crate::fault::{armed, FaultKind, FaultPlan};
 use crate::pipeline::CallBook;
-use crate::simple::{bsr_reachable, transform_address_loads};
+use crate::simple::{
+    bsr_reachable, collect_sites, convert_calls, transform_address_loads, Removal, Site,
+};
 use crate::stats::OmStats;
 use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProgram};
-use om_alpha::{BrOp, Effects, Inst, Reg};
+use om_alpha::{Effects, Reg};
 use std::collections::{HashMap, HashSet};
 
 /// Runs OM-full over the program under `options` (layout policy, fixpoint
@@ -46,11 +49,16 @@ pub fn run_with(
     let preempt: HashSet<&str> = options.preemptible.iter().map(String::as_str).collect();
     for _round in 0..options.max_rounds {
         let snap = Snapshot::capture_with(program, options.sort_commons)?;
-        let mut changed = false;
         let m = crate::obs::PassMeter::begin("calls", stats);
-        changed |= remove_prologues_and_convert_calls(
+        let sites = collect_sites(program, &snap);
+        let dropped = drop_prologues(program, &snap, &sites, stats, &preempt);
+        let mut changed = !dropped.is_empty();
+        changed |= convert_calls(
             program,
             &snap,
+            &sites,
+            &dropped,
+            Removal::Delete,
             stats,
             book,
             &preempt,
@@ -120,45 +128,19 @@ pub fn restore_prologues(program: &mut SymProgram) {
     }
 }
 
-/// One round of call-site optimization with whole-program knowledge.
-/// Returns true if anything changed.
-fn remove_prologues_and_convert_calls(
+/// Deletes the prologue GP setup of every procedure that can lose it: its
+/// address never escapes, it does not read the incoming PV elsewhere, and
+/// every call site (`sites`, frozen under `snap`) is a same-GP BSR candidate
+/// within reach that does not already skip the prologue. Returns the
+/// procedures whose prologues were deleted.
+fn drop_prologues(
     program: &mut SymProgram,
     snap: &Snapshot,
+    sites: &[Site],
     stats: &mut OmStats,
-    book: &mut CallBook,
     preempt: &HashSet<&str>,
-    fault: Option<&FaultPlan>,
-) -> bool {
-    let single_group = snap.single_group();
+) -> HashSet<GlobalRef> {
     let taken = address_taken(program);
-
-    // Collect every call site with its caller coordinates and its address
-    // under the snapshot (mutations below shift indices, so addresses are
-    // frozen now).
-    struct Site {
-        mi: usize,
-        pi: usize,
-        addr: u64,
-        jsr_id: InstId,
-        kind: CallKind,
-        gp_reset: Option<(InstId, InstId)>,
-    }
-    let mut sites: Vec<Site> = Vec::new();
-    for (mi, m) in program.modules.iter().enumerate() {
-        for (pi, p) in m.procs.iter().enumerate() {
-            for s in call_sites(p) {
-                sites.push(Site {
-                    mi,
-                    pi,
-                    addr: snap.inst_addr(program, mi, pi, s.at),
-                    jsr_id: p.insts[s.at].id,
-                    kind: s.kind,
-                    gp_reset: s.gp_reset,
-                });
-            }
-        }
-    }
 
     // Group call sites per target procedure.
     let mut callers: HashMap<GlobalRef, Vec<usize>> = HashMap::new();
@@ -168,8 +150,7 @@ fn remove_prologues_and_convert_calls(
         }
     }
 
-    // Which procedures can lose their prologue GP setup entirely?
-    let mut drop_prologue: HashSet<GlobalRef> = HashSet::new();
+    let mut dropped: HashSet<GlobalRef> = HashSet::new();
     for (mi, m) in program.modules.iter().enumerate() {
         for p in &m.procs {
             let r = GlobalRef::Def { module: mi, sym: p.sym };
@@ -196,124 +177,19 @@ fn remove_prologues_and_convert_calls(
             });
             // A procedure with no callers at all (dead) also qualifies.
             if all_ok.unwrap_or(true) {
-                drop_prologue.insert(r);
+                dropped.insert(r);
             }
         }
     }
 
-    let mut changed = false;
-
-    // Delete the prologues of the chosen procedures.
-    for r in &drop_prologue {
-        let GlobalRef::Def { module, .. } = r else { unreachable!() };
-        let Some((_, pi)) = program.proc_of(r) else { continue };
-        let p = &mut program.modules[*module].procs[pi];
+    for r in &dropped {
+        let (mi, pi) = program.proc_of(r).expect("built from a defined procedure");
+        let p = &mut program.modules[mi].procs[pi];
         let (hi, lo) = prologue_pair_at_entry(p).expect("checked above");
-        let doomed: HashSet<InstId> = [hi, lo].into_iter().collect();
-        p.delete(&doomed);
+        p.delete(&[hi, lo].into_iter().collect());
         stats.insts_deleted += 2;
-        changed = true;
     }
-
-    // Rewrite call sites.
-    for s in &sites {
-        let key = (s.mi, s.pi, s.jsr_id);
-
-        // GP-reset deletion.
-        let same_gp_target = match &s.kind {
-            CallKind::DirectJsr { target, .. } | CallKind::Bsr { target, .. } => {
-                if preempt.contains(crate::analysis::ref_name(program, target)) {
-                    false
-                } else {
-                    match target {
-                        GlobalRef::Def { module, .. } => snap.group(s.mi) == snap.group(*module),
-                        GlobalRef::Common { .. } => single_group,
-                    }
-                }
-            }
-            CallKind::Indirect => single_group,
-        };
-        if let Some((hi, lo)) = s.gp_reset {
-            if same_gp_target {
-                let p = &mut program.modules[s.mi].procs[s.pi];
-                let doomed: HashSet<InstId> = [hi, lo].into_iter().collect();
-                p.delete(&doomed);
-                stats.insts_deleted += 2;
-                book.entry(key).or_insert((false, true)).1 = false;
-                changed = true;
-            }
-        }
-
-        // JSR → BSR with PV-load removal (never for preemptible targets).
-        let CallKind::DirectJsr { load, target } = &s.kind else { continue };
-        if preempt.contains(crate::analysis::ref_name(program, target))
-            || program.proc_of(target).is_none()
-        {
-            continue;
-        }
-        let target_addr = snap.addr(target);
-        if !bsr_reachable(s.addr, target_addr) {
-            continue;
-        }
-        let same_gp = same_gp_target;
-
-        let uses = use_index(&program.modules[s.mi].procs[s.pi]);
-        let sole_use = uses
-            .get(load)
-            .map(|u| u.len() == 1 && u[0].1 == UseKind::Jsr)
-            .unwrap_or(false);
-
-        // Decide the entry point and whether PV dies.
-        let (mut addend, kill_load) = if drop_prologue.contains(target) {
-            (0, sole_use)
-        } else if same_gp {
-            let (tm, tp) = program.proc_of(target).expect("checked");
-            let tproc = &program.modules[tm].procs[tp];
-            match prologue_pair_at_entry(tproc) {
-                Some((hi, lo)) if sole_use && !reads_pv_outside(tproc, &[hi, lo]) => (8, true),
-                _ => (0, false),
-            }
-        } else {
-            // Different GP group: the callee still derives its GP from PV,
-            // so the PV load must stay; BSR is still profitable.
-            (0, false)
-        };
-
-        // Fault point: a `BSR target+8` against a callee whose entry holds
-        // real code (no GPDISP pair left to skip) silently drops two
-        // instructions from the callee's execution.
-        if addend == 0 {
-            let entry_is_real_code = program
-                .proc_of(target)
-                .map(|(tm, tp)| prologue_pair_at_entry(&program.modules[tm].procs[tp]).is_none())
-                .unwrap_or(false);
-            if entry_is_real_code && armed(fault, FaultKind::BsrSkew) {
-                addend = 8;
-            }
-        }
-        // Fault point: the PV load dies below, but the branch forgets the
-        // +8 prologue skip that compensates — the callee rebuilds GP from a
-        // stale PV.
-        if addend == 8 && kill_load && armed(fault, FaultKind::PvLoadDrop) {
-            addend = 0;
-        }
-
-        let p = &mut program.modules[s.mi].procs[s.pi];
-        let at = p.index_of(s.jsr_id);
-        p.insts[at].inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
-        p.insts[at].mark = SMark::BrSym { target: target.clone(), addend };
-        stats.calls_jsr_to_bsr += 1;
-        changed = true;
-        if kill_load {
-            let doomed: HashSet<InstId> = [*load].into_iter().collect();
-            p.delete(&doomed);
-            stats.insts_deleted += 1;
-            stats.addr_loads_nullified += 1;
-            book.entry(key).or_insert((true, false)).0 = false;
-        }
-    }
-
-    changed
+    dropped
 }
 
 /// Deletes all no-op instructions (OM-full turns transform residue into

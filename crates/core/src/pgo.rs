@@ -10,10 +10,9 @@
 //!   input order, and entirely-cold modules are left untouched.
 //! * **Hot-only backward-branch-target alignment** — the paper aligns every
 //!   backward-branch target; its own `ear` ablation showed that can hurt.
-//!   Here only targets whose profiled execution count reaches
-//!   [`crate::pipeline::OmOptions::pgo_hot_min`] earn alignment UNOPs; cold
-//!   targets (loop heads that never ran hot) cost nothing on the fall-through
-//!   path.
+//!   Here only targets the profile shows executing at least once earn
+//!   alignment UNOPs; cold targets (loop heads that never ran) cost nothing
+//!   on the fall-through path.
 //!
 //! Profile↔program matching is by linked-image symbol name (exported
 //! procedures by plain name, locals qualified `"name.module"`, exactly as
@@ -82,11 +81,9 @@ pub fn run_with(
         for p in &m.procs {
             let n_targets = backward_target_ids(p).len();
             let decisions = match profile.proc(&proc_key(&p.name, p.vis, module_name)) {
-                Some(pp) if pp.back_targets.len() == n_targets => pp
-                    .back_targets
-                    .iter()
-                    .map(|&c| c >= options.pgo_hot_min)
-                    .collect(),
+                Some(pp) if pp.back_targets.len() == n_targets => {
+                    pp.back_targets.iter().map(|&c| c > 0).collect()
+                }
                 // Unknown procedure or a target-count mismatch: the paper's
                 // blind alignment is the safe default.
                 _ => vec![true; n_targets],

@@ -103,10 +103,6 @@ pub struct OmOptions {
     /// [`crate::pgo`] reorders procedures by call frequency and aligns only
     /// hot backward-branch targets (replacing the blind alignment pass).
     pub profile: Option<crate::profile::Profile>,
-    /// Minimum profiled execution count for a backward-branch target to be
-    /// considered hot (and earn alignment UNOPs) under profile-guided
-    /// layout. The default, 1, skips only never-executed targets.
-    pub pgo_hot_min: u64,
     /// Deliberate miscompilation for mutation testing ([`crate::fault`],
     /// the `omkill` harness). `None` — the only value real links ever use —
     /// costs a single branch per fault point.
@@ -122,7 +118,6 @@ impl Default for OmOptions {
             preemptible: Vec::new(),
             verify: false,
             profile: None,
-            pgo_hot_min: 1,
             fault: None,
         }
     }
@@ -283,32 +278,21 @@ fn run_pipeline(
     let mut program = {
         let locals_span = om_obs::span("pass.translate");
         om_obs::count("pass.translate.modules", modules.len() as u64);
-        match caches {
-            None => {
-                let locals = modules
-                    .iter()
-                    .map(translate_module)
-                    .collect::<Result<Vec<LocalSymModule>, _>>()?;
-                drop(locals_span);
-                let _s = om_obs::span("pass.resolve");
-                resolve_symbolic(&locals, &symtab)
-            }
-            Some(c) => {
+        let locals = modules
+            .iter()
+            .map(|m| match caches {
+                None => translate_module(m).map(Arc::new),
                 // Per-module translation through the shared cache: an edited
                 // module re-translates; everything else is reused by content.
-                let locals = modules
-                    .iter()
-                    .map(|m| {
-                        c.modules
-                            .get_or_try(module_hash(m), || translate_module(m))
-                            .map(|(v, _)| v)
-                    })
-                    .collect::<Result<Vec<Arc<LocalSymModule>>, OmError>>()?;
-                drop(locals_span);
-                let _s = om_obs::span("pass.resolve");
-                resolve_symbolic(&locals, &symtab)
-            }
-        }
+                Some(c) => c
+                    .modules
+                    .get_or_try(module_hash(m), || translate_module(m))
+                    .map(|(v, _)| v),
+            })
+            .collect::<Result<Vec<Arc<LocalSymModule>>, OmError>>()?;
+        drop(locals_span);
+        let _s = om_obs::span("pass.resolve");
+        resolve_symbolic(&locals, &symtab)
     };
 
     let mut stats = OmStats::default();

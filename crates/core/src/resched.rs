@@ -6,13 +6,16 @@
 //!
 //! The input was scheduled at compile time "in the presence of a large number
 //! of address loads that OM later removed"; rescheduling lets the freed
-//! latency slots be reused. The paper found the payoff small — our harness
-//! measures the same experiment.
+//! latency slots be reused. Each block goes through
+//! [`om_alpha::timing::list_schedule`], the same list scheduler the compiler
+//! ran; what this pass adds is OM's block boundaries, the pinned entry
+//! GPDISP pair and pinned branch targets. The paper found the payoff small —
+//! our harness measures the same experiment.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::stats::OmStats;
 use crate::sym::{InstId, SInst, SMark, SymProc, SymProgram};
-use om_alpha::timing::{can_dual_issue, latency};
+use om_alpha::timing::list_schedule;
 use om_alpha::{Effects, Inst};
 use std::collections::{HashMap, HashSet};
 
@@ -122,76 +125,14 @@ pub fn schedule_proc(insts: &mut Vec<SInst>) {
             out.push(insts[s].clone());
             s += 1;
         }
+        // Marks need no ordering edges of their own: a GPDISP pair keeps its
+        // internal order through the GP dependence, and LITUSE consumers
+        // follow their load through its destination register.
         let mut block: Vec<SInst> = insts[s..e].to_vec();
-        schedule_block(&mut block);
+        list_schedule(&mut block, |i| &i.inst);
         out.extend(block);
     }
     *insts = out;
-}
-
-/// Latency-driven list scheduling of one block (same policy as the
-/// compile-time scheduler, but over post-OM code).
-fn schedule_block(block: &mut Vec<SInst>) {
-    let n = block.len();
-    if n < 2 {
-        return;
-    }
-    let effects: Vec<Effects> = block.iter().map(|i| Effects::of(&i.inst)).collect();
-
-    // Extra ordering constraints beyond register/memory dependences: a
-    // GPDISP pair must keep its internal order (already enforced by the GP
-    // register dependence) and LITUSE consumers follow their load (enforced
-    // by the load's destination register). So plain Effects suffice.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut npreds: Vec<usize> = vec![0; n];
-    for j in 0..n {
-        for i in 0..j {
-            if effects[j].depends_on(&effects[i]) {
-                succs[i].push(j);
-                npreds[j] += 1;
-            }
-        }
-    }
-    let mut prio: Vec<u32> = vec![0; n];
-    for i in (0..n).rev() {
-        let tail = succs[i].iter().map(|&j| prio[j]).max().unwrap_or(0);
-        prio[i] = latency(&block[i].inst) + tail;
-    }
-    let fanout: Vec<usize> = succs.iter().map(Vec::len).collect();
-
-    let mut ready: Vec<usize> = (0..n).filter(|&i| npreds[i] == 0).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining = npreds;
-    while let Some(&first) = ready.first() {
-        let mut best = first;
-        for &c in &ready {
-            let key = |i: usize| {
-                let pairs = order
-                    .last()
-                    .map(|&p| can_dual_issue(&block[p].inst, &block[i].inst))
-                    .unwrap_or(false);
-                (prio[i], fanout[i], pairs as u32, std::cmp::Reverse(i))
-            };
-            if key(c) > key(best) {
-                best = c;
-            }
-        }
-        ready.retain(|&i| i != best);
-        order.push(best);
-        for &j in &succs[best] {
-            remaining[j] -= 1;
-            if remaining[j] == 0 {
-                ready.push(j);
-            }
-        }
-    }
-
-    let old = std::mem::take(block);
-    let mut slots: Vec<Option<SInst>> = old.into_iter().map(Some).collect();
-    *block = order
-        .into_iter()
-        .map(|i| slots[i].take().expect("scheduled twice"))
-        .collect();
 }
 
 /// The distinct backward-branch targets of `p` (target position ≤ branch

@@ -13,15 +13,21 @@
 //! * after-call GP resets become no-ops when caller and callee share a GAT;
 //! * commons are sorted by size near the GAT (a layout policy, applied when
 //!   the optimized program is linked).
+//!
+//! The call-site rewriter ([`collect_sites`], [`convert_calls`]) and the
+//! address-load pass ([`transform_address_loads`]) are OM-full's too. The
+//! only difference the paper draws between the levels is how an instruction
+//! goes away: [`Removal::Nullify`] here, [`Removal::Delete`] in
+//! [`crate::full`].
 
 use crate::analysis::{
-    call_sites, load_dest, prologue_pair_at_entry, reads_pv_outside, use_index, CallKind,
+    call_sites, load_dest, prologue_pair_at_entry, reads_pv_outside, ref_name, use_index, CallKind,
     Snapshot, UseKind,
 };
 use crate::fault::{armed, FaultKind, FaultPlan};
 use crate::pipeline::CallBook;
 use crate::stats::OmStats;
-use crate::sym::{GlobalRef, OmError, SMark, SymProgram};
+use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProc, SymProgram};
 use om_alpha::{BrOp, Inst, MemOp, Reg};
 use std::collections::HashSet;
 
@@ -51,108 +57,179 @@ pub fn run_with(
     let snap = Snapshot::capture_with(program, options.sort_commons)?;
     let preempt: HashSet<&str> = options.preemptible.iter().map(String::as_str).collect();
     let m = crate::obs::PassMeter::begin("calls", stats);
-    transform_calls(program, &snap, stats, book, &preempt);
+    let sites = collect_sites(program, &snap);
+    let fault = options.fault.as_ref();
+    convert_calls(
+        program, &snap, &sites, &HashSet::new(), Removal::Nullify, stats, book, &preempt, fault,
+    );
     m.end(stats);
     let m = crate::obs::PassMeter::begin("convert", stats);
-    transform_address_loads(program, &snap, stats, &preempt, options.fault.as_ref());
+    transform_address_loads(program, &snap, stats, &preempt, fault);
     m.end(stats);
     Ok(())
 }
 
-/// Rewrites call sites: JSR→BSR, prologue skipping, GP-reset nullification.
-pub fn transform_calls(
+/// How a rewrite removes an instruction — the one difference the paper
+/// draws between OM-simple and OM-full (§4).
+#[derive(Debug, Clone, Copy)]
+pub enum Removal {
+    /// OM-simple: replace it with a no-op in place (`insts_nullified`).
+    Nullify,
+    /// OM-full: delete it, shrinking the code (`insts_deleted`).
+    Delete,
+}
+
+/// One call site with its caller coordinates, frozen under a snapshot.
+#[derive(Debug)]
+pub struct Site {
+    pub mi: usize,
+    pub pi: usize,
+    /// Address of the call instruction under the snapshot (deletions shift
+    /// indices, so it is taken before any rewrite).
+    pub addr: u64,
+    pub jsr_id: InstId,
+    pub kind: CallKind,
+    pub gp_reset: Option<(InstId, InstId)>,
+}
+
+/// Every call site of the program, in module/procedure/code order.
+pub fn collect_sites(program: &SymProgram, snap: &Snapshot) -> Vec<Site> {
+    let mut sites = Vec::new();
+    for (mi, m) in program.modules.iter().enumerate() {
+        for (pi, p) in m.procs.iter().enumerate() {
+            for s in call_sites(p) {
+                sites.push(Site {
+                    mi,
+                    pi,
+                    addr: snap.inst_addr(program, mi, pi, s.at),
+                    jsr_id: p.insts[s.at].id,
+                    kind: s.kind,
+                    gp_reset: s.gp_reset,
+                });
+            }
+        }
+    }
+    sites
+}
+
+/// Rewrites call sites: GP-reset removal, JSR→BSR, and prologue skipping
+/// with PV-load removal. `dropped` names the procedures whose prologue GP
+/// setup OM-full already deleted (their callers enter at `entry+0` and
+/// need no PV); OM-simple passes an empty set. Returns true if anything
+/// changed.
+#[allow(clippy::too_many_arguments)]
+pub fn convert_calls(
     program: &mut SymProgram,
     snap: &Snapshot,
+    sites: &[Site],
+    dropped: &HashSet<GlobalRef>,
+    removal: Removal,
     stats: &mut OmStats,
     book: &mut CallBook,
     preempt: &HashSet<&str>,
-) {
+    fault: Option<&FaultPlan>,
+) -> bool {
     let single_group = snap.single_group();
-    let nmods = program.modules.len();
-    for mi in 0..nmods {
-        let nprocs = program.modules[mi].procs.len();
-        for pi in 0..nprocs {
-            let sites = call_sites(&program.modules[mi].procs[pi]);
-            let uses = use_index(&program.modules[mi].procs[pi]);
-            for site in sites {
-                let jsr_id = program.modules[mi].procs[pi].insts[site.at].id;
-                let key = (mi, pi, jsr_id);
+    let mut changed = false;
+    for s in sites {
+        let key = (s.mi, s.pi, s.jsr_id);
 
-                // GP reset removal condition. A preemptible callee might be
-                // replaced at dynamic-link time by code in another GAT group,
-                // so nothing about it can be assumed.
-                let same_gp_target = match &site.kind {
-                    CallKind::DirectJsr { target, .. } | CallKind::Bsr { target, .. } => {
-                        if preempt.contains(crate::analysis::ref_name(program, target)) {
-                            false
-                        } else {
-                            match target {
-                                GlobalRef::Def { module, .. } => {
-                                    snap.group(mi) == snap.group(*module)
-                                }
-                                GlobalRef::Common { .. } => single_group,
-                            }
-                        }
+        // GP reset removal condition. A preemptible callee might be
+        // replaced at dynamic-link time by code in another GAT group, so
+        // nothing about it can be assumed.
+        let same_gp_target = match &s.kind {
+            CallKind::DirectJsr { target, .. } | CallKind::Bsr { target, .. } => {
+                !preempt.contains(ref_name(program, target))
+                    && match target {
+                        GlobalRef::Def { module, .. } => snap.group(s.mi) == snap.group(*module),
+                        GlobalRef::Common { .. } => single_group,
                     }
-                    CallKind::Indirect => single_group,
-                };
-                if let Some((hi, lo)) = site.gp_reset {
-                    if same_gp_target {
-                        let proc = &mut program.modules[mi].procs[pi];
-                        for id in [hi, lo] {
-                            let idx = proc.index_of(id);
-                            proc.insts[idx].inst = Inst::nop();
-                            proc.insts[idx].mark = SMark::None;
-                        }
-                        stats.insts_nullified += 2;
-                        book.entry(key).or_insert((false, true)).1 = false;
-                    }
-                }
-
-                // JSR → BSR conversion (never for preemptible targets: the
-                // dynamic linker may bind the call elsewhere).
-                let CallKind::DirectJsr { load, target } = site.kind else { continue };
-                if preempt.contains(crate::analysis::ref_name(program, &target)) {
-                    continue;
-                }
-                let Some((tm, tp)) = program.proc_of(&target) else { continue };
-                let jsr_addr = snap.inst_addr(program, mi, pi, site.at);
-                let target_addr = snap.addr(&target);
-                if !bsr_reachable(jsr_addr, target_addr) {
-                    continue;
-                }
-
-                // Decide whether the BSR can skip the prologue and drop PV.
-                let mut addend = 0i64;
-                let mut kill_load = false;
-                let same_gp = snap.group(mi) == snap.group(tm);
-                if same_gp {
-                    let tproc = &program.modules[tm].procs[tp];
-                    if let Some((hi, lo)) = prologue_pair_at_entry(tproc) {
-                        let sole_use = uses
-                            .get(&load)
-                            .map(|u| u.len() == 1 && u[0].1 == UseKind::Jsr)
-                            .unwrap_or(false);
-                        if sole_use && !reads_pv_outside(tproc, &[hi, lo]) {
-                            addend = 8;
-                            kill_load = true;
-                        }
-                    }
-                }
-
-                let proc = &mut program.modules[mi].procs[pi];
-                proc.insts[site.at].inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
-                proc.insts[site.at].mark = SMark::BrSym { target: target.clone(), addend };
-                stats.calls_jsr_to_bsr += 1;
-                if kill_load {
-                    let li = proc.index_of(load);
-                    proc.insts[li].inst = Inst::nop();
-                    proc.insts[li].mark = SMark::None;
-                    stats.insts_nullified += 1;
-                    stats.addr_loads_nullified += 1;
-                    book.entry(key).or_insert((true, false)).0 = false;
-                }
             }
+            CallKind::Indirect => single_group,
+        };
+        if let Some((hi, lo)) = s.gp_reset {
+            if same_gp_target {
+                remove(&mut program.modules[s.mi].procs[s.pi], &[hi, lo], removal, stats);
+                book.entry(key).or_insert((false, true)).1 = false;
+                changed = true;
+            }
+        }
+
+        // JSR → BSR conversion (never for preemptible targets: the dynamic
+        // linker may bind the call elsewhere).
+        let CallKind::DirectJsr { load, target } = &s.kind else { continue };
+        if preempt.contains(ref_name(program, target)) {
+            continue;
+        }
+        let Some((tm, tp)) = program.proc_of(target) else { continue };
+        if !bsr_reachable(s.addr, snap.addr(target)) {
+            continue;
+        }
+
+        // Decide the entry point and whether PV dies. A callee whose
+        // prologue OM-full dropped needs no PV at all; otherwise the BSR can
+        // skip a same-GP callee's prologue, and drop the PV load, only when
+        // the GPDISP pair is literally the first two instructions.
+        let sole_use = use_index(&program.modules[s.mi].procs[s.pi])
+            .get(load)
+            .is_some_and(|u| u.len() == 1 && u[0].1 == UseKind::Jsr);
+        let tproc = &program.modules[tm].procs[tp];
+        let entry_pair = prologue_pair_at_entry(tproc);
+        let (mut addend, kill_load) = if dropped.contains(target) {
+            (0, sole_use)
+        } else if same_gp_target {
+            match entry_pair {
+                Some((hi, lo)) if sole_use && !reads_pv_outside(tproc, &[hi, lo]) => (8, true),
+                _ => (0, false),
+            }
+        } else {
+            // Different GP group: the callee still derives its GP from PV,
+            // so the PV load must stay; BSR is still profitable.
+            (0, false)
+        };
+
+        // Fault point: a `BSR target+8` against a callee whose entry holds
+        // real code (no GPDISP pair there to skip) silently drops two
+        // instructions from the callee's execution.
+        if addend == 0 && entry_pair.is_none() && armed(fault, FaultKind::BsrSkew) {
+            addend = 8;
+        }
+        // Fault point: the PV load dies below, but the branch forgets the
+        // +8 prologue skip that compensates — the callee rebuilds GP from a
+        // stale PV.
+        if addend == 8 && kill_load && armed(fault, FaultKind::PvLoadDrop) {
+            addend = 0;
+        }
+
+        let p = &mut program.modules[s.mi].procs[s.pi];
+        let at = p.index_of(s.jsr_id);
+        p.insts[at].inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
+        p.insts[at].mark = SMark::BrSym { target: target.clone(), addend };
+        stats.calls_jsr_to_bsr += 1;
+        changed = true;
+        if kill_load {
+            remove(p, &[*load], removal, stats);
+            stats.addr_loads_nullified += 1;
+            book.entry(key).or_insert((true, false)).0 = false;
+        }
+    }
+    changed
+}
+
+/// Removes the instructions `ids` from `p` the way `removal` says.
+fn remove(p: &mut SymProc, ids: &[InstId], removal: Removal, stats: &mut OmStats) {
+    match removal {
+        Removal::Nullify => {
+            for &id in ids {
+                let k = p.index_of(id);
+                p.insts[k].inst = Inst::nop();
+                p.insts[k].mark = SMark::None;
+            }
+            stats.insts_nullified += ids.len();
+        }
+        Removal::Delete => {
+            p.delete(&ids.iter().copied().collect());
+            stats.insts_deleted += ids.len();
         }
     }
 }

@@ -59,6 +59,12 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 echo "== figure drift =="
 scripts/bench.sh --refresh
 
+echo "== ablations (one benchmark; results must not change under any ablation) =="
+# The only caller that sets sort_commons, max_rounds and
+# align_backward_targets to non-default values; it asserts that each
+# ablation leaves the program's result unchanged.
+cargo run --release -p om-bench --bin ablations -- --bench li
+
 echo "== CI-fleet smoke (bounded relink storm + socket round trip) =="
 # ~100 measured relinks: enforces the 80% per-module hit-rate floor and
 # byte-identity of every cached image against the one-shot pipeline.
