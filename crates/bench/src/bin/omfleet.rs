@@ -27,7 +27,6 @@ use om_core::OmLevel;
 use om_omd::{serve, Client, LinkServer};
 use om_workloads::spec;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Workloads the smoke gate exercises (small, fast to build).
 const SMOKE_BENCHES: usize = 6;
@@ -49,14 +48,11 @@ fn scale_fleet(n: usize, quick: bool) -> ! {
     let b = built_each(n);
     let row = fleet_built(&b, &cfg);
     println!(
-        "scale{n}: {} requests over {} modules: {} module misses, hit rate {:.3}%, \
-         p50 {}us p99 {}us, identical {}",
+        "scale{n}: {} requests over {} modules: {} module misses, hit rate {:.3}%, identical {}",
         row.requests,
         row.modules,
         row.module_misses,
         row.hit_rate * 100.0,
-        row.p50_us,
-        row.p99_us,
         row.byte_identical
     );
     let mut failures = Vec::new();
@@ -85,7 +81,6 @@ fn scale_fleet(n: usize, quick: bool) -> ! {
 }
 
 fn main() {
-    let t_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut quick = false;
@@ -193,11 +188,10 @@ fn main() {
                 .collect::<Vec<_>>()
         )
     );
-    eprintln!("fleet: {relinks} measured relinks in {:.1}s", t_start.elapsed().as_secs_f64());
+    eprintln!("fleet: {relinks} measured relinks");
 
     if let Some(path) = json_path {
-        let report = json::report(&rows, quick, cfg.jobs, t_start.elapsed().as_secs_f64(), (0.0, 0.0, 0.0));
-        if let Err(e) = std::fs::write(&path, report) {
+        if let Err(e) = std::fs::write(&path, json::report(&rows, quick)) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         }

@@ -11,20 +11,20 @@
 //! Benchmarks are built and measured on a worker pool (`--jobs`, default =
 //! available parallelism); results are rendered in spec order, so stdout is
 //! byte-identical at any width. `--json` additionally writes machine-
-//! readable per-figure rows plus harness wall-clock and per-phase timings.
+//! readable per-figure rows; Figure 7's wall-clock table is printed only,
+//! so the report is byte-identical at any width too.
 //!
 //! `check` is the BENCH drift gate ([`json::check`]): it checks a `--json`
 //! report's figure coverage and oracle markers and, given a baseline,
 //! compares its deterministic rows field by field. It exits 1 on any
 //! finding or an unreadable report, 2 on bad arguments.
 
-use om_bench::figures::{self, phase, Prepared, Selection};
+use om_bench::figures::{self, Prepared, Selection};
 use om_bench::fleet::{self, FleetConfig};
 use om_bench::par::{default_jobs, parallel_map};
 use om_bench::{json, render};
 use om_obs::json::JsonValue;
 use om_workloads::spec;
-use std::time::Instant;
 
 const FIGURES: [&str; 10] =
     ["fig3", "fig4", "fig5", "fig6", "fig7", "gat", "pgo", "fleet", "passes", "scale"];
@@ -70,7 +70,6 @@ fn check(paths: &[String]) -> ! {
 }
 
 fn main() {
-    let t_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "check") {
         check(&args[1..]);
@@ -185,8 +184,7 @@ fn main() {
         }
     }
     if sel.fleet {
-        // Like fig7: sequential across benchmarks (the storm is internally
-        // parallel), so latency numbers are not inflated by contention.
+        // Sequential across benchmarks: the storm is internally parallel.
         let cfg = if quick { FleetConfig::quick() } else { FleetConfig::full() };
         eprintln!("fleet: relink storm ({} edits x {} repeats, {} threads)...",
             cfg.edits, cfg.repeats, cfg.jobs);
@@ -196,8 +194,7 @@ fn main() {
     }
     if sel.scale && filter.is_empty() {
         // Scale points are whole synthetic programs of their own, appended
-        // after the 19 paper benchmarks. Sequential like fig7: the link and
-        // relink times on the curve are the measurement.
+        // after the 19 paper benchmarks.
         for n in om_bench::scale::points(quick) {
             eprintln!("scale: measuring scale{n} ({n} modules, all oracles)...");
             rows.push(om_bench::scale::bench_rows(n));
@@ -224,10 +221,7 @@ fn main() {
             "fleet" => println!("{}", render::fleet(&rows_of!(fleet))),
             "passes" => println!("{}", render::passes(&rows_of!(passes))),
             "scale" => {
-                let pairs: Vec<_> = rows
-                    .iter()
-                    .filter_map(|r| r.scale.map(|s| (r.name.clone(), (s, r.scaletime))))
-                    .collect();
+                let pairs = rows_of!(scale);
                 if !pairs.is_empty() {
                     println!("{}", render::scale(&pairs));
                 }
@@ -237,14 +231,7 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let report = json::report(
-            &rows,
-            quick,
-            jobs,
-            t_start.elapsed().as_secs_f64(),
-            phase::totals(),
-        );
-        if let Err(e) = std::fs::write(&path, report) {
+        if let Err(e) = std::fs::write(&path, json::report(&rows, quick)) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         }

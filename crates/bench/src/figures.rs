@@ -24,44 +24,10 @@ use om_linker::{link_modules, Image, LayoutOpts};
 use om_sim::{run_profiled_fast, run_timed_fast, TimingStats};
 use om_workloads::build::{build, BuiltBenchmark, CompileMode};
 use om_workloads::gen::BenchSpec;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Simulator instruction budget per run.
 pub const SIM_LIMIT: u64 = 2_000_000_000;
-
-/// Which simulator engine the harness measures with. Recorded in the BENCH
-/// JSON so a captured run says how its `simsec` rows were produced.
-pub const SIM_ENGINE: &str = "block";
-
-/// Cumulative per-phase wall time, summed across worker threads (so with
-/// `--jobs N` the totals can exceed elapsed time — they are CPU-style
-/// accounting, which is exactly what a speedup comparison wants).
-pub mod phase {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
-
-    static BUILD: AtomicU64 = AtomicU64::new(0);
-    static OM: AtomicU64 = AtomicU64::new(0);
-    static SIM: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) fn add_build(d: Duration) {
-        BUILD.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-    pub(crate) fn add_om(d: Duration) {
-        OM.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-    pub(crate) fn add_sim(d: Duration) {
-        SIM.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// `(build, om, sim)` totals in seconds since process start.
-    pub fn totals() -> (f64, f64, f64) {
-        let s = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64 * 1e-9;
-        (s(&BUILD), s(&OM), s(&SIM))
-    }
-}
 
 /// A fully-built benchmark in both compile modes (compiled once, measured
 /// many times), with memoized per-configuration pipeline results.
@@ -80,10 +46,6 @@ pub struct Prepared {
     /// Profile-guided relinks per mode (built with verification on),
     /// computed on first use.
     pgo: [OnceLock<OmOutput>; CompileMode::ALL.len()],
-    /// Cumulative simulator wall time spent on this benchmark, in
-    /// nanoseconds (the per-benchmark slice of [`phase::totals`]'s sim
-    /// column). Report-only.
-    sim_nanos: AtomicU64,
 }
 
 impl Prepared {
@@ -93,10 +55,8 @@ impl Prepared {
     ///
     /// Panics if the generated program fails to compile (a toolchain bug).
     pub fn new(spec: &BenchSpec) -> Prepared {
-        let t0 = Instant::now();
         let each = build(spec, CompileMode::Each).expect("compile-each build");
         let all = build(spec, CompileMode::All).expect("compile-all build");
-        phase::add_build(t0.elapsed());
         Prepared {
             spec: *spec,
             each,
@@ -105,19 +65,7 @@ impl Prepared {
             std_image: Default::default(),
             profile: Default::default(),
             pgo: Default::default(),
-            sim_nanos: AtomicU64::new(0),
         }
-    }
-
-    fn add_sim(&self, t0: Instant) {
-        let d = t0.elapsed();
-        phase::add_sim(d);
-        self.sim_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Simulator seconds spent on this benchmark so far.
-    pub fn sim_seconds(&self) -> f64 {
-        self.sim_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
 
     fn built(&self, mode: CompileMode) -> &BuiltBenchmark {
@@ -136,11 +84,8 @@ impl Prepared {
     pub fn om(&self, mode: CompileMode, level: OmLevel) -> &OmOutput {
         self.om[mode.index()][level.index()].get_or_init(|| {
             let b = self.built(mode);
-            let t0 = Instant::now();
-            let out = optimize_and_link_with(&b.objects, &b.libs, level, &OmOptions::default())
-                .unwrap_or_else(|e| panic!("{} {}: {e}", self.spec.name, level.name()));
-            phase::add_om(t0.elapsed());
-            out
+            optimize_and_link_with(&b.objects, &b.libs, level, &OmOptions::default())
+                .unwrap_or_else(|e| panic!("{} {}: {e}", self.spec.name, level.name()))
         })
     }
 
@@ -175,10 +120,8 @@ impl Prepared {
     /// Panics on link or execution failure.
     pub fn run_standard(&self, mode: CompileMode) -> (i64, TimingStats) {
         let image = self.std_image(mode);
-        let t0 = Instant::now();
         let (r, t) =
             run_timed_fast(image, SIM_LIMIT).unwrap_or_else(|e| panic!("{}: {e}", self.spec.name));
-        self.add_sim(t0);
         (r.result, t)
     }
 
@@ -189,10 +132,8 @@ impl Prepared {
     /// Panics on link or execution failure.
     pub fn run_om(&self, mode: CompileMode, level: OmLevel) -> (i64, TimingStats) {
         let out = self.om(mode, level);
-        let t0 = Instant::now();
         let (r, t) = run_timed_fast(&out.image, SIM_LIMIT)
             .unwrap_or_else(|e| panic!("{} {}: {e}", self.spec.name, level.name()));
-        self.add_sim(t0);
         (r.result, t)
     }
 
@@ -205,10 +146,8 @@ impl Prepared {
     pub fn profile(&self, mode: CompileMode) -> &Profile {
         self.profile[mode.index()].get_or_init(|| {
             let image = &self.om(mode, OmLevel::FullSched).image;
-            let t0 = Instant::now();
             let (_, prof) = run_profiled_fast(image, SIM_LIMIT)
                 .unwrap_or_else(|e| panic!("{} profile: {e}", self.spec.name));
-            self.add_sim(t0);
             prof
         })
     }
@@ -228,11 +167,8 @@ impl Prepared {
                 ..OmOptions::default()
             };
             let b = self.built(mode);
-            let t0 = Instant::now();
-            let out = optimize_and_link_with(&b.objects, &b.libs, OmLevel::FullSched, &options)
-                .unwrap_or_else(|e| panic!("{} pgo: {e}", self.spec.name));
-            phase::add_om(t0.elapsed());
-            out
+            optimize_and_link_with(&b.objects, &b.libs, OmLevel::FullSched, &options)
+                .unwrap_or_else(|e| panic!("{} pgo: {e}", self.spec.name))
         })
     }
 
@@ -243,10 +179,8 @@ impl Prepared {
     /// Panics on link or execution failure.
     pub fn run_pgo(&self, mode: CompileMode) -> (i64, TimingStats) {
         let out = self.om_pgo(mode);
-        let t0 = Instant::now();
         let (r, t) = run_timed_fast(&out.image, SIM_LIMIT)
             .unwrap_or_else(|e| panic!("{} pgo: {e}", self.spec.name));
-        self.add_sim(t0);
         (r.result, t)
     }
 }
@@ -365,6 +299,8 @@ pub fn fig6(p: &Prepared) -> Fig6Row {
 
 /// Figure 7: build-time comparison in seconds — standard link, the
 /// interprocedural build (compile-all from source), and OM at each level.
+/// One wall-clock sample per cell, so `reproduce fig7` prints it and the
+/// BENCH JSON leaves it out; `omperf` is the repeatable timing harness.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig7Row {
     pub standard_link: f64,
@@ -379,6 +315,8 @@ pub struct Fig7Row {
 /// real pipeline fresh, exactly as the paper's table does — the memoized
 /// results in [`Prepared`] are deliberately not consulted.
 pub fn fig7(p: &Prepared) -> Fig7Row {
+    use std::time::Instant;
+
     let standard_link = {
         let b = &p.each;
         let t0 = Instant::now();
@@ -469,9 +407,8 @@ pub const PASS_NAMES: [&str; 5] = ["calls", "convert", "nullify", "resched", "pg
 
 /// Per-pass deterministic counter deltas for one benchmark: a net signed
 /// delta for every `(pass, stats field)` pair, from one traced
-/// OM-full-scheduled run of the compile-each build. Wall time is
-/// deliberately absent — every field here is input-determined, so the row
-/// is gated against the BENCH baseline (unlike `fig7`/`simsec`/`fleet`).
+/// OM-full-scheduled run of the compile-each build. Every field is
+/// input-determined, so the row is gated against the BENCH baseline.
 #[derive(Debug, Clone, Copy)]
 pub struct PassesRow {
     /// `deltas[pass][field]`, pass order [`PASS_NAMES`], field order
@@ -596,21 +533,16 @@ pub struct BenchRows {
     /// parallel measurement pass (like `fig7`).
     pub fleet: Option<crate::fleet::FleetRow>,
     pub passes: Option<PassesRow>,
-    /// The scale figure's deterministic row — only on the dedicated
-    /// `scale{N}` entries ([`crate::scale::bench_rows`]); always `None` on
-    /// the 19 paper benchmarks.
+    /// The scale figure's row — only on the dedicated `scale{N}` entries
+    /// ([`crate::scale::bench_rows`]); always `None` on the 19 paper
+    /// benchmarks.
     pub scale: Option<crate::scale::ScaleRow>,
-    /// The scale figure's wall-clock row (report-only, like fig7).
-    pub scaletime: Option<crate::scale::ScaleTimeRow>,
-    /// Simulator seconds this benchmark spent across all its runs
-    /// (report-only; excluded from baseline diffs like fig7).
-    pub sim_seconds: f64,
 }
 
 /// Measures all selected figures for one benchmark. Thanks to the memoized
 /// pipeline, overlapping figures (3/4/5/6/gat) share OM runs.
 pub fn measure(p: &Prepared, sel: Selection) -> BenchRows {
-    let mut rows = BenchRows {
+    BenchRows {
         name: p.spec.name.to_string(),
         fig3: sel.fig3.then(|| fig3(p)),
         fig4: sel.fig4.then(|| fig4(p)),
@@ -628,11 +560,5 @@ pub fn measure(p: &Prepared, sel: Selection) -> BenchRows {
         fleet: None,
         passes: sel.passes.then(|| passes(p)),
         scale: None,
-        scaletime: None,
-        sim_seconds: 0.0,
-    };
-    // Sampled after every figure above has run, so it covers the whole
-    // benchmark's simulator time.
-    rows.sim_seconds = p.sim_seconds();
-    rows
+    }
 }

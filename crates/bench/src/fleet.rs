@@ -6,8 +6,8 @@
 //! requests at a shared [`LinkServer`] from `jobs` client threads. The
 //! cache makes the workload cheap — each edition translates exactly one new
 //! module and reuses every other translation — and the row reports how
-//! cheap: per-module cache hit rate, link-cache hits, p50/p99 request
-//! latency, and throughput.
+//! cheap in cache counters: per-module hit rate and link-cache hits. Relink
+//! wall time is `omperf`'s `relink_edit_cal`, not a field here.
 //!
 //! Correctness is non-negotiable: every served image must be byte-identical
 //! to a fresh one-shot [`optimize_and_link_with`] run on the same objects.
@@ -19,9 +19,7 @@ use crate::par::parallel_map;
 use om_core::{optimize_and_link_with, OmLevel, OmOptions};
 use om_objfile::Module;
 use om_workloads::build::BuiltBenchmark;
-use om_obs::Histogram;
 use om_omd::LinkServer;
-use std::time::Instant;
 
 /// The `hit_rate` floor `omfleet --smoke` (and CI) enforce.
 pub const HIT_RATE_FLOOR: f64 = 0.80;
@@ -50,9 +48,8 @@ impl FleetConfig {
     }
 }
 
-/// One benchmark's fleet results. The counter fields are deterministic at
-/// any `jobs` width (in-flight coalescing guarantees one miss per unique
-/// key); the latency and throughput fields are wall-clock and report-only.
+/// One benchmark's fleet results, deterministic at any `jobs` width
+/// (in-flight coalescing guarantees one miss per unique key).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetRow {
     /// Measured relink requests (`edits × repeats`).
@@ -73,14 +70,6 @@ pub struct FleetRow {
     /// A link-cache hit touches no module at all, so it counts as all
     /// `modules` lookups avoided.
     pub hit_rate: f64,
-    /// Median request latency in microseconds, from the same
-    /// [`om_obs::Histogram`] a serving `omd` reports in its stats reply —
-    /// one quantile implementation for fleet and daemon alike.
-    pub p50_us: u64,
-    /// 99th-percentile request latency, microseconds (same histogram).
-    pub p99_us: u64,
-    /// Requests per wall-clock second across the storm.
-    pub rps: f64,
     /// True iff every edition's served image matched a fresh one-shot
     /// pipeline run byte for byte.
     pub byte_identical: bool,
@@ -133,15 +122,11 @@ pub fn fleet_built(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
     // clients race both fresh and repeated keys.
     let schedule: Vec<usize> =
         (0..cfg.repeats).flat_map(|_| 0..cfg.edits).collect();
-    let t0 = Instant::now();
-    let times: Vec<u64> = parallel_map(cfg.jobs, &schedule, |&e| {
-        let t = Instant::now();
+    parallel_map(cfg.jobs, &schedule, |&e| {
         server
             .link(&editions[e], level, &options)
             .unwrap_or_else(|err| panic!("{} fleet edition {e}: {err}", b.name));
-        t.elapsed().as_micros() as u64
     });
-    let wall = t0.elapsed().as_secs_f64().max(1e-9);
 
     let mod1 = server.caches().modules.stats();
     let link1 = server.caches().links.stats();
@@ -166,12 +151,6 @@ pub fn fleet_built(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
         served == fresh
     });
 
-    // Quantiles via the shared log2 histogram (the implementation `omd`
-    // serves in its stats reply), not a private sorted-vector percentile.
-    let mut latency = Histogram::new();
-    for &t in &times {
-        latency.record(t);
-    }
     FleetRow {
         requests,
         threads: cfg.jobs,
@@ -181,9 +160,6 @@ pub fn fleet_built(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
         link_hits: link1.hits - link0.hits,
         link_misses: link1.misses - link0.misses,
         hit_rate,
-        p50_us: latency.p50(),
-        p99_us: latency.p99(),
-        rps: requests as f64 / wall,
         byte_identical,
     }
 }

@@ -5,11 +5,10 @@
 //! Every figure row is one object keyed by its `"fig"` and `"bench"`,
 //! written one per line so a human diff stays readable. The gate reads the
 //! report through [`om_obs::json`] and judges it by the schema declared
-//! here, next to the writer: the [`REQUIRED`] figures, the [`MARKERS`]
-//! oracles, and the [`REPORT_ONLY`] wall-clock figures (`fig7`, `simsec`,
-//! `fleet`, `scaletime`) that are never compared. Every other row is
-//! bit-deterministic. `wall_seconds` and `phase_seconds` are wall-clock too
-//! and sit outside the rows.
+//! here, next to the writer: the [`REQUIRED`] figures and the [`MARKERS`]
+//! oracles. Every row is bit-deterministic, so the report depends only on
+//! the code: Figure 7's wall-clock table is printed by `reproduce fig7` and
+//! never written here.
 
 use crate::figures::BenchRows;
 use om_obs::json::{quote, JsonValue};
@@ -100,22 +99,6 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
         }
         push_row(out, "fig6", &r.name, &fields);
     }
-    if let Some(x) = r.fig7 {
-        sep(out);
-        push_row(
-            out,
-            "fig7",
-            &r.name,
-            &[
-                ("standard_link", f(x.standard_link)),
-                ("interproc_build", f(x.interproc_build)),
-                ("om_none", f(x.om_none)),
-                ("om_simple", f(x.om_simple)),
-                ("om_full", f(x.om_full)),
-                ("om_full_sched", f(x.om_full_sched)),
-            ],
-        );
-    }
     if let Some(x) = r.gat {
         sep(out);
         push_row(
@@ -145,9 +128,8 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
     }
     if let Some(x) = r.passes {
         sep(out);
-        // Deterministic (no wall time): diffed against the baseline like
-        // fig3–fig5. Only nonzero deltas are emitted, so the key set itself
-        // is part of the gated content.
+        // Only nonzero deltas are emitted, so the key set itself is part of
+        // the gated content.
         let mut fields = vec![("full_rounds".to_string(), x.full_rounds.to_string())];
         for (pi, pass) in crate::figures::PASS_NAMES.iter().enumerate() {
             for (fi, (field, _)) in om_core::obs::DELTA_FIELDS.iter().enumerate() {
@@ -162,8 +144,6 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
     }
     if let Some(x) = r.fleet {
         sep(out);
-        // Latency and throughput are wall-clock, so the whole fleet row is
-        // report-only (like fig7 and simsec).
         push_row(
             out,
             "fleet",
@@ -177,18 +157,12 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
                 ("link_hits", x.link_hits.to_string()),
                 ("link_misses", x.link_misses.to_string()),
                 ("hit_rate", f(x.hit_rate)),
-                ("p50_us", x.p50_us.to_string()),
-                ("p99_us", x.p99_us.to_string()),
-                ("rps", f(x.rps)),
                 ("byte_identical", x.byte_identical.to_string()),
             ],
         );
     }
     if let Some(x) = r.scale {
         sep(out);
-        // Deterministic scale-point fields: GAT geometry, checksums,
-        // scenario-pack outcomes, cache-invalidation counts. Drift-gated
-        // against the baseline like fig3–fig5.
         push_row(
             out,
             "scale",
@@ -219,63 +193,17 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
             ],
         );
     }
-    if let Some(x) = r.scaletime {
-        sep(out);
-        // Wall-clock scaling curve (fig7 extended): report-only, excluded
-        // from baseline diffs like fig7, simsec, and fleet.
-        push_row(
-            out,
-            "scaletime",
-            &r.name,
-            &[
-                ("standard_link", f(x.standard_link)),
-                ("om_full_sched", f(x.om_full_sched)),
-                ("relink_cold", f(x.relink_cold)),
-                ("relink_edit", f(x.relink_edit)),
-            ],
-        );
-    }
-    if r.sim_seconds > 0.0 {
-        sep(out);
-        // Wall-clock, like fig7: report-only, excluded from baseline diffs.
-        push_row(
-            out,
-            "simsec",
-            &r.name,
-            &[
-                ("seconds", f(r.sim_seconds)),
-                ("engine", quote(crate::figures::SIM_ENGINE)),
-            ],
-        );
-    }
     n
 }
 
-/// Renders the whole report. `wall_seconds` is the harness's elapsed time;
-/// `phase_seconds` comes from [`crate::figures::phase::totals`].
-pub fn report(
-    rows: &[BenchRows],
-    quick: bool,
-    jobs: usize,
-    wall_seconds: f64,
-    phase_seconds: (f64, f64, f64),
-) -> String {
+/// Renders the whole report. It is a function of `rows` and `quick` alone,
+/// so it is byte-identical at any `--jobs` width and on any machine.
+pub fn report(rows: &[BenchRows], quick: bool) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": {},", quote(SCHEMA));
-    let _ = writeln!(out, "  \"engine\": {},", quote(crate::figures::SIM_ENGINE));
     let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"benchmarks\": {},", rows.len());
-    let _ = writeln!(out, "  \"wall_seconds\": {},", f(wall_seconds));
-    let (b, o, s) = phase_seconds;
-    let _ = writeln!(
-        out,
-        "  \"phase_seconds\": {{\"build\": {}, \"om\": {}, \"sim\": {}}},",
-        f(b),
-        f(o),
-        f(s)
-    );
     out.push_str("  \"rows\": [\n");
     let mut first = true;
     for r in rows {
@@ -296,24 +224,18 @@ pub fn report(
 // The drift gate (`reproduce check`)
 // ---------------------------------------------------------------------------
 
-/// Wall-clock figures: their rows must carry their [`MARKERS`] but are
-/// never compared against a baseline.
-pub const REPORT_ONLY: [&str; 4] = ["fig7", "simsec", "fleet", "scaletime"];
-
 /// Figures a `reproduce all --quick` run must produce at least one row of;
 /// a silently skipped figure would otherwise shrink the comparison instead
 /// of failing it.
-pub const REQUIRED: [&str; 11] = [
-    "fig3", "fig4", "fig5", "fig6", "gat", "pgo", "fleet", "simsec", "passes", "scale", "scaletime",
-];
+pub const REQUIRED: [&str; 9] =
+    ["fig3", "fig4", "fig5", "fig6", "gat", "pgo", "fleet", "passes", "scale"];
 
 /// Oracle markers, checked on every row of their figure: `(fig, field,
 /// value as written)`, where `None` only requires the field. The harness
 /// enforces these oracles itself; the gate re-checks what it recorded so a
 /// harness regression cannot slip an unverified row into the baseline.
-pub const MARKERS: [(&str, &str, Option<&str>); 8] = [
+pub const MARKERS: [(&str, &str, Option<&str>); 7] = [
     ("pgo", "pgo_cycles_each", None),
-    ("simsec", "engine", None),
     ("fleet", "byte_identical", Some("true")),
     ("passes", "reconciled", Some("true")),
     ("scale", "verified_variants", Some("8")),
@@ -353,9 +275,9 @@ fn show(v: Option<&JsonValue>) -> String {
 
 /// Gates a `reproduce --json` report: every [`REQUIRED`] figure has a row,
 /// and every row carries its figure's [`MARKERS`]. Against a `baseline`,
-/// every row outside [`REPORT_ONLY`] must also appear in both reports under
-/// the same `(fig, bench)` with the same fields, each value equal exactly
-/// as written. Row order and formatting do not matter.
+/// every row must also appear in both reports under the same `(fig, bench)`
+/// with the same fields, each value equal exactly as written. Row order and
+/// formatting do not matter.
 ///
 /// Returns one finding per violation, naming the figure, benchmark and
 /// field; empty means the report passes.
@@ -386,7 +308,7 @@ pub fn check(run: &JsonValue, baseline: Option<&JsonValue>) -> Vec<String> {
     };
     let base = index(baseline, "baseline", &mut findings);
     let keys: BTreeSet<_> = base.keys().chain(rows.keys()).collect();
-    for key @ (fig, bench) in keys.into_iter().filter(|(fig, _)| !REPORT_ONLY.contains(fig)) {
+    for key @ (fig, bench) in keys {
         match (base.get(key), rows.get(key)) {
             (Some(b), Some(r)) => {
                 for field in b.keys().chain(r.keys()).collect::<BTreeSet<_>>() {
@@ -461,9 +383,6 @@ mod tests {
                 link_hits: 8,
                 link_misses: 4,
                 hit_rate: 0.9333333333333333,
-                p50_us: 120,
-                p99_us: 900,
-                rps: 250.0,
                 byte_identical: true,
             }),
             passes: Some({
@@ -502,28 +421,23 @@ mod tests {
                 edit_hit_rate: 0.9375,
                 sampled_exact: true,
             }),
-            scaletime: Some(crate::scale::ScaleTimeRow {
-                standard_link: 0.01,
-                om_full_sched: 0.05,
-                relink_cold: 0.04,
-                relink_edit: 0.002,
-            }),
-            sim_seconds: 0.375,
         }
     }
 
     #[test]
     fn rows_are_single_grepable_lines() {
-        let rows = vec![BenchRows {
-            fig3: None,
-            fig4: None,
-            fig6: None,
-            fig7: None,
-            ..sample("compress")
-        }];
-        let s = report(&rows, true, 4, 1.5, (0.5, 0.25, 0.75));
+        // fig7 stays set: its wall-clock row is never written.
+        let rows = vec![BenchRows { fig3: None, fig4: None, fig6: None, ..sample("compress") }];
+        let s = report(&rows, true);
+        let header = r#"{
+  "schema": "om-reproduce/v1",
+  "quick": true,
+  "benchmarks": 1,
+  "rows": [
+"#;
+        assert!(s.starts_with(header), "{s}");
         let bench_lines: Vec<&str> = s.lines().filter(|l| l.contains("\"bench\"")).collect();
-        assert_eq!(bench_lines.len(), 8, "{s}");
+        assert_eq!(bench_lines.len(), 6, "{s}");
         assert!(bench_lines[0].contains("\"fig\":\"fig5\""), "{s}");
         assert!(bench_lines[1].contains("\"each_before\":40"), "{s}");
         assert!(bench_lines[2].contains("\"fig\":\"pgo\""), "{s}");
@@ -539,19 +453,13 @@ mod tests {
         assert!(bench_lines[5].contains("\"verified_variants\":8"), "{s}");
         assert!(bench_lines[5].contains("\"edit_module_misses\":1"), "{s}");
         assert!(bench_lines[5].contains("\"sampled_exact\":true"), "{s}");
-        assert!(bench_lines[6].contains("\"fig\":\"scaletime\""), "{s}");
-        assert!(bench_lines[6].contains("\"relink_edit\":0.002"), "{s}");
-        assert!(bench_lines[7].contains("\"fig\":\"simsec\""), "{s}");
-        assert!(bench_lines[7].contains("\"engine\":\"block\""), "{s}");
-        assert!(s.contains("\"engine\": \"block\""), "{s}");
-        assert!(s.contains("\"phase_seconds\""), "{s}");
         let doc = json::parse(&s).expect("the report is JSON");
-        assert_eq!(doc.get("rows").and_then(JsonValue::as_arr).map(<[_]>::len), Some(8));
+        assert_eq!(doc.get("rows").and_then(JsonValue::as_arr).map(<[_]>::len), Some(6));
     }
 
     /// A two-benchmark report: every figure present, two `scale` rows.
     fn two_bench_report() -> String {
-        report(&[sample("alpha"), sample("beta")], true, 1, 1.5, (0.5, 0.25, 0.75))
+        report(&[sample("alpha"), sample("beta")], true)
     }
 
     /// `text` with `field` on the `(fig, bench)` row replaced by `value`.
@@ -622,20 +530,21 @@ mod tests {
     }
 
     #[test]
+    fn check_gates_fleet_counters() {
+        let base = two_bench_report();
+        let run = edit(&base, "fleet", "beta", "module_misses", "5");
+        assert_eq!(check_text(&run, Some(&base)), ["fleet beta module_misses: baseline 4, run 5"]);
+    }
+
+    #[test]
     fn check_rejects_duplicate_rows_and_missing_figures() {
         let good = two_bench_report();
         let gat = good.lines().find(|l| l.contains("\"fig\":\"gat\"")).unwrap();
         let dup = good.replacen(gat, &format!("{gat}\n{gat}"), 1);
         assert_eq!(check_text(&dup, None), ["run: gat alpha: duplicate row"]);
-        let no_fig6 = report(
-            &[BenchRows { fig6: None, ..sample("alpha") }],
-            true,
-            1,
-            1.5,
-            (0.5, 0.25, 0.75),
-        );
+        let no_fig6 = report(&[BenchRows { fig6: None, ..sample("alpha") }], true);
         assert_eq!(check_text(&no_fig6, None), ["fig6: run has no rows"]);
-        let with_fig6 = report(&[sample("alpha")], true, 1, 1.5, (0.5, 0.25, 0.75));
+        let with_fig6 = report(&[sample("alpha")], true);
         assert_eq!(
             check_text(&no_fig6, Some(&with_fig6)),
             ["fig6: run has no rows", "fig6 alpha: row missing from run"]
@@ -643,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn check_ignores_order_formatting_and_report_only_values() {
+    fn check_ignores_order_and_formatting() {
         let base = two_bench_report();
         // Every row reversed.
         let (head, rest) = base.split_once("\"rows\": [\n").unwrap();
@@ -654,17 +563,7 @@ mod tests {
         // The same report on one line, and re-indented with tabs and CRLF.
         let one_line: String = base.lines().map(str::trim).collect();
         let tabbed: String = base.lines().map(|l| format!("\t{}\r\n", l.trim())).collect();
-        // Wall-clock values of every report-only figure changed.
-        let mut timed = base.clone();
-        for (fig, field) in [
-            ("fig7", "om_full"),
-            ("simsec", "seconds"),
-            ("fleet", "p99_us"),
-            ("scaletime", "relink_edit"),
-        ] {
-            timed = edit(&timed, fig, "alpha", field, "12345.5");
-        }
-        for run in [reversed, one_line, tabbed, timed] {
+        for run in [reversed, one_line, tabbed] {
             assert_eq!(check_text(&run, Some(&base)), Vec::<String>::new(), "{run}");
         }
     }

@@ -386,17 +386,16 @@ pub fn fleet(rows: &[(String, crate::fleet::FleetRow)]) -> String {
     let mut out = String::new();
     out.push_str("CI fleet: cached relinks after single-module edits (omd link server)\n\n");
     out.push_str(&format!(
-        "{:10} | {:>4} {:>3} {:>4} | {:>6} {:>6} | {:>6} {:>8} {:>8} {:>8} | {:>5}\n",
-        "benchmark", "req", "thr", "mods", "l.hit", "l.miss", "hit%", "p50us", "p99us", "req/s",
-        "ident"
+        "{:10} | {:>4} {:>3} {:>4} | {:>6} {:>6} | {:>6} | {:>5}\n",
+        "benchmark", "req", "thr", "mods", "l.hit", "l.miss", "hit%", "ident"
     ));
-    out.push_str(&"-".repeat(86));
+    out.push_str(&"-".repeat(59));
     out.push('\n');
     let mut rates = Vec::new();
     for (name, r) in rows {
         rates.push(r.hit_rate);
         out.push_str(&format!(
-            "{:10} | {:>4} {:>3} {:>4} | {:>6} {:>6} | {:>6} {:>8} {:>8} {:>8.1} | {:>5}\n",
+            "{:10} | {:>4} {:>3} {:>4} | {:>6} {:>6} | {:>6} | {:>5}\n",
             name,
             r.requests,
             r.threads,
@@ -404,13 +403,10 @@ pub fn fleet(rows: &[(String, crate::fleet::FleetRow)]) -> String {
             r.link_hits,
             r.link_misses,
             pct(r.hit_rate),
-            r.p50_us,
-            r.p99_us,
-            r.rps,
             if r.byte_identical { "yes" } else { "NO" }
         ));
     }
-    out.push_str(&"-".repeat(86));
+    out.push_str(&"-".repeat(59));
     out.push('\n');
     if !rates.is_empty() {
         let mean = rates.iter().sum::<f64>() / rates.len() as f64;
@@ -422,9 +418,8 @@ pub fn fleet(rows: &[(String, crate::fleet::FleetRow)]) -> String {
     out
 }
 
-/// Renders the scaling-curve tables: deterministic geometry/oracle fields,
-/// then the wall-clock link times when present.
-pub fn scale(rows: &[(String, (crate::scale::ScaleRow, Option<crate::scale::ScaleTimeRow>))]) -> String {
+/// Renders the scaling-curve table: geometry and oracle fields per point.
+pub fn scale(rows: &[(String, crate::scale::ScaleRow)]) -> String {
     let mut out = String::new();
     out.push_str("Scaling curves: oracle-gated scale points (all variants verified)\n\n");
     out.push_str(&format!(
@@ -434,7 +429,7 @@ pub fn scale(rows: &[(String, (crate::scale::ScaleRow, Option<crate::scale::Scal
     ));
     out.push_str(&"-".repeat(96));
     out.push('\n');
-    for (name, (r, _)) in rows {
+    for (name, r) in rows {
         out.push_str(&format!(
             "{:10} | {:>6} {:>7} | {:>8} {:>8} {:>5} {:>5} | {:>4} {:>6} | {:>2}/{:>2} {:>6} | {:>5}\n",
             name,
@@ -451,23 +446,6 @@ pub fn scale(rows: &[(String, (crate::scale::ScaleRow, Option<crate::scale::Scal
             if r.sampled_exact { "exact" } else { "DRIFT" },
             if r.shared_identical { "yes" } else { "NO" }
         ));
-    }
-    let timed: Vec<(&String, &crate::scale::ScaleTimeRow)> =
-        rows.iter().filter_map(|(n, (_, t))| t.as_ref().map(|t| (n, t))).collect();
-    if !timed.is_empty() {
-        out.push_str("\nLink-time scaling (seconds; wall-clock, report-only)\n\n");
-        out.push_str(&format!(
-            "{:10} | {:>9} {:>9} | {:>11} {:>11}\n",
-            "point", "std-link", "OM-sched", "relink-cold", "relink-edit"
-        ));
-        out.push_str(&"-".repeat(58));
-        out.push('\n');
-        for (name, t) in timed {
-            out.push_str(&format!(
-                "{:10} | {:>9.3} {:>9.3} | {:>11.3} {:>11.3}\n",
-                name, t.standard_link, t.om_full_sched, t.relink_cold, t.relink_edit
-            ));
-        }
     }
     out
 }

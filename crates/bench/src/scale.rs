@@ -10,17 +10,14 @@
 //! against the full run, so sampling is a sound oracle at sizes where full
 //! timing runs are impractical.
 //!
-//! The measured fields split into two row kinds so `reproduce check`
-//! ([`crate::json::check`]) can gate one and not the other:
-//!
-//! * [`ScaleRow`] (`"fig":"scale"`) — bit-deterministic: GAT geometry,
-//!   checksums, scenario-pack outcomes, cache-invalidation counts. Compared
-//!   against `BENCH_baseline.json` like fig3–fig5, with its oracle markers
-//!   checked on every row.
-//! * [`ScaleTimeRow`] (`"fig":"scaletime"`) — wall-clock link and relink
-//!   times (fig7 extended to the scaling curve). Report-only, like fig7.
+//! Each point records one [`ScaleRow`] (`"fig":"scale"`): GAT geometry,
+//! checksums, scenario-pack outcomes and cache-invalidation counts, all
+//! bit-deterministic. `reproduce check` ([`crate::json::check`]) compares it
+//! against `BENCH_baseline.json` like fig3–fig5 and checks its oracle
+//! markers on every row. Link time at a scale point is measured by
+//! `omperf` or `om --trace-summary`, not here.
 
-use crate::figures::{phase, SIM_LIMIT};
+use crate::figures::SIM_LIMIT;
 use om_core::{
     optimize_and_link, optimize_and_link_cached, OmCaches, OmLevel, OmOptions, OmOutput,
 };
@@ -32,7 +29,6 @@ use om_workloads::scale::{
     total_procs,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Interpreter step budget for a scale point's reference run.
 pub const INTERP_STEPS: u64 = 4_000_000_000;
@@ -103,23 +99,8 @@ pub struct ScaleRow {
     pub sampled_exact: bool,
 }
 
-/// Wall-clock fields of one scale point (report-only, like fig7).
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleTimeRow {
-    /// Standard (non-optimizing) link of the compile-each objects.
-    pub standard_link: f64,
-    /// Fresh OM-full-sched pipeline run.
-    pub om_full_sched: f64,
-    /// First (cold) relink through a fresh cache.
-    pub relink_cold: f64,
-    /// Relink after a single-module edit (warm cache).
-    pub relink_edit: f64,
-}
-
 fn run_checksum(out: &OmOutput, what: &str) -> (i64, u64) {
-    let t0 = Instant::now();
     let (r, _) = run_timed_fast(&out.image, SIM_LIMIT).unwrap_or_else(|e| panic!("{what}: {e}"));
-    phase::add_sim(t0.elapsed());
     (r.result, r.insts)
 }
 
@@ -129,29 +110,21 @@ fn run_checksum(out: &OmOutput, what: &str) -> (i64, u64) {
 ///
 /// Panics if any oracle disagrees — a scale point that cannot be verified
 /// must fail the harness, never record a row.
-pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
+pub fn measure_scale(n: usize) -> ScaleRow {
     let spec = scale_spec(n);
     let expected = interp_reference_scale(&spec, INTERP_STEPS)
         .unwrap_or_else(|e| panic!("scale{n} interpreter reference: {e}"));
 
-    let t0 = Instant::now();
     let each = build_scale(&spec, CompileMode::Each).expect("scale compile-each");
     let all = build_scale(&spec, CompileMode::All).expect("scale compile-all");
-    phase::add_build(t0.elapsed());
 
-    // Standard link, timed, and the checksum diff against the interpreter.
-    let t0 = Instant::now();
+    // Standard link and the checksum diff against the interpreter.
     let (std_image, std_stats) =
         link_modules(&each.objects, &each.libs, &LayoutOpts::default())
             .unwrap_or_else(|e| panic!("scale{n} standard link: {e}"));
-    let standard_link = t0.elapsed().as_secs_f64();
-    let std_result = {
-        let t0 = Instant::now();
-        let (r, _) = run_timed_fast(&std_image, SIM_LIMIT)
-            .unwrap_or_else(|e| panic!("scale{n} standard run: {e}"));
-        phase::add_sim(t0.elapsed());
-        r.result
-    };
+    let (std_run, _) = run_timed_fast(&std_image, SIM_LIMIT)
+        .unwrap_or_else(|e| panic!("scale{n} standard run: {e}"));
+    let std_result = std_run.result;
     assert_eq!(std_result, expected, "scale{n}: standard link vs interpreter");
     let all_gp_groups = link_modules(&all.objects, &all.libs, &LayoutOpts::default())
         .unwrap_or_else(|e| panic!("scale{n} compile-all standard link: {e}"))
@@ -165,14 +138,10 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
     let mut full_each: Option<Arc<OmOutput>> = None;
     let mut sched_each: Option<Arc<OmOutput>> = None;
     let mut insts = 0;
-    let mut om_full_sched = 0.0;
     for (b, mode) in [(&each, CompileMode::Each), (&all, CompileMode::All)] {
         for level in OmLevel::ALL {
-            let t0 = Instant::now();
             let out = om_core::optimize_and_link_with(&b.objects, &b.libs, level, &verify_opts)
                 .unwrap_or_else(|e| panic!("scale{n} {} {}: {e}", mode.name(), level.name()));
-            let dt = t0.elapsed().as_secs_f64();
-            phase::add_om(t0.elapsed());
             assert!(out.verify.is_some(), "scale{n}: verification report missing");
             let (r, i) = run_checksum(&out, &format!("scale{n} {} {}", mode.name(), level.name()));
             assert_eq!(r, expected, "scale{n} {} {} checksum", mode.name(), level.name());
@@ -182,7 +151,6 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
                     OmLevel::Full => full_each = Some(Arc::new(out)),
                     OmLevel::FullSched => {
                         insts = i;
-                        om_full_sched = dt;
                         sched_each = Some(Arc::new(out));
                     }
                     _ => {}
@@ -195,12 +163,10 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
 
     // Sampled-simulation oracle: functional fields must be exact.
     let sampled_exact = {
-        let t0 = Instant::now();
         let (full_run, _) = run_timed_fast(&sched_each.image, SIM_LIMIT)
             .unwrap_or_else(|e| panic!("scale{n} full run: {e}"));
         let (sampled, report) = run_sampled(&sched_each.image, SIM_LIMIT, SAMPLE_INTERVAL)
             .unwrap_or_else(|e| panic!("scale{n} sampled run: {e}"));
-        phase::add_sim(t0.elapsed());
         assert!(report.intervals >= 1);
         let exact = sampled.result == full_run.result
             && sampled.insts == full_run.insts
@@ -218,10 +184,8 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
             verify: true,
             ..OmOptions::default()
         };
-        let t0 = Instant::now();
         let out = om_core::optimize_and_link_with(&each.objects, &each.libs, OmLevel::Full, &opts)
             .unwrap_or_else(|e| panic!("scale{n} shared-library pack: {e}"));
-        phase::add_om(t0.elapsed());
         let (r, _) = run_checksum(&out, &format!("scale{n} shared-library pack"));
         assert_eq!(r, expected, "scale{n}: dynamic image checksum");
         assert!(
@@ -238,11 +202,9 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
         let expected = pack
             .expected(INTERP_STEPS)
             .unwrap_or_else(|e| panic!("scale{n} archive-pack interpreter: {e}"));
-        let t0 = Instant::now();
         let out =
             om_core::optimize_and_link_with(&pack.objects, &pack.libs, OmLevel::Full, &verify_opts)
                 .unwrap_or_else(|e| panic!("scale{n} archive pack: {e}"));
-        phase::add_om(t0.elapsed());
         let live = out.link.modules - pack.objects.len();
         assert_eq!(live, pack.live_members, "scale{n}: archive selection must be demand-driven");
         let (r, _) = run_checksum(&out, &format!("scale{n} archive pack"));
@@ -253,7 +215,6 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
     // Relink cache at scale: cold fill, then a single-module edit. The
     // cache is fresh and private so the counters are deterministic.
     let caches = OmCaches::new(2 * std_stats.modules + 64, 8);
-    let t0 = Instant::now();
     let (cold, _) = optimize_and_link_cached(
         &each.objects,
         &each.libs,
@@ -262,13 +223,10 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
         &caches,
     )
     .unwrap_or_else(|e| panic!("scale{n} cold relink: {e}"));
-    let relink_cold = t0.elapsed().as_secs_f64();
-    phase::add_om(t0.elapsed());
     let m0 = caches.modules.stats();
     let mut edited = each.objects.clone();
     let idx = edited.len() / 2;
     edited[idx].data.extend_from_slice(&[7; 8]);
-    let t0 = Instant::now();
     let (warm, _) = optimize_and_link_cached(
         &edited,
         &each.libs,
@@ -277,8 +235,6 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
         &caches,
     )
     .unwrap_or_else(|e| panic!("scale{n} edited relink: {e}"));
-    let relink_edit = t0.elapsed().as_secs_f64();
-    phase::add_om(t0.elapsed());
     let m1 = caches.modules.stats();
     let edit_module_misses = m1.misses - m0.misses;
     let edit_hits = m1.hits - m0.hits;
@@ -315,14 +271,12 @@ pub fn measure_scale(n: usize) -> (ScaleRow, ScaleTimeRow) {
     };
     assert!(row.gp_groups_each >= 2, "scale{n}: compile-each must split GAT groups");
     assert!(row.gp_groups_all >= 2, "scale{n}: compile-all must split GAT groups");
-    let times = ScaleTimeRow { standard_link, om_full_sched, relink_cold, relink_edit };
-    (row, times)
+    row
 }
 
 /// A [`crate::figures::BenchRows`] carrying only this scale point (the 19
-/// paper benchmarks leave both scale fields `None`).
+/// paper benchmarks leave `scale` `None`).
 pub fn bench_rows(n: usize) -> crate::figures::BenchRows {
-    let (row, times) = measure_scale(n);
     crate::figures::BenchRows {
         name: format!("scale{n}"),
         fig3: None,
@@ -334,9 +288,7 @@ pub fn bench_rows(n: usize) -> crate::figures::BenchRows {
         pgo: None,
         fleet: None,
         passes: None,
-        scale: Some(row),
-        scaletime: Some(times),
-        sim_seconds: 0.0,
+        scale: Some(measure_scale(n)),
     }
 }
 

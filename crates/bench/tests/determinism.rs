@@ -1,9 +1,9 @@
 //! The parallel harness must be invisible in the output: any `--jobs` width
-//! produces byte-identical rendered figures, and the memoized pipeline must
-//! not change simulated checksums.
+//! produces byte-identical rendered figures and `--json` report, and the
+//! memoized pipeline must not change simulated checksums.
 
 use om_bench::figures::{self, Selection};
-use om_bench::{parallel_map, render, Prepared};
+use om_bench::{json, parallel_map, render, Prepared};
 use om_workloads::build::CompileMode;
 use om_workloads::{spec, BenchSpec};
 
@@ -17,7 +17,8 @@ fn quick_specs() -> Vec<BenchSpec> {
 }
 
 /// Renders every deterministic figure (fig7 is wall-clock timing and is
-/// excluded) from one full harness pass at the given width.
+/// excluded) and the JSON report from one full harness pass at the given
+/// width.
 fn run_at(jobs: usize) -> (String, Vec<i64>) {
     let specs = quick_specs();
     let sel = Selection { fig7: false, ..Selection::all() };
@@ -37,6 +38,7 @@ fn run_at(jobs: usize) -> (String, Vec<i64>) {
     out.push_str(&render::fig5(&rows_of!(fig5)));
     out.push_str(&render::fig6(&rows_of!(fig6)));
     out.push_str(&render::gat(&rows_of!(gat)));
+    out.push_str(&json::report(&rows, true));
 
     let checksums = prepared
         .iter()

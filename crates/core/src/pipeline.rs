@@ -355,9 +355,6 @@ fn run_pipeline(
         link_selected(&final_modules, &link_opts)?
     };
     stats.gat_slots_after = linked.stats.gat_slots;
-    if om_obs::enabled() {
-        om_obs::count("pipeline.image_bytes", linked.image.to_bytes().len() as u64);
-    }
 
     let verify = if options.verify {
         let _s = om_obs::span("verify");

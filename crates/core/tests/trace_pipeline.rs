@@ -144,10 +144,10 @@ fn tracing_changes_no_image_byte() {
             level.name()
         );
         assert_eq!(plain.stats, traced.stats);
-        // The recorded image size matches the real one.
+        // The linker's recorded segment size matches the real image's.
         assert_eq!(
-            trace.counters().get("pipeline.image_bytes"),
-            Some(&(plain.image.to_bytes().len() as u64))
+            trace.counters().get("link.segment_bytes"),
+            Some(&(plain.image.segments.iter().map(|s| s.bytes.len()).sum::<usize>() as u64))
         );
     }
 }

@@ -20,6 +20,10 @@
 //! histograms). `serve --trace-json` records every request as an
 //! `omd.<endpoint>` span — link requests carry the whole pipeline's spans
 //! nested inside — and writes the chrome://tracing file at shutdown.
+//!
+//! A usage error (a missing argument, an unknown command or `-` option)
+//! exits 2 with the usage text; a runtime failure, such as a failed
+//! connect, bind or link, exits 1.
 
 use om_core::OmLevel;
 use om_objfile::binary;
@@ -39,6 +43,11 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+fn usage(msg: &str) -> ExitCode {
+    eprintln!("omd: {msg}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn parse_level(s: &str) -> Option<OmLevel> {
     match s {
         "none" => Some(OmLevel::None),
@@ -53,13 +62,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
-        None => return fail(USAGE),
+        None => return usage("no command given"),
     };
     match cmd {
         "serve" => cmd_serve(rest),
         "link" => cmd_link(rest),
         "ping" | "stats" | "shutdown" => cmd_simple(cmd, rest),
-        _ => fail(USAGE),
+        _ => usage(&format!("unknown command {cmd}")),
     }
 }
 
@@ -71,13 +80,16 @@ fn cmd_serve(rest: &[String]) -> ExitCode {
         match arg.as_str() {
             "--trace-json" => match it.next() {
                 Some(p) if !p.is_empty() && !p.starts_with('-') => trace_json = Some(p.clone()),
-                _ => return fail("--trace-json needs an output path"),
+                _ => return usage("--trace-json needs an output path"),
             },
+            other if other.starts_with('-') => {
+                return usage(&format!("unknown serve option {other}"))
+            }
             _ if socket.is_none() => socket = Some(arg.clone()),
-            other => return fail(&format!("unknown serve option {other}")),
+            other => return usage(&format!("unexpected serve argument {other}")),
         }
     }
-    let Some(socket) = socket else { return fail(USAGE) };
+    let Some(socket) = socket else { return usage("serve needs a socket path") };
     let libs = match om_workloads::stdlib_libs() {
         Ok(libs) => libs.to_vec(),
         Err(e) => return fail(&format!("stdlib: {e}")),
@@ -102,7 +114,10 @@ fn cmd_serve(rest: &[String]) -> ExitCode {
 }
 
 fn cmd_simple(cmd: &str, rest: &[String]) -> ExitCode {
-    let [socket] = rest else { return fail(USAGE) };
+    let socket = match rest {
+        [s] if !s.starts_with('-') => s,
+        _ => return usage(&format!("{cmd} needs exactly one socket path")),
+    };
     let mut client = match Client::connect(socket) {
         Ok(c) => c,
         Err(e) => return fail(&format!("connect {socket}: {e}")),
@@ -157,22 +172,27 @@ fn cmd_link(rest: &[String]) -> ExitCode {
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--level" => match it.next().map(|s| parse_level(s)) {
-                Some(Some(l)) => level = l,
-                _ => return fail("bad or missing --level value"),
+            "--level" => match it.next().and_then(|s| parse_level(s)) {
+                Some(l) => level = l,
+                None => return usage("bad or missing --level value"),
             },
             "--verify" => verify = true,
             "-o" => match it.next() {
                 Some(p) => out_path = Some(p.clone()),
-                None => return fail("missing -o value"),
+                None => return usage("missing -o value"),
             },
+            other if other.starts_with('-') => {
+                return usage(&format!("unknown link option {other}"))
+            }
             _ if socket.is_none() => socket = Some(arg.clone()),
             _ => objects.push(arg.clone()),
         }
     }
-    let (Some(socket), Some(out_path)) = (socket, out_path) else { return fail(USAGE) };
+    let (Some(socket), Some(out_path)) = (socket, out_path) else {
+        return usage("link needs a socket path and -o <out>");
+    };
     if objects.is_empty() {
-        return fail("no object files given");
+        return usage("no object files given");
     }
 
     let mut modules = Vec::new();

@@ -1,18 +1,19 @@
 #!/bin/sh
 # Reproduces the paper's figures in --quick mode and gates the run with
 # `reproduce check`: every figure present, every oracle marker holding on
-# every row, and the deterministic rows equal to the committed baseline
-# (BENCH_baseline.json) field by field. The wall-clock figures (fig7,
-# simsec, fleet, scaletime) and the wall/phase seconds are not compared.
+# every row, and every row equal to the committed baseline
+# (BENCH_baseline.json) field by field. The report holds no wall-clock
+# values: it depends only on the code.
 #
-# Usage: scripts/bench.sh [--update|--refresh]
+# Usage: scripts/bench.sh [--update]
 #   --update    rewrite BENCH_baseline.json from the current run (after
 #               checking its coverage and oracle markers)
-#   --refresh   check as usual, then (only if every deterministic figure row
-#               matches) copy the fresh run over the baseline so its
-#               timing-only fields (fig7, simsec, wall/phase seconds) track
-#               the current machine and engine
 set -eu
+
+case "${1:-}" in
+    "" | --update) ;;
+    *) echo "usage: scripts/bench.sh [--update]" >&2; exit 2 ;;
+esac
 
 cd "$(dirname "$0")/.."
 baseline=BENCH_baseline.json
@@ -35,11 +36,4 @@ fi
 if ! reproduce check "$json" "$baseline"; then
     echo "(run scripts/bench.sh --update if the change is intended)" >&2
     exit 1
-fi
-
-if [ "${1:-}" = "--refresh" ]; then
-    # The deterministic rows match exactly, so overwriting the baseline
-    # only updates its timing fields.
-    cp "$json" "$baseline"
-    echo "refreshed timing fields in $baseline"
 fi

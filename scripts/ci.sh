@@ -46,7 +46,7 @@ cargo run --release -p om-obs --bin omtrace -- check "$tracedir/trace.json" \
     --require pass.resolve --require pass.calls --require pass.convert \
     --require pass.nullify --require pass.resched --require emit \
     --require link --require link.layout --require link.image \
-    --require-counter pipeline.runs --require-counter pipeline.image_bytes \
+    --require-counter pipeline.runs --require-counter link.segment_bytes \
     --require-counter link.gat_slots
 
 echo "== omperf smoke (the benchmark's rebuilt pipeline, byte identity) =="
@@ -57,7 +57,7 @@ echo "== omperf smoke (the benchmark's rebuilt pipeline, byte identity) =="
 cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "== figure drift =="
-scripts/bench.sh --refresh
+scripts/bench.sh
 
 echo "== ablations (one benchmark; results must not change under any ablation) =="
 # The only caller that sets sort_commons, max_rounds and
