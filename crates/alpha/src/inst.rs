@@ -451,12 +451,6 @@ impl Inst {
             || matches!(self, Inst::Pal { op: PalOp::Halt })
     }
 
-    /// True for loads that read memory (candidate "address loads" when their
-    /// relocation says they index the GAT).
-    pub fn is_memory_load(&self) -> bool {
-        matches!(self, Inst::Mem { op, .. } if op.is_load())
-    }
-
     /// True for stores.
     pub fn is_store(&self) -> bool {
         matches!(self, Inst::Mem { op, .. } if op.is_store())

@@ -189,7 +189,6 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
                 ("archive_checksum", x.archive_checksum.to_string()),
                 ("edit_module_misses", x.edit_module_misses.to_string()),
                 ("edit_hit_rate", f(x.edit_hit_rate)),
-                ("sampled_exact", x.sampled_exact.to_string()),
             ],
         );
     }
@@ -234,12 +233,11 @@ pub const REQUIRED: [&str; 9] =
 /// value as written)`, where `None` only requires the field. The harness
 /// enforces these oracles itself; the gate re-checks what it recorded so a
 /// harness regression cannot slip an unverified row into the baseline.
-pub const MARKERS: [(&str, &str, Option<&str>); 7] = [
+pub const MARKERS: [(&str, &str, Option<&str>); 6] = [
     ("pgo", "pgo_cycles_each", None),
     ("fleet", "byte_identical", Some("true")),
     ("passes", "reconciled", Some("true")),
     ("scale", "verified_variants", Some("8")),
-    ("scale", "sampled_exact", Some("true")),
     ("scale", "shared_identical", Some("true")),
     ("scale", "edit_module_misses", Some("1")),
 ];
@@ -419,7 +417,6 @@ mod tests {
                 archive_checksum: 77,
                 edit_module_misses: 1,
                 edit_hit_rate: 0.9375,
-                sampled_exact: true,
             }),
         }
     }
@@ -452,9 +449,12 @@ mod tests {
         assert!(bench_lines[5].contains("\"fig\":\"scale\""), "{s}");
         assert!(bench_lines[5].contains("\"verified_variants\":8"), "{s}");
         assert!(bench_lines[5].contains("\"edit_module_misses\":1"), "{s}");
-        assert!(bench_lines[5].contains("\"sampled_exact\":true"), "{s}");
+        assert!(!bench_lines[5].contains("sampled"), "{s}");
         let doc = json::parse(&s).expect("the report is JSON");
-        assert_eq!(doc.get("rows").and_then(JsonValue::as_arr).map(<[_]>::len), Some(6));
+        let rows = doc.get("rows").and_then(JsonValue::as_arr).unwrap_or_default();
+        assert_eq!(rows.len(), 6);
+        // `fig`, `bench` and the 21 `ScaleRow` fields, nothing else.
+        assert!(matches!(&rows[5], JsonValue::Obj(m) if m.len() == 23), "{s}");
     }
 
     /// A two-benchmark report: every figure present, two `scale` rows.

@@ -423,15 +423,14 @@ pub fn scale(rows: &[(String, crate::scale::ScaleRow)]) -> String {
     let mut out = String::new();
     out.push_str("Scaling curves: oracle-gated scale points (all variants verified)\n\n");
     out.push_str(&format!(
-        "{:10} | {:>6} {:>7} | {:>8} {:>8} {:>5} {:>5} | {:>4} {:>6} | {:>5} {:>6} | {:>5}\n",
-        "point", "mods", "procs", "gat.in", "slots", "gp.e", "gp.a", "vars", "hit%", "arch", "smpl",
-        "ident"
+        "{:10} | {:>6} {:>7} | {:>8} {:>8} {:>5} {:>5} | {:>4} {:>6} | {:>5} | {:>5}\n",
+        "point", "mods", "procs", "gat.in", "slots", "gp.e", "gp.a", "vars", "hit%", "arch", "ident"
     ));
-    out.push_str(&"-".repeat(96));
+    out.push_str(&"-".repeat(89));
     out.push('\n');
     for (name, r) in rows {
         out.push_str(&format!(
-            "{:10} | {:>6} {:>7} | {:>8} {:>8} {:>5} {:>5} | {:>4} {:>6} | {:>2}/{:>2} {:>6} | {:>5}\n",
+            "{:10} | {:>6} {:>7} | {:>8} {:>8} {:>5} {:>5} | {:>4} {:>6} | {:>2}/{:>2} | {:>5}\n",
             name,
             r.n,
             r.procs,
@@ -443,7 +442,6 @@ pub fn scale(rows: &[(String, crate::scale::ScaleRow)]) -> String {
             pct(r.edit_hit_rate),
             r.archive_members_live,
             r.archive_members_total,
-            if r.sampled_exact { "exact" } else { "DRIFT" },
             if r.shared_identical { "yes" } else { "NO" }
         ));
     }

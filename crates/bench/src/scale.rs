@@ -5,10 +5,7 @@
 //! is recorded — `om --verify`'s structural verifier (every mode × level
 //! variant links with [`OmOptions::verify`] on), the checksum diff (every
 //! variant's simulated result must equal the standard link's and the mini-C
-//! interpreter's), and the interpreter differential itself — plus a fourth
-//! at scale: the sampled simulator's functional results must be *exact*
-//! against the full run, so sampling is a sound oracle at sizes where full
-//! timing runs are impractical.
+//! interpreter's), and the interpreter differential itself.
 //!
 //! Each point records one [`ScaleRow`] (`"fig":"scale"`): GAT geometry,
 //! checksums, scenario-pack outcomes and cache-invalidation counts, all
@@ -22,19 +19,15 @@ use om_core::{
     optimize_and_link, optimize_and_link_cached, OmCaches, OmLevel, OmOptions, OmOutput,
 };
 use om_linker::{link_modules, LayoutOpts};
-use om_sim::{run_sampled, run_timed_fast};
+use om_sim::run_timed_fast;
 use om_workloads::build::{BuiltBenchmark, CompileMode};
 use om_workloads::scale::{
     archive_pack, build_scale, interp_reference_scale, preemptible_entries, scale_spec,
     total_procs,
 };
-use std::sync::Arc;
 
 /// Interpreter step budget for a scale point's reference run.
 pub const INTERP_STEPS: u64 = 4_000_000_000;
-
-/// Sampled-simulation interval (instructions per interval).
-pub const SAMPLE_INTERVAL: u64 = 100_000;
 
 /// The per-module hit-rate floor the scale fleet storm enforces: a single-
 /// module edit at 1000 modules must invalidate O(1 module), i.e. reuse
@@ -95,8 +88,6 @@ pub struct ScaleRow {
     pub edit_module_misses: u64,
     /// Relink cache: fraction of the edited relink served from cache.
     pub edit_hit_rate: f64,
-    /// Sampled simulation returned bit-exact functional results.
-    pub sampled_exact: bool,
 }
 
 fn run_checksum(out: &OmOutput, what: &str) -> (i64, u64) {
@@ -135,8 +126,7 @@ pub fn measure_scale(n: usize) -> ScaleRow {
     // checksum-diffed against the interpreter.
     let verify_opts = OmOptions { verify: true, ..OmOptions::default() };
     let mut verified_variants = 0;
-    let mut full_each: Option<Arc<OmOutput>> = None;
-    let mut sched_each: Option<Arc<OmOutput>> = None;
+    let mut full_each: Option<OmOutput> = None;
     let mut insts = 0;
     for (b, mode) in [(&each, CompileMode::Each), (&all, CompileMode::All)] {
         for level in OmLevel::ALL {
@@ -148,32 +138,14 @@ pub fn measure_scale(n: usize) -> ScaleRow {
             verified_variants += 1;
             if mode == CompileMode::Each {
                 match level {
-                    OmLevel::Full => full_each = Some(Arc::new(out)),
-                    OmLevel::FullSched => {
-                        insts = i;
-                        sched_each = Some(Arc::new(out));
-                    }
+                    OmLevel::Full => full_each = Some(out),
+                    OmLevel::FullSched => insts = i,
                     _ => {}
                 }
             }
         }
     }
     let full_each = full_each.expect("OmLevel::ALL covers Full");
-    let sched_each = sched_each.expect("OmLevel::ALL covers FullSched");
-
-    // Sampled-simulation oracle: functional fields must be exact.
-    let sampled_exact = {
-        let (full_run, _) = run_timed_fast(&sched_each.image, SIM_LIMIT)
-            .unwrap_or_else(|e| panic!("scale{n} full run: {e}"));
-        let (sampled, report) = run_sampled(&sched_each.image, SIM_LIMIT, SAMPLE_INTERVAL)
-            .unwrap_or_else(|e| panic!("scale{n} sampled run: {e}"));
-        assert!(report.intervals >= 1);
-        let exact = sampled.result == full_run.result
-            && sampled.insts == full_run.insts
-            && sampled.output == full_run.output;
-        assert!(exact, "scale{n}: sampled functional results must be exact");
-        exact
-    };
 
     // Shared-library pack: the same program as a dynamic image, every
     // sixteenth entry preemptible. Conservative conventions must survive
@@ -267,7 +239,6 @@ pub fn measure_scale(n: usize) -> ScaleRow {
         archive_checksum: archive.3,
         edit_module_misses,
         edit_hit_rate,
-        sampled_exact,
     };
     assert!(row.gp_groups_each >= 2, "scale{n}: compile-each must split GAT groups");
     assert!(row.gp_groups_all >= 2, "scale{n}: compile-all must split GAT groups");

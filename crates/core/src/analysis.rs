@@ -266,11 +266,6 @@ pub fn reads_pv_outside(proc: &SymProc, exclude: &[InstId]) -> bool {
     })
 }
 
-/// Counts instructions that retire as no-ops.
-pub fn count_nops(proc: &SymProc) -> usize {
-    proc.insts.iter().filter(|i| i.inst.is_nop()).count()
-}
-
 /// All instructions of a procedure as `(index, &SInst)` that are address
 /// loads still in GAT form.
 pub fn literal_loads(proc: &SymProc) -> Vec<usize> {

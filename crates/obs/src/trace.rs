@@ -130,11 +130,6 @@ impl Trace {
         self.shared.sink.lock().unwrap().clone()
     }
 
-    /// Extracts the recorded contents, leaving the trace empty.
-    pub fn take_sink(&self) -> Sink {
-        std::mem::take(&mut *self.shared.sink.lock().unwrap())
-    }
-
     /// Folds a detached [`Sink`] (e.g. from another trace's worker thread)
     /// into this trace.
     pub fn absorb(&self, sink: &Sink) {

@@ -1,9 +1,8 @@
 //! `asim` — run an executable image on the simulated Alpha.
 //!
 //! ```text
-//! asim [--limit N] [--timing] [--profile OUT.json] [--sample N [--sample-check]]
-//!      [--reference] [--disasm [SYMBOL]] [--trace-json TRACE.json]
-//!      [--trace-summary] IMAGE.exe
+//! asim [--limit N] [--timing] [--reference] [--profile OUT.json]
+//!      [--trace-json TRACE.json] [--trace-summary] [--disasm [SYMBOL]] IMAGE.exe
 //! ```
 //!
 //! `--trace-json` / `--trace-summary` record the run on the block engine as
@@ -18,20 +17,29 @@
 //! the text segment (or one procedure) instead of running.
 //!
 //! Runs use the block-cache engine by default; `--reference` falls back to
-//! the per-instruction interpreter (the differential oracle). `--sample N`
-//! opts into SimPoint-style sampled timing over intervals of N instructions:
-//! functional execution stays exact, but cycle-accurate timing runs only in
-//! each cluster's representative interval and the total is extrapolated.
-//! `--sample-check` additionally runs full timing and reports the measured
-//! extrapolation error.
+//! the per-instruction interpreter (the differential oracle). Both time
+//! every instruction exactly.
+//!
+//! A usage error (no image, a second image, an unknown option or a missing
+//! flag value) exits 2 with the usage text; an unreadable image or a failed
+//! run exits 1. Otherwise the exit code follows the program's result.
 
 use om_linker::Image;
 use om_sim::{
-    run_fast, run_profiled_fast, run_sampled, run_timed_fast, run_timed_profiled_fast, Machine,
-    NoTiming, Pipeline, ProfileObserver, RunResult, Tee, TimingStats,
+    run_fast, run_profiled_fast, run_timed_fast, run_timed_profiled_fast, Machine, NoTiming,
+    Pipeline, ProfileObserver, RunResult, Tee, TimingStats,
 };
 use om_core::profile::Profile;
 use std::process::exit;
+
+const USAGE: &str = "usage: asim [--limit N] [--timing] [--reference] [--profile OUT.json]
+            [--trace-json TRACE.json] [--trace-summary] [--disasm [SYMBOL]] IMAGE.exe";
+
+/// Reports a usage error and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("asim: {msg}\n{USAGE}");
+    exit(2);
+}
 
 /// Maps a program result to a process exit code without collisions: zero
 /// stays zero, and any nonzero result (including multiples of 128, whose
@@ -65,8 +73,6 @@ fn main() {
     let mut limit: u64 = 1_000_000_000;
     let mut timing = false;
     let mut reference = false;
-    let mut sample: Option<u64> = None;
-    let mut sample_check = false;
     let mut profile_path: Option<String> = None;
     let mut disasm: Option<Option<String>> = None;
     let mut trace_json: Option<String> = None;
@@ -82,31 +88,17 @@ fn main() {
                 limit = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("asim: --limit needs a number");
-                        exit(2);
-                    });
+                    .unwrap_or_else(|| usage("--limit needs a number"));
             }
             "--timing" => timing = true,
             "--reference" => reference = true,
-            "--sample" => {
-                i += 1;
-                sample = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("asim: --sample needs an interval size in instructions");
-                    exit(2);
-                }));
-            }
-            "--sample-check" => sample_check = true,
             "--profile" => {
                 i += 1;
                 match args.get(i) {
                     Some(p) if !p.is_empty() && !p.starts_with('-') => {
                         profile_path = Some(p.clone());
                     }
-                    _ => {
-                        eprintln!("asim: --profile needs an output path");
-                        exit(2);
-                    }
+                    _ => usage("--profile needs an output path"),
                 }
             }
             "--trace-json" => {
@@ -115,10 +107,7 @@ fn main() {
                     Some(p) if !p.is_empty() && !p.starts_with('-') => {
                         trace_json = Some(p.clone());
                     }
-                    _ => {
-                        eprintln!("asim: --trace-json needs an output path");
-                        exit(2);
-                    }
+                    _ => usage("--trace-json needs an output path"),
                 }
             }
             "--trace-summary" => trace_summary = true,
@@ -131,11 +120,13 @@ fn main() {
                     disasm = Some(None);
                 }
             }
-            f if !f.starts_with('-') => path = Some(f.to_string()),
-            other => {
-                eprintln!("asim: unknown option {other}");
-                exit(2);
+            f if !f.starts_with('-') => {
+                if path.is_some() {
+                    usage(&format!("more than one image given ({f})"));
+                }
+                path = Some(f.to_string());
             }
+            other => usage(&format!("unknown option {other}")),
         }
         i += 1;
     }
@@ -148,13 +139,7 @@ fn main() {
             disasm = Some(None);
         }
     }
-    let Some(path) = path else {
-        eprintln!(
-            "usage: asim [--limit N] [--timing] [--profile OUT.json] \
-             [--sample N [--sample-check]] [--reference] [--disasm [SYMBOL]] IMAGE.exe"
-        );
-        exit(2);
-    };
+    let Some(path) = path else { usage("no image given") };
 
     let bytes = std::fs::read(&path).unwrap_or_else(|e| {
         eprintln!("asim: cannot read {path}: {e}");
@@ -195,51 +180,8 @@ fn main() {
 
     let trace = (trace_json.is_some() || trace_summary).then(om_obs::Trace::new);
     let _guard = trace.as_ref().map(om_obs::Trace::install);
-    let dump_trace = |t: &Option<om_obs::Trace>| {
-        let Some(t) = t else { return };
-        if let Some(out) = &trace_json {
-            if let Err(e) = std::fs::write(out, t.chrome_json("asim")) {
-                eprintln!("asim: cannot write {out}: {e}");
-                exit(1);
-            }
-            eprintln!("asim: wrote trace {out}");
-        }
-        if trace_summary {
-            print!("{}", t.summary());
-        }
-    };
 
-    // Sampled timing is its own mode: exact functional execution with
-    // interval-clustered, extrapolated cycle accounting.
-    if let Some(interval) = sample {
-        let (r, rep) = run_sampled(&image, limit, interval).unwrap_or_else(|e| {
-            eprintln!("asim: {e}");
-            exit(1);
-        });
-        dump_trace(&trace);
-        for v in &r.output {
-            println!("{v}");
-        }
-        eprintln!(
-            "asim: result {} | sampled timing: {} of {} intervals (interval {} insts), \
-             {} of {} insts timed",
-            r.result, rep.clusters, rep.intervals, rep.interval, rep.sampled_insts, rep.total_insts
-        );
-        eprintln!("asim: estimated {} cycles", rep.estimated_cycles);
-        if sample_check {
-            let (_, t) = run_timed_fast(&image, limit).unwrap_or_else(|e| {
-                eprintln!("asim: {e}");
-                exit(1);
-            });
-            let err = (rep.estimated_cycles as f64 - t.cycles as f64).abs()
-                / t.cycles.max(1) as f64
-                * 100.0;
-            eprintln!("asim: exact {} cycles, sampling error {err:.3}%", t.cycles);
-        }
-        exit(exit_code(r.result));
-    }
-
-    // Default: the block-cache engine, with the per-instruction reference
+    // The block-cache engine, with the per-instruction reference
     // interpreter behind `--reference`. Either way one run feeds every
     // requested observer, so the flags compose without re-executing.
     let run: Result<(RunResult, Option<TimingStats>, Option<Profile>), om_sim::ExecError> =
@@ -278,7 +220,18 @@ fn main() {
             exit(1);
         }
     };
-    dump_trace(&trace);
+    if let Some(t) = &trace {
+        if let Some(out) = &trace_json {
+            if let Err(e) = std::fs::write(out, t.chrome_json("asim")) {
+                eprintln!("asim: cannot write {out}: {e}");
+                exit(1);
+            }
+            eprintln!("asim: wrote trace {out}");
+        }
+        if trace_summary {
+            print!("{}", t.summary());
+        }
+    }
 
     if let (Some(out), Some(profile)) = (&profile_path, &profile) {
         if let Err(e) = std::fs::write(out, profile.to_json()) {

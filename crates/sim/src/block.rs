@@ -39,12 +39,6 @@
 //! a block resolves once to per-procedure count segments
 //! ([`BlockProfiler`]) or to a block-id bitmap expanded to pcs at report
 //! time (coverage), so neither pays a per-instruction range lookup.
-//!
-//! [`run_sampled`] adds opt-in SimPoint-style sampled simulation: interval
-//! basic-block vectors, greedy-leader clustering (deterministic, no RNG),
-//! and representative-interval timing extrapolated by cycles-per-
-//! instruction. Its error is *measured* (see `EXPERIMENTS.md`), not
-//! assumed.
 
 use crate::exec::{ExecError, Machine, RunResult};
 use crate::profile::{ProcMap, ProfCounts};
@@ -53,7 +47,7 @@ use om_alpha::timing::{can_dual_issue, latency};
 use om_alpha::{Effects, Inst, MemOp, PalOp, Reg};
 use om_core::profile::Profile;
 use om_linker::Image;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Hard cap on block length. Any contiguous region no larger than the
 /// I-cache maps to distinct sets, so a block never conflicts with itself;
@@ -330,8 +324,8 @@ impl BlockCache {
     }
 }
 
-/// Per-block sink driven by the dispatch loop: timing, profiling, coverage,
-/// and the sampling passes all hang off this one hook.
+/// Per-block sink driven by the dispatch loop: timing, profiling and
+/// coverage all hang off this one hook.
 trait BlockHook {
     /// `done` instructions of `b` retired (a prefix unless the block
     /// completed); `taken` reports whether a completed terminator
@@ -387,13 +381,6 @@ impl BlockTiming {
             nops: self.nops,
             loads: self.loads,
         }
-    }
-
-    fn dispatch(&mut self, b: &Block, done: usize, eas: &[u64], taken: bool) {
-        if done == b.len() && self.try_fused(b, eas, taken) {
-            return;
-        }
-        self.slow(b, done, eas, taken);
     }
 
     /// Commits a whole block from its static schedule if the dynamic state
@@ -566,7 +553,10 @@ impl BlockTiming {
 
 impl BlockHook for BlockTiming {
     fn block(&mut self, b: &Block, _id: u32, done: usize, eas: &[u64], taken: bool) {
-        self.dispatch(b, done, eas, taken);
+        if done == b.len() && self.try_fused(b, eas, taken) {
+            return;
+        }
+        self.slow(b, done, eas, taken);
     }
 }
 
@@ -880,248 +870,6 @@ pub fn run_covered_fast(
     Ok((r, cov.into_set(&cache)))
 }
 
-// ---------------------------------------------------------------------------
-// Sampled simulation (SimPoint-style, opt-in via `asim --sample N`).
-// ---------------------------------------------------------------------------
-
-/// Greedy-leader clustering threshold on the normalized Manhattan distance
-/// between interval basic-block vectors (range 0..=2).
-const SAMPLE_THETA: f64 = 0.25;
-
-/// Result of a sampled-timing run: the estimate plus everything needed to
-/// report how it was obtained.
-#[derive(Debug, Clone)]
-pub struct SampleReport {
-    /// Interval length in instructions.
-    pub interval: u64,
-    /// Number of intervals the run split into.
-    pub intervals: usize,
-    /// Number of behavior clusters (= representative intervals timed).
-    pub clusters: usize,
-    /// Instructions inside the timed representative intervals.
-    pub sampled_insts: u64,
-    /// Total instructions retired.
-    pub total_insts: u64,
-    /// Extrapolated cycle count (CPI-weighted over clusters).
-    pub estimated_cycles: u64,
-}
-
-/// Pass 1: per-interval basic-block vectors (block id → instructions
-/// retired in that block during the interval).
-struct BbvPass {
-    interval: u64,
-    in_interval: u64,
-    cur: HashMap<u32, u64>,
-    vectors: Vec<Vec<(u32, u64)>>,
-    sizes: Vec<u64>,
-}
-
-impl BbvPass {
-    fn new(interval: u64) -> BbvPass {
-        BbvPass {
-            interval,
-            in_interval: 0,
-            cur: HashMap::new(),
-            vectors: Vec::new(),
-            sizes: Vec::new(),
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.in_interval == 0 {
-            return;
-        }
-        let mut v: Vec<(u32, u64)> = self.cur.drain().collect();
-        v.sort_unstable();
-        self.vectors.push(v);
-        self.sizes.push(self.in_interval);
-        self.in_interval = 0;
-    }
-}
-
-impl BlockHook for BbvPass {
-    fn block(&mut self, _b: &Block, id: u32, done: usize, _eas: &[u64], _taken: bool) {
-        *self.cur.entry(id).or_insert(0) += done as u64;
-        self.in_interval += done as u64;
-        if self.in_interval >= self.interval {
-            self.flush();
-        }
-    }
-}
-
-/// Normalized Manhattan distance between two sparse BBVs.
-fn bbv_distance(a: &[(u32, u64)], asz: u64, b: &[(u32, u64)], bsz: u64) -> f64 {
-    let (mut i, mut j, mut d) = (0usize, 0usize, 0f64);
-    while i < a.len() || j < b.len() {
-        let ka = a.get(i).map(|&(k, _)| k);
-        let kb = b.get(j).map(|&(k, _)| k);
-        match (ka, kb) {
-            (Some(x), Some(y)) if x == y => {
-                d += (a[i].1 as f64 / asz as f64 - b[j].1 as f64 / bsz as f64).abs();
-                i += 1;
-                j += 1;
-            }
-            (Some(x), Some(y)) if x < y => {
-                let _ = y;
-                d += a[i].1 as f64 / asz as f64;
-                i += 1;
-            }
-            (Some(_), Some(_)) => {
-                d += b[j].1 as f64 / bsz as f64;
-                j += 1;
-            }
-            (Some(_), None) => {
-                d += a[i].1 as f64 / asz as f64;
-                i += 1;
-            }
-            (None, Some(_)) => {
-                d += b[j].1 as f64 / bsz as f64;
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    d
-}
-
-/// Deterministic greedy-leader clustering: each interval joins the first
-/// existing cluster whose leader is within [`SAMPLE_THETA`], else opens a
-/// new cluster with itself as leader. No RNG, no iteration-order
-/// dependence — same input, same clusters, every run.
-fn cluster_intervals(vectors: &[Vec<(u32, u64)>], sizes: &[u64]) -> (Vec<usize>, Vec<usize>) {
-    let mut leaders: Vec<usize> = Vec::new();
-    let mut assign = vec![0usize; vectors.len()];
-    for i in 0..vectors.len() {
-        let found = leaders.iter().position(|&l| {
-            bbv_distance(&vectors[i], sizes[i], &vectors[l], sizes[l]) <= SAMPLE_THETA
-        });
-        match found {
-            Some(c) => assign[i] = c,
-            None => {
-                assign[i] = leaders.len();
-                leaders.push(i);
-            }
-        }
-    }
-    (leaders, assign)
-}
-
-/// Pass 2: timing switched on only inside representative intervals; cache
-/// and pipeline state persist (stale) across skipped gaps, which is part of
-/// the measured — not assumed — error model.
-struct SamplePass {
-    interval: u64,
-    reps: HashSet<usize>,
-    cur: usize,
-    in_interval: u64,
-    timing: BlockTiming,
-    active: bool,
-    start_cycle: u64,
-    /// Interval index → cycles spent inside it.
-    deltas: HashMap<usize, u64>,
-}
-
-impl SamplePass {
-    fn new(interval: u64, reps: HashSet<usize>) -> SamplePass {
-        let active = reps.contains(&0);
-        SamplePass {
-            interval,
-            reps,
-            cur: 0,
-            in_interval: 0,
-            timing: BlockTiming::default(),
-            active,
-            start_cycle: 0,
-            deltas: HashMap::new(),
-        }
-    }
-
-    fn close(&mut self) {
-        if self.in_interval == 0 {
-            return;
-        }
-        if self.active {
-            self.deltas.insert(self.cur, self.timing.cycle - self.start_cycle);
-        }
-        self.cur += 1;
-        self.in_interval = 0;
-        self.active = self.reps.contains(&self.cur);
-        if self.active {
-            self.start_cycle = self.timing.cycle;
-        }
-    }
-}
-
-impl BlockHook for SamplePass {
-    fn block(&mut self, b: &Block, _id: u32, done: usize, eas: &[u64], taken: bool) {
-        if self.active {
-            self.timing.dispatch(b, done, eas, taken);
-        }
-        self.in_interval += done as u64;
-        if self.in_interval >= self.interval {
-            self.close();
-        }
-    }
-}
-
-/// Sampled-timing run: SimPoint-style interval BBVs (pass 1), deterministic
-/// greedy-leader clustering, then representative-interval timing (pass 2)
-/// extrapolated by per-cluster cycles-per-instruction. Opt-in only — full
-/// runs remain the default everywhere figures are produced.
-///
-/// # Errors
-///
-/// See [`crate::Machine::run`]; the functional run must complete (reach
-/// HALT) for an extrapolation to exist.
-pub fn run_sampled(
-    image: &Image,
-    limit: u64,
-    interval: u64,
-) -> Result<(RunResult, SampleReport), ExecError> {
-    let interval = interval.max(1);
-
-    // Pass 1: functional run collecting interval basic-block vectors.
-    let mut m = Machine::load(image)?;
-    let (mut cache, _) = engine(&m);
-    let mut bbv = BbvPass::new(interval);
-    run_blocks(&mut m, &mut cache, limit, &mut [&mut bbv])?;
-    bbv.flush();
-    let (leaders, assign) = cluster_intervals(&bbv.vectors, &bbv.sizes);
-
-    // Pass 2: same execution, timing only the representative intervals.
-    // The block cache is reused; dispatch order is identical by determinism.
-    let mut m = Machine::load(image)?;
-    let mut pass = SamplePass::new(interval, leaders.iter().copied().collect());
-    let result = run_blocks(&mut m, &mut cache, limit, &mut [&mut pass])?;
-    pass.close();
-
-    // CPI-weighted extrapolation: each cluster contributes its leader's
-    // cycles-per-instruction times the cluster's total instruction mass.
-    let mut estimated = 0f64;
-    for (c, &leader) in leaders.iter().enumerate() {
-        let cycles = *pass.deltas.get(&leader).expect("leader interval was timed") as f64;
-        let cpi = cycles / bbv.sizes[leader] as f64;
-        let mass: u64 = assign
-            .iter()
-            .zip(&bbv.sizes)
-            .filter(|&(&a, _)| a == c)
-            .map(|(_, &s)| s)
-            .sum();
-        estimated += cpi * mass as f64;
-    }
-    let total_insts: u64 = bbv.sizes.iter().sum();
-    let sampled_insts: u64 = leaders.iter().map(|&l| bbv.sizes[l]).sum();
-    let report = SampleReport {
-        interval,
-        intervals: bbv.sizes.len(),
-        clusters: leaders.len(),
-        sampled_insts,
-        total_insts,
-        estimated_cycles: estimated.round() as u64,
-    };
-    Ok((result, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1214,20 +962,5 @@ mod tests {
         assert!(run_span.args.iter().any(|(k, v)| k == "blocks_resident" && *v > 0));
         assert!(sink.timers_ns.contains_key("sim.decode"));
         assert!(sink.timers_ns.contains_key("sim.dispatch"));
-    }
-
-    #[test]
-    fn sampled_run_reports_consistent_totals() {
-        let img = image(LOOP);
-        let (r, full) = run_timed_fast(&img, 1_000_000).expect("full");
-        let (rs, rep) = run_sampled(&img, 1_000_000, 64).expect("sampled");
-        assert_eq!(r, rs);
-        assert_eq!(rep.total_insts, full.insts);
-        assert!(rep.clusters >= 1 && rep.clusters <= rep.intervals);
-        assert!(rep.sampled_insts <= rep.total_insts);
-        assert!(rep.estimated_cycles > 0);
-        // The estimate must be in the right ballpark even on a tiny run.
-        let err = (rep.estimated_cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
-        assert!(err < 0.5, "sampling error {err} vs full {}", full.cycles);
     }
 }

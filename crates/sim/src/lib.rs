@@ -36,8 +36,7 @@ pub mod profile;
 pub mod timing;
 
 pub use block::{
-    run_covered_fast, run_fast, run_profiled_fast, run_sampled, run_timed_fast,
-    run_timed_profiled_fast, SampleReport,
+    run_covered_fast, run_fast, run_profiled_fast, run_timed_fast, run_timed_profiled_fast,
 };
 pub use exec::{
     run_image, symbolize, Divergence, ExecError, Machine, NoTiming, Observer, Retired, RunResult,

@@ -3,8 +3,9 @@
 //! checksums, same retired-instruction counts, same output, same
 //! `TimingStats` (cycles, dual issues, cache misses, nops, loads), same
 //! profile JSON — across the full 19-workload × (mode × level) grid plus
-//! the profile-guided relink, and on the nine hand-traced exact-cycle cases
-//! from `timing_model.rs`.
+//! the profile-guided relink, on a 10-module `--scale` program whose result
+//! must also equal the mini-C interpreter's, and on the nine hand-traced
+//! exact-cycle cases from `timing_model.rs`.
 //!
 //! The grid is split by OM level into separate `#[test]` functions so the
 //! harness runs them in parallel.
@@ -14,17 +15,19 @@ use om_core::{optimize_and_link_with, OmLevel, OmOptions};
 use om_linker::{Image, LayoutInfo, Segment};
 use om_sim::{
     run_image, run_timed_profiled_fast, ExecError, Machine, Observer, Pipeline, ProfileObserver,
-    Retired, Tee,
+    Retired, RunResult, Tee,
 };
+use om_workloads::scale::{build_scale, interp_reference_scale, ScaleSpec};
 use om_workloads::{build::build, spec, CompileMode};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Simulator instruction budget per run (quick-spec workloads are small).
 const SIM_STEPS: u64 = 200_000_000;
 
 /// Runs one image on both engines and asserts byte-identical results,
-/// timing, and profile JSON. Returns the reference profile for reuse.
-fn assert_engines_agree(image: &Image, what: &str) -> om_core::profile::Profile {
+/// timing, and profile JSON. Returns the reference result and profile.
+fn assert_engines_agree(image: &Image, what: &str) -> (RunResult, om_core::profile::Profile) {
     // Reference: one interpreter run feeding timing + profile via a tee.
     let mut pipe = Pipeline::default();
     let mut prof = ProfileObserver::new(image);
@@ -43,7 +46,37 @@ fn assert_engines_agree(image: &Image, what: &str) -> om_core::profile::Profile 
     assert_eq!(r_ref, r_fast, "{what}: functional result diverged");
     assert_eq!(t_ref, t_fast, "{what}: timing stats diverged");
     assert_eq!(p_ref.to_json(), p_fast.to_json(), "{what}: profile JSON diverged");
-    p_ref
+    (r_ref, p_ref)
+}
+
+/// A `--scale` generator program at a size debug builds can run: the only
+/// input here that is also checked against the mini-C interpreter.
+fn scale_spec() -> ScaleSpec {
+    ScaleSpec {
+        name: "scale_equiv".to_string(),
+        modules: 10,
+        procs_per_module: 8,
+        globals_per_module: 4,
+        iters: 2,
+    }
+}
+
+/// The scale program at `level` in both compile modes: the engines agree,
+/// and the result equals the interpreter's (computed once per test binary).
+fn sweep_scale(level: OmLevel) {
+    static REFERENCE: OnceLock<i64> = OnceLock::new();
+    let spec = scale_spec();
+    let expected = *REFERENCE.get_or_init(|| {
+        interp_reference_scale(&spec, SIM_STEPS).expect("interpreter reference")
+    });
+    for mode in CompileMode::ALL {
+        let what = format!("{} [{}] {}", spec.name, mode.name(), level.name());
+        let b = build_scale(&spec, mode).expect("scale build");
+        let out = optimize_and_link_with(&b.objects, &b.libs, level, &OmOptions::default())
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let (r, _) = assert_engines_agree(&out.image, &what);
+        assert_eq!(r.result, expected, "{what}: result vs interpreter");
+    }
 }
 
 fn sweep_level(level: OmLevel) {
@@ -58,6 +91,7 @@ fn sweep_level(level: OmLevel) {
             assert_engines_agree(&out.image, &what);
         }
     }
+    sweep_scale(level);
 }
 
 #[test]
@@ -88,7 +122,7 @@ fn engines_agree_on_every_workload_at_level_fullsched_and_pgo() {
                 optimize_and_link_with(&b.objects, &b.libs, OmLevel::FullSched, &options)
                     .unwrap_or_else(|e| panic!("{} [{}] sched: {e}", s.name, mode.name()));
             let what = format!("{} [{}] sched", s.name, mode.name());
-            let profile = assert_engines_agree(&sched.image, &what);
+            let (_, profile) = assert_engines_agree(&sched.image, &what);
 
             let popts = OmOptions { profile: Some(profile), ..options.clone() };
             let pgo = optimize_and_link_with(&b.objects, &b.libs, OmLevel::FullSched, &popts)
@@ -97,6 +131,7 @@ fn engines_agree_on_every_workload_at_level_fullsched_and_pgo() {
             assert_engines_agree(&pgo.image, &what);
         }
     }
+    sweep_scale(OmLevel::FullSched);
 }
 
 /// `StepLimit` must fire at the exact instruction boundary even though the
@@ -129,40 +164,6 @@ fn step_limit_boundary_matches_reference_on_a_real_workload() {
             assert!(r_fast.is_ok(), "limit {limit}: expected completion");
         }
     }
-}
-
-/// Sampled simulation on a real workload: functional results stay exact and
-/// the extrapolated cycle estimate lands within the documented error bound.
-#[test]
-fn sampled_timing_error_is_bounded_on_a_real_workload() {
-    // compress: long enough (~46 intervals at 10k) for interval clustering
-    // to be representative; the tiniest workloads have too few intervals.
-    let s = spec::all().into_iter().find(|s| s.name == "compress").expect("compress spec");
-    let quick = spec::quick(&s);
-    let b = build(&quick, CompileMode::Each).expect("build");
-    let out = optimize_and_link_with(&b.objects, &b.libs, OmLevel::FullSched, &OmOptions::default())
-        .expect("link");
-    let (r_full, t_full) = om_sim::run_timed_fast(&out.image, SIM_STEPS).expect("full run");
-    let (r_samp, rep) = om_sim::run_sampled(&out.image, SIM_STEPS, 10_000).expect("sampled run");
-
-    // Sampling never touches functional execution.
-    assert_eq!(r_full, r_samp, "sampled run changed the functional result");
-    assert_eq!(rep.total_insts, t_full.insts);
-    // Real savings: only a subset of intervals carries timing.
-    assert!(
-        rep.clusters < rep.intervals || rep.intervals <= 2,
-        "no intervals were deduplicated ({} clusters / {} intervals)",
-        rep.clusters,
-        rep.intervals
-    );
-    let err = (rep.estimated_cycles as f64 - t_full.cycles as f64).abs() / t_full.cycles as f64;
-    assert!(
-        err < 0.05,
-        "sampling error {:.4} ({} estimated vs {} exact) exceeds the 5% bound",
-        err,
-        rep.estimated_cycles,
-        t_full.cycles
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,74 @@
+//! `asim` argument handling and end-to-end runs: usage errors (no image, a
+//! second image, an unknown option) exit 2 with the usage text, an
+//! unreadable image exits 1, both engines print the same timing, and
+//! `--trace-json` writes a valid chrome://tracing file.
+
+use om_codegen::{compile_source, crt0, CompileOpts};
+use om_linker::Linker;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn asim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_asim")).args(args).output().expect("asim runs")
+}
+
+/// Compiles and links a small loop, writes it under the test scratch
+/// directory as `name`, and returns its path.
+fn small_image(name: &str) -> PathBuf {
+    let obj = compile_source(
+        "m",
+        "int main() { int s = 0; int i = 0;
+           for (i = 1; i <= 100; i = i + 1) { s = s + i; }
+           return s; }",
+        &CompileOpts::o2(),
+    )
+    .expect("compile");
+    let (image, _) =
+        Linker::new().object(crt0::module().expect("crt0")).object(obj).link().expect("link");
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, image.to_bytes()).expect("write image");
+    path
+}
+
+#[test]
+fn usage_errors_exit_2_an_unreadable_image_exits_1() {
+    for args in [&[][..], &["--sample", "10000", "x.exe"], &["a.exe", "b.exe"]] {
+        let out = asim(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("usage: asim"), "{args:?}: {err}");
+        assert!(err.contains("--trace-summary"), "{args:?}: {err}");
+    }
+    let out = asim(&["/nonexistent/x.exe"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("cannot read /nonexistent/x.exe"), "{err}");
+    assert!(!err.contains("usage:"), "{err}");
+}
+
+#[test]
+fn both_engines_print_the_same_timing() {
+    let image = small_image("asim_cli_timing.exe");
+    let image = image.to_str().expect("utf-8 path");
+    let fast = asim(&["--timing", image]);
+    let reference = asim(&["--timing", "--reference", image]);
+    let stats = String::from_utf8_lossy(&fast.stderr);
+    assert!(stats.contains("asim: result 5050 | "), "{stats}");
+    assert!(stats.contains("asim: icache "), "{stats}");
+    assert_eq!(fast.stderr, reference.stderr);
+    assert_eq!(fast.stdout, reference.stdout);
+    // 5050 & 0x7F: the exit code follows the program's result.
+    assert_eq!(fast.status.code(), Some(58), "{stats}");
+    assert_eq!(fast.status.code(), reference.status.code());
+}
+
+#[test]
+fn trace_json_writes_a_valid_trace_with_a_run_span() {
+    let image = small_image("asim_cli_trace.exe");
+    let trace = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("asim_cli_trace.json");
+    let out = asim(&["--trace-json", trace.to_str().unwrap(), image.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(58), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let names = om_obs::validate_chrome_trace(&text).expect("trace validates");
+    assert!(names.iter().any(|n| n == "sim.run"), "{names:?}");
+}
