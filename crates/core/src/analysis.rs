@@ -8,7 +8,7 @@
 use crate::sym::{GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProc, SymProgram};
 use om_alpha::{Effects, Inst, JmpOp, Reg};
 use om_linker::{layout, sym_addr, LayoutOpts, ProgramLayout, SymbolTable};
-use om_objfile::{Module, RelocKind};
+use om_objfile::{Module, RelocKind, SymId};
 use std::collections::{HashMap, HashSet};
 
 /// Emitted modules with their symbol table and layout. OM-simple and each
@@ -50,19 +50,16 @@ impl Snapshot {
         Ok(Snapshot { modules, symtab, layout: lay })
     }
 
-    /// Address of a resolved reference.
+    /// Address of a resolved reference. Emitted modules keep their input's
+    /// symbol table, so a reference's `(module, symbol id)` is valid here.
     ///
     /// # Panics
     ///
     /// Panics on dangling references (cannot happen after `capture`).
-    pub fn addr(&self, r: &GlobalRef) -> u64 {
-        match r {
-            GlobalRef::Def { module, sym } => {
-                sym_addr(&self.modules, &self.symtab, &self.layout, *module, *sym)
-                    .expect("resolved reference")
-            }
-            GlobalRef::Common { name } => self.layout.common_addr[name],
-        }
+    pub fn addr(&self, r: GlobalRef) -> u64 {
+        let (GlobalRef::Def { module, sym } | GlobalRef::Common { module, sym }) = r;
+        sym_addr(&self.modules, &self.symtab, &self.layout, module, sym)
+            .expect("resolved reference")
     }
 
     /// GP value used by module `mi`.
@@ -97,14 +94,15 @@ impl Snapshot {
     }
 }
 
-/// How a call site transfers control.
-#[derive(Debug, Clone, PartialEq)]
+/// How a call site transfers control. `sym` names the callee in the
+/// caller's module; [`SymProgram::target`] resolves it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CallKind {
     /// `ldq pv, lit(gp); jsr` — the conservative sequence.
-    DirectJsr { load: InstId, target: GlobalRef },
+    DirectJsr { load: InstId, sym: SymId },
     /// A BSR the compiler already emitted (intra-unit static call) or that a
     /// previous OM pass produced (`addend` = 8 when it skips the prologue).
-    Bsr { target: GlobalRef, addend: i64 },
+    Bsr { sym: SymId, addend: i64 },
     /// JSR through a procedure variable: target unknowable.
     Indirect,
 }
@@ -132,16 +130,12 @@ pub fn call_sites(proc: &SymProc) -> Vec<CallSite> {
     for (k, i) in proc.insts.iter().enumerate() {
         match (&i.inst, &i.mark) {
             (Inst::Jmp { op: JmpOp::Jsr, .. }, SMark::LituseJsr { load }) => {
-                let target = proc
-                    .insts
-                    .iter()
-                    .find(|l| l.id == *load)
-                    .and_then(|l| match &l.mark {
-                        SMark::Literal { target, .. } => Some(target.clone()),
-                        _ => None,
-                    });
-                let kind = match target {
-                    Some(t) => CallKind::DirectJsr { load: *load, target: t },
+                let sym = proc.insts.iter().find(|l| l.id == *load).and_then(|l| match l.mark {
+                    SMark::Literal { sym, .. } => Some(sym),
+                    _ => None,
+                });
+                let kind = match sym {
+                    Some(sym) => CallKind::DirectJsr { load: *load, sym },
                     None => CallKind::Indirect, // load already transformed
                 };
                 out.push(CallSite { at: k, kind, gp_reset: resets.get(&i.id).copied() });
@@ -153,10 +147,10 @@ pub fn call_sites(proc: &SymProc) -> Vec<CallSite> {
                     gp_reset: resets.get(&i.id).copied(),
                 });
             }
-            (Inst::Br { op: om_alpha::BrOp::Bsr, .. }, SMark::BrSym { target, addend }) => {
+            (Inst::Br { op: om_alpha::BrOp::Bsr, .. }, SMark::BrSym { sym, addend }) => {
                 out.push(CallSite {
                     at: k,
-                    kind: CallKind::Bsr { target: target.clone(), addend: *addend },
+                    kind: CallKind::Bsr { sym: *sym, addend: *addend },
                     gp_reset: resets.get(&i.id).copied(),
                 });
             }
@@ -200,12 +194,12 @@ pub fn address_taken(program: &SymProgram) -> HashSet<GlobalRef> {
             // too (conservative: the computed address could be anything).
             let uses = use_index(p);
             for i in &p.insts {
-                if let SMark::Literal { target, escaping, .. } = &i.mark {
+                if let SMark::Literal { sym, escaping, .. } = i.mark {
                     let has_addr_use = uses
                         .get(&i.id)
                         .is_some_and(|us| us.iter().any(|&(_, k)| k == UseKind::Addr));
-                    if *escaping || has_addr_use {
-                        taken.insert(target.clone());
+                    if escaping || has_addr_use {
+                        taken.insert(program.target(mi, sym));
                     }
                 }
             }
@@ -216,7 +210,7 @@ pub fn address_taken(program: &SymProgram) -> HashSet<GlobalRef> {
                 continue;
             }
             if let RelocKind::RefQuad { sym, .. } = r.kind {
-                taken.insert(crate::sym::resolve_ref(&m.source, &program.symtab, mi, sym));
+                taken.insert(program.target(mi, sym));
             }
         }
         // The entry procedure.
@@ -278,11 +272,9 @@ pub fn literal_loads(proc: &SymProc) -> Vec<usize> {
 }
 
 /// The link name a [`GlobalRef`] resolves to.
-pub fn ref_name<'a>(program: &'a SymProgram, r: &'a GlobalRef) -> &'a str {
-    match r {
-        GlobalRef::Def { module, sym } => &program.modules[*module].source.symbol(*sym).name,
-        GlobalRef::Common { name } => name,
-    }
+pub fn ref_name(program: &SymProgram, r: GlobalRef) -> &str {
+    let (GlobalRef::Def { module, sym } | GlobalRef::Common { module, sym }) = r;
+    &program.modules[module].source.symbol(sym).name
 }
 
 /// The destination register of an address load (`ra` of the LDQ).

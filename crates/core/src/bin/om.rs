@@ -29,105 +29,98 @@
 //! form, applies the requested level of address-calculation optimization,
 //! and writes the linked executable. `--stats` prints the Figure 3–5
 //! counters for this program.
+//!
+//! A usage error (no input object, an unknown option, a missing flag value
+//! or an unknown level) exits 2 with the usage text; an unreadable or
+//! malformed input, a failed link or an unwritable output exits 1.
 
 use om_core::{optimize_and_link_with, OmLevel, OmOptions, Profile};
 use om_objfile::binary;
 use std::path::PathBuf;
 use std::process::exit;
 
+const USAGE: &str = "usage: om [-o OUT.exe] [--level none|simple|full|full-sched] [--stats]
+          [--verify] [--profile-use PROF.json] [--preemptible SYMBOL]...
+          [--trace-json TRACE.json] [--trace-summary] FILE.o... [LIB.a...]";
+
+/// Reports a usage error and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("om: {msg}\n{USAGE}");
+    exit(2);
+}
+
 fn main() {
-    let mut objects = Vec::new();
-    let mut libs = Vec::new();
+    let mut inputs = Vec::new();
     let mut out = PathBuf::from("a.exe");
     let mut level = OmLevel::Full;
     let mut stats = false;
     let mut trace_json: Option<PathBuf> = None;
     let mut trace_summary = false;
+    let mut profile_use: Option<String> = None;
     let mut options = OmOptions::default();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
+    // The value of the flag at `args[*i]`, consumed.
+    let value = |i: &mut usize, what: &str| -> String {
+        *i += 1;
+        args.get(*i).cloned().unwrap_or_else(|| usage(&format!("{} needs {what}", args[*i - 1])))
+    };
     while i < args.len() {
         match args[i].as_str() {
-            "-o" => {
-                i += 1;
-                out = PathBuf::from(args.get(i).unwrap_or_else(|| {
-                    eprintln!("om: -o needs a path");
-                    exit(2);
-                }));
-            }
+            "-o" => out = PathBuf::from(value(&mut i, "a path")),
             "--level" => {
-                i += 1;
-                level = match args.get(i).map(String::as_str) {
-                    Some("none") => OmLevel::None,
-                    Some("simple") => OmLevel::Simple,
-                    Some("full") => OmLevel::Full,
-                    Some("full-sched") => OmLevel::FullSched,
-                    other => {
-                        eprintln!("om: unknown level {other:?}");
-                        exit(2);
-                    }
+                level = match value(&mut i, "a level").as_str() {
+                    "none" => OmLevel::None,
+                    "simple" => OmLevel::Simple,
+                    "full" => OmLevel::Full,
+                    "full-sched" => OmLevel::FullSched,
+                    other => usage(&format!("unknown level {other}")),
                 };
             }
             "--stats" => stats = true,
             "--verify" => options.verify = true,
-            "--trace-json" => {
-                i += 1;
-                trace_json = Some(PathBuf::from(args.get(i).unwrap_or_else(|| {
-                    eprintln!("om: --trace-json needs a path");
-                    exit(2);
-                })));
-            }
+            "--trace-json" => trace_json = Some(PathBuf::from(value(&mut i, "a path"))),
             "--trace-summary" => trace_summary = true,
-            "--profile-use" => {
-                i += 1;
-                let f = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("om: --profile-use needs a profile path");
-                    exit(2);
-                });
-                let text = std::fs::read_to_string(&f).unwrap_or_else(|e| {
-                    eprintln!("om: cannot read {f}: {e}");
-                    exit(1);
-                });
-                options.profile = Some(Profile::from_json(&text).unwrap_or_else(|e| {
-                    eprintln!("om: {f}: {e}");
-                    exit(1);
-                }));
-            }
-            "--preemptible" => {
-                i += 1;
-                options.preemptible.push(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("om: --preemptible needs a symbol name");
-                    exit(2);
-                }));
-            }
-            f if !f.starts_with('-') => {
-                let bytes = std::fs::read(f).unwrap_or_else(|e| {
-                    eprintln!("om: cannot read {f}: {e}");
-                    exit(1);
-                });
-                if f.ends_with(".a") {
-                    libs.push(binary::read_archive(&bytes).unwrap_or_else(|e| {
-                        eprintln!("om: {f}: {e}");
-                        exit(1);
-                    }));
-                } else {
-                    objects.push(binary::read_module(&bytes).unwrap_or_else(|e| {
-                        eprintln!("om: {f}: {e}");
-                        exit(1);
-                    }));
-                }
-            }
-            other => {
-                eprintln!("om: unknown option {other}");
-                exit(2);
-            }
+            "--profile-use" => profile_use = Some(value(&mut i, "a profile path")),
+            "--preemptible" => options.preemptible.push(value(&mut i, "a symbol name")),
+            f if !f.starts_with('-') => inputs.push(f.to_string()),
+            other => usage(&format!("unknown option {other}")),
         }
         i += 1;
     }
-    if objects.is_empty() {
-        eprintln!("usage: om [-o OUT.exe] [--level none|simple|full|full-sched] [--stats] [--verify] [--profile-use PROF.json] [--trace-json TRACE.json] [--trace-summary] FILE.o... [LIB.a...]");
-        exit(2);
+    if inputs.iter().all(|f| f.ends_with(".a")) {
+        usage("no input objects");
+    }
+
+    let mut objects = Vec::new();
+    let mut libs = Vec::new();
+    for f in &inputs {
+        let bytes = std::fs::read(f).unwrap_or_else(|e| {
+            eprintln!("om: cannot read {f}: {e}");
+            exit(1);
+        });
+        if f.ends_with(".a") {
+            libs.push(binary::read_archive(&bytes).unwrap_or_else(|e| {
+                eprintln!("om: {f}: {e}");
+                exit(1);
+            }));
+        } else {
+            objects.push(binary::read_module(&bytes).unwrap_or_else(|e| {
+                eprintln!("om: {f}: {e}");
+                exit(1);
+            }));
+        }
+    }
+    if let Some(f) = &profile_use {
+        let text = std::fs::read_to_string(f).unwrap_or_else(|e| {
+            eprintln!("om: cannot read {f}: {e}");
+            exit(1);
+        });
+        options.profile = Some(Profile::from_json(&text).unwrap_or_else(|e| {
+            eprintln!("om: {f}: {e}");
+            exit(1);
+        }));
     }
     // PGO layout only exists at the scheduling level, regardless of flag order.
     if options.profile.is_some() {

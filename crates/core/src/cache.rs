@@ -234,8 +234,8 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 /// translation artifacts keyed by content hash, and whole-link outputs
 /// keyed by [`link_key`](crate::hash::link_key).
 pub struct OmCaches {
-    /// `module_hash(m)` → [`LocalSymModule`](crate::sym::LocalSymModule).
-    pub modules: Lru<crate::hash::ContentHash, crate::sym::LocalSymModule>,
+    /// `module_hash(m)` → [`SymModule`](crate::sym::SymModule).
+    pub modules: Lru<crate::hash::ContentHash, crate::sym::SymModule>,
     /// `link_key(...)` → finished [`OmOutput`](crate::pipeline::OmOutput).
     pub links: Lru<crate::hash::ContentHash, crate::pipeline::OmOutput>,
 }

@@ -145,8 +145,8 @@ fn drop_prologues(
     // Group call sites per target procedure.
     let mut callers: HashMap<GlobalRef, Vec<usize>> = HashMap::new();
     for (si, s) in sites.iter().enumerate() {
-        if let CallKind::DirectJsr { target, .. } | CallKind::Bsr { target, .. } = &s.kind {
-            callers.entry(target.clone()).or_default().push(si);
+        if let CallKind::DirectJsr { sym, .. } | CallKind::Bsr { sym, .. } = s.kind {
+            callers.entry(program.target(s.mi, sym)).or_default().push(si);
         }
     }
 
@@ -163,7 +163,7 @@ fn drop_prologues(
             {
                 continue;
             }
-            let entry_addr = snap.addr(&r);
+            let entry_addr = snap.addr(r);
             let all_ok = callers.get(&r).map(|list| {
                 list.iter().all(|&si| {
                     let s = &sites[si];
@@ -182,7 +182,7 @@ fn drop_prologues(
         }
     }
 
-    for r in &dropped {
+    for &r in &dropped {
         let (mi, pi) = program.proc_of(r).expect("built from a defined procedure");
         let p = &mut program.modules[mi].procs[pi];
         let (hi, lo) = prologue_pair_at_entry(p).expect("checked above");

@@ -102,11 +102,11 @@ pub fn run_with(
     // balanced and only execution can notice.
     if let Some(plan) = options.fault.as_ref() {
         let mut skip_targets: Vec<(usize, usize)> = Vec::new();
-        for m in &program.modules {
+        for (mi, m) in program.modules.iter().enumerate() {
             for p in &m.procs {
                 for i in &p.insts {
-                    if let SMark::BrSym { target, addend: 8 } = &i.mark {
-                        if let Some(coord) = program.proc_of(target) {
+                    if let SMark::BrSym { sym, addend: 8 } = i.mark {
+                        if let Some(coord) = program.proc_of(program.target(mi, sym)) {
                             if !skip_targets.contains(&coord) {
                                 skip_targets.push(coord);
                             }

@@ -6,7 +6,7 @@ use crate::analysis::{call_sites, CallKind, Snapshot};
 use crate::cache::OmCaches;
 use crate::hash::{archive_hash, link_key, module_hash, ContentHash};
 use crate::stats::OmStats;
-use crate::sym::{resolve_symbolic, translate_module, InstId, LocalSymModule, OmError, SymProgram};
+use crate::sym::{resolve_symbolic, translate_module, InstId, OmError, SymModule, SymProgram};
 use om_linker::{
     build_symbol_table, layout, link_selected, select_modules, Image, LayoutOpts, LinkStats,
 };
@@ -276,9 +276,9 @@ fn run_pipeline(
     om_obs::count("pipeline.modules", modules.len() as u64);
     let symtab = build_symbol_table(&modules)?;
     let mut program = {
-        let locals_span = om_obs::span("pass.translate");
+        let translate_span = om_obs::span("pass.translate");
         om_obs::count("pass.translate.modules", modules.len() as u64);
-        let locals = modules
+        let translated = modules
             .iter()
             .map(|m| match caches {
                 None => translate_module(m).map(Arc::new),
@@ -289,10 +289,10 @@ fn run_pipeline(
                     .get_or_try(module_hash(m), || translate_module(m))
                     .map(|(v, _)| v),
             })
-            .collect::<Result<Vec<Arc<LocalSymModule>>, OmError>>()?;
-        drop(locals_span);
+            .collect::<Result<Vec<Arc<SymModule>>, OmError>>()?;
+        drop(translate_span);
         let _s = om_obs::span("pass.resolve");
-        resolve_symbolic(&locals, &symtab)
+        resolve_symbolic(&translated, &symtab)
     };
 
     let mut stats = OmStats::default();

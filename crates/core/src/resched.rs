@@ -122,7 +122,7 @@ pub fn schedule_proc(insts: &mut Vec<SInst>) {
         let mut s = s.max(pinned);
         // Pin the leader while it is a branch target.
         while s < e && targets.contains(&insts[s].id) {
-            out.push(insts[s].clone());
+            out.push(insts[s]);
             s += 1;
         }
         // Marks need no ordering edges of their own: a GPDISP pair keeps its

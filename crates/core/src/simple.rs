@@ -137,11 +137,12 @@ pub fn convert_calls(
         // GP reset removal condition. A preemptible callee might be
         // replaced at dynamic-link time by code in another GAT group, so
         // nothing about it can be assumed.
-        let same_gp_target = match &s.kind {
-            CallKind::DirectJsr { target, .. } | CallKind::Bsr { target, .. } => {
+        let same_gp_target = match s.kind {
+            CallKind::DirectJsr { sym, .. } | CallKind::Bsr { sym, .. } => {
+                let target = program.target(s.mi, sym);
                 !preempt.contains(ref_name(program, target))
                     && match target {
-                        GlobalRef::Def { module, .. } => snap.group(s.mi) == snap.group(*module),
+                        GlobalRef::Def { module, .. } => snap.group(s.mi) == snap.group(module),
                         GlobalRef::Common { .. } => single_group,
                     }
             }
@@ -157,7 +158,8 @@ pub fn convert_calls(
 
         // JSR → BSR conversion (never for preemptible targets: the dynamic
         // linker may bind the call elsewhere).
-        let CallKind::DirectJsr { load, target } = &s.kind else { continue };
+        let CallKind::DirectJsr { load, sym } = s.kind else { continue };
+        let target = program.target(s.mi, sym);
         if preempt.contains(ref_name(program, target)) {
             continue;
         }
@@ -171,11 +173,11 @@ pub fn convert_calls(
         // skip a same-GP callee's prologue, and drop the PV load, only when
         // the GPDISP pair is literally the first two instructions.
         let sole_use = use_index(&program.modules[s.mi].procs[s.pi])
-            .get(load)
+            .get(&load)
             .is_some_and(|u| u.len() == 1 && u[0].1 == UseKind::Jsr);
         let tproc = &program.modules[tm].procs[tp];
         let entry_pair = prologue_pair_at_entry(tproc);
-        let (mut addend, kill_load) = if dropped.contains(target) {
+        let (mut addend, kill_load) = if dropped.contains(&target) {
             (0, sole_use)
         } else if same_gp_target {
             match entry_pair {
@@ -204,11 +206,11 @@ pub fn convert_calls(
         let p = &mut program.modules[s.mi].procs[s.pi];
         let at = p.index_of(s.jsr_id);
         p.insts[at].inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
-        p.insts[at].mark = SMark::BrSym { target: target.clone(), addend };
+        p.insts[at].mark = SMark::BrSym { sym, addend };
         stats.calls_jsr_to_bsr += 1;
         changed = true;
         if kill_load {
-            remove(p, &[*load], removal, stats);
+            remove(p, &[load], removal, stats);
             stats.addr_loads_nullified += 1;
             book.entry(key).or_insert((true, false)).0 = false;
         }
@@ -253,16 +255,12 @@ pub fn transform_address_loads(
             // deferring the deletion keeps the collected indices valid.
             let mut delete_after: Vec<crate::sym::InstId> = Vec::new();
             for k in loads {
-                let (load_id, target, addend, escaping, rd) = {
-                    let i = &program.modules[mi].procs[pi].insts[k];
-                    let SMark::Literal { target, addend, escaping } = &i.mark else {
-                        unreachable!()
-                    };
-                    (i.id, target.clone(), *addend, *escaping, load_dest(i))
-                };
+                let i = &program.modules[mi].procs[pi].insts[k];
+                let SMark::Literal { sym, addend, escaping } = i.mark else { unreachable!() };
+                let (load_id, rd, target) = (i.id, load_dest(i), program.target(mi, sym));
                 // A preemptible object's final address is unknown until
                 // dynamic-link time: its GAT slot must survive untouched.
-                if preempt.contains(crate::analysis::ref_name(program, &target)) {
+                if preempt.contains(ref_name(program, target)) {
                     continue;
                 }
                 let us = uses.get(&load_id).cloned().unwrap_or_default();
@@ -272,7 +270,7 @@ pub fn transform_address_loads(
                     continue;
                 }
 
-                let target_addr = snap.addr(&target).wrapping_add(addend as u64);
+                let target_addr = snap.addr(target).wrapping_add(addend as u64);
                 let disp = target_addr as i64 - gp as i64;
                 let rewritable = !escaping && !us.is_empty()
                     && us.iter().all(|&(_, k)| k == UseKind::Base);
@@ -300,10 +298,7 @@ pub fn transform_address_loads(
                         for &(ui, d) in &use_disps {
                             set_mem_disp(&mut proc.insts[ui].inst, 0);
                             set_mem_base(&mut proc.insts[ui].inst, Reg::GP);
-                            proc.insts[ui].mark = SMark::Gprel {
-                                target: target.clone(),
-                                addend: addend + d + skew,
-                            };
+                            proc.insts[ui].mark = SMark::Gprel { sym, addend: addend + d + skew };
                         }
                         if armed(fault, FaultKind::NullifyDelete) {
                             // Fault point: drop the load instead of no-op'ing
@@ -328,15 +323,12 @@ pub fn transform_address_loads(
                             rb: Reg::GP,
                             disp: 0,
                         };
-                        proc.insts[k].mark = SMark::GprelHi {
-                            target: target.clone(),
-                            addend: addend + d0,
-                        };
+                        proc.insts[k].mark = SMark::GprelHi { sym, addend: addend + d0 };
                         for &(ui, _) in &use_disps {
                             set_mem_disp(&mut proc.insts[ui].inst, 0);
                             set_mem_base(&mut proc.insts[ui].inst, rd);
                             proc.insts[ui].mark = SMark::GprelLo {
-                                target: target.clone(),
+                                sym,
                                 addend: addend + d0,
                                 hi_addend: addend + d0,
                             };
@@ -356,7 +348,7 @@ pub fn transform_address_loads(
                         rb: Reg::GP,
                         disp: 0,
                     };
-                    proc.insts[k].mark = SMark::Gprel { target: target.clone(), addend };
+                    proc.insts[k].mark = SMark::Gprel { sym, addend };
                     // The load is no longer a GAT literal; detach its use
                     // links (the consumers are unchanged — the register holds
                     // the same address).

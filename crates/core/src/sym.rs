@@ -8,12 +8,19 @@
 //! reordering. [`emit_module`] lowers a transformed module back to ordinary
 //! object code, recomputing every offset. This is what makes OM-full's code
 //! motion safe by construction.
+//!
+//! There is one symbolic form. A mark names a symbol by the [`SymId`] of its
+//! own module, exactly as the relocation it came from did, so
+//! [`translate_module`]'s result depends only on that module's bytes and can
+//! be cached by content hash. [`resolve_symbolic`] binds a program once per
+//! symbol, not per instruction: it records what each module's ids resolve to
+//! program-wide, and passes read that through [`SymProgram::target`].
+//! [`emit_module`] writes each mark's id back unchanged, so every emitted
+//! module keeps its input's symbol table.
 
 use om_alpha::{decode, Inst};
 use om_linker::SymbolTable;
-use om_objfile::{
-    LitaEntry, Module, Reloc, RelocKind, SecId, SymId, Symbol, SymbolDef, Visibility,
-};
+use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, SymbolDef, Visibility};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -73,12 +80,13 @@ impl From<om_linker::LinkError> for OmError {
 pub type InstId = u32;
 
 /// A resolved reference to a program object.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GlobalRef {
     /// Defined symbol: `(module index, symbol id)`.
     Def { module: usize, sym: SymId },
-    /// A merged common symbol.
-    Common { name: String },
+    /// A merged common symbol, named by the `(module index, symbol id)` of
+    /// its first declaration in the program.
+    Common { module: usize, sym: SymId },
 }
 
 /// What code address a GPDISP pair's base register holds.
@@ -90,32 +98,34 @@ pub enum SAnchor {
     AfterCall(InstId),
 }
 
-/// Symbolic annotation of one instruction.
-#[derive(Debug, Clone, PartialEq)]
+/// Symbolic annotation of one instruction. `sym` operands are ids into the
+/// symbol table of the instruction's own module; [`SymProgram::target`]
+/// resolves them.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SMark {
     None,
-    /// GAT address load of `target + addend`; `escaping` if its value leaks
+    /// GAT address load of `sym + addend`; `escaping` if its value leaks
     /// into unrewritable dataflow.
-    Literal { target: GlobalRef, addend: i64, escaping: bool },
+    Literal { sym: SymId, addend: i64, escaping: bool },
     LituseBase { load: InstId },
     LituseJsr { load: InstId },
     LituseAddr { load: InstId },
     GpdispHi { lo: InstId, anchor: SAnchor },
     GpdispLo { hi: InstId },
     /// Branch to another procedure (`addend` lets OM-full skip prologues).
-    BrSym { target: GlobalRef, addend: i64 },
+    BrSym { sym: SymId, addend: i64 },
     /// Intra-procedure branch to the instruction with this id.
     BrLocal { target: InstId },
     /// 16-bit GP-relative reference (an OM conversion product).
-    Gprel { target: GlobalRef, addend: i64 },
+    Gprel { sym: SymId, addend: i64 },
     /// High half of a 32-bit GP-relative reference.
-    GprelHi { target: GlobalRef, addend: i64 },
+    GprelHi { sym: SymId, addend: i64 },
     /// Low half, paired with a `GprelHi` computed with `hi_addend`.
-    GprelLo { target: GlobalRef, addend: i64, hi_addend: i64 },
+    GprelLo { sym: SymId, addend: i64, hi_addend: i64 },
 }
 
 /// One symbolic instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SInst {
     pub id: InstId,
     pub inst: Inst,
@@ -195,7 +205,9 @@ impl SymProc {
 }
 
 /// A module in symbolic form: the original module (for its data sections and
-/// symbol table) plus symbolic procedures replacing its text.
+/// symbol table) plus symbolic procedures replacing its text. Independent of
+/// every other module in the program — the unit of OM's per-module
+/// translation cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymModule {
     pub source: Module,
@@ -206,7 +218,8 @@ pub struct SymModule {
 #[derive(Debug, Clone)]
 pub struct SymProgram {
     pub modules: Vec<SymModule>,
-    pub symtab: SymbolTable,
+    /// Per module, what each of its symbol ids resolves to program-wide.
+    targets: Vec<Vec<GlobalRef>>,
     /// When set (OM-simple), emitted modules retain every original GAT slot
     /// even if no surviving instruction references it: a traditional linker
     /// that only rewrites instructions in place does not reduce the GAT.
@@ -224,87 +237,26 @@ impl SymProgram {
             .sum()
     }
 
+    /// The program object that symbol `sym` of module `mi` names.
+    pub fn target(&self, mi: usize, sym: SymId) -> GlobalRef {
+        self.targets[mi][sym.0 as usize]
+    }
+
     /// Finds a procedure by target reference, if the reference names one.
-    pub fn proc_of(&self, r: &GlobalRef) -> Option<(usize, usize)> {
+    pub fn proc_of(&self, r: GlobalRef) -> Option<(usize, usize)> {
         let GlobalRef::Def { module, sym } = r else { return None };
-        let m = &self.modules[*module];
-        m.procs
+        self.modules[module]
+            .procs
             .iter()
-            .position(|p| p.sym == *sym)
-            .map(|pi| (*module, pi))
+            .position(|p| p.sym == sym)
+            .map(|pi| (module, pi))
     }
 }
 
-/// A symbolic annotation whose symbol references are still *module-local*
-/// ([`SymId`]s into the module's own table). This is the program-independent
-/// half of [`SMark`]: everything about it is a pure function of one module's
-/// bytes, so [`translate_module`] results can be cached by content hash and
-/// shared across link requests. [`resolve_symbolic`] turns it into an
-/// [`SMark`] once the program-wide symbol table is known.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LMark {
-    None,
-    /// GAT address load of `sym + addend` (the module's `.lita` entry).
-    Literal { sym: SymId, addend: i64, escaping: bool },
-    LituseBase { load: InstId },
-    LituseJsr { load: InstId },
-    LituseAddr { load: InstId },
-    GpdispHi { lo: InstId, anchor: SAnchor },
-    GpdispLo { hi: InstId },
-    BrSym { sym: SymId, addend: i64 },
-    BrLocal { target: InstId },
-    Gprel { sym: SymId, addend: i64 },
-    GprelHi { sym: SymId, addend: i64 },
-    GprelLo { sym: SymId, addend: i64, hi_addend: i64 },
-}
-
-/// One instruction of a module-local symbolic procedure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LInst {
-    pub id: InstId,
-    pub inst: Inst,
-    pub mark: LMark,
-}
-
-/// A procedure in module-local symbolic form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalSymProc {
-    pub sym: SymId,
-    pub name: String,
-    pub vis: Visibility,
-    pub insts: Vec<LInst>,
-}
-
-/// One module's translation artifact: the decoded, mark-annotated symbolic
-/// procedures plus the source module itself. Independent of every other
-/// module in the program — the unit of OM's per-module analysis cache.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalSymModule {
-    pub source: Module,
-    pub procs: Vec<LocalSymProc>,
-}
-
-/// Resolves a module-local symbol reference to a [`GlobalRef`].
-pub(crate) fn resolve_ref(
-    source: &Module,
-    symtab: &SymbolTable,
-    mi: usize,
-    sym: SymId,
-) -> GlobalRef {
-    let s = source.symbol(sym);
-    if s.is_defined() && !matches!(s.def, SymbolDef::Common { .. }) {
-        return GlobalRef::Def { module: mi, sym };
-    }
-    if let Some(&(dm, did)) = symtab.globals.get(&s.name) {
-        return GlobalRef::Def { module: dm, sym: did };
-    }
-    GlobalRef::Common { name: s.name.clone() }
-}
-
-/// Translates one module into module-local symbolic form — the whole
-/// decode/tiling/mark analysis, with no reference to the rest of the
-/// program. The result depends only on the module's bytes, which is what
-/// makes it cacheable by content hash.
+/// Translates one module into symbolic form — the whole decode/tiling/mark
+/// analysis, with no reference to the rest of the program. The result
+/// depends only on the module's bytes, which is what makes it cacheable by
+/// content hash.
 ///
 /// # Errors
 ///
@@ -312,8 +264,8 @@ pub(crate) fn resolve_ref(
 /// text, or relocations are inconsistent — the conservative checks the paper
 /// says OM can afford because "it can use the loader symbol table and the
 /// relocation tables to clarify the code".
-pub fn translate_module(m: &Module) -> Result<LocalSymModule, OmError> {
-    let mut procs: Vec<LocalSymProc> = Vec::new();
+pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
+    let mut procs: Vec<SymProc> = Vec::new();
     let proc_list = m.procedures();
     let reloc_index = m.text_reloc_index();
 
@@ -373,7 +325,7 @@ pub fn translate_module(m: &Module) -> Result<LocalSymModule, OmError> {
             })?;
             let id = k as InstId;
 
-            let mut mark = LMark::None;
+            let mut mark = SMark::None;
             for r in reloc_index.get(&off).into_iter().flatten() {
                 let bad = |what: String| OmError::BadReloc { module: m.name.clone(), what };
                 let linked = |load_offset: u64| -> Result<InstId, OmError> {
@@ -384,21 +336,21 @@ pub fn translate_module(m: &Module) -> Result<LocalSymModule, OmError> {
                 match &r.kind {
                     RelocKind::Literal { lita } => {
                         let e: &LitaEntry = &m.lita[*lita as usize];
-                        mark = LMark::Literal {
+                        mark = SMark::Literal {
                             sym: e.sym,
                             addend: e.addend,
                             escaping: escaping.contains(&off),
                         };
                     }
                     RelocKind::LituseBase { load_offset } => {
-                        mark = LMark::LituseBase { load: linked(*load_offset)? };
+                        mark = SMark::LituseBase { load: linked(*load_offset)? };
                     }
                     RelocKind::LituseJsr { load_offset } => {
-                        mark = LMark::LituseJsr { load: linked(*load_offset)? };
+                        mark = SMark::LituseJsr { load: linked(*load_offset)? };
                     }
                     RelocKind::LituseAddr { load_offset } => {
                         if *load_offset != off {
-                            mark = LMark::LituseAddr { load: linked(*load_offset)? };
+                            mark = SMark::LituseAddr { load: linked(*load_offset)? };
                         }
                     }
                     RelocKind::Gpdisp { pair_offset, anchor, .. } => {
@@ -413,19 +365,19 @@ pub fn translate_module(m: &Module) -> Result<LocalSymModule, OmError> {
                                 .ok_or_else(|| bad("gpdisp anchor outside procedure".into()))?;
                             SAnchor::AfterCall(jsr)
                         };
-                        mark = LMark::GpdispHi { lo, anchor: a };
+                        mark = SMark::GpdispHi { lo, anchor: a };
                     }
                     RelocKind::BrAddr { sym, addend } => {
-                        mark = LMark::BrSym { sym: *sym, addend: *addend };
+                        mark = SMark::BrSym { sym: *sym, addend: *addend };
                     }
                     RelocKind::Gprel16 { sym, addend, .. } => {
-                        mark = LMark::Gprel { sym: *sym, addend: *addend };
+                        mark = SMark::Gprel { sym: *sym, addend: *addend };
                     }
                     RelocKind::GprelHigh { sym, addend, .. } => {
-                        mark = LMark::GprelHi { sym: *sym, addend: *addend };
+                        mark = SMark::GprelHi { sym: *sym, addend: *addend };
                     }
                     RelocKind::GprelLow { sym, addend, hi_addend, .. } => {
-                        mark = LMark::GprelLo {
+                        mark = SMark::GprelLo {
                             sym: *sym,
                             addend: *addend,
                             hi_addend: *hi_addend,
@@ -438,7 +390,7 @@ pub fn translate_module(m: &Module) -> Result<LocalSymModule, OmError> {
             }
 
             // Mark the GPDISP low halves (they carry no relocation).
-            insts.push(LInst { id, inst, mark });
+            insts.push(SInst { id, inst, mark });
         }
 
         // Second pass over the collected instructions: GpdispLo partners
@@ -447,23 +399,23 @@ pub fn translate_module(m: &Module) -> Result<LocalSymModule, OmError> {
             .iter()
             .enumerate()
             .filter_map(|(k, i)| match i.mark {
-                LMark::GpdispHi { lo, .. } => Some((k, lo)),
+                SMark::GpdispHi { lo, .. } => Some((k, lo)),
                 _ => None,
             })
             .collect();
         for (k, lo) in his {
             let hi_id = insts[k].id;
             let lo_idx = lo as usize;
-            if lo_idx >= insts.len() || !matches!(insts[lo_idx].mark, LMark::None) {
+            if lo_idx >= insts.len() || !matches!(insts[lo_idx].mark, SMark::None) {
                 return Err(OmError::BadReloc {
                     module: m.name.clone(),
                     what: format!("gpdisp low half missing in {}", s.name),
                 });
             }
-            insts[lo_idx].mark = LMark::GpdispLo { hi: hi_id };
+            insts[lo_idx].mark = SMark::GpdispLo { hi: hi_id };
         }
         for k in 0..insts.len() {
-            if let (Inst::Br { disp, .. }, LMark::None) = (&insts[k].inst, &insts[k].mark) {
+            if let (Inst::Br { disp, .. }, SMark::None) = (&insts[k].inst, &insts[k].mark) {
                 let target = k as i64 + 1 + *disp as i64;
                 if target < 0 || target as usize > insts.len() {
                     return Err(OmError::BadText {
@@ -481,89 +433,56 @@ pub fn translate_module(m: &Module) -> Result<LocalSymModule, OmError> {
                         what: "branch to procedure end".into(),
                     });
                 }
-                insts[k].mark = LMark::BrLocal { target: target as InstId };
+                insts[k].mark = SMark::BrLocal { target: target as InstId };
             }
         }
 
-        procs.push(LocalSymProc {
+        procs.push(SymProc {
             sym: *sym_id,
             name: s.name.clone(),
             vis: s.vis,
+            next_id: insts.len() as InstId,
             insts,
         });
     }
-    Ok(LocalSymModule { source: m.clone(), procs })
+    Ok(SymModule { source: m.clone(), procs })
 }
 
-/// Binds per-module translation artifacts into a whole program: every
-/// module-local symbol reference is resolved through the program-wide
-/// symbol table ([`LMark`] → [`SMark`]). This is the cheap half of
-/// [`translate`] — no decoding, just reference resolution — so relinking a
-/// program whose modules are all cached costs only this pass.
-pub fn resolve_symbolic<M: std::borrow::Borrow<LocalSymModule>>(
-    locals: &[M],
+/// Binds per-module translations into a whole program. No instruction is
+/// rewritten: this resolves every symbol of every module once, through the
+/// program-wide symbol table, into the table [`SymProgram::target`] reads.
+/// It is the cheap half of [`translate`], so relinking a program whose
+/// modules are all cached costs only this pass.
+pub fn resolve_symbolic<M: std::borrow::Borrow<SymModule>>(
+    modules: &[M],
     symtab: &SymbolTable,
 ) -> SymProgram {
-    let mut out = Vec::with_capacity(locals.len());
-    for (mi, lm) in locals.iter().enumerate() {
-        let lm = lm.borrow();
-        let src = &lm.source;
-        let procs = lm
-            .procs
-            .iter()
-            .map(|p| {
-                let insts = p
-                    .insts
-                    .iter()
-                    .map(|i| {
-                        let mark = match &i.mark {
-                            LMark::None => SMark::None,
-                            LMark::Literal { sym, addend, escaping } => SMark::Literal {
-                                target: resolve_ref(src, symtab, mi, *sym),
-                                addend: *addend,
-                                escaping: *escaping,
-                            },
-                            LMark::LituseBase { load } => SMark::LituseBase { load: *load },
-                            LMark::LituseJsr { load } => SMark::LituseJsr { load: *load },
-                            LMark::LituseAddr { load } => SMark::LituseAddr { load: *load },
-                            LMark::GpdispHi { lo, anchor } => {
-                                SMark::GpdispHi { lo: *lo, anchor: *anchor }
-                            }
-                            LMark::GpdispLo { hi } => SMark::GpdispLo { hi: *hi },
-                            LMark::BrSym { sym, addend } => SMark::BrSym {
-                                target: resolve_ref(src, symtab, mi, *sym),
-                                addend: *addend,
-                            },
-                            LMark::BrLocal { target } => SMark::BrLocal { target: *target },
-                            LMark::Gprel { sym, addend } => SMark::Gprel {
-                                target: resolve_ref(src, symtab, mi, *sym),
-                                addend: *addend,
-                            },
-                            LMark::GprelHi { sym, addend } => SMark::GprelHi {
-                                target: resolve_ref(src, symtab, mi, *sym),
-                                addend: *addend,
-                            },
-                            LMark::GprelLo { sym, addend, hi_addend } => SMark::GprelLo {
-                                target: resolve_ref(src, symtab, mi, *sym),
-                                addend: *addend,
-                                hi_addend: *hi_addend,
-                            },
-                        };
-                        SInst { id: i.id, inst: i.inst, mark }
-                    })
-                    .collect::<Vec<_>>();
-                SymProc {
-                    sym: p.sym,
-                    name: p.name.clone(),
-                    vis: p.vis,
-                    next_id: insts.len() as InstId,
-                    insts,
-                }
-            })
-            .collect();
-        out.push(SymModule { source: src.clone(), procs });
+    let mut first_common: HashMap<&str, GlobalRef> = HashMap::new();
+    let targets = modules
+        .iter()
+        .enumerate()
+        .map(|(mi, m)| {
+            m.borrow()
+                .source
+                .symbols_with_ids()
+                .map(|(sym, s)| {
+                    if s.is_defined() && !matches!(s.def, SymbolDef::Common { .. }) {
+                        GlobalRef::Def { module: mi, sym }
+                    } else if let Some(&(module, sym)) = symtab.globals.get(&s.name) {
+                        GlobalRef::Def { module, sym }
+                    } else {
+                        let first = GlobalRef::Common { module: mi, sym };
+                        *first_common.entry(&s.name).or_insert(first)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    SymProgram {
+        modules: modules.iter().map(|m| m.borrow().clone()).collect(),
+        targets,
+        preserve_gat: true,
     }
-    SymProgram { modules: out, symtab: symtab.clone(), preserve_gat: true }
 }
 
 /// Translates the whole program into symbolic form: [`translate_module`]
@@ -574,19 +493,19 @@ pub fn resolve_symbolic<M: std::borrow::Borrow<LocalSymModule>>(
 /// Returns [`OmError`] if any module fails translation (see
 /// [`translate_module`]).
 pub fn translate(modules: &[Module], symtab: &SymbolTable) -> Result<SymProgram, OmError> {
-    let locals = modules
+    let translated = modules
         .iter()
         .map(translate_module)
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(resolve_symbolic(&locals, symtab))
+    Ok(resolve_symbolic(&translated, symtab))
 }
 
 /// Lowers one symbolic module back to object code.
 ///
-/// The returned module preserves the source's symbol-table order (so
-/// `GlobalRef::Def` indices remain valid across emit/translate rounds),
-/// appending externs for any newly cross-module references, and rebuilds the
-/// text, `.lita`, and text relocations from the symbolic procedures.
+/// The returned module keeps the source's symbol table, with procedure
+/// offsets and sizes updated, so every mark's [`SymId`] and every
+/// [`GlobalRef`] stays valid across emit/translate rounds. Text, `.lita`,
+/// and text relocations are rebuilt from the symbolic procedures.
 ///
 /// # Errors
 ///
@@ -610,48 +529,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         .cloned()
         .collect();
 
-    let mut name_to_id: HashMap<String, SymId> = m
-        .symbols
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.name.clone(), SymId(i as u32)))
-        .collect();
     let mut lita_interned: HashMap<(SymId, i64), u32> = HashMap::new();
-
-    let local_sym = |m: &mut Module,
-                         name_to_id: &mut HashMap<String, SymId>,
-                         r: &GlobalRef|
-     -> Result<SymId, OmError> {
-        match r {
-            GlobalRef::Def { module, sym } => {
-                if *module == mi {
-                    return Ok(*sym);
-                }
-                let target = program.modules[*module].source.symbol(*sym);
-                if target.vis != Visibility::Exported {
-                    return Err(OmError::Internal {
-                        context: "emit".into(),
-                        what: format!(
-                            "cross-module reference to local symbol {}",
-                            target.name
-                        ),
-                    });
-                }
-                Ok(*name_to_id.entry(target.name.clone()).or_insert_with(|| {
-                    let id = SymId(m.symbols.len() as u32);
-                    m.symbols.push(Symbol::external(&target.name));
-                    id
-                }))
-            }
-            GlobalRef::Common { name } => {
-                Ok(*name_to_id.entry(name.clone()).or_insert_with(|| {
-                    let id = SymId(m.symbols.len() as u32);
-                    m.symbols.push(Symbol::external(name));
-                    id
-                }))
-            }
-        }
-    };
 
     for p in &sm.procs {
         let start = m.text.len() as u64;
@@ -663,8 +541,8 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         // A mark naming an instruction id absent from the procedure is a
         // transformation bug (the former `index_of` panic class); surface it
         // as a typed error so one bad request cannot take down a server.
-        let off = |id: &InstId| -> Result<u64, OmError> {
-            off_of.get(id).copied().ok_or_else(|| OmError::Internal {
+        let off = |id: InstId| -> Result<u64, OmError> {
+            off_of.get(&id).copied().ok_or_else(|| OmError::Internal {
                 context: "emit".into(),
                 what: format!("dangling instruction id {id} in {}", p.name),
             })
@@ -672,17 +550,16 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         for (k, si) in p.insts.iter().enumerate() {
             let here = start + 4 * k as u64;
             let mut inst = si.inst;
-            match &si.mark {
+            match si.mark {
                 SMark::None => {}
-                SMark::Literal { target, addend, escaping } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
-                    let slot = *lita_interned.entry((sym, *addend)).or_insert_with(|| {
+                SMark::Literal { sym, addend, escaping } => {
+                    let slot = *lita_interned.entry((sym, addend)).or_insert_with(|| {
                         let i = m.lita.len() as u32;
-                        m.lita.push(LitaEntry { sym, addend: *addend });
+                        m.lita.push(LitaEntry { sym, addend });
                         i
                     });
                     m.relocs.push(Reloc::text(here, RelocKind::Literal { lita: slot }));
-                    if *escaping {
+                    if escaping {
                         m.relocs
                             .push(Reloc::text(here, RelocKind::LituseAddr { load_offset: here }));
                     }
@@ -720,10 +597,8 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
                     ));
                 }
                 SMark::GpdispLo { .. } => {}
-                SMark::BrSym { target, addend } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
-                    m.relocs
-                        .push(Reloc::text(here, RelocKind::BrAddr { sym, addend: *addend }));
+                SMark::BrSym { sym, addend } => {
+                    m.relocs.push(Reloc::text(here, RelocKind::BrAddr { sym, addend }));
                 }
                 SMark::BrLocal { target } => {
                     let toff = off(target)?;
@@ -737,30 +612,18 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
                         });
                     }
                 }
-                SMark::Gprel { target, addend } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
-                    m.relocs.push(Reloc::text(
-                        here,
-                        RelocKind::Gprel16 { sym, addend: *addend, gp_group: 0 },
-                    ));
+                SMark::Gprel { sym, addend } => {
+                    m.relocs
+                        .push(Reloc::text(here, RelocKind::Gprel16 { sym, addend, gp_group: 0 }));
                 }
-                SMark::GprelHi { target, addend } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
-                    m.relocs.push(Reloc::text(
-                        here,
-                        RelocKind::GprelHigh { sym, addend: *addend, gp_group: 0 },
-                    ));
+                SMark::GprelHi { sym, addend } => {
+                    m.relocs
+                        .push(Reloc::text(here, RelocKind::GprelHigh { sym, addend, gp_group: 0 }));
                 }
-                SMark::GprelLo { target, addend, hi_addend } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
+                SMark::GprelLo { sym, addend, hi_addend } => {
                     m.relocs.push(Reloc::text(
                         here,
-                        RelocKind::GprelLow {
-                            sym,
-                            addend: *addend,
-                            hi_addend: *hi_addend,
-                            gp_group: 0,
-                        },
+                        RelocKind::GprelLow { sym, addend, hi_addend, gp_group: 0 },
                     ));
                 }
             }

@@ -6,7 +6,7 @@
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::{optimize_and_link, OmLevel};
 use om_linker::Linker;
-use om_objfile::Module;
+use om_objfile::{Module, SecId, Symbol};
 use om_sim::run_image;
 
 const STEPS: u64 = 10_000_000;
@@ -256,4 +256,33 @@ fn write_int_order_preserved() {
            return 0;
          }",
     )]);
+}
+
+#[test]
+fn an_extern_binds_past_a_local_of_the_same_name() {
+    // Module `a` references the global `x` through an extern and also
+    // holds a local data symbol `x` = 99, listed after the extern. Every
+    // reference goes through the extern, so every link must read `b`'s 7.
+    let opts = CompileOpts::o2();
+    let mut a = compile_source("a", "extern int x; int main() { return x; }", &opts).unwrap();
+    let off = a.data.len().next_multiple_of(8);
+    a.data.resize(off, 0);
+    a.data.extend_from_slice(&99i64.to_le_bytes());
+    a.symbols.push(Symbol::data("x", SecId::Data, off as u64, 8).local());
+    a.validate().unwrap();
+    let b = compile_source("b", "int x = 7;", &opts).unwrap();
+    let objs = vec![crt0::module().unwrap(), a, b];
+
+    let mut linker = Linker::new();
+    for o in objs.clone() {
+        linker = linker.object(o);
+    }
+    let (image, _) = linker.link().unwrap();
+    assert_eq!(run_image(&image, STEPS).unwrap().result, 7, "standard link");
+    for level in OmLevel::ALL {
+        let o = optimize_and_link(&objs, &[], level)
+            .unwrap_or_else(|e| panic!("{}: {e}", level.name()));
+        let r = run_image(&o.image, STEPS).unwrap_or_else(|e| panic!("{}: run: {e}", level.name()));
+        assert_eq!(r.result, 7, "{}", level.name());
+    }
 }

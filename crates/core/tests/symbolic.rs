@@ -1,10 +1,11 @@
 //! Unit tests of OM's symbolic machinery: translation, emit-back round
 //! trips, call-site recognition, address-taken analysis, prologue
-//! restoration, and deletion with branch retargeting.
+//! restoration, deletion with branch retargeting, and the size of the
+//! symbolic form.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::analysis::{address_taken, call_sites, find_entry_pair, use_index, CallKind, UseKind};
-use om_core::sym::{emit_all, translate, GlobalRef, SMark, SymProgram};
+use om_core::sym::{emit_all, translate, GlobalRef, SInst, SMark, SymProgram};
 use om_linker::{build_symbol_table, select_modules};
 use om_objfile::Module;
 use std::collections::HashSet;
@@ -35,6 +36,7 @@ fn translate_emit_roundtrip_is_identity_on_code() {
     for (orig, back) in modules.iter().zip(&emitted) {
         assert_eq!(orig.text, back.text, "text of `{}` must round-trip", orig.name);
         assert_eq!(orig.lita, back.lita, "GAT of `{}` must round-trip", orig.name);
+        assert_eq!(orig.symbols, back.symbols, "symbols of `{}` must round-trip", orig.name);
         assert_eq!(orig.data, back.data);
         assert_eq!(orig.sdata, back.sdata);
         // Relocation multisets match (ordering canonicalized by emit).
@@ -98,11 +100,10 @@ fn address_taken_covers_fnptr_sources() {
          int main() { dyn_ = &f2; return init(1) + dyn_(2) + f3(3); }",
     )]);
     let taken = address_taken(&program);
-    let name_of = |r: &GlobalRef| match r {
-        GlobalRef::Def { module, sym } => {
-            program.modules[*module].source.symbol(*sym).name.clone()
+    let name_of = |r: &GlobalRef| match *r {
+        GlobalRef::Def { module, sym } | GlobalRef::Common { module, sym } => {
+            program.modules[module].source.symbol(sym).name.clone()
         }
-        GlobalRef::Common { name } => name.clone(),
     };
     let names: HashSet<String> = taken.iter().map(name_of).collect();
     assert!(names.contains("f1"), "data initializer: {names:?}");
@@ -226,4 +227,19 @@ fn delete_retargets_branches() {
         still.contains(&next_id),
         "some branch now targets the survivor {next_id}: {still:?}"
     );
+}
+
+#[test]
+fn symbolic_form_stays_compact() {
+    // One `SInst` per 4-byte instruction word of the whole program: a mark
+    // that owned a `String` again, or a resolved copy of the form, would
+    // show up here first.
+    use std::mem::size_of;
+    for (name, size, limit) in [
+        ("SInst", size_of::<SInst>(), 40),
+        ("SMark", size_of::<SMark>(), 24),
+        ("GlobalRef", size_of::<GlobalRef>(), 16),
+    ] {
+        assert!(size <= limit, "{name} is {size} bytes, limit {limit}");
+    }
 }

@@ -7,7 +7,9 @@
 //! The same sweep pins the link-once invariants: the GAT counts in
 //! `OmStats` are the ones a snapshot of the translated inputs and the final
 //! link report, and the returned symbol table and layout are exactly what a
-//! fresh layout of the returned modules yields under the link's policy.
+//! fresh layout of the returned modules yields under the link's policy. It
+//! also pins that emit keeps every module's symbol table: only procedure
+//! offsets and sizes may differ from the selected input's.
 //!
 //! The profile-guided sweep goes one step further: it runs each scheduled
 //! image, collects an execution profile, relinks with the profile (verify
@@ -18,7 +20,7 @@ use om_core::analysis::Snapshot;
 use om_core::sym::translate;
 use om_core::{optimize_and_link_artifacts, optimize_and_link_with, OmLevel, OmOptions};
 use om_linker::{build_symbol_table, layout, select_modules, LayoutOpts};
-use om_objfile::{Archive, Module};
+use om_objfile::{Module, Symbol, SymbolDef};
 use om_sim::{run_image, run_profiled};
 use om_workloads::{build::build, spec, CompileMode};
 
@@ -27,11 +29,21 @@ const SIM_STEPS: u64 = 200_000_000;
 
 /// The GAT slot count of a snapshot of the translated, untransformed
 /// program.
-fn translated_gat_slots(objects: &[Module], libs: &[Archive]) -> usize {
-    let modules = select_modules(objects, libs).expect("select");
-    let symtab = build_symbol_table(&modules).expect("symtab");
-    let program = translate(&modules, &symtab).expect("translate");
+fn translated_gat_slots(modules: &[Module]) -> usize {
+    let symtab = build_symbol_table(modules).expect("symtab");
+    let program = translate(modules, &symtab).expect("translate");
     Snapshot::capture(&program).expect("snapshot").gat_slots()
+}
+
+/// `m`'s symbol table with every procedure's offset and size zeroed.
+fn symbols_but_proc_extents(m: &Module) -> Vec<Symbol> {
+    let mut symbols = m.symbols.clone();
+    for s in &mut symbols {
+        if let SymbolDef::Proc { offset, size, .. } = &mut s.def {
+            (*offset, *size) = (0, 0);
+        }
+    }
+    symbols
 }
 
 #[test]
@@ -41,7 +53,8 @@ fn verifier_passes_on_every_workload_mode_and_level() {
         let quick = spec::quick(&s);
         for mode in CompileMode::ALL {
             let b = build(&quick, mode).expect("build");
-            let gat_before = translated_gat_slots(&b.objects, &b.libs);
+            let selected = select_modules(&b.objects, &b.libs).expect("select");
+            let gat_before = translated_gat_slots(&selected);
             for level in OmLevel::ALL {
                 let ctx = format!("{} [{}] {}", s.name, mode.name(), level.name());
                 let (out, art) = optimize_and_link_artifacts(&b.objects, &b.libs, level, &options)
@@ -57,6 +70,15 @@ fn verifier_passes_on_every_workload_mode_and_level() {
                 let fresh = layout(&art.modules, &symtab, &opts).expect("layout");
                 assert!(art.symtab == symtab, "{ctx}: symbol table is not the link's");
                 assert!(art.layout == fresh, "{ctx}: layout is not the link's");
+
+                assert_eq!(art.modules.len(), selected.len(), "{ctx}: module count");
+                for (back, input) in art.modules.iter().zip(&selected) {
+                    assert!(
+                        symbols_but_proc_extents(back) == symbols_but_proc_extents(input),
+                        "{ctx}: emit changed the symbol table of `{}`",
+                        input.name
+                    );
+                }
             }
         }
     }

@@ -139,7 +139,7 @@ pub fn layout(
         let keys: Vec<GatKey> = m
             .lita
             .iter()
-            .map(|e| gat_key(modules, symtab, mi, e.sym, e.addend))
+            .map(|e| gat_key(modules, mi, e.sym, e.addend))
             .collect();
         let new = keys.iter().filter(|k| !current.contains_key(*k)).count();
         if current.len() + new > GAT_GROUP_CAPACITY {
@@ -253,19 +253,12 @@ pub fn layout(
     Ok(out)
 }
 
-fn gat_key(
-    modules: &[Module],
-    symtab: &SymbolTable,
-    mi: usize,
-    sym: SymId,
-    addend: i64,
-) -> GatKey {
+fn gat_key(modules: &[Module], mi: usize, sym: SymId, addend: i64) -> GatKey {
     let s = modules[mi].symbol(sym);
     if s.vis == Visibility::Local && s.is_defined() {
         GatKey::Local(mi, sym, addend)
     } else {
         // Exported definition or external reference: identity is the name.
-        let _ = symtab;
         GatKey::Global(s.name.clone(), addend)
     }
 }

@@ -112,7 +112,6 @@ pub fn build_symbol_table(modules: &[Module]) -> Result<SymbolTable, LinkError> 
     // Strong definitions override commons.
     for name in table.globals.keys() {
         table.commons.remove(name.as_str());
-        let _ = name;
     }
     let resolved: HashMap<&str, ()> = table
         .globals
