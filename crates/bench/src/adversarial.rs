@@ -1,14 +1,16 @@
 //! Adversarial scenario pack: a structured corpus of inputs built to sit on
 //! the pipeline's limits, run by `omfuzz --adversarial` and `scripts/ci.sh`.
 //!
-//! Two families, two oracles:
+//! Two families:
 //!
 //! * **Source cases** are hand-shaped mini-C programs (huge displacement
 //!   spans that overflow GP-relative reach, pathological common-symbol
 //!   declaration orders, section sizes straddling the addressing window).
-//!   They run the full differential oracle: every `(compile mode × OM
-//!   level)` variant links with [`OmOptions::verify`] and must reproduce
-//!   the mini-C interpreter's checksum bit-for-bit.
+//!   They run `omfuzz`'s differential oracle, [`check_sources`]: every
+//!   `(compile mode × OM level)` variant plus a profile-guided relink per
+//!   mode links with verification on and must reproduce the mini-C
+//!   interpreter's checksum on both simulator engines. A skipped reference
+//!   (step limit) fails the case.
 //! * **Object cases** are raw modules past (or exactly on) a hard limit —
 //!   near-`i32::MAX` sections, `u64`-wrapping size sums, single-module GAT
 //!   overflow. The oracle is *typed failure*: the standard linker must
@@ -19,27 +21,16 @@
 //! Unlike the random stream in [`crate::fuzz`], every case here is
 //! deterministic by construction, so a regression names the scenario that
 //! broke rather than a seed to re-derive.
-//!
-//! [`OmOptions::verify`]: om_core::pipeline::OmOptions
 
-use om_core::{optimize_and_link_with, OmLevel, OmOptions};
+use crate::fuzz::{check_sources, Outcome};
 use om_linker::{link_modules, LayoutOpts, LinkError, GAT_GROUP_CAPACITY};
 use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, Symbol};
-use om_sim::run_timed_fast;
-use om_workloads::stdlib::STDLIB_SOURCES;
-use om_workloads::{pad_gat, stdlib_libs, CompileMode};
+use om_workloads::pad_gat;
 use std::fmt::Write as _;
-
-/// Interpreter step budget per source case (the programs are tiny loops
-/// over huge *data*, so execution stays short).
-pub const INTERP_STEPS: u64 = 80_000_000;
-/// Simulator instruction budget per variant.
-pub const SIM_STEPS: u64 = 120_000_000;
 
 /// What a case feeds the pipeline and what it expects back.
 pub enum CaseKind {
-    /// Mini-C sources through the full differential oracle (all compile
-    /// modes × OM levels, verification on, checksum vs the interpreter).
+    /// Mini-C sources through [`check_sources`].
     Source(Vec<(String, String)>),
     /// Raw modules the standard linker must reject with
     /// [`LinkError::Range`].
@@ -244,7 +235,15 @@ pub fn corpus() -> Vec<Case> {
 /// what was checked; `Err` carries the first divergence.
 pub fn run_case(case: &Case) -> Result<String, String> {
     match &case.kind {
-        CaseKind::Source(sources) => run_source_case(sources),
+        CaseKind::Source(sources) => match check_sources(sources) {
+            Outcome::Pass => Ok("every build variant matches the interpreter".to_string()),
+            Outcome::Skip(why) => Err(format!("no interpreter reference: {why}")),
+            Outcome::Fail { mismatches, .. } => Err(mismatches
+                .iter()
+                .map(|m| format!("{}: {}", m.variant, m.detail))
+                .collect::<Vec<_>>()
+                .join("; ")),
+        },
         CaseKind::RangeObjects(objects) => {
             match link_modules(objects, &[], &LayoutOpts::default()) {
                 Err(e @ LinkError::Range { .. }) => {
@@ -261,63 +260,6 @@ pub fn run_case(case: &Case) -> Result<String, String> {
             }
         }
     }
-}
-
-/// The differential oracle for a source case: interpreter reference, then
-/// every `(compile mode × OM level)` variant with verification on.
-fn run_source_case(sources: &[(String, String)]) -> Result<String, String> {
-    let mut all: Vec<(String, String)> = sources.to_vec();
-    for (n, s) in STDLIB_SOURCES {
-        all.push((n.to_string(), s.to_string()));
-    }
-    let refs: Vec<(&str, &str)> = all.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-    let reference = om_minic::interp::run_sources(&refs, INTERP_STEPS)
-        .map_err(|e| format!("interpreter reference: {e}"))?;
-
-    let libs = stdlib_libs().map_err(|e| format!("stdlib: {e}"))?;
-    let opts = OmOptions { verify: true, ..OmOptions::default() };
-    let copts = om_codegen::CompileOpts::o2();
-    let mut variants = 0usize;
-    for mode in CompileMode::ALL {
-        let mut objects =
-            vec![om_codegen::crt0::module().map_err(|e| format!("crt0: {e}"))?];
-        match mode {
-            CompileMode::Each => {
-                for (n, s) in sources {
-                    objects.push(
-                        om_codegen::compile_source(n, s, &copts)
-                            .map_err(|e| format!("compile {n}: {e}"))?,
-                    );
-                }
-            }
-            CompileMode::All => {
-                let srefs: Vec<(&str, &str)> =
-                    sources.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-                objects.push(
-                    om_codegen::compile_all_sources("adv_all", &srefs, &copts)
-                        .map_err(|e| format!("compile-all: {e}"))?,
-                );
-            }
-        }
-        for level in OmLevel::ALL {
-            let variant = format!("{} × {}", mode.name(), level.name());
-            let out = optimize_and_link_with(&objects, &libs, level, &opts)
-                .map_err(|e| format!("{variant}: link/verify: {e}"))?;
-            if out.verify.is_none() {
-                return Err(format!("{variant}: verification did not run"));
-            }
-            let (r, _) = run_timed_fast(&out.image, SIM_STEPS)
-                .map_err(|e| format!("{variant}: simulator: {e}"))?;
-            if r.result != reference {
-                return Err(format!(
-                    "{variant}: checksum {} != reference {reference}",
-                    r.result
-                ));
-            }
-            variants += 1;
-        }
-    }
-    Ok(format!("{variants} verified variants match checksum {reference}"))
 }
 
 /// Runs the whole corpus, reporting each case through `report`. A panic in
@@ -359,14 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn object_cases_hit_their_typed_oracles() {
-        // The object-level half is cheap enough for debug CI; the source
-        // cases run in release via `omfuzz --adversarial`.
+    fn every_case_passes_its_oracle() {
         for case in corpus() {
-            match case.kind {
-                CaseKind::Source(_) => continue,
-                _ => run_case(&case).unwrap_or_else(|e| panic!("{}: {e}", case.name)),
-            };
+            run_case(&case).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         }
     }
 }

@@ -18,9 +18,9 @@
 //!
 //! `--adversarial` runs the deterministic scenario corpus
 //! ([`om_bench::adversarial`]) instead of random seeds: hand-shaped inputs
-//! sitting on the pipeline's limits, each gated on its own oracle (full
-//! differential check for source cases, typed-`Range`-error for object
-//! cases). Exits 1 if any case fails or panics.
+//! sitting on the pipeline's limits. Source cases go through the same
+//! oracle as the seeds; object cases must fail with a typed `Range` error
+//! (or link, on the boundary). Exits 1 if any case fails or panics.
 
 use om_bench::fuzz::{check, generate, shrink, write_repro, FuzzConfig, Outcome};
 use om_bench::par::{default_jobs, parallel_map};

@@ -21,13 +21,20 @@
 //! procedures, then individual statements, re-running the oracle at each
 //! step, and [`write_repro`] saves a minimized reproduction file.
 //!
+//! The oracle, [`check_sources`], takes rendered sources, so the
+//! adversarial corpus's hand-written source cases ([`crate::adversarial`])
+//! run through it as well. It builds through
+//! [`om_workloads::build::build_sources`] and takes its reference from
+//! [`om_workloads::build::interp_sources`].
+//!
 //! [`OmOptions::verify`]: om_core::pipeline::OmOptions
 
 use om_core::{optimize_and_link_with, OmLevel, OmOptions};
+use om_linker::Image;
 use om_prng::StdRng;
 use om_sim::{run_profiled, run_profiled_fast, run_timed, run_timed_fast, RunResult};
-use om_workloads::stdlib::STDLIB_SOURCES;
-use om_workloads::{stdlib_libs, CompileMode};
+use om_workloads::build::{build_sources, interp_sources};
+use om_workloads::{BuiltBenchmark, CompileMode};
 use std::fmt::Write as _;
 
 /// Interpreter step budget per check (generated programs are tiny).
@@ -413,7 +420,7 @@ impl Outcome {
 /// Simulates `image` on both engines and diffs everything observable.
 /// Returns the agreed run result, or `None` after recording a mismatch.
 fn sim_both(
-    image: &om_linker::Image,
+    image: &Image,
     variant: &str,
     mismatches: &mut Vec<Mismatch>,
 ) -> Option<RunResult> {
@@ -476,14 +483,15 @@ fn sim_both(
 
 /// Runs the full differential oracle on `prog`.
 pub fn check(prog: &FuzzProgram) -> Outcome {
-    let sources = render(prog);
-    // Reference: the mini-C interpreter over user sources + stdlib.
-    let mut all: Vec<(String, String)> = sources.clone();
-    for (n, s) in STDLIB_SOURCES {
-        all.push((n.to_string(), s.to_string()));
-    }
-    let refs: Vec<(&str, &str)> = all.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-    let reference = match om_minic::interp::run_sources(&refs, INTERP_STEPS) {
+    check_sources(&render(prog))
+}
+
+/// The differential oracle over mini-C user sources: the interpreter's
+/// checksum (stdlib included) is the reference, and every `(compile mode ×
+/// OM level)` build plus a profile-guided relink per mode must link with
+/// verification on and reproduce it on both simulator engines.
+pub fn check_sources(sources: &[(String, String)]) -> Outcome {
+    let reference = match interp_sources(sources, INTERP_STEPS) {
         Ok(v) => v,
         Err(e) if e.contains("step limit") => return Outcome::Skip(e),
         Err(e) => {
@@ -496,121 +504,50 @@ pub fn check(prog: &FuzzProgram) -> Outcome {
         }
     };
 
-    let libs = match stdlib_libs() {
-        Ok(l) => l,
-        Err(e) => {
-            return Outcome::Fail {
-                reference: Some(reference),
-                mismatches: vec![Mismatch { variant: "stdlib".into(), detail: e.to_string() }],
-            }
-        }
-    };
     let opts = OmOptions { verify: true, ..OmOptions::default() };
-    let copts = om_codegen::CompileOpts::o2();
     let mut mismatches = Vec::new();
     for mode in CompileMode::ALL {
-        let mut objects = vec![match om_codegen::crt0::module() {
-            Ok(m) => m,
+        let built = match build_sources("fz", sources, mode) {
+            Ok(b) => b,
             Err(e) => {
-                mismatches.push(Mismatch { variant: "crt0".into(), detail: e.to_string() });
+                mismatches.push(Mismatch {
+                    variant: mode.name().to_string(),
+                    detail: format!("build error: {e}"),
+                });
                 continue;
             }
-        }];
-        let compiled: Result<(), om_codegen::CodegenError> = (|| {
-            match mode {
-                CompileMode::Each => {
-                    for (n, s) in &sources {
-                        objects.push(om_codegen::compile_source(n, s, &copts)?);
-                    }
-                }
-                CompileMode::All => {
-                    let refs: Vec<(&str, &str)> =
-                        sources.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-                    objects.push(om_codegen::compile_all_sources("fz_all", &refs, &copts)?);
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = compiled {
-            mismatches.push(Mismatch {
-                variant: format!("{}", mode.name()),
-                detail: format!("compile error: {e}"),
-            });
-            continue;
-        }
+        };
+        let variant = |what: &str| format!("{} × {what}", mode.name());
         let mut sched_image = None;
         for level in OmLevel::ALL {
-            let variant = format!("{} × {}", mode.name(), level.name());
-            match optimize_and_link_with(&objects, &libs, level, &opts) {
-                Ok(out) => {
-                    if let Some(r) = sim_both(&out.image, &variant, &mut mismatches) {
-                        if r.result != reference {
-                            mismatches.push(Mismatch {
-                                variant,
-                                detail: format!(
-                                    "checksum {} != reference {reference}",
-                                    r.result
-                                ),
-                            });
-                        } else if level == OmLevel::FullSched {
-                            sched_image = Some(out.image);
-                        }
-                    }
-                }
-                Err(e) => mismatches.push(Mismatch {
-                    variant,
-                    detail: format!("link/verify: {e}"),
-                }),
+            let v = variant(level.name());
+            let image = check_variant(&built, level, &opts, v, reference, &mut mismatches);
+            if level == OmLevel::FullSched {
+                sched_image = image;
             }
         }
         // Ninth variant: profile the correct scheduled image, relink with
         // the profile, and re-diff the checksum.
-        if let Some(image) = sched_image {
-            let variant = format!("{} × pgo", mode.name());
-            // Both engines collect the profile; their JSON must agree
-            // byte-for-byte before the reference one drives the relink.
-            let profiled = match (run_profiled(&image, SIM_STEPS), run_profiled_fast(&image, SIM_STEPS)) {
-                (Ok((_, rp)), Ok((_, fp))) => {
-                    if rp.to_json() != fp.to_json() {
-                        mismatches.push(Mismatch {
-                            variant: format!("{variant} (engines)"),
-                            detail: "block engine profile JSON diverges from reference".into(),
-                        });
-                        None
-                    } else {
-                        Some(rp)
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => {
+        let Some(image) = sched_image else { continue };
+        // Both engines collect the profile; their JSON must agree
+        // byte-for-byte before the reference one drives the relink.
+        match (run_profiled(&image, SIM_STEPS), run_profiled_fast(&image, SIM_STEPS)) {
+            (Ok((_, rp)), Ok((_, fp))) => {
+                if rp.to_json() != fp.to_json() {
                     mismatches.push(Mismatch {
-                        variant: variant.clone(),
-                        detail: format!("profiling run: {e}"),
+                        variant: variant("pgo (engines)"),
+                        detail: "block engine profile JSON diverges from reference".into(),
                     });
-                    None
-                }
-            };
-            if let Some(profile) = profiled {
-                let popts = OmOptions { profile: Some(profile), ..opts.clone() };
-                match optimize_and_link_with(&objects, &libs, OmLevel::FullSched, &popts) {
-                    Ok(out) => {
-                        if let Some(r) = sim_both(&out.image, &variant, &mut mismatches) {
-                            if r.result != reference {
-                                mismatches.push(Mismatch {
-                                    variant,
-                                    detail: format!(
-                                        "checksum {} != reference {reference}",
-                                        r.result
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    Err(e) => mismatches.push(Mismatch {
-                        variant,
-                        detail: format!("link/verify: {e}"),
-                    }),
+                } else {
+                    let popts = OmOptions { profile: Some(rp), ..opts.clone() };
+                    let v = variant("pgo");
+                    check_variant(&built, OmLevel::FullSched, &popts, v, reference, &mut mismatches);
                 }
             }
+            (Err(e), _) | (_, Err(e)) => mismatches.push(Mismatch {
+                variant: variant("pgo"),
+                detail: format!("profiling run: {e}"),
+            }),
         }
     }
     if mismatches.is_empty() {
@@ -618,6 +555,39 @@ pub fn check(prog: &FuzzProgram) -> Outcome {
     } else {
         Outcome::Fail { reference: Some(reference), mismatches }
     }
+}
+
+/// Links one variant of `built` under `opts` (verification on), runs it on
+/// both engines and diffs its checksum against `reference`. Returns the
+/// image when the variant agrees; otherwise records why it does not.
+fn check_variant(
+    built: &BuiltBenchmark,
+    level: OmLevel,
+    opts: &OmOptions,
+    variant: String,
+    reference: i64,
+    mismatches: &mut Vec<Mismatch>,
+) -> Option<Image> {
+    let out = match optimize_and_link_with(&built.objects, &built.libs, level, opts) {
+        Ok(out) if out.verify.is_some() => out,
+        Ok(_) => {
+            mismatches.push(Mismatch { variant, detail: "verification did not run".into() });
+            return None;
+        }
+        Err(e) => {
+            mismatches.push(Mismatch { variant, detail: format!("link/verify: {e}") });
+            return None;
+        }
+    };
+    let r = sim_both(&out.image, &variant, mismatches)?;
+    if r.result != reference {
+        mismatches.push(Mismatch {
+            variant,
+            detail: format!("checksum {} != reference {reference}", r.result),
+        });
+        return None;
+    }
+    Some(out.image)
 }
 
 /// True if `name` is called from any surviving statement or is an fnptr

@@ -37,9 +37,9 @@ use om_core::{
 use om_objfile::{Archive, Module, RelocKind, SecId};
 use om_obs::json::{self, quote, JsonValue};
 use om_sim::{run_covered_fast, run_fast, run_profiled_fast, Divergence, RunResult};
+use om_workloads::build::{build_sources, interp_sources};
+use om_workloads::{BuiltBenchmark, CompileMode};
 use std::collections::HashSet;
-use om_workloads::stdlib::STDLIB_SOURCES;
-use om_workloads::stdlib_libs;
 use std::fmt::Write as _;
 
 /// The corpus programs: `omfuzz` seeds curated (empirically, over seeds
@@ -195,26 +195,11 @@ impl CleanBuild {
 /// Any failure here means the seed is unusable as a corpus program (the
 /// clean build must link, verify, and reproduce the interpreter's checksum).
 pub fn build_clean(seed: u64) -> Result<CleanBuild, String> {
-    let prog = fuzz::generate(seed, &FuzzConfig::default());
-    let sources = fuzz::render(&prog);
-    let mut all: Vec<(String, String)> = sources.clone();
-    for (n, s) in STDLIB_SOURCES {
-        all.push((n.to_string(), s.to_string()));
-    }
-    let refs: Vec<(&str, &str)> = all.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-    let reference = om_minic::interp::run_sources(&refs, INTERP_STEPS)
+    let sources = fuzz::render(&fuzz::generate(seed, &FuzzConfig::default()));
+    let reference = interp_sources(&sources, INTERP_STEPS)
         .map_err(|e| format!("seed {seed}: interpreter: {e}"))?;
-
-    let copts = om_codegen::CompileOpts::o2();
-    let mut objects =
-        vec![om_codegen::crt0::module().map_err(|e| format!("seed {seed}: crt0: {e}"))?];
-    for (n, s) in &sources {
-        objects.push(
-            om_codegen::compile_source(n, s, &copts)
-                .map_err(|e| format!("seed {seed}: compile {n}: {e}"))?,
-        );
-    }
-    let libs = stdlib_libs().map_err(|e| format!("seed {seed}: stdlib: {e}"))?;
+    let BuiltBenchmark { objects, libs, .. } = build_sources("fz", &sources, CompileMode::Each)
+        .map_err(|e| format!("seed {seed}: build: {e}"))?;
 
     let opts = OmOptions { verify: true, ..OmOptions::default() };
     let (output, emitted) =

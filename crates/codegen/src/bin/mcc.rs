@@ -1,21 +1,30 @@
 //! `mcc` — the mini-C compiler driver.
 //!
 //! ```text
-//! mcc [-O0|-O2] [--all] [-o OUT.o | --ar LIB.a] FILE.mc...
+//! mcc [-O0|-O2] [--no-schedule] [--all] [-o OUT.o | --ar LIB.a] FILE.mc...
 //! ```
 //!
 //! Compiles each source to an object file (`FILE.o` next to the source, or
 //! `-o` for a single input), or all sources monolithically with `--all`
 //! (the paper's interprocedural compile-all), or into an archive with
-//! `--ar`.
+//! `--ar`. `--no-schedule` turns off the compile-time list scheduler.
+//!
+//! A usage error (no input, an unknown option, a missing flag value, `-o`
+//! with `--ar`, `--all` with `--ar`, or `-o` with several inputs and no
+//! `--all`) exits 2 with the usage text before any source is read; an
+//! unreadable or invalid source or an unwritable output exits 1.
 
 use om_codegen::{compile_all_sources, compile_source, CompileOpts};
 use om_objfile::{binary, Archive};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-fn usage() -> ! {
-    eprintln!("usage: mcc [-O0|-O2] [--all] [-o OUT.o | --ar LIB.a] FILE.mc...");
+const USAGE: &str =
+    "usage: mcc [-O0|-O2] [--no-schedule] [--all] [-o OUT.o | --ar LIB.a] FILE.mc...";
+
+/// Reports a usage error and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("mcc: {msg}\n{USAGE}");
     exit(2);
 }
 
@@ -37,27 +46,35 @@ fn main() {
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
+    // The path following the flag at `args[*i]`, consumed.
+    let path = |i: &mut usize| -> PathBuf {
+        *i += 1;
+        match args.get(*i) {
+            Some(p) => PathBuf::from(p),
+            None => usage(&format!("{} needs a path", args[*i - 1])),
+        }
+    };
     while i < args.len() {
         match args[i].as_str() {
             "-O0" => opts = CompileOpts::o0(),
             "-O2" => opts = CompileOpts::o2(),
             "--no-schedule" => opts.schedule = false,
             "--all" => all = true,
-            "-o" => {
-                i += 1;
-                output = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--ar" => {
-                i += 1;
-                archive = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
+            "-o" => output = Some(path(&mut i)),
+            "--ar" => archive = Some(path(&mut i)),
             f if !f.starts_with('-') => inputs.push(PathBuf::from(f)),
-            _ => usage(),
+            other => usage(&format!("unknown option {other}")),
         }
         i += 1;
     }
     if inputs.is_empty() {
-        usage();
+        usage("no input files");
+    }
+    if archive.is_some() && (all || output.is_some()) {
+        usage("--ar cannot be combined with --all or -o");
+    }
+    if output.is_some() && !all && inputs.len() != 1 {
+        usage("-o requires exactly one input (use --ar or --all)");
     }
 
     let stem = |p: &Path| {
@@ -115,10 +132,6 @@ fn main() {
     }
 
     if let Some(out) = output {
-        if modules.len() != 1 {
-            eprintln!("mcc: -o requires exactly one input (use --ar or --all)");
-            exit(2);
-        }
         write(&out, &binary::write_module(&modules[0].1));
         return;
     }

@@ -44,6 +44,7 @@ impl Snapshot {
     ///
     /// Propagates symbol-table or layout failures.
     pub fn capture_with(program: &SymProgram, sort_commons: bool) -> Result<Snapshot, OmError> {
+        let _s = om_obs::span("snapshot");
         let modules = crate::sym::emit_all(program)?;
         let symtab = om_linker::build_symbol_table(&modules)?;
         let lay = layout(&modules, &symtab, &LayoutOpts { sort_commons })?;

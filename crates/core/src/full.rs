@@ -41,7 +41,10 @@ pub fn run_with(
     options: &crate::pipeline::OmOptions,
 ) -> Result<(), OmError> {
     program.preserve_gat = false;
-    restore_prologues(program);
+    {
+        let _s = om_obs::span("pass.restore");
+        restore_prologues(program);
+    }
 
     // Iterate to the GAT-reduction fixpoint. Each round makes decisions
     // against a fresh layout of the *current* (already shrunk) program;

@@ -274,7 +274,10 @@ fn run_pipeline(
     };
     pipeline_span.arg("modules", modules.len() as u64);
     om_obs::count("pipeline.modules", modules.len() as u64);
-    let symtab = build_symbol_table(&modules)?;
+    let symtab = {
+        let _s = om_obs::span("symtab");
+        build_symbol_table(&modules)?
+    };
     let mut program = {
         let translate_span = om_obs::span("pass.translate");
         om_obs::count("pass.translate.modules", modules.len() as u64);
@@ -297,10 +300,16 @@ fn run_pipeline(
 
     let mut stats = OmStats::default();
     let mut book: CallBook = HashMap::new();
-    collect_before(&program, &mut stats, &mut book);
+    {
+        let _s = om_obs::span("census");
+        collect_before(&program, &mut stats, &mut book);
+    }
     // The untransformed program's GAT is the inputs' GAT: translation keeps
     // every `.lita` entry, and the slot count ignores common placement.
-    stats.gat_slots_before = layout(&modules, &symtab, &LayoutOpts::default())?.gat_slots;
+    stats.gat_slots_before = {
+        let _s = om_obs::span("gat.before");
+        layout(&modules, &symtab, &LayoutOpts::default())?.gat_slots
+    };
     // The symbolic program holds its own copy of each input.
     drop(modules);
 

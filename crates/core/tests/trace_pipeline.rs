@@ -60,8 +60,13 @@ fn every_enabled_pass_has_a_span() {
     for want in [
         "pipeline",
         "select",
+        "symtab",
         "pass.translate",
         "pass.resolve",
+        "census",
+        "gat.before",
+        "pass.restore",
+        "snapshot",
         "pass.calls",
         "pass.convert",
         "pass.nullify",

@@ -7,15 +7,26 @@
 //! Inputs ending in `.a` are searched as archives (in the order given);
 //! everything else is an explicit object. Writes an executable image and
 //! prints link statistics.
+//!
+//! A usage error (no input object, an unknown option, a missing `-o` value)
+//! exits 2 with the usage text before any input is read; an unreadable or
+//! malformed input, a failed link or an unwritable output exits 1.
 
 use om_linker::{LayoutOpts, Linker};
 use om_objfile::binary;
 use std::path::PathBuf;
 use std::process::exit;
 
+const USAGE: &str = "usage: mld [-o OUT.exe] [--sort-commons] FILE.o... [LIB.a...]";
+
+/// Reports a usage error and exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("mld: {msg}\n{USAGE}");
+    exit(2);
+}
+
 fn main() {
-    let mut objects = Vec::new();
-    let mut libs = Vec::new();
+    let mut inputs = Vec::new();
     let mut out = PathBuf::from("a.exe");
     let mut opts = LayoutOpts::default();
 
@@ -25,39 +36,36 @@ fn main() {
         match args[i].as_str() {
             "-o" => {
                 i += 1;
-                out = PathBuf::from(args.get(i).unwrap_or_else(|| {
-                    eprintln!("mld: -o needs a path");
-                    exit(2);
-                }));
+                out = PathBuf::from(args.get(i).unwrap_or_else(|| usage("-o needs a path")));
             }
             "--sort-commons" => opts.sort_commons = true,
-            f if !f.starts_with('-') => {
-                let bytes = std::fs::read(f).unwrap_or_else(|e| {
-                    eprintln!("mld: cannot read {f}: {e}");
-                    exit(1);
-                });
-                if f.ends_with(".a") {
-                    libs.push(binary::read_archive(&bytes).unwrap_or_else(|e| {
-                        eprintln!("mld: {f}: {e}");
-                        exit(1);
-                    }));
-                } else {
-                    objects.push(binary::read_module(&bytes).unwrap_or_else(|e| {
-                        eprintln!("mld: {f}: {e}");
-                        exit(1);
-                    }));
-                }
-            }
-            other => {
-                eprintln!("mld: unknown option {other}");
-                exit(2);
-            }
+            f if !f.starts_with('-') => inputs.push(f.to_string()),
+            other => usage(&format!("unknown option {other}")),
         }
         i += 1;
     }
-    if objects.is_empty() {
-        eprintln!("usage: mld [-o OUT.exe] [--sort-commons] FILE.o... [LIB.a...]");
-        exit(2);
+    if inputs.iter().all(|f| f.ends_with(".a")) {
+        usage("no input objects");
+    }
+
+    let mut objects = Vec::new();
+    let mut libs = Vec::new();
+    for f in &inputs {
+        let bytes = std::fs::read(f).unwrap_or_else(|e| {
+            eprintln!("mld: cannot read {f}: {e}");
+            exit(1);
+        });
+        if f.ends_with(".a") {
+            libs.push(binary::read_archive(&bytes).unwrap_or_else(|e| {
+                eprintln!("mld: {f}: {e}");
+                exit(1);
+            }));
+        } else {
+            objects.push(binary::read_module(&bytes).unwrap_or_else(|e| {
+                eprintln!("mld: {f}: {e}");
+                exit(1);
+            }));
+        }
     }
 
     let mut linker = Linker::new().layout_opts(opts);

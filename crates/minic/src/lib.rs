@@ -34,7 +34,6 @@ pub mod ir;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
-pub mod printer;
 pub mod sema;
 pub mod token;
 

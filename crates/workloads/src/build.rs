@@ -150,33 +150,37 @@ pub fn sources(spec: &BenchSpec) -> Sources {
 ///
 /// Propagates generator-output compile errors (a generator bug if ever hit).
 pub fn build(spec: &BenchSpec, mode: CompileMode) -> Result<BuiltBenchmark, BuildError> {
-    let srcs = sources(spec);
+    build_sources(spec.name, &sources(spec), mode)
+}
+
+/// Compiles mini-C user sources in the given mode: crt0 first, then one
+/// object per source (compile-each) or one `{name}_all` unit (compile-all),
+/// with the shared stdlib attached. Every harness build goes through here
+/// except [`crate::scale::build_scale`]'s partitioned compile-all.
+///
+/// # Errors
+///
+/// Propagates compile errors in `sources`.
+pub fn build_sources(
+    name: &str,
+    sources: &[(String, String)],
+    mode: CompileMode,
+) -> Result<BuiltBenchmark, BuildError> {
     let opts = CompileOpts::o2();
     let mut objects = vec![crt0::module()?];
     match mode {
         CompileMode::Each => {
-            for (name, src) in &srcs {
-                objects.push(compile_source(name, src, &opts)?);
+            for (n, src) in sources {
+                objects.push(compile_source(n, src, &opts)?);
             }
         }
         CompileMode::All => {
-            let refs: Vec<(&str, &str)> = srcs
-                .iter()
-                .map(|(n, s)| (n.as_str(), s.as_str()))
-                .collect();
-            objects.push(compile_all_sources(
-                &format!("{}_all", spec.name),
-                &refs,
-                &opts,
-            )?);
+            let refs: Vec<(&str, &str)> =
+                sources.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+            objects.push(compile_all_sources(&format!("{name}_all"), &refs, &opts)?);
         }
     }
-    Ok(BuiltBenchmark {
-        name: spec.name.to_string(),
-        mode,
-        objects,
-        libs: stdlib_libs()?,
-    })
+    Ok(BuiltBenchmark { name: name.to_string(), mode, objects, libs: stdlib_libs()? })
 }
 
 /// Computes the benchmark's reference checksum with the mini-C interpreter
@@ -186,10 +190,22 @@ pub fn build(spec: &BenchSpec, mode: CompileMode) -> Result<BuiltBenchmark, Buil
 ///
 /// Returns a message on compile or runtime errors.
 pub fn interp_reference(spec: &BenchSpec, steps: u64) -> Result<i64, String> {
-    let mut all: Vec<(String, String)> = sources(spec);
-    for (n, s) in STDLIB_SOURCES {
-        all.push((n.to_string(), s.to_string()));
-    }
-    let refs: Vec<(&str, &str)> = all.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+    interp_sources(&sources(spec), steps)
+}
+
+/// Runs the mini-C interpreter over user `sources` plus the stdlib sources,
+/// returning `main`'s result: the reference checksum every build of the
+/// same sources must reproduce.
+///
+/// # Errors
+///
+/// Returns a message on compile or runtime errors (including the step
+/// limit).
+pub fn interp_sources(sources: &[(String, String)], steps: u64) -> Result<i64, String> {
+    let refs: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(n, s)| (n.as_str(), s.as_str()))
+        .chain(STDLIB_SOURCES.iter().copied())
+        .collect();
     om_minic::interp::run_sources(&refs, steps)
 }

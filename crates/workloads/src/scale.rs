@@ -40,8 +40,9 @@
 //! ([`CHUNK_SLOT_BUDGET`]), keeping interprocedural optimization within
 //! each partition while every partition still fits a GAT group.
 
-use crate::build::{stdlib_libs, BuildError, BuiltBenchmark, CompileMode};
-use crate::stdlib::STDLIB_SOURCES;
+use crate::build::{
+    build_sources, interp_sources, stdlib_libs, BuildError, BuiltBenchmark, CompileMode,
+};
 use om_codegen::{compile_all_sources, compile_source, crt0, CompileOpts};
 use om_linker::GAT_GROUP_CAPACITY;
 use om_objfile::{Archive, LitaEntry, Module, SymId, Symbol};
@@ -226,38 +227,28 @@ pub fn chunk_modules(spec: &ScaleSpec) -> usize {
     (CHUNK_SLOT_BUDGET / est.max(1)).max(1)
 }
 
-/// Compiles a scale point. Compile-each mirrors [`crate::build::build`];
-/// compile-all is *partitioned* (see the module docs) with the driver kept
-/// as its own unit, the way a real system LTO-partitions an application
-/// against its libraries.
+/// Compiles a scale point. Compile-each is [`build_sources`]; compile-all
+/// is *partitioned* (see the module docs) with the driver kept as its own
+/// unit, the way a real system LTO-partitions an application against its
+/// libraries.
 ///
 /// # Errors
 ///
 /// Propagates generator-output compile errors (a generator bug if ever hit).
 pub fn build_scale(spec: &ScaleSpec, mode: CompileMode) -> Result<BuiltBenchmark, BuildError> {
     let srcs = sources(spec);
+    if mode == CompileMode::Each {
+        return build_sources(&spec.name, &srcs, mode);
+    }
     let opts = CompileOpts::o2();
     let mut objects = vec![crt0::module()?];
-    match mode {
-        CompileMode::Each => {
-            for (name, src) in &srcs {
-                objects.push(compile_source(name, src, &opts)?);
-            }
-        }
-        CompileMode::All => {
-            let (driver, user) = srcs.split_last().expect("sources are never empty");
-            for (ci, chunk) in user.chunks(chunk_modules(spec)).enumerate() {
-                let refs: Vec<(&str, &str)> =
-                    chunk.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-                objects.push(compile_all_sources(
-                    &format!("{}_all{ci}", spec.name),
-                    &refs,
-                    &opts,
-                )?);
-            }
-            objects.push(compile_source(&driver.0, &driver.1, &opts)?);
-        }
+    let (driver, user) = srcs.split_last().expect("sources are never empty");
+    for (ci, chunk) in user.chunks(chunk_modules(spec)).enumerate() {
+        let refs: Vec<(&str, &str)> =
+            chunk.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+        objects.push(compile_all_sources(&format!("{}_all{ci}", spec.name), &refs, &opts)?);
     }
+    objects.push(compile_source(&driver.0, &driver.1, &opts)?);
     Ok(BuiltBenchmark {
         name: spec.name.clone(),
         mode,
@@ -273,12 +264,7 @@ pub fn build_scale(spec: &ScaleSpec, mode: CompileMode) -> Result<BuiltBenchmark
 ///
 /// Returns a message on compile or runtime errors.
 pub fn interp_reference_scale(spec: &ScaleSpec, steps: u64) -> Result<i64, String> {
-    let mut all = sources(spec);
-    for (n, s) in STDLIB_SOURCES {
-        all.push((n.to_string(), s.to_string()));
-    }
-    let refs: Vec<(&str, &str)> = all.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-    om_minic::interp::run_sources(&refs, steps)
+    interp_sources(&sources(spec), steps)
 }
 
 /// The shared-library scenario pack: the subset of entries a dynamic image

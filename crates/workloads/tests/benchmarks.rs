@@ -97,24 +97,3 @@ fn workload_shapes_exercise_the_paper_features() {
     assert!(st.calls_indirect > 0, "li uses procedure variables: {st:?}");
     assert!(st.gat_slots_before > 20, "{st:?}");
 }
-
-#[test]
-fn generated_sources_roundtrip_through_the_printer() {
-    // Broad grammar coverage for the pretty-printer: every generated module
-    // of every benchmark (quick mode) must reach a printing fixpoint.
-    for s in spec::all() {
-        let q = spec::quick(&s);
-        for (name, src) in sources(&q) {
-            let u1 = om_minic::parse_unit(&name, &src).unwrap();
-            let printed = om_minic::printer::print_unit(&u1);
-            let u2 = om_minic::parse_unit(&name, &printed)
-                .unwrap_or_else(|e| panic!("{}/{name}: {e}", s.name));
-            assert_eq!(
-                om_minic::printer::print_unit(&u2),
-                printed,
-                "{}/{name}",
-                s.name
-            );
-        }
-    }
-}

@@ -42,10 +42,12 @@ cargo run --release -p om-core --bin om -- --level full-sched \
     --trace-json "$tracedir/trace.json" -o "$tracedir/compress.exe" \
     "$tracedir"/*.o "$tracedir/libstd.a"
 cargo run --release -p om-obs --bin omtrace -- check "$tracedir/trace.json" \
-    --require pipeline --require select --require pass.translate \
-    --require pass.resolve --require pass.calls --require pass.convert \
-    --require pass.nullify --require pass.resched --require emit \
-    --require link --require link.layout --require link.image \
+    --require pipeline --require select --require symtab \
+    --require pass.translate --require pass.resolve --require census \
+    --require gat.before --require pass.restore --require snapshot \
+    --require pass.calls --require pass.convert --require pass.nullify \
+    --require pass.resched --require emit --require link \
+    --require link.layout --require link.image \
     --require-counter pipeline.runs --require-counter link.segment_bytes \
     --require-counter link.gat_slots
 
@@ -89,7 +91,7 @@ echo "== scale fleet (single-module-edit invalidation at 256 modules) =="
 # the eviction bound under a deliberately tiny cache.
 cargo run --release -p om-bench --bin omfleet -- --scale 256 --quick
 
-echo "== adversarial corpus (limit-straddling inputs, typed-error oracles) =="
+echo "== adversarial corpus (limit-straddling inputs; sources through the fuzz oracle, objects typed-error) =="
 cargo run --release -p om-bench --bin omfuzz -- --adversarial
 
 echo "== differential fuzz ($seeds seeds) =="
