@@ -403,19 +403,18 @@ pub fn pgo(p: &Prepared) -> PgoRow {
 /// passes that run under a [`om_core::obs::PassMeter`] appear; translation
 /// and resolution mutate no [`OmStats`] field in
 /// [`om_core::obs::DELTA_FIELDS`].
-pub const PASS_NAMES: [&str; 5] = ["calls", "convert", "nullify", "resched", "pgo"];
+pub const PASS_NAMES: [&str; 4] = ["calls", "convert", "resched", "pgo"];
 
-/// Per-pass deterministic counter deltas for one benchmark: a net signed
-/// delta for every `(pass, stats field)` pair, from one traced
-/// OM-full-scheduled run of the compile-each build. Every field is
-/// input-determined, so the row is gated against the BENCH baseline.
+/// Per-pass deterministic counter deltas for one benchmark: how much each
+/// pass added to every stats field, from one traced OM-full-scheduled run
+/// of the compile-each build. Every field is input-determined, so the row
+/// is gated against the BENCH baseline.
 #[derive(Debug, Clone, Copy)]
 pub struct PassesRow {
     /// `deltas[pass][field]`, pass order [`PASS_NAMES`], field order
-    /// [`om_core::obs::DELTA_FIELDS`]. Signed: `delete_nops` reclassifies
-    /// nullified instructions as deletions, so `nullify` carries a negative
-    /// `insts_nullified` delta.
-    pub deltas: [[i64; om_core::obs::DELTA_FIELDS.len()]; PASS_NAMES.len()],
+    /// [`om_core::obs::DELTA_FIELDS`]. Each pass counts the removals it
+    /// decides, so `convert` carries OM-full's deleted address loads.
+    pub deltas: [[u64; om_core::obs::DELTA_FIELDS.len()]; PASS_NAMES.len()],
     /// Rounds of the OM-full fixpoint loop.
     pub full_rounds: u64,
     /// True iff the per-pass deltas reconcile exactly with the run's final
@@ -440,12 +439,10 @@ pub fn passes(p: &Prepared) -> PassesRow {
             .unwrap_or_else(|e| panic!("{} passes: {e}", p.spec.name))
     };
     let counters = trace.counters();
-    let mut deltas = [[0i64; om_core::obs::DELTA_FIELDS.len()]; PASS_NAMES.len()];
+    let mut deltas = [[0u64; om_core::obs::DELTA_FIELDS.len()]; PASS_NAMES.len()];
     for (pi, pass) in PASS_NAMES.iter().enumerate() {
         for (fi, (field, _)) in om_core::obs::DELTA_FIELDS.iter().enumerate() {
-            let pos = counters.get(&format!("pass.{pass}.{field}")).copied().unwrap_or(0);
-            let neg = counters.get(&format!("pass.{pass}.{field}.neg")).copied().unwrap_or(0);
-            deltas[pi][fi] = pos as i64 - neg as i64;
+            deltas[pi][fi] = counters.get(&format!("pass.{pass}.{field}")).copied().unwrap_or(0);
         }
     }
     PassesRow {

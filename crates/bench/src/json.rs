@@ -389,10 +389,9 @@ mod tests {
                     full_rounds: 2,
                     reconciled: true,
                 };
-                // nullify reclassifies: insts_nullified −4, insts_deleted +4.
-                let nullify = PASS_NAMES.iter().position(|x| *x == "nullify").unwrap();
-                p.deltas[nullify][0] = -4;
-                p.deltas[nullify][1] = 4;
+                // convert deletes 4 address loads.
+                let convert = PASS_NAMES.iter().position(|x| *x == "convert").unwrap();
+                p.deltas[convert][1] = 4;
                 p
             }),
             scale: Some(crate::scale::ScaleRow {
@@ -440,8 +439,8 @@ mod tests {
         assert!(bench_lines[2].contains("\"fig\":\"pgo\""), "{s}");
         assert!(bench_lines[2].contains("\"pgo_cycles_each\":950"), "{s}");
         assert!(bench_lines[3].contains("\"fig\":\"passes\""), "{s}");
-        assert!(bench_lines[3].contains("\"nullify_insts_nullified\":-4"), "{s}");
-        assert!(bench_lines[3].contains("\"nullify_insts_deleted\":4"), "{s}");
+        assert!(bench_lines[3].contains("\"convert_insts_deleted\":4"), "{s}");
+        assert!(!bench_lines[3].contains("convert_insts_nullified"), "{s}");
         assert!(bench_lines[3].contains("\"full_rounds\":2"), "{s}");
         assert!(bench_lines[3].contains("\"reconciled\":true"), "{s}");
         assert!(bench_lines[4].contains("\"fig\":\"fleet\""), "{s}");

@@ -341,7 +341,7 @@ pub fn pgo(rows: &[(String, PgoRow)]) -> String {
     out
 }
 
-/// Renders the per-pass counter table (net deltas from one traced
+/// Renders the per-pass counter table (deltas from one traced
 /// OM-full-scheduled run per benchmark).
 pub fn passes(rows: &[(String, crate::figures::PassesRow)]) -> String {
     use crate::figures::PASS_NAMES;
@@ -355,11 +355,11 @@ pub fn passes(rows: &[(String, crate::figures::PassesRow)]) -> String {
         ("jsr>bsr", col("calls", "calls_jsr_to_bsr")),
         ("conv", col("convert", "addr_loads_converted")),
         ("null", col("convert", "addr_loads_nullified")),
-        ("del", col("nullify", "insts_deleted")),
+        ("del", col("convert", "insts_deleted")),
         ("unop", col("resched", "unops_inserted")),
     ];
     let mut out = String::new();
-    out.push_str("Per-pass counter deltas (OM-full w/sched, compile-each; net, deterministic)\n\n");
+    out.push_str("Per-pass counter deltas (OM-full w/sched, compile-each; deterministic)\n\n");
     out.push_str(&format!("{:10} |", "benchmark"));
     for (h, _) in &cols {
         out.push_str(&format!(" {h:>7}"));

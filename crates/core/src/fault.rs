@@ -27,9 +27,10 @@ pub enum FaultKind {
     /// addend *consistently*, so the static verifier recomputes the same
     /// wrong answer and passes: only differential execution can catch it.
     AddendSkew,
-    /// `simple::transform_address_loads`: delete a nullified load outright
-    /// instead of leaving the no-op, while still counting it as a
-    /// nullification — the instruction accounting no longer balances.
+    /// `simple::transform_address_loads` (armed at OM-simple and OM-full
+    /// alike): delete a load whose uses absorbed its displacement, but
+    /// count it as nullified, whatever the level's `Removal` — the
+    /// instruction accounting no longer balances.
     NullifyDelete,
     /// `simple::convert_calls` (armed at OM-simple and OM-full alike): at a
     /// conversion that removes the PV load *and* compensates by entering the

@@ -9,9 +9,10 @@
 //!   same-GAT BSR loses its prologue GP setup entirely, and every call site
 //!   loses its PV load;
 //! * removed instructions are deleted (the code shrinks), not nullified —
-//!   the call sites go through OM-simple's rewriter
-//!   ([`crate::simple::convert_calls`]) with [`Removal::Delete`], and the
-//!   no-ops the address-load pass leaves are deleted after it;
+//!   the call sites and address loads go through OM-simple's passes
+//!   ([`crate::simple::convert_calls`],
+//!   [`crate::simple::transform_address_loads`]) with [`Removal::Delete`],
+//!   so the pass that decides a removal also performs it;
 //! * the GAT is reduced to a fixpoint: dropping dead slots pulls small data
 //!   closer to GP, which lets more address loads be nullified, which kills
 //!   more slots — "perhaps enabling a fresh round of the other improvements".
@@ -21,7 +22,7 @@ use crate::analysis::{
 };
 use crate::pipeline::CallBook;
 use crate::simple::{
-    bsr_reachable, collect_sites, convert_calls, transform_address_loads, Removal, Site,
+    bsr_reachable, collect_sites, convert_calls, remove, transform_address_loads, Removal, Site,
 };
 use crate::stats::OmStats;
 use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProgram};
@@ -68,15 +69,15 @@ pub fn run_with(
             options.fault.as_ref(),
         );
         m.end(stats);
-        let before = (stats.addr_loads_converted, stats.addr_loads_nullified);
         let m = crate::obs::PassMeter::begin("convert", stats);
-        transform_address_loads(program, &snap, stats, &preempt, options.fault.as_ref());
-        m.end(stats);
-        changed |= (stats.addr_loads_converted, stats.addr_loads_nullified) != before;
-        // Deletion: in OM-full every nullified instruction is actually
-        // removed from the code.
-        let m = crate::obs::PassMeter::begin("nullify", stats);
-        changed |= delete_nops(program, stats);
+        changed |= transform_address_loads(
+            program,
+            &snap,
+            Removal::Delete,
+            stats,
+            &preempt,
+            options.fault.as_ref(),
+        );
         m.end(stats);
         om_obs::count("pipeline.full_rounds", 1);
         if !changed {
@@ -189,44 +190,7 @@ fn drop_prologues(
         let (mi, pi) = program.proc_of(r).expect("built from a defined procedure");
         let p = &mut program.modules[mi].procs[pi];
         let (hi, lo) = prologue_pair_at_entry(p).expect("checked above");
-        p.delete(&[hi, lo].into_iter().collect());
-        stats.insts_deleted += 2;
+        remove(p, &[hi, lo], Removal::Delete, stats);
     }
     dropped
-}
-
-/// Deletes all no-op instructions (OM-full turns transform residue into
-/// actual code shrinkage). Returns true if anything was deleted.
-///
-/// Only no-ops that are not branch targets are deleted directly; targeted
-/// ones are retargeted by [`crate::sym::SymProc::delete`] automatically.
-fn delete_nops(program: &mut SymProgram, stats: &mut OmStats) -> bool {
-    let mut any = false;
-    for m in &mut program.modules {
-        for p in &mut m.procs {
-            let doomed: HashSet<InstId> = p
-                .insts
-                .iter()
-                .enumerate()
-                .filter(|&(k, i)| {
-                    // Never delete a trailing instruction (branch retarget
-                    // needs a survivor after it); procedures end in RET/HALT
-                    // anyway.
-                    i.inst.is_nop() && matches!(i.mark, SMark::None) && k + 1 < p.insts.len()
-                })
-                .map(|(_, i)| i.id)
-                .collect();
-            if doomed.is_empty() {
-                continue;
-            }
-            // Note: transform passes count each nullification once; nops
-            // deleted here were already counted as `insts_nullified` by the
-            // shared transform body. Reclassify them as deletions.
-            stats.insts_nullified = stats.insts_nullified.saturating_sub(doomed.len());
-            stats.insts_deleted += doomed.len();
-            p.delete(&doomed);
-            any = true;
-        }
-    }
-    any
 }

@@ -2,12 +2,11 @@
 //!
 //! Each transformation pass runs between two snapshots of the (Copy)
 //! [`OmStats`] record; the difference is emitted as `pass.<name>.<field>`
-//! counters on the installed [`om_obs::Trace`] and as span arguments. A
-//! delta can be *negative* — `delete_nops` reclassifies nullified
-//! instructions as deletions — so negative magnitudes go to a separate
-//! `pass.<name>.<field>.neg` counter and reconciliation sums signed:
-//! `Σ pos − Σ neg == OmStats total`. [`reconcile`] performs exactly that
-//! check; the trace tests and the bench `passes` figure both use it.
+//! counters on the installed [`om_obs::Trace`] and as span arguments. No
+//! pass decrements a field — the pass that decides a removal also counts
+//! it — so the per-pass counters of a field sum to its `OmStats` total.
+//! [`reconcile`] performs exactly that check; the trace tests and the bench
+//! `passes` figure both use it.
 //!
 //! Everything here is inert (no allocation, no lock) when no trace is
 //! installed on the current thread.
@@ -34,7 +33,7 @@ pub const DELTA_FIELDS: &[(&str, Get)] = &[
     ("pgo_targets_cold", |s| s.pgo_targets_cold),
 ];
 
-/// Meters one pass: a `pass.<name>` span plus signed counter deltas over
+/// Meters one pass: a `pass.<name>` span plus counter deltas over
 /// [`DELTA_FIELDS`]. Create with [`PassMeter::begin`] before the pass and
 /// call [`PassMeter::end`] with the stats after it.
 pub struct PassMeter {
@@ -55,29 +54,25 @@ impl PassMeter {
         PassMeter { span, name, before: *stats }
     }
 
-    /// Closes the span, recording each nonzero field delta as a span
-    /// argument and a `pass.<name>.<field>[.neg]` counter.
+    /// Closes the span, recording each field's growth as a span argument
+    /// and a `pass.<name>.<field>` counter. A field that shrank records
+    /// nothing, so [`reconcile`] reports it.
     pub fn end(mut self, after: &OmStats) {
         if !om_obs::enabled() {
             return;
         }
         for (field, get) in DELTA_FIELDS {
-            let delta = get(after) as i64 - get(&self.before) as i64;
+            let delta = get(after).saturating_sub(get(&self.before)) as u64;
             if delta > 0 {
-                om_obs::count(&format!("pass.{}.{field}", self.name), delta as u64);
-                self.span.arg(field, delta as u64);
-            } else if delta < 0 {
-                let mag = delta.unsigned_abs();
-                om_obs::count(&format!("pass.{}.{field}.neg", self.name), mag);
-                self.span.arg(&format!("{field}.neg"), mag);
+                om_obs::count(&format!("pass.{}.{field}", self.name), delta);
+                self.span.arg(field, delta);
             }
         }
     }
 }
 
-/// Checks that the per-pass counter deltas in `counters` sum (signed) to
-/// the totals in `stats`, field by field. Returns the per-field signed sums
-/// on success.
+/// Checks that the per-pass counter deltas in `counters` sum to the totals
+/// in `stats`, field by field. Returns the per-field sums on success.
 ///
 /// # Errors
 ///
@@ -85,21 +80,16 @@ impl PassMeter {
 pub fn reconcile(
     counters: &BTreeMap<String, u64>,
     stats: &OmStats,
-) -> Result<BTreeMap<&'static str, i64>, String> {
+) -> Result<BTreeMap<&'static str, u64>, String> {
     let mut sums = BTreeMap::new();
     for (field, get) in DELTA_FIELDS {
-        let mut sum = 0i64;
-        for (k, &v) in counters {
-            if !k.starts_with("pass.") {
-                continue;
-            }
-            if k.ends_with(&format!(".{field}")) {
-                sum += v as i64;
-            } else if k.ends_with(&format!(".{field}.neg")) {
-                sum -= v as i64;
-            }
-        }
-        let total = get(stats) as i64;
+        let suffix = format!(".{field}");
+        let sum: u64 = counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("pass.") && k.ends_with(&suffix))
+            .map(|(_, &v)| v)
+            .sum();
+        let total = get(stats) as u64;
         if sum != total {
             return Err(format!(
                 "field `{field}`: pass deltas sum to {sum}, OmStats total is {total}"
@@ -116,27 +106,47 @@ mod tests {
     use om_obs::Trace;
 
     #[test]
-    fn meter_emits_signed_deltas_that_reconcile() {
+    fn meter_emits_deltas_that_reconcile() {
+        let t = Trace::new();
+        let mut stats = OmStats::default();
+        {
+            let _g = t.install();
+            let m = PassMeter::begin("calls", &stats);
+            stats.insts_deleted += 4;
+            stats.calls_jsr_to_bsr += 2;
+            m.end(&stats);
+            let m = PassMeter::begin("convert", &stats);
+            stats.insts_deleted += 3;
+            stats.addr_loads_converted += 2;
+            m.end(&stats);
+        }
+        let counters = t.counters();
+        assert_eq!(counters.get("pass.calls.insts_deleted"), Some(&4));
+        assert_eq!(counters.get("pass.convert.insts_deleted"), Some(&3));
+        assert_eq!(counters.get("pass.convert.addr_loads_converted"), Some(&2));
+        assert!(!counters.contains_key("pass.convert.insts_nullified"));
+        let sums = reconcile(&counters, &stats).unwrap();
+        assert_eq!(sums.get("insts_deleted"), Some(&7));
+        assert_eq!(sums.get("insts_nullified"), Some(&0));
+    }
+
+    #[test]
+    fn a_decrement_records_nothing_and_does_not_reconcile() {
         let t = Trace::new();
         let mut stats = OmStats::default();
         {
             let _g = t.install();
             let m = PassMeter::begin("convert", &stats);
-            stats.insts_nullified += 5;
-            stats.addr_loads_converted += 2;
+            stats.insts_nullified += 3;
             m.end(&stats);
-            let m = PassMeter::begin("nullify", &stats);
-            stats.insts_nullified -= 3; // reclassified ...
-            stats.insts_deleted += 3; // ... as deletions
+            let m = PassMeter::begin("calls", &stats);
+            stats.insts_nullified -= 1;
             m.end(&stats);
         }
         let counters = t.counters();
-        assert_eq!(counters.get("pass.convert.insts_nullified"), Some(&5));
-        assert_eq!(counters.get("pass.nullify.insts_nullified.neg"), Some(&3));
-        assert_eq!(counters.get("pass.nullify.insts_deleted"), Some(&3));
-        let sums = reconcile(&counters, &stats).unwrap();
-        assert_eq!(sums.get("insts_nullified"), Some(&2));
-        assert_eq!(sums.get("insts_deleted"), Some(&3));
+        assert_eq!(counters.keys().collect::<Vec<_>>(), ["pass.convert.insts_nullified"]);
+        let err = reconcile(&counters, &stats).unwrap_err();
+        assert!(err.contains("insts_nullified"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! address-load pass ([`transform_address_loads`]) are OM-full's too. The
 //! only difference the paper draws between the levels is how an instruction
 //! goes away: [`Removal::Nullify`] here, [`Removal::Delete`] in
-//! [`crate::full`].
+//! [`crate::full`]. Every pass removes instructions through `remove`.
 
 use crate::analysis::{
     call_sites, load_dest, prologue_pair_at_entry, reads_pv_outside, ref_name, use_index, CallKind,
@@ -64,7 +64,7 @@ pub fn run_with(
     );
     m.end(stats);
     let m = crate::obs::PassMeter::begin("convert", stats);
-    transform_address_loads(program, &snap, stats, &preempt, fault);
+    transform_address_loads(program, &snap, Removal::Nullify, stats, &preempt, fault);
     m.end(stats);
     Ok(())
 }
@@ -218,8 +218,9 @@ pub fn convert_calls(
     changed
 }
 
-/// Removes the instructions `ids` from `p` the way `removal` says.
-fn remove(p: &mut SymProc, ids: &[InstId], removal: Removal, stats: &mut OmStats) {
+/// Removes the instructions `ids` from `p` the way `removal` says: the only
+/// way any OM pass removes an instruction.
+pub(crate) fn remove(p: &mut SymProc, ids: &[InstId], removal: Removal, stats: &mut OmStats) {
     match removal {
         Removal::Nullify => {
             for &id in ids {
@@ -236,14 +237,18 @@ fn remove(p: &mut SymProc, ids: &[InstId], removal: Removal, stats: &mut OmStats
     }
 }
 
-/// Converts or nullifies GAT address loads.
+/// Converts GAT address loads, and removes (the way `removal` says) every
+/// load whose uses all absorb its GP displacement. Returns true if it
+/// converted or removed anything.
 pub fn transform_address_loads(
     program: &mut SymProgram,
     snap: &Snapshot,
+    removal: Removal,
     stats: &mut OmStats,
     preempt: &HashSet<&str>,
     fault: Option<&FaultPlan>,
-) {
+) -> bool {
+    let mut changed = false;
     let nmods = program.modules.len();
     for mi in 0..nmods {
         let gp = snap.gp(mi);
@@ -251,9 +256,9 @@ pub fn transform_address_loads(
         for pi in 0..nprocs {
             let uses = use_index(&program.modules[mi].procs[pi]);
             let loads = crate::analysis::literal_loads(&program.modules[mi].procs[pi]);
-            // [`FaultKind::NullifyDelete`] removes an instruction mid-walk;
-            // deferring the deletion keeps the collected indices valid.
-            let mut delete_after: Vec<crate::sym::InstId> = Vec::new();
+            // The walk indexes instructions, so removal waits until it ends.
+            let mut doomed = Vec::new();
+            let mut faulted = None;
             for k in loads {
                 let i = &program.modules[mi].procs[pi].insts[k];
                 let SMark::Literal { sym, addend, escaping } = i.mark else { unreachable!() };
@@ -277,6 +282,8 @@ pub fn transform_address_loads(
 
                 let proc = &mut program.modules[mi].procs[pi];
                 if rewritable {
+                    // Translation guarantees every base use is a memory
+                    // instruction.
                     let use_disps: Vec<(usize, i64)> = us
                         .iter()
                         .map(|&(ui, _)| match proc.insts[ui].inst {
@@ -293,23 +300,20 @@ pub fn transform_address_loads(
                         // +8 — carried consistently into the relocations, so
                         // only execution can notice.
                         let skew = if armed(fault, FaultKind::AddendSkew) { 8 } else { 0 };
-                        // Nullify: every use absorbs its own GP displacement,
-                        // addressing directly off GP.
+                        // Every use absorbs its own GP displacement,
+                        // addressing directly off GP; the load goes.
                         for &(ui, d) in &use_disps {
                             set_mem_disp(&mut proc.insts[ui].inst, 0);
                             set_mem_base(&mut proc.insts[ui].inst, Reg::GP);
                             proc.insts[ui].mark = SMark::Gprel { sym, addend: addend + d + skew };
                         }
                         if armed(fault, FaultKind::NullifyDelete) {
-                            // Fault point: drop the load instead of no-op'ing
-                            // it, leaving the nullification count inflated.
-                            delete_after.push(load_id);
+                            faulted = Some(load_id);
                         } else {
-                            proc.insts[k].inst = Inst::nop();
-                            proc.insts[k].mark = SMark::None;
+                            doomed.push(load_id);
                         }
-                        stats.insts_nullified += 1;
                         stats.addr_loads_nullified += 1;
+                        changed = true;
                         continue;
                     }
 
@@ -334,6 +338,7 @@ pub fn transform_address_loads(
                             };
                         }
                         stats.addr_loads_converted += 1;
+                        changed = true;
                     }
                     continue;
                 }
@@ -362,14 +367,21 @@ pub fn transform_address_loads(
                         }
                     }
                     stats.addr_loads_converted += 1;
+                    changed = true;
                 }
             }
-            if !delete_after.is_empty() {
-                let doomed: HashSet<crate::sym::InstId> = delete_after.into_iter().collect();
-                program.modules[mi].procs[pi].delete(&doomed);
+            let p = &mut program.modules[mi].procs[pi];
+            remove(p, &doomed, removal, stats);
+            if let Some(id) = faulted {
+                // Fault point: delete the load whatever the level, but count
+                // it as nullified — the instruction accounting no longer
+                // balances at either level.
+                p.delete(&HashSet::from([id]));
+                stats.insts_nullified += 1;
             }
         }
     }
+    changed
 }
 
 fn set_mem_disp(inst: &mut Inst, d: i16) {

@@ -18,7 +18,7 @@
 //! [`emit_module`] writes each mark's id back unchanged, so every emitted
 //! module keeps its input's symbol table.
 
-use om_alpha::{decode, Inst};
+use om_alpha::{decode, Inst, MemOp, Reg};
 use om_linker::SymbolTable;
 use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, SymbolDef, Visibility};
 use std::collections::HashMap;
@@ -176,8 +176,9 @@ impl SymProc {
     ///
     /// # Panics
     ///
-    /// Panics if a branch targets a deleted instruction with no survivor
-    /// after it (cannot happen: terminators are never deleted).
+    /// Panics if the procedure's last instruction is deleted (cannot
+    /// happen: [`translate_module`] rejects a procedure that does not end
+    /// in a control instruction, and OM deletes none).
     pub fn delete(&mut self, doomed: &std::collections::HashSet<InstId>) {
         if doomed.is_empty() {
             return;
@@ -187,7 +188,7 @@ impl SymProc {
         let mut next_survivor: Option<InstId> = None;
         for i in self.insts.iter().rev() {
             if doomed.contains(&i.id) {
-                let n = next_survivor.expect("deleted trailing instruction had a branch target");
+                let n = next_survivor.expect("deleted a procedure's last instruction");
                 forward.insert(i.id, n);
             } else {
                 next_survivor = Some(i.id);
@@ -335,6 +336,9 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
                 };
                 match &r.kind {
                     RelocKind::Literal { lita } => {
+                        if !matches!(inst, Inst::Mem { op: MemOp::Ldq, rb: Reg::GP, .. }) {
+                            return Err(bad(format!("literal at {off:#x} is not `ldq rx, d(gp)`")));
+                        }
                         let e: &LitaEntry = &m.lita[*lita as usize];
                         mark = SMark::Literal {
                             sym: e.sym,
@@ -343,6 +347,9 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
                         };
                     }
                     RelocKind::LituseBase { load_offset } => {
+                        if !matches!(inst, Inst::Mem { .. }) {
+                            return Err(bad(format!("base use at {off:#x} is not memory-format")));
+                        }
                         mark = SMark::LituseBase { load: linked(*load_offset)? };
                     }
                     RelocKind::LituseJsr { load_offset } => {
@@ -391,6 +398,16 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
 
             // Mark the GPDISP low halves (they carry no relocation).
             insts.push(SInst { id, inst, mark });
+        }
+
+        // OM never deletes a procedure's last instruction, and
+        // `SymProc::delete` could not retarget a branch past it.
+        if !insts.last().is_some_and(|i| i.inst.is_control()) {
+            return Err(OmError::BadText {
+                module: m.name.clone(),
+                offset: offset + size,
+                what: format!("{} does not end in a control instruction", s.name),
+            });
         }
 
         // Second pass over the collected instructions: GpdispLo partners

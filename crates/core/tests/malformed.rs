@@ -3,14 +3,75 @@
 //! A persistent link server (`omd`) reuses this pipeline per request; one
 //! bad module must fail its request, not the process.
 
+use om_alpha::{Inst, Reg};
+use om_codegen::code::{Anchor, CodeBuffer, Mark};
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::sym::{emit_all, translate, OmError, SMark};
 use om_core::{optimize_and_link, OmLevel};
-use om_linker::{build_symbol_table, select_modules};
-use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, Symbol};
+use om_linker::{build_symbol_table, link_modules, select_modules, LayoutOpts};
+use om_objfile::{
+    LitaEntry, Module, ModuleBuilder, Reloc, RelocKind, SecId, SymId, Symbol, Visibility,
+};
 
 fn compiled(name: &str, src: &str) -> Module {
     compile_source(name, src, &CompileOpts::o2()).unwrap()
+}
+
+/// `m` with a `mov` in place of the word its first text relocation of the
+/// kind `want` annotates; the relocation stays.
+fn mov_over_reloc(mut m: Module, want: fn(&RelocKind) -> bool) -> Module {
+    let r = m.relocs.iter().find(|r| r.sec == SecId::Text && want(&r.kind));
+    let at = r.expect("a relocation of that kind").offset as usize;
+    let word = om_alpha::encode(Inst::mov(Reg::A0, Reg::V0)).to_le_bytes();
+    m.text[at..at + 4].copy_from_slice(&word);
+    m
+}
+
+/// The standard linker links `objects`, and OM rejects them at every level
+/// with a typed translation error.
+fn om_rejects_at_every_level(objects: &[Module]) {
+    link_modules(objects, &[], &LayoutOpts::default()).expect("the standard linker links it");
+    for level in OmLevel::ALL {
+        let e = optimize_and_link(objects, &[], level).unwrap_err();
+        let typed = matches!(e, OmError::BadReloc { .. } | OmError::BadText { .. });
+        assert!(typed, "{}: {e}", level.name());
+    }
+}
+
+#[test]
+fn literal_on_a_non_load_is_a_typed_error() {
+    let m = compiled("m", "int g; int main() { return g; }");
+    let bad = mov_over_reloc(m, |k| matches!(k, RelocKind::Literal { .. }));
+    om_rejects_at_every_level(&[crt0::module().unwrap(), bad]);
+}
+
+#[test]
+fn base_use_on_a_non_memory_instruction_is_a_typed_error() {
+    let m = compiled("m", "int g; int main() { return g; }");
+    let bad = mov_over_reloc(m, |k| matches!(k, RelocKind::LituseBase { .. }));
+    om_rejects_at_every_level(&[crt0::module().unwrap(), bad]);
+}
+
+#[test]
+fn procedure_not_ending_in_control_is_a_typed_error() {
+    // `__start` calls `main` and ends in the GP reset after the call, with
+    // no `halt`: OM-full would delete the reset, the procedure's last two
+    // instructions.
+    let mut c = CodeBuffer::new();
+    let lo = c.fresh_id();
+    c.push(Inst::ldah(Reg::GP, 0, Reg::PV), Mark::GpdispHi { lo, anchor: Anchor::Entry });
+    c.push_with_id(lo, Inst::lda(Reg::GP, 0, Reg::GP), Mark::GpdispLo { hi: 0 });
+    let main = Mark::Literal { sym: "main".into(), addend: 0 };
+    let load = c.push(Inst::ldq(Reg::PV, 0, Reg::GP), main);
+    let jsr = c.push(Inst::jsr(Reg::RA, Reg::PV), Mark::LituseJsr { load });
+    let lo = c.fresh_id();
+    let reset = Mark::GpdispHi { lo, anchor: Anchor::AfterCall(jsr) };
+    let hi = c.push(Inst::ldah(Reg::GP, 0, Reg::RA), reset);
+    c.push_with_id(lo, Inst::lda(Reg::GP, 0, Reg::GP), Mark::GpdispLo { hi });
+    let mut b = ModuleBuilder::new("start");
+    c.finish("__start".into(), Visibility::Exported).fixup_into(&mut b, 0);
+    let start = b.finish().unwrap();
+    om_rejects_at_every_level(&[start, compiled("m", "int main() { return 7; }")]);
 }
 
 #[test]

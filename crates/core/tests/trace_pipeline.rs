@@ -4,7 +4,7 @@
 //! reports deterministic hit/miss/coalesce counters.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
-use om_core::obs::reconcile;
+use om_core::obs::{reconcile, DELTA_FIELDS};
 use om_core::{
     optimize_and_link_cached, optimize_and_link_with, OmCaches, OmLevel, OmOptions, OmOutput,
     Profile,
@@ -13,8 +13,8 @@ use om_obs::Trace;
 use om_objfile::Module;
 
 /// A program with calls, globals, and loops — enough to exercise every
-/// transformation (JSR→BSR, address-load conversion/nullification, nop
-/// deletion, rescheduling alignment).
+/// transformation (JSR→BSR, address-load conversion and removal,
+/// rescheduling alignment).
 fn objects(tag: &str) -> Vec<Module> {
     let opts = CompileOpts::o2();
     vec![
@@ -69,19 +69,17 @@ fn every_enabled_pass_has_a_span() {
         "snapshot",
         "pass.calls",
         "pass.convert",
-        "pass.nullify",
         "pass.resched",
         "emit",
         "link",
     ] {
         assert!(names.iter().any(|n| n == want), "missing span `{want}` in {names:?}");
     }
-    // OM-simple has no nullify/resched pass; the span set reflects that.
+    // OM-simple has no resched pass; the span set reflects that.
     let (_, simple) = traced_link(&objs, OmLevel::Simple, &OmOptions::default());
     let simple_names: Vec<String> =
         simple.sink().spans.iter().map(|s| s.name.clone()).collect();
     assert!(simple_names.iter().any(|n| n == "pass.convert"));
-    assert!(!simple_names.iter().any(|n| n == "pass.nullify"));
     assert!(!simple_names.iter().any(|n| n == "pass.resched"));
 }
 
@@ -114,9 +112,33 @@ fn pass_deltas_reconcile_with_stats_at_every_level() {
         let sums = reconcile(&trace.counters(), &out.stats)
             .unwrap_or_else(|e| panic!("{}: {e}", level.name()));
         if level == OmLevel::Full || level == OmLevel::FullSched {
-            // OM-full deletes code; the signed sums must show it.
+            // OM-full deletes code; the sums must show it.
             assert!(sums["insts_deleted"] > 0, "{}: {sums:?}", level.name());
         }
+    }
+}
+
+#[test]
+fn the_convert_pass_removes_loads_the_way_its_level_says() {
+    // The pass that decides a removal performs and counts it: OM-simple's
+    // convert pass nullifies, OM-full's deletes, and no pass takes back a
+    // count another made.
+    let objs = objects("removal");
+    for level in [OmLevel::Simple, OmLevel::Full, OmLevel::FullSched] {
+        let (_, trace) = traced_link(&objs, level, &OmOptions::default());
+        let counters = trace.counters();
+        let (want, absent) = if level == OmLevel::Simple {
+            ("pass.convert.insts_nullified", "pass.convert.insts_deleted")
+        } else {
+            ("pass.convert.insts_deleted", "pass.convert.insts_nullified")
+        };
+        let at = level.name();
+        assert!(counters.get(want).is_some_and(|&n| n > 0), "{at}: {counters:?}");
+        assert!(!counters.contains_key(absent), "{at}: {counters:?}");
+        // A stats field ends its counter's name: nothing records a decrement.
+        let qualified =
+            |k: &String| DELTA_FIELDS.iter().any(|(f, _)| k.contains(&format!(".{f}.")));
+        assert!(!counters.keys().any(qualified), "{at}: {counters:?}");
     }
 }
 

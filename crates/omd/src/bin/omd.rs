@@ -124,14 +124,7 @@ fn cmd_simple(cmd: &str, rest: &[String]) -> ExitCode {
     };
     let outcome = match cmd {
         "ping" => client.ping().map(|p| {
-            if p.version.is_empty() {
-                "pong (pre-version server)".to_string()
-            } else {
-                format!(
-                    "pong: omd {} up {} ms, {} requests served",
-                    p.version, p.uptime_ms, p.requests
-                )
-            }
+            format!("pong: omd {} up {} ms, {} requests served", p.version, p.uptime_ms, p.requests)
         }),
         "stats" => client.stats().map(|s| {
             let mut out = format!(

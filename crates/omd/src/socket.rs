@@ -200,7 +200,7 @@ impl Client {
     }
 
     /// Liveness probe. The reply carries the server's version, uptime, and
-    /// cumulative request count (all-default from a pre-version server).
+    /// cumulative request count.
     pub fn ping(&mut self) -> io::Result<Pong> {
         match self.round_trip(&Request::Ping)? {
             Reply::Pong(p) => Ok(p),

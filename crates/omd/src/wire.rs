@@ -43,14 +43,9 @@ pub enum Request {
 
 /// A `Pong` reply's payload: who is serving, for how long, and how many
 /// requests it has handled so far (this ping included).
-///
-/// The original protocol's pong carried no payload at all. The decoder
-/// keeps accepting that empty form and fills in these legacy defaults
-/// (empty version, zero uptime and count), so a new client can ping an old
-/// server and tell the difference.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Pong {
-    /// The server's `CARGO_PKG_VERSION` (empty from a pre-version server).
+    /// The server's `CARGO_PKG_VERSION`.
     pub version: String,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
@@ -286,9 +281,6 @@ pub fn encode_reply(rep: &Reply) -> Vec<u8> {
 pub fn decode_reply(bytes: &[u8]) -> Result<Reply, String> {
     match bytes.first() {
         None => Err("empty reply".to_string()),
-        // A bare tag is the original protocol's pong; the payload-bearing
-        // form must parse exactly (no trailing bytes).
-        Some(&REP_PONG) if bytes.len() == 1 => Ok(Reply::Pong(Pong::default())),
         Some(&REP_PONG) => {
             let mut at = 1;
             let version = take_string(bytes, &mut at, "pong version")?;
@@ -410,14 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_empty_pong_still_decodes() {
-        // The original protocol's pong was the bare tag with no payload; a
-        // new client must keep accepting it, with legacy defaults.
-        assert_eq!(decode_reply(&[REP_PONG]).unwrap(), Reply::Pong(Pong::default()));
-    }
-
-    #[test]
     fn malformed_pong_payloads_are_errors() {
+        // A bare tag, with no payload at all.
+        assert!(decode_reply(&[REP_PONG]).is_err());
         // Truncated version length.
         assert!(decode_reply(&[REP_PONG, 5, 0]).is_err());
         // Version body longer than the payload.

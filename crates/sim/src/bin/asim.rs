@@ -52,23 +52,6 @@ fn exit_code(result: i64) -> i32 {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::exit_code;
-
-    #[test]
-    fn nonzero_results_never_exit_zero() {
-        assert_eq!(exit_code(0), 0);
-        assert_eq!(exit_code(1), 1);
-        assert_eq!(exit_code(113), 113);
-        // Multiples of 128 lose their low 7 bits; they must still be nonzero.
-        assert_eq!(exit_code(128), 1);
-        assert_eq!(exit_code(256), 1);
-        assert_eq!(exit_code(-128), 1);
-        assert_eq!(exit_code(1 << 32), 1);
-    }
-}
-
 fn main() {
     let mut limit: u64 = 1_000_000_000;
     let mut timing = false;
@@ -266,4 +249,21 @@ fn main() {
         eprintln!("asim: result {} ({} instructions)", r.result, r.insts);
     }
     exit(exit_code(r.result));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::exit_code;
+
+    #[test]
+    fn nonzero_results_never_exit_zero() {
+        assert_eq!(exit_code(0), 0);
+        assert_eq!(exit_code(1), 1);
+        assert_eq!(exit_code(113), 113);
+        // Multiples of 128 lose their low 7 bits; they must still be nonzero.
+        assert_eq!(exit_code(128), 1);
+        assert_eq!(exit_code(256), 1);
+        assert_eq!(exit_code(-128), 1);
+        assert_eq!(exit_code(1 << 32), 1);
+    }
 }

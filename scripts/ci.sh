@@ -45,11 +45,11 @@ cargo run --release -p om-obs --bin omtrace -- check "$tracedir/trace.json" \
     --require pipeline --require select --require symtab \
     --require pass.translate --require pass.resolve --require census \
     --require gat.before --require pass.restore --require snapshot \
-    --require pass.calls --require pass.convert --require pass.nullify \
+    --require pass.calls --require pass.convert \
     --require pass.resched --require emit --require link \
     --require link.layout --require link.image \
     --require-counter pipeline.runs --require-counter link.segment_bytes \
-    --require-counter link.gat_slots
+    --require-counter link.gat_slots --require-counter pass.convert.insts_deleted
 
 echo "== omperf smoke (the benchmark's rebuilt pipeline, byte identity) =="
 # The benchmark rebuilds the OM link from public calls and requires its
