@@ -51,12 +51,6 @@ impl MemOp {
         matches!(self, MemOp::Stl | MemOp::Stq | MemOp::Stt)
     }
 
-    /// True for the pure address computations (`LDA`, `LDAH`), which do not
-    /// touch memory at all.
-    pub fn is_load_address(self) -> bool {
-        matches!(self, MemOp::Lda | MemOp::Ldah)
-    }
-
     /// True when the `ra` field names a floating-point register.
     pub fn ra_is_fp(self) -> bool {
         matches!(self, MemOp::Ldt | MemOp::Stt)
@@ -539,7 +533,6 @@ mod tests {
         assert!(MemOp::Ldq.is_load());
         assert!(!MemOp::Ldq.is_store());
         assert!(MemOp::Stt.is_store());
-        assert!(MemOp::Lda.is_load_address());
         assert_eq!(MemOp::Ldl.access_bytes(), 4);
         assert_eq!(MemOp::Ldah.access_bytes(), 0);
     }

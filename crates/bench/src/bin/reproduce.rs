@@ -189,7 +189,7 @@ fn main() {
         eprintln!("fleet: relink storm ({} edits x {} repeats, {} threads)...",
             cfg.edits, cfg.repeats, cfg.jobs);
         for (r, p) in rows.iter_mut().zip(&prepared) {
-            r.fleet = Some(fleet::fleet(p, &cfg));
+            r.fleet = Some(fleet::fleet(&p.each, &cfg));
         }
     }
     if sel.scale && filter.is_empty() {

@@ -11,17 +11,16 @@
 //!
 //! Correctness is non-negotiable: every served image must be byte-identical
 //! to a fresh one-shot [`optimize_and_link_with`] run on the same objects.
-//! The row records the outcome; `omfleet --smoke` (and `scripts/ci.sh`)
-//! fail if it is ever false, or if the hit rate drops below the 80% floor.
+//! The row records the outcome, which `reproduce check` requires to be
+//! true; [`fleet`] itself panics if the hit rate drops below the 80% floor.
 
-use crate::figures::Prepared;
 use crate::par::parallel_map;
 use om_core::{optimize_and_link_with, OmLevel, OmOptions};
 use om_objfile::Module;
 use om_workloads::build::BuiltBenchmark;
 use om_omd::LinkServer;
 
-/// The `hit_rate` floor `omfleet --smoke` (and CI) enforce.
+/// The `hit_rate` floor every [`fleet`] run enforces.
 pub const HIT_RATE_FLOOR: f64 = 0.80;
 
 /// Shape of the relink storm.
@@ -41,8 +40,7 @@ impl FleetConfig {
         FleetConfig { edits: 4, repeats: 3, jobs: 4 }
     }
 
-    /// The full configuration reproduced by `omfleet` (50 measured relinks
-    /// per benchmark).
+    /// The full configuration (50 measured relinks per benchmark).
     pub fn full() -> FleetConfig {
         FleetConfig { edits: 10, repeats: 5, jobs: 8 }
     }
@@ -86,23 +84,14 @@ fn edition(objects: &[Module], e: usize) -> Vec<Module> {
     objs
 }
 
-/// Runs the relink storm for one prepared benchmark.
+/// Runs the relink storm over one benchmark's compile-each build.
 ///
 /// # Panics
 ///
 /// Panics if any relink fails — the editions are well-formed by
-/// construction, so a failure is a pipeline or cache bug.
-pub fn fleet(p: &Prepared, cfg: &FleetConfig) -> FleetRow {
-    fleet_built(&p.each, cfg)
-}
-
-/// [`fleet`] on an arbitrary compile-each build — the entry point
-/// `omfleet --scale` uses, since scale workloads have no [`Prepared`].
-///
-/// # Panics
-///
-/// See [`fleet`].
-pub fn fleet_built(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
+/// construction, so a failure is a pipeline or cache bug — or if the
+/// per-module hit rate is below [`HIT_RATE_FLOOR`].
+pub fn fleet(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
     let server = LinkServer::new(b.libs.to_vec());
     let level = OmLevel::FullSched;
     let options = OmOptions { verify: true, ..OmOptions::default() };
@@ -134,6 +123,13 @@ pub fn fleet_built(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
     let module_misses = mod1.misses - mod0.misses;
     let module_hits = mod1.hits - mod0.hits;
     let hit_rate = 1.0 - module_misses as f64 / (requests * modules.max(1)) as f64;
+    assert!(
+        hit_rate >= HIT_RATE_FLOOR,
+        "{} fleet: hit rate {:.1}% below the {:.0}% floor",
+        b.name,
+        hit_rate * 100.0,
+        HIT_RATE_FLOOR * 100.0
+    );
 
     // Byte-identity: every edition's cached image vs a fresh, cache-free
     // pipeline run of the same objects.
@@ -167,19 +163,18 @@ pub fn fleet_built(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use om_workloads::build::{build, CompileMode};
     use om_workloads::spec;
 
     #[test]
     fn fleet_counters_are_deterministic_and_identical() {
-        let s = spec::quick(&spec::all()[0]);
-        let p = Prepared::new(&s);
+        let b = build(&spec::quick(&spec::all()[0]), CompileMode::Each).unwrap();
         let cfg = FleetConfig { edits: 3, repeats: 3, jobs: 4 };
-        let row = fleet(&p, &cfg);
+        let row = fleet(&b, &cfg);
         assert_eq!(row.requests, 9);
         assert_eq!(row.module_misses, 3, "one new translation per edition");
         assert_eq!(row.link_misses, 3, "one whole-link compute per edition");
         assert_eq!(row.link_hits, 6, "every repeat is a link-cache hit");
-        assert!(row.hit_rate >= HIT_RATE_FLOOR, "hit rate {}", row.hit_rate);
         assert!(row.byte_identical);
     }
 }

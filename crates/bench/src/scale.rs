@@ -15,12 +15,12 @@
 //! `omperf` or `om --trace-summary`, not here.
 
 use crate::figures::SIM_LIMIT;
-use om_core::{
-    optimize_and_link, optimize_and_link_cached, OmCaches, OmLevel, OmOptions, OmOutput,
-};
+use om_core::{optimize_and_link_with, OmCaches, OmLevel, OmOptions, OmOutput};
 use om_linker::{link_modules, LayoutOpts};
+use om_objfile::Module;
+use om_omd::LinkServer;
 use om_sim::run_timed_fast;
-use om_workloads::build::{BuiltBenchmark, CompileMode};
+use om_workloads::build::CompileMode;
 use om_workloads::scale::{
     archive_pack, build_scale, interp_reference_scale, preemptible_entries, scale_spec,
     total_procs,
@@ -28,11 +28,6 @@ use om_workloads::scale::{
 
 /// Interpreter step budget for a scale point's reference run.
 pub const INTERP_STEPS: u64 = 4_000_000_000;
-
-/// The per-module hit-rate floor the scale fleet storm enforces: a single-
-/// module edit at 1000 modules must invalidate O(1 module), i.e. reuse
-/// ≥ 99% of translations.
-pub const SCALE_HIT_RATE_FLOOR: f64 = 0.99;
 
 /// The scale points `reproduce` measures.
 pub fn points(quick: bool) -> Vec<usize> {
@@ -130,7 +125,7 @@ pub fn measure_scale(n: usize) -> ScaleRow {
     let mut insts = 0;
     for (b, mode) in [(&each, CompileMode::Each), (&all, CompileMode::All)] {
         for level in OmLevel::ALL {
-            let out = om_core::optimize_and_link_with(&b.objects, &b.libs, level, &verify_opts)
+            let out = optimize_and_link_with(&b.objects, &b.libs, level, &verify_opts)
                 .unwrap_or_else(|e| panic!("scale{n} {} {}: {e}", mode.name(), level.name()));
             assert!(out.verify.is_some(), "scale{n}: verification report missing");
             let (r, i) = run_checksum(&out, &format!("scale{n} {} {}", mode.name(), level.name()));
@@ -156,7 +151,7 @@ pub fn measure_scale(n: usize) -> ScaleRow {
             verify: true,
             ..OmOptions::default()
         };
-        let out = om_core::optimize_and_link_with(&each.objects, &each.libs, OmLevel::Full, &opts)
+        let out = optimize_and_link_with(&each.objects, &each.libs, OmLevel::Full, &opts)
             .unwrap_or_else(|e| panic!("scale{n} shared-library pack: {e}"));
         let (r, _) = run_checksum(&out, &format!("scale{n} shared-library pack"));
         assert_eq!(r, expected, "scale{n}: dynamic image checksum");
@@ -174,9 +169,8 @@ pub fn measure_scale(n: usize) -> ScaleRow {
         let expected = pack
             .expected(INTERP_STEPS)
             .unwrap_or_else(|e| panic!("scale{n} archive-pack interpreter: {e}"));
-        let out =
-            om_core::optimize_and_link_with(&pack.objects, &pack.libs, OmLevel::Full, &verify_opts)
-                .unwrap_or_else(|e| panic!("scale{n} archive pack: {e}"));
+        let out = optimize_and_link_with(&pack.objects, &pack.libs, OmLevel::Full, &verify_opts)
+            .unwrap_or_else(|e| panic!("scale{n} archive pack: {e}"));
         let live = out.link.modules - pack.objects.len();
         assert_eq!(live, pack.live_members, "scale{n}: archive selection must be demand-driven");
         let (r, _) = run_checksum(&out, &format!("scale{n} archive pack"));
@@ -184,37 +178,39 @@ pub fn measure_scale(n: usize) -> ScaleRow {
         (live, pack.total_members, pack.chain_depth, r)
     };
 
-    // Relink cache at scale: cold fill, then a single-module edit. The
-    // cache is fresh and private so the counters are deterministic.
-    let caches = OmCaches::new(2 * std_stats.modules + 64, 8);
-    let (cold, _) = optimize_and_link_cached(
-        &each.objects,
-        &each.libs,
-        OmLevel::FullSched,
-        &verify_opts,
-        &caches,
-    )
-    .unwrap_or_else(|e| panic!("scale{n} cold relink: {e}"));
-    let m0 = caches.modules.stats();
+    // Relink cache at scale, through a link server: cold fill, then a
+    // single-module edit. The caches are fresh and private so the counters
+    // are deterministic.
+    let server =
+        LinkServer::with_caches(each.libs.to_vec(), OmCaches::new(2 * std_stats.modules + 64, 8));
+    let relink = |objects: &[Module], what: &str| {
+        server
+            .link(objects, OmLevel::FullSched, &verify_opts)
+            .unwrap_or_else(|e| panic!("scale{n} {what} relink: {e}"))
+            .output
+            .image
+            .to_bytes()
+    };
+    let cold = relink(&each.objects, "cold");
+    let m0 = server.caches().modules.stats();
     let mut edited = each.objects.clone();
     let idx = edited.len() / 2;
     edited[idx].data.extend_from_slice(&[7; 8]);
-    let (warm, _) = optimize_and_link_cached(
-        &edited,
-        &each.libs,
-        OmLevel::FullSched,
-        &verify_opts,
-        &caches,
-    )
-    .unwrap_or_else(|e| panic!("scale{n} edited relink: {e}"));
-    let m1 = caches.modules.stats();
+    let warm = relink(&edited, "edited");
+    let m1 = server.caches().modules.stats();
     let edit_module_misses = m1.misses - m0.misses;
     let edit_hits = m1.hits - m0.hits;
     assert_eq!(edit_module_misses, 1, "scale{n}: one edit must recompute one module");
     let edit_hit_rate = edit_hits as f64 / (edit_hits + edit_module_misses).max(1) as f64;
     assert!(
-        cold.image.to_bytes() != warm.image.to_bytes(),
+        cold != warm,
         "scale{n}: the edited relink must serve the edited image, not the cached one"
+    );
+    let fresh = optimize_and_link_with(&edited, &each.libs, OmLevel::FullSched, &verify_opts)
+        .unwrap_or_else(|e| panic!("scale{n} edited one-shot link: {e}"));
+    assert!(
+        warm == fresh.image.to_bytes(),
+        "scale{n}: the edited relink must equal a one-shot link of the edited objects"
     );
 
     let row = ScaleRow {
@@ -261,41 +257,6 @@ pub fn bench_rows(n: usize) -> crate::figures::BenchRows {
         passes: None,
         scale: Some(measure_scale(n)),
     }
-}
-
-/// Helper for `omfleet --scale`: the compile-each build of a scale point.
-pub fn built_each(n: usize) -> BuiltBenchmark {
-    build_scale(&scale_spec(n), CompileMode::Each).expect("scale compile-each")
-}
-
-/// Sanity used by `omfleet --scale`: relinks a scale build through a
-/// deliberately tiny cache and checks the eviction bound — the cache never
-/// holds more than its capacity, evicts under pressure, and still serves a
-/// byte-identical image.
-///
-/// # Panics
-///
-/// Panics if the bound or byte-identity is violated.
-pub fn eviction_smoke(b: &BuiltBenchmark, module_cap: usize) {
-    let caches = OmCaches::new(module_cap, 2);
-    let opts = OmOptions { verify: true, ..OmOptions::default() };
-    let (out, _) =
-        optimize_and_link_cached(&b.objects, &b.libs, OmLevel::Full, &opts, &caches)
-            .expect("eviction smoke relink");
-    let stats = caches.modules.stats();
-    assert!(
-        caches.modules.len() <= module_cap,
-        "module cache exceeded its bound: {} > {module_cap}",
-        caches.modules.len()
-    );
-    assert!(stats.evictions > 0, "a scale build must overflow a {module_cap}-entry cache");
-    let fresh = optimize_and_link(&b.objects, &b.libs, OmLevel::Full)
-        .expect("eviction smoke one-shot");
-    assert_eq!(
-        out.image.to_bytes(),
-        fresh.image.to_bytes(),
-        "evictions must never change the served image"
-    );
 }
 
 #[cfg(test)]

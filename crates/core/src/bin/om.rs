@@ -70,13 +70,9 @@ fn main() {
         match args[i].as_str() {
             "-o" => out = PathBuf::from(value(&mut i, "a path")),
             "--level" => {
-                level = match value(&mut i, "a level").as_str() {
-                    "none" => OmLevel::None,
-                    "simple" => OmLevel::Simple,
-                    "full" => OmLevel::Full,
-                    "full-sched" => OmLevel::FullSched,
-                    other => usage(&format!("unknown level {other}")),
-                };
+                let flag = value(&mut i, "a level");
+                level = OmLevel::from_flag(&flag)
+                    .unwrap_or_else(|| usage(&format!("unknown level {flag}")));
             }
             "--stats" => stats = true,
             "--verify" => options.verify = true,
@@ -93,25 +89,10 @@ fn main() {
         usage("no input objects");
     }
 
-    let mut objects = Vec::new();
-    let mut libs = Vec::new();
-    for f in &inputs {
-        let bytes = std::fs::read(f).unwrap_or_else(|e| {
-            eprintln!("om: cannot read {f}: {e}");
-            exit(1);
-        });
-        if f.ends_with(".a") {
-            libs.push(binary::read_archive(&bytes).unwrap_or_else(|e| {
-                eprintln!("om: {f}: {e}");
-                exit(1);
-            }));
-        } else {
-            objects.push(binary::read_module(&bytes).unwrap_or_else(|e| {
-                eprintln!("om: {f}: {e}");
-                exit(1);
-            }));
-        }
-    }
+    let (objects, libs) = binary::read_inputs(&inputs).unwrap_or_else(|e| {
+        eprintln!("om: {e}");
+        exit(1);
+    });
     if let Some(f) = &profile_use {
         let text = std::fs::read_to_string(f).unwrap_or_else(|e| {
             eprintln!("om: cannot read {f}: {e}");

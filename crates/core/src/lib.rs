@@ -56,9 +56,8 @@ pub use cache::{CacheStats, Lru, OmCaches};
 pub use fault::{FaultKind, FaultPlan};
 pub use hash::{archive_hash, link_key, module_hash, options_fingerprint, ContentHash};
 pub use pipeline::{
-    optimize_and_link, optimize_and_link_artifacts, optimize_and_link_cached,
-    optimize_and_link_keyed, optimize_and_link_with, pipeline_runs, CallBook, OmLevel, OmOptions,
-    OmOutput,
+    optimize_and_link, optimize_and_link_artifacts, optimize_and_link_keyed,
+    optimize_and_link_with, pipeline_runs, CallBook, OmLevel, OmOptions, OmOutput,
 };
 pub use profile::{CallEdge, ProcProfile, Profile, ProfileError};
 pub use stats::OmStats;

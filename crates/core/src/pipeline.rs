@@ -4,7 +4,7 @@
 
 use crate::analysis::{call_sites, CallKind, Snapshot};
 use crate::cache::OmCaches;
-use crate::hash::{archive_hash, link_key, module_hash, ContentHash};
+use crate::hash::{link_key, module_hash, ContentHash};
 use crate::stats::OmStats;
 use crate::sym::{resolve_symbolic, translate_module, InstId, OmError, SymModule, SymProgram};
 use om_linker::{
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Process-wide count of real OM pipeline executions (cache hits in
-/// [`optimize_and_link_cached`] do not count). The evaluation harness and
+/// [`optimize_and_link_keyed`] do not count). The evaluation harness and
 /// the relink-cache tests use this counter to prove each unique
 /// `(benchmark, mode, level)` configuration runs at most once per
 /// invocation.
@@ -70,6 +70,18 @@ impl OmLevel {
             OmLevel::Simple => "OM-simple",
             OmLevel::Full => "OM-full",
             OmLevel::FullSched => "OM-full w/sched",
+        }
+    }
+
+    /// Parses a command-line `--level` value: `none`, `simple`, `full` or
+    /// `full-sched`.
+    pub fn from_flag(flag: &str) -> Option<OmLevel> {
+        match flag {
+            "none" => Some(OmLevel::None),
+            "simple" => Some(OmLevel::Simple),
+            "full" => Some(OmLevel::Full),
+            "full-sched" => Some(OmLevel::FullSched),
+            _ => None,
         }
     }
 }
@@ -213,8 +225,10 @@ pub fn optimize_and_link_artifacts(
 /// [`optimize_and_link_with`] through a shared [`OmCaches`]: the whole link
 /// is served from the link cache when its content key matches, and on a
 /// link-cache miss each module's translation artifact is fetched from (or
-/// inserted into) the per-module cache. Returns the output and whether the
-/// *link* was a cache hit.
+/// inserted into) the per-module cache. `lib_hashes` are the libraries'
+/// [`archive_hash`](crate::archive_hash)es, computed once by the caller (a
+/// long-running server hashes its archives once, not per request). Returns
+/// the output and whether the *link* was a cache hit.
 ///
 /// Byte-identical to the uncached pipeline by construction: cached values
 /// are exactly what the uncached computation produced for identical inputs.
@@ -223,23 +237,6 @@ pub fn optimize_and_link_artifacts(
 ///
 /// Returns [`OmError`] for malformed input or link failures. Errors are
 /// never cached — a failed request releases its cache reservation.
-pub fn optimize_and_link_cached(
-    objects: &[Module],
-    libs: &[Archive],
-    level: OmLevel,
-    options: &OmOptions,
-    caches: &OmCaches,
-) -> Result<(Arc<OmOutput>, bool), OmError> {
-    let lib_hashes: Vec<ContentHash> = libs.iter().map(archive_hash).collect();
-    optimize_and_link_keyed(objects, libs, &lib_hashes, level, options, caches)
-}
-
-/// [`optimize_and_link_cached`] with the library digests precomputed — a
-/// long-running server hashes its archives once, not per request.
-///
-/// # Errors
-///
-/// See [`optimize_and_link_cached`].
 pub fn optimize_and_link_keyed(
     objects: &[Module],
     libs: &[Archive],
@@ -250,12 +247,9 @@ pub fn optimize_and_link_keyed(
 ) -> Result<(Arc<OmOutput>, bool), OmError> {
     let module_hashes: Vec<ContentHash> = objects.iter().map(module_hash).collect();
     let key = link_key(&module_hashes, lib_hashes, level, options);
-    caches
-        .links
-        .get_or_try(key, || {
-            run_pipeline(objects, libs, level, options, Some(caches)).map(|(out, _)| out)
-        })
-        .map(|(out, hit)| (out, hit))
+    caches.links.get_or_try(key, || {
+        run_pipeline(objects, libs, level, options, Some(caches)).map(|(out, _)| out)
+    })
 }
 
 fn run_pipeline(

@@ -676,14 +676,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         }
     }
 
-    m.relocs.sort_by_key(|r| {
-        let rank = match r.kind {
-            RelocKind::Gpdisp { .. } => 0,
-            RelocKind::Literal { .. } => 1,
-            _ => 2,
-        };
-        (r.sec, r.offset, rank)
-    });
+    m.sort_relocs();
     Ok(m)
 }
 

@@ -6,7 +6,7 @@
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::obs::{reconcile, DELTA_FIELDS};
 use om_core::{
-    optimize_and_link_cached, optimize_and_link_with, OmCaches, OmLevel, OmOptions, OmOutput,
+    optimize_and_link_keyed, optimize_and_link_with, OmCaches, OmLevel, OmOptions, OmOutput,
     Profile,
 };
 use om_obs::Trace;
@@ -188,10 +188,10 @@ fn cache_counters_report_hits_and_misses() {
     {
         let _g = trace.install();
         let (_, hit) =
-            optimize_and_link_cached(&objs, &[], OmLevel::Full, &options, &caches).unwrap();
+            optimize_and_link_keyed(&objs, &[], &[], OmLevel::Full, &options, &caches).unwrap();
         assert!(!hit);
         let (_, hit) =
-            optimize_and_link_cached(&objs, &[], OmLevel::Full, &options, &caches).unwrap();
+            optimize_and_link_keyed(&objs, &[], &[], OmLevel::Full, &options, &caches).unwrap();
         assert!(hit);
     }
     let counters = trace.counters();

@@ -48,25 +48,10 @@ fn main() {
         usage("no input objects");
     }
 
-    let mut objects = Vec::new();
-    let mut libs = Vec::new();
-    for f in &inputs {
-        let bytes = std::fs::read(f).unwrap_or_else(|e| {
-            eprintln!("mld: cannot read {f}: {e}");
-            exit(1);
-        });
-        if f.ends_with(".a") {
-            libs.push(binary::read_archive(&bytes).unwrap_or_else(|e| {
-                eprintln!("mld: {f}: {e}");
-                exit(1);
-            }));
-        } else {
-            objects.push(binary::read_module(&bytes).unwrap_or_else(|e| {
-                eprintln!("mld: {f}: {e}");
-                exit(1);
-            }));
-        }
-    }
+    let (objects, libs) = binary::read_inputs(&inputs).unwrap_or_else(|e| {
+        eprintln!("mld: {e}");
+        exit(1);
+    });
 
     let mut linker = Linker::new().layout_opts(opts);
     for o in objects {

@@ -65,11 +65,6 @@ impl Image {
             .map(|s| s.bytes[(addr - s.base) as usize])
     }
 
-    /// Total mapped size in bytes.
-    pub fn mapped_size(&self) -> u64 {
-        self.segments.iter().map(|s| s.bytes.len() as u64).sum()
-    }
-
     /// Serializes the image to the on-disk executable format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w: Vec<u8> = Vec::new();
@@ -201,7 +196,6 @@ mod tests {
         };
         assert_eq!(img.read_byte(0x1001), Some(2));
         assert_eq!(img.read_byte(0x2000), None);
-        assert_eq!(img.mapped_size(), 3);
     }
 
     #[test]

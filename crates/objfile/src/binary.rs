@@ -316,6 +316,27 @@ pub fn read_archive(bytes: &[u8]) -> Result<Archive, ObjError> {
     Ok(a)
 }
 
+/// Reads a link's input files in the order given: a path ending in `.a` as
+/// an archive, any other as an object module.
+///
+/// # Errors
+///
+/// The first file that cannot be read, as `cannot read {path}: {error}`, or
+/// that does not parse, as `{path}: {error}`.
+pub fn read_inputs(paths: &[String]) -> Result<(Vec<Module>, Vec<Archive>), String> {
+    let mut objects = Vec::new();
+    let mut libs = Vec::new();
+    for f in paths {
+        let bytes = std::fs::read(f).map_err(|e| format!("cannot read {f}: {e}"))?;
+        if f.ends_with(".a") {
+            libs.push(read_archive(&bytes).map_err(|e| format!("{f}: {e}"))?);
+        } else {
+            objects.push(read_module(&bytes).map_err(|e| format!("{f}: {e}"))?);
+        }
+    }
+    Ok((objects, libs))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -153,21 +153,9 @@ impl ModuleBuilder {
     ///
     /// Returns [`crate::error::ObjError`] if the module is malformed.
     pub fn finish(mut self) -> Result<Module, crate::error::ObjError> {
-        self.module
-            .relocs
-            .sort_by_key(|r| (r.sec, r.offset, reloc_rank(&r.kind)));
+        self.module.sort_relocs();
         self.module.validate()?;
         Ok(self.module)
-    }
-}
-
-/// Secondary sort key so a `Literal` at an offset precedes any `Lituse` that
-/// (unusually) shares the offset.
-fn reloc_rank(kind: &RelocKind) -> u8 {
-    match kind {
-        RelocKind::Gpdisp { .. } => 0,
-        RelocKind::Literal { .. } => 1,
-        _ => 2,
     }
 }
 

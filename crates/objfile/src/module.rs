@@ -50,6 +50,20 @@ impl Module {
         Module { name: name.into(), ..Module::default() }
     }
 
+    /// Sorts the relocations by `(section, offset)`. At a shared offset a
+    /// `Gpdisp` comes first, then a `Literal`, so a `Literal` precedes any
+    /// `Lituse` that (unusually) shares its offset.
+    pub fn sort_relocs(&mut self) {
+        self.relocs.sort_by_key(|r| {
+            let rank = match r.kind {
+                RelocKind::Gpdisp { .. } => 0,
+                RelocKind::Literal { .. } => 1,
+                _ => 2,
+            };
+            (r.sec, r.offset, rank)
+        });
+    }
+
     /// Looks up a symbol by id.
     ///
     /// # Panics

@@ -29,8 +29,8 @@
 //! site is one thread-local load and a branch.
 //!
 //! [`Histogram`] is the shared fixed-bucket log2 latency histogram — the
-//! single quantile implementation behind `omfleet`'s p50/p99 columns and
-//! `omd stats`' per-endpoint latency lines.
+//! single quantile implementation behind `omd stats`' per-endpoint p50/p99
+//! latency lines.
 //!
 //! [`json`] is the workspace's one JSON reader and string quoter: profiles,
 //! the `omkill` scorecard, the BENCH report gate and trace files all parse

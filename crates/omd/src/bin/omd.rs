@@ -48,16 +48,6 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_level(s: &str) -> Option<OmLevel> {
-    match s {
-        "none" => Some(OmLevel::None),
-        "simple" => Some(OmLevel::Simple),
-        "full" => Some(OmLevel::Full),
-        "full-sched" | "fullsched" => Some(OmLevel::FullSched),
-        _ => None,
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
@@ -165,7 +155,7 @@ fn cmd_link(rest: &[String]) -> ExitCode {
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--level" => match it.next().and_then(|s| parse_level(s)) {
+            "--level" => match it.next().and_then(|s| OmLevel::from_flag(s)) {
                 Some(l) => level = l,
                 None => return usage("bad or missing --level value"),
             },

@@ -127,8 +127,8 @@ impl LinkServer {
         LinkServer::with_caches(libs, OmCaches::default())
     }
 
-    /// A server with caller-tuned cache capacities (tests use tiny caches
-    /// to exercise eviction).
+    /// A server with caller-tuned cache capacities (the scale figure sizes
+    /// them to its program; tests use tiny caches to exercise eviction).
     pub fn with_caches(libs: Vec<Archive>, caches: OmCaches) -> LinkServer {
         let lib_hashes = libs.iter().map(archive_hash).collect();
         LinkServer { libs, lib_hashes, caches, metrics: ServerMetrics::new() }

@@ -14,6 +14,7 @@ fn usage_errors_exit_2_runtime_failures_exit_1() {
         &[][..],
         &["ping"],
         &["link", "s", "--bogus", "-o", "o", "x.o"],
+        &["link", "s", "--level", "fullsched", "-o", "o", "x.o"],
         &["serve", "--typo"],
     ] {
         let out = omd(args);

@@ -166,9 +166,10 @@ fn socket_round_trip_serves_cached_links_and_shuts_down() {
     assert_eq!(pong.version, env!("CARGO_PKG_VERSION"));
     assert_eq!(pong.requests, 1, "the first request is this ping itself");
 
-    let (cached1, image1) = client.link(&objects, OmLevel::FullSched, false).unwrap().unwrap();
+    // Verified links: the served image has passed `--verify` server-side.
+    let (cached1, image1) = client.link(&objects, OmLevel::FullSched, true).unwrap().unwrap();
     assert!(!cached1);
-    let (cached2, image2) = client.link(&objects, OmLevel::FullSched, false).unwrap().unwrap();
+    let (cached2, image2) = client.link(&objects, OmLevel::FullSched, true).unwrap().unwrap();
     assert!(cached2, "second identical request over the wire is a cache hit");
     assert_eq!(image1.to_bytes(), image2.to_bytes());
 

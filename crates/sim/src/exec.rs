@@ -447,37 +447,3 @@ impl Machine {
 pub fn run_image(image: &Image, limit: u64) -> Result<RunResult, ExecError> {
     Machine::load(image)?.run(limit, &mut NoTiming)
 }
-
-/// Sorted address→symbol range index: one sort at construction, then every
-/// lookup is a binary search. Aliased addresses collapse deterministically
-/// to the lexicographically first name (the linear `HashMap` scan this
-/// replaces picked an arbitrary alias).
-pub struct SymbolIndex {
-    addrs: Vec<u64>,
-    names: Vec<String>,
-}
-
-impl SymbolIndex {
-    /// Builds the index from an image's symbol map.
-    pub fn new(image: &Image) -> SymbolIndex {
-        let mut syms: Vec<(u64, &String)> =
-            image.symbols.iter().map(|(name, &addr)| (addr, name)).collect();
-        syms.sort();
-        syms.dedup_by_key(|&mut (addr, _)| addr);
-        SymbolIndex {
-            addrs: syms.iter().map(|&(addr, _)| addr).collect(),
-            names: syms.into_iter().map(|(_, name)| name.clone()).collect(),
-        }
-    }
-
-    /// Returns the covering symbol and the offset of `pc` into it.
-    pub fn locate(&self, pc: u64) -> Option<(&str, u64)> {
-        let i = self.addrs.partition_point(|&a| a <= pc).checked_sub(1)?;
-        Some((&self.names[i], pc - self.addrs[i]))
-    }
-}
-
-/// Finds the symbol whose address covers `pc` (for diagnostics).
-pub fn symbolize(image: &Image, pc: u64) -> Option<String> {
-    SymbolIndex::new(image).locate(pc).map(|(name, off)| format!("{name}+{off:#x}"))
-}

@@ -38,10 +38,7 @@ pub mod timing;
 pub use block::{
     run_covered_fast, run_fast, run_profiled_fast, run_timed_fast, run_timed_profiled_fast,
 };
-pub use exec::{
-    run_image, symbolize, Divergence, ExecError, Machine, NoTiming, Observer, Retired, RunResult,
-    SymbolIndex,
-};
+pub use exec::{run_image, Divergence, ExecError, Machine, NoTiming, Observer, Retired, RunResult};
 pub use mem::{Fault, Mem, STACK_BASE, STACK_SIZE, STACK_TOP};
 pub use profile::{ProfileObserver, Tee};
 pub use timing::{Cache, Pipeline, TimingStats};

@@ -59,6 +59,11 @@ echo "== omperf smoke (the benchmark's rebuilt pipeline, byte identity) =="
 cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "== figure drift =="
+# Every figure of every benchmark at --quick, compared field by field with
+# BENCH_baseline.json. For the fleet rows (the relink storm against the link
+# server, all 19 benchmarks) this gates the byte-identity marker (every
+# served image equal to a one-shot link), the exact cache counters, and the
+# 80% per-module hit-rate floor that the fleet harness asserts.
 scripts/bench.sh
 
 echo "== ablations (one benchmark; results must not change under any ablation) =="
@@ -66,11 +71,6 @@ echo "== ablations (one benchmark; results must not change under any ablation) =
 # align_backward_targets to non-default values; it asserts that each
 # ablation leaves the program's result unchanged.
 cargo run --release -p om-bench --bin ablations -- --bench li
-
-echo "== CI-fleet smoke (bounded relink storm + socket round trip) =="
-# ~100 measured relinks: enforces the 80% per-module hit-rate floor and
-# byte-identity of every cached image against the one-shot pipeline.
-cargo run --release -p om-bench --bin omfleet -- --smoke
 
 echo "== scale smoke (one mid-scale point through the tool pipeline) =="
 # A 256-module / 25k-procedure program end to end through the command-line
@@ -85,11 +85,6 @@ cargo run --release -p om-workloads --bin genbench -- --scale 256 "$scaledir"
 cargo run --release -p om-codegen --bin mcc -- "$scaledir"/*.mc
 cargo run --release -p om-core --bin om -- --level full-sched --verify \
     -o "$scaledir/scale.exe" "$scaledir"/*.o "$scaledir/libstd.a"
-
-echo "== scale fleet (single-module-edit invalidation at 256 modules) =="
-# Enforces the 99% reuse floor (one edit must invalidate O(1 module)) and
-# the eviction bound under a deliberately tiny cache.
-cargo run --release -p om-bench --bin omfleet -- --scale 256 --quick
 
 echo "== adversarial corpus (limit-straddling inputs; sources through the fuzz oracle, objects typed-error) =="
 cargo run --release -p om-bench --bin omfuzz -- --adversarial
