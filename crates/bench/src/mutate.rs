@@ -15,7 +15,7 @@
 //!
 //! Mutants come in two layers. **Image mutants** corrupt a correctly linked
 //! image post-hoc (classes prefixed `img-`): the artifacts of the clean link
-//! (a [`Snapshot`]) are kept so the verifier can re-check the corrupt image
+//! (an [`Artifacts`]) are kept so the verifier can re-check the corrupt image
 //! against the unchanged modules and layout. **Pass-fault mutants**
 //! (classes prefixed `fault-`) re-run the pipeline with a
 //! [`FaultPlan`] armed, making the optimizer itself emit wrong code
@@ -30,7 +30,7 @@
 
 use crate::fuzz::{self, FuzzConfig, INTERP_STEPS};
 use om_alpha::{decode, encode, Inst, MemOp, Reg};
-use om_core::analysis::Snapshot;
+use om_core::analysis::Artifacts;
 use om_core::{
     optimize_and_link_artifacts, FaultKind, FaultPlan, OmLevel, OmOptions, OmOutput, Profile,
 };
@@ -168,7 +168,7 @@ pub struct CleanBuild {
     /// The mini-C interpreter's checksum (never touches the pipeline).
     pub reference: i64,
     pub output: OmOutput,
-    pub emitted: Snapshot,
+    pub emitted: Artifacts,
     /// The clean image's simulated run (checksum equals `reference`).
     pub clean: RunResult,
     /// Execution profile of the clean image, for the PGO-layer fault class.

@@ -4,63 +4,140 @@
 //! This is the "rather deeper understanding of the program control flow than
 //! has hitherto been typical for linkers" (§3) — easy here because the loader
 //! format hands OM procedure boundaries, GP ownership, and LITUSE links.
+//!
+//! A [`Snapshot`] lays the symbolic program out from sizes alone: each
+//! procedure's instruction count, the `.lita` entries emit would write
+//! (`sym::gat_entries`) and the link's commons. It never emits a
+//! module or rebuilds the symbol table, so an OM-full round costs one layout.
+//! The final link's emitted modules, symbol table and layout are
+//! [`Artifacts`].
 
-use crate::sym::{GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProc, SymProgram};
+use crate::sym::{
+    gat_entries, GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProc, SymProgram,
+};
 use om_alpha::{Effects, Inst, JmpOp, Reg};
-use om_linker::{layout, sym_addr, LayoutOpts, ProgramLayout, SymbolTable};
-use om_objfile::{Module, RelocKind, SymId};
+use om_linker::{layout, LayoutOpts, LinkError, Placed, ProgramLayout, SymbolTable};
+use om_objfile::{LitaEntry, Module, RelocKind, SecId, SymId, Symbol, SymbolDef};
 use std::collections::{HashMap, HashSet};
 
-/// Emitted modules with their symbol table and layout. OM-simple and each
-/// OM-full round capture a provisional one for reachability decisions; the
-/// pipeline returns the final link's from
-/// [`crate::optimize_and_link_artifacts`].
+/// A provisional layout of the symbolic program. OM-simple and each OM-full
+/// round capture one for reachability decisions.
 ///
 /// Distances only shrink as OM deletes instructions and GAT slots, so any
 /// "fits in 16/21 bits" decision made against a snapshot remains valid for
 /// the final layout.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
+    pub layout: ProgramLayout,
+    /// Per module, the address of each symbol id that names a definition
+    /// or the first mention of a common.
+    sym_addrs: Vec<Vec<u64>>,
+    /// Per module, the text address of each procedure.
+    proc_addrs: Vec<Vec<u64>>,
+}
+
+/// The final link's emitted modules, with the symbol table and layout its
+/// image was patched against ([`crate::optimize_and_link_artifacts`]): what
+/// post-hoc image verification needs, and what the mutation harness's image
+/// mutators are built on.
+#[derive(Debug, Clone)]
+pub struct Artifacts {
     pub modules: Vec<Module>,
     pub symtab: SymbolTable,
     pub layout: ProgramLayout,
 }
 
+/// A symbolic module as [`layout`] sees it: the input's name, symbols and
+/// data sections, the text its procedures would emit, and its `.lita`.
+struct SizedModule<'a> {
+    source: &'a Module,
+    text: u64,
+    lita: Vec<LitaEntry>,
+}
+
+impl Placed for SizedModule<'_> {
+    fn name(&self) -> &str {
+        &self.source.name
+    }
+    fn symbols(&self) -> &[Symbol] {
+        &self.source.symbols
+    }
+    fn section_len(&self, sec: SecId) -> u64 {
+        if sec == SecId::Text { self.text } else { self.source.section_len(sec) }
+    }
+    fn lita(&self) -> &[LitaEntry] {
+        &self.lita
+    }
+}
+
 impl Snapshot {
-    /// Emits the current symbolic program and lays it out with OM's layout
-    /// policy (commons sorted by size near the GAT, unless ablated).
+    /// Lays out the current symbolic program with OM's layout policy
+    /// (commons sorted by size near the GAT, unless ablated).
     ///
     /// # Errors
     ///
-    /// Propagates symbol-table or layout failures.
+    /// Propagates layout failures.
     pub fn capture(program: &SymProgram) -> Result<Snapshot, OmError> {
         Snapshot::capture_with(program, true)
     }
 
     /// [`Snapshot::capture`] with an explicit common-sorting policy (used by
-    /// the ablation harness).
+    /// the ablation harness). The layout and every address equal those of
+    /// the emitted program's link, without emitting it.
     ///
     /// # Errors
     ///
-    /// Propagates symbol-table or layout failures.
+    /// Propagates layout failures, and [`LinkError::Undefined`] for a common
+    /// the layout did not allocate.
     pub fn capture_with(program: &SymProgram, sort_commons: bool) -> Result<Snapshot, OmError> {
         let _s = om_obs::span("snapshot");
-        let modules = crate::sym::emit_all(program)?;
-        let symtab = om_linker::build_symbol_table(&modules)?;
-        let lay = layout(&modules, &symtab, &LayoutOpts { sort_commons })?;
-        Ok(Snapshot { modules, symtab, layout: lay })
+        let sized: Vec<SizedModule> = program
+            .modules
+            .iter()
+            .enumerate()
+            .map(|(mi, m)| SizedModule {
+                source: &m.source,
+                text: m.procs.iter().map(|p| 4 * p.insts.len() as u64).sum(),
+                lita: gat_entries(program, mi),
+            })
+            .collect();
+        let layout = layout(&sized, &program.commons, &LayoutOpts { sort_commons })?;
+        let mut sym_addrs = Vec::with_capacity(sized.len());
+        let mut proc_addrs = Vec::with_capacity(sized.len());
+        for (mi, m) in program.modules.iter().enumerate() {
+            let b = layout.bases[mi];
+            let mut syms = Vec::with_capacity(m.source.symbols.len());
+            for (id, s) in m.source.symbols_with_ids() {
+                syms.push(match s.def {
+                    SymbolDef::Proc { .. } => 0, // placed below, in emit order
+                    SymbolDef::Data { sec, offset, .. } => b.of(sec) + offset,
+                    // A common is named by its first mention, which may be
+                    // an extern declaration.
+                    _ if program.target(mi, id) == (GlobalRef::Common { module: mi, sym: id }) => {
+                        *layout.common_addr.get(&s.name).ok_or_else(|| LinkError::Undefined {
+                            name: s.name.clone(),
+                            referenced_by: m.source.name.clone(),
+                        })?
+                    }
+                    _ => 0, // resolves to another module's definition
+                });
+            }
+            let (mut procs, mut pc) = (Vec::with_capacity(m.procs.len()), b.text);
+            for p in &m.procs {
+                syms[p.sym.0 as usize] = pc;
+                procs.push(pc);
+                pc += 4 * p.insts.len() as u64;
+            }
+            sym_addrs.push(syms);
+            proc_addrs.push(procs);
+        }
+        Ok(Snapshot { layout, sym_addrs, proc_addrs })
     }
 
-    /// Address of a resolved reference. Emitted modules keep their input's
-    /// symbol table, so a reference's `(module, symbol id)` is valid here.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dangling references (cannot happen after `capture`).
+    /// Address of a resolved reference.
     pub fn addr(&self, r: GlobalRef) -> u64 {
         let (GlobalRef::Def { module, sym } | GlobalRef::Common { module, sym }) = r;
-        sym_addr(&self.modules, &self.symtab, &self.layout, module, sym)
-            .expect("resolved reference")
+        self.sym_addrs[module][sym.0 as usize]
     }
 
     /// GP value used by module `mi`.
@@ -80,13 +157,10 @@ impl Snapshot {
         self.layout.gp_values.len() == 1
     }
 
-    /// Text address of instruction `idx` of procedure `pi` in module `mi`.
-    pub fn inst_addr(&self, program: &SymProgram, mi: usize, pi: usize, idx: usize) -> u64 {
-        let mut off = 0u64;
-        for p in &program.modules[mi].procs[..pi] {
-            off += 4 * p.insts.len() as u64;
-        }
-        self.layout.bases[mi].text + off + 4 * idx as u64
+    /// Text address of instruction `idx` of procedure `pi` in module `mi`,
+    /// as the program stood at capture.
+    pub fn inst_addr(&self, mi: usize, pi: usize, idx: usize) -> u64 {
+        self.proc_addrs[mi][pi] + 4 * idx as u64
     }
 
     /// Number of merged GAT slots in this snapshot.
@@ -184,6 +258,17 @@ pub fn use_index(proc: &SymProc) -> HashMap<InstId, Vec<(usize, UseKind)>> {
     map
 }
 
+/// True when the only use of address load `load` is a JSR: one load's
+/// uses, scanned without building the procedure's [`use_index`].
+pub(crate) fn sole_jsr_use(proc: &SymProc, load: InstId) -> bool {
+    let mut uses = proc.insts.iter().filter(|i| {
+        matches!(i.mark, SMark::LituseBase { load: l } | SMark::LituseJsr { load: l }
+            | SMark::LituseAddr { load: l } if l == load)
+    });
+    let sole = (uses.next(), uses.next());
+    matches!(sole, (Some(SInst { mark: SMark::LituseJsr { .. }, .. }), None))
+}
+
 /// Computes the set of procedures whose address escapes: referenced by an
 /// escaping GAT load anywhere, stored in initialized data (`RefQuad`), or
 /// the program entry. OM-full must keep these procedures' prologues.
@@ -193,13 +278,15 @@ pub fn address_taken(program: &SymProgram) -> HashSet<GlobalRef> {
         for p in &m.procs {
             // Loads whose value feeds address arithmetic count as escapes
             // too (conservative: the computed address could be anything).
-            let uses = use_index(p);
+            let addr_used: Vec<InstId> = (p.insts.iter())
+                .filter_map(|i| match i.mark {
+                    SMark::LituseAddr { load } => Some(load),
+                    _ => None,
+                })
+                .collect();
             for i in &p.insts {
                 if let SMark::Literal { sym, escaping, .. } = i.mark {
-                    let has_addr_use = uses
-                        .get(&i.id)
-                        .is_some_and(|us| us.iter().any(|&(_, k)| k == UseKind::Addr));
-                    if escaping || has_addr_use {
+                    if escaping || addr_used.contains(&i.id) {
                         taken.insert(program.target(mi, sym));
                     }
                 }

@@ -2,7 +2,7 @@
 //! link. This is the "optimizing linker" of §4 — it replaces the standard
 //! link step entirely.
 
-use crate::analysis::{call_sites, CallKind, Snapshot};
+use crate::analysis::{call_sites, Artifacts, CallKind};
 use crate::cache::OmCaches;
 use crate::hash::{link_key, module_hash, ContentHash};
 use crate::stats::OmStats;
@@ -206,9 +206,9 @@ pub fn optimize_and_link_with(
 }
 
 /// [`optimize_and_link_with`], additionally returning the final link's
-/// artifacts as a [`Snapshot`]: the emitted modules plus the symbol table
-/// and layout the image was patched against (for post-hoc image
-/// verification — the mutation harness's image mutators are built on this).
+/// [`Artifacts`]: the emitted modules plus the symbol table and layout the
+/// image was patched against (for post-hoc image verification — the
+/// mutation harness's image mutators are built on this).
 ///
 /// # Errors
 ///
@@ -218,7 +218,7 @@ pub fn optimize_and_link_artifacts(
     libs: &[Archive],
     level: OmLevel,
     options: &OmOptions,
-) -> Result<(OmOutput, Snapshot), OmError> {
+) -> Result<(OmOutput, Artifacts), OmError> {
     run_pipeline(objects, libs, level, options, None)
 }
 
@@ -248,17 +248,22 @@ pub fn optimize_and_link_keyed(
     let module_hashes: Vec<ContentHash> = objects.iter().map(module_hash).collect();
     let key = link_key(&module_hashes, lib_hashes, level, options);
     caches.links.get_or_try(key, || {
-        run_pipeline(objects, libs, level, options, Some(caches)).map(|(out, _)| out)
+        run_pipeline(objects, libs, level, options, Some((caches, &module_hashes)))
+            .map(|(out, _)| out)
     })
 }
 
+/// One link. With `cached`, each module's translation goes through the
+/// per-module cache, keyed by `object_hashes` for the explicit objects
+/// (which [`select_modules`] returns first, in order) and by a fresh hash
+/// for each archive member it selects.
 fn run_pipeline(
     objects: &[Module],
     libs: &[Archive],
     level: OmLevel,
     options: &OmOptions,
-    caches: Option<&OmCaches>,
-) -> Result<(OmOutput, Snapshot), OmError> {
+    cached: Option<(&OmCaches, &[ContentHash])>,
+) -> Result<(OmOutput, Artifacts), OmError> {
     PIPELINE_RUNS.fetch_add(1, Ordering::Relaxed);
     let mut pipeline_span = om_obs::span("pipeline");
     om_obs::count("pipeline.runs", 1);
@@ -277,14 +282,15 @@ fn run_pipeline(
         om_obs::count("pass.translate.modules", modules.len() as u64);
         let translated = modules
             .iter()
-            .map(|m| match caches {
+            .enumerate()
+            .map(|(mi, m)| match cached {
                 None => translate_module(m).map(Arc::new),
                 // Per-module translation through the shared cache: an edited
                 // module re-translates; everything else is reused by content.
-                Some(c) => c
-                    .modules
-                    .get_or_try(module_hash(m), || translate_module(m))
-                    .map(|(v, _)| v),
+                Some((c, object_hashes)) => {
+                    let hash = object_hashes.get(mi).copied().unwrap_or_else(|| module_hash(m));
+                    c.modules.get_or_try(hash, || translate_module(m)).map(|(v, _)| v)
+                }
             })
             .collect::<Result<Vec<Arc<SymModule>>, OmError>>()?;
         drop(translate_span);
@@ -381,5 +387,5 @@ fn run_pipeline(
     };
 
     let out = OmOutput { image: linked.image, stats, link: linked.stats, verify };
-    Ok((out, Snapshot { modules: final_modules, symtab: linked.symtab, layout: linked.layout }))
+    Ok((out, Artifacts { modules: final_modules, symtab: linked.symtab, layout: linked.layout }))
 }

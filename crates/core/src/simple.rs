@@ -21,8 +21,8 @@
 //! [`crate::full`]. Every pass removes instructions through `remove`.
 
 use crate::analysis::{
-    call_sites, load_dest, prologue_pair_at_entry, reads_pv_outside, ref_name, use_index, CallKind,
-    Snapshot, UseKind,
+    call_sites, load_dest, prologue_pair_at_entry, reads_pv_outside, ref_name, sole_jsr_use,
+    use_index, CallKind, Snapshot, UseKind,
 };
 use crate::fault::{armed, FaultKind, FaultPlan};
 use crate::pipeline::CallBook;
@@ -101,7 +101,7 @@ pub fn collect_sites(program: &SymProgram, snap: &Snapshot) -> Vec<Site> {
                 sites.push(Site {
                     mi,
                     pi,
-                    addr: snap.inst_addr(program, mi, pi, s.at),
+                    addr: snap.inst_addr(mi, pi, s.at),
                     jsr_id: p.insts[s.at].id,
                     kind: s.kind,
                     gp_reset: s.gp_reset,
@@ -172,9 +172,7 @@ pub fn convert_calls(
         // prologue OM-full dropped needs no PV at all; otherwise the BSR can
         // skip a same-GP callee's prologue, and drop the PV load, only when
         // the GPDISP pair is literally the first two instructions.
-        let sole_use = use_index(&program.modules[s.mi].procs[s.pi])
-            .get(&load)
-            .is_some_and(|u| u.len() == 1 && u[0].1 == UseKind::Jsr);
+        let sole_use = sole_jsr_use(&program.modules[s.mi].procs[s.pi], load);
         let tproc = &program.modules[tm].procs[tp];
         let entry_pair = prologue_pair_at_entry(tproc);
         let (mut addend, kill_load) = if dropped.contains(&target) {
@@ -231,7 +229,7 @@ pub(crate) fn remove(p: &mut SymProc, ids: &[InstId], removal: Removal, stats: &
             stats.insts_nullified += ids.len();
         }
         Removal::Delete => {
-            p.delete(&ids.iter().copied().collect());
+            p.delete(ids);
             stats.insts_deleted += ids.len();
         }
     }
@@ -376,7 +374,7 @@ pub fn transform_address_loads(
                 // Fault point: delete the load whatever the level, but count
                 // it as nullified — the instruction accounting no longer
                 // balances at either level.
-                p.delete(&HashSet::from([id]));
+                p.delete(&[id]);
                 stats.insts_nullified += 1;
             }
         }

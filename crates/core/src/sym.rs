@@ -21,7 +21,7 @@
 use om_alpha::{decode, Inst, MemOp, Reg};
 use om_linker::SymbolTable;
 use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, SymbolDef, Visibility};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Errors while translating object code to symbolic form.
@@ -179,25 +179,30 @@ impl SymProc {
     /// Panics if the procedure's last instruction is deleted (cannot
     /// happen: [`translate_module`] rejects a procedure that does not end
     /// in a control instruction, and OM deletes none).
-    pub fn delete(&mut self, doomed: &std::collections::HashSet<InstId>) {
+    pub fn delete(&mut self, doomed: &[InstId]) {
         if doomed.is_empty() {
             return;
         }
-        // Map each deleted id to the id of the next surviving instruction.
-        let mut forward: HashMap<InstId, InstId> = HashMap::new();
+        let mut doomed = doomed.to_vec();
+        doomed.sort_unstable();
+        doomed.dedup();
+        let slot = |id: InstId| doomed.binary_search(&id).ok();
+        // The next surviving instruction of each deleted one, by slot.
+        let mut forward: Vec<Option<InstId>> = vec![None; doomed.len()];
         let mut next_survivor: Option<InstId> = None;
         for i in self.insts.iter().rev() {
-            if doomed.contains(&i.id) {
-                let n = next_survivor.expect("deleted a procedure's last instruction");
-                forward.insert(i.id, n);
-            } else {
-                next_survivor = Some(i.id);
+            match slot(i.id) {
+                Some(k) => {
+                    let n = next_survivor.expect("deleted a procedure's last instruction");
+                    forward[k] = Some(n);
+                }
+                None => next_survivor = Some(i.id),
             }
         }
-        self.insts.retain(|i| !doomed.contains(&i.id));
+        self.insts.retain(|i| slot(i.id).is_none());
         for i in &mut self.insts {
             if let SMark::BrLocal { target } = &mut i.mark {
-                while let Some(&n) = forward.get(target) {
+                if let Some(n) = slot(*target).and_then(|k| forward[k]) {
                     *target = n;
                 }
             }
@@ -221,6 +226,9 @@ pub struct SymProgram {
     pub modules: Vec<SymModule>,
     /// Per module, what each of its symbol ids resolves to program-wide.
     targets: Vec<Vec<GlobalRef>>,
+    /// The link's symbol table with only its commons: all that a layout of
+    /// the program reads of it (see [`crate::analysis::Snapshot`]).
+    pub(crate) commons: SymbolTable,
     /// When set (OM-simple), emitted modules retain every original GAT slot
     /// even if no surviving instruction references it: a traditional linker
     /// that only rewrites instructions in place does not reduce the GAT.
@@ -498,6 +506,7 @@ pub fn resolve_symbolic<M: std::borrow::Borrow<SymModule>>(
     SymProgram {
         modules: modules.iter().map(|m| m.borrow().clone()).collect(),
         targets,
+        commons: SymbolTable { commons: symtab.commons.clone(), ..SymbolTable::default() },
         preserve_gat: true,
     }
 }
@@ -546,7 +555,9 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         .cloned()
         .collect();
 
-    let mut lita_interned: HashMap<(SymId, i64), u32> = HashMap::new();
+    m.lita = gat_entries(program, mi);
+    let slot_of: HashMap<(SymId, i64), u32> =
+        m.lita.iter().enumerate().map(|(k, e)| ((e.sym, e.addend), k as u32)).collect();
 
     for p in &sm.procs {
         let start = m.text.len() as u64;
@@ -570,12 +581,8 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
             match si.mark {
                 SMark::None => {}
                 SMark::Literal { sym, addend, escaping } => {
-                    let slot = *lita_interned.entry((sym, addend)).or_insert_with(|| {
-                        let i = m.lita.len() as u32;
-                        m.lita.push(LitaEntry { sym, addend });
-                        i
-                    });
-                    m.relocs.push(Reloc::text(here, RelocKind::Literal { lita: slot }));
+                    let lita = slot_of[&(sym, addend)];
+                    m.relocs.push(Reloc::text(here, RelocKind::Literal { lita }));
                     if escaping {
                         m.relocs
                             .push(Reloc::text(here, RelocKind::LituseAddr { load_offset: here }));
@@ -663,21 +670,23 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         }
     }
 
-    // OM-simple never shrinks the GAT: re-add original slots that no longer
-    // have a referencing instruction.
-    if program.preserve_gat {
-        for e in &src.lita {
-            if let std::collections::hash_map::Entry::Vacant(v) =
-                lita_interned.entry((e.sym, e.addend))
-            {
-                v.insert(m.lita.len() as u32);
-                m.lita.push(*e);
-            }
-        }
-    }
-
     m.sort_relocs();
     Ok(m)
+}
+
+/// The `.lita` entries [`emit_module`] writes for module `mi`: each distinct
+/// `(symbol, addend)` of its `Literal` marks in code order, then, when the
+/// program preserves its GAT (OM-simple never shrinks it), the input's
+/// entries that no surviving instruction references.
+pub(crate) fn gat_entries(program: &SymProgram, mi: usize) -> Vec<LitaEntry> {
+    let sm = &program.modules[mi];
+    let mut seen: HashSet<(SymId, i64)> = HashSet::new();
+    let literals = sm.procs.iter().flat_map(|p| &p.insts).filter_map(|i| match i.mark {
+        SMark::Literal { sym, addend, .. } => Some(LitaEntry { sym, addend }),
+        _ => None,
+    });
+    let kept = if program.preserve_gat { &sm.source.lita[..] } else { &[] };
+    literals.chain(kept.iter().copied()).filter(|e| seen.insert((e.sym, e.addend))).collect()
 }
 
 /// Emits every module of the program.

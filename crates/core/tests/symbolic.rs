@@ -209,8 +209,7 @@ fn delete_retargets_branches() {
         .expect("loop has a branch");
     let idx = p.index_of(target);
     let next_id = p.insts[idx + 1].id;
-    let doomed: HashSet<_> = [target].into_iter().collect();
-    p.delete(&doomed);
+    p.delete(&[target]);
     let still: Vec<_> = p
         .insts
         .iter()

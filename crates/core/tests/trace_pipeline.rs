@@ -88,8 +88,8 @@ fn emitted_trace_json_is_valid_and_nests() {
     let objs = objects("json");
     let (_, trace) = traced_link(&objs, OmLevel::Full, &OmOptions::default());
     let json = trace.chrome_json("om-test");
-    let names = om_obs::validate_chrome_trace(&json).expect("trace must validate");
-    assert!(names.iter().any(|n| n == "pipeline"));
+    let spans = om_obs::validate_chrome_trace(&json).expect("trace must validate");
+    assert!(spans.iter().any(|s| s.name == "pipeline"));
     // Every pass span nests strictly inside the pipeline span.
     let sink = trace.sink();
     let pipeline = sink.spans.iter().find(|s| s.name == "pipeline").unwrap();

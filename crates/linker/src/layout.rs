@@ -11,7 +11,9 @@
 use crate::error::LinkError;
 use crate::image::{Extent, LayoutInfo};
 use crate::resolve::SymbolTable;
-use om_objfile::{Module, SecId, SymbolDef, SymId, Visibility, DATA_BASE, TEXT_BASE};
+use om_objfile::{
+    LitaEntry, Module, SecId, Symbol, SymbolDef, SymId, Visibility, DATA_BASE, TEXT_BASE,
+};
 use std::collections::HashMap;
 
 /// Maximum GAT slots per GP group: a signed 16-bit displacement spans 64KB
@@ -40,11 +42,24 @@ pub struct ModuleBases {
     pub bss: u64,
 }
 
+impl ModuleBases {
+    /// Base address of the module's section `sec`.
+    pub fn of(&self, sec: SecId) -> u64 {
+        match sec {
+            SecId::Text => self.text,
+            SecId::Data => self.data,
+            SecId::Sdata => self.sdata,
+            SecId::Sbss => self.sbss,
+            SecId::Bss => self.bss,
+        }
+    }
+}
+
 /// Identity of a GAT entry for deduplication: the resolved symbol plus
 /// addend. Locally-visible symbols are distinct per module.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GatKey {
-    Global(String, i64),
+enum GatKey<'a> {
+    Global(&'a str, i64),
     Local(usize, SymId, i64),
 }
 
@@ -97,6 +112,32 @@ fn data_bump(addr: &mut u64, size: u64, what: impl FnOnce() -> String) -> Result
     }
 }
 
+/// What [`layout`] reads of a module: its name, symbols, section sizes and
+/// `.lita`. Addresses follow from sizes alone, so a module can be laid out
+/// without its bytes: OM's snapshots place symbolic modules this way.
+pub trait Placed {
+    fn name(&self) -> &str;
+    fn symbols(&self) -> &[Symbol];
+    /// Byte length of section `sec`.
+    fn section_len(&self, sec: SecId) -> u64;
+    fn lita(&self) -> &[LitaEntry];
+}
+
+impl Placed for Module {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn symbols(&self) -> &[Symbol] {
+        &self.symbols
+    }
+    fn section_len(&self, sec: SecId) -> u64 {
+        Module::section_len(self, sec)
+    }
+    fn lita(&self) -> &[LitaEntry] {
+        &self.lita
+    }
+}
+
 /// Computes the layout of `modules`.
 ///
 /// # Errors
@@ -104,15 +145,15 @@ fn data_bump(addr: &mut u64, size: u64, what: impl FnOnce() -> String) -> Result
 /// [`LinkError::Range`] when a single module's literal pool cannot fit one
 /// GAT group (groups split only at module boundaries) or when the section
 /// sizes overflow the data segment's addressable span.
-pub fn layout(
-    modules: &[Module],
+pub fn layout<P: Placed>(
+    modules: &[P],
     symtab: &SymbolTable,
     opts: &LayoutOpts,
 ) -> Result<ProgramLayout, LinkError> {
     let mut out = ProgramLayout {
         bases: vec![ModuleBases::default(); modules.len()],
         group_of_module: vec![0; modules.len()],
-        lita_addr: modules.iter().map(|m| vec![0; m.lita.len()]).collect(),
+        lita_addr: modules.iter().map(|m| vec![0; m.lita().len()]).collect(),
         ..ProgramLayout::default()
     };
 
@@ -121,7 +162,7 @@ pub fn layout(
     for (mi, m) in modules.iter().enumerate() {
         pc = align(pc, 16);
         out.bases[mi].text = pc;
-        pc += m.text.len() as u64;
+        pc += m.section_len(SecId::Text);
     }
     out.info.text = Extent { base: TEXT_BASE, size: pc - TEXT_BASE };
 
@@ -134,10 +175,10 @@ pub fn layout(
     let mut group_bases: Vec<u64> = vec![group_start];
 
     for (mi, m) in modules.iter().enumerate() {
-        out.gat_entries_input += m.lita.len();
+        out.gat_entries_input += m.lita().len();
         // How many new slots would this module add to the current group?
         let keys: Vec<GatKey> = m
-            .lita
+            .lita()
             .iter()
             .map(|e| gat_key(modules, mi, e.sym, e.addend))
             .collect();
@@ -160,7 +201,7 @@ pub fn layout(
                         "module `{}` alone needs {distinct} GAT slots but one GP group \
                          holds {GAT_GROUP_CAPACITY}; groups split only at module \
                          boundaries (recompile in smaller units)",
-                        m.name
+                        m.name()
                     ),
                 });
             }
@@ -185,7 +226,7 @@ pub fn layout(
     let sdata_base = addr;
     for (mi, m) in modules.iter().enumerate() {
         out.bases[mi].sdata = addr;
-        data_bump(&mut addr, m.sdata.len() as u64, || format!(".sdata of `{}`", m.name))?;
+        data_bump(&mut addr, m.section_len(SecId::Sdata), || format!(".sdata of `{}`", m.name()))?;
     }
     addr = align(addr, 8);
     out.info.sdata = Extent { base: sdata_base, size: addr - sdata_base };
@@ -197,14 +238,14 @@ pub fn layout(
         .map(|(n, &(size, al))| (n, size, al))
         .collect();
     if opts.sort_commons {
-        commons.sort_by_key(|&(n, size, _)| (size, n.clone()));
+        commons.sort_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)));
     } else {
         // Deterministic "input" order: the order names first appear across
         // modules.
         let mut first_seen: HashMap<&str, usize> = HashMap::new();
         let mut i = 0;
         for m in modules {
-            for s in &m.symbols {
+            for s in m.symbols() {
                 if matches!(s.def, SymbolDef::Common { .. })
                     && !first_seen.contains_key(s.name.as_str())
                 {
@@ -226,7 +267,7 @@ pub fn layout(
     for (mi, m) in modules.iter().enumerate() {
         addr = align(addr, 8);
         out.bases[mi].sbss = addr;
-        data_bump(&mut addr, m.sbss_size, || format!(".sbss of `{}`", m.name))?;
+        data_bump(&mut addr, m.section_len(SecId::Sbss), || format!(".sbss of `{}`", m.name()))?;
     }
     out.info.sbss = Extent { base: sbss_base, size: addr - sbss_base };
 
@@ -236,7 +277,7 @@ pub fn layout(
     for (mi, m) in modules.iter().enumerate() {
         addr = align(addr, 16);
         out.bases[mi].data = addr;
-        data_bump(&mut addr, m.data.len() as u64, || format!(".data of `{}`", m.name))?;
+        data_bump(&mut addr, m.section_len(SecId::Data), || format!(".data of `{}`", m.name()))?;
     }
     out.info.data = Extent { base: data_base, size: addr - data_base };
 
@@ -246,20 +287,20 @@ pub fn layout(
     for (mi, m) in modules.iter().enumerate() {
         addr = align(addr, 16);
         out.bases[mi].bss = addr;
-        data_bump(&mut addr, m.bss_size, || format!(".bss of `{}`", m.name))?;
+        data_bump(&mut addr, m.section_len(SecId::Bss), || format!(".bss of `{}`", m.name()))?;
     }
     out.info.bss = Extent { base: bss_base, size: addr - bss_base };
 
     Ok(out)
 }
 
-fn gat_key(modules: &[Module], mi: usize, sym: SymId, addend: i64) -> GatKey {
-    let s = modules[mi].symbol(sym);
+fn gat_key<P: Placed>(modules: &[P], mi: usize, sym: SymId, addend: i64) -> GatKey<'_> {
+    let s = &modules[mi].symbols()[sym.0 as usize];
     if s.vis == Visibility::Local && s.is_defined() {
         GatKey::Local(mi, sym, addend)
     } else {
         // Exported definition or external reference: identity is the name.
-        GatKey::Global(s.name.clone(), addend)
+        GatKey::Global(&s.name, addend)
     }
 }
 
@@ -289,13 +330,7 @@ pub fn sym_addr(
         let b = &layout.bases[dm];
         let addr = match &d.def {
             SymbolDef::Proc { offset, .. } => b.text + offset,
-            SymbolDef::Data { sec, offset, .. } => match sec {
-                SecId::Data => b.data + offset,
-                SecId::Sdata => b.sdata + offset,
-                SecId::Sbss => b.sbss + offset,
-                SecId::Bss => b.bss + offset,
-                SecId::Text => b.text + offset,
-            },
+            SymbolDef::Data { sec, offset, .. } => b.of(*sec) + offset,
             SymbolDef::Common { .. } | SymbolDef::Extern => {
                 // A "defined" local common cannot exist; fall through to the
                 // common allocation.

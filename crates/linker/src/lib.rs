@@ -33,7 +33,7 @@ pub mod resolve;
 
 pub use error::LinkError;
 pub use image::{Extent, Image, LayoutInfo, Segment};
-pub use layout::{layout, sym_addr, LayoutOpts, ProgramLayout, GAT_GROUP_CAPACITY};
+pub use layout::{layout, sym_addr, LayoutOpts, Placed, ProgramLayout, GAT_GROUP_CAPACITY};
 pub use relocate::build_image;
 pub use resolve::{build_symbol_table, select_modules, SymbolTable};
 

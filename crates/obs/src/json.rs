@@ -341,25 +341,25 @@ fn string(b: &[u8], at: &mut usize) -> Result<String, String> {
     }
 }
 
-/// One span event pulled out of a chrome trace for validation.
+/// One complete span event of a chrome trace, in microseconds.
 #[derive(Debug, Clone)]
-struct CheckSpan {
-    name: String,
-    tid: u64,
-    start: f64,
-    end: f64,
-    depth: u64,
+pub struct TraceSpan {
+    pub name: String,
+    pub tid: u64,
+    pub start: f64,
+    pub end: f64,
+    pub depth: u64,
 }
 
 /// Validates a `--trace-json` document: parses, checks every `traceEvents`
 /// entry is a well-formed complete/metadata event, and proves the complete
-/// spans nest properly per thread (no partial overlap). Returns the span
-/// names found.
+/// spans nest properly per thread (no partial overlap). Returns the
+/// complete spans found.
 ///
 /// # Errors
 ///
 /// Returns a description of the first structural violation.
-pub fn validate_chrome_trace(text: &str) -> Result<Vec<String>, String> {
+pub fn validate_chrome_trace(text: &str) -> Result<Vec<TraceSpan>, String> {
     let doc = parse(text)?;
     let events = doc
         .get("traceEvents")
@@ -372,7 +372,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<Vec<String>, String> {
         })
         .ok_or("missing counters object")?;
 
-    let mut spans: Vec<CheckSpan> = Vec::new();
+    let mut spans: Vec<TraceSpan> = Vec::new();
     for (i, e) in events.iter().enumerate() {
         let ph = e
             .get("ph")
@@ -404,13 +404,13 @@ pub fn validate_chrome_trace(text: &str) -> Result<Vec<String>, String> {
             .and_then(|a| a.get("depth"))
             .and_then(JsonValue::as_f64)
             .ok_or(format!("event {i}: missing args.depth"))? as u64;
-        spans.push(CheckSpan { name: name.to_string(), tid: tid as u64, start: ts, end: ts + dur, depth });
+        spans.push(TraceSpan { name: name.to_string(), tid: tid as u64, start: ts, end: ts + dur, depth });
     }
 
     // Nesting check, per tid: sort by (start, deeper-last, longer-first) and
     // sweep with a stack. A span must be disjoint from, or fully contained
     // in, the enclosing one.
-    let mut by_tid: BTreeMap<u64, Vec<&CheckSpan>> = BTreeMap::new();
+    let mut by_tid: BTreeMap<u64, Vec<&TraceSpan>> = BTreeMap::new();
     for s in &spans {
         by_tid.entry(s.tid).or_default().push(s);
     }
@@ -422,7 +422,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<Vec<String>, String> {
                 .then(a.depth.cmp(&b.depth))
                 .then(b.end.partial_cmp(&a.end).unwrap())
         });
-        let mut stack: Vec<&CheckSpan> = Vec::new();
+        let mut stack: Vec<&TraceSpan> = Vec::new();
         for s in list {
             while let Some(top) = stack.last() {
                 if s.start >= top.end {
@@ -454,7 +454,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<Vec<String>, String> {
         }
     }
 
-    Ok(spans.into_iter().map(|s| s.name).collect())
+    Ok(spans)
 }
 
 #[cfg(test)]
@@ -523,9 +523,9 @@ mod tests {
             crate::count("pass.convert.addr_loads_converted", 3);
         }
         let text = t.chrome_json("om");
-        let names = validate_chrome_trace(&text).unwrap();
-        assert!(names.contains(&"pipeline".to_string()));
-        assert!(names.contains(&"pass.convert".to_string()));
+        let spans = validate_chrome_trace(&text).unwrap();
+        assert!(spans.iter().any(|s| s.name == "pipeline"));
+        assert!(spans.iter().any(|s| s.name == "pass.convert"));
         let doc = parse(&text).unwrap();
         assert_eq!(
             doc.get("counters")

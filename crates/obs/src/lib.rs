@@ -41,7 +41,7 @@ pub mod json;
 pub mod trace;
 
 pub use hist::{Histogram, HIST_BUCKETS};
-pub use json::{parse as parse_json, validate_chrome_trace, JsonValue};
+pub use json::{parse as parse_json, validate_chrome_trace, JsonValue, TraceSpan};
 pub use trace::{
     count, enabled, span, timer_ns, InstallGuard, Sink, Span, SpanEvent, Trace,
 };

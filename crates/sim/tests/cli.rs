@@ -69,6 +69,6 @@ fn trace_json_writes_a_valid_trace_with_a_run_span() {
     let out = asim(&["--trace-json", trace.to_str().unwrap(), image.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(58), "{}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read_to_string(&trace).expect("trace written");
-    let names = om_obs::validate_chrome_trace(&text).expect("trace validates");
-    assert!(names.iter().any(|n| n == "sim.run"), "{names:?}");
+    let spans = om_obs::validate_chrome_trace(&text).expect("trace validates");
+    assert!(spans.iter().any(|s| s.name == "sim.run"), "{spans:?}");
 }
