@@ -56,15 +56,6 @@ impl MemOp {
         matches!(self, MemOp::Ldt | MemOp::Stt)
     }
 
-    /// Access size in bytes for loads/stores, 0 for LDA/LDAH.
-    pub fn access_bytes(self) -> u64 {
-        match self {
-            MemOp::Lda | MemOp::Ldah => 0,
-            MemOp::Ldl | MemOp::Stl => 4,
-            MemOp::Ldq | MemOp::LdqU | MemOp::Stq | MemOp::Ldt | MemOp::Stt => 8,
-        }
-    }
-
     fn mnemonic(self) -> &'static str {
         match self {
             MemOp::Lda => "lda",
@@ -533,7 +524,5 @@ mod tests {
         assert!(MemOp::Ldq.is_load());
         assert!(!MemOp::Ldq.is_store());
         assert!(MemOp::Stt.is_store());
-        assert_eq!(MemOp::Ldl.access_bytes(), 4);
-        assert_eq!(MemOp::Ldah.access_bytes(), 0);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! omfuzz [--seeds N] [--start S] [--jobs N] [--out DIR]
-//!        [--modules N] [--procs N] [--stmts N] [--adversarial]
+//!        [--modules N] [--procs N] [--stmts N]
+//! omfuzz --adversarial
 //! ```
 //!
 //! Each seed generates a random mini-C program, runs the mini-C interpreter
@@ -20,11 +21,24 @@
 //! ([`om_bench::adversarial`]) instead of random seeds: hand-shaped inputs
 //! sitting on the pipeline's limits. Source cases go through the same
 //! oracle as the seeds; object cases must fail with a typed `Range` error
-//! (or link, on the boundary). Exits 1 if any case fails or panics.
+//! (or link, on the boundary). It takes no other option. Exits 1 if any
+//! case fails or panics.
+//!
+//! Every argument is parsed before any work starts; a usage error exits 2
+//! with the usage text.
 
 use om_bench::fuzz::{check, generate, shrink, write_repro, FuzzConfig, Outcome};
 use om_bench::par::{default_jobs, parallel_map};
 use std::process::exit;
+
+fn usage(msg: &str) -> ! {
+    eprintln!("omfuzz: {msg}");
+    eprintln!(
+        "usage: omfuzz [--seeds N] [--start S] [--jobs N] [--out DIR] \
+         [--modules N] [--procs N] [--stmts N]\n       omfuzz --adversarial"
+    );
+    exit(2);
+}
 
 fn main() {
     let mut seeds: u64 = 100;
@@ -32,53 +46,40 @@ fn main() {
     let mut jobs: usize = default_jobs();
     let mut out_dir = String::from("target/omfuzz");
     let mut cfg = FuzzConfig::default();
+    let mut adversarial = false;
+    let mut other_options = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--adversarial" => run_adversarial(),
-            "--seeds" => {
-                i += 1;
-                seeds = parse_num(args.get(i), "--seeds");
-            }
-            "--start" => {
-                i += 1;
-                start = parse_num(args.get(i), "--start");
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = (parse_num(args.get(i), "--jobs") as usize).max(1);
-            }
-            "--modules" => {
-                i += 1;
-                cfg.max_modules = parse_num(args.get(i), "--modules") as usize;
-            }
-            "--procs" => {
-                i += 1;
-                cfg.max_procs_per_module = parse_num(args.get(i), "--procs") as usize;
-            }
-            "--stmts" => {
-                i += 1;
-                cfg.max_stmts = parse_num(args.get(i), "--stmts") as usize;
-            }
-            "--out" => {
-                i += 1;
-                out_dir = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("omfuzz: --out needs a directory");
-                    exit(2);
-                });
-            }
-            other => {
-                eprintln!("omfuzz: unknown option {other}");
-                eprintln!(
-                    "usage: omfuzz [--seeds N] [--start S] [--jobs N] [--out DIR] \
-                     [--modules N] [--procs N] [--stmts N] [--adversarial]"
-                );
-                exit(2);
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        if flag == "--adversarial" {
+            adversarial = true;
+            continue;
         }
-        i += 1;
+        other_options = true;
+        let value = args.next().filter(|v| !v.starts_with('-'));
+        let num = || value.as_deref().and_then(|v| v.parse::<u64>().ok());
+        let number = || num().unwrap_or_else(|| usage(&format!("{flag} needs a number")));
+        match flag.as_str() {
+            "--seeds" => seeds = number(),
+            "--start" => start = number(),
+            "--jobs" => {
+                jobs = match num() {
+                    Some(n) if n >= 1 => n as usize,
+                    _ => usage("--jobs needs a thread count >= 1"),
+                }
+            }
+            "--modules" => cfg.max_modules = number() as usize,
+            "--procs" => cfg.max_procs_per_module = number() as usize,
+            "--stmts" => cfg.max_stmts = number() as usize,
+            "--out" => out_dir = value.unwrap_or_else(|| usage("--out needs a directory")),
+            other => usage(&format!("unknown option {other}")),
+        }
+    }
+    if adversarial {
+        if other_options {
+            usage("--adversarial runs the fixed corpus and takes no other option");
+        }
+        run_adversarial();
     }
 
     let all_seeds: Vec<u64> = (start..start + seeds).collect();
@@ -158,11 +159,4 @@ fn run_adversarial() -> ! {
     }
     eprintln!("omfuzz: adversarial corpus: all cases passed");
     exit(0);
-}
-
-fn parse_num(arg: Option<&String>, flag: &str) -> u64 {
-    arg.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("omfuzz: {flag} needs a number");
-        exit(2);
-    })
 }

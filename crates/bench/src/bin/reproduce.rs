@@ -3,37 +3,36 @@
 //! Usage:
 //!
 //! ```text
-//! reproduce [fig3] [fig4] [fig5] [fig6] [fig7] [gat] [pgo] [fleet] [passes]
-//!           [scale] [all] [--quick] [--bench NAME]... [--jobs N] [--json PATH]
+//! reproduce [FIGURE]... [all] [--quick] [--bench NAME]... [--jobs N] [--json PATH]
 //! reproduce check RUN [BASELINE]
 //! ```
 //!
+//! The figures are [`figures::FIGURES`]; none or `all` selects every one.
 //! Benchmarks are built and measured on a worker pool (`--jobs`, default =
 //! available parallelism); results are rendered in spec order, so stdout is
 //! byte-identical at any width. `--json` additionally writes machine-
 //! readable per-figure rows; Figure 7's wall-clock table is printed only,
-//! so the report is byte-identical at any width too.
+//! so the report is byte-identical at any width too. `--bench` filters the
+//! paper benchmarks, so it needs a figure that measures them.
 //!
 //! `check` is the BENCH drift gate ([`json::check`]): it checks a `--json`
 //! report's figure coverage and oracle markers and, given a baseline,
 //! compares its deterministic rows field by field. It exits 1 on any
 //! finding or an unreadable report, 2 on bad arguments.
 
-use om_bench::figures::{self, Prepared, Selection};
+use om_bench::figures::{self, Prepared, FIGURES, OWN_PROGRAMS};
 use om_bench::fleet::{self, FleetConfig};
 use om_bench::par::{default_jobs, parallel_map};
-use om_bench::{json, render};
+use om_bench::{json, mutate, render, scale};
 use om_obs::json::JsonValue;
 use om_workloads::spec;
-
-const FIGURES: [&str; 10] =
-    ["fig3", "fig4", "fig5", "fig6", "fig7", "gat", "pgo", "fleet", "passes", "scale"];
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: reproduce [fig3|fig4|fig5|fig6|fig7|gat|pgo|fleet|passes|scale|all] [--quick] \
-         [--bench NAME]... [--jobs N] [--json PATH]\n       reproduce check RUN [BASELINE]"
+        "usage: reproduce [{}|all] [--quick] [--bench NAME]... [--jobs N] [--json PATH]\n       \
+         reproduce check RUN [BASELINE]",
+        FIGURES.join("|")
     );
     std::process::exit(2);
 }
@@ -125,42 +124,22 @@ fn main() {
         which.extend(FIGURES);
     }
 
+    let per_bench = which.iter().any(|f| !OWN_PROGRAMS.contains(f));
+    if !filter.is_empty() && !per_bench {
+        usage("--bench filters the paper benchmarks, and no selected figure measures them");
+    }
     let specs: Vec<_> = spec::all()
         .into_iter()
         .filter(|s| filter.is_empty() || filter.iter().any(|f| f == s.name))
         .map(|s| if quick { spec::quick(&s) } else { s })
         .collect();
     if specs.is_empty() {
-        eprintln!("no benchmarks match the filter");
-        std::process::exit(2);
+        usage("no benchmarks match the filter");
     }
-
-    let sel = Selection {
-        fig3: which.contains(&"fig3"),
-        fig4: which.contains(&"fig4"),
-        fig5: which.contains(&"fig5"),
-        fig6: which.contains(&"fig6"),
-        fig7: which.contains(&"fig7"),
-        gat: which.contains(&"gat"),
-        pgo: which.contains(&"pgo"),
-        fleet: which.contains(&"fleet"),
-        passes: which.contains(&"passes"),
-        scale: which.contains(&"scale"),
-    };
-
-    // The scale figure measures its own synthetic programs; skip building
-    // the 19 paper benchmarks when nothing else was asked for.
-    let needs_specs = sel.fig3
-        || sel.fig4
-        || sel.fig5
-        || sel.fig6
-        || sel.fig7
-        || sel.gat
-        || sel.pgo
-        || sel.fleet
-        || sel.passes;
-    let specs = if needs_specs { specs } else { Vec::new() };
-    if needs_specs {
+    // The scale and mutants figures measure programs of their own; skip
+    // building the 19 paper benchmarks when nothing else was asked for.
+    let specs = if per_bench { specs } else { Vec::new() };
+    if per_bench {
         eprintln!(
             "building {} benchmarks (both compile modes, {jobs} jobs)...",
             specs.len()
@@ -168,22 +147,24 @@ fn main() {
     }
     let prepared: Vec<Prepared> = parallel_map(jobs, &specs, Prepared::new);
 
-    if sel.fig6 {
+    if which.contains(&"fig6") {
         eprintln!("fig6: simulating 8 variants per benchmark...");
     }
-    if sel.pgo {
+    if which.contains(&"pgo") {
         eprintln!("pgo: profiling + relinking + simulating the ninth variant...");
     }
+    if which.contains(&"ablations") {
+        eprintln!("ablations: three ablated links, simulated, per benchmark...");
+    }
+    let mut rows = parallel_map(jobs, &prepared, |p| figures::measure(p, &which));
     // Figure 7 measures pipeline wall-clock, so it runs sequentially after
     // the parallel pass — concurrent workers would contend and inflate it.
-    let par_sel = Selection { fig7: false, fleet: false, scale: false, ..sel };
-    let mut rows = parallel_map(jobs, &prepared, |p| figures::measure(p, par_sel));
-    if sel.fig7 {
+    if which.contains(&"fig7") {
         for (r, p) in rows.iter_mut().zip(&prepared) {
             r.fig7 = Some(figures::fig7(p));
         }
     }
-    if sel.fleet {
+    if which.contains(&"fleet") {
         // Sequential across benchmarks: the storm is internally parallel.
         let cfg = if quick { FleetConfig::quick() } else { FleetConfig::full() };
         eprintln!("fleet: relink storm ({} edits x {} repeats, {} threads)...",
@@ -192,13 +173,20 @@ fn main() {
             r.fleet = Some(fleet::fleet(&p.each, &cfg));
         }
     }
-    if sel.scale && filter.is_empty() {
-        // Scale points are whole synthetic programs of their own, appended
-        // after the 19 paper benchmarks.
-        for n in om_bench::scale::points(quick) {
+    // The own-program figures are appended after the 19 paper benchmarks.
+    if which.contains(&"scale") && filter.is_empty() {
+        for n in scale::points(quick) {
             eprintln!("scale: measuring scale{n} ({n} modules, all oracles)...");
-            rows.push(om_bench::scale::bench_rows(n));
+            rows.push(scale::bench_rows(n));
         }
+    }
+    if which.contains(&"mutants") && filter.is_empty() {
+        eprintln!(
+            "mutants: {} seeds x {} sites per class on {jobs} jobs...",
+            mutate::DEFAULT_SEEDS.len(),
+            mutate::SITES_PER_CLASS
+        );
+        rows.push(mutate::bench_rows(jobs));
     }
 
     for w in &which {
@@ -224,6 +212,12 @@ fn main() {
                 let pairs = rows_of!(scale);
                 if !pairs.is_empty() {
                     println!("{}", render::scale(&pairs));
+                }
+            }
+            "ablations" => println!("{}", render::ablations(&rows_of!(ablations))),
+            "mutants" => {
+                for card in rows.iter().filter_map(|r| r.mutants.as_ref()) {
+                    println!("{}", render::mutants(card));
                 }
             }
             _ => unreachable!(),

@@ -474,49 +474,81 @@ pub fn gat(p: &Prepared) -> GatRow {
     }
 }
 
-/// Which artifacts a harness invocation should measure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Selection {
-    pub fig3: bool,
-    pub fig4: bool,
-    pub fig5: bool,
-    pub fig6: bool,
-    pub fig7: bool,
-    pub gat: bool,
-    pub pgo: bool,
-    /// The CI-fleet relink storm ([`crate::fleet`]). Like `fig7`, measured
-    /// sequentially by the harness (the storm is internally parallel).
-    pub fleet: bool,
-    /// The per-pass counter table ([`passes`]): deterministic, measured in
-    /// the parallel pass like fig3–fig5.
-    pub passes: bool,
-    /// The scale-out figure ([`crate::scale`]). Not per-benchmark: the
-    /// harness runs it sequentially over its own scale points and appends
-    /// dedicated `scale{N}` rows.
-    pub scale: bool,
+/// Three design choices the paper weighs, each switched off alone on the
+/// compile-each build (DESIGN §10): the default value, then the ablated one.
+#[derive(Debug, Clone, Copy)]
+pub struct AblationsRow {
+    /// OM-simple's nullified address loads with commons sorted by size next
+    /// to the GAT, and unsorted.
+    pub nullified_sorted: usize,
+    pub nullified_unsorted: usize,
+    /// OM-full's GAT slots after the reduction fixpoint, and after one round.
+    pub gat_fixpoint: usize,
+    pub gat_one_round: usize,
+    /// OM-full w/sched cycles with backward-branch targets quadword-aligned,
+    /// and unaligned.
+    pub cycles_aligned: u64,
+    pub cycles_unaligned: u64,
 }
 
-impl Selection {
-    /// Everything the `all` command reproduces.
-    pub fn all() -> Selection {
-        Selection {
-            fig3: true,
-            fig4: true,
-            fig5: true,
-            fig6: true,
-            fig7: true,
-            gat: true,
-            pgo: true,
-            fleet: true,
-            passes: true,
-            scale: true,
-        }
+/// Measures the ablations for one prepared benchmark. The default-option
+/// runs come from the memo grid; each ablation is one fresh link, simulated.
+///
+/// # Panics
+///
+/// Panics if an ablated image computes a different result from the default
+/// OM-full w/sched image: no ablation may change what the program computes.
+pub fn ablations(p: &Prepared) -> AblationsRow {
+    let mode = CompileMode::Each;
+    let (expect, aligned) = p.run_om(mode, OmLevel::FullSched);
+    let ablate = |level: OmLevel, options: OmOptions, what: &str| {
+        let b = &p.each;
+        let out = optimize_and_link_with(&b.objects, &b.libs, level, &options)
+            .unwrap_or_else(|e| panic!("{} {what}: {e}", p.spec.name));
+        let (r, t) = run_timed_fast(&out.image, SIM_LIMIT)
+            .unwrap_or_else(|e| panic!("{} {what}: {e}", p.spec.name));
+        assert_eq!(r.result, expect, "{}: {what} must not change the result", p.spec.name);
+        (out.stats, t.cycles)
+    };
+    let (unsorted, _) = ablate(
+        OmLevel::Simple,
+        OmOptions { sort_commons: false, ..OmOptions::default() },
+        "unsorted commons",
+    );
+    let (one_round, _) = ablate(
+        OmLevel::Full,
+        OmOptions { max_rounds: 1, ..OmOptions::default() },
+        "one GAT round",
+    );
+    let (_, cycles_unaligned) = ablate(
+        OmLevel::FullSched,
+        OmOptions { align_backward_targets: false, ..OmOptions::default() },
+        "unaligned loop heads",
+    );
+    AblationsRow {
+        nullified_sorted: p.om_stats(mode, OmLevel::Simple).addr_loads_nullified,
+        nullified_unsorted: unsorted.addr_loads_nullified,
+        gat_fixpoint: p.om_stats(mode, OmLevel::Full).gat_slots_after,
+        gat_one_round: one_round.gat_slots_after,
+        cycles_aligned: aligned.cycles,
+        cycles_unaligned,
     }
 }
 
+/// Every figure `reproduce` produces, in print order; `all` selects them
+/// all. A figure's name is its `"fig"` key in the JSON report.
+pub const FIGURES: [&str; 12] = [
+    "fig3", "fig4", "fig5", "fig6", "fig7", "gat", "pgo", "fleet", "passes", "scale", "ablations",
+    "mutants",
+];
+
+/// The figures that measure programs of their own instead of the paper
+/// benchmarks, so `--bench` does not apply to them.
+pub const OWN_PROGRAMS: [&str; 2] = ["scale", "mutants"];
+
 /// Every selected figure's rows for one benchmark — the unit of parallel
 /// measurement in the harness.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchRows {
     pub name: String,
     pub fig3: Option<Fig3Row>,
@@ -534,28 +566,35 @@ pub struct BenchRows {
     /// ([`crate::scale::bench_rows`]); always `None` on the 19 paper
     /// benchmarks.
     pub scale: Option<crate::scale::ScaleRow>,
+    pub ablations: Option<AblationsRow>,
+    /// The mutation-kill scorecard — only on the dedicated `mutants` entry
+    /// ([`crate::mutate::bench_rows`]).
+    pub mutants: Option<crate::mutate::Scorecard>,
 }
 
-/// Measures all selected figures for one benchmark. Thanks to the memoized
-/// pipeline, overlapping figures (3/4/5/6/gat) share OM runs.
-pub fn measure(p: &Prepared, sel: Selection) -> BenchRows {
+/// Measures the figures of `which` ([`FIGURES`] names) that run in the
+/// parallel pass. Thanks to the memoized pipeline, overlapping figures
+/// (3/4/5/6/gat/ablations) share OM runs. `fig7` and `fleet` are measured
+/// by the caller after this pass, and the [`OWN_PROGRAMS`] figures get
+/// entries of their own.
+pub fn measure(p: &Prepared, which: &[&str]) -> BenchRows {
+    let on = |fig: &str| which.contains(&fig);
     BenchRows {
         name: p.spec.name.to_string(),
-        fig3: sel.fig3.then(|| fig3(p)),
-        fig4: sel.fig4.then(|| fig4(p)),
-        fig5: sel.fig5.then(|| fig5(p)),
-        fig6: sel.fig6.then(|| {
+        fig3: on("fig3").then(|| fig3(p)),
+        fig4: on("fig4").then(|| fig4(p)),
+        fig5: on("fig5").then(|| fig5(p)),
+        fig6: on("fig6").then(|| {
             eprintln!("  fig6: {}", p.spec.name);
             fig6(p)
         }),
-        fig7: sel.fig7.then(|| fig7(p)),
-        gat: sel.gat.then(|| gat(p)),
-        pgo: sel.pgo.then(|| {
+        gat: on("gat").then(|| gat(p)),
+        pgo: on("pgo").then(|| {
             eprintln!("  pgo: {}", p.spec.name);
             pgo(p)
         }),
-        fleet: None,
-        passes: sel.passes.then(|| passes(p)),
-        scale: None,
+        passes: on("passes").then(|| passes(p)),
+        ablations: on("ablations").then(|| ablations(p)),
+        ..BenchRows::default()
     }
 }

@@ -3,14 +3,15 @@
 //! `reproduce check RUN [BASELINE]` ([`check`]).
 //!
 //! Every figure row is one object keyed by its `"fig"` and `"bench"`,
-//! written one per line so a human diff stays readable. The gate reads the
+//! written one per line so a human diff stays readable. A `mutants` row's
+//! `"bench"` is its mutant, `<class>/<seed>/<site>`. The gate reads the
 //! report through [`om_obs::json`] and judges it by the schema declared
-//! here, next to the writer: the [`REQUIRED`] figures and the [`MARKERS`]
-//! oracles. Every row is bit-deterministic, so the report depends only on
-//! the code: Figure 7's wall-clock table is printed by `reproduce fig7` and
-//! never written here.
+//! here, next to the writer: every figure of [`FIGURES`] but [`PRINT_ONLY`]
+//! and the [`MARKERS`] oracles. Every row is bit-deterministic, so the
+//! report depends only on the code: Figure 7's wall-clock table is printed
+//! by `reproduce fig7` and never written here.
 
-use crate::figures::BenchRows;
+use crate::figures::{BenchRows, FIGURES};
 use om_obs::json::{quote, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -192,6 +193,37 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
             ],
         );
     }
+    if let Some(x) = r.ablations {
+        sep(out);
+        push_row(
+            out,
+            "ablations",
+            &r.name,
+            &[
+                ("nullified_sorted", x.nullified_sorted.to_string()),
+                ("nullified_unsorted", x.nullified_unsorted.to_string()),
+                ("gat_fixpoint", x.gat_fixpoint.to_string()),
+                ("gat_one_round", x.gat_one_round.to_string()),
+                ("cycles_aligned", x.cycles_aligned.to_string()),
+                ("cycles_unaligned", x.cycles_unaligned.to_string()),
+            ],
+        );
+    }
+    for m in r.mutants.iter().flat_map(|card| &card.rows) {
+        sep(out);
+        push_row(
+            out,
+            "mutants",
+            &format!("{}/{}/{}", m.class, m.seed, m.site),
+            &[
+                ("verify", m.verify.to_string()),
+                ("checksum", m.checksum.to_string()),
+                ("interp", m.interp.to_string()),
+                ("killed", m.killed().to_string()),
+                ("detail", quote(&m.detail)),
+            ],
+        );
+    }
     n
 }
 
@@ -223,23 +255,25 @@ pub fn report(rows: &[BenchRows], quick: bool) -> String {
 // The drift gate (`reproduce check`)
 // ---------------------------------------------------------------------------
 
-/// Figures a `reproduce all --quick` run must produce at least one row of;
-/// a silently skipped figure would otherwise shrink the comparison instead
-/// of failing it.
-pub const REQUIRED: [&str; 9] =
-    ["fig3", "fig4", "fig5", "fig6", "gat", "pgo", "fleet", "passes", "scale"];
+/// The figure `reproduce` prints but never writes: Figure 7's wall-clock
+/// table. A `reproduce all --quick` run must produce at least one row of
+/// every other figure of [`FIGURES`]; a silently skipped figure would
+/// otherwise shrink the comparison instead of failing it.
+pub const PRINT_ONLY: &str = "fig7";
 
 /// Oracle markers, checked on every row of their figure: `(fig, field,
 /// value as written)`, where `None` only requires the field. The harness
-/// enforces these oracles itself; the gate re-checks what it recorded so a
-/// harness regression cannot slip an unverified row into the baseline.
-pub const MARKERS: [(&str, &str, Option<&str>); 6] = [
+/// enforces most of these oracles itself; the gate re-checks what it
+/// recorded so a harness regression cannot slip an unverified row into the
+/// baseline. A mutant that escapes every oracle is recorded, and fails here.
+pub const MARKERS: [(&str, &str, Option<&str>); 7] = [
     ("pgo", "pgo_cycles_each", None),
     ("fleet", "byte_identical", Some("true")),
     ("passes", "reconciled", Some("true")),
     ("scale", "verified_variants", Some("8")),
     ("scale", "shared_identical", Some("true")),
     ("scale", "edit_module_misses", Some("1")),
+    ("mutants", "killed", Some("true")),
 ];
 
 /// A report's figure rows by `(fig, bench)`.
@@ -271,18 +305,18 @@ fn show(v: Option<&JsonValue>) -> String {
     v.map_or_else(|| "absent".to_string(), ToString::to_string)
 }
 
-/// Gates a `reproduce --json` report: every [`REQUIRED`] figure has a row,
-/// and every row carries its figure's [`MARKERS`]. Against a `baseline`,
-/// every row must also appear in both reports under the same `(fig, bench)`
-/// with the same fields, each value equal exactly as written. Row order and
-/// formatting do not matter.
+/// Gates a `reproduce --json` report: every figure of [`FIGURES`] but
+/// [`PRINT_ONLY`] has a row, and every row carries its figure's
+/// [`MARKERS`]. Against a `baseline`, every row must also appear in both
+/// reports under the same `(fig, bench)` with the same fields, each value
+/// equal exactly as written. Row order and formatting do not matter.
 ///
 /// Returns one finding per violation, naming the figure, benchmark and
 /// field; empty means the report passes.
 pub fn check(run: &JsonValue, baseline: Option<&JsonValue>) -> Vec<String> {
     let mut findings = Vec::new();
     let rows = index(run, "run", &mut findings);
-    for fig in REQUIRED {
+    for fig in FIGURES.into_iter().filter(|f| *f != PRINT_ONLY) {
         if !rows.keys().any(|(f, _)| *f == fig) {
             findings.push(format!("{fig}: run has no rows"));
         }
@@ -331,11 +365,13 @@ pub fn check(run: &JsonValue, baseline: Option<&JsonValue>) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::figures::{
-        Fig3Row, Fig4Row, Fig5Row, Fig6Row, Fig7Row, GatRow, PassesRow, PgoRow, PASS_NAMES,
+        AblationsRow, Fig3Row, Fig4Row, Fig5Row, Fig6Row, Fig7Row, GatRow, PassesRow, PgoRow,
+        PASS_NAMES,
     };
+    use crate::mutate::{scorecard, MutantRecord};
     use om_obs::json;
 
-    /// One benchmark with a row in every figure.
+    /// One benchmark with a row in every figure, and one mutant.
     fn sample(name: &str) -> BenchRows {
         BenchRows {
             name: name.into(),
@@ -417,6 +453,23 @@ mod tests {
                 edit_module_misses: 1,
                 edit_hit_rate: 0.9375,
             }),
+            ablations: Some(AblationsRow {
+                nullified_sorted: 95,
+                nullified_unsorted: 81,
+                gat_fixpoint: 25,
+                gat_one_round: 26,
+                cycles_aligned: 4962700,
+                cycles_unaligned: 4978545,
+            }),
+            mutants: Some(scorecard(vec![MutantRecord {
+                class: "img-gat-trunc",
+                seed: 3,
+                site: 0,
+                verify: true,
+                checksum: true,
+                interp: false,
+                detail: "slot \"0x10\" truncated".into(),
+            }])),
         }
     }
 
@@ -433,7 +486,7 @@ mod tests {
 "#;
         assert!(s.starts_with(header), "{s}");
         let bench_lines: Vec<&str> = s.lines().filter(|l| l.contains("\"bench\"")).collect();
-        assert_eq!(bench_lines.len(), 6, "{s}");
+        assert_eq!(bench_lines.len(), 8, "{s}");
         assert!(bench_lines[0].contains("\"fig\":\"fig5\""), "{s}");
         assert!(bench_lines[1].contains("\"each_before\":40"), "{s}");
         assert!(bench_lines[2].contains("\"fig\":\"pgo\""), "{s}");
@@ -449,16 +502,25 @@ mod tests {
         assert!(bench_lines[5].contains("\"verified_variants\":8"), "{s}");
         assert!(bench_lines[5].contains("\"edit_module_misses\":1"), "{s}");
         assert!(!bench_lines[5].contains("sampled"), "{s}");
+        assert!(bench_lines[6].contains("\"fig\":\"ablations\""), "{s}");
+        assert!(bench_lines[6].contains("\"gat_one_round\":26"), "{s}");
+        assert!(
+            bench_lines[7].ends_with(
+                r#"{"fig":"mutants","bench":"img-gat-trunc/3/0","verify":true,"checksum":true,"interp":false,"killed":true,"detail":"slot \"0x10\" truncated"}"#
+            ),
+            "{s}"
+        );
         let doc = json::parse(&s).expect("the report is JSON");
         let rows = doc.get("rows").and_then(JsonValue::as_arr).unwrap_or_default();
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 8);
         // `fig`, `bench` and the 21 `ScaleRow` fields, nothing else.
         assert!(matches!(&rows[5], JsonValue::Obj(m) if m.len() == 23), "{s}");
     }
 
-    /// A two-benchmark report: every figure present, two `scale` rows.
+    /// A two-benchmark report: every figure present, two `scale` rows, one
+    /// mutant.
     fn two_bench_report() -> String {
-        report(&[sample("alpha"), sample("beta")], true)
+        report(&[sample("alpha"), BenchRows { mutants: None, ..sample("beta") }], true)
     }
 
     /// `text` with `field` on the `(fig, bench)` row replaced by `value`.
@@ -499,9 +561,13 @@ mod tests {
                 assert!(findings.iter().any(|f| f.starts_with(&want)), "{findings:?}");
             }
         }
-        for (fig, field) in [("fleet", "byte_identical"), ("passes", "reconciled")] {
-            let findings = check_text(&edit(&good, fig, "beta", field, "false"), None);
-            assert_eq!(findings, [format!("{fig} beta {field}: false (want true)")]);
+        for (fig, bench, field) in [
+            ("fleet", "beta", "byte_identical"),
+            ("passes", "beta", "reconciled"),
+            ("mutants", "img-gat-trunc/3/0", "killed"),
+        ] {
+            let findings = check_text(&edit(&good, fig, bench, field, "false"), None);
+            assert_eq!(findings, [format!("{fig} {bench} {field}: false (want true)")]);
         }
     }
 
@@ -567,12 +633,28 @@ mod tests {
         }
     }
 
+    fn committed_baseline() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        std::fs::read_to_string(path).expect("BENCH_baseline.json")
+    }
+
     #[test]
     fn committed_baseline_passes_against_itself_only() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
-        let base = std::fs::read_to_string(path).expect("BENCH_baseline.json");
+        let base = committed_baseline();
         assert_eq!(check_text(&base, Some(&base)), Vec::<String>::new());
         let run = edit(&base, "gat", "compress", "each_after", "6");
         assert_eq!(check_text(&run, Some(&base)), ["gat compress each_after: baseline 5, run 6"]);
+    }
+
+    #[test]
+    fn check_sees_an_oracle_column_move() {
+        // A verifier that stops checking GAT slot contents leaves this
+        // mutant killed by the runtime oracles: only its verify column moves.
+        let base = committed_baseline();
+        let run = edit(&base, "mutants", "img-gat-trunc/3/0", "verify", "false");
+        assert_eq!(
+            check_text(&run, Some(&base)),
+            ["mutants img-gat-trunc/3/0 verify: baseline true, run false"]
+        );
     }
 }

@@ -7,9 +7,11 @@
 //! cargo run --release -p om-bench --bin reproduce -- all
 //! ```
 //!
-//! or individual artifacts (`fig3 fig4 fig5 fig6 fig7 gat`), optionally with
-//! `--quick` (fewer loop iterations), `--bench <name>` filters, `--jobs N`
-//! (worker threads; defaults to the machine's parallelism), and
+//! or individual artifacts (the names in [`figures::FIGURES`]: the paper's
+//! figures, plus the ablations, the relink fleet, the per-pass counters, the
+//! scale points and the mutation-kill scorecard of [`mutate`]), optionally
+//! with `--quick` (fewer loop iterations), `--bench <name>` filters,
+//! `--jobs N` (worker threads; defaults to the machine's parallelism), and
 //! `--json PATH` (machine-readable deterministic rows). `fig7` times the
 //! build pipeline itself — the paper's Figure 7 comparison, printed only;
 //! the `omperf` benchmark in `perfbench/` times it end to end and per layer.

@@ -1,4 +1,5 @@
-//! `omkill` — mutation testing of the repo's safety nets.
+//! Mutation testing of the repo's safety nets (the `mutants` figure of
+//! `reproduce`).
 //!
 //! The harness builds a deterministic corpus of *mutants* — faulty versions
 //! of otherwise-correct linked programs — and measures which oracle kills
@@ -24,9 +25,10 @@
 //!
 //! Everything is deterministic: programs come from fixed `omfuzz` seeds,
 //! candidate sites are enumerated in module/offset order, and the scorecard
-//! is byte-identical at any `--jobs` width. A committed baseline
-//! (`MUTANTS_baseline.json`) records the expected kill matrix; `scripts/ci.sh`
-//! fails if a previously-killed class escapes or the kill rate drops.
+//! is byte-identical at any `--jobs` width. Each executed mutant is one
+//! `"fig":"mutants"` row of the `reproduce` report, so `reproduce check`
+//! compares every oracle column against `BENCH_baseline.json` and requires
+//! every mutant killed.
 
 use crate::fuzz::{self, FuzzConfig, INTERP_STEPS};
 use om_alpha::{decode, encode, Inst, MemOp, Reg};
@@ -35,7 +37,6 @@ use om_core::{
     optimize_and_link_artifacts, FaultKind, FaultPlan, OmLevel, OmOptions, OmOutput, Profile,
 };
 use om_objfile::{Archive, Module, RelocKind, SecId};
-use om_obs::json::{self, quote, JsonValue};
 use om_sim::{run_covered_fast, run_fast, run_profiled_fast, Divergence, RunResult};
 use om_workloads::build::{build_sources, interp_sources};
 use om_workloads::{BuiltBenchmark, CompileMode};
@@ -145,8 +146,8 @@ pub struct MutantSpec {
     pub site: usize,
 }
 
-/// The deterministic corpus, round-robin across classes (site-major), so a
-/// `--mutants N` budget cap still touches every class before deepening any.
+/// The deterministic corpus, site-major and round-robin across classes:
+/// every class's first site comes before any class's second.
 pub fn corpus(seeds: &[u64], sites: usize) -> Vec<MutantSpec> {
     let mut v = Vec::new();
     for site in 0..sites {
@@ -569,25 +570,37 @@ fn run_fault_mutant(build: &CleanBuild, kind: FaultKind, site: usize) -> Option<
 // Campaign driver
 // ---------------------------------------------------------------------------
 
-/// Builds the corpus programs and runs every spec (bounded by `max_mutants`
-/// *executed* mutants; inert specs do not count) on `jobs` workers.
+/// Builds the corpus programs and runs every spec on `jobs` workers,
+/// returning the executed (non-inert) mutants in corpus order.
 ///
 /// # Errors
 ///
 /// Fails if any corpus seed cannot be built cleanly.
-pub fn run_campaign(
-    seeds: &[u64],
-    sites: usize,
-    max_mutants: usize,
-    jobs: usize,
-) -> Result<Vec<MutantRecord>, String> {
+pub fn run_campaign(seeds: &[u64], sites: usize, jobs: usize) -> Result<Vec<MutantRecord>, String> {
     let builds: Vec<CleanBuild> = crate::par::parallel_map(jobs, seeds, |&s| build_clean(s))
         .into_iter()
         .collect::<Result<_, _>>()?;
     let build_of = |seed: u64| builds.iter().find(|b| b.seed == seed).expect("corpus seed");
     let specs = corpus(seeds, sites);
     let results = crate::par::parallel_map(jobs, &specs, |spec| run_mutant(build_of(spec.seed), spec));
-    Ok(results.into_iter().flatten().take(max_mutants).collect())
+    Ok(results.into_iter().flatten().collect())
+}
+
+/// The `mutants` figure: the committed corpus ([`DEFAULT_SEEDS`] ×
+/// [`SITES_PER_CLASS`]) on `jobs` workers, as a [`crate::figures::BenchRows`]
+/// carrying only the scorecard.
+///
+/// # Panics
+///
+/// Panics if a corpus seed cannot be built cleanly.
+pub fn bench_rows(jobs: usize) -> crate::figures::BenchRows {
+    let rows = run_campaign(DEFAULT_SEEDS, SITES_PER_CLASS, jobs)
+        .unwrap_or_else(|e| panic!("mutants: corpus build failed: {e}"));
+    crate::figures::BenchRows {
+        name: "mutants".to_string(),
+        mutants: Some(scorecard(rows)),
+        ..Default::default()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -644,117 +657,6 @@ pub fn scorecard(rows: Vec<MutantRecord>) -> Scorecard {
     Scorecard { mutants: rows.len(), killed, escaped: rows.len() - killed, classes, rows }
 }
 
-/// Renders the scorecard as line-oriented JSON (same idiom as
-/// [`crate::json`]: one object per line, grep/diff-able, no serde).
-pub fn render_json(card: &Scorecard) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"omkill/v1\",");
-    let _ = writeln!(out, "  \"mutants\": {},", card.mutants);
-    let _ = writeln!(out, "  \"killed\": {},", card.killed);
-    let _ = writeln!(out, "  \"escaped\": {},", card.escaped);
-    out.push_str("  \"classes\": [\n");
-    for (i, c) in card.classes.iter().enumerate() {
-        let sep = if i + 1 < card.classes.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"kind\":\"class\",\"class\":{},\"total\":{},\"verify\":{},\"checksum\":{},\"interp\":{},\"escaped\":{}}}{sep}",
-            quote(&c.class), c.total, c.verify, c.checksum, c.interp, c.escaped
-        );
-    }
-    out.push_str("  ],\n  \"rows\": [\n");
-    for (i, r) in card.rows.iter().enumerate() {
-        let sep = if i + 1 < card.rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"kind\":\"mutant\",\"class\":{},\"seed\":{},\"site\":{},\"verify\":{},\"checksum\":{},\"interp\":{},\"detail\":{}}}{sep}",
-            quote(r.class), r.seed, r.site, r.verify, r.checksum, r.interp, quote(&r.detail)
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Baseline comparison (the CI gate)
-// ---------------------------------------------------------------------------
-
-/// The committed expectations a new run is gated against.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Baseline {
-    pub mutants: usize,
-    pub killed: usize,
-    /// `(class, total, escaped)` per class line.
-    pub classes: Vec<(String, usize, usize)>,
-}
-
-/// Parses a baseline produced by [`render_json`] through
-/// [`om_obs::json`] (any formatting; unknown keys ignored).
-///
-/// # Errors
-///
-/// Returns a message when the text is not JSON, not an `omkill/v1`
-/// scorecard, or its summary counters or class entries are missing.
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let doc = json::parse(text)?;
-    if doc.get("schema").and_then(JsonValue::as_str) != Some("omkill/v1") {
-        return Err("not an omkill/v1 scorecard".into());
-    }
-    let count = |obj: &JsonValue, key: &str| {
-        obj.get(key)
-            .and_then(JsonValue::as_u64)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or(format!("missing or non-integer {key:?}"))
-    };
-    let mut base = Baseline {
-        mutants: count(&doc, "mutants")?,
-        killed: count(&doc, "killed")?,
-        classes: Vec::new(),
-    };
-    for c in doc.get("classes").and_then(JsonValue::as_arr).unwrap_or_default() {
-        let class = c.get("class").and_then(JsonValue::as_str).ok_or("class entry without a name")?;
-        base.classes.push((class.to_string(), count(c, "total")?, count(c, "escaped")?));
-    }
-    if base.classes.is_empty() {
-        return Err("scorecard has no class entries".into());
-    }
-    Ok(base)
-}
-
-/// Compares a fresh scorecard against the committed baseline. Returns the
-/// list of regressions (empty = gate passes):
-///
-/// * a class that had zero escapes in the baseline now escapes (or vanished
-///   from the run entirely);
-/// * the overall kill rate dropped below the baseline's.
-pub fn check_against(card: &Scorecard, base: &Baseline) -> Vec<String> {
-    let mut bad = Vec::new();
-    for (class, _, base_escaped) in &base.classes {
-        if *base_escaped > 0 {
-            continue; // was never fully killed; no gate on it
-        }
-        match card.classes.iter().find(|c| &c.class == class) {
-            None => bad.push(format!("class {class} missing from this run (baseline had it fully killed)")),
-            Some(c) if c.escaped > 0 => bad.push(format!(
-                "class {class}: {} of {} mutants escaped (baseline: 0 escapes)",
-                c.escaped, c.total
-            )),
-            Some(_) => {}
-        }
-    }
-    // killed/mutants >= base.killed/base.mutants, compared exactly.
-    if card.mutants > 0
-        && base.mutants > 0
-        && card.killed * base.mutants < base.killed * card.mutants
-    {
-        bad.push(format!(
-            "kill rate dropped: {}/{} vs baseline {}/{}",
-            card.killed, card.mutants, base.killed, base.mutants
-        ));
-    }
-    bad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,48 +698,5 @@ mod tests {
         assert_eq!(card.classes.len(), 2);
         assert_eq!(card.classes[0].class, "img-a");
         assert_eq!(card.classes[1].escaped, 1);
-    }
-
-    #[test]
-    fn baseline_roundtrips_through_json() {
-        let card = scorecard(vec![record("img-a", false, true), record("img-b", true, false)]);
-        let text = render_json(&card);
-        let base = parse_baseline(&text).unwrap();
-        assert_eq!(base.mutants, 2);
-        assert_eq!(base.killed, 2);
-        assert_eq!(
-            base.classes,
-            vec![("img-a".to_string(), 1, 0), ("img-b".to_string(), 1, 0)]
-        );
-        // Formatting is not part of the format: the same scorecard on one
-        // line parses to the same baseline.
-        let compact: String = text.lines().map(str::trim).collect();
-        assert_eq!(parse_baseline(&compact).unwrap(), base);
-    }
-
-    #[test]
-    fn gate_catches_new_escape_and_rate_drop() {
-        let good = scorecard(vec![record("img-a", false, true), record("img-b", true, false)]);
-        let base = parse_baseline(&render_json(&good)).unwrap();
-        assert!(check_against(&good, &base).is_empty());
-
-        let escaped = scorecard(vec![record("img-a", false, false), record("img-b", true, false)]);
-        let bad = check_against(&escaped, &base);
-        assert_eq!(bad.len(), 2, "{bad:?}"); // class escape + rate drop
-        assert!(bad[0].contains("img-a"));
-
-        let missing = scorecard(vec![record("img-b", true, false)]);
-        let bad = check_against(&missing, &base);
-        assert!(bad.iter().any(|m| m.contains("missing")), "{bad:?}");
-    }
-
-    #[test]
-    fn detail_strings_are_json_escaped() {
-        let mut r = record("img-a", true, false);
-        r.detail = "say \"hi\"\\\nnewline".into();
-        let text = render_json(&scorecard(vec![r]));
-        assert!(text.contains("say \\\"hi\\\"\\\\\\nnewline"), "{text}");
-        let parsed = parse_baseline(&text).unwrap();
-        assert_eq!(parsed.classes.len(), 1);
     }
 }

@@ -448,6 +448,64 @@ pub fn scale(rows: &[(String, crate::scale::ScaleRow)]) -> String {
     out
 }
 
+/// Renders the ablations table: each design choice with its default value,
+/// then switched off.
+pub fn ablations(rows: &[(String, crate::figures::AblationsRow)]) -> String {
+    let mut out = String::new();
+    out.push_str("Ablations: one OM design choice switched off at a time (compile-each)\n\n");
+    out.push_str(&format!(
+        "{:10} | {:>9} {:>9} | {:>8} {:>8} | {:>10} {:>10}\n",
+        "bench", "nu(sort)", "nu(!sort)", "gat(fix)", "gat(1rd)", "cyc(align)", "cyc(!algn)"
+    ));
+    out.push_str(&"-".repeat(78));
+    out.push('\n');
+    for (name, r) in rows {
+        out.push_str(&format!(
+            "{:10} | {:>9} {:>9} | {:>8} {:>8} | {:>10} {:>10}\n",
+            name,
+            r.nullified_sorted,
+            r.nullified_unsorted,
+            r.gat_fixpoint,
+            r.gat_one_round,
+            r.cycles_aligned,
+            r.cycles_unaligned,
+        ));
+    }
+    out.push_str(
+        "\nnu    = address loads nullified by OM-simple (with/without sorted commons)\n\
+         gat   = GAT slots after OM-full (fixpoint vs one reduction round)\n\
+         cyc   = cycles after OM-full w/sched (with/without quadword alignment)\n",
+    );
+    out
+}
+
+/// Renders the mutation-kill scorecard: kills per class and oracle, then
+/// one line per mutant that escaped every oracle.
+pub fn mutants(card: &crate::mutate::Scorecard) -> String {
+    let mut out = format!(
+        "Mutation kill scorecard: {} classes, {} of {} mutants killed\n\n",
+        card.classes.len(),
+        card.killed,
+        card.mutants
+    );
+    out.push_str(&format!(
+        "{:<20} {:>5} {:>6} {:>8} {:>6} {:>7}\n",
+        "class", "total", "verify", "checksum", "interp", "escaped"
+    ));
+    out.push_str(&"-".repeat(57));
+    out.push('\n');
+    for c in &card.classes {
+        out.push_str(&format!(
+            "{:<20} {:>5} {:>6} {:>8} {:>6} {:>7}\n",
+            c.class, c.total, c.verify, c.checksum, c.interp, c.escaped
+        ));
+    }
+    for r in card.rows.iter().filter(|r| !r.killed()) {
+        out.push_str(&format!("ESCAPED {} seed {} site {}: {}\n", r.class, r.seed, r.site, r.detail));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,6 +555,28 @@ mod tests {
         assert!(t.contains("each 1/2 (1 faster, 0 tied)"), "{t}");
         assert!(t.contains("all 2/2 (1 faster, 1 tied)"), "{t}");
         assert!(t.contains("MEDIAN"), "{t}");
+    }
+
+    #[test]
+    fn mutants_table_lists_escapes() {
+        use crate::mutate::{scorecard, MutantRecord};
+        let record = |class, site, checksum| MutantRecord {
+            class,
+            seed: 3,
+            site,
+            verify: false,
+            checksum,
+            interp: checksum,
+            detail: format!("site {site}"),
+        };
+        let t = mutants(&scorecard(vec![
+            record("img-a", 0, true),
+            record("img-b", 0, true),
+            record("img-b", 1, false),
+        ]));
+        assert!(t.starts_with("Mutation kill scorecard: 2 classes, 2 of 3 mutants killed"), "{t}");
+        assert!(t.contains("\nimg-b                    2      0        1      1       1\n"), "{t}");
+        assert!(t.ends_with("\nESCAPED img-b seed 3 site 1: site 1\n"), "{t}");
     }
 
     #[test]

@@ -246,16 +246,8 @@ pub fn measure_scale(n: usize) -> ScaleRow {
 pub fn bench_rows(n: usize) -> crate::figures::BenchRows {
     crate::figures::BenchRows {
         name: format!("scale{n}"),
-        fig3: None,
-        fig4: None,
-        fig5: None,
-        fig6: None,
-        fig7: None,
-        gat: None,
-        pgo: None,
-        fleet: None,
-        passes: None,
         scale: Some(measure_scale(n)),
+        ..Default::default()
     }
 }
 

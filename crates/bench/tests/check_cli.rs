@@ -1,8 +1,30 @@
-//! `reproduce check`'s exit codes: 2 with the usage line for bad arguments,
-//! 1 for an unreadable or unparsable report or any finding, and 0 for the
-//! committed baseline checked against itself.
+//! `reproduce`'s exit codes. `check` exits 2 with the usage line for bad
+//! arguments, 1 for an unreadable or unparsable report or any finding, and 0
+//! for the committed baseline checked against itself. A figure run exits 2
+//! with the usage line, before building anything, on a bad argument or a
+//! `--bench` filter that selects nothing to measure.
 
 use std::process::Command;
+
+#[test]
+fn bad_figure_arguments_exit_2_with_usage() {
+    for args in [
+        &["--bench", "nosuch"][..],
+        &["--bogus"],
+        &["--bench"],
+        &["scale", "--bench", "li", "--quick"],
+        &["mutants", "--bench", "li"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .output()
+            .expect("reproduce runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("usage: reproduce"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed a table");
+    }
+}
 
 /// Runs `reproduce check ARGS...` from the workspace root; returns the exit
 /// code and stderr.

@@ -2,8 +2,8 @@
 //! produces byte-identical rendered figures and `--json` report, and the
 //! memoized pipeline must not change simulated checksums.
 
-use om_bench::figures::{self, Selection};
-use om_bench::{json, parallel_map, render, Prepared};
+use om_bench::figures::{self, BenchRows, FIGURES};
+use om_bench::{json, mutate, parallel_map, render, Prepared};
 use om_workloads::build::CompileMode;
 use om_workloads::{spec, BenchSpec};
 
@@ -16,14 +16,15 @@ fn quick_specs() -> Vec<BenchSpec> {
         .collect()
 }
 
-/// Renders every deterministic figure (fig7 is wall-clock timing and is
-/// excluded) and the JSON report from one full harness pass at the given
-/// width.
+/// Renders every figure of the parallel pass plus a one-seed slice of the
+/// mutants figure, and the JSON report, from one harness pass at the given
+/// width (fig7 is wall-clock timing; fleet and scale have tests of their
+/// own).
 fn run_at(jobs: usize) -> (String, Vec<i64>) {
     let specs = quick_specs();
-    let sel = Selection { fig7: false, ..Selection::all() };
     let prepared: Vec<Prepared> = parallel_map(jobs, &specs, Prepared::new);
-    let rows = parallel_map(jobs, &prepared, |p| figures::measure(p, sel));
+    let mut rows = parallel_map(jobs, &prepared, |p| figures::measure(p, &FIGURES));
+    let card = mutate::scorecard(mutate::run_campaign(&[3], 1, jobs).expect("corpus seed 3"));
 
     let mut out = String::new();
     macro_rules! rows_of {
@@ -38,6 +39,11 @@ fn run_at(jobs: usize) -> (String, Vec<i64>) {
     out.push_str(&render::fig5(&rows_of!(fig5)));
     out.push_str(&render::fig6(&rows_of!(fig6)));
     out.push_str(&render::gat(&rows_of!(gat)));
+    out.push_str(&render::pgo(&rows_of!(pgo)));
+    out.push_str(&render::passes(&rows_of!(passes)));
+    out.push_str(&render::ablations(&rows_of!(ablations)));
+    out.push_str(&render::mutants(&card));
+    rows.push(BenchRows { name: "mutants".into(), mutants: Some(card), ..BenchRows::default() });
     out.push_str(&json::report(&rows, true));
 
     let checksums = prepared

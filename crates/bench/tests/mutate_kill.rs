@@ -1,22 +1,26 @@
-//! Tier-1 mutation-kill smoke: a bounded, fixed slice of the `omkill`
+//! Tier-1 mutation-kill smoke: a bounded, fixed slice of the `mutants`
 //! corpus runs on every `cargo test`, pinning that (a) the harness stays
 //! deterministic at any worker count and (b) no mutant in the slice escapes
-//! every oracle. The committed `MUTANTS_baseline.json` is additionally
-//! checked against the acceptance floor (>= 60 mutants, >= 10 classes,
-//! zero escapes), so a stale or hand-edited baseline fails here rather
-//! than silently weakening the CI gate.
+//! every oracle. The committed `mutants` rows of `BENCH_baseline.json` are
+//! additionally checked against the acceptance floor (>= 60 mutants, >= 10
+//! classes, zero escapes), so a stale or hand-edited baseline fails here
+//! rather than silently weakening the drift gate.
 
-use om_bench::mutate::{parse_baseline, render_json, run_campaign, scorecard};
+use om_bench::figures::BenchRows;
+use om_bench::json;
+use om_bench::mutate::{run_campaign, scorecard, Scorecard};
+use om_obs::json::JsonValue;
+use std::collections::BTreeSet;
 
 /// One corpus seed, one site per class: every mutant class is exercised
 /// (seed 3 has a live site-0 candidate for all of them — asserted below).
-fn slice() -> om_bench::mutate::Scorecard {
-    scorecard(run_campaign(&[3], 1, usize::MAX, 2).expect("clean build of corpus seed 3"))
+fn slice(jobs: usize) -> Scorecard {
+    scorecard(run_campaign(&[3], 1, jobs).expect("clean build of corpus seed 3"))
 }
 
 #[test]
 fn bounded_slice_kills_every_mutant() {
-    let card = slice();
+    let card = slice(2);
     assert!(card.mutants >= 10, "slice produced only {} mutants", card.mutants);
     assert_eq!(
         card.escaped,
@@ -42,21 +46,29 @@ fn bounded_slice_kills_every_mutant() {
 
 #[test]
 fn scorecard_is_deterministic_across_worker_counts() {
-    let serial = scorecard(run_campaign(&[3], 1, usize::MAX, 1).unwrap());
-    let parallel = slice();
-    assert_eq!(render_json(&serial), render_json(&parallel));
+    let report = |card| {
+        let entry = BenchRows { name: "mutants".into(), mutants: Some(card), ..BenchRows::default() };
+        json::report(&[entry], true)
+    };
+    assert_eq!(report(slice(1)), report(slice(2)));
 }
 
 #[test]
 fn committed_baseline_meets_the_acceptance_floor() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../MUTANTS_baseline.json");
-    let text = std::fs::read_to_string(path).expect("committed MUTANTS_baseline.json");
-    let base = parse_baseline(&text).expect("baseline parses");
-    assert!(base.mutants >= 60, "baseline has only {} mutants", base.mutants);
-    assert!(base.classes.len() >= 10, "baseline has only {} classes", base.classes.len());
-    assert_eq!(base.killed, base.mutants, "baseline records escapes");
-    for (class, total, escaped) in &base.classes {
-        assert!(*total > 0, "class {class} is empty");
-        assert_eq!(*escaped, 0, "class {class} has baseline escapes");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let text = std::fs::read_to_string(path).expect("committed BENCH_baseline.json");
+    let doc = om_obs::json::parse(&text).expect("baseline parses");
+    let rows = doc.get("rows").and_then(JsonValue::as_arr).unwrap_or_default();
+    let mut mutants = 0;
+    let mut classes = BTreeSet::new();
+    for row in rows.iter().filter(|r| r.get("fig").and_then(JsonValue::as_str) == Some("mutants")) {
+        let key = row.get("bench").and_then(JsonValue::as_str).expect("a mutant key");
+        classes.insert(key.split('/').next().expect("a class").to_string());
+        let killed = |k| row.get(k) == Some(&JsonValue::Bool(true));
+        assert!(killed("killed"), "{key} escapes in the baseline");
+        assert!(["verify", "checksum", "interp"].into_iter().any(killed), "{key}: no oracle");
+        mutants += 1;
     }
+    assert!(mutants >= 60, "baseline has only {mutants} mutants");
+    assert!(classes.len() >= 10, "baseline has only {} classes", classes.len());
 }

@@ -1,5 +1,5 @@
 //! Deliberate fault injection into the OM passes, for mutation-testing the
-//! repo's safety nets (`omkill`, DESIGN.md §14).
+//! repo's safety nets (the `mutants` figure of `reproduce`, DESIGN.md §14).
 //!
 //! A [`FaultPlan`] names one *kind* of miscompile and one *site* (the n-th
 //! opportunity the pass encounters, in deterministic pass order). Threading

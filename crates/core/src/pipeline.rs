@@ -87,7 +87,8 @@ impl OmLevel {
 }
 
 /// Ablation and policy knobs for the transformations (defaults reproduce the
-/// paper's OM; the `ablations` harness toggles them one at a time).
+/// paper's OM; the `ablations` figure of `reproduce` toggles them one at a
+/// time).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OmOptions {
     /// Sort common symbols by size next to the GAT (an OM-simple layout
@@ -116,8 +117,8 @@ pub struct OmOptions {
     /// hot backward-branch targets (replacing the blind alignment pass).
     pub profile: Option<crate::profile::Profile>,
     /// Deliberate miscompilation for mutation testing ([`crate::fault`],
-    /// the `omkill` harness). `None` — the only value real links ever use —
-    /// costs a single branch per fault point.
+    /// the `mutants` figure of `reproduce`). `None` — the only value real
+    /// links ever use — costs a single branch per fault point.
     pub fault: Option<crate::fault::FaultPlan>,
 }
 

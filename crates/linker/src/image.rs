@@ -57,14 +57,6 @@ pub struct Image {
 }
 
 impl Image {
-    /// Reads the byte at `addr`, if mapped.
-    pub fn read_byte(&self, addr: u64) -> Option<u8> {
-        self.segments
-            .iter()
-            .find(|s| s.contains(addr))
-            .map(|s| s.bytes[(addr - s.base) as usize])
-    }
-
     /// Serializes the image to the on-disk executable format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w: Vec<u8> = Vec::new();
@@ -184,18 +176,6 @@ mod tests {
         assert!(s.contains(0x1000) && s.contains(0x100F));
         assert!(!s.contains(0x1010));
         assert_eq!(s.end(), 0x1010);
-    }
-
-    #[test]
-    fn image_reads() {
-        let img = Image {
-            segments: vec![Segment { base: 0x1000, bytes: vec![1, 2, 3] }],
-            entry: 0x1000,
-            symbols: HashMap::new(),
-            layout: LayoutInfo::default(),
-        };
-        assert_eq!(img.read_byte(0x1001), Some(2));
-        assert_eq!(img.read_byte(0x2000), None);
     }
 
     #[test]

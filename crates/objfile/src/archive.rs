@@ -50,11 +50,6 @@ impl Archive {
         &self.members
     }
 
-    /// Looks up the member defining `symbol`.
-    pub fn member_defining(&self, symbol: &str) -> Option<&Module> {
-        self.index.get(symbol).map(|&i| &self.members[i])
-    }
-
     /// Selects the members needed to satisfy `undefined`, transitively: a
     /// selected member's own undefined symbols are resolved against the
     /// archive too (libraries routinely call other library routines — in the
@@ -115,16 +110,6 @@ mod tests {
     fn unknown_symbols_are_ignored() {
         let ar = Archive::new("empty");
         assert!(ar.select(["nothing".to_string()]).is_empty());
-    }
-
-    #[test]
-    fn member_defining_finds_first() {
-        let mut ar = Archive::new("lib");
-        ar.add(module_with("a", &["f"], &[])).unwrap();
-        ar.add(module_with("b", &["f", "g"], &[])).unwrap();
-        assert_eq!(ar.member_defining("f").unwrap().name, "a");
-        assert_eq!(ar.member_defining("g").unwrap().name, "b");
-        assert!(ar.member_defining("h").is_none());
     }
 
     #[test]

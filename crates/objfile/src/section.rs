@@ -35,17 +35,6 @@ impl SecId {
     /// All section ids in canonical layout order.
     pub const ALL: [SecId; 5] = [SecId::Text, SecId::Data, SecId::Sdata, SecId::Sbss, SecId::Bss];
 
-    /// True for sections with no bytes in the object file (sized only).
-    pub fn is_zero_fill(self) -> bool {
-        matches!(self, SecId::Sbss | SecId::Bss)
-    }
-
-    /// True for the sections the linker places near the GAT so that the GP
-    /// can address their contents directly.
-    pub fn is_small(self) -> bool {
-        matches!(self, SecId::Sdata | SecId::Sbss)
-    }
-
     /// Conventional section name.
     pub fn name(self) -> &'static str {
         match self {
@@ -76,14 +65,6 @@ pub const SECTION_ALIGN: u64 = 16;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_and_zero_fill_classification() {
-        assert!(SecId::Sdata.is_small() && !SecId::Sdata.is_zero_fill());
-        assert!(SecId::Sbss.is_small() && SecId::Sbss.is_zero_fill());
-        assert!(SecId::Bss.is_zero_fill() && !SecId::Bss.is_small());
-        assert!(!SecId::Text.is_small());
-    }
 
     #[test]
     fn names_are_conventional() {

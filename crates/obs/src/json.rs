@@ -2,9 +2,9 @@
 //! chrome-trace structural validator.
 //!
 //! The workspace is fully offline (no serde). Every JSON document it reads
-//! goes through [`parse`]: execution profiles, the `omkill` scorecard, the
-//! `reproduce` report that the BENCH drift gate checks, and `--trace-json`
-//! files. Every JSON string it writes goes through [`quote`].
+//! goes through [`parse`]: execution profiles, the `reproduce` report that
+//! the BENCH drift gate checks (the mutation-kill scorecard included), and
+//! `--trace-json` files. Every JSON string it writes goes through [`quote`].
 //!
 //! The reader is strict and lossless. It follows the RFC 8259 grammar
 //! exactly (no leading zeros, no bare `.5` or `1.`, exactly four hex digits

@@ -33,8 +33,7 @@
 //! latency lines.
 //!
 //! [`json`] is the workspace's one JSON reader and string quoter: profiles,
-//! the `omkill` scorecard, the BENCH report gate and trace files all parse
-//! through it.
+//! the BENCH report gate and trace files all parse through it.
 
 pub mod hist;
 pub mod json;
