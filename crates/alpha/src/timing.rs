@@ -96,67 +96,108 @@ pub fn can_dual_issue(first: &Inst, second: &Inst) -> bool {
 /// ([`Effects::depends_on`]: register hazards, memory conflicts, control).
 /// Among ready instructions it picks the longest critical path, then the
 /// larger fan-out, then one that dual-issues with the previous pick, then
-/// source order.
-pub fn list_schedule<T>(block: &mut Vec<T>, inst: impl Fn(&T) -> &Inst) {
-    let n = block.len();
-    if n < 2 {
-        return;
-    }
-    let effects: Vec<Effects> = block.iter().map(|t| Effects::of(inst(t))).collect();
+/// source order. A pass over many blocks should keep one
+/// [`ListScheduler`] instead, so the working buffers are allocated once.
+pub fn list_schedule<T>(block: &mut [T], inst: impl Fn(&T) -> &Inst) {
+    ListScheduler::default().schedule(block, inst);
+}
 
-    // Dependence edges: succs[i] lists j > i that must follow i.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut npreds: Vec<usize> = vec![0; n];
-    for j in 0..n {
-        for i in 0..j {
-            if effects[j].depends_on(&effects[i]) {
-                succs[i].push(j);
-                npreds[j] += 1;
+/// [`list_schedule`] with its working buffers kept between blocks.
+#[derive(Debug, Default)]
+pub struct ListScheduler {
+    effects: Vec<Effects>,
+    /// The dependence graph, flat: the successors of `i` (each `j > i` that
+    /// must follow it, ascending) are `succs[first[i]..first[i + 1]]`.
+    first: Vec<u32>,
+    succs: Vec<u32>,
+    /// Predecessors of each instruction not yet scheduled.
+    preds: Vec<u32>,
+    /// Critical-path length from each instruction to the block's end.
+    prio: Vec<u32>,
+    ready: Vec<u32>,
+    /// `order[k]` is the block position of the `k`-th pick.
+    order: Vec<u32>,
+}
+
+impl ListScheduler {
+    /// Schedules one block in place; see [`list_schedule`].
+    pub fn schedule<T>(&mut self, block: &mut [T], inst: impl Fn(&T) -> &Inst) {
+        let n = block.len();
+        if n < 2 {
+            return;
+        }
+        let Self { effects, first, succs, preds, prio, ready, order } = self;
+        effects.clear();
+        effects.extend(block.iter().map(|t| Effects::of(inst(t))));
+
+        first.clear();
+        succs.clear();
+        preds.clear();
+        preds.resize(n, 0);
+        for i in 0..n {
+            first.push(succs.len() as u32);
+            for j in i + 1..n {
+                if effects[j].depends_on(&effects[i]) {
+                    succs.push(j as u32);
+                    preds[j] += 1;
+                }
             }
         }
-    }
+        first.push(succs.len() as u32);
+        let succs_of = |i: usize| &succs[first[i] as usize..first[i + 1] as usize];
 
-    // Critical-path priority and fan-out.
-    let mut prio: Vec<u32> = vec![0; n];
-    for i in (0..n).rev() {
-        let tail = succs[i].iter().map(|&j| prio[j]).max().unwrap_or(0);
-        prio[i] = latency(inst(&block[i])) + tail;
-    }
-    let fanout: Vec<usize> = succs.iter().map(Vec::len).collect();
+        prio.clear();
+        prio.resize(n, 0);
+        for i in (0..n).rev() {
+            let tail = succs_of(i).iter().map(|&j| prio[j as usize]).max().unwrap_or(0);
+            prio[i] = latency(inst(&block[i])) + tail;
+        }
 
-    let mut ready: Vec<usize> = (0..n).filter(|&i| npreds[i] == 0).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining_preds = npreds;
-    while let Some(&first) = ready.first() {
-        let mut best = first;
-        for &c in &ready {
-            let key = |i: usize| {
-                let pairs = order
-                    .last()
-                    .map(|&p| can_dual_issue(inst(&block[p]), inst(&block[i])))
-                    .unwrap_or(false);
-                (prio[i], fanout[i], pairs as u32, std::cmp::Reverse(i))
+        ready.clear();
+        ready.extend((0..n as u32).filter(|&i| preds[i as usize] == 0));
+        order.clear();
+        while !ready.is_empty() {
+            // Keys are distinct (the last component is the position), so the
+            // pick does not depend on the order of `ready`.
+            let prev = order.last().map(|&p| inst(&block[p as usize]));
+            let key = |i: u32| {
+                let i = i as usize;
+                let pairs = prev.is_some_and(|p| can_dual_issue(p, inst(&block[i])));
+                (prio[i], first[i + 1] - first[i], pairs, std::cmp::Reverse(i))
             };
-            if key(c) > key(best) {
-                best = c;
+            let (mut best_at, mut best_key) = (0, key(ready[0]));
+            for (at, &c) in ready.iter().enumerate().skip(1) {
+                let k = key(c);
+                if k > best_key {
+                    (best_at, best_key) = (at, k);
+                }
+            }
+            let best = ready.swap_remove(best_at);
+            order.push(best);
+            for &j in succs_of(best as usize) {
+                preds[j as usize] -= 1;
+                if preds[j as usize] == 0 {
+                    ready.push(j);
+                }
             }
         }
-        ready.retain(|&i| i != best);
-        order.push(best);
-        for &j in &succs[best] {
-            remaining_preds[j] -= 1;
-            if remaining_preds[j] == 0 {
-                ready.push(j);
+        debug_assert_eq!(order.len(), n);
+
+        // Apply the permutation cycle by cycle: position `k` takes the element
+        // at `order[k]`, and a placed position is marked `order[k] = k`.
+        for start in 0..n {
+            let mut k = start;
+            loop {
+                let src = order[k] as usize;
+                order[k] = k as u32;
+                if src == start {
+                    break;
+                }
+                block.swap(k, src);
+                k = src;
             }
         }
     }
-
-    debug_assert_eq!(order.len(), n);
-    let mut slots: Vec<Option<T>> = std::mem::take(block).into_iter().map(Some).collect();
-    *block = order
-        .into_iter()
-        .map(|i| slots[i].take().expect("instruction scheduled twice"))
-        .collect();
 }
 
 #[cfg(test)]
@@ -206,6 +247,128 @@ mod tests {
         let add = Inst::mov(Reg::new(1), Reg::new(2));
         assert!(can_dual_issue(&add, &br));
         assert!(!can_dual_issue(&br, &add));
+    }
+
+    /// The list scheduler as it was before [`ListScheduler`] (one `Vec` per
+    /// instruction's successors, both keys recomputed per comparison): the
+    /// reference the buffered scheduler must match pick for pick.
+    fn reference_schedule<T>(block: &mut Vec<T>, inst: impl Fn(&T) -> &Inst) {
+        let n = block.len();
+        if n < 2 {
+            return;
+        }
+        let effects: Vec<Effects> = block.iter().map(|t| Effects::of(inst(t))).collect();
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut npreds: Vec<usize> = vec![0; n];
+        for j in 0..n {
+            for i in 0..j {
+                if effects[j].depends_on(&effects[i]) {
+                    succs[i].push(j);
+                    npreds[j] += 1;
+                }
+            }
+        }
+        let mut prio: Vec<u32> = vec![0; n];
+        for i in (0..n).rev() {
+            let tail = succs[i].iter().map(|&j| prio[j]).max().unwrap_or(0);
+            prio[i] = latency(inst(&block[i])) + tail;
+        }
+        let fanout: Vec<usize> = succs.iter().map(Vec::len).collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&i| npreds[i] == 0).collect();
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut remaining_preds = npreds;
+        while let Some(&first) = ready.first() {
+            let mut best = first;
+            for &c in &ready {
+                let key = |i: usize| {
+                    let pairs = order
+                        .last()
+                        .map(|&p| can_dual_issue(inst(&block[p]), inst(&block[i])))
+                        .unwrap_or(false);
+                    (prio[i], fanout[i], pairs as u32, std::cmp::Reverse(i))
+                };
+                if key(c) > key(best) {
+                    best = c;
+                }
+            }
+            ready.retain(|&i| i != best);
+            order.push(best);
+            for &j in &succs[best] {
+                remaining_preds[j] -= 1;
+                if remaining_preds[j] == 0 {
+                    ready.push(j);
+                }
+            }
+        }
+        let mut slots: Vec<Option<T>> = std::mem::take(block).into_iter().map(Some).collect();
+        *block = order.into_iter().map(|i| slots[i].take().unwrap()).collect();
+    }
+
+    /// A random instruction of any issue class. Registers come from a small
+    /// pool (with the zero register) so blocks are dense in dependences.
+    fn random_inst(rng: &mut om_prng::StdRng, control: bool) -> Inst {
+        use crate::inst::{FOprOp, JmpOp, PalOp};
+        let mut reg = || Reg::new([0, 1, 2, 3, 4, 5, 16, 29, 30, 31][rng.gen_range(0..10usize)]);
+        let (ra, rb, rc) = (reg(), reg(), reg());
+        if control {
+            const BR: [BrOp; 5] = [BrOp::Br, BrOp::Bsr, BrOp::Beq, BrOp::Blbs, BrOp::Fbne];
+            const JMP: [JmpOp; 3] = [JmpOp::Jmp, JmpOp::Jsr, JmpOp::Ret];
+            return match rng.gen_range(0..3u32) {
+                0 => Inst::Br { op: BR[rng.gen_range(0..5usize)], ra, disp: -3 },
+                1 => Inst::Jmp { op: JMP[rng.gen_range(0..3usize)], ra, rb, hint: 0 },
+                _ => Inst::Pal { op: PalOp::Halt },
+            };
+        }
+        const MEM: [MemOp; 9] = [
+            MemOp::Lda,
+            MemOp::Ldah,
+            MemOp::Ldl,
+            MemOp::Ldq,
+            MemOp::LdqU,
+            MemOp::Stl,
+            MemOp::Stq,
+            MemOp::Ldt,
+            MemOp::Stt,
+        ];
+        const OPR: [OprOp; 6] =
+            [OprOp::Addq, OprOp::Mulq, OprOp::Mull, OprOp::Cmoveq, OprOp::Sll, OprOp::Cmplt];
+        const FOPR: [FOprOp; 4] = [FOprOp::Addt, FOprOp::Mult, FOprOp::Divt, FOprOp::Cpys];
+        match rng.gen_range(0..8u32) {
+            0..=2 => Inst::Mem { op: MEM[rng.gen_range(0..9usize)], ra, rb, disp: 8 },
+            3..=5 => {
+                let rb = if rng.gen_bool(0.3) { Operand::Lit(7) } else { Operand::Reg(rb) };
+                Inst::Opr { op: OPR[rng.gen_range(0..6usize)], ra, rb, rc }
+            }
+            6 => Inst::FOpr { op: FOPR[rng.gen_range(0..4usize)], fa: ra, fb: rb, fc: rc },
+            _ => Inst::Pal { op: PalOp::WriteInt },
+        }
+    }
+
+    #[test]
+    fn buffered_scheduler_matches_the_reference_on_random_blocks() {
+        let mut rng = om_prng::StdRng::seed_from_u64(23);
+        let mut sched = ListScheduler::default();
+        let mut seen = [false; 4];
+        for b in 0..2_000 {
+            let n = rng.gen_range(2..201usize);
+            let trailing = rng.gen_bool(0.7);
+            // Positions tag each element, so equal instructions stay apart.
+            let block: Vec<(usize, Inst)> = (0..n)
+                .map(|k| {
+                    let control = (trailing && k == n - 1) || rng.gen_bool(0.01);
+                    (k, random_inst(&mut rng, control))
+                })
+                .collect();
+            for (_, i) in &block {
+                seen[issue_class(i) as usize] = true;
+            }
+            let mut want = block.clone();
+            reference_schedule(&mut want, |t| &t.1);
+            let mut got = block;
+            sched.schedule(&mut got, |t| &t.1);
+            assert_eq!(got, want, "block {b} ({n} instructions)");
+        }
+        assert_eq!(seen, [true; 4], "every issue class is drawn");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! `(CompileMode, OmLevel)` OM pipeline result is computed exactly once per
 //! benchmark behind a [`OnceLock`] grid, so fig3/fig4/fig5/fig6 and the GAT
 //! table share one `optimize_and_link_with` run per configuration instead of
-//! each re-running it. The grid is the harness's only memo layer: it does
+//! each re-running it, and fig6, pgo and the ablations share one simulation
+//! of each image. The grid is the harness's only memo layer: it does
 //! not go through `omd`'s relink cache ([`om_core::OmCaches`]). The
 //! standard-link image, the profile and the profile-guided relink are cached
 //! the same way. All caches are interior and thread-safe: the harness
@@ -38,6 +39,8 @@ pub struct Prepared {
     /// OM results, indexed `[mode.index()][level.index()]`, computed on
     /// first use.
     om: [[OnceLock<OmOutput>; OmLevel::ALL.len()]; CompileMode::ALL.len()],
+    /// Simulations of the `om` images, indexed the same way.
+    om_run: [[OnceLock<(i64, TimingStats)>; OmLevel::ALL.len()]; CompileMode::ALL.len()],
     /// Standard-link images per mode, computed on first use.
     std_image: [OnceLock<Image>; CompileMode::ALL.len()],
     /// Execution profiles per mode (one functional run of the cached
@@ -62,6 +65,7 @@ impl Prepared {
             each,
             all,
             om: Default::default(),
+            om_run: Default::default(),
             std_image: Default::default(),
             profile: Default::default(),
             pgo: Default::default(),
@@ -125,16 +129,19 @@ impl Prepared {
         (r.result, t)
     }
 
-    /// Simulates `mode` after OM at `level`.
+    /// Simulates `mode` after OM at `level`, once: fig6, pgo and ablations
+    /// share the run.
     ///
     /// # Panics
     ///
     /// Panics on link or execution failure.
     pub fn run_om(&self, mode: CompileMode, level: OmLevel) -> (i64, TimingStats) {
-        let out = self.om(mode, level);
-        let (r, t) = run_timed_fast(&out.image, SIM_LIMIT)
-            .unwrap_or_else(|e| panic!("{} {}: {e}", self.spec.name, level.name()));
-        (r.result, t)
+        *self.om_run[mode.index()][level.index()].get_or_init(|| {
+            let out = self.om(mode, level);
+            let (r, t) = run_timed_fast(&out.image, SIM_LIMIT)
+                .unwrap_or_else(|e| panic!("{} {}: {e}", self.spec.name, level.name()));
+            (r.result, t)
+        })
     }
 
     /// The execution profile of `mode`'s OM-full-scheduled image (one extra
@@ -420,6 +427,9 @@ pub struct PassesRow {
     /// True iff the per-pass deltas reconcile exactly with the run's final
     /// [`OmStats`] ([`om_core::obs::reconcile`]).
     pub reconciled: bool,
+    /// The first 8 bytes of the linked image's BLAKE2s digest, so the gate
+    /// sees any change that moves an image.
+    pub image_digest: [u8; 8],
 }
 
 /// Measures the per-pass counter table for one prepared benchmark: one
@@ -445,10 +455,12 @@ pub fn passes(p: &Prepared) -> PassesRow {
             deltas[pi][fi] = counters.get(&format!("pass.{pass}.{field}")).copied().unwrap_or(0);
         }
     }
+    let digest = om_core::hash::blake2s(&out.image.to_bytes());
     PassesRow {
         deltas,
         full_rounds: counters.get("pipeline.full_rounds").copied().unwrap_or(0),
         reconciled: om_core::obs::reconcile(&counters, &out.stats).is_ok(),
+        image_digest: digest[..8].try_into().expect("a BLAKE2s digest has 32 bytes"),
     }
 }
 

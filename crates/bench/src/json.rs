@@ -141,6 +141,8 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
             }
         }
         fields.push(("reconciled".to_string(), x.reconciled.to_string()));
+        let digest: String = x.image_digest.iter().map(|b| format!("{b:02x}")).collect();
+        fields.push(("image_digest".to_string(), quote(&digest)));
         push_row(out, "passes", &r.name, &fields);
     }
     if let Some(x) = r.fleet {
@@ -424,6 +426,7 @@ mod tests {
                     deltas: [[0; om_core::obs::DELTA_FIELDS.len()]; PASS_NAMES.len()],
                     full_rounds: 2,
                     reconciled: true,
+                    image_digest: [0xab, 0xcd, 0, 1, 2, 3, 4, 0xef],
                 };
                 // convert deletes 4 address loads.
                 let convert = PASS_NAMES.iter().position(|x| *x == "convert").unwrap();
@@ -496,6 +499,7 @@ mod tests {
         assert!(!bench_lines[3].contains("convert_insts_nullified"), "{s}");
         assert!(bench_lines[3].contains("\"full_rounds\":2"), "{s}");
         assert!(bench_lines[3].contains("\"reconciled\":true"), "{s}");
+        assert!(bench_lines[3].contains("\"image_digest\":\"abcd0001020304ef\""), "{s}");
         assert!(bench_lines[4].contains("\"fig\":\"fleet\""), "{s}");
         assert!(bench_lines[4].contains("\"byte_identical\":true"), "{s}");
         assert!(bench_lines[5].contains("\"fig\":\"scale\""), "{s}");

@@ -34,7 +34,8 @@ use crate::fuzz::{self, FuzzConfig, INTERP_STEPS};
 use om_alpha::{decode, encode, Inst, MemOp, Reg};
 use om_core::analysis::Artifacts;
 use om_core::{
-    optimize_and_link_artifacts, FaultKind, FaultPlan, OmLevel, OmOptions, OmOutput, Profile,
+    optimize_and_link_artifacts, FaultKind, FaultPlan, OmError, OmLevel, OmOptions, OmOutput,
+    Profile,
 };
 use om_objfile::{Archive, Module, RelocKind, SecId};
 use om_sim::{run_covered_fast, run_fast, run_profiled_fast, Divergence, RunResult};
@@ -556,6 +557,13 @@ fn run_fault_mutant(build: &CleanBuild, kind: FaultKind, site: usize) -> Option<
         let vopts = fault_options(build, kind, plan2, true);
         match optimize_and_link_artifacts(&build.objects, &build.libs, OmLevel::FullSched, &vopts) {
             Ok(_) => {}
+            // Quote the first violation, as image mutants do: a check count
+            // would move with every verifier change.
+            Err(OmError::Verify { violations, .. }) => {
+                verify = true;
+                let first = violations.first().map_or("", String::as_str);
+                let _ = write!(detail, "; verify: {first}");
+            }
             Err(e) => {
                 verify = true;
                 let msg = e.to_string();

@@ -14,12 +14,13 @@
 //! at the pipeline level.
 
 use crate::code::{CBlock, CFunc};
-use om_alpha::timing::list_schedule;
+use om_alpha::timing::{list_schedule, ListScheduler};
 
 /// Schedules every block of `f` in place.
 pub fn schedule_func(f: &mut CFunc) {
+    let mut sched = ListScheduler::default();
     for b in &mut f.blocks {
-        schedule_block(b);
+        sched.schedule(&mut b.insts, |i| &i.inst);
     }
 }
 

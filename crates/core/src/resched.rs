@@ -11,13 +11,16 @@
 //! ran; what this pass adds is OM's block boundaries, the pinned entry
 //! GPDISP pair and pinned branch targets. The paper found the payoff small —
 //! our harness measures the same experiment.
+//!
+//! Every walk here is linear in the procedure: branch targets are found by
+//! position through a table indexed by instruction id, which is dense
+//! (`0..next_id`, DESIGN §4.4).
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::stats::OmStats;
 use crate::sym::{InstId, SInst, SMark, SymProc, SymProgram};
-use om_alpha::timing::list_schedule;
+use om_alpha::timing::ListScheduler;
 use om_alpha::{Effects, Inst};
-use std::collections::{HashMap, HashSet};
 
 /// Reschedules every procedure and, when `align` is set, aligns
 /// backward-branch targets (the paper itself ablated alignment on `ear`:
@@ -29,14 +32,17 @@ pub fn run_with(
     align: bool,
     fault: Option<&FaultPlan>,
 ) {
+    let mut scratch = Scratch::default();
     for m in &mut program.modules {
         for p in &mut m.procs {
-            schedule_proc(&mut p.insts);
+            scratch.schedule(&mut p.insts);
             // Fault point: procedures with an adjacent truly-dependent pair
             // are the candidate sites for a dependence-violating swap.
-            if let Some(k) = dependent_adjacent_pair(&p.insts) {
-                if crate::fault::armed(fault, FaultKind::SchedSwap) {
-                    p.insts.swap(k, k + 1);
+            if fault.is_some() {
+                if let Some(k) = dependent_adjacent_pair(&p.insts, &mut scratch) {
+                    if crate::fault::armed(fault, FaultKind::SchedSwap) {
+                        p.insts.swap(k, k + 1);
+                    }
                 }
             }
         }
@@ -46,93 +52,122 @@ pub fn run_with(
     }
 }
 
+/// Per-position flags of a procedure (see [`Scratch::mark`]).
+const LEADER: u8 = 1;
+const TARGET: u8 = 2;
+const BACKWARD_TARGET: u8 = 4;
+
+/// Buffers reused across procedures: no walk allocates per procedure or
+/// per block.
+#[derive(Default)]
+struct Scratch {
+    /// Position of each instruction id, [`NO_POS`] where the id is gone.
+    pos: Vec<u32>,
+    /// [`LEADER`] / [`TARGET`] / [`BACKWARD_TARGET`] bits by position.
+    flags: Vec<u8>,
+    sched: ListScheduler,
+    /// Positions alignment puts a UNOP in front of, ascending.
+    pads: Vec<usize>,
+    /// The buffer alignment rebuilds a procedure into.
+    insts: Vec<SInst>,
+}
+
+const NO_POS: u32 = u32::MAX;
+
+impl Scratch {
+    /// Fills `flags` for `insts`: block leaders (position 0, the
+    /// instruction after each control transfer, each branch target), branch
+    /// targets, and targets of a branch at or after them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a branch to an id the procedure does not hold (a dangling
+    /// symbolic reference: an optimizer bug, never malformed input).
+    fn mark(&mut self, insts: &[SInst]) {
+        let bound = insts.iter().map(|i| i.id as usize + 1).max().unwrap_or(0);
+        self.pos.clear();
+        self.pos.resize(bound, NO_POS);
+        for (k, i) in insts.iter().enumerate() {
+            self.pos[i.id as usize] = k as u32;
+        }
+        self.flags.clear();
+        self.flags.resize(insts.len() + 1, 0);
+        self.flags[0] |= LEADER;
+        for (k, i) in insts.iter().enumerate() {
+            if i.inst.is_control() {
+                self.flags[k + 1] |= LEADER;
+            }
+            if let SMark::BrLocal { target } = i.mark {
+                let t = self.pos.get(target as usize).copied().unwrap_or(NO_POS);
+                assert!(t != NO_POS, "dangling branch target {target}");
+                let t = t as usize;
+                self.flags[t] |= LEADER | TARGET;
+                if t <= k {
+                    self.flags[t] |= BACKWARD_TARGET;
+                }
+            }
+        }
+    }
+
+    /// Splits `insts` into basic blocks and list-schedules each block in
+    /// place.
+    fn schedule(&mut self, insts: &mut [SInst]) {
+        self.mark(insts);
+        // The entry GPDISP pair is pinned: OM-full restored it to the
+        // procedure entry precisely so call sites can skip it (BSR to
+        // entry+8), and some already do — rescheduling must not sink it
+        // again.
+        let pinned = match insts {
+            [first, second, ..] => match first.mark {
+                SMark::GpdispHi { lo, anchor: crate::sym::SAnchor::Entry } if second.id == lo => 2,
+                _ => 0,
+            },
+            _ => 0,
+        };
+        let n = insts.len();
+        let mut s = 0;
+        while s < n {
+            let mut e = s + 1;
+            while e < n && self.flags[e] & LEADER == 0 {
+                e += 1;
+            }
+            // Branch-target instructions stay at their block heads: a
+            // branch jumps to a specific instruction id, and anything the
+            // scheduler hoisted above it would be skipped on the branch
+            // path. Marks need no ordering edges of their own: a GPDISP pair
+            // keeps its internal order through the GP dependence, and LITUSE
+            // consumers follow their load through its destination register.
+            let mut head = s.max(pinned);
+            while head < e && self.flags[head] & TARGET != 0 {
+                head += 1;
+            }
+            if head < e {
+                self.sched.schedule(&mut insts[head..e], |i| &i.inst);
+            }
+            s = e;
+        }
+    }
+}
+
+/// Splits `insts` into basic blocks and list-schedules each block.
+pub fn schedule_proc(insts: &mut [SInst]) {
+    Scratch::default().schedule(insts);
+}
+
 /// First position `k` where instruction `k+1` truly depends on `k` (reads
 /// an integer register `k` writes), neither is a control transfer, and
-/// `k+1` is not a branch target — the site the [`FaultKind::SchedSwap`]
+/// neither is a branch target — the site the [`FaultKind::SchedSwap`]
 /// mutation inverts.
-fn dependent_adjacent_pair(insts: &[SInst]) -> Option<usize> {
-    let targets: HashSet<InstId> = insts
-        .iter()
-        .filter_map(|i| match i.mark {
-            SMark::BrLocal { target } => Some(target),
-            _ => None,
-        })
-        .collect();
-    insts.windows(2).position(|w| {
+fn dependent_adjacent_pair(insts: &[SInst], scratch: &mut Scratch) -> Option<usize> {
+    scratch.mark(insts);
+    let flags = &scratch.flags;
+    insts.windows(2).enumerate().position(|(k, w)| {
         let (a, b) = (Effects::of(&w[0].inst), Effects::of(&w[1].inst));
         !a.control
             && !b.control
             && a.int_defs & b.int_uses != 0
-            && !targets.contains(&w[1].id)
-            && !targets.contains(&w[0].id)
+            && (flags[k] | flags[k + 1]) & TARGET == 0
     })
-}
-
-/// Splits `insts` into basic blocks and list-schedules each block.
-pub fn schedule_proc(insts: &mut Vec<SInst>) {
-    // Block leaders: position 0, branch targets, and instructions after a
-    // control transfer.
-    let mut leaders: HashSet<usize> = HashSet::new();
-    leaders.insert(0);
-    let pos_of: HashMap<InstId, usize> =
-        insts.iter().enumerate().map(|(k, i)| (i.id, k)).collect();
-    for (k, i) in insts.iter().enumerate() {
-        if i.inst.is_control() {
-            leaders.insert(k + 1);
-        }
-        if let SMark::BrLocal { target } = i.mark {
-            leaders.insert(pos_of[&target]);
-        }
-    }
-    let mut starts: Vec<usize> = leaders.into_iter().filter(|&k| k < insts.len()).collect();
-    starts.sort_unstable();
-
-    // The entry GPDISP pair is pinned: OM-full restored it to the procedure
-    // entry precisely so call sites can skip it (BSR to entry+8), and some
-    // already do — rescheduling must not sink it again.
-    let pinned = match (insts.first(), insts.get(1)) {
-        (Some(first), Some(second)) => match first.mark {
-            crate::sym::SMark::GpdispHi { lo, anchor: crate::sym::SAnchor::Entry }
-                if second.id == lo =>
-            {
-                2
-            }
-            _ => 0,
-        },
-        _ => 0,
-    };
-
-    // Branch-target instructions must stay at their block heads: a branch
-    // jumps to a specific instruction id, and anything the scheduler hoisted
-    // above it would be skipped on the branch path.
-    let targets: HashSet<InstId> = insts
-        .iter()
-        .filter_map(|i| match i.mark {
-            SMark::BrLocal { target } => Some(target),
-            _ => None,
-        })
-        .collect();
-
-    let mut out: Vec<SInst> = insts[..pinned.min(insts.len())].to_vec();
-    for (bi, &s) in starts.iter().enumerate() {
-        let e = starts.get(bi + 1).copied().unwrap_or(insts.len());
-        if e <= pinned {
-            continue;
-        }
-        let mut s = s.max(pinned);
-        // Pin the leader while it is a branch target.
-        while s < e && targets.contains(&insts[s].id) {
-            out.push(insts[s]);
-            s += 1;
-        }
-        // Marks need no ordering edges of their own: a GPDISP pair keeps its
-        // internal order through the GP dependence, and LITUSE consumers
-        // follow their load through its destination register.
-        let mut block: Vec<SInst> = insts[s..e].to_vec();
-        list_schedule(&mut block, |i| &i.inst);
-        out.extend(block);
-    }
-    *insts = out;
 }
 
 /// The distinct backward-branch targets of `p` (target position ≤ branch
@@ -141,20 +176,12 @@ pub fn schedule_proc(insts: &mut Vec<SInst>) {
 /// relinks (scheduling is deterministic and padding never adds targets, so
 /// ranks are stable where instruction ids and addresses are not).
 pub fn backward_target_ids(p: &SymProc) -> Vec<InstId> {
-    let pos_of: HashMap<InstId, usize> =
-        p.insts.iter().enumerate().map(|(k, i)| (i.id, k)).collect();
-    let mut positions: Vec<usize> = p
-        .insts
-        .iter()
-        .enumerate()
-        .filter_map(|(k, i)| match i.mark {
-            SMark::BrLocal { target } if pos_of[&target] <= k => Some(pos_of[&target]),
-            _ => None,
-        })
-        .collect();
-    positions.sort_unstable();
-    positions.dedup();
-    positions.into_iter().map(|k| p.insts[k].id).collect()
+    let mut scratch = Scratch::default();
+    scratch.mark(&p.insts);
+    (p.insts.iter().zip(&scratch.flags))
+        .filter(|(_, &f)| f & BACKWARD_TARGET != 0)
+        .map(|(i, _)| i.id)
+        .collect()
 }
 
 /// Inserts UNOPs so that every backward-branch target lands on an 8-byte
@@ -172,31 +199,39 @@ pub fn align_backward_targets_where(
     stats: &mut OmStats,
     mut keep: impl FnMut(usize, usize, usize) -> bool,
 ) {
+    let mut scratch = Scratch::default();
     for (mi, m) in program.modules.iter_mut().enumerate() {
         // Offset of each proc start within the module, updated as UNOPs are
         // inserted (procedures are laid out back to back).
         let mut base = 0u64;
         for (pi, p) in m.procs.iter_mut().enumerate() {
-            let rank_of: HashMap<InstId, usize> = backward_target_ids(p)
-                .into_iter()
-                .enumerate()
-                .map(|(rank, id)| (id, rank))
-                .collect();
-
-            // Walk front to back, padding before each selected target until
-            // its offset is quadword-aligned. Padding shifts later targets,
-            // so process in position order.
-            let mut k = 0;
-            while k < p.insts.len() {
-                let id = p.insts[k].id;
-                let wanted = rank_of.get(&id).is_some_and(|&rank| keep(mi, pi, rank));
-                if wanted && !(base + 4 * k as u64).is_multiple_of(8) {
-                    let fresh = p.fresh_id();
-                    p.insts.insert(k, SInst { id: fresh, inst: Inst::unop(), mark: SMark::None });
-                    stats.unops_inserted += 1;
-                    k += 1; // the target moved one slot later and is now aligned
+            // Decide front to back which selected targets need a UNOP in
+            // front to land quadword-aligned: padding shifts later targets.
+            scratch.mark(&p.insts);
+            scratch.pads.clear();
+            let targets = (scratch.flags.iter().enumerate())
+                .filter(|(_, &f)| f & BACKWARD_TARGET != 0)
+                .map(|(k, _)| k);
+            for (rank, k) in targets.enumerate() {
+                let offset = base + 4 * (k + scratch.pads.len()) as u64;
+                if keep(mi, pi, rank) && !offset.is_multiple_of(8) {
+                    scratch.pads.push(k);
                 }
-                k += 1;
+            }
+            // Then rebuild the procedure once.
+            if !scratch.pads.is_empty() {
+                let old = std::mem::replace(&mut p.insts, std::mem::take(&mut scratch.insts));
+                let mut pads = scratch.pads.iter().peekable();
+                for (k, &i) in old.iter().enumerate() {
+                    if pads.next_if_eq(&&k).is_some() {
+                        let fresh = p.fresh_id();
+                        p.insts.push(SInst { id: fresh, inst: Inst::unop(), mark: SMark::None });
+                    }
+                    p.insts.push(i);
+                }
+                stats.unops_inserted += scratch.pads.len();
+                scratch.insts = old;
+                scratch.insts.clear();
             }
             base += 4 * p.insts.len() as u64;
         }

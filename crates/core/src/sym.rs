@@ -262,6 +262,53 @@ impl SymProgram {
     }
 }
 
+/// A module's text relocations bucketed by instruction word, built in one
+/// counting pass: the relocations of word `w` are `order[start[w]..start[w +
+/// 1]]` (indices into `relocs`), in the order the module lists them. A
+/// relocation past the last whole word is never looked up, so it is left
+/// out.
+struct RelocsByWord<'m> {
+    relocs: &'m [Reloc],
+    start: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl<'m> RelocsByWord<'m> {
+    fn new(m: &'m Module) -> RelocsByWord<'m> {
+        let words = m.text.len() / 4;
+        let word_of = |r: &Reloc| {
+            let w = usize::try_from(r.offset / 4).unwrap_or(usize::MAX);
+            (r.sec == SecId::Text && w < words).then_some(w)
+        };
+        let mut start = vec![0u32; words + 1];
+        for w in m.relocs.iter().filter_map(word_of) {
+            start[w + 1] += 1;
+        }
+        for w in 0..words {
+            start[w + 1] += start[w];
+        }
+        let mut next = start.clone();
+        let mut order = vec![0u32; start[words] as usize];
+        for (ri, r) in m.relocs.iter().enumerate() {
+            if let Some(w) = word_of(r) {
+                order[next[w] as usize] = ri as u32;
+                next[w] += 1;
+            }
+        }
+        RelocsByWord { relocs: &m.relocs, start, order }
+    }
+
+    /// The text relocations at byte offset `off` of the text, in module
+    /// order. `off + 4` must not pass the text's end. Only a procedure that
+    /// starts off a word boundary asks for a misaligned `off`; it shares its
+    /// word's bucket, so the bucket is filtered by offset.
+    fn at(&self, off: u64) -> impl Iterator<Item = &'m Reloc> + '_ {
+        let w = (off / 4) as usize;
+        let bucket = &self.order[self.start[w] as usize..self.start[w + 1] as usize];
+        bucket.iter().map(|&ri| &self.relocs[ri as usize]).filter(move |r| r.offset == off)
+    }
+}
+
 /// Translates one module into symbolic form — the whole decode/tiling/mark
 /// analysis, with no reference to the rest of the program. The result
 /// depends only on the module's bytes, which is what makes it cacheable by
@@ -276,7 +323,7 @@ impl SymProgram {
 pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
     let mut procs: Vec<SymProc> = Vec::new();
     let proc_list = m.procedures();
-    let reloc_index = m.text_reloc_index();
+    let by_word = RelocsByWord::new(m);
 
     // Check tiling.
     let mut expected = 0;
@@ -305,22 +352,6 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
         let id_of_offset =
             |o: u64| -> Option<InstId> { o.checked_sub(offset).map(|d| (d / 4) as u32) };
 
-        // Pass 1: find escaping loads. Only the *self-referential*
-        // LituseAddr marks a load as escaping-with-unknown-uses; a
-        // LituseAddr on a different instruction is a known (but
-        // unrewritable) use and keeps its own mark.
-        let mut escaping: Vec<u64> = Vec::new();
-        for k in 0..n {
-            let off = offset + 4 * k as u64;
-            for r in reloc_index.get(&off).into_iter().flatten() {
-                if let RelocKind::LituseAddr { load_offset } = r.kind {
-                    if load_offset == off {
-                        escaping.push(load_offset);
-                    }
-                }
-            }
-        }
-
         let mut insts = Vec::with_capacity(n);
         for k in 0..n {
             let off = offset + 4 * k as u64;
@@ -335,7 +366,7 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
             let id = k as InstId;
 
             let mut mark = SMark::None;
-            for r in reloc_index.get(&off).into_iter().flatten() {
+            for r in by_word.at(off) {
                 let bad = |what: String| OmError::BadReloc { module: m.name.clone(), what };
                 let linked = |load_offset: u64| -> Result<InstId, OmError> {
                     id_of_offset(load_offset)
@@ -348,11 +379,14 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
                             return Err(bad(format!("literal at {off:#x} is not `ldq rx, d(gp)`")));
                         }
                         let e: &LitaEntry = &m.lita[*lita as usize];
-                        mark = SMark::Literal {
-                            sym: e.sym,
-                            addend: e.addend,
-                            escaping: escaping.contains(&off),
-                        };
+                        // Only the *self-referential* LituseAddr marks a
+                        // load as escaping-with-unknown-uses; a LituseAddr
+                        // on a different instruction is a known (but
+                        // unrewritable) use and keeps its own mark.
+                        let escaping = by_word.at(off).any(|u| {
+                            matches!(u.kind, RelocKind::LituseAddr { load_offset } if load_offset == off)
+                        });
+                        mark = SMark::Literal { sym: e.sym, addend: e.addend, escaping };
                     }
                     RelocKind::LituseBase { load_offset } => {
                         if !matches!(inst, Inst::Mem { .. }) {
@@ -559,20 +593,32 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
     let slot_of: HashMap<(SymId, i64), u32> =
         m.lita.iter().enumerate().map(|(k, e)| ((e.sym, e.addend), k as u32)).collect();
 
+    // Offsets by instruction id (dense per procedure, so sized by
+    // `next_id`; an id past it would be a bug, and grows the table rather
+    // than panic), reused across procedures; `NO_OFFSET` where the id is
+    // gone.
+    const NO_OFFSET: u64 = u64::MAX;
+    let mut off_of: Vec<u64> = Vec::new();
     for p in &sm.procs {
         let start = m.text.len() as u64;
-        // Offsets by id.
-        let mut off_of: HashMap<InstId, u64> = HashMap::new();
+        off_of.clear();
+        off_of.resize(p.next_id as usize, NO_OFFSET);
         for (k, i) in p.insts.iter().enumerate() {
-            off_of.insert(i.id, start + 4 * k as u64);
+            let id = i.id as usize;
+            if id >= off_of.len() {
+                off_of.resize(id + 1, NO_OFFSET);
+            }
+            off_of[id] = start + 4 * k as u64;
         }
         // A mark naming an instruction id absent from the procedure is a
         // transformation bug (the former `index_of` panic class); surface it
         // as a typed error so one bad request cannot take down a server.
         let off = |id: InstId| -> Result<u64, OmError> {
-            off_of.get(&id).copied().ok_or_else(|| OmError::Internal {
-                context: "emit".into(),
-                what: format!("dangling instruction id {id} in {}", p.name),
+            off_of.get(id as usize).copied().filter(|&o| o != NO_OFFSET).ok_or_else(|| {
+                OmError::Internal {
+                    context: "emit".into(),
+                    what: format!("dangling instruction id {id} in {}", p.name),
+                }
             })
         };
         for (k, si) in p.insts.iter().enumerate() {

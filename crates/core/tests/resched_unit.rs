@@ -3,25 +3,30 @@
 
 use om_alpha::{Inst, Reg};
 use om_codegen::{compile_source, crt0, CompileOpts};
-use om_core::resched::schedule_proc;
-use om_core::sym::{translate, SMark};
+use om_core::resched::{align_backward_targets_where, backward_target_ids, schedule_proc};
+use om_core::sym::{translate, SMark, SymProc};
+use om_core::{OmStats, SymProgram};
 use om_linker::{build_symbol_table, select_modules};
 use std::collections::HashSet;
 
-fn main_proc(src: &str) -> om_core::sym::SymProc {
+fn program(src: &str) -> SymProgram {
     let objects = vec![
         crt0::module().unwrap(),
         compile_source("m", src, &CompileOpts::o2()).unwrap(),
     ];
     let modules = select_modules(&objects, &[]).unwrap();
     let symtab = build_symbol_table(&modules).unwrap();
-    let program = translate(&modules, &symtab).unwrap();
-    program.modules[1]
-        .procs
-        .iter()
-        .find(|p| p.name == "main")
-        .unwrap()
-        .clone()
+    translate(&modules, &symtab).unwrap()
+}
+
+/// Index of `main` in module 1 (the compiled source).
+fn main_index(program: &SymProgram) -> usize {
+    program.modules[1].procs.iter().position(|p| p.name == "main").unwrap()
+}
+
+fn main_proc(src: &str) -> SymProc {
+    let program = program(src);
+    program.modules[1].procs[main_index(&program)].clone()
 }
 
 #[test]
@@ -139,4 +144,89 @@ fn alignment_pads_backward_targets_to_quadwords() {
     }
     assert!(checked > 0, "the loop must produce a backward conditional branch");
     let _ = Reg::ZERO;
+}
+
+/// Checks `after`, the alignment of `before` (the procedure at byte offset
+/// `base` of its module), with `keep` selecting target ranks: the UNOPs
+/// are new instructions, each directly in front of a selected target; every
+/// selected target is quadword-aligned; and nothing else moved. Returns the
+/// UNOP positions.
+fn padded_positions(
+    before: &SymProc,
+    after: &SymProc,
+    base: u64,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    let old: HashSet<u32> = before.insts.iter().map(|i| i.id).collect();
+    let pads: Vec<usize> = (after.insts.iter().enumerate())
+        .filter(|(_, i)| !old.contains(&i.id))
+        .map(|(k, _)| k)
+        .collect();
+    let kept: Vec<_> = after.insts.iter().filter(|i| old.contains(&i.id)).copied().collect();
+    assert_eq!(kept, before.insts, "alignment only inserts");
+    let targets = backward_target_ids(before);
+    assert_eq!(backward_target_ids(after), targets, "padding adds no target");
+    let pos = |id: u32| after.insts.iter().position(|i| i.id == id).unwrap();
+    let selected: Vec<u32> =
+        (targets.iter().enumerate()).filter(|(rank, _)| keep(*rank)).map(|(_, &id)| id).collect();
+    for &id in &selected {
+        assert_eq!((base + 4 * pos(id) as u64) % 8, 0, "selected target {id} is aligned");
+    }
+    for &k in &pads {
+        assert_eq!(after.insts[k].inst, Inst::unop());
+        assert!(selected.contains(&after.insts[k + 1].id), "UNOP at {k} pads a selected target");
+    }
+    pads
+}
+
+#[test]
+fn alignment_pads_several_targets_of_one_procedure() {
+    let src = "int g; int h;
+         int main() {
+           int i = 0;
+           int j = 0;
+           for (i = 0; i < 10; i = i + 1) { g = g + i; }
+           for (i = 0; i < 10; i = i + 1) { h = h + g * i; }
+           for (i = 0; i < 10; i = i + 1) { g = g - h; }
+           for (i = 0; i < 10; i = i + 1) { for (j = 0; j < 3; j = j + 1) { h = h + j; } }
+           for (i = 0; i < 10; i = i + 1) { g = g + h + i; }
+           return g + h;
+         }";
+    // Scheduled, not yet aligned: the input of both alignment entry points.
+    let mut scheduled = program(src);
+    om_core::resched::run_with(&mut scheduled, &mut OmStats::default(), false, None);
+    let pi = main_index(&scheduled);
+    let before = scheduled.modules[1].procs[pi].clone();
+    assert!(backward_target_ids(&before).len() >= 5, "one target per loop");
+    let base_of = |p: &SymProgram| -> u64 {
+        p.modules[1].procs[..pi].iter().map(|q| 4 * q.insts.len() as u64).sum()
+    };
+
+    // Every target, through the pass itself.
+    let mut all = program(src);
+    let mut stats = OmStats::default();
+    om_core::resched::run_with(&mut all, &mut stats, true, None);
+    let pads = padded_positions(&before, &all.modules[1].procs[pi], base_of(&all), |_| true);
+    assert!(pads.len() > 1, "main needs several UNOPs: {pads:?}");
+    let total: usize = (all.modules.iter().zip(&scheduled.modules))
+        .flat_map(|(a, s)| a.procs.iter().zip(&s.procs))
+        .map(|(a, s)| a.insts.len() - s.insts.len())
+        .sum();
+    assert_eq!(stats.unops_inserted, total);
+
+    // Even ranks of main only.
+    let even = |rank: usize| rank.is_multiple_of(2);
+    let mut some = scheduled.clone();
+    let mut stats = OmStats::default();
+    align_backward_targets_where(&mut some, &mut stats, |mi, p, rank| {
+        mi == 1 && p == pi && even(rank)
+    });
+    let pads = padded_positions(&before, &some.modules[1].procs[pi], base_of(&some), even);
+    assert!(pads.len() > 1, "the even ranks of main need several UNOPs: {pads:?}");
+    assert_eq!(stats.unops_inserted, pads.len());
+    let only_main = (some.modules.iter().enumerate())
+        .flat_map(|(mi, m)| m.procs.iter().enumerate().map(move |(p, q)| (mi, p, q)))
+        .filter(|&(mi, p, _)| (mi, p) != (1, pi))
+        .all(|(mi, p, q)| q.insts == scheduled.modules[mi].procs[p].insts);
+    assert!(only_main, "no other procedure is padded");
 }

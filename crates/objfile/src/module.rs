@@ -11,7 +11,6 @@ use crate::error::ObjError;
 use crate::reloc::{Reloc, RelocKind};
 use crate::section::SecId;
 use crate::symbol::{Symbol, SymbolDef, SymId};
-use std::collections::HashMap;
 
 /// One slot of a module's global address table: the 64-bit address of
 /// `sym + addend`, filled in at link time.
@@ -103,15 +102,6 @@ impl Module {
     /// Relocations applying to the text section, in offset order.
     pub fn text_relocs(&self) -> impl Iterator<Item = &Reloc> {
         self.relocs.iter().filter(|r| r.sec == SecId::Text)
-    }
-
-    /// A map from text offset to the relocations at that offset.
-    pub fn text_reloc_index(&self) -> HashMap<u64, Vec<&Reloc>> {
-        let mut map: HashMap<u64, Vec<&Reloc>> = HashMap::new();
-        for r in self.text_relocs() {
-            map.entry(r.offset).or_default().push(r);
-        }
-        map
     }
 
     /// Checks the structural invariants:

@@ -1,8 +1,9 @@
-//! `omtrace` — validates `--trace-json` output files.
+//! `omtrace` — validates and summarizes `--trace-json` output files.
 //!
 //! ```text
 //! omtrace check TRACE.json [--require SPAN]... [--require-counter NAME]...
 //!                          [--min-coverage SPAN=FRACTION]...
+//! omtrace summarize TRACE.json...
 //! ```
 //!
 //! `check` parses the file, proves every span event is well-formed and that
@@ -15,22 +16,39 @@
 //! when the summed durations of the direct children of any instance of
 //! SPAN cover less than FRACTION (0 to 1) of that instance, or when SPAN
 //! does not occur. It prints the lowest coverage it found.
+//!
+//! `summarize` reads k traces of the same link and prints, per span name,
+//! its instance count and the median and median absolute deviation (MAD) of
+//! its total milliseconds across the k traces: one link's layer table with
+//! its noise band. A span missing from a trace counts 0 ms there.
 
 use om_obs::TraceSpan;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 const USAGE: &str = "omtrace check TRACE.json [--require SPAN]... [--require-counter NAME]... \
-                     [--min-coverage SPAN=FRACTION]...";
+                     [--min-coverage SPAN=FRACTION]... | omtrace summarize TRACE.json...";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => check(&args[1..]),
+        Some("summarize") => summarize(&args[1..]),
         _ => {
             eprintln!("usage: {USAGE}");
             ExitCode::from(2)
         }
     }
+}
+
+/// Reads and validates one trace, reporting a failure on stderr.
+fn read_spans(path: &str) -> Option<(String, Vec<TraceSpan>)> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| eprintln!("omtrace: cannot read {path}: {e}"))
+        .ok()?;
+    let spans =
+        om_obs::validate_chrome_trace(&text).map_err(|e| eprintln!("omtrace: {path}: {e}")).ok()?;
+    Some((text, spans))
 }
 
 fn check(args: &[String]) -> ExitCode {
@@ -65,20 +83,7 @@ fn check(args: &[String]) -> ExitCode {
     }
     let Some(path) = path else { return usage("missing TRACE.json path") };
 
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("omtrace: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spans = match om_obs::validate_chrome_trace(&text) {
-        Ok(spans) => spans,
-        Err(e) => {
-            eprintln!("omtrace: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let Some((text, spans)) = read_spans(&path) else { return ExitCode::FAILURE };
     for want in &require_spans {
         if !spans.iter().any(|s| s.name == *want) {
             eprintln!("omtrace: {path}: required span `{want}` not found");
@@ -132,7 +137,50 @@ fn lowest_coverage(spans: &[TraceSpan], span: &str) -> Option<f64> {
         .reduce(f64::min)
 }
 
+fn summarize(paths: &[String]) -> ExitCode {
+    if paths.is_empty() {
+        return usage("summarize needs at least one TRACE.json");
+    }
+    if let Some(flag) = paths.iter().find(|p| p.starts_with('-')) {
+        return usage(&format!("unexpected argument `{flag}`"));
+    }
+    // Per span name, its (instances, total ms) in each trace.
+    let mut by_name: BTreeMap<String, Vec<(usize, f64)>> = BTreeMap::new();
+    for (k, path) in paths.iter().enumerate() {
+        let Some((_, spans)) = read_spans(path) else { return ExitCode::FAILURE };
+        for s in spans {
+            let per_trace = by_name.entry(s.name).or_insert_with(|| vec![(0, 0.0); paths.len()]);
+            per_trace[k].0 += 1;
+            per_trace[k].1 += (s.end - s.start) / 1e3;
+        }
+    }
+    println!("spans over {} traces (name, instances, median total ms, MAD ms):", paths.len());
+    for (name, per_trace) in &by_name {
+        let (lo, hi) =
+            per_trace.iter().fold((usize::MAX, 0), |(lo, hi), &(n, _)| (lo.min(n), hi.max(n)));
+        let instances = if lo == hi { lo.to_string() } else { format!("{lo}-{hi}") };
+        let totals: Vec<f64> = per_trace.iter().map(|&(_, ms)| ms).collect();
+        let mid = median(&totals);
+        let mad = median(&totals.iter().map(|t| (t - mid).abs()).collect::<Vec<_>>());
+        println!("  {name:<28} {instances:>9}  {mid:>10.3}  {mad:>8.3}");
+    }
+    ExitCode::SUCCESS
+}
+
+/// The median of a non-empty sample (the mean of the middle two when even).
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
 fn usage(msg: &str) -> ExitCode {
     eprintln!("omtrace: {msg}");
+    eprintln!("usage: {USAGE}");
     ExitCode::from(2)
 }

@@ -1,6 +1,7 @@
 //! `omtrace check --min-coverage`: a span whose direct children cover all of
 //! it passes, one with a 50% gap fails with exit 1, and a malformed
-//! `SPAN=FRACTION` exits 2 with the usage text.
+//! `SPAN=FRACTION` exits 2 with the usage text. `omtrace summarize` prints
+//! each span's instances and the median and MAD of its total across traces.
 
 use std::process::{Command, Output};
 
@@ -64,4 +65,82 @@ fn malformed_coverage_values_exit_2() {
     }
     let out = check(&trace(true), "missing.json", &["--min-coverage"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// Runs `omtrace summarize` over `traces`, each written to a file of its own.
+fn summarize(traces: &[String]) -> Output {
+    let dir = std::env::temp_dir().join(format!("omtrace-summarize-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let paths: Vec<_> = (traces.iter().enumerate())
+        .map(|(k, t)| {
+            let path = dir.join(format!("t{k}.json"));
+            std::fs::write(&path, t).unwrap();
+            path
+        })
+        .collect();
+    let out = Command::new(env!("CARGO_BIN_EXE_omtrace"))
+        .arg("summarize")
+        .args(&paths)
+        .output()
+        .expect("omtrace runs");
+    std::fs::remove_dir_all(&dir).unwrap();
+    out
+}
+
+/// A trace whose `pipeline` takes `pipeline_us` and holds one `a` per entry
+/// of `a_us`, back to back.
+fn timed_trace(pipeline_us: u32, a_us: &[u32]) -> String {
+    let event = |name: &str, ts: u32, dur: u32, depth: u32| {
+        format!(
+            r#"{{"name":"{name}","ph":"X","ts":{ts}.000,"dur":{dur}.000,"pid":1,"tid":0,"args":{{"depth":{depth}}}}}"#
+        )
+    };
+    let mut events = vec![event("pipeline", 0, pipeline_us, 0)];
+    let mut ts = 0;
+    for &d in a_us {
+        events.push(event("a", ts, d, 1));
+        ts += d;
+    }
+    format!(r#"{{"traceEvents":[{}],"counters":{{}}}}"#, events.join(","))
+}
+
+#[test]
+fn summarize_prints_median_and_mad_per_span() {
+    // `pipeline` totals 10, 20 and 40 ms: median 20, deviations 10, 0, 20,
+    // MAD 10. `a` runs twice per trace for 6, 8 and 5 ms in all.
+    let traces = [
+        timed_trace(10_000, &[2_000, 4_000]),
+        timed_trace(20_000, &[4_000, 4_000]),
+        timed_trace(40_000, &[1_000, 4_000]),
+    ];
+    let out = summarize(&traces);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let lines: Vec<Vec<&str>> =
+        stdout.lines().skip(1).map(|l| l.split_whitespace().collect()).collect();
+    assert!(stdout.starts_with("spans over 3 traces"), "{stdout}");
+    assert_eq!(lines, [["a", "2", "6.000", "1.000"], ["pipeline", "1", "20.000", "10.000"]]);
+
+    // A span some traces lack counts 0 ms there; its instance count is a
+    // range.
+    let out = summarize(&[timed_trace(10_000, &[]), timed_trace(10_000, &[3_000])]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("  a ") && stdout.contains(" 0-1 "), "{stdout}");
+    assert!(stdout.contains("1.500     1.500"), "{stdout}");
+}
+
+#[test]
+fn summarize_usage_errors_exit_2_and_bad_traces_exit_1() {
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_omtrace")).args(args).output().expect("omtrace runs")
+    };
+    for args in [&["summarize"][..], &["summarize", "--median"], &["summarise", "t.json"]] {
+        let out = run(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("usage: omtrace"), "{args:?}: {err}");
+    }
+    let missing = run(&["summarize", "/nonexistent/omtrace/t.json"]);
+    assert_eq!(missing.status.code(), Some(1));
+    assert_eq!(summarize(&["{\"traceEvents\":7}".to_string()]).status.code(), Some(1));
 }
