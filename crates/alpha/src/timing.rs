@@ -33,6 +33,7 @@ pub enum IssueClass {
 }
 
 /// Returns the issue class of an instruction.
+#[inline]
 pub fn issue_class(inst: &Inst) -> IssueClass {
     match inst {
         Inst::Mem { .. } => IssueClass::Mem,
@@ -44,6 +45,9 @@ pub fn issue_class(inst: &Inst) -> IssueClass {
 
 /// Result latency in cycles: the number of cycles after issue before a
 /// dependent instruction can issue. 1 means back-to-back issue is fine.
+/// Inline: the simulator calls it across the crate boundary on every block
+/// it executes.
+#[inline]
 pub fn latency(inst: &Inst) -> u32 {
     match inst {
         Inst::Mem { op, .. } => match op {
@@ -74,7 +78,10 @@ pub fn latency(inst: &Inst) -> u32 {
 ///
 /// The model follows the EV4's practical constraints: the two instructions
 /// must use different pipes, at most one may access memory, at most one may be
-/// a branch, and the branch must be the second of the pair.
+/// a branch, and the branch must be the second of the pair. Inline, with
+/// [`issue_class`]: the simulator calls it across the crate boundary on
+/// every block it executes.
+#[inline]
 pub fn can_dual_issue(first: &Inst, second: &Inst) -> bool {
     use IssueClass::*;
     match (issue_class(first), issue_class(second)) {

@@ -41,6 +41,7 @@ fn usage(msg: &str) -> ! {
 }
 
 fn main() {
+    om_obs::exit_quietly_on_closed_stdout();
     let mut seeds: u64 = 100;
     let mut start: u64 = 0;
     let mut jobs: usize = default_jobs();

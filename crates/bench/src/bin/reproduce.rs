@@ -69,6 +69,7 @@ fn check(paths: &[String]) -> ! {
 }
 
 fn main() {
+    om_obs::exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "check") {
         check(&args[1..]);

@@ -2,9 +2,10 @@
 //! arguments, 1 for an unreadable or unparsable report or any finding, and 0
 //! for the committed baseline checked against itself. A figure run exits 2
 //! with the usage line, before building anything, on a bad argument or a
-//! `--bench` filter that selects nothing to measure.
+//! `--bench` filter that selects nothing to measure, and stops quietly when
+//! its reader closes the pipe.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 #[test]
 fn bad_figure_arguments_exit_2_with_usage() {
@@ -24,6 +25,23 @@ fn bad_figure_arguments_exit_2_with_usage() {
         assert!(err.contains("usage: reproduce"), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?}: printed a table");
     }
+}
+
+#[test]
+fn a_figure_run_stops_quietly_when_stdout_closes() {
+    // `reproduce fig3 --quick --bench li | head -0`: the reader is gone
+    // before the table is printed.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["fig3", "--quick", "--bench", "li"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("reproduce runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("reproduce exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked") && !err.contains("Broken pipe"), "{err}");
 }
 
 /// Runs `reproduce check ARGS...` from the workspace root; returns the exit

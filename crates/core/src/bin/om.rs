@@ -50,6 +50,7 @@ fn usage(msg: &str) -> ! {
 }
 
 fn main() {
+    om_obs::exit_quietly_on_closed_stdout();
     let mut inputs = Vec::new();
     let mut out = PathBuf::from("a.exe");
     let mut level = OmLevel::Full;

@@ -10,24 +10,24 @@
 //!   loses its PV load;
 //! * removed instructions are deleted (the code shrinks), not nullified —
 //!   the call sites and address loads go through OM-simple's passes
-//!   ([`crate::simple::convert_calls`],
-//!   [`crate::simple::transform_address_loads`]) with [`Removal::Delete`],
-//!   so the pass that decides a removal also performs it;
+//!   (`simple::convert_calls`, `simple::transform_address_loads`) with
+//!   [`Removal::Delete`], so the pass that decides a removal also performs
+//!   it, one batch per procedure;
 //! * the GAT is reduced to a fixpoint: dropping dead slots pulls small data
 //!   closer to GP, which lets more address loads be nullified, which kills
 //!   more slots — "perhaps enabling a fresh round of the other improvements".
+//!   Each round after the first visits only the call sites, prologues and
+//!   loads the previous one left (`analysis::Residue`).
 
 use crate::analysis::{
-    address_taken, find_entry_pair, prologue_pair_at_entry, reads_pv_outside, CallKind, Snapshot,
+    find_entry_pair, prologue_pair_at_entry, reads_pv_outside, CallKind, Residue, Snapshot,
 };
 use crate::pipeline::CallBook;
-use crate::simple::{
-    bsr_reachable, collect_sites, convert_calls, remove, transform_address_loads, Removal, Site,
-};
+use crate::simple::{bsr_reachable, convert_calls, transform_address_loads, Removal};
 use crate::stats::OmStats;
-use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProgram};
+use crate::sym::{GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProgram};
 use om_alpha::{Effects, Reg};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Runs OM-full over the program under `options` (layout policy, fixpoint
 /// budget, preemptible symbols, fault plan).
@@ -49,18 +49,26 @@ pub fn run_with(
 
     // Iterate to the GAT-reduction fixpoint. Each round makes decisions
     // against a fresh layout of the *current* (already shrunk) program;
-    // distances only shrink, so earlier decisions stay valid.
+    // distances only shrink, so earlier decisions stay valid and a round
+    // visits only what the previous one left (the first collects it).
     let preempt: HashSet<&str> = options.preemptible.iter().map(String::as_str).collect();
+    let mut work: Option<(Residue, Vec<usize>)> = None;
     for _round in 0..options.max_rounds {
         let snap = Snapshot::capture_with(program, options.sort_commons)?;
-        let m = crate::obs::PassMeter::begin("calls", stats);
-        let sites = collect_sites(program, &snap);
-        let dropped = drop_prologues(program, &snap, &sites, stats, &preempt);
+        let mut m = crate::obs::PassMeter::begin("calls", stats);
+        let (residue, prologues) = work.get_or_insert_with(|| {
+            let residue = Residue::collect(program);
+            let prologues = prologue_candidates(program, &residue, &preempt);
+            (residue, prologues)
+        });
+        m.arg("sites", residue.live_sites.len());
+        m.arg("prologues", prologues.len());
+        let dropped = drop_prologues(program, &snap, residue, prologues);
         let mut changed = !dropped.is_empty();
         changed |= convert_calls(
             program,
             &snap,
-            &sites,
+            residue,
             &dropped,
             Removal::Delete,
             stats,
@@ -69,10 +77,12 @@ pub fn run_with(
             options.fault.as_ref(),
         );
         m.end(stats);
-        let m = crate::obs::PassMeter::begin("convert", stats);
+        let mut m = crate::obs::PassMeter::begin("convert", stats);
+        m.arg("loads", residue.live_loads.len());
         changed |= transform_address_loads(
             program,
             &snap,
+            residue,
             Removal::Delete,
             stats,
             &preempt,
@@ -132,65 +142,65 @@ pub fn restore_prologues(program: &mut SymProgram) {
     }
 }
 
-/// Deletes the prologue GP setup of every procedure that can lose it: its
-/// address never escapes, it does not read the incoming PV elsewhere, and
-/// every call site (`sites`, frozen under `snap`) is a same-GP BSR candidate
-/// within reach that does not already skip the prologue. Returns the
-/// procedures whose prologues were deleted.
-fn drop_prologues(
-    program: &mut SymProgram,
-    snap: &Snapshot,
-    sites: &[Site],
-    stats: &mut OmStats,
+/// The procedures whose prologue GP setup OM-full may ever drop, as dense
+/// indices of `residue`: those with an entry GPDISP pair whose address is
+/// not taken and whose symbol no dynamic link can preempt.
+fn prologue_candidates(
+    program: &SymProgram,
+    residue: &Residue,
     preempt: &HashSet<&str>,
-) -> HashSet<GlobalRef> {
-    let taken = address_taken(program);
-
-    // Group call sites per target procedure.
-    let mut callers: HashMap<GlobalRef, Vec<usize>> = HashMap::new();
-    for (si, s) in sites.iter().enumerate() {
-        if let CallKind::DirectJsr { sym, .. } | CallKind::Bsr { sym, .. } = s.kind {
-            callers.entry(program.target(s.mi, sym)).or_default().push(si);
-        }
-    }
-
-    let mut dropped: HashSet<GlobalRef> = HashSet::new();
-    for (mi, m) in program.modules.iter().enumerate() {
-        for p in &m.procs {
-            let r = GlobalRef::Def { module: mi, sym: p.sym };
-            let Some((hi, lo)) = prologue_pair_at_entry(p) else { continue };
+) -> Vec<usize> {
+    let entry_hi = |i: &SInst| matches!(i.mark, SMark::GpdispHi { anchor: SAnchor::Entry, .. });
+    (0..residue.taken.len())
+        .filter(|&proc| {
+            let (mi, pi) = residue.coords(proc);
+            let p = &program.modules[mi].procs[pi];
             // A preemptible procedure may be entered by callers OM cannot
             // see (or replace a definition elsewhere): keep its prologue.
-            if preempt.contains(p.name.as_str())
-                || taken.contains(&r)
-                || reads_pv_outside(p, &[hi, lo])
-            {
-                continue;
-            }
-            let entry_addr = snap.addr(r);
-            let all_ok = callers.get(&r).map(|list| {
-                list.iter().all(|&si| {
-                    let s = &sites[si];
-                    // An existing prologue-skipping BSR pins the prologue in
-                    // place (it enters at entry+8).
-                    let skips = matches!(s.kind, CallKind::Bsr { addend, .. } if addend != 0);
-                    snap.group(s.mi) == snap.group(mi)
-                        && !skips
-                        && bsr_reachable(s.addr, entry_addr)
-                })
-            });
-            // A procedure with no callers at all (dead) also qualifies.
-            if all_ok.unwrap_or(true) {
-                dropped.insert(r);
-            }
-        }
-    }
+            !residue.taken[proc]
+                && !preempt.contains(p.name.as_str())
+                && p.insts.iter().any(entry_hi)
+        })
+        .collect()
+}
 
-    for &r in &dropped {
-        let (mi, pi) = program.proc_of(r).expect("built from a defined procedure");
-        let p = &mut program.modules[mi].procs[pi];
-        let (hi, lo) = prologue_pair_at_entry(p).expect("checked above");
-        remove(p, &[hi, lo], Removal::Delete, stats);
-    }
+/// Decides which `candidates` lose their prologue GP setup this round: the
+/// entry pair is the first two instructions, the procedure does not read the
+/// incoming PV elsewhere, and every site that names it (under `snap`) is a
+/// same-GP call within BSR reach that does not skip the prologue. Returns
+/// them sorted; the call pass deletes them. A candidate leaves the list when
+/// it is dropped, or when a prologue-skipping BSR pins its prologue in place
+/// for good.
+fn drop_prologues(
+    program: &SymProgram,
+    snap: &Snapshot,
+    residue: &Residue,
+    candidates: &mut Vec<usize>,
+) -> Vec<usize> {
+    let mut dropped = Vec::new();
+    candidates.retain(|&proc| {
+        let callers = residue.callers(proc);
+        let skips = |&si: &u32| {
+            matches!(residue.sites[si as usize].kind, CallKind::Bsr { addend, .. } if addend != 0)
+        };
+        if callers.iter().any(skips) {
+            return false;
+        }
+        let (mi, pi) = residue.coords(proc);
+        let p = &program.modules[mi].procs[pi];
+        let Some((hi, lo)) = prologue_pair_at_entry(p) else { return true };
+        let entry_addr = snap.addr(GlobalRef::Def { module: mi, sym: p.sym });
+        // A procedure with no callers at all (dead) also qualifies.
+        let all_ok = callers.iter().all(|&si| {
+            let site_mi = residue.coords(residue.sites[si as usize].proc).0;
+            snap.group(site_mi) == snap.group(mi)
+                && bsr_reachable(residue.site_addr(snap, si as usize), entry_addr)
+        });
+        let drop = all_ok && !reads_pv_outside(p, &[hi, lo]);
+        if drop {
+            dropped.push(proc);
+        }
+        !drop
+    });
     dropped
 }

@@ -54,6 +54,12 @@ impl PassMeter {
         PassMeter { span, name, before: *stats }
     }
 
+    /// Annotates the pass span with a deterministic count, such as how many
+    /// items the pass visited. Recorded nowhere else.
+    pub fn arg(&mut self, key: &str, value: usize) {
+        self.span.arg(key, value as u64);
+    }
+
     /// Closes the span, recording each field's growth as a span argument
     /// and a `pass.<name>.<field>` counter. A field that shrank records
     /// nothing, so [`reconcile`] reports it.

@@ -296,7 +296,7 @@ fn run_pipeline(
             .collect::<Result<Vec<Arc<SymModule>>, OmError>>()?;
         drop(translate_span);
         let _s = om_obs::span("pass.resolve");
-        resolve_symbolic(&translated, &symtab)
+        resolve_symbolic(translated, &symtab)
     };
 
     let mut stats = OmStats::default();

@@ -150,24 +150,11 @@ impl SymProc {
         self.next_id - 1
     }
 
-    /// Index of the instruction with `id`, if it exists.
-    pub fn try_index_of(&self, id: InstId) -> Option<usize> {
-        self.insts.iter().position(|i| i.id == id)
-    }
-
-    /// Index of the instruction with `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no instruction has that id (a dangling symbolic reference).
-    /// This is only reachable from optimizer-internal bugs, never from
-    /// malformed input: every id that [`translate_module`] derives from
-    /// relocations is bounds-checked into a typed [`OmError`], and the emit
-    /// path reports dangling ids as [`OmError::Internal`] instead of
-    /// panicking. Passes that call this mid-transform own the ids they pass.
-    pub fn index_of(&self, id: InstId) -> usize {
-        self.try_index_of(id)
-            .unwrap_or_else(|| panic!("dangling instruction id {id} in {}", self.name))
+    /// One past the largest instruction id this procedure has allocated:
+    /// ids are dense in `0..id_limit()`, so tables indexed by id use it as
+    /// their length.
+    pub(crate) fn id_limit(&self) -> usize {
+        self.next_id as usize
     }
 
     /// Deletes the instructions whose ids are in `doomed`, retargeting any
@@ -183,30 +170,38 @@ impl SymProc {
         if doomed.is_empty() {
             return;
         }
-        let mut doomed = doomed.to_vec();
-        doomed.sort_unstable();
-        doomed.dedup();
-        let slot = |id: InstId| doomed.binary_search(&id).ok();
-        // The next surviving instruction of each deleted one, by slot.
-        let mut forward: Vec<Option<InstId>> = vec![None; doomed.len()];
+        // By id: `KEPT`, or the surviving instruction a deleted one forwards
+        // to (`NONE` until the backward walk finds it, and for an id the
+        // procedure does not hold).
+        const KEPT: InstId = InstId::MAX;
+        const NONE: InstId = InstId::MAX - 1;
+        let mut forward = vec![KEPT; self.id_limit()];
+        for &id in doomed {
+            if let Some(f) = forward.get_mut(id as usize) {
+                *f = NONE;
+            }
+        }
         let mut next_survivor: Option<InstId> = None;
         for i in self.insts.iter().rev() {
-            match slot(i.id) {
-                Some(k) => {
-                    let n = next_survivor.expect("deleted a procedure's last instruction");
-                    forward[k] = Some(n);
-                }
-                None => next_survivor = Some(i.id),
+            let f = &mut forward[i.id as usize];
+            if *f == KEPT {
+                next_survivor = Some(i.id);
+            } else {
+                *f = next_survivor.expect("deleted a procedure's last instruction");
             }
         }
-        self.insts.retain(|i| slot(i.id).is_none());
-        for i in &mut self.insts {
+        self.insts.retain_mut(|i| {
+            if forward[i.id as usize] != KEPT {
+                return false;
+            }
             if let SMark::BrLocal { target } = &mut i.mark {
-                if let Some(n) = slot(*target).and_then(|k| forward[k]) {
-                    *target = n;
+                match forward.get(*target as usize) {
+                    Some(&n) if n != KEPT && n != NONE => *target = n,
+                    _ => {}
                 }
             }
-        }
+            true
+        });
     }
 }
 
@@ -512,17 +507,22 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
 /// program-wide symbol table, into the table [`SymProgram::target`] reads.
 /// It is the cheap half of [`translate`], so relinking a program whose
 /// modules are all cached costs only this pass.
-pub fn resolve_symbolic<M: std::borrow::Borrow<SymModule>>(
-    modules: &[M],
-    symtab: &SymbolTable,
-) -> SymProgram {
+///
+/// The program owns its modules: a translation passed by value, or in an
+/// [`Arc`](std::sync::Arc) no one else holds, moves in; one that is
+/// borrowed, or that a module cache still shares, is cloned.
+pub fn resolve_symbolic<I>(modules: I, symtab: &SymbolTable) -> SymProgram
+where
+    I: IntoIterator,
+    I::Item: Into<SymModule>,
+{
+    let modules: Vec<SymModule> = modules.into_iter().map(Into::into).collect();
     let mut first_common: HashMap<&str, GlobalRef> = HashMap::new();
     let targets = modules
         .iter()
         .enumerate()
         .map(|(mi, m)| {
-            m.borrow()
-                .source
+            m.source
                 .symbols_with_ids()
                 .map(|(sym, s)| {
                     if s.is_defined() && !matches!(s.def, SymbolDef::Common { .. }) {
@@ -538,10 +538,25 @@ pub fn resolve_symbolic<M: std::borrow::Borrow<SymModule>>(
         })
         .collect();
     SymProgram {
-        modules: modules.iter().map(|m| m.borrow().clone()).collect(),
+        modules,
         targets,
         commons: SymbolTable { commons: symtab.commons.clone(), ..SymbolTable::default() },
         preserve_gat: true,
+    }
+}
+
+/// A borrowed translation joins a program as a copy.
+impl From<&SymModule> for SymModule {
+    fn from(m: &SymModule) -> SymModule {
+        m.clone()
+    }
+}
+
+/// A shared translation joins a program by move when no one else holds it,
+/// as a copy when the module cache does.
+impl From<std::sync::Arc<SymModule>> for SymModule {
+    fn from(m: std::sync::Arc<SymModule>) -> SymModule {
+        std::sync::Arc::try_unwrap(m).unwrap_or_else(|shared| (*shared).clone())
     }
 }
 
@@ -557,7 +572,7 @@ pub fn translate(modules: &[Module], symtab: &SymbolTable) -> Result<SymProgram,
         .iter()
         .map(translate_module)
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(resolve_symbolic(&translated, symtab))
+    Ok(resolve_symbolic(translated, symtab))
 }
 
 /// Lowers one symbolic module back to object code.

@@ -19,9 +19,9 @@
 
 use crate::stats::OmStats;
 use crate::sym::{SAnchor, SMark, SymProgram};
-use om_alpha::{decode, Effects, Inst, MemOp, Reg};
+use om_alpha::{decode, BrOp, Effects, Inst, JmpOp, MemOp, PalOp, Reg};
 use om_linker::{sym_addr, Image, ProgramLayout, SymbolTable};
-use om_objfile::{Module, RelocKind, SecId, DATA_BASE};
+use om_objfile::{Module, RelocKind, SecId, SymId, SymbolDef, Visibility, DATA_BASE};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -557,7 +557,116 @@ pub fn verify_linked(
             }
         }
     }
+    if layout.gp_values.len() > 1 {
+        check_gp_groups(&mut r, modules, symtab, layout, &insts);
+    }
     r
+}
+
+/// Checks that every call keeps its caller's GP across a GP-group boundary,
+/// from the emitted modules and the final layout alone. A call into another
+/// group (or to a callee it cannot name) lands in code that sets GP for the
+/// callee's group, so the caller must rebuild its own GP after the call: an
+/// after-call GPDISP pair anchored at the return point, unless the call
+/// returns to a HALT. A BSR into another group must also enter at `entry+0`
+/// a callee that still derives its GP from its entry (a GPDISP pair anchored
+/// there). An earlier OM round that judged two modules one group cannot
+/// have removed either when the final layout splits them.
+fn check_gp_groups(
+    r: &mut VerifyReport,
+    modules: &[Module],
+    symtab: &SymbolTable,
+    layout: &ProgramLayout,
+    insts: &[Option<Inst>],
+) {
+    let inst_at = |text_off: u64| insts.get((text_off / 4) as usize).and_then(|i| i.as_ref());
+    // Per module: the anchors of its GPDISP pairs (an entry pair's is its
+    // procedure's start, an after-call pair's its call's return point), the
+    // load each LITUSE_JSR names, and the `.lita` slot each load reads.
+    fn text(m: &Module) -> impl Iterator<Item = &om_objfile::Reloc> {
+        m.relocs.iter().filter(|rel| rel.sec == SecId::Text)
+    }
+    let anchors: Vec<HashSet<u64>> = (modules.iter())
+        .map(|m| {
+            text(m)
+                .filter_map(|rel| match rel.kind {
+                    RelocKind::Gpdisp { anchor, .. } => Some(anchor),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect();
+    // The module and text offset of the procedure symbol `sym` of module
+    // `mi` names, if it names a defined procedure.
+    let callee = |mi: usize, sym: SymId| -> Option<(usize, u64)> {
+        let s = modules[mi].symbols.get(sym.0 as usize)?;
+        let (dm, did) = if s.is_defined() && s.vis == Visibility::Local {
+            (mi, sym)
+        } else {
+            *symtab.globals.get(&s.name)?
+        };
+        match modules[dm].symbols.get(did.0 as usize)?.def {
+            SymbolDef::Proc { offset, .. } => Some((dm, offset)),
+            _ => None,
+        }
+    };
+    for (mi, m) in modules.iter().enumerate() {
+        let group = layout.group_of_module[mi];
+        let m0 = layout.bases[mi].text - layout.info.text.base;
+        let jsr_loads: HashMap<u64, u64> = text(m)
+            .filter_map(|rel| match rel.kind {
+                RelocKind::LituseJsr { load_offset } => Some((rel.offset, load_offset)),
+                _ => None,
+            })
+            .collect();
+        let lits: HashMap<u64, usize> = text(m)
+            .filter_map(|rel| match rel.kind {
+                RelocKind::Literal { lita } => Some((rel.offset, lita as usize)),
+                _ => None,
+            })
+            .collect();
+        let returns_safely = |call: u64| {
+            anchors[mi].contains(&(call + 4))
+                || matches!(inst_at(m0 + call + 4), Some(Inst::Pal { op: PalOp::Halt }))
+        };
+        for rel in text(m) {
+            let RelocKind::BrAddr { sym, addend } = rel.kind else { continue };
+            if !matches!(inst_at(m0 + rel.offset), Some(Inst::Br { op: BrOp::Bsr, .. })) {
+                continue;
+            }
+            let Some((dm, entry)) = callee(mi, sym) else { continue };
+            let into = layout.group_of_module[dm];
+            if into == group {
+                continue;
+            }
+            let at =
+                format!("{}+{:#x}: BSR from GP group {group} into group {into}", m.name, rel.offset);
+            r.check(addend == 0 && anchors[dm].contains(&entry), || {
+                let name = &m.symbols[sym.0 as usize].name;
+                format!("{at} enters `{name}`+{addend}, not an entry that sets GP")
+            });
+            r.check(returns_safely(rel.offset), || format!("{at} has no after-call GPDISP"));
+        }
+        for call in (0..m.text.len() as u64).step_by(4) {
+            if !matches!(inst_at(m0 + call), Some(Inst::Jmp { op: JmpOp::Jsr, .. })) {
+                continue;
+            }
+            let named = (jsr_loads.get(&call))
+                .and_then(|load| lits.get(load))
+                .and_then(|&slot| m.lita.get(slot))
+                .and_then(|e| callee(mi, e.sym));
+            if named.is_some_and(|(dm, _)| layout.group_of_module[dm] == group) {
+                continue;
+            }
+            r.check(returns_safely(call), || {
+                format!(
+                    "{}+{call:#x}: JSR from GP group {group} to {} has no after-call GPDISP",
+                    m.name,
+                    if named.is_some() { "another group" } else { "an unknown callee" }
+                )
+            });
+        }
+    }
 }
 
 #[cfg(test)]

@@ -130,7 +130,7 @@ fn use_index_links_loads_to_their_consumers() {
     let mut addr = 0;
     for i in &main.insts {
         if let SMark::Literal { escaping, .. } = i.mark {
-            let us = uses.get(&i.id).cloned().unwrap_or_default();
+            let us = uses.of(i.id).to_vec();
             assert!(!us.is_empty() || escaping, "dangling literal {}", i.id);
             for (_, k) in us {
                 match k {
@@ -207,7 +207,7 @@ fn delete_retargets_branches() {
             _ => None,
         })
         .expect("loop has a branch");
-    let idx = p.index_of(target);
+    let idx = p.insts.iter().position(|i| i.id == target).unwrap();
     let next_id = p.insts[idx + 1].id;
     p.delete(&[target]);
     let still: Vec<_> = p

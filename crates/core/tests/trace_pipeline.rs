@@ -1,6 +1,7 @@
 //! Acceptance tests for pipeline observability: every enabled pass appears
 //! as a span, per-pass counter deltas reconcile exactly with the OmStats
-//! totals, tracing never changes the linked image, and the relink cache
+//! totals, OM-full's rounds after the first visit only what the last one
+//! left, tracing never changes the linked image, and the relink cache
 //! reports deterministic hit/miss/coalesce counters.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
@@ -9,7 +10,7 @@ use om_core::{
     optimize_and_link_keyed, optimize_and_link_with, OmCaches, OmLevel, OmOptions, OmOutput,
     Profile,
 };
-use om_obs::Trace;
+use om_obs::{SpanEvent, Trace};
 use om_objfile::Module;
 
 /// A program with calls, globals, and loops — enough to exercise every
@@ -139,6 +140,36 @@ fn the_convert_pass_removes_loads_the_way_its_level_says() {
         let qualified =
             |k: &String| DELTA_FIELDS.iter().any(|(f, _)| k.contains(&format!(".{f}.")));
         assert!(!counters.keys().any(qualified), "{at}: {counters:?}");
+    }
+}
+
+#[test]
+fn later_rounds_visit_only_the_residue() {
+    let objs = objects("residue");
+    for level in [OmLevel::Simple, OmLevel::Full] {
+        let (out, trace) = traced_link(&objs, level, &OmOptions::default());
+        let spans = trace.sink().spans;
+        // What each round's instance of `pass` visited, by `arg`, in order.
+        let visits = |pass: &str, arg: &str| -> Vec<u64> {
+            let mut rounds: Vec<&SpanEvent> = spans.iter().filter(|s| s.name == pass).collect();
+            rounds.sort_by_key(|s| s.start_ns);
+            let value = |s: &SpanEvent| s.args.iter().find(|(k, _)| k == arg).map(|&(_, v)| v);
+            let lacks = || panic!("{pass} lacks `{arg}`");
+            rounds.iter().map(|s| value(s).unwrap_or_else(lacks)).collect()
+        };
+        let at = level.name();
+        let sites = visits("pass.calls", "sites");
+        // The first round visits every call site the census counted.
+        assert_eq!(sites[0], out.stats.calls_total as u64, "{at}: {sites:?}");
+        let loads = visits("pass.convert", "loads");
+        assert!(loads[0] > 0, "{at}: {loads:?}");
+        if level == OmLevel::Full {
+            assert!(sites.len() >= 2 && sites[1] < sites[0], "{at}: {sites:?}");
+            let prologues = visits("pass.calls", "prologues");
+            for rounds in [&sites, &loads, &prologues] {
+                assert!(rounds.windows(2).all(|w| w[1] <= w[0]), "{at}: {rounds:?}");
+            }
+        }
     }
 }
 

@@ -26,6 +26,7 @@ fn usage(msg: &str) -> ! {
 }
 
 fn main() {
+    om_obs::exit_quietly_on_closed_stdout();
     let mut inputs = Vec::new();
     let mut out = PathBuf::from("a.exe");
     let mut opts = LayoutOpts::default();

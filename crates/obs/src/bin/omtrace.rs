@@ -30,6 +30,7 @@ const USAGE: &str = "omtrace check TRACE.json [--require SPAN]... [--require-cou
                      [--min-coverage SPAN=FRACTION]... | omtrace summarize TRACE.json...";
 
 fn main() -> ExitCode {
+    om_obs::exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => check(&args[1..]),

@@ -34,6 +34,9 @@
 //!
 //! [`json`] is the workspace's one JSON reader and string quoter: profiles,
 //! the BENCH report gate and trace files all parse through it.
+//!
+//! [`exit_quietly_on_closed_stdout`] is how every tool that prints a report
+//! stops when its reader goes away (`omtrace summarize ... | head -1`).
 
 pub mod hist;
 pub mod json;
@@ -44,3 +47,48 @@ pub use json::{parse as parse_json, validate_chrome_trace, JsonValue, TraceSpan}
 pub use trace::{
     count, enabled, span, timer_ns, InstallGuard, Sink, Span, SpanEvent, Trace,
 };
+
+/// Makes a closed stdout end the process quietly. Printing with `println!`
+/// into a pipe whose reader has gone panics with "failed printing to
+/// stdout: Broken pipe"; under this hook that one panic exits with status
+/// 141 (what a shell reports for a process a closed pipe killed) and prints
+/// nothing. Every other panic reports as before. Call it first in `main`.
+pub fn exit_quietly_on_closed_stdout() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = (payload.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if is_closed_stdout(msg) {
+            std::process::exit(141);
+        }
+        report(info);
+    }));
+}
+
+/// True for the panic message `println!` gives when stdout is a pipe with
+/// no reader: `failed printing to stdout: <error> (os error N)` where
+/// error N is a broken pipe.
+fn is_closed_stdout(msg: &str) -> bool {
+    let Some(error) = msg.strip_prefix("failed printing to stdout: ") else { return false };
+    let code = error.rsplit_once("(os error ").and_then(|(_, n)| n.strip_suffix(')')?.parse().ok());
+    let kind = code.map(|c| std::io::Error::from_raw_os_error(c).kind());
+    kind == Some(std::io::ErrorKind::BrokenPipe)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn only_a_broken_stdout_pipe_is_a_closed_stdout() {
+        let broken = std::io::Error::from_raw_os_error(32);
+        if broken.kind() != std::io::ErrorKind::BrokenPipe {
+            return; // EPIPE is 32 on Linux and the BSDs
+        }
+        assert!(super::is_closed_stdout(&format!("failed printing to stdout: {broken}")));
+        assert!(!super::is_closed_stdout(&format!("failed printing to stderr: {broken}")));
+        let full = std::io::Error::from_raw_os_error(28); // ENOSPC
+        assert!(!super::is_closed_stdout(&format!("failed printing to stdout: {full}")));
+        assert!(!super::is_closed_stdout("index out of bounds"));
+    }
+}

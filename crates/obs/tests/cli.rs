@@ -1,9 +1,10 @@
 //! `omtrace check --min-coverage`: a span whose direct children cover all of
 //! it passes, one with a 50% gap fails with exit 1, and a malformed
 //! `SPAN=FRACTION` exits 2 with the usage text. `omtrace summarize` prints
-//! each span's instances and the median and MAD of its total across traces.
+//! each span's instances and the median and MAD of its total across traces,
+//! and stops quietly when its reader closes the pipe.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// A `pipeline` span of 100 µs whose direct child `a` fills its first
 /// half. With `second_half`, a child `b` fills the rest; `b` holds a
@@ -69,7 +70,17 @@ fn malformed_coverage_values_exit_2() {
 
 /// Runs `omtrace summarize` over `traces`, each written to a file of its own.
 fn summarize(traces: &[String]) -> Output {
-    let dir = std::env::temp_dir().join(format!("omtrace-summarize-{}", std::process::id()));
+    summarize_with(traces, "summarize", Command::output)
+}
+
+/// Writes `traces` to files in a directory named after `tag`, runs `omtrace
+/// summarize` over them through `run`, and removes the files.
+fn summarize_with(
+    traces: &[String],
+    tag: &str,
+    run: impl FnOnce(&mut Command) -> std::io::Result<Output>,
+) -> Output {
+    let dir = std::env::temp_dir().join(format!("omtrace-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let paths: Vec<_> = (traces.iter().enumerate())
         .map(|(k, t)| {
@@ -78,13 +89,27 @@ fn summarize(traces: &[String]) -> Output {
             path
         })
         .collect();
-    let out = Command::new(env!("CARGO_BIN_EXE_omtrace"))
-        .arg("summarize")
-        .args(&paths)
-        .output()
+    let out = run(Command::new(env!("CARGO_BIN_EXE_omtrace")).arg("summarize").args(&paths))
         .expect("omtrace runs");
     std::fs::remove_dir_all(&dir).unwrap();
     out
+}
+
+/// Runs `cmd` with stdout a pipe whose reader is gone before it prints
+/// (`cmd | head -0`).
+fn with_closed_stdout(cmd: &mut Command) -> std::io::Result<Output> {
+    let mut child = cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn()?;
+    drop(child.stdout.take());
+    child.wait_with_output()
+}
+
+#[test]
+fn summarize_stops_quietly_when_stdout_closes() {
+    let traces = [timed_trace(10_000, &[2_000]), timed_trace(20_000, &[4_000])];
+    let out = summarize_with(&traces, "closed", with_closed_stdout);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked") && !err.contains("Broken pipe"), "{err}");
 }
 
 /// A trace whose `pipeline` takes `pipeline_us` and holds one `a` per entry

@@ -49,6 +49,7 @@ fn usage(msg: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    om_obs::exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),

@@ -53,6 +53,7 @@ fn exit_code(result: i64) -> i32 {
 }
 
 fn main() {
+    om_obs::exit_quietly_on_closed_stdout();
     let mut limit: u64 = 1_000_000_000;
     let mut timing = false;
     let mut reference = false;

@@ -7,7 +7,8 @@
 //!
 //! * the standard link still runs correctly (the conservative conventions
 //!   exist exactly for this case),
-//! * OM-simple must *keep* the GP-reset code across the group boundary,
+//! * OM-simple must *keep* the GP-reset code across the group boundary, and
+//!   the verifier fails a link whose cross-group call lost it,
 //! * OM-full's GAT reduction collapses the dead slots, re-unifying the
 //!   program into one group and unlocking the full optimization,
 //! * and across the split, OM's GAT counts are the translated program's
@@ -16,9 +17,10 @@
 use om_repro::codegen::{compile_source, crt0, CompileOpts};
 use om_repro::core::analysis::Snapshot;
 use om_repro::core::sym::translate;
-use om_repro::core::{optimize_and_link, OmLevel, OmOutput};
+use om_repro::core::verify::verify_linked;
+use om_repro::core::{optimize_and_link, optimize_and_link_artifacts, OmLevel, OmOptions, OmOutput};
 use om_repro::linker::{build_symbol_table, select_modules, LayoutOpts, Linker};
-use om_repro::objfile::Module;
+use om_repro::objfile::{Module, RelocKind, SecId, SymbolDef};
 use om_repro::sim::run_image;
 use om_repro::workloads::scale::{overflow_slots_per_module, pad_gat};
 
@@ -113,6 +115,43 @@ fn om_simple_keeps_cross_group_gp_resets() {
     );
     assert_eq!(run_image(&out.image, 10_000_000).unwrap().result, expected());
     assert_gat_counts(&objects, &out);
+}
+
+#[test]
+fn verifier_catches_a_lost_cross_group_gp_reset() {
+    let objects = build_program();
+    let (out, mut art) =
+        optimize_and_link_artifacts(&objects, &[], OmLevel::Simple, &OmOptions::default())
+            .unwrap();
+    assert!(art.layout.gp_values.len() >= 2, "expected a group split");
+    assert!(verify_linked(&art.modules, &art.symtab, &art.layout, &out.image).is_ok());
+
+    // Drop the GP reset after main's call into far's group: the image still
+    // holds the pair, but the module no longer says it rebuilds GP there.
+    let main = art.modules.iter().position(|m| m.name == "main").unwrap();
+    let far = art.modules.iter().position(|m| m.name == "far").unwrap();
+    assert_ne!(art.layout.group_of_module[main], art.layout.group_of_module[far]);
+    let m = &mut art.modules[main];
+    let entries: Vec<u64> = (m.procedures().iter())
+        .filter_map(|(_, s)| match s.def {
+            SymbolDef::Proc { offset, .. } => Some(offset),
+            _ => None,
+        })
+        .collect();
+    let reset = m
+        .relocs
+        .iter()
+        .position(|r| {
+            r.sec == SecId::Text
+                && matches!(r.kind, RelocKind::Gpdisp { anchor, .. } if !entries.contains(&anchor))
+        })
+        .expect("main keeps the GP reset after its cross-group call");
+    m.relocs.remove(reset);
+    let report = verify_linked(&art.modules, &art.symtab, &art.layout, &out.image);
+    assert!(
+        report.violations.iter().any(|v| v.contains("has no after-call GPDISP")),
+        "{report}"
+    );
 }
 
 #[test]
