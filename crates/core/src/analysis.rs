@@ -13,7 +13,7 @@
 //! [`Artifacts`].
 
 use crate::sym::{
-    gat_entries, GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProc, SymProgram,
+    gat_entries, Addend, GlobalRef, InstId, OmError, SInst, SMark, SymProc, SymProgram,
 };
 use om_alpha::{Effects, Inst, JmpOp, Reg};
 use om_linker::{layout, LayoutOpts, LinkError, Placed, ProgramLayout, SymbolTable};
@@ -177,7 +177,7 @@ pub enum CallKind {
     DirectJsr { load: InstId, sym: SymId },
     /// A BSR the compiler already emitted (intra-unit static call) or that a
     /// previous OM pass produced (`addend` = 8 when it skips the prologue).
-    Bsr { sym: SymId, addend: i64 },
+    Bsr { sym: SymId, addend: Addend },
     /// JSR through a procedure variable: target unknowable.
     Indirect,
 }
@@ -194,13 +194,32 @@ pub struct CallSite {
 
 /// Finds the call sites of `proc`.
 pub fn call_sites(proc: &SymProc) -> Vec<CallSite> {
-    let mut at = vec![GONE; proc.id_limit()];
-    for (k, i) in proc.insts.iter().enumerate() {
-        at[i.id as usize] = k as u32;
+    let mut scan = CallScan::default();
+    scan.scan(proc);
+    scan.sites
+}
+
+/// Finds call sites procedure after procedure, reusing its by-id tables
+/// and its site list: no procedure allocates.
+#[derive(Default)]
+pub(crate) struct CallScan {
+    at: Vec<u32>,
+    resets: Vec<Option<(InstId, InstId)>>,
+    sites: Vec<CallSite>,
+}
+
+impl CallScan {
+    /// The call sites of `proc`, as [`call_sites`] finds them.
+    pub(crate) fn scan(&mut self, proc: &SymProc) -> &[CallSite] {
+        self.at.clear();
+        self.at.resize(proc.id_limit(), GONE);
+        for (k, i) in proc.insts.iter().enumerate() {
+            self.at[i.id as usize] = k as u32;
+        }
+        self.sites.clear();
+        call_sites_into(proc, &self.at, &mut self.resets, &mut self.sites);
+        &self.sites
     }
-    let mut out = Vec::new();
-    call_sites_into(proc, &at, &mut Vec::new(), &mut out);
-    out
 }
 
 /// [`call_sites`] with the procedure's index of each instruction id in
@@ -215,8 +234,8 @@ fn call_sites_into(
     resets.clear();
     resets.resize(proc.id_limit(), None);
     for i in &proc.insts {
-        if let SMark::GpdispHi { lo, anchor: SAnchor::AfterCall(jsr) } = i.mark {
-            if let Some(r) = resets.get_mut(jsr as usize) {
+        if let SMark::GpdispAfterCall { lo, call } = i.mark {
+            if let Some(r) = resets.get_mut(call as usize) {
                 *r = Some((i.id, lo));
             }
         }
@@ -334,7 +353,7 @@ pub fn address_taken(program: &SymProgram) -> HashSet<GlobalRef> {
 /// True if the procedure's first two instructions are its entry GPDISP pair.
 pub fn prologue_pair_at_entry(proc: &SymProc) -> Option<(InstId, InstId)> {
     let first = proc.insts.first()?;
-    if let SMark::GpdispHi { lo, anchor: SAnchor::Entry } = first.mark {
+    if let SMark::GpdispEntry { lo } = first.mark {
         let second = proc.insts.get(1)?;
         if second.id == lo {
             return Some((first.id, lo));
@@ -345,10 +364,8 @@ pub fn prologue_pair_at_entry(proc: &SymProc) -> Option<(InstId, InstId)> {
 
 /// Finds the entry GPDISP pair anywhere in the procedure.
 pub fn find_entry_pair(proc: &SymProc) -> Option<(usize, usize)> {
-    let hi = proc.insts.iter().position(
-        |i| matches!(i.mark, SMark::GpdispHi { anchor: SAnchor::Entry, .. }),
-    )?;
-    let SMark::GpdispHi { lo, .. } = proc.insts[hi].mark else { unreachable!() };
+    let hi = proc.insts.iter().position(|i| matches!(i.mark, SMark::GpdispEntry { .. }))?;
+    let SMark::GpdispEntry { lo } = proc.insts[hi].mark else { unreachable!() };
     let lo_idx = proc.insts.iter().position(|i| i.id == lo)?;
     Some((hi, lo_idx))
 }
@@ -475,7 +492,7 @@ impl Residue {
                 r.pos_start.push(r.pos.len());
                 r.reindex(proc, p);
                 // The entry procedure is reached from outside the program.
-                r.taken.push(p.name == "__start");
+                r.taken.push(m.proc_name(p) == "__start");
 
                 uses.rebuild(p);
                 let first_load = r.loads.len();
@@ -514,8 +531,8 @@ impl Residue {
             }
             r.proc_by_sym.push(by_sym);
             // Data-section pointers to procedures (initialized fnptr
-            // globals).
-            for rel in m.source.relocs.iter().filter(|rel| rel.sec != SecId::Text) {
+            // globals): the only relocations a translation keeps.
+            for rel in &m.source.relocs {
                 if let RelocKind::RefQuad { sym, .. } = rel.kind {
                     escapes.push(program.target(mi, sym));
                 }

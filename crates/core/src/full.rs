@@ -25,7 +25,7 @@ use crate::analysis::{
 use crate::pipeline::CallBook;
 use crate::simple::{bsr_reachable, convert_calls, transform_address_loads, Removal};
 use crate::stats::OmStats;
-use crate::sym::{GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProgram};
+use crate::sym::{Addend, GlobalRef, InstId, OmError, SInst, SMark, SymProgram};
 use om_alpha::{Effects, Reg};
 use std::collections::HashSet;
 
@@ -150,15 +150,16 @@ fn prologue_candidates(
     residue: &Residue,
     preempt: &HashSet<&str>,
 ) -> Vec<usize> {
-    let entry_hi = |i: &SInst| matches!(i.mark, SMark::GpdispHi { anchor: SAnchor::Entry, .. });
+    let entry_hi = |i: &SInst| matches!(i.mark, SMark::GpdispEntry { .. });
     (0..residue.taken.len())
         .filter(|&proc| {
             let (mi, pi) = residue.coords(proc);
-            let p = &program.modules[mi].procs[pi];
+            let m = &program.modules[mi];
+            let p = &m.procs[pi];
             // A preemptible procedure may be entered by callers OM cannot
             // see (or replace a definition elsewhere): keep its prologue.
             !residue.taken[proc]
-                && !preempt.contains(p.name.as_str())
+                && !preempt.contains(m.proc_name(p))
                 && p.insts.iter().any(entry_hi)
         })
         .collect()
@@ -180,8 +181,9 @@ fn drop_prologues(
     let mut dropped = Vec::new();
     candidates.retain(|&proc| {
         let callers = residue.callers(proc);
-        let skips = |&si: &u32| {
-            matches!(residue.sites[si as usize].kind, CallKind::Bsr { addend, .. } if addend != 0)
+        let skips = |&si: &u32| match residue.sites[si as usize].kind {
+            CallKind::Bsr { addend, .. } => addend != Addend::ZERO,
+            _ => false,
         };
         if callers.iter().any(skips) {
             return false;

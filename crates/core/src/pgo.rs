@@ -50,14 +50,12 @@ pub fn run_with(
 ) {
     // 1. Hot/cold procedure reordering, stable within each module.
     for m in &mut program.modules {
-        let module_name = m.source.name.clone();
         let heat: Vec<u64> = m
             .procs
             .iter()
             .map(|p| {
-                profile
-                    .proc(&proc_key(&p.name, p.vis, &module_name))
-                    .map_or(0, |pp| pp.calls)
+                let s = m.source.symbol(p.sym);
+                profile.proc(&proc_key(&s.name, s.vis, &m.source.name)).map_or(0, |pp| pp.calls)
             })
             .collect();
         let mut order: Vec<usize> = (0..m.procs.len()).collect();
@@ -76,11 +74,11 @@ pub fn run_with(
     // alignment walk then just consults the table.
     let mut hot: Vec<Vec<Vec<bool>>> = Vec::with_capacity(program.modules.len());
     for m in &program.modules {
-        let module_name = &m.source.name;
         let mut per_proc = Vec::with_capacity(m.procs.len());
         for p in &m.procs {
             let n_targets = backward_target_ids(p).len();
-            let decisions = match profile.proc(&proc_key(&p.name, p.vis, module_name)) {
+            let s = m.source.symbol(p.sym);
+            let decisions = match profile.proc(&proc_key(&s.name, s.vis, &m.source.name)) {
                 Some(pp) if pp.back_targets.len() == n_targets => {
                     pp.back_targets.iter().map(|&c| c > 0).collect()
                 }
@@ -105,7 +103,8 @@ pub fn run_with(
         for (mi, m) in program.modules.iter().enumerate() {
             for p in &m.procs {
                 for i in &p.insts {
-                    if let SMark::BrSym { sym, addend: 8 } = i.mark {
+                    let SMark::BrSym { sym, addend } = i.mark else { continue };
+                    if addend.inline() == Some(8) {
                         if let Some(coord) = program.proc_of(program.target(mi, sym)) {
                             if !skip_targets.contains(&coord) {
                                 skip_targets.push(coord);

@@ -2,11 +2,13 @@
 //! link. This is the "optimizing linker" of §4 — it replaces the standard
 //! link step entirely.
 
-use crate::analysis::{call_sites, Artifacts, CallKind};
+use crate::analysis::{Artifacts, CallKind, CallScan};
 use crate::cache::OmCaches;
 use crate::hash::{link_key, module_hash, ContentHash};
 use crate::stats::OmStats;
-use crate::sym::{resolve_symbolic, translate_module, InstId, OmError, SymModule, SymProgram};
+use crate::sym::{
+    resolve_symbolic, translate_module, InstId, OmError, SMark, SymModule, SymProgram,
+};
 use om_linker::{
     build_symbol_table, layout, link_selected, select_modules, Image, LayoutOpts, LinkStats,
 };
@@ -147,13 +149,16 @@ pub struct OmOutput {
     pub verify: Option<crate::verify::VerifyReport>,
 }
 
-/// Counts the pre-transformation statistics.
+/// Counts the pre-transformation statistics, with one set of call-site
+/// tables for the whole program.
 fn collect_before(program: &SymProgram, stats: &mut OmStats, book: &mut CallBook) {
     stats.insts_before = program.inst_count();
+    let mut scan = CallScan::default();
     for (mi, m) in program.modules.iter().enumerate() {
         for (pi, p) in m.procs.iter().enumerate() {
-            stats.addr_loads_total += crate::analysis::literal_loads(p).len();
-            for s in call_sites(p) {
+            let loads = p.insts.iter().filter(|i| matches!(i.mark, SMark::Literal { .. }));
+            stats.addr_loads_total += loads.count();
+            for s in scan.scan(p) {
                 stats.calls_total += 1;
                 let jsr_id = p.insts[s.at].id;
                 let (pv, reset) = match s.kind {
@@ -359,6 +364,17 @@ fn run_pipeline(
         let _s = om_obs::span("emit");
         crate::sym::emit_all(&program)?
     };
+    // What the verifier reads of the symbolic program, before the link needs
+    // the memory: the program is dropped once emitted. No statistic it
+    // checks changes after this point, and its report joins the linked
+    // image's after the link, so a link error still comes first.
+    let sym_report = options.verify.then(|| {
+        let _s = om_obs::span("verify");
+        let mut report = crate::verify::verify_sym(&program);
+        report.merge(crate::verify::verify_stats(&program, &stats));
+        report
+    });
+    drop(program);
     let link_opts = LayoutOpts { sort_commons: level != OmLevel::None && options.sort_commons };
     let linked = {
         let _s = om_obs::span("link");
@@ -366,10 +382,8 @@ fn run_pipeline(
     };
     stats.gat_slots_after = linked.stats.gat_slots;
 
-    let verify = if options.verify {
+    let verify = if let Some(mut report) = sym_report {
         let _s = om_obs::span("verify");
-        let mut report = crate::verify::verify_sym(&program);
-        report.merge(crate::verify::verify_stats(&program, &stats));
         report.merge(crate::verify::verify_linked(
             &final_modules,
             &linked.symtab,
@@ -387,6 +401,12 @@ fn run_pipeline(
         None
     };
 
+    // The process's peak so far: for a one-shot link, the link's peak.
+    if om_obs::enabled() {
+        if let Some(kb) = om_obs::peak_rss_kb() {
+            pipeline_span.arg("peak_rss_kb", kb);
+        }
+    }
     let out = OmOutput { image: linked.image, stats, link: linked.stats, verify };
     Ok((out, Artifacts { modules: final_modules, symtab: linked.symtab, layout: linked.layout }))
 }

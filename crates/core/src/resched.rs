@@ -119,7 +119,7 @@ impl Scratch {
         // again.
         let pinned = match insts {
             [first, second, ..] => match first.mark {
-                SMark::GpdispHi { lo, anchor: crate::sym::SAnchor::Entry } if second.id == lo => 2,
+                SMark::GpdispEntry { lo } if second.id == lo => 2,
                 _ => 0,
             },
             _ => 0,

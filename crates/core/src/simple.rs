@@ -236,7 +236,9 @@ fn convert_jsr(
 
     let at = residue.at(s.proc, s.jsr).expect("OM deletes no call");
     let (jsr, li) = (s.jsr, s.load);
-    let i = &mut program.modules[mi].procs[pi].insts[at];
+    let sm = &mut program.modules[mi];
+    let addend = sm.addends.store(addend);
+    let i = &mut sm.procs[pi].insts[at];
     i.inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
     i.mark = SMark::BrSym { sym, addend };
     residue.sites[si].kind = CallKind::Bsr { sym, addend };
@@ -267,12 +269,13 @@ pub(crate) fn remove(
         return;
     }
     let (mi, pi) = residue.coords(proc);
-    let p = &mut program.modules[mi].procs[pi];
+    let sm = &mut program.modules[mi];
+    let p = &mut sm.procs[pi];
     match removal {
         Removal::Nullify => {
             for &id in ids {
                 let k = residue.at(proc, id).unwrap_or_else(|| {
-                    panic!("dangling instruction id {id} in {}", p.name)
+                    panic!("dangling instruction id {id} in {}", sm.source.symbol(p.sym).name)
                 });
                 p.insts[k].inst = Inst::nop();
                 p.insts[k].mark = SMark::None;
@@ -322,6 +325,7 @@ pub(crate) fn transform_address_loads(
             let k = residue.at(proc, load_id).expect("a live load is in its procedure");
             let i = &program.modules[mi].procs[pi].insts[k];
             let SMark::Literal { sym, addend, escaping } = i.mark else { unreachable!() };
+            let addend = program.modules[mi].addend(addend);
             let (rd, target) = (load_dest(i), program.target(mi, sym));
             // A preemptible object's final address is unknown until
             // dynamic-link time: its GAT slot must survive untouched.
@@ -341,7 +345,8 @@ pub(crate) fn transform_address_loads(
             let rewritable =
                 !escaping && !us.is_empty() && us.iter().all(|&(_, k)| k == UseKind::Base);
 
-            let proc_insts = &mut program.modules[mi].procs[pi].insts;
+            let sm = &mut program.modules[mi];
+            let (proc_insts, addends) = (&mut sm.procs[pi].insts, &mut sm.addends);
             if rewritable {
                 // Translation guarantees every base use is a memory
                 // instruction.
@@ -364,7 +369,8 @@ pub(crate) fn transform_address_loads(
                     for &(ui, d) in &use_disps {
                         set_mem_disp(&mut proc_insts[ui].inst, 0);
                         set_mem_base(&mut proc_insts[ui].inst, Reg::GP);
-                        proc_insts[ui].mark = SMark::Gprel { sym, addend: addend + d + skew };
+                        let addend = addends.store(addend + d + skew);
+                        proc_insts[ui].mark = SMark::Gprel { sym, addend };
                     }
                     if armed(fault, FaultKind::NullifyDelete) {
                         faulted = Some(load_id);
@@ -383,15 +389,13 @@ pub(crate) fn transform_address_loads(
                 if use_disps.iter().all(|&(_, d)| d == d0) {
                     proc_insts[k].inst =
                         Inst::Mem { op: MemOp::Ldah, ra: rd, rb: Reg::GP, disp: 0 };
-                    proc_insts[k].mark = SMark::GprelHi { sym, addend: addend + d0 };
+                    // One addend for both halves.
+                    let addend = addends.store(addend + d0);
+                    proc_insts[k].mark = SMark::GprelHi { sym, addend };
                     for &(ui, _) in &use_disps {
                         set_mem_disp(&mut proc_insts[ui].inst, 0);
                         set_mem_base(&mut proc_insts[ui].inst, rd);
-                        proc_insts[ui].mark = SMark::GprelLo {
-                            sym,
-                            addend: addend + d0,
-                            hi_addend: addend + d0,
-                        };
+                        proc_insts[ui].mark = SMark::GprelLo { sym, addend };
                     }
                     residue.loads[li].live = false;
                     stats.addr_loads_converted += 1;
@@ -405,7 +409,7 @@ pub(crate) fn transform_address_loads(
             // and only within the 16-bit window.
             if i16::try_from(disp).is_ok() {
                 proc_insts[k].inst = Inst::Mem { op: MemOp::Lda, ra: rd, rb: Reg::GP, disp: 0 };
-                proc_insts[k].mark = SMark::Gprel { sym, addend };
+                proc_insts[k].mark = SMark::Gprel { sym, addend: addends.store(addend) };
                 // The load is no longer a GAT literal; detach its use links
                 // (the consumers are unchanged — the register holds the
                 // same address).

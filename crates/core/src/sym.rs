@@ -20,9 +20,10 @@
 
 use om_alpha::{decode, Inst, MemOp, Reg};
 use om_linker::SymbolTable;
-use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, SymbolDef, Visibility};
+use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, SymbolDef};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors while translating object code to symbolic form.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,42 +90,116 @@ pub enum GlobalRef {
     Common { module: usize, sym: SymId },
 }
 
-/// What code address a GPDISP pair's base register holds.
+/// A mark's addend, held in 4 bytes. A value in `-2^30..2^31` is held as
+/// itself; any other value (wider than `i32`, or below `-2^30`) lives in its
+/// module's table of wide addends, and the mark holds `i32::MIN` plus its
+/// index there. So does the addend of a `GprelLo` whose high half was
+/// computed with a different addend. [`SymModule::addend`] reads the value
+/// back.
+///
+/// Two `Addend`s name equal values when they are equal; wide values can be
+/// equal under different indices, so compare what `SymModule::addend`
+/// returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SAnchor {
-    /// PV = this procedure's entry.
-    Entry,
-    /// RA = the return point of the call instruction with this id.
-    AfterCall(InstId),
+pub struct Addend(i32);
+
+/// The lowest addend a mark holds inline; below it are table indices.
+const INLINE_MIN: i32 = -(1 << 30);
+
+impl Addend {
+    pub(crate) const ZERO: Addend = Addend(0);
+
+    /// The value, when the mark holds it inline.
+    pub fn inline(self) -> Option<i64> {
+        (self.0 >= INLINE_MIN).then_some(self.0 as i64)
+    }
+
+    fn small(v: i64) -> Option<Addend> {
+        i32::try_from(v).ok().filter(|&v| v >= INLINE_MIN).map(Addend)
+    }
 }
 
-/// Symbolic annotation of one instruction. `sym` operands are ids into the
-/// symbol table of the instruction's own module; [`SymProgram::target`]
-/// resolves them.
+/// A module's addends that its marks cannot hold inline (see [`Addend`]):
+/// `(addend, hi_addend)` pairs, where `hi_addend` differs from `addend` only
+/// for a `GprelLo` whose high half was computed with another addend. Empty
+/// for every module our compilers emit.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Addends(Vec<(i64, i64)>);
+
+impl Addends {
+    /// Addend `v` as a mark of this module holds it: inline when it fits,
+    /// else stored here.
+    pub(crate) fn store(&mut self, v: i64) -> Addend {
+        self.store_pair(v, v)
+    }
+
+    /// The addend of a `GprelLo` whose high half was computed with
+    /// `hi_addend`: inline only when the two agree and fit.
+    pub(crate) fn store_pair(&mut self, addend: i64, hi_addend: i64) -> Addend {
+        if addend == hi_addend {
+            if let Some(a) = Addend::small(addend) {
+                return a;
+            }
+        }
+        // Every index names a mark, and a program of 2^30 marks could not be
+        // held in memory.
+        let k = i32::try_from(self.0.len()).ok().filter(|&k| k < 1 << 30);
+        let k = k.expect("wide addend table overflow");
+        self.0.push((addend, hi_addend));
+        Addend(i32::MIN + k)
+    }
+
+    fn pair(&self, a: Addend) -> (i64, i64) {
+        match a.inline() {
+            Some(v) => (v, v),
+            None => self.0[(a.0 - i32::MIN) as usize],
+        }
+    }
+}
+
+/// Symbolic annotation of one instruction, 12 bytes. `sym` operands are ids
+/// into the symbol table of the instruction's own module;
+/// [`SymProgram::target`] resolves them. Addends are read through
+/// [`SymModule::addend`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SMark {
     None,
     /// GAT address load of `sym + addend`; `escaping` if its value leaks
     /// into unrewritable dataflow.
-    Literal { sym: SymId, addend: i64, escaping: bool },
+    Literal { sym: SymId, addend: Addend, escaping: bool },
     LituseBase { load: InstId },
     LituseJsr { load: InstId },
     LituseAddr { load: InstId },
-    GpdispHi { lo: InstId, anchor: SAnchor },
+    /// High half of the entry GPDISP pair: PV holds this procedure's entry.
+    GpdispEntry { lo: InstId },
+    /// High half of an after-call GP reset: RA holds the return point of
+    /// the call instruction `call`.
+    GpdispAfterCall { lo: InstId, call: InstId },
     GpdispLo { hi: InstId },
     /// Branch to another procedure (`addend` lets OM-full skip prologues).
-    BrSym { sym: SymId, addend: i64 },
+    BrSym { sym: SymId, addend: Addend },
     /// Intra-procedure branch to the instruction with this id.
     BrLocal { target: InstId },
     /// 16-bit GP-relative reference (an OM conversion product).
-    Gprel { sym: SymId, addend: i64 },
+    Gprel { sym: SymId, addend: Addend },
     /// High half of a 32-bit GP-relative reference.
-    GprelHi { sym: SymId, addend: i64 },
-    /// Low half, paired with a `GprelHi` computed with `hi_addend`.
-    GprelLo { sym: SymId, addend: i64, hi_addend: i64 },
+    GprelHi { sym: SymId, addend: Addend },
+    /// Low half, paired with a `GprelHi`; [`SymModule::hi_addend`] gives the
+    /// addend the high half was computed with.
+    GprelLo { sym: SymId, addend: Addend },
 }
 
-/// One symbolic instruction.
+impl SMark {
+    /// The low half's id, if this is the high half of a GPDISP pair.
+    pub(crate) fn gpdisp_lo(self) -> Option<InstId> {
+        match self {
+            SMark::GpdispEntry { lo } | SMark::GpdispAfterCall { lo, .. } => Some(lo),
+            _ => None,
+        }
+    }
+}
+
+/// One symbolic instruction, 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SInst {
     pub id: InstId,
@@ -132,13 +207,12 @@ pub struct SInst {
     pub mark: SMark,
 }
 
-/// A procedure in symbolic form.
+/// A procedure in symbolic form. Its name and visibility are those of its
+/// symbol ([`SymModule::proc_name`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymProc {
     /// Symbol-table id of the procedure in its module.
     pub sym: SymId,
-    pub name: String,
-    pub vis: Visibility,
     pub insts: Vec<SInst>,
     next_id: InstId,
 }
@@ -205,14 +279,37 @@ impl SymProc {
     }
 }
 
-/// A module in symbolic form: the original module (for its data sections and
-/// symbol table) plus symbolic procedures replacing its text. Independent of
-/// every other module in the program — the unit of OM's per-module
-/// translation cache.
+/// A module in symbolic form: what emit, layout and the verifier read of the
+/// input, plus symbolic procedures replacing its text. Independent of every
+/// other module in the program — the unit of OM's per-module translation
+/// cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymModule {
-    pub source: Module,
+    /// The input module without its text and text relocations: its name,
+    /// symbols, `.lita`, and data sections with their relocations. Shared,
+    /// so a cached translation joins a program copying only its procedures.
+    pub source: Arc<Module>,
+    /// The addends its marks do not hold inline.
+    pub(crate) addends: Addends,
     pub procs: Vec<SymProc>,
+}
+
+impl SymModule {
+    /// The value of addend `a` of one of this module's marks.
+    pub fn addend(&self, a: Addend) -> i64 {
+        self.addends.pair(a).0
+    }
+
+    /// The addend the high half of a `GprelLo` with addend `a` was computed
+    /// with.
+    pub fn hi_addend(&self, a: Addend) -> i64 {
+        self.addends.pair(a).1
+    }
+
+    /// The name of procedure `p` of this module.
+    pub fn proc_name(&self, p: &SymProc) -> &str {
+        &self.source.symbol(p.sym).name
+    }
 }
 
 /// The whole program in symbolic form.
@@ -317,6 +414,7 @@ impl<'m> RelocsByWord<'m> {
 /// relocation tables to clarify the code".
 pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
     let mut procs: Vec<SymProc> = Vec::new();
+    let mut addends = Addends::default();
     let proc_list = m.procedures();
     let by_word = RelocsByWord::new(m);
 
@@ -381,7 +479,11 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
                         let escaping = by_word.at(off).any(|u| {
                             matches!(u.kind, RelocKind::LituseAddr { load_offset } if load_offset == off)
                         });
-                        mark = SMark::Literal { sym: e.sym, addend: e.addend, escaping };
+                        mark = SMark::Literal {
+                            sym: e.sym,
+                            addend: addends.store(e.addend),
+                            escaping,
+                        };
                     }
                     RelocKind::LituseBase { load_offset } => {
                         if !matches!(inst, Inst::Mem { .. }) {
@@ -401,31 +503,27 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
                         let lo = id_of_offset((off as i64 + pair_offset) as u64)
                             .filter(|&i| (i as usize) < n)
                             .ok_or_else(|| bad("gpdisp pair crosses procedures".into()))?;
-                        let a = if *anchor == offset {
-                            SAnchor::Entry
+                        mark = if *anchor == offset {
+                            SMark::GpdispEntry { lo }
                         } else {
-                            let jsr = id_of_offset(anchor - 4)
+                            let call = id_of_offset(anchor - 4)
                                 .filter(|&i| (i as usize) < n)
                                 .ok_or_else(|| bad("gpdisp anchor outside procedure".into()))?;
-                            SAnchor::AfterCall(jsr)
+                            SMark::GpdispAfterCall { lo, call }
                         };
-                        mark = SMark::GpdispHi { lo, anchor: a };
                     }
                     RelocKind::BrAddr { sym, addend } => {
-                        mark = SMark::BrSym { sym: *sym, addend: *addend };
+                        mark = SMark::BrSym { sym: *sym, addend: addends.store(*addend) };
                     }
                     RelocKind::Gprel16 { sym, addend, .. } => {
-                        mark = SMark::Gprel { sym: *sym, addend: *addend };
+                        mark = SMark::Gprel { sym: *sym, addend: addends.store(*addend) };
                     }
                     RelocKind::GprelHigh { sym, addend, .. } => {
-                        mark = SMark::GprelHi { sym: *sym, addend: *addend };
+                        mark = SMark::GprelHi { sym: *sym, addend: addends.store(*addend) };
                     }
                     RelocKind::GprelLow { sym, addend, hi_addend, .. } => {
-                        mark = SMark::GprelLo {
-                            sym: *sym,
-                            addend: *addend,
-                            hi_addend: *hi_addend,
-                        };
+                        let addend = addends.store_pair(*addend, *hi_addend);
+                        mark = SMark::GprelLo { sym: *sym, addend };
                     }
                     RelocKind::RefQuad { .. } => {
                         return Err(bad("refquad in text".into()));
@@ -452,10 +550,7 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
         let his: Vec<(usize, InstId)> = insts
             .iter()
             .enumerate()
-            .filter_map(|(k, i)| match i.mark {
-                SMark::GpdispHi { lo, .. } => Some((k, lo)),
-                _ => None,
-            })
+            .filter_map(|(k, i)| i.mark.gpdisp_lo().map(|lo| (k, lo)))
             .collect();
         for (k, lo) in his {
             let hi_id = insts[k].id;
@@ -491,15 +586,21 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
             }
         }
 
-        procs.push(SymProc {
-            sym: *sym_id,
-            name: s.name.clone(),
-            vis: s.vis,
-            next_id: insts.len() as InstId,
-            insts,
-        });
+        procs.push(SymProc { sym: *sym_id, next_id: insts.len() as InstId, insts });
     }
-    Ok(SymModule { source: m.clone(), procs })
+    // Everything but the text, which the procedures now hold.
+    let source = Module {
+        name: m.name.clone(),
+        text: Vec::new(),
+        data: m.data.clone(),
+        sdata: m.sdata.clone(),
+        sbss_size: m.sbss_size,
+        bss_size: m.bss_size,
+        lita: m.lita.clone(),
+        symbols: m.symbols.clone(),
+        relocs: m.relocs.iter().filter(|r| r.sec != SecId::Text).copied().collect(),
+    };
+    Ok(SymModule { source: Arc::new(source), addends, procs })
 }
 
 /// Binds per-module translations into a whole program. No instruction is
@@ -509,8 +610,9 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
 /// modules are all cached costs only this pass.
 ///
 /// The program owns its modules: a translation passed by value, or in an
-/// [`Arc`](std::sync::Arc) no one else holds, moves in; one that is
-/// borrowed, or that a module cache still shares, is cloned.
+/// [`Arc`] no one else holds, moves in; one that is borrowed, or that a
+/// module cache still shares, is cloned, which copies its procedures and
+/// shares its source.
 pub fn resolve_symbolic<I>(modules: I, symtab: &SymbolTable) -> SymProgram
 where
     I: IntoIterator,
@@ -554,9 +656,9 @@ impl From<&SymModule> for SymModule {
 
 /// A shared translation joins a program by move when no one else holds it,
 /// as a copy when the module cache does.
-impl From<std::sync::Arc<SymModule>> for SymModule {
-    fn from(m: std::sync::Arc<SymModule>) -> SymModule {
-        std::sync::Arc::try_unwrap(m).unwrap_or_else(|shared| (*shared).clone())
+impl From<Arc<SymModule>> for SymModule {
+    fn from(m: Arc<SymModule>) -> SymModule {
+        Arc::try_unwrap(m).unwrap_or_else(|shared| (*shared).clone())
     }
 }
 
@@ -589,21 +691,9 @@ pub fn translate(modules: &[Module], symtab: &SymbolTable) -> Result<SymProgram,
 /// offending request rather than abort the process.
 pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
     let sm = &program.modules[mi];
-    let src = &sm.source;
-    let mut m = Module::new(src.name.clone());
-    m.data = src.data.clone();
-    m.sdata = src.sdata.clone();
-    m.sbss_size = src.sbss_size;
-    m.bss_size = src.bss_size;
-    m.symbols = src.symbols.clone();
-    // Keep non-text relocations (data RefQuads).
-    m.relocs = src
-        .relocs
-        .iter()
-        .filter(|r| r.sec != SecId::Text)
-        .cloned()
-        .collect();
-
+    // The source's data sections, symbols and data relocations, with the
+    // text, `.lita` and text relocations rebuilt below.
+    let mut m = Module::clone(&sm.source);
     m.lita = gat_entries(program, mi);
     let slot_of: HashMap<(SymId, i64), u32> =
         m.lita.iter().enumerate().map(|(k, e)| ((e.sym, e.addend), k as u32)).collect();
@@ -632,7 +722,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
             off_of.get(id as usize).copied().filter(|&o| o != NO_OFFSET).ok_or_else(|| {
                 OmError::Internal {
                     context: "emit".into(),
-                    what: format!("dangling instruction id {id} in {}", p.name),
+                    what: format!("dangling instruction id {id} in {}", sm.proc_name(p)),
                 }
             })
         };
@@ -642,7 +732,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
             match si.mark {
                 SMark::None => {}
                 SMark::Literal { sym, addend, escaping } => {
-                    let lita = slot_of[&(sym, addend)];
+                    let lita = slot_of[&(sym, sm.addend(addend))];
                     m.relocs.push(Reloc::text(here, RelocKind::Literal { lita }));
                     if escaping {
                         m.relocs
@@ -667,22 +757,23 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
                         RelocKind::LituseAddr { load_offset: off(load)? },
                     ));
                 }
-                SMark::GpdispHi { lo, anchor } => {
-                    let anchor_off = match anchor {
-                        SAnchor::Entry => start,
-                        SAnchor::AfterCall(jsr) => off(jsr)? + 4,
+                SMark::GpdispEntry { lo } | SMark::GpdispAfterCall { lo, .. } => {
+                    let anchor = match si.mark {
+                        SMark::GpdispAfterCall { call, .. } => off(call)? + 4,
+                        _ => start,
                     };
                     m.relocs.push(Reloc::text(
                         here,
                         RelocKind::Gpdisp {
                             pair_offset: off(lo)? as i64 - here as i64,
-                            anchor: anchor_off,
+                            anchor,
                             gp_group: 0,
                         },
                     ));
                 }
                 SMark::GpdispLo { .. } => {}
                 SMark::BrSym { sym, addend } => {
+                    let addend = sm.addend(addend);
                     m.relocs.push(Reloc::text(here, RelocKind::BrAddr { sym, addend }));
                 }
                 SMark::BrLocal { target } => {
@@ -693,19 +784,22 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
                     } else {
                         return Err(OmError::Internal {
                             context: "emit".into(),
-                            what: format!("BrLocal on non-branch in {}", p.name),
+                            what: format!("BrLocal on non-branch in {}", sm.proc_name(p)),
                         });
                     }
                 }
                 SMark::Gprel { sym, addend } => {
+                    let addend = sm.addend(addend);
                     m.relocs
                         .push(Reloc::text(here, RelocKind::Gprel16 { sym, addend, gp_group: 0 }));
                 }
                 SMark::GprelHi { sym, addend } => {
+                    let addend = sm.addend(addend);
                     m.relocs
                         .push(Reloc::text(here, RelocKind::GprelHigh { sym, addend, gp_group: 0 }));
                 }
-                SMark::GprelLo { sym, addend, hi_addend } => {
+                SMark::GprelLo { sym, addend: a } => {
+                    let (addend, hi_addend) = (sm.addend(a), sm.hi_addend(a));
                     m.relocs.push(Reloc::text(
                         here,
                         RelocKind::GprelLow { sym, addend, hi_addend, gp_group: 0 },
@@ -718,7 +812,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         let size = m.text.len() as u64 - start;
         let entry = m.symbols.get_mut(p.sym.0 as usize).ok_or_else(|| OmError::Internal {
             context: "emit".into(),
-            what: format!("procedure symbol id {} out of range in {}", p.sym.0, p.name),
+            what: format!("procedure symbol id {} out of range in {}", p.sym.0, sm.source.name),
         })?;
         if let SymbolDef::Proc { offset, size: sz, .. } = &mut entry.def {
             *offset = start;
@@ -726,7 +820,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         } else {
             return Err(OmError::Internal {
                 context: "emit".into(),
-                what: format!("procedure symbol {} is not a proc", p.name),
+                what: format!("procedure symbol {} is not a proc", entry.name),
             });
         }
     }
@@ -743,7 +837,7 @@ pub(crate) fn gat_entries(program: &SymProgram, mi: usize) -> Vec<LitaEntry> {
     let sm = &program.modules[mi];
     let mut seen: HashSet<(SymId, i64)> = HashSet::new();
     let literals = sm.procs.iter().flat_map(|p| &p.insts).filter_map(|i| match i.mark {
-        SMark::Literal { sym, addend, .. } => Some(LitaEntry { sym, addend }),
+        SMark::Literal { sym, addend, .. } => Some(LitaEntry { sym, addend: sm.addend(addend) }),
         _ => None,
     });
     let kept = if program.preserve_gat { &sm.source.lita[..] } else { &[] };

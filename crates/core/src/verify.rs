@@ -18,7 +18,7 @@
 //! [`OmOptions::verify`]: crate::pipeline::OmOptions
 
 use crate::stats::OmStats;
-use crate::sym::{SAnchor, SMark, SymProgram};
+use crate::sym::{InstId, SMark, SymProgram};
 use om_alpha::{decode, BrOp, Effects, Inst, JmpOp, MemOp, PalOp, Reg};
 use om_linker::{sym_addr, Image, ProgramLayout, SymbolTable};
 use om_objfile::{Module, RelocKind, SecId, SymId, SymbolDef, Visibility, DATA_BASE};
@@ -76,12 +76,25 @@ impl fmt::Display for VerifyReport {
 /// instructions they annotate.
 pub fn verify_sym(program: &SymProgram) -> VerifyReport {
     let mut r = VerifyReport::default();
+    // Each instruction id's index in the procedure at hand (the last, when
+    // an id repeats), reused across procedures.
+    let mut pos: Vec<u32> = Vec::new();
     for m in &program.modules {
         for p in &m.procs {
-            let loc = |what: String| format!("{}/{}: {what}", m.source.name, p.name);
-            let ids: HashMap<u32, usize> =
-                p.insts.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-            r.check(ids.len() == p.insts.len(), || loc("duplicate instruction ids".into()));
+            let loc = |what: String| format!("{}/{}: {what}", m.source.name, m.proc_name(p));
+            pos.clear();
+            pos.resize(p.id_limit(), NO_POS);
+            let mut distinct = 0;
+            for (k, s) in p.insts.iter().enumerate() {
+                let id = s.id as usize;
+                if id >= pos.len() {
+                    pos.resize(id + 1, NO_POS);
+                }
+                distinct += usize::from(pos[id] == NO_POS);
+                pos[id] = k as u32;
+            }
+            let ids = Positions(&pos);
+            r.check(distinct == p.insts.len(), || loc("duplicate instruction ids".into()));
             r.check(
                 p.insts.last().is_some_and(|i| i.inst.is_control()),
                 || loc("procedure does not end in a control instruction".into()),
@@ -98,29 +111,29 @@ pub fn verify_sym(program: &SymProgram) -> VerifyReport {
                         r.check(matches!(s.inst, Inst::Mem { .. }), || {
                             at("LituseBase on a non-memory instruction")
                         });
-                        check_lituse_load(&mut r, p, &ids, *load, &at);
+                        check_lituse_load(&mut r, p, ids, *load, &at);
                     }
                     SMark::LituseJsr { load } => {
                         r.check(matches!(s.inst, Inst::Jmp { .. }), || {
                             at("LituseJsr on a non-jump instruction")
                         });
-                        check_lituse_load(&mut r, p, &ids, *load, &at);
+                        check_lituse_load(&mut r, p, ids, *load, &at);
                     }
-                    SMark::LituseAddr { load } => check_lituse_load(&mut r, p, &ids, *load, &at),
-                    SMark::GpdispHi { lo, anchor } => {
+                    SMark::LituseAddr { load } => check_lituse_load(&mut r, p, ids, *load, &at),
+                    SMark::GpdispEntry { lo } | SMark::GpdispAfterCall { lo, .. } => {
                         r.check(
                             matches!(s.inst, Inst::Mem { op: MemOp::Ldah, .. }),
                             || at("GpdispHi on a non-LDAH instruction"),
                         );
-                        match ids.get(lo) {
-                            Some(&li) => r.check(
+                        match ids.get(*lo) {
+                            Some(li) => r.check(
                                 matches!(p.insts[li].mark, SMark::GpdispLo { hi } if hi == s.id),
                                 || at("GPDISP low half does not point back at this high half"),
                             ),
                             None => r.fail(at("dangling GPDISP low-half id")),
                         }
-                        if let SAnchor::AfterCall(c) = anchor {
-                            r.check(ids.contains_key(c), || {
+                        if let SMark::GpdispAfterCall { call, .. } = s.mark {
+                            r.check(ids.get(call).is_some(), || {
                                 at("GPDISP anchored after a deleted call")
                             });
                         }
@@ -130,9 +143,9 @@ pub fn verify_sym(program: &SymProgram) -> VerifyReport {
                             matches!(s.inst, Inst::Mem { op: MemOp::Lda, .. }),
                             || at("GpdispLo on a non-LDA instruction"),
                         );
-                        match ids.get(hi) {
-                            Some(&hi_i) => r.check(
-                                matches!(p.insts[hi_i].mark, SMark::GpdispHi { lo, .. } if lo == s.id),
+                        match ids.get(*hi) {
+                            Some(hi_i) => r.check(
+                                p.insts[hi_i].mark.gpdisp_lo() == Some(s.id),
                                 || at("GPDISP high half does not point back at this low half"),
                             ),
                             None => r.fail(at("dangling GPDISP high-half id")),
@@ -145,7 +158,7 @@ pub fn verify_sym(program: &SymProgram) -> VerifyReport {
                         r.check(matches!(s.inst, Inst::Br { .. }), || {
                             at("BrLocal mark on a non-branch instruction")
                         });
-                        r.check(ids.contains_key(target), || at("dangling local branch target"));
+                        r.check(ids.get(*target).is_some(), || at("dangling local branch target"));
                     }
                     SMark::Gprel { .. } => r.check(
                         matches!(s.inst, Inst::Mem { rb: Reg::GP, .. }),
@@ -165,15 +178,28 @@ pub fn verify_sym(program: &SymProgram) -> VerifyReport {
     r
 }
 
+/// Marks an instruction id a procedure does not hold.
+const NO_POS: u32 = u32::MAX;
+
+/// A procedure's instruction index by id ([`NO_POS`] where it holds none).
+#[derive(Clone, Copy)]
+struct Positions<'a>(&'a [u32]);
+
+impl Positions<'_> {
+    fn get(self, id: InstId) -> Option<usize> {
+        self.0.get(id as usize).filter(|&&k| k != NO_POS).map(|&k| k as usize)
+    }
+}
+
 fn check_lituse_load(
     r: &mut VerifyReport,
     p: &crate::sym::SymProc,
-    ids: &HashMap<u32, usize>,
+    ids: Positions,
     load: u32,
     at: &dyn Fn(&str) -> String,
 ) {
-    match ids.get(&load) {
-        Some(&li) => r.check(
+    match ids.get(load) {
+        Some(li) => r.check(
             matches!(p.insts[li].mark, SMark::Literal { .. }),
             || at("LITUSE link points at an instruction that is not an address load"),
         ),
@@ -735,6 +761,37 @@ mod tests {
                 || v.contains("expected")),
             "unexpected violations: {report}"
         );
+    }
+
+    #[test]
+    fn symbolic_corruptions_are_caught_without_changing_the_check_count() {
+        let spec = spec::quick(&spec::by_name("compress").unwrap());
+        let b = build(&spec, om_workloads::CompileMode::Each).unwrap();
+        let modules = om_linker::select_modules(&b.objects, &b.libs).unwrap();
+        let symtab = om_linker::build_symbol_table(&modules).unwrap();
+        let mut program = crate::sym::translate(&modules, &symtab).unwrap();
+        let clean = verify_sym(&program);
+        assert!(clean.is_ok(), "{clean}");
+
+        // An after-call GP reset whose call loses its id, and a repeated id
+        // in the same procedure.
+        let p = (program.modules.iter_mut().flat_map(|m| &mut m.procs))
+            .find(|p| p.insts.iter().any(|i| matches!(i.mark, SMark::GpdispAfterCall { .. })))
+            .expect("a procedure with an after-call GP reset");
+        let call = p.insts.iter().find_map(|i| match i.mark {
+            SMark::GpdispAfterCall { call, .. } => Some(call),
+            _ => None,
+        });
+        let fresh = p.fresh_id();
+        let k = p.insts.iter().position(|i| Some(i.id) == call).unwrap();
+        p.insts[k].id = fresh;
+        let last = p.insts.len() - 1;
+        p.insts[last].id = p.insts[last - 1].id;
+
+        let r = verify_sym(&program);
+        assert_eq!(r.checks, clean.checks, "{r}");
+        assert!(r.violations[0].ends_with("duplicate instruction ids"), "{r}");
+        assert!(r.violations.iter().any(|v| v.ends_with("GPDISP anchored after a deleted call")));
     }
 
     #[test]

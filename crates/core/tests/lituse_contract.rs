@@ -57,7 +57,7 @@ fn every_address_load_use_is_marked() {
                         assert!(
                             marked || load_escapes,
                             "{name}/{}: instruction {} ({}) reads r{r} holding load {} without a LITUSE",
-                            p.name,
+                            m.proc_name(p),
                             k,
                             i.inst,
                             load

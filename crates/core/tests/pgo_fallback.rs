@@ -46,7 +46,8 @@ fn profile_with(procs: Vec<ProcProfile>) -> Profile {
 
 /// Backward-target count of `main` in the translated program.
 fn main_targets(program: &SymProgram) -> usize {
-    let p = program.modules[1].procs.iter().find(|p| p.name == "main").unwrap();
+    let m = &program.modules[1];
+    let p = m.procs.iter().find(|p| m.proc_name(p) == "main").unwrap();
     backward_target_ids(p).len()
 }
 
@@ -151,8 +152,8 @@ fn fallback_and_blind_runs_produce_identical_code() {
     let flat = |p: &SymProgram| -> Vec<(String, Vec<om_alpha::Inst>)> {
         p.modules
             .iter()
-            .flat_map(|m| &m.procs)
-            .map(|p| (p.name.clone(), p.insts.iter().map(|i| i.inst).collect()))
+            .flat_map(|m| m.procs.iter().map(move |p| (m, p)))
+            .map(|(m, p)| (m.proc_name(p).to_string(), p.insts.iter().map(|i| i.inst).collect()))
             .collect()
     };
     assert_eq!(flat(&mismatched), flat(&unknown));

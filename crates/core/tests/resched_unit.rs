@@ -21,7 +21,8 @@ fn program(src: &str) -> SymProgram {
 
 /// Index of `main` in module 1 (the compiled source).
 fn main_index(program: &SymProgram) -> usize {
-    program.modules[1].procs.iter().position(|p| p.name == "main").unwrap()
+    let m = &program.modules[1];
+    m.procs.iter().position(|p| m.proc_name(p) == "main").unwrap()
 }
 
 fn main_proc(src: &str) -> SymProc {

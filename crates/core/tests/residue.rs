@@ -32,7 +32,8 @@ fn assert_settled(name: &str, objects: &[Module], libs: &[Archive]) {
     assert_eq!(stats, settled_stats, "{name}: another round changed the statistics");
     for (m, before) in program.modules.iter().zip(&settled) {
         for (p, q) in m.procs.iter().zip(&before.procs) {
-            assert!(p == q, "{name}: another round changed {}/{}", m.source.name, p.name);
+            let at = || format!("{}/{}", m.source.name, m.proc_name(p));
+            assert!(p == q, "{name}: another round changed {}", at());
         }
     }
 }

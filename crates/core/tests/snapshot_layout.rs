@@ -36,13 +36,14 @@ fn check(program: &SymProgram, sort_commons: bool, ctx: &str) {
             assert_eq!(got, want, "{ctx}: address of `{}` in `{}`", s.name, m.name);
         }
         for (pi, p) in program.modules[mi].procs.iter().enumerate() {
-            let SymbolDef::Proc { offset, .. } = m.symbol(p.sym).def else {
-                panic!("{ctx}: `{}` is not a procedure", p.name)
+            let s = m.symbol(p.sym);
+            let SymbolDef::Proc { offset, .. } = s.def else {
+                panic!("{ctx}: `{}` is not a procedure", s.name)
             };
             let entry = lay.bases[mi].text + offset;
             for idx in 0..p.insts.len() {
                 let want = entry + 4 * idx as u64;
-                assert_eq!(snap.inst_addr(mi, pi, idx), want, "{ctx}: {}+{idx}", p.name);
+                assert_eq!(snap.inst_addr(mi, pi, idx), want, "{ctx}: {}+{idx}", s.name);
             }
         }
     }

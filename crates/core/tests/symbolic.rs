@@ -1,13 +1,16 @@
 //! Unit tests of OM's symbolic machinery: translation, emit-back round
 //! trips, call-site recognition, address-taken analysis, prologue
 //! restoration, deletion with branch retargeting, and the size of the
-//! symbolic form.
+//! symbolic form: what a translation keeps of its input, and addends too
+//! wide for a mark.
 
+use om_alpha::{Inst, Reg};
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::analysis::{address_taken, call_sites, find_entry_pair, use_index, CallKind, UseKind};
-use om_core::sym::{emit_all, translate, GlobalRef, SInst, SMark, SymProgram};
-use om_linker::{build_symbol_table, select_modules};
-use om_objfile::Module;
+use om_core::sym::{emit_all, translate, GlobalRef, SInst, SMark, SymProc, SymProgram};
+use om_core::{optimize_and_link_artifacts, OmLevel, OmOptions};
+use om_linker::{build_symbol_table, select_modules, Image};
+use om_objfile::{Module, ModuleBuilder, RelocKind, SecId, Symbol, Visibility};
 use std::collections::HashSet;
 
 fn symbolic(sources: &[(&str, &str)]) -> (SymProgram, Vec<Module>) {
@@ -20,6 +23,12 @@ fn symbolic(sources: &[(&str, &str)]) -> (SymProgram, Vec<Module>) {
     let symtab = build_symbol_table(&modules).unwrap();
     let program = translate(&modules, &symtab).unwrap();
     (program, modules)
+}
+
+/// Procedure `name` of module `mi`.
+fn proc_named<'a>(program: &'a SymProgram, mi: usize, name: &str) -> &'a SymProc {
+    let m = &program.modules[mi];
+    m.procs.iter().find(|p| m.proc_name(p) == name).unwrap()
 }
 
 #[test]
@@ -60,11 +69,7 @@ fn call_sites_are_recognized_with_their_resets() {
         ("other", "int ext(int x) { return x * 2; }"),
     ]);
     // main is in module 1 (after crt0).
-    let main = program.modules[1]
-        .procs
-        .iter()
-        .find(|p| p.name == "main")
-        .unwrap();
+    let main = proc_named(&program, 1, "main");
     let sites = call_sites(main);
     let mut direct = 0;
     let mut bsr = 0;
@@ -119,11 +124,7 @@ fn use_index_links_loads_to_their_consumers() {
         "int g; int a[4];
          int main(){ int i = g; a[i & 3] = i; return a[0]; }",
     )]);
-    let main = program.modules[1]
-        .procs
-        .iter()
-        .find(|p| p.name == "main")
-        .unwrap();
+    let main = proc_named(&program, 1, "main");
     let uses = use_index(main);
     // Every literal load has at least one recorded use, and kinds are sane.
     let mut base = 0;
@@ -173,7 +174,7 @@ fn restore_prologues_brings_scheduled_pairs_home() {
     for (mi, pi) in &displaced {
         let p = &program.modules[*mi].procs[*pi];
         let (hi, lo) = find_entry_pair(p).unwrap();
-        assert_eq!((hi, lo), (0, 1), "pair restored in {}", p.name);
+        assert_eq!((hi, lo), (0, 1), "pair restored in {}", program.modules[*mi].proc_name(p));
     }
     // Restoration is semantics-preserving structurally: emit must validate.
     for m in emit_all(&program).unwrap() {
@@ -192,11 +193,9 @@ fn delete_retargets_branches() {
            return g;
          }",
     )]);
-    let p = program.modules[1]
-        .procs
-        .iter_mut()
-        .find(|p| p.name == "main")
-        .unwrap();
+    let m = &mut program.modules[1];
+    let pi = m.procs.iter().position(|p| m.proc_name(p) == "main").unwrap();
+    let p = &mut m.procs[pi];
     // Find a branch target and delete the instruction right at it; the
     // branch must retarget to the next survivor.
     let target = p
@@ -231,14 +230,141 @@ fn delete_retargets_branches() {
 #[test]
 fn symbolic_form_stays_compact() {
     // One `SInst` per 4-byte instruction word of the whole program: a mark
-    // that owned a `String` again, or a resolved copy of the form, would
-    // show up here first.
+    // that owned a `String` again, an `i64` addend, or a resolved copy of
+    // the form, would show up here first. A procedure reads its name from
+    // its module's symbol table.
     use std::mem::size_of;
     for (name, size, limit) in [
-        ("SInst", size_of::<SInst>(), 40),
-        ("SMark", size_of::<SMark>(), 24),
+        ("SInst", size_of::<SInst>(), 24),
+        ("SMark", size_of::<SMark>(), 12),
         ("GlobalRef", size_of::<GlobalRef>(), 16),
+        ("SymProc", size_of::<SymProc>(), 32),
     ] {
         assert!(size <= limit, "{name} is {size} bytes, limit {limit}");
+    }
+}
+
+#[test]
+fn a_translation_keeps_no_text() {
+    // What emit, layout and the verifier read of an input stays; its text
+    // and text relocations are the procedures now.
+    let (program, modules) = symbolic(&[(
+        "m",
+        "int g; int twice(int x) { return 2 * x; }
+         fnptr init = &twice;
+         int main() { g = init(3); return g; }",
+    )]);
+    // The initialized pointer is a data relocation, which stays.
+    assert!(!program.modules[1].source.relocs.is_empty());
+    for (m, input) in program.modules.iter().zip(&modules) {
+        let kept = &m.source;
+        assert!(kept.text.is_empty(), "`{}` keeps its text", input.name);
+        assert!(kept.relocs.iter().all(|r| r.sec != SecId::Text), "`{}`", input.name);
+        let data_relocs: Vec<_> = input.relocs.iter().filter(|r| r.sec != SecId::Text).collect();
+        assert_eq!(kept.relocs.iter().collect::<Vec<_>>(), data_relocs, "`{}`", input.name);
+        assert_eq!((&kept.name, &kept.symbols), (&input.name, &input.symbols));
+        assert_eq!(kept.lita, input.lita, "`{}`", input.name);
+        assert_eq!((&kept.data, &kept.sdata), (&input.data, &input.sdata));
+        assert_eq!((kept.sbss_size, kept.bss_size), (input.sbss_size, input.bss_size));
+    }
+}
+
+/// The addend of a GAT load too wide for a mark.
+const WIDE: i64 = 1 << 33;
+/// The addends of a GP-relative pair whose halves another linker computed
+/// with different addends (OM never writes one).
+const HI: i64 = 16;
+const LO: i64 = 24;
+
+/// Module `w`: 16 bytes of data named `big`, and a procedure `wide` that
+/// loads `big + WIDE` from the GAT (with no use, so no level converts it)
+/// and reads `big + LO` through a high half computed for `big + HI`.
+fn wide_addends() -> Module {
+    let mut b = ModuleBuilder::new("w");
+    let off = b.append_data(SecId::Data, &[0; 16]);
+    let big = b.add_symbol(Symbol::data("big", SecId::Data, off, 16));
+    let lita = b.lita_slot(big, WIDE);
+    let start = b.here();
+    b.emit_reloc(Inst::ldq(Reg::T0, 0, Reg::GP), RelocKind::Literal { lita });
+    let high = RelocKind::GprelHigh { sym: big, addend: HI, gp_group: 0 };
+    b.emit_reloc(Inst::ldah(Reg::A0, 0, Reg::GP), high);
+    let low = RelocKind::GprelLow { sym: big, addend: LO, hi_addend: HI, gp_group: 0 };
+    b.emit_reloc(Inst::ldq(Reg::A1, 0, Reg::A0), low);
+    b.emit(Inst::ret());
+    b.define_proc("wide", start, 0, Visibility::Exported);
+    b.finish().unwrap()
+}
+
+/// The 64-bit word at `addr` of the image.
+fn word_at(image: &Image, addr: u64) -> u64 {
+    let seg = image.segments.iter().find(|s| s.contains(addr)).expect("mapped");
+    let at = (addr - seg.base) as usize;
+    u64::from_le_bytes(seg.bytes[at..at + 8].try_into().unwrap())
+}
+
+/// The displacement field of the memory instruction at `addr`.
+fn disp_at(image: &Image, addr: u64) -> i64 {
+    match om_alpha::decode(word_at(image, addr) as u32) {
+        Ok(Inst::Mem { disp, .. }) => disp as i64,
+        other => panic!("{other:?} at {addr:#x} is not a memory instruction"),
+    }
+}
+
+#[test]
+fn wide_and_split_addends_round_trip_at_every_level() {
+    let main = compile_source("m", "int main() { return 0; }", &CompileOpts::o2()).unwrap();
+    let objects = vec![crt0::module().unwrap(), main, wide_addends()];
+
+    // Translated and emitted back unchanged: the marks hold neither addend
+    // inline, so both go through the module's table.
+    let modules = select_modules(&objects, &[]).unwrap();
+    let program = translate(&modules, &build_symbol_table(&modules).unwrap()).unwrap();
+    let w = &program.modules[2];
+    for i in &w.procs[0].insts {
+        match i.mark {
+            SMark::Literal { addend, .. } => assert_eq!(w.addend(addend), WIDE),
+            SMark::GprelLo { addend, .. } => {
+                assert_eq!((w.addend(addend), w.hi_addend(addend)), (LO, HI));
+            }
+            SMark::GprelHi { addend, .. } => assert_eq!(addend.inline(), Some(HI)),
+            _ => continue,
+        }
+        let (SMark::Literal { addend, .. } | SMark::GprelLo { addend, .. }) = i.mark else {
+            continue;
+        };
+        assert_eq!(addend.inline(), None, "{:?} holds its addend inline", i.mark);
+    }
+    let back = emit_all(&program).unwrap();
+    assert_eq!((&back[2].relocs, &back[2].lita), (&modules[2].relocs, &modules[2].lita));
+
+    // Linked at every level with the verifier on, the GAT slot and the
+    // patched halves hold what `big + addend` gives.
+    let options = OmOptions { verify: true, ..OmOptions::default() };
+    for level in OmLevel::ALL {
+        let (out, art) = optimize_and_link_artifacts(&objects, &[], level, &options)
+            .unwrap_or_else(|e| panic!("{}: {e}", level.name()));
+        let mi = art.modules.iter().position(|m| m.name == "w").unwrap();
+        let big = out.image.symbols["big"] as i64;
+        let gp = art.layout.gp_values[art.layout.group_of_module[mi] as usize] as i64;
+        let high_half = |x: i64| (x - (x as i16) as i64) >> 16;
+        let hi = high_half(big + HI - gp);
+        let mut seen = 0;
+        for r in art.modules[mi].relocs.iter().filter(|r| r.sec == SecId::Text) {
+            let pc = art.layout.bases[mi].text + r.offset;
+            let at = format!("{}: {:?}", level.name(), r.kind);
+            match r.kind {
+                RelocKind::Literal { lita } => {
+                    let slot = art.layout.lita_addr[mi][lita as usize];
+                    assert_eq!(word_at(&out.image, slot) as i64, big + WIDE, "{at}");
+                }
+                RelocKind::GprelHigh { .. } => assert_eq!(disp_at(&out.image, pc), hi, "{at}"),
+                RelocKind::GprelLow { .. } => {
+                    assert_eq!(disp_at(&out.image, pc), big + LO - gp - (hi << 16), "{at}");
+                }
+                _ => continue,
+            }
+            seen += 1;
+        }
+        assert_eq!(seen, 3, "{}", level.name());
     }
 }

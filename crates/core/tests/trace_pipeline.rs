@@ -1,8 +1,9 @@
 //! Acceptance tests for pipeline observability: every enabled pass appears
 //! as a span, per-pass counter deltas reconcile exactly with the OmStats
 //! totals, OM-full's rounds after the first visit only what the last one
-//! left, tracing never changes the linked image, and the relink cache
-//! reports deterministic hit/miss/coalesce counters.
+//! left, the `pipeline` span carries the process's peak RSS, tracing never
+//! changes the linked image, and the relink cache reports deterministic
+//! hit/miss/coalesce counters.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::obs::{reconcile, DELTA_FIELDS};
@@ -170,6 +171,21 @@ fn later_rounds_visit_only_the_residue() {
                 assert!(rounds.windows(2).all(|w| w[1] <= w[0]), "{at}: {rounds:?}");
             }
         }
+    }
+}
+
+#[test]
+fn the_pipeline_span_records_peak_rss_as_an_argument() {
+    let objs = objects("rss");
+    let (_, trace) = traced_link(&objs, OmLevel::FullSched, &OmOptions::default());
+    let sink = trace.sink();
+    let pipeline = sink.spans.iter().find(|s| s.name == "pipeline").unwrap();
+    let peak = pipeline.args.iter().find(|(k, _)| k == "peak_rss_kb").map(|&(_, v)| v);
+    // An argument, never a counter: counters are deterministic.
+    assert!(!sink.counters.keys().any(|k| k.contains("rss")), "{:?}", sink.counters);
+    // Linux has `VmHWM`; elsewhere the argument may be omitted.
+    if cfg!(target_os = "linux") {
+        assert!(peak.is_some_and(|kb| kb > 1024), "{:?}", pipeline.args);
     }
 }
 

@@ -20,7 +20,11 @@
 //! `summarize` reads k traces of the same link and prints, per span name,
 //! its instance count and the median and median absolute deviation (MAD) of
 //! its total milliseconds across the k traces: one link's layer table with
-//! its noise band. A span missing from a trace counts 0 ms there.
+//! its noise band. A span missing from a trace counts 0 ms there. Then, per
+//! numeric span argument (`pipeline`'s `peak_rss_kb`, the passes' visit
+//! counts and deltas), the median across the traces of its sum over the
+//! span's instances in each; a trace without it counts 0. A one-shot link
+//! has one `pipeline`, so its `peak_rss_kb` row is the link's peak.
 
 use om_obs::TraceSpan;
 use std::collections::BTreeMap;
@@ -145,11 +149,18 @@ fn summarize(paths: &[String]) -> ExitCode {
     if let Some(flag) = paths.iter().find(|p| p.starts_with('-')) {
         return usage(&format!("unexpected argument `{flag}`"));
     }
-    // Per span name, its (instances, total ms) in each trace.
+    // Per span name, its (instances, total ms) in each trace; per (span,
+    // argument), its sum in each trace.
     let mut by_name: BTreeMap<String, Vec<(usize, f64)>> = BTreeMap::new();
+    let mut by_arg: BTreeMap<(String, String), Vec<f64>> = BTreeMap::new();
     for (k, path) in paths.iter().enumerate() {
         let Some((_, spans)) = read_spans(path) else { return ExitCode::FAILURE };
         for s in spans {
+            for (arg, v) in s.args {
+                let per_trace =
+                    by_arg.entry((s.name.clone(), arg)).or_insert_with(|| vec![0.0; paths.len()]);
+                per_trace[k] += v;
+            }
             let per_trace = by_name.entry(s.name).or_insert_with(|| vec![(0, 0.0); paths.len()]);
             per_trace[k].0 += 1;
             per_trace[k].1 += (s.end - s.start) / 1e3;
@@ -164,6 +175,12 @@ fn summarize(paths: &[String]) -> ExitCode {
         let mid = median(&totals);
         let mad = median(&totals.iter().map(|t| (t - mid).abs()).collect::<Vec<_>>());
         println!("  {name:<28} {instances:>9}  {mid:>10.3}  {mad:>8.3}");
+    }
+    if !by_arg.is_empty() {
+        println!("span arguments (span, argument, median of per-trace sums):");
+        for ((name, arg), sums) in &by_arg {
+            println!("  {name:<28} {arg:<24} {:>12}", median(sums));
+        }
     }
     ExitCode::SUCCESS
 }

@@ -349,6 +349,8 @@ pub struct TraceSpan {
     pub start: f64,
     pub end: f64,
     pub depth: u64,
+    /// Its numeric `args` other than `depth`, by key.
+    pub args: Vec<(String, f64)>,
 }
 
 /// Validates a `--trace-json` document: parses, checks every `traceEvents`
@@ -404,7 +406,21 @@ pub fn validate_chrome_trace(text: &str) -> Result<Vec<TraceSpan>, String> {
             .and_then(|a| a.get("depth"))
             .and_then(JsonValue::as_f64)
             .ok_or(format!("event {i}: missing args.depth"))? as u64;
-        spans.push(TraceSpan { name: name.to_string(), tid: tid as u64, start: ts, end: ts + dur, depth });
+        let args = match e.get("args") {
+            Some(JsonValue::Obj(a)) => (a.iter())
+                .filter(|(k, _)| *k != "depth")
+                .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                .collect(),
+            _ => Vec::new(),
+        };
+        spans.push(TraceSpan {
+            name: name.to_string(),
+            tid: tid as u64,
+            start: ts,
+            end: ts + dur,
+            depth,
+            args,
+        });
     }
 
     // Nesting check, per tid: sort by (start, deeper-last, longer-first) and

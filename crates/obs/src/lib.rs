@@ -45,7 +45,7 @@ pub mod trace;
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use json::{parse as parse_json, validate_chrome_trace, JsonValue, TraceSpan};
 pub use trace::{
-    count, enabled, span, timer_ns, InstallGuard, Sink, Span, SpanEvent, Trace,
+    count, enabled, peak_rss_kb, span, timer_ns, InstallGuard, Sink, Span, SpanEvent, Trace,
 };
 
 /// Makes a closed stdout end the process quietly. Printing with `println!`

@@ -35,7 +35,9 @@ pub struct SpanEvent {
     /// Nesting depth at record time (0 = top level). Spans on one tid are
     /// properly nested by construction (RAII guards).
     pub depth: u32,
-    /// Deterministic key/value annotations (per-pass counter deltas).
+    /// Key/value annotations: per-pass counter deltas and visit counts
+    /// (deterministic), and the `pipeline` span's `peak_rss_kb` (from
+    /// [`peak_rss_kb`]; report-only, like the span's time).
     pub args: Vec<(String, u64)>,
 }
 
@@ -257,6 +259,16 @@ pub fn enabled() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
+/// The process's peak resident set size in KiB (`VmHWM` in
+/// `/proc/self/status`), or `None` where that cannot be read. It is the
+/// peak of the whole process so far, not of one span: for a one-shot `om`
+/// the link's peak, for a long-running `omd` the peak since it started.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    kb.trim().strip_suffix("kB")?.trim_end().parse().ok()
+}
+
 /// An in-flight span; records a [`SpanEvent`] when dropped. A no-op (and no
 /// allocation) when no trace was installed at creation.
 pub struct Span {
@@ -273,7 +285,7 @@ struct ActiveSpan {
 }
 
 impl Span {
-    /// Attaches a deterministic key/value annotation.
+    /// Attaches a key/value annotation.
     pub fn arg(&mut self, key: &str, value: u64) {
         if let Some(a) = &mut self.active {
             a.args.push((key.to_string(), value));

@@ -2,7 +2,8 @@
 //! it passes, one with a 50% gap fails with exit 1, and a malformed
 //! `SPAN=FRACTION` exits 2 with the usage text. `omtrace summarize` prints
 //! each span's instances and the median and MAD of its total across traces,
-//! and stops quietly when its reader closes the pipe.
+//! then the median of each span argument's per-trace sum, and stops quietly
+//! when its reader closes the pipe.
 
 use std::process::{Command, Output, Stdio};
 
@@ -73,14 +74,17 @@ fn summarize(traces: &[String]) -> Output {
     summarize_with(traces, "summarize", Command::output)
 }
 
-/// Writes `traces` to files in a directory named after `tag`, runs `omtrace
-/// summarize` over them through `run`, and removes the files.
+/// Writes `traces` to files in a directory of their own named after `tag`,
+/// runs `omtrace summarize` over them through `run`, and removes the files.
 fn summarize_with(
     traces: &[String],
     tag: &str,
     run: impl FnOnce(&mut Command) -> std::io::Result<Output>,
 ) -> Output {
-    let dir = std::env::temp_dir().join(format!("omtrace-{tag}-{}", std::process::id()));
+    // Tests run in parallel: each call gets its own directory.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("omtrace-{tag}-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let paths: Vec<_> = (traces.iter().enumerate())
         .map(|(k, t)| {
@@ -152,6 +156,38 @@ fn summarize_prints_median_and_mad_per_span() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("  a ") && stdout.contains(" 0-1 "), "{stdout}");
     assert!(stdout.contains("1.500     1.500"), "{stdout}");
+}
+
+#[test]
+fn summarize_prints_the_median_of_each_span_argument() {
+    // `pipeline` carries `peak_rss_kb` once per trace; `pass.calls` runs
+    // twice per trace and its `sites` sum over both. The third trace lacks
+    // `sites`, which counts 0 there.
+    let trace = |peak: u32, sites: &[u32]| {
+        let event = |name: &str, ts: usize, dur: u32, args: String| {
+            format!(
+                r#"{{"name":"{name}","ph":"X","ts":{ts}.000,"dur":{dur}.000,"pid":1,"tid":0,"args":{{"depth":{}{args}}}}}"#,
+                u32::from(name != "pipeline")
+            )
+        };
+        let mut events = vec![event("pipeline", 0, 100, format!(r#","peak_rss_kb":{peak}"#))];
+        let calls = sites.iter().enumerate();
+        let arg = |n| format!(r#","sites":{n}"#);
+        events.extend(calls.map(|(k, n)| event("pass.calls", 10 * k, 10, arg(n))));
+        if sites.is_empty() {
+            events.push(event("pass.calls", 0, 10, String::new()));
+        }
+        format!(r#"{{"traceEvents":[{}],"counters":{{}}}}"#, events.join(","))
+    };
+    let out = summarize(&[trace(70_000, &[30, 5]), trace(72_000, &[30, 6]), trace(90_000, &[])]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let args: Vec<Vec<&str>> = (stdout.lines())
+        .skip_while(|l| !l.starts_with("span arguments"))
+        .skip(1)
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert_eq!(args, [["pass.calls", "sites", "35"], ["pipeline", "peak_rss_kb", "72000"]]);
 }
 
 #[test]

@@ -78,7 +78,8 @@ echo "== scale smoke (one mid-scale point through the tool pipeline) =="
 # "scale" rows in figure drift above); this step proves the *standalone
 # tool* path handles a multi-GAT-split program too. Its trace must attribute
 # at least 93% of `pipeline` to direct children (97.3-97.8% over 5 measured
-# runs).
+# runs), and its summary puts the link's layer table and peak RSS
+# (`pipeline`'s `peak_rss_kb`) in the CI log.
 scaledir=$(mktemp -d)
 trap 'rm -rf "$tracedir" "$scaledir"' EXIT
 cargo run --release -p om-workloads --bin genbench -- --scale 256 "$scaledir"
@@ -88,6 +89,7 @@ cargo run --release -p om-core --bin om -- --level full-sched --verify \
     -o "$scaledir/scale.exe" "$scaledir"/*.o "$scaledir/libstd.a"
 cargo run --release -p om-obs --bin omtrace -- check "$scaledir/trace.json" \
     --require snapshot --require verify --min-coverage pipeline=0.93
+cargo run --release -p om-obs --bin omtrace -- summarize "$scaledir/trace.json"
 
 echo "== adversarial corpus (limit-straddling inputs; sources through the fuzz oracle, objects typed-error) =="
 cargo run --release -p om-bench --bin omfuzz -- --adversarial
