@@ -109,86 +109,233 @@ pub fn list_schedule<T>(block: &mut [T], inst: impl Fn(&T) -> &Inst) {
     ListScheduler::default().schedule(block, inst);
 }
 
+/// Rows of [`ListScheduler`]'s sweep masks: per register, the later
+/// instructions that read or write it, then the later memory readers,
+/// memory writers, control transfers, and all later instructions.
+const INT_USE: usize = 0;
+const INT_DEF: usize = 32;
+const FP_USE: usize = 64;
+const FP_DEF: usize = 96;
+const MEM_READ: usize = 128;
+const MEM_WRITE: usize = 129;
+const CONTROL: usize = 130;
+const LATER: usize = 131;
+const ROWS: usize = 132;
+
+/// One 64-instruction word of every sweep mask.
+type Masks = [u64; ROWS];
+
+/// The set bits of `mask`, ascending.
+#[inline]
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let b = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (b < 32).then_some(b)
+    })
+}
+
+/// The later instructions (of one mask word `m`) that depend on an
+/// instruction with effects `e`: [`Effects::depends_on`], read from the
+/// earlier side. Inline, like the helpers below: [`ListScheduler::schedule`]
+/// is generic, so it is compiled in the compiler's and OM's crates.
+#[inline]
+fn successors(e: &Effects, m: &Masks) -> u64 {
+    if e.control {
+        return m[LATER];
+    }
+    let mut s = m[CONTROL];
+    for r in bits(e.int_defs) {
+        s |= m[INT_USE + r] | m[INT_DEF + r]; // RAW, WAW
+    }
+    for r in bits(e.int_uses) {
+        s |= m[INT_DEF + r]; // WAR
+    }
+    for r in bits(e.fp_defs) {
+        s |= m[FP_USE + r] | m[FP_DEF + r];
+    }
+    for r in bits(e.fp_uses) {
+        s |= m[FP_DEF + r];
+    }
+    if e.mem_read {
+        s |= m[MEM_WRITE];
+    }
+    if e.mem_write {
+        s |= m[MEM_READ] | m[MEM_WRITE];
+    }
+    s
+}
+
+/// Adds the instruction at `bit` of mask word `m`, with effects `e`.
+#[inline]
+fn add(e: &Effects, m: &mut Masks, bit: u64) {
+    for r in bits(e.int_uses) {
+        m[INT_USE + r] |= bit;
+    }
+    for r in bits(e.int_defs) {
+        m[INT_DEF + r] |= bit;
+    }
+    for r in bits(e.fp_uses) {
+        m[FP_USE + r] |= bit;
+    }
+    for r in bits(e.fp_defs) {
+        m[FP_DEF + r] |= bit;
+    }
+    if e.mem_read {
+        m[MEM_READ] |= bit;
+    }
+    if e.mem_write {
+        m[MEM_WRITE] |= bit;
+    }
+    if e.control {
+        m[CONTROL] |= bit;
+    }
+    m[LATER] |= bit;
+}
+
+/// [`can_dual_issue`] by issue class: bit `b` of `pairing()[a]` is set when
+/// an instruction of class `a` pairs with a following one of class `b`.
+fn pairing() -> &'static [u8; 4] {
+    static PAIRS: std::sync::OnceLock<[u8; 4]> = std::sync::OnceLock::new();
+    PAIRS.get_or_init(|| {
+        // The rule reads issue classes alone: one instruction of each
+        // class, in `IssueClass` order, stands for all of them.
+        let reps = [Inst::nop(), Inst::unop(), Inst::fnop(), Inst::ret()];
+        let mut pairs = [0u8; 4];
+        for (a, first) in reps.iter().enumerate() {
+            debug_assert_eq!(issue_class(first) as usize, a);
+            for (b, second) in reps.iter().enumerate() {
+                pairs[a] |= u8::from(can_dual_issue(first, second)) << b;
+            }
+        }
+        pairs
+    })
+}
+
 /// [`list_schedule`] with its working buffers kept between blocks.
+///
+/// The dependence graph is a bitset of successors per instruction, built in
+/// one backward sweep from masks of the later instructions that use or
+/// define each register, read or write memory, or transfer control. A
+/// block of `n` instructions takes `⌈n / 64⌉` words per set, so every block
+/// size runs the same code.
 #[derive(Debug, Default)]
 pub struct ListScheduler {
-    effects: Vec<Effects>,
-    /// The dependence graph, flat: the successors of `i` (each `j > i` that
-    /// must follow it, ascending) are `succs[first[i]..first[i + 1]]`.
-    first: Vec<u32>,
-    succs: Vec<u32>,
+    /// Issue class of each instruction.
+    class: Vec<u8>,
+    /// Successors, `words` per instruction: bit `j` of row `i` is set when
+    /// `j > i` must stay after `i`.
+    succ: Vec<u64>,
+    /// The sweep's masks, one [`Masks`] per word.
+    masks: Vec<Masks>,
     /// Predecessors of each instruction not yet scheduled.
     preds: Vec<u32>,
     /// Critical-path length from each instruction to the block's end.
     prio: Vec<u32>,
-    ready: Vec<u32>,
+    /// Each instruction's pick key, `prio << 33 | fanout << 1`; a pick sets
+    /// bit 0 when the candidate pairs with the previous pick.
+    key: Vec<u64>,
+    /// The instructions whose predecessors are all scheduled.
+    ready: Vec<u64>,
     /// `order[k]` is the block position of the `k`-th pick.
     order: Vec<u32>,
 }
 
 impl ListScheduler {
     /// Schedules one block in place; see [`list_schedule`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a block of 2^26 instructions or more, whose critical path
+    /// could overflow its key (its successor sets alone would take 2^49
+    /// bytes).
     pub fn schedule<T>(&mut self, block: &mut [T], inst: impl Fn(&T) -> &Inst) {
         let n = block.len();
         if n < 2 {
             return;
         }
-        let Self { effects, first, succs, preds, prio, ready, order } = self;
-        effects.clear();
-        effects.extend(block.iter().map(|t| Effects::of(inst(t))));
-
-        first.clear();
-        succs.clear();
+        assert!(n < 1 << 26, "a block of {n} instructions");
+        let words = n.div_ceil(64);
+        let Self { class, succ, masks, preds, prio, key, ready, order } = self;
+        let pairs = pairing();
+        // Every entry of these is written before it is read.
+        if class.len() < n {
+            class.resize(n, 0);
+            prio.resize(n, 0);
+            key.resize(n, 0);
+        }
+        if succ.len() < n * words {
+            succ.resize(n * words, 0);
+        }
+        masks.clear();
+        masks.resize(words, [0; ROWS]);
         preds.clear();
         preds.resize(n, 0);
-        for i in 0..n {
-            first.push(succs.len() as u32);
-            for j in i + 1..n {
-                if effects[j].depends_on(&effects[i]) {
-                    succs.push(j as u32);
+
+        // Backward sweep: when `i` is reached the masks hold exactly the
+        // instructions after it, whose priorities are final.
+        for i in (0..n).rev() {
+            let ins = inst(&block[i]);
+            let e = Effects::of(ins);
+            class[i] = issue_class(ins) as u8;
+            let (mut tail, mut fanout) = (0, 0);
+            for (k, m) in masks.iter().enumerate() {
+                let mut s = successors(&e, m);
+                succ[i * words + k] = s;
+                fanout += s.count_ones();
+                while s != 0 {
+                    let j = 64 * k + s.trailing_zeros() as usize;
+                    tail = tail.max(prio[j]);
                     preds[j] += 1;
+                    s &= s - 1;
                 }
             }
-        }
-        first.push(succs.len() as u32);
-        let succs_of = |i: usize| &succs[first[i] as usize..first[i + 1] as usize];
-
-        prio.clear();
-        prio.resize(n, 0);
-        for i in (0..n).rev() {
-            let tail = succs_of(i).iter().map(|&j| prio[j as usize]).max().unwrap_or(0);
-            prio[i] = latency(inst(&block[i])) + tail;
+            prio[i] = latency(ins) + tail;
+            key[i] = u64::from(prio[i]) << 33 | u64::from(fanout) << 1;
+            add(&e, &mut masks[i / 64], 1 << (i % 64));
         }
 
         ready.clear();
-        ready.extend((0..n as u32).filter(|&i| preds[i as usize] == 0));
+        ready.resize(words, 0);
+        for i in (0..n).filter(|&i| preds[i] == 0) {
+            ready[i / 64] |= 1 << (i % 64);
+        }
         order.clear();
-        while !ready.is_empty() {
-            // Keys are distinct (the last component is the position), so the
-            // pick does not depend on the order of `ready`.
-            let prev = order.last().map(|&p| inst(&block[p as usize]));
-            let key = |i: u32| {
-                let i = i as usize;
-                let pairs = prev.is_some_and(|p| can_dual_issue(p, inst(&block[i])));
-                (prio[i], first[i + 1] - first[i], pairs, std::cmp::Reverse(i))
-            };
-            let (mut best_at, mut best_key) = (0, key(ready[0]));
-            for (at, &c) in ready.iter().enumerate().skip(1) {
-                let k = key(c);
-                if k > best_key {
-                    (best_at, best_key) = (at, k);
+        // Classes that pair with the previous pick (none before the first).
+        let mut pairing = 0u8;
+        while order.len() < n {
+            // The largest `(prio, fanout, pairs, Reverse(i))`: candidates
+            // come in ascending order and only a larger key displaces the
+            // best, so the first of equal keys wins. Keys are nonzero (a
+            // latency is at least 1).
+            let (mut best, mut best_key) = (0, 0);
+            for (k, &word) in ready.iter().enumerate() {
+                let mut w = word;
+                while w != 0 {
+                    let c = 64 * k + w.trailing_zeros() as usize;
+                    let ck = key[c] | u64::from((pairing >> class[c]) & 1);
+                    if ck > best_key {
+                        (best, best_key) = (c, ck);
+                    }
+                    w &= w - 1;
                 }
             }
-            let best = ready.swap_remove(best_at);
-            order.push(best);
-            for &j in succs_of(best as usize) {
-                preds[j as usize] -= 1;
-                if preds[j as usize] == 0 {
-                    ready.push(j);
+            debug_assert!(best_key != 0, "a block's dependence graph is acyclic");
+            ready[best / 64] &= !(1 << (best % 64));
+            order.push(best as u32);
+            pairing = pairs[class[best] as usize];
+            for k in 0..words {
+                let mut w = succ[best * words + k];
+                while w != 0 {
+                    let j = 64 * k + w.trailing_zeros() as usize;
+                    preds[j] -= 1;
+                    if preds[j] == 0 {
+                        ready[k] |= 1 << (j % 64);
+                    }
+                    w &= w - 1;
                 }
             }
         }
-        debug_assert_eq!(order.len(), n);
 
         // Apply the permutation cycle by cycle: position `k` takes the element
         // at `order[k]`, and a placed position is marked `order[k] = k`.
@@ -256,9 +403,10 @@ mod tests {
         assert!(!can_dual_issue(&br, &add));
     }
 
-    /// The list scheduler as it was before [`ListScheduler`] (one `Vec` per
-    /// instruction's successors, both keys recomputed per comparison): the
-    /// reference the buffered scheduler must match pick for pick.
+    /// The list scheduler as it was before [`ListScheduler`] (a pairwise
+    /// `depends_on` test per instruction pair, one `Vec` per instruction's
+    /// successors, both keys recomputed per comparison): the reference the
+    /// bitset scheduler must match pick for pick.
     fn reference_schedule<T>(block: &mut Vec<T>, inst: impl Fn(&T) -> &Inst) {
         let n = block.len();
         if n < 2 {
@@ -353,11 +501,15 @@ mod tests {
 
     #[test]
     fn buffered_scheduler_matches_the_reference_on_random_blocks() {
+        // Sizes where a successor row grows by a word, interleaved with
+        // random sizes so one scheduler's buffers change width between
+        // blocks.
+        const EDGES: [usize; 6] = [63, 64, 65, 127, 128, 129];
         let mut rng = om_prng::StdRng::seed_from_u64(23);
         let mut sched = ListScheduler::default();
         let mut seen = [false; 4];
-        for b in 0..2_000 {
-            let n = rng.gen_range(2..201usize);
+        for b in 0..2_400 {
+            let n = if b % 8 == 7 { EDGES[b / 8 % 6] } else { rng.gen_range(2..301usize) };
             let trailing = rng.gen_bool(0.7);
             // Positions tag each element, so equal instructions stay apart.
             let block: Vec<(usize, Inst)> = (0..n)

@@ -10,7 +10,7 @@ use crate::sym::{
     resolve_symbolic, translate_module, InstId, OmError, SMark, SymModule, SymProgram,
 };
 use om_linker::{
-    build_symbol_table, layout, link_selected, select_modules, Image, LayoutOpts, LinkStats,
+    build_symbol_table, gat_slots, link_selected, select_borrowed, Image, LayoutOpts, LinkStats,
 };
 use om_objfile::{Archive, Module};
 use std::collections::HashMap;
@@ -261,8 +261,12 @@ pub fn optimize_and_link_keyed(
 
 /// One link. With `cached`, each module's translation goes through the
 /// per-module cache, keyed by `object_hashes` for the explicit objects
-/// (which [`select_modules`] returns first, in order) and by a fresh hash
+/// (which [`select_borrowed`] returns first, in order) and by a fresh hash
 /// for each archive member it selects.
+///
+/// Each input is used in place (the selection borrows it) and tabled once:
+/// the emitted modules keep their inputs' symbols, so the final link takes
+/// the input's symbol table instead of building a second one.
 fn run_pipeline(
     objects: &[Module],
     libs: &[Archive],
@@ -275,7 +279,7 @@ fn run_pipeline(
     om_obs::count("pipeline.runs", 1);
     let modules = {
         let _s = om_obs::span("select");
-        select_modules(objects, libs)?
+        select_borrowed(objects, libs)?
     };
     pipeline_span.arg("modules", modules.len() as u64);
     om_obs::count("pipeline.modules", modules.len() as u64);
@@ -311,13 +315,11 @@ fn run_pipeline(
         collect_before(&program, &mut stats, &mut book);
     }
     // The untransformed program's GAT is the inputs' GAT: translation keeps
-    // every `.lita` entry, and the slot count ignores common placement.
+    // every `.lita` entry, and the slot count depends on nothing else.
     stats.gat_slots_before = {
         let _s = om_obs::span("gat.before");
-        layout(&modules, &symtab, &LayoutOpts::default())?.gat_slots
+        gat_slots(&modules)?
     };
-    // The symbolic program holds its own copy of each input.
-    drop(modules);
 
     match level {
         OmLevel::None => {}
@@ -378,7 +380,7 @@ fn run_pipeline(
     let link_opts = LayoutOpts { sort_commons: level != OmLevel::None && options.sort_commons };
     let linked = {
         let _s = om_obs::span("link");
-        link_selected(&final_modules, &link_opts)?
+        link_selected(&final_modules, &symtab, &link_opts)?
     };
     stats.gat_slots_after = linked.stats.gat_slots;
 
@@ -386,7 +388,7 @@ fn run_pipeline(
         let _s = om_obs::span("verify");
         report.merge(crate::verify::verify_linked(
             &final_modules,
-            &linked.symtab,
+            &symtab,
             &linked.layout,
             &linked.image,
         ));
@@ -408,5 +410,5 @@ fn run_pipeline(
         }
     }
     let out = OmOutput { image: linked.image, stats, link: linked.stats, verify };
-    Ok((out, Artifacts { modules: final_modules, symtab: linked.symtab, layout: linked.layout }))
+    Ok((out, Artifacts { modules: final_modules, symtab, layout: linked.layout }))
 }

@@ -31,6 +31,7 @@ use crate::pipeline::CallBook;
 use crate::stats::OmStats;
 use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProgram};
 use om_alpha::{BrOp, Inst, MemOp, Reg};
+use om_linker::relocate::split_gpdisp;
 use std::collections::HashSet;
 
 /// True if `disp` fits a branch's signed 21-bit word-displacement field.
@@ -384,9 +385,11 @@ pub(crate) fn transform_address_loads(
                 }
 
                 // 32-bit conversion requires a single shared displacement
-                // so the LDAH high half is exact for every use.
+                // so the LDAH high half is exact for every use, and a
+                // target within the pair's ±2 GB of GP; otherwise the load
+                // stays.
                 let d0 = use_disps[0].1;
-                if use_disps.iter().all(|&(_, d)| d == d0) {
+                if use_disps.iter().all(|&(_, d)| d == d0) && split_gpdisp(disp + d0).is_ok() {
                     proc_insts[k].inst =
                         Inst::Mem { op: MemOp::Ldah, ra: rd, rb: Reg::GP, disp: 0 };
                     // One addend for both halves.

@@ -20,7 +20,7 @@
 use crate::stats::OmStats;
 use crate::sym::{InstId, SMark, SymProgram};
 use om_alpha::{decode, BrOp, Effects, Inst, JmpOp, MemOp, PalOp, Reg};
-use om_linker::{sym_addr, Image, ProgramLayout, SymbolTable};
+use om_linker::{AddrTable, Image, ProgramLayout, SymbolTable};
 use om_objfile::{Module, RelocKind, SecId, SymId, SymbolDef, Visibility, DATA_BASE};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -249,6 +249,9 @@ pub fn verify_linked(
     image: &Image,
 ) -> VerifyReport {
     let mut r = VerifyReport::default();
+    // Every symbol's address, recomputed from the layout by the linker's
+    // one rule (`sym_addr`), once per symbol rather than per reference.
+    let addrs = AddrTable::new(modules, symtab, layout);
 
     // Segment geometry: ascending, non-overlapping.
     for w in image.segments.windows(2) {
@@ -388,7 +391,7 @@ pub fn verify_linked(
                         other => r.fail(at(format!("Literal reloc on {other:?}, expected ldq"))),
                     }
                     let e = &m.lita[li];
-                    match sym_addr(modules, symtab, layout, mi, e.sym) {
+                    match addrs.addr(mi, e.sym) {
                         Ok(a) => {
                             let want = (a as i64 + e.addend) as u64;
                             r.check(read_u64(slot) == Some(want), || {
@@ -466,7 +469,7 @@ pub fn verify_linked(
                     }
                 }
                 (SecId::Text, RelocKind::BrAddr { sym, addend }) => {
-                    let a = match sym_addr(modules, symtab, layout, mi, *sym) {
+                    let a = match addrs.addr(mi, *sym) {
                         Ok(a) => a,
                         Err(e) => {
                             r.fail(at(format!("branch target unresolvable: {e}")));
@@ -495,7 +498,7 @@ pub fn verify_linked(
                     }
                 }
                 (SecId::Text, RelocKind::Gprel16 { sym, addend, .. }) => {
-                    match sym_addr(modules, symtab, layout, mi, *sym) {
+                    match addrs.addr(mi, *sym) {
                         Ok(a) => {
                             let disp = a as i64 + addend - gp;
                             r.check(i16::try_from(disp).is_ok(), || {
@@ -519,7 +522,7 @@ pub fn verify_linked(
                     }
                 }
                 (SecId::Text, RelocKind::GprelHigh { sym, addend, .. }) => {
-                    match sym_addr(modules, symtab, layout, mi, *sym) {
+                    match addrs.addr(mi, *sym) {
                         Ok(a) => {
                             let x = a as i64 + addend - gp;
                             let hi = (x - (x as i16) as i64) >> 16;
@@ -544,7 +547,7 @@ pub fn verify_linked(
                     }
                 }
                 (SecId::Text, RelocKind::GprelLow { sym, addend, hi_addend, .. }) => {
-                    match sym_addr(modules, symtab, layout, mi, *sym) {
+                    match addrs.addr(mi, *sym) {
                         Ok(a) => {
                             let xh = a as i64 + hi_addend - gp;
                             let hi = (xh - (xh as i16) as i64) >> 16;
@@ -566,7 +569,7 @@ pub fn verify_linked(
                 }
                 (sec @ (SecId::Data | SecId::Sdata), RelocKind::RefQuad { sym, addend }) => {
                     let base = if sec == SecId::Data { b.data } else { b.sdata };
-                    match sym_addr(modules, symtab, layout, mi, *sym) {
+                    match addrs.addr(mi, *sym) {
                         Ok(a) => {
                             let want = (a as i64 + addend) as u64;
                             r.check(read_u64(base + rel.offset) == Some(want), || {
@@ -792,6 +795,37 @@ mod tests {
         assert_eq!(r.checks, clean.checks, "{r}");
         assert!(r.violations[0].ends_with("duplicate instruction ids"), "{r}");
         assert!(r.violations.iter().any(|v| v.ends_with("GPDISP anchored after a deleted call")));
+    }
+
+    #[test]
+    fn an_undefined_extern_reports_sym_addrs_error_in_the_image_and_the_verifier() {
+        use om_alpha::Reg;
+        use om_linker::{build_image, build_symbol_table, layout, link_modules, LayoutOpts};
+        use om_objfile::{ModuleBuilder, Symbol};
+        // `m` loads `g`'s address, which `d` defines; a table without `g`
+        // leaves the reference unresolvable, and both readers of the
+        // address table quote `sym_addr`'s error.
+        let mut b = ModuleBuilder::new("m");
+        let g = b.external("g");
+        let lita = b.lita_slot(g, 0);
+        b.emit_reloc(Inst::ldq(Reg::T0, 0, Reg::GP), RelocKind::Literal { lita });
+        b.emit(Inst::ret());
+        b.define_proc("__start", 0, 0, Visibility::Exported);
+        let mut d = ModuleBuilder::new("d");
+        let off = d.append_data(SecId::Data, &[0; 8]);
+        d.add_symbol(Symbol::data("g", SecId::Data, off, 8));
+        let modules = [b.finish().unwrap(), d.finish().unwrap()];
+        let (image, _) = link_modules(&modules, &[], &LayoutOpts::default()).unwrap();
+        let mut symtab = build_symbol_table(&modules).unwrap();
+        let lay = layout(&modules, &symtab, &LayoutOpts::default()).unwrap();
+        symtab.globals.remove("g");
+
+        let undefined = "undefined symbol `g` (referenced by `m`)";
+        let e = build_image(&modules, &symtab, &lay).unwrap_err();
+        assert_eq!(e.to_string(), undefined);
+        let report = verify_linked(&modules, &symtab, &lay, &image);
+        let want = format!("m+0x0: GAT slot symbol unresolvable: {undefined}");
+        assert_eq!(report.violations, [want]);
     }
 
     #[test]

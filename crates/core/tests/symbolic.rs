@@ -368,3 +368,42 @@ fn wide_and_split_addends_round_trip_at_every_level() {
         assert_eq!(seen, 3, "{}", level.name());
     }
 }
+
+/// Module `f`: 16 bytes of data named `big`, and a procedure `far` that
+/// loads `big + WIDE` from the GAT and reads memory through it, its one
+/// base use: a load every transforming level would convert to a
+/// `GprelHigh`/`GprelLow` pair if the target were within ±2 GB of GP.
+fn far_base_use() -> Module {
+    let mut b = ModuleBuilder::new("f");
+    let off = b.append_data(SecId::Data, &[0; 16]);
+    let big = b.add_symbol(Symbol::data("big", SecId::Data, off, 16));
+    let lita = b.lita_slot(big, WIDE);
+    let start = b.here();
+    let load = b.emit_reloc(Inst::ldq(Reg::T0, 0, Reg::GP), RelocKind::Literal { lita });
+    b.emit_reloc(Inst::ldq(Reg::A1, 0, Reg::T0), RelocKind::LituseBase { load_offset: load });
+    b.emit(Inst::ret());
+    b.define_proc("far", start, 0, Visibility::Exported);
+    b.finish().unwrap()
+}
+
+#[test]
+fn a_base_use_beyond_the_pairs_reach_keeps_its_literal_at_every_level() {
+    let main = compile_source("m", "int main() { return 0; }", &CompileOpts::o2()).unwrap();
+    let objects = vec![crt0::module().unwrap(), main, far_base_use()];
+    om_linker::link_modules(&objects, &[], &Default::default()).expect("the standard link");
+    let options = OmOptions { verify: true, ..OmOptions::default() };
+    for level in OmLevel::ALL {
+        let (out, art) = optimize_and_link_artifacts(&objects, &[], level, &options)
+            .unwrap_or_else(|e| panic!("{}: {e}", level.name()));
+        let mi = art.modules.iter().position(|m| m.name == "f").unwrap();
+        let big = out.image.symbols["big"] as i64;
+        let text = art.modules[mi].relocs.iter().filter(|r| r.sec == SecId::Text);
+        let kinds: Vec<&RelocKind> = text.map(|r| &r.kind).collect();
+        let [RelocKind::Literal { lita }, RelocKind::LituseBase { load_offset: 0 }] = kinds[..]
+        else {
+            panic!("{}: the load did not stay: {kinds:?}", level.name());
+        };
+        let slot = art.layout.lita_addr[mi][*lita as usize];
+        assert_eq!(word_at(&out.image, slot) as i64, big + WIDE, "{}", level.name());
+    }
+}

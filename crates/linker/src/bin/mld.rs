@@ -1,23 +1,31 @@
 //! `mld` — the standard (non-optimizing) linker driver.
 //!
 //! ```text
-//! mld [-o OUT.exe] [--sort-commons] FILE.o... [LIB.a...]
+//! mld [-o OUT.exe] [--sort-commons] [--trace-json TRACE.json] FILE.o... [LIB.a...]
 //! ```
 //!
 //! Inputs ending in `.a` are searched as archives (in the order given);
 //! everything else is an explicit object. Writes an executable image and
 //! prints link statistics.
 //!
-//! A usage error (no input object, an unknown option, a missing `-o` value)
-//! exits 2 with the usage text before any input is read; an unreadable or
-//! malformed input, a failed link or an unwritable output exits 1.
+//! `--trace-json` records the link as a chrome://tracing trace-event file,
+//! as `om --trace-json` does: an `mld` span (with the process's
+//! `peak_rss_kb`) holding `select`, `symtab`, `link.layout` and
+//! `link.image`, the layers `om`'s final link shares, so `omtrace
+//! summarize` puts the two tools side by side.
+//!
+//! A usage error (no input object, an unknown option, a missing `-o` or
+//! `--trace-json` value) exits 2 with the usage text before any input is
+//! read; an unreadable or malformed input, a failed link or an unwritable
+//! output or trace exits 1.
 
 use om_linker::{LayoutOpts, Linker};
 use om_objfile::binary;
 use std::path::PathBuf;
 use std::process::exit;
 
-const USAGE: &str = "usage: mld [-o OUT.exe] [--sort-commons] FILE.o... [LIB.a...]";
+const USAGE: &str =
+    "usage: mld [-o OUT.exe] [--sort-commons] [--trace-json TRACE.json] FILE.o... [LIB.a...]";
 
 /// Reports a usage error and exits 2.
 fn usage(msg: &str) -> ! {
@@ -30,6 +38,7 @@ fn main() {
     let mut inputs = Vec::new();
     let mut out = PathBuf::from("a.exe");
     let mut opts = LayoutOpts::default();
+    let mut trace_json: Option<PathBuf> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -40,6 +49,11 @@ fn main() {
                 out = PathBuf::from(args.get(i).unwrap_or_else(|| usage("-o needs a path")));
             }
             "--sort-commons" => opts.sort_commons = true,
+            "--trace-json" => {
+                i += 1;
+                let path = args.get(i).unwrap_or_else(|| usage("--trace-json needs a path"));
+                trace_json = Some(PathBuf::from(path));
+            }
             f if !f.starts_with('-') => inputs.push(f.to_string()),
             other => usage(&format!("unknown option {other}")),
         }
@@ -61,7 +75,26 @@ fn main() {
     for l in libs {
         linker = linker.library(l);
     }
-    match linker.link() {
+    let trace = trace_json.is_some().then(om_obs::Trace::new);
+    let guard = trace.as_ref().map(om_obs::Trace::install);
+    let result = {
+        let mut span = om_obs::span("mld");
+        let result = linker.link();
+        if let Some(kb) = om_obs::enabled().then(om_obs::peak_rss_kb).flatten() {
+            span.arg("peak_rss_kb", kb);
+        }
+        result
+    };
+    drop(guard);
+    if let (Some(t), Some(path)) = (&trace, &trace_json) {
+        if let Err(e) = std::fs::write(path, t.chrome_json("mld")) {
+            eprintln!("mld: cannot write {}: {e}", path.display());
+            exit(1);
+        }
+        eprintln!("mld: wrote trace {}", path.display());
+    }
+
+    match result {
         Ok((image, stats)) => {
             if let Err(e) = std::fs::write(&out, image.to_bytes()) {
                 eprintln!("mld: cannot write {}: {e}", out.display());

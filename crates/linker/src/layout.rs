@@ -14,6 +14,7 @@ use crate::resolve::SymbolTable;
 use om_objfile::{
     LitaEntry, Module, SecId, Symbol, SymbolDef, SymId, Visibility, DATA_BASE, TEXT_BASE,
 };
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Maximum GAT slots per GP group: a signed 16-bit displacement spans 64KB
@@ -123,6 +124,21 @@ pub trait Placed {
     fn lita(&self) -> &[LitaEntry];
 }
 
+impl<P: Placed + ?Sized> Placed for &P {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn symbols(&self) -> &[Symbol] {
+        (**self).symbols()
+    }
+    fn section_len(&self, sec: SecId) -> u64 {
+        (**self).section_len(sec)
+    }
+    fn lita(&self) -> &[LitaEntry] {
+        (**self).lita()
+    }
+}
+
 impl Placed for Module {
     fn name(&self) -> &str {
         &self.name
@@ -138,35 +154,26 @@ impl Placed for Module {
     }
 }
 
-/// Computes the layout of `modules`.
+/// The slot count of `modules`' merged GAT: [`layout`]'s GAT step alone,
+/// without placing text, data or commons.
 ///
 /// # Errors
 ///
 /// [`LinkError::Range`] when a single module's literal pool cannot fit one
-/// GAT group (groups split only at module boundaries) or when the section
-/// sizes overflow the data segment's addressable span.
-pub fn layout<P: Placed>(
-    modules: &[P],
-    symtab: &SymbolTable,
-    opts: &LayoutOpts,
-) -> Result<ProgramLayout, LinkError> {
-    let mut out = ProgramLayout {
-        bases: vec![ModuleBases::default(); modules.len()],
-        group_of_module: vec![0; modules.len()],
-        lita_addr: modules.iter().map(|m| vec![0; m.lita().len()]).collect(),
-        ..ProgramLayout::default()
-    };
+/// GAT group, as [`layout`] reports it.
+pub fn gat_slots<P: Placed>(modules: &[P]) -> Result<usize, LinkError> {
+    let mut out = ProgramLayout::default();
+    merge_gat(modules, &mut out)?;
+    Ok(out.gat_slots)
+}
 
-    // Text.
-    let mut pc = TEXT_BASE;
-    for (mi, m) in modules.iter().enumerate() {
-        pc = align(pc, 16);
-        out.bases[mi].text = pc;
-        pc += m.section_len(SecId::Text);
-    }
-    out.info.text = Extent { base: TEXT_BASE, size: pc - TEXT_BASE };
-
-    // GAT groups: walk modules, dedup entries, splitting when a group fills.
+/// Merges the modules' `.lita` entries into GAT groups from [`DATA_BASE`]
+/// up, deduplicating within a group and splitting when one fills. Fills
+/// `out`'s GAT fields (groups, GP values, slot addresses, counts and the
+/// `.lita` extent) and returns the first address past the GAT.
+fn merge_gat<P: Placed>(modules: &[P], out: &mut ProgramLayout) -> Result<u64, LinkError> {
+    out.group_of_module = vec![0; modules.len()];
+    out.lita_addr = modules.iter().map(|m| vec![0; m.lita().len()]).collect();
     let mut addr = DATA_BASE;
     let lita_base = addr;
     let mut group_start = addr;
@@ -221,6 +228,36 @@ pub fn layout<P: Placed>(
     out.info.lita = Extent { base: lita_base, size: addr - lita_base };
     out.gp_values = group_bases.iter().map(|&b| b + 0x8000).collect();
     out.info.gp_values = out.gp_values.clone();
+    Ok(addr)
+}
+
+/// Computes the layout of `modules`.
+///
+/// # Errors
+///
+/// [`LinkError::Range`] when a single module's literal pool cannot fit one
+/// GAT group (groups split only at module boundaries) or when the section
+/// sizes overflow the data segment's addressable span.
+pub fn layout<P: Placed>(
+    modules: &[P],
+    symtab: &SymbolTable,
+    opts: &LayoutOpts,
+) -> Result<ProgramLayout, LinkError> {
+    let mut out = ProgramLayout {
+        bases: vec![ModuleBases::default(); modules.len()],
+        ..ProgramLayout::default()
+    };
+
+    // Text.
+    let mut pc = TEXT_BASE;
+    for (mi, m) in modules.iter().enumerate() {
+        pc = align(pc, 16);
+        out.bases[mi].text = pc;
+        pc += m.section_len(SecId::Text);
+    }
+    out.info.text = Extent { base: TEXT_BASE, size: pc - TEXT_BASE };
+
+    let mut addr = merge_gat(modules, &mut out)?;
 
     // .sdata per module.
     let sdata_base = addr;
@@ -310,14 +347,15 @@ fn gat_key<P: Placed>(modules: &[P], mi: usize, sym: SymId, addend: i64) -> GatK
 ///
 /// Returns [`LinkError::Undefined`] for unresolvable externals (cannot occur
 /// after [`crate::resolve::build_symbol_table`] succeeded).
-pub fn sym_addr(
-    modules: &[Module],
+pub fn sym_addr<M: Borrow<Module>>(
+    modules: &[M],
     symtab: &SymbolTable,
     layout: &ProgramLayout,
     mi: usize,
     id: SymId,
 ) -> Result<u64, LinkError> {
-    let s = modules[mi].symbol(id);
+    let module = |m: usize| -> &Module { modules[m].borrow() };
+    let s = module(mi).symbol(id);
     let defining = if s.is_defined() && (s.vis == Visibility::Local) {
         Some((mi, id))
     } else if let Some(&(dm, did)) = symtab.globals.get(&s.name) {
@@ -326,7 +364,7 @@ pub fn sym_addr(
         None
     };
     if let Some((dm, did)) = defining {
-        let d = modules[dm].symbol(did);
+        let d = module(dm).symbol(did);
         let b = &layout.bases[dm];
         let addr = match &d.def {
             SymbolDef::Proc { offset, .. } => b.text + offset,
@@ -340,7 +378,7 @@ pub fn sym_addr(
                     .copied()
                     .ok_or_else(|| LinkError::Undefined {
                         name: d.name.clone(),
-                        referenced_by: modules[mi].name.clone(),
+                        referenced_by: module(mi).name.clone(),
                     });
             }
         };
@@ -352,8 +390,59 @@ pub fn sym_addr(
         .copied()
         .ok_or_else(|| LinkError::Undefined {
             name: s.name.clone(),
-            referenced_by: modules[mi].name.clone(),
+            referenced_by: module(mi).name.clone(),
         })
+}
+
+/// [`sym_addr`] of every symbol of every module, computed once: a pass that
+/// reads the addresses of many references (the image's GAT slots and
+/// relocations, or the verifier's recomputation of them) looks each one up
+/// by index instead of hashing its name.
+#[derive(Debug)]
+pub struct AddrTable<'a, M> {
+    modules: &'a [M],
+    symtab: &'a SymbolTable,
+    layout: &'a ProgramLayout,
+    /// Index of each module's first symbol in `addrs`, plus the total.
+    first: Vec<usize>,
+    /// Each symbol's address; [`AddrTable::UNRESOLVED`] where `sym_addr`
+    /// failed.
+    addrs: Vec<u64>,
+}
+
+impl<'a, M: Borrow<Module>> AddrTable<'a, M> {
+    /// Marks a symbol whose address [`AddrTable::addr`] asks [`sym_addr`]
+    /// for again. A real address equal to it costs only that second call.
+    const UNRESOLVED: u64 = u64::MAX;
+
+    /// Resolves every symbol of `modules` under `layout`.
+    pub fn new(modules: &'a [M], symtab: &'a SymbolTable, layout: &'a ProgramLayout) -> Self {
+        let mut first = Vec::with_capacity(modules.len() + 1);
+        let mut addrs = Vec::new();
+        for (mi, m) in modules.iter().enumerate() {
+            first.push(addrs.len());
+            let n = m.borrow().symbols.len() as u32;
+            addrs.extend((0..n).map(|id| {
+                sym_addr(modules, symtab, layout, mi, SymId(id)).unwrap_or(Self::UNRESOLVED)
+            }));
+        }
+        first.push(addrs.len());
+        AddrTable { modules, symtab, layout, first, addrs }
+    }
+
+    /// The address of symbol `id` of module `mi`: exactly what [`sym_addr`]
+    /// returns, its error included.
+    ///
+    /// # Errors
+    ///
+    /// [`sym_addr`]'s.
+    pub fn addr(&self, mi: usize, id: SymId) -> Result<u64, LinkError> {
+        let at = self.first[mi] + id.0 as usize;
+        match self.addrs.get(at) {
+            Some(&a) if at < self.first[mi + 1] && a != Self::UNRESOLVED => Ok(a),
+            _ => sym_addr(self.modules, self.symtab, self.layout, mi, id),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -33,11 +33,14 @@ pub mod resolve;
 
 pub use error::LinkError;
 pub use image::{Extent, Image, LayoutInfo, Segment};
-pub use layout::{layout, sym_addr, LayoutOpts, Placed, ProgramLayout, GAT_GROUP_CAPACITY};
+pub use layout::{
+    gat_slots, layout, sym_addr, AddrTable, LayoutOpts, Placed, ProgramLayout, GAT_GROUP_CAPACITY,
+};
 pub use relocate::build_image;
-pub use resolve::{build_symbol_table, select_modules, SymbolTable};
+pub use resolve::{build_symbol_table, select_borrowed, select_modules, SymbolTable};
 
 use om_objfile::{Archive, Module};
+use std::borrow::Borrow;
 
 /// Link statistics (feeds the build-time and GAT-size comparisons).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,9 +103,9 @@ impl Linker {
 
 /// Links `objects` (+ library members) with the given layout policy.
 ///
-/// Borrows its inputs — callers that link the same build repeatedly (the
-/// evaluation harness, OM at several levels) pay no per-link clone of their
-/// module list.
+/// Borrows its inputs: the selection is the objects and archive members
+/// themselves, so callers that link the same build repeatedly (the
+/// evaluation harness, OM at several levels) copy no module per link.
 ///
 /// # Errors
 ///
@@ -112,49 +115,64 @@ pub fn link_modules(
     libs: &[Archive],
     opts: &LayoutOpts,
 ) -> Result<(Image, LinkStats), LinkError> {
-    // Every selected module is validated: objects by `select_modules`,
+    // Every selected module is validated: objects by `select_borrowed`,
     // archive members when they were added.
-    let linked = link_validated(&select_modules(objects, libs)?, opts)?;
+    let selected = {
+        let _s = om_obs::span("select");
+        select_borrowed(objects, libs)?
+    };
+    let symtab = {
+        let _s = om_obs::span("symtab");
+        build_symbol_table(&selected)?
+    };
+    let linked = link_validated(&selected, &symtab, opts)?;
     Ok((linked.image, linked.stats))
 }
 
-/// A finished link plus the symbol table and layout its image was patched
-/// against.
+/// A finished link plus the layout its image was patched against.
 #[derive(Debug, Clone)]
 pub struct Linked {
     pub image: Image,
     pub stats: LinkStats,
-    pub symtab: SymbolTable,
     pub layout: ProgramLayout,
 }
 
 /// Links an already-selected module list (no archive search, no copy of
-/// the modules). Every module is validated before it reaches
-/// [`build_image`].
+/// the modules) against the caller's symbol table, which must be
+/// [`build_symbol_table`]'s for these modules: OM's emitted modules keep
+/// their inputs' symbols, so the input selection's table is theirs. Every
+/// module is validated before it reaches [`build_image`].
 ///
 /// # Errors
 ///
 /// See [`Linker::link`].
-pub fn link_selected(modules: &[Module], opts: &LayoutOpts) -> Result<Linked, LinkError> {
+pub fn link_selected(
+    modules: &[Module],
+    symtab: &SymbolTable,
+    opts: &LayoutOpts,
+) -> Result<Linked, LinkError> {
     for m in modules {
         m.validate()?;
     }
-    link_validated(modules, opts)
+    link_validated(modules, symtab, opts)
 }
 
 /// [`link_selected`] over modules that already passed `Module::validate`.
-fn link_validated(modules: &[Module], opts: &LayoutOpts) -> Result<Linked, LinkError> {
-    let symtab = build_symbol_table(modules)?;
+fn link_validated<M: Borrow<Module> + Placed>(
+    modules: &[M],
+    symtab: &SymbolTable,
+    opts: &LayoutOpts,
+) -> Result<Linked, LinkError> {
     let lay = {
         let mut s = om_obs::span("link.layout");
-        let lay = layout(modules, &symtab, opts)?;
+        let lay = layout(modules, symtab, opts)?;
         s.arg("gat_slots", lay.gat_slots as u64);
         s.arg("gp_groups", lay.gp_values.len() as u64);
         lay
     };
     let image = {
         let _s = om_obs::span("link.image");
-        build_image(modules, &symtab, &lay)?
+        build_image(modules, symtab, &lay)?
     };
     if om_obs::enabled() {
         om_obs::count("link.gat_slots", lay.gat_slots as u64);
@@ -172,7 +190,7 @@ fn link_validated(modules: &[Module], opts: &LayoutOpts) -> Result<Linked, LinkE
         text_bytes: lay.info.text.size,
         data_bytes: image.segments[1].bytes.len() as u64,
     };
-    Ok(Linked { image, stats, symtab, layout: lay })
+    Ok(Linked { image, stats, layout: lay })
 }
 
 #[cfg(test)]

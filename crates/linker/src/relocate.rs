@@ -2,9 +2,10 @@
 
 use crate::error::LinkError;
 use crate::image::{Image, Segment};
-use crate::layout::{sym_addr, ProgramLayout};
+use crate::layout::{AddrTable, ProgramLayout};
 use crate::resolve::SymbolTable;
 use om_objfile::{Module, RelocKind, SecId, SymbolDef, Visibility, DATA_BASE};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 // The patch helpers bounds-check every write: relocation offsets are
@@ -60,20 +61,30 @@ pub fn split_gpdisp(disp: i64) -> Result<(i16, i16), LinkError> {
     Ok((hi, lo))
 }
 
+/// The high half of `disp` as a GPREL pair patches it: [`split_gpdisp`],
+/// with an overflow named after the relocation `kind` and its module.
+fn gprel_high(disp: i64, kind: &str, module: &str) -> Result<i16, LinkError> {
+    split_gpdisp(disp).map(|(hi, _)| hi).map_err(|_| LinkError::Range {
+        what: format!("{kind} {disp} in `{module}`"),
+    })
+}
+
 /// Applies all relocations and builds the final image.
 ///
 /// # Errors
 ///
 /// Returns [`LinkError`] on unresolvable symbols or out-of-range fields.
-pub fn build_image(
-    modules: &[Module],
+pub fn build_image<M: Borrow<Module>>(
+    modules: &[M],
     symtab: &SymbolTable,
     layout: &ProgramLayout,
 ) -> Result<Image, LinkError> {
+    let addrs = AddrTable::new(modules, symtab, layout);
+    let modules = || modules.iter().map(Borrow::borrow);
     // Text segment.
     let text_size = layout.info.text.size as usize;
     let mut text = vec![0u8; text_size];
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in modules().enumerate() {
         let off = (layout.bases[mi].text - layout.info.text.base) as usize;
         text[off..off + m.text.len()].copy_from_slice(&m.text);
     }
@@ -81,7 +92,7 @@ pub fn build_image(
     // Data segment covers everything from the GAT through the end of .bss.
     let data_end = layout.info.bss.base + layout.info.bss.size;
     let mut data = vec![0u8; (data_end - DATA_BASE) as usize];
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in modules().enumerate() {
         let b = &layout.bases[mi];
         let s = (b.sdata - DATA_BASE) as usize;
         data[s..s + m.sdata.len()].copy_from_slice(&m.sdata);
@@ -91,16 +102,16 @@ pub fn build_image(
 
     // Fill the merged GAT: every module writes its resolved slot values
     // (deduplicated slots are written multiple times with identical values).
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in modules().enumerate() {
         for (li, e) in m.lita.iter().enumerate() {
-            let v = (sym_addr(modules, symtab, layout, mi, e.sym)? as i64 + e.addend) as u64;
+            let v = (addrs.addr(mi, e.sym)? as i64 + e.addend) as u64;
             let slot = layout.lita_addr[mi][li];
             patch64(&mut data, (slot - DATA_BASE) as usize, v)?;
         }
     }
 
     // Apply relocations.
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in modules().enumerate() {
         let bases = &layout.bases[mi];
         let gp = layout.gp_values[layout.group_of_module[mi] as usize];
         for r in &m.relocs {
@@ -123,7 +134,7 @@ pub fn build_image(
                     patch16(&mut text, lo_off, lo)?;
                 }
                 (SecId::Text, RelocKind::BrAddr { sym, addend }) => {
-                    let target = (sym_addr(modules, symtab, layout, mi, *sym)? as i64 + addend) as u64;
+                    let target = (addrs.addr(mi, *sym)? as i64 + addend) as u64;
                     let pc = bases.text + r.offset;
                     let delta = target as i64 - (pc as i64 + 4);
                     if delta % 4 != 0 {
@@ -138,8 +149,7 @@ pub fn build_image(
                     patch_branch(&mut text, off, (delta / 4) as i32)?;
                 }
                 (SecId::Text, RelocKind::Gprel16 { sym, addend, .. }) => {
-                    let target =
-                        sym_addr(modules, symtab, layout, mi, *sym)? as i64 + addend;
+                    let target = addrs.addr(mi, *sym)? as i64 + addend;
                     let disp = target - gp as i64;
                     let d = i16::try_from(disp).map_err(|_| LinkError::Range {
                         what: format!("gprel16 {disp} in `{}`", m.name),
@@ -148,14 +158,14 @@ pub fn build_image(
                     patch16(&mut text, off, d)?;
                 }
                 (SecId::Text, RelocKind::GprelHigh { sym, addend, .. }) => {
-                    let target = sym_addr(modules, symtab, layout, mi, *sym)? as i64 + addend;
-                    let (hi, _) = split_gpdisp(target - gp as i64)?;
+                    let target = addrs.addr(mi, *sym)? as i64 + addend;
+                    let hi = gprel_high(target - gp as i64, "gprelhigh", &m.name)?;
                     let off = (bases.text - layout.info.text.base + r.offset) as usize;
                     patch16(&mut text, off, hi)?;
                 }
                 (SecId::Text, RelocKind::GprelLow { sym, addend, hi_addend, .. }) => {
-                    let target = sym_addr(modules, symtab, layout, mi, *sym)?;
-                    let (hi, _) = split_gpdisp(target as i64 + hi_addend - gp as i64)?;
+                    let target = addrs.addr(mi, *sym)?;
+                    let hi = gprel_high(target as i64 + hi_addend - gp as i64, "gprellow", &m.name)?;
                     let disp = target as i64 + addend - gp as i64 - ((hi as i64) << 16);
                     let d = i16::try_from(disp).map_err(|_| LinkError::Range {
                         what: format!("gprellow {disp} in `{}`", m.name),
@@ -165,7 +175,7 @@ pub fn build_image(
                 }
                 (SecId::Text, _) => {} // LITUSE hints need no patching
                 (sec, RelocKind::RefQuad { sym, addend }) => {
-                    let v = (sym_addr(modules, symtab, layout, mi, *sym)? as i64 + addend) as u64;
+                    let v = (addrs.addr(mi, *sym)? as i64 + addend) as u64;
                     let base = match sec {
                         SecId::Data => bases.data,
                         SecId::Sdata => bases.sdata,
@@ -189,17 +199,15 @@ pub fn build_image(
     // Symbol map: exported strong symbols plus local procedures (qualified).
     let mut symbols: HashMap<String, u64> = HashMap::new();
     for (name, &(mi, id)) in &symtab.globals {
-        symbols.insert(name.clone(), sym_addr(modules, symtab, layout, mi, id)?);
+        symbols.insert(name.clone(), addrs.addr(mi, id)?);
     }
     for (name, &addr) in &layout.common_addr {
         symbols.insert(name.clone(), addr);
     }
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in modules().enumerate() {
         for (id, s) in m.symbols_with_ids() {
             if s.vis == Visibility::Local && matches!(s.def, SymbolDef::Proc { .. }) {
-                symbols
-                    .entry(format!("{}.{}", s.name, m.name))
-                    .or_insert(sym_addr(modules, symtab, layout, mi, id)?);
+                symbols.entry(format!("{}.{}", s.name, m.name)).or_insert(addrs.addr(mi, id)?);
             }
         }
     }
@@ -272,6 +280,35 @@ mod tests {
                 assert_eq!(disp, -7);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_gprel_pair_out_of_reach_names_its_kind_and_module() {
+        use om_alpha::{Inst, Reg};
+        use om_objfile::{ModuleBuilder, Symbol, Visibility};
+        // `__start` reads `big + 2^33` through a GP-relative pair. Either
+        // half can be the one whose high part overflows (the low half
+        // computes it from `hi_addend`), and each error says which
+        // relocation and module, not `gpdisp`.
+        const FAR: i64 = 1 << 33;
+        for (high_addend, hi_addend, kind) in [(FAR, FAR, "gprelhigh"), (0, FAR, "gprellow")] {
+            let mut b = ModuleBuilder::new("far");
+            let off = b.append_data(SecId::Data, &[0; 16]);
+            let big = b.add_symbol(Symbol::data("big", SecId::Data, off, 16));
+            let start = b.here();
+            let high = RelocKind::GprelHigh { sym: big, addend: high_addend, gp_group: 0 };
+            b.emit_reloc(Inst::ldah(Reg::A0, 0, Reg::GP), high);
+            let low = RelocKind::GprelLow { sym: big, addend: FAR, hi_addend, gp_group: 0 };
+            b.emit_reloc(Inst::ldq(Reg::A1, 0, Reg::A0), low);
+            b.emit(Inst::ret());
+            b.define_proc("__start", start, 0, Visibility::Exported);
+            let m = b.finish().unwrap();
+            let e = crate::link_modules(&[m], &[], &Default::default()).unwrap_err();
+            assert!(matches!(e, LinkError::Range { .. }), "{e}");
+            let text = e.to_string();
+            assert!(text.starts_with(&format!("relocation out of range: {kind} ")), "{text}");
+            assert!(text.ends_with(" in `far`"), "{text}");
         }
     }
 

@@ -2,67 +2,81 @@
 //! common-symbol merging.
 
 use crate::error::LinkError;
+use crate::layout::Placed;
 use om_objfile::{Archive, Module, SymbolDef, SymId, Visibility};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Selects the modules participating in a link: all explicit objects plus
 /// any archive members (transitively) needed to satisfy undefined symbols,
 /// in archive order — the `ld` discipline that brings pre-compiled library
 /// code into the program.
 ///
-/// Borrows its inputs: callers keep their modules and can run many links
-/// (standard and OM, at every level) off one build without cloning up
-/// front. The one copy into the returned selection happens here.
+/// Borrows everything: the selection is the objects and archive members
+/// themselves, so a link (standard, or OM at any level) copies no input.
 ///
 /// # Errors
 ///
-/// Returns [`LinkError::Object`] if any module fails validation.
-pub fn select_modules(
-    objects: &[Module],
-    libs: &[Archive],
-) -> Result<Vec<Module>, LinkError> {
+/// Returns [`LinkError::Object`] if any object fails validation (archive
+/// members were validated when they were added).
+pub fn select_borrowed<'a>(
+    objects: &'a [Module],
+    libs: &'a [Archive],
+) -> Result<Vec<&'a Module>, LinkError> {
     for m in objects {
         m.validate()?;
     }
-    let mut defined: HashMap<&str, ()> = HashMap::new();
-    let mut undefined: Vec<String> = Vec::new();
+    let mut defined: HashSet<&str> = HashSet::new();
+    let mut undefined: Vec<&str> = Vec::new();
     for m in objects {
         for s in &m.symbols {
             if s.is_defined() && s.vis == Visibility::Exported {
-                defined.insert(&s.name, ());
+                defined.insert(&s.name);
             }
         }
     }
     for m in objects {
         for s in &m.symbols {
-            if !s.is_defined() && !defined.contains_key(s.name.as_str()) {
-                undefined.push(s.name.clone());
+            if !s.is_defined() && !defined.contains(s.name.as_str()) {
+                undefined.push(&s.name);
             }
         }
     }
 
-    let mut out = objects.to_vec();
+    let mut out: Vec<&Module> = objects.iter().collect();
     for lib in libs {
-        let picked = lib.select(undefined.iter().cloned());
-        // Members may satisfy each other; recompute what is still undefined
-        // for the *next* archive.
-        for m in picked {
-            out.push(m.clone());
+        let picked = lib.select(undefined.iter().copied());
+        // Members may satisfy each other; what is still undefined for the
+        // *next* archive changes only by what this one added.
+        for m in &picked {
+            for s in &m.symbols {
+                if s.is_defined() && s.vis == Visibility::Exported {
+                    defined.insert(&s.name);
+                }
+            }
         }
-        let now_defined: HashMap<&str, ()> = out
-            .iter()
-            .flat_map(|m| m.symbols.iter())
-            .filter(|s| s.is_defined() && s.vis == Visibility::Exported)
-            .map(|s| (s.name.as_str(), ()))
-            .collect();
-        undefined = out
-            .iter()
-            .flat_map(|m| m.symbols.iter())
-            .filter(|s| !s.is_defined() && !now_defined.contains_key(s.name.as_str()))
-            .map(|s| s.name.clone())
-            .collect();
+        undefined.retain(|n| !defined.contains(n));
+        for m in &picked {
+            for s in &m.symbols {
+                if !s.is_defined() && !defined.contains(s.name.as_str()) {
+                    undefined.push(&s.name);
+                }
+            }
+        }
+        out.extend(picked);
     }
     Ok(out)
+}
+
+/// [`select_borrowed`], copied into owned modules.
+///
+/// # Errors
+///
+/// See [`select_borrowed`].
+pub fn select_modules(
+    objects: &[Module],
+    libs: &[Archive],
+) -> Result<Vec<Module>, LinkError> {
+    Ok(select_borrowed(objects, libs)?.into_iter().cloned().collect())
 }
 
 /// The program-wide symbol table.
@@ -83,10 +97,10 @@ pub struct SymbolTable {
 /// # Errors
 ///
 /// Returns [`LinkError::Duplicate`] or [`LinkError::Undefined`].
-pub fn build_symbol_table(modules: &[Module]) -> Result<SymbolTable, LinkError> {
+pub fn build_symbol_table<P: Placed>(modules: &[P]) -> Result<SymbolTable, LinkError> {
     let mut table = SymbolTable::default();
     for (mi, m) in modules.iter().enumerate() {
-        for (id, s) in m.symbols_with_ids() {
+        for (id, s) in m.symbols().iter().enumerate() {
             if s.vis != Visibility::Exported {
                 continue;
             }
@@ -95,10 +109,10 @@ pub fn build_symbol_table(modules: &[Module]) -> Result<SymbolTable, LinkError> 
                     if let Some(&(prev, _)) = table.globals.get(&s.name) {
                         return Err(LinkError::Duplicate {
                             name: s.name.clone(),
-                            modules: (modules[prev].name.clone(), m.name.clone()),
+                            modules: (modules[prev].name().to_string(), m.name().to_string()),
                         });
                     }
-                    table.globals.insert(s.name.clone(), (mi, id));
+                    table.globals.insert(s.name.clone(), (mi, SymId(id as u32)));
                 }
                 SymbolDef::Common { size, align } => {
                     let e = table.commons.entry(s.name.clone()).or_insert((0, 8));
@@ -113,18 +127,15 @@ pub fn build_symbol_table(modules: &[Module]) -> Result<SymbolTable, LinkError> 
     for name in table.globals.keys() {
         table.commons.remove(name.as_str());
     }
-    let resolved: HashMap<&str, ()> = table
-        .globals
-        .keys()
-        .map(|k| (k.as_str(), ()))
-        .chain(table.commons.keys().map(|k| (k.as_str(), ())))
-        .collect();
     for m in modules {
-        for s in &m.symbols {
-            if !s.is_defined() && !resolved.contains_key(s.name.as_str()) {
+        for s in m.symbols() {
+            if !s.is_defined()
+                && !table.globals.contains_key(&s.name)
+                && !table.commons.contains_key(&s.name)
+            {
                 return Err(LinkError::Undefined {
                     name: s.name.clone(),
-                    referenced_by: m.name.clone(),
+                    referenced_by: m.name().to_string(),
                 });
             }
         }

@@ -4,7 +4,7 @@
 //! a long-running link server cannot afford to abort the process on one bad
 //! request.
 
-use om_linker::{link_modules, link_selected, LayoutOpts, LinkError, Linker};
+use om_linker::{build_symbol_table, link_modules, link_selected, LayoutOpts, LinkError, Linker};
 use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, Symbol};
 
 /// A well-formed standalone program: `__start` loads `g`'s address through
@@ -23,18 +23,20 @@ fn base_module() -> Module {
     m
 }
 
-/// Links `m` through both entry points: `link_selected` (which OM uses on
-/// its emitted modules) must validate and fail exactly as `link_modules`.
-fn link(m: Module) -> Result<(), LinkError> {
-    let selected = link_selected(std::slice::from_ref(&m), &LayoutOpts::default()).map(|_| ());
-    let r = link_modules(&[m], &[], &LayoutOpts::default()).map(|_| ());
+/// Links `modules` through both entry points: `link_selected` with the
+/// caller's symbol table (how OM links its emitted modules) must validate
+/// and fail exactly as `link_modules`.
+fn link(modules: &[Module]) -> Result<(), LinkError> {
+    let r = link_modules(modules, &[], &LayoutOpts::default()).map(|_| ());
+    let symtab = build_symbol_table(modules).expect("the cases corrupt no symbol");
+    let selected = link_selected(modules, &symtab, &LayoutOpts::default()).map(|_| ());
     assert_eq!(selected, r, "link_selected disagrees with link_modules");
     r
 }
 
 #[test]
 fn base_module_links() {
-    link(base_module()).unwrap();
+    link(&[base_module()]).unwrap();
 }
 
 #[test]
@@ -45,14 +47,14 @@ fn truncated_patch_field_is_a_typed_error() {
     // panic inside the linker's `patch16`.
     let mut m = base_module();
     m.relocs.push(Reloc::text(14, RelocKind::Gprel16 { sym: SymId(1), addend: 0, gp_group: 0 }));
-    assert!(matches!(link(m), Err(LinkError::Object(_))));
+    assert!(matches!(link(&[m]), Err(LinkError::Object(_))));
 }
 
 #[test]
 fn unaligned_text_relocation_is_a_typed_error() {
     let mut m = base_module();
     m.relocs.push(Reloc::text(2, RelocKind::Gprel16 { sym: SymId(1), addend: 0, gp_group: 0 }));
-    assert!(matches!(link(m), Err(LinkError::Object(_))));
+    assert!(matches!(link(&[m]), Err(LinkError::Object(_))));
 }
 
 #[test]
@@ -65,7 +67,7 @@ fn refquad_overhanging_its_section_is_a_typed_error() {
         offset: 12,
         kind: RelocKind::RefQuad { sym: SymId(1), addend: 0 },
     });
-    assert!(matches!(link(m), Err(LinkError::Object(_))));
+    assert!(matches!(link(&[m]), Err(LinkError::Object(_))));
 }
 
 #[test]
@@ -79,7 +81,7 @@ fn refquad_in_zero_fill_section_is_a_typed_error() {
         offset: 0,
         kind: RelocKind::RefQuad { sym: SymId(1), addend: 0 },
     });
-    assert!(matches!(link(m), Err(LinkError::Object(_))));
+    assert!(matches!(link(&[m]), Err(LinkError::Object(_))));
 }
 
 #[test]
@@ -93,14 +95,14 @@ fn text_only_relocation_in_data_is_a_typed_error() {
         offset: 8,
         kind: RelocKind::Gpdisp { pair_offset: 4, anchor: 0, gp_group: 0 },
     });
-    assert!(matches!(link(m), Err(LinkError::Object(_))));
+    assert!(matches!(link(&[m]), Err(LinkError::Object(_))));
 }
 
 #[test]
 fn literal_indexing_missing_lita_slot_is_a_typed_error() {
     let mut m = base_module();
     m.relocs.push(Reloc::text(4, RelocKind::Literal { lita: 9 }));
-    assert!(matches!(link(m), Err(LinkError::Object(_))));
+    assert!(matches!(link(&[m]), Err(LinkError::Object(_))));
 }
 
 #[test]
@@ -118,7 +120,7 @@ fn near_i32_max_section_is_a_typed_range_error() {
     // materialize a multi-gigabyte zero fill.
     let mut m = base_module();
     m.bss_size = i32::MAX as u64;
-    let e = link(m).unwrap_err();
+    let e = link(&[m]).unwrap_err();
     assert!(matches!(e, LinkError::Range { .. }), "{e}");
     assert!(e.to_string().contains("span"), "{e}");
 }
@@ -134,7 +136,7 @@ fn wrapping_section_sizes_are_a_typed_range_error() {
     b.symbols[0] = Symbol::data("g2", SecId::Data, 0, 8);
     b.symbols[1] = Symbol::data("g3", SecId::Data, 8, 8);
     b.bss_size = 128;
-    let r = link_modules(&[a, b], &[], &LayoutOpts::default()).map(|_| ());
+    let r = link(&[a, b]);
     assert!(matches!(r, Err(LinkError::Range { .. })), "{r:?}");
 }
 
@@ -145,7 +147,7 @@ fn single_module_gat_overflow_is_a_typed_range_error() {
     // failure mode of a monolithic compile-all merge at scale.
     let mut m = base_module();
     om_workloads::pad_gat(&mut m, om_linker::GAT_GROUP_CAPACITY + 1, "x");
-    let e = link(m).unwrap_err();
+    let e = link(&[m]).unwrap_err();
     assert!(matches!(e, LinkError::Range { .. }), "{e}");
     assert!(e.to_string().contains("GAT"), "{e}");
 }
@@ -156,14 +158,14 @@ fn exactly_one_group_of_slots_still_links() {
     // unique slots fills one group without error.
     let mut m = base_module();
     om_workloads::pad_gat(&mut m, om_linker::GAT_GROUP_CAPACITY - 1, "y");
-    link(m).unwrap();
+    link(&[m]).unwrap();
 }
 
 #[test]
 fn errors_render_without_panicking() {
     let mut m = base_module();
     m.relocs.push(Reloc::text(14, RelocKind::Gprel16 { sym: SymId(1), addend: 0, gp_group: 0 }));
-    let e = link(m).unwrap_err();
+    let e = link(&[m]).unwrap_err();
     assert!(!e.to_string().is_empty());
 }
 

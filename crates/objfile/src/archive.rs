@@ -10,7 +10,7 @@
 
 use crate::error::ObjError;
 use crate::module::Module;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A static library: an ordered set of modules plus a defined-symbol index.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -56,24 +56,27 @@ impl Archive {
     /// paper's `spice`, half of all calls are library-to-library).
     ///
     /// Returns the selected members in archive order.
-    pub fn select(&self, undefined: impl IntoIterator<Item = String>) -> Vec<&Module> {
-        let mut needed: Vec<String> = undefined.into_iter().collect();
-        let mut chosen: HashSet<usize> = HashSet::new();
-        while let Some(name) = needed.pop() {
-            let Some(&idx) = self.index.get(&name) else { continue };
-            if !chosen.insert(idx) {
-                continue;
+    pub fn select<S: AsRef<str>>(&self, undefined: impl IntoIterator<Item = S>) -> Vec<&Module> {
+        let mut chosen = vec![false; self.members.len()];
+        let mut pending: Vec<usize> = Vec::new();
+        let mut want = |name: &str, pending: &mut Vec<usize>| {
+            if let Some(&idx) = self.index.get(name) {
+                if !std::mem::replace(&mut chosen[idx], true) {
+                    pending.push(idx);
+                }
             }
-            let member = &self.members[idx];
-            for sym in &member.symbols {
+        };
+        for name in undefined {
+            want(name.as_ref(), &mut pending);
+        }
+        while let Some(idx) = pending.pop() {
+            for sym in &self.members[idx].symbols {
                 if !sym.is_defined() {
-                    needed.push(sym.name.clone());
+                    want(&sym.name, &mut pending);
                 }
             }
         }
-        let mut order: Vec<usize> = chosen.into_iter().collect();
-        order.sort_unstable();
-        order.into_iter().map(|i| &self.members[i]).collect()
+        (self.members.iter().zip(chosen)).filter_map(|(m, c)| c.then_some(m)).collect()
     }
 }
 

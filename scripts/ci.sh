@@ -79,7 +79,10 @@ echo "== scale smoke (one mid-scale point through the tool pipeline) =="
 # tool* path handles a multi-GAT-split program too. Its trace must attribute
 # at least 93% of `pipeline` to direct children (97.3-97.8% over 5 measured
 # runs), and its summary puts the link's layer table and peak RSS
-# (`pipeline`'s `peak_rss_kb`) in the CI log.
+# (`pipeline`'s `peak_rss_kb`) in the CI log. `mld` links the same objects
+# traced: its `select`, `symtab`, `link.layout` and `link.image` must cover
+# at least 85% of its `mld` span (92.9-94.2% over 5 measured runs), and its
+# summary sits next to om's, layer by layer.
 scaledir=$(mktemp -d)
 trap 'rm -rf "$tracedir" "$scaledir"' EXIT
 cargo run --release -p om-workloads --bin genbench -- --scale 256 "$scaledir"
@@ -90,6 +93,12 @@ cargo run --release -p om-core --bin om -- --level full-sched --verify \
 cargo run --release -p om-obs --bin omtrace -- check "$scaledir/trace.json" \
     --require snapshot --require verify --min-coverage pipeline=0.93
 cargo run --release -p om-obs --bin omtrace -- summarize "$scaledir/trace.json"
+cargo run --release -p om-linker --bin mld -- --trace-json "$scaledir/mld-trace.json" \
+    -o "$scaledir/mld.exe" "$scaledir"/*.o "$scaledir/libstd.a"
+cargo run --release -p om-obs --bin omtrace -- check "$scaledir/mld-trace.json" \
+    --require select --require symtab --require link.layout --require link.image \
+    --min-coverage mld=0.85
+cargo run --release -p om-obs --bin omtrace -- summarize "$scaledir/mld-trace.json"
 
 echo "== adversarial corpus (limit-straddling inputs; sources through the fuzz oracle, objects typed-error) =="
 cargo run --release -p om-bench --bin omfuzz -- --adversarial
