@@ -7,7 +7,7 @@
 //!
 //! A [`Snapshot`] lays the symbolic program out from sizes alone: each
 //! procedure's instruction count, the `.lita` entries emit would write
-//! (`sym::gat_entries`) and the link's commons. It never emits a
+//! (`sym::gat_entries`) and the link's symbol table. It never emits a
 //! module or rebuilds the symbol table, so an OM-full round costs one layout.
 //! The final link's emitted modules, symbol table and layout are
 //! [`Artifacts`].
@@ -29,8 +29,8 @@ use std::collections::HashSet;
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub layout: ProgramLayout,
-    /// Per module, the address of each symbol id that names a definition
-    /// or the first mention of a common.
+    /// Per module, the address of each symbol id that defines a procedure
+    /// or data (0 for any other).
     sym_addrs: Vec<Vec<u64>>,
     /// Per module, the text address of each procedure.
     proc_addrs: Vec<Vec<u64>>,
@@ -87,8 +87,9 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Propagates layout failures, and [`LinkError::Undefined`] for a common
-    /// the layout did not allocate.
+    /// Propagates layout failures, and [`LinkError::Undefined`] for a local
+    /// common the symbol table leaves unresolved (no exported common of its
+    /// name), so no target of a captured program is unresolved.
     pub fn capture_with(program: &SymProgram, sort_commons: bool) -> Result<Snapshot, OmError> {
         let _s = om_obs::span("snapshot");
         let sized: Vec<SizedModule> = program
@@ -101,7 +102,7 @@ impl Snapshot {
                 lita: gat_entries(program, mi),
             })
             .collect();
-        let layout = layout(&sized, &program.commons, &LayoutOpts { sort_commons })?;
+        let layout = layout(&sized, &program.symtab, &LayoutOpts { sort_commons })?;
         let mut sym_addrs = Vec::with_capacity(sized.len());
         let mut proc_addrs = Vec::with_capacity(sized.len());
         for (mi, m) in program.modules.iter().enumerate() {
@@ -111,15 +112,13 @@ impl Snapshot {
                 syms.push(match s.def {
                     SymbolDef::Proc { .. } => 0, // placed below, in emit order
                     SymbolDef::Data { sec, offset, .. } => b.of(sec) + offset,
-                    // A common is named by its first mention, which may be
-                    // an extern declaration.
-                    _ if program.target(mi, id) == (GlobalRef::Common { module: mi, sym: id }) => {
-                        *layout.common_addr.get(&s.name).ok_or_else(|| LinkError::Undefined {
+                    SymbolDef::Common { .. } if program.target(mi, id) == GlobalRef::Unresolved => {
+                        return Err(OmError::Link(LinkError::Undefined {
                             name: s.name.clone(),
                             referenced_by: m.source.name.clone(),
-                        })?
+                        }));
                     }
-                    _ => 0, // resolves to another module's definition
+                    _ => 0, // a common or an extern: `addr` reads its target
                 });
             }
             let (mut procs, mut pc) = (Vec::with_capacity(m.procs.len()), b.text);
@@ -136,8 +135,11 @@ impl Snapshot {
 
     /// Address of a resolved reference.
     pub fn addr(&self, r: GlobalRef) -> u64 {
-        let (GlobalRef::Def { module, sym } | GlobalRef::Common { module, sym }) = r;
-        self.sym_addrs[module][sym.0 as usize]
+        match r {
+            GlobalRef::Def { module, sym } => self.sym_addrs[module][sym.0 as usize],
+            GlobalRef::Common(c) => self.layout.common_addr[c as usize],
+            GlobalRef::Unresolved => unreachable!("a captured program resolves every target"),
+        }
     }
 
     /// GP value used by module `mi`.
@@ -624,10 +626,13 @@ impl Residue {
     }
 }
 
-/// The link name a [`GlobalRef`] resolves to.
+/// The link name a [`GlobalRef`] resolves to (empty for an unresolved one).
 pub fn ref_name(program: &SymProgram, r: GlobalRef) -> &str {
-    let (GlobalRef::Def { module, sym } | GlobalRef::Common { module, sym }) = r;
-    &program.modules[module].source.symbol(sym).name
+    match r {
+        GlobalRef::Def { module, sym } => &program.modules[module].source.symbol(sym).name,
+        GlobalRef::Common(c) => &program.symtab.commons()[c as usize].name,
+        GlobalRef::Unresolved => "",
+    }
 }
 
 /// The destination register of an address load (`ra` of the LDQ).

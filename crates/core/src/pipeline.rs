@@ -318,7 +318,7 @@ fn run_pipeline(
     // every `.lita` entry, and the slot count depends on nothing else.
     stats.gat_slots_before = {
         let _s = om_obs::span("gat.before");
-        gat_slots(&modules)?
+        gat_slots(&modules, &symtab)?
     };
 
     match level {
@@ -360,23 +360,22 @@ fn run_pipeline(
         stats.insts_deleted += 1;
     }
 
-    // Final link with OM's layout policy: the only layout of the emitted
-    // program, reused for the GAT count, the verifier, and the artifacts.
-    let final_modules = {
-        let _s = om_obs::span("emit");
-        crate::sym::emit_all(&program)?
-    };
-    // What the verifier reads of the symbolic program, before the link needs
-    // the memory: the program is dropped once emitted. No statistic it
-    // checks changes after this point, and its report joins the linked
-    // image's after the link, so a link error still comes first.
+    // What the verifier reads of the symbolic program, before emit frees
+    // it. No statistic it checks changes after this point, and its report
+    // joins the linked image's after the link, so an emit or link error
+    // still comes first.
     let sym_report = options.verify.then(|| {
         let _s = om_obs::span("verify");
         let mut report = crate::verify::verify_sym(&program);
         report.merge(crate::verify::verify_stats(&program, &stats));
         report
     });
-    drop(program);
+    // Final link with OM's layout policy: the only layout of the emitted
+    // program, reused for the GAT count, the verifier, and the artifacts.
+    let final_modules = {
+        let _s = om_obs::span("emit");
+        crate::sym::emit_all_freeing(program)?
+    };
     let link_opts = LayoutOpts { sort_commons: level != OmLevel::None && options.sort_commons };
     let linked = {
         let _s = om_obs::span("link");

@@ -141,7 +141,7 @@ pub(crate) fn convert_calls(
                     !preempt.contains(ref_name(program, target))
                         && match target {
                             GlobalRef::Def { module, .. } => snap.group(mi) == snap.group(module),
-                            GlobalRef::Common { .. } => single_group,
+                            GlobalRef::Common(_) | GlobalRef::Unresolved => single_group,
                         }
                 }
                 CallKind::Indirect => single_group,

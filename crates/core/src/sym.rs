@@ -12,13 +12,15 @@
 //! There is one symbolic form. A mark names a symbol by the [`SymId`] of its
 //! own module, exactly as the relocation it came from did, so
 //! [`translate_module`]'s result depends only on that module's bytes and can
-//! be cached by content hash. [`resolve_symbolic`] binds a program once per
-//! symbol, not per instruction: it records what each module's ids resolve to
-//! program-wide, and passes read that through [`SymProgram::target`].
+//! be cached by content hash. What an id names program-wide is the link's
+//! [`SymbolTable`], which resolved every symbol once: [`resolve_symbolic`]
+//! binds the translations to it, and passes read it through
+//! [`SymProgram::target`].
 //! [`emit_module`] writes each mark's id back unchanged, so every emitted
 //! module keeps its input's symbol table.
 
 use om_alpha::{decode, Inst, MemOp, Reg};
+pub use om_linker::GlobalRef;
 use om_linker::SymbolTable;
 use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, SymbolDef};
 use std::collections::{HashMap, HashSet};
@@ -79,16 +81,6 @@ impl From<om_linker::LinkError> for OmError {
 /// Identifier of an instruction within its procedure; stable across
 /// transformation.
 pub type InstId = u32;
-
-/// A resolved reference to a program object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GlobalRef {
-    /// Defined symbol: `(module index, symbol id)`.
-    Def { module: usize, sym: SymId },
-    /// A merged common symbol, named by the `(module index, symbol id)` of
-    /// its first declaration in the program.
-    Common { module: usize, sym: SymId },
-}
 
 /// A mark's addend, held in 4 bytes. A value in `-2^30..2^31` is held as
 /// itself; any other value (wider than `i32`, or below `-2^30`) lives in its
@@ -316,11 +308,10 @@ impl SymModule {
 #[derive(Debug, Clone)]
 pub struct SymProgram {
     pub modules: Vec<SymModule>,
-    /// Per module, what each of its symbol ids resolves to program-wide.
-    targets: Vec<Vec<GlobalRef>>,
-    /// The link's symbol table with only its commons: all that a layout of
-    /// the program reads of it (see [`crate::analysis::Snapshot`]).
-    pub(crate) commons: SymbolTable,
+    /// The link's symbol table, shared: what each symbol id of each module
+    /// names program-wide, and the commons a layout of the program places
+    /// (see [`crate::analysis::Snapshot`]).
+    pub(crate) symtab: SymbolTable,
     /// When set (OM-simple), emitted modules retain every original GAT slot
     /// even if no surviving instruction references it: a traditional linker
     /// that only rewrites instructions in place does not reduce the GAT.
@@ -340,7 +331,7 @@ impl SymProgram {
 
     /// The program object that symbol `sym` of module `mi` names.
     pub fn target(&self, mi: usize, sym: SymId) -> GlobalRef {
-        self.targets[mi][sym.0 as usize]
+        self.symtab.target(mi, sym)
     }
 
     /// Finds a procedure by target reference, if the reference names one.
@@ -603,11 +594,12 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
     Ok(SymModule { source: Arc::new(source), addends, procs })
 }
 
-/// Binds per-module translations into a whole program. No instruction is
-/// rewritten: this resolves every symbol of every module once, through the
-/// program-wide symbol table, into the table [`SymProgram::target`] reads.
-/// It is the cheap half of [`translate`], so relinking a program whose
-/// modules are all cached costs only this pass.
+/// Binds per-module translations into a whole program against `symtab`,
+/// the link's symbol table over the same modules, which already resolved
+/// every symbol: no instruction is rewritten and no name is looked up, and
+/// the program shares the table instead of copying it. It is the cheap half
+/// of [`translate`], so relinking a program whose modules are all cached
+/// costs only this pass.
 ///
 /// The program owns its modules: a translation passed by value, or in an
 /// [`Arc`] no one else holds, moves in; one that is borrowed, or that a
@@ -618,31 +610,9 @@ where
     I: IntoIterator,
     I::Item: Into<SymModule>,
 {
-    let modules: Vec<SymModule> = modules.into_iter().map(Into::into).collect();
-    let mut first_common: HashMap<&str, GlobalRef> = HashMap::new();
-    let targets = modules
-        .iter()
-        .enumerate()
-        .map(|(mi, m)| {
-            m.source
-                .symbols_with_ids()
-                .map(|(sym, s)| {
-                    if s.is_defined() && !matches!(s.def, SymbolDef::Common { .. }) {
-                        GlobalRef::Def { module: mi, sym }
-                    } else if let Some(&(module, sym)) = symtab.globals.get(&s.name) {
-                        GlobalRef::Def { module, sym }
-                    } else {
-                        let first = GlobalRef::Common { module: mi, sym };
-                        *first_common.entry(&s.name).or_insert(first)
-                    }
-                })
-                .collect()
-        })
-        .collect();
     SymProgram {
-        modules,
-        targets,
-        commons: SymbolTable { commons: symtab.commons.clone(), ..SymbolTable::default() },
+        modules: modules.into_iter().map(Into::into).collect(),
+        symtab: symtab.clone(),
         preserve_gat: true,
     }
 }
@@ -853,5 +823,18 @@ pub(crate) fn gat_entries(program: &SymProgram, mi: usize) -> Vec<LitaEntry> {
 pub fn emit_all(program: &SymProgram) -> Result<Vec<Module>, OmError> {
     (0..program.modules.len())
         .map(|mi| emit_module(program, mi))
+        .collect()
+}
+
+/// [`emit_all`] for a link done with the program: each module's procedures
+/// are freed once it is emitted, so the emitted modules reuse their memory
+/// instead of interleaving with a program about to be freed.
+pub(crate) fn emit_all_freeing(mut program: SymProgram) -> Result<Vec<Module>, OmError> {
+    (0..program.modules.len())
+        .map(|mi| {
+            let m = emit_module(&program, mi);
+            program.modules[mi].procs = Vec::new();
+            m
+        })
         .collect()
 }

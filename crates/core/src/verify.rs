@@ -20,8 +20,8 @@
 use crate::stats::OmStats;
 use crate::sym::{InstId, SMark, SymProgram};
 use om_alpha::{decode, BrOp, Effects, Inst, JmpOp, MemOp, PalOp, Reg};
-use om_linker::{AddrTable, Image, ProgramLayout, SymbolTable};
-use om_objfile::{Module, RelocKind, SecId, SymId, SymbolDef, Visibility, DATA_BASE};
+use om_linker::{sym_addr, GlobalRef, Image, ProgramLayout, SymbolTable};
+use om_objfile::{Module, RelocKind, SecId, SymId, SymbolDef, DATA_BASE};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -249,9 +249,9 @@ pub fn verify_linked(
     image: &Image,
 ) -> VerifyReport {
     let mut r = VerifyReport::default();
-    // Every symbol's address, recomputed from the layout by the linker's
-    // one rule (`sym_addr`), once per symbol rather than per reference.
-    let addrs = AddrTable::new(modules, symtab, layout);
+    // Every symbol's address, recomputed from the layout and the symbol
+    // table by the linker's one rule.
+    let addr = |mi: usize, sym| sym_addr(modules, symtab, layout, mi, sym);
 
     // Segment geometry: ascending, non-overlapping.
     for w in image.segments.windows(2) {
@@ -391,7 +391,7 @@ pub fn verify_linked(
                         other => r.fail(at(format!("Literal reloc on {other:?}, expected ldq"))),
                     }
                     let e = &m.lita[li];
-                    match addrs.addr(mi, e.sym) {
+                    match addr(mi, e.sym) {
                         Ok(a) => {
                             let want = (a as i64 + e.addend) as u64;
                             r.check(read_u64(slot) == Some(want), || {
@@ -469,7 +469,7 @@ pub fn verify_linked(
                     }
                 }
                 (SecId::Text, RelocKind::BrAddr { sym, addend }) => {
-                    let a = match addrs.addr(mi, *sym) {
+                    let a = match addr(mi, *sym) {
                         Ok(a) => a,
                         Err(e) => {
                             r.fail(at(format!("branch target unresolvable: {e}")));
@@ -498,7 +498,7 @@ pub fn verify_linked(
                     }
                 }
                 (SecId::Text, RelocKind::Gprel16 { sym, addend, .. }) => {
-                    match addrs.addr(mi, *sym) {
+                    match addr(mi, *sym) {
                         Ok(a) => {
                             let disp = a as i64 + addend - gp;
                             r.check(i16::try_from(disp).is_ok(), || {
@@ -522,7 +522,7 @@ pub fn verify_linked(
                     }
                 }
                 (SecId::Text, RelocKind::GprelHigh { sym, addend, .. }) => {
-                    match addrs.addr(mi, *sym) {
+                    match addr(mi, *sym) {
                         Ok(a) => {
                             let x = a as i64 + addend - gp;
                             let hi = (x - (x as i16) as i64) >> 16;
@@ -547,7 +547,7 @@ pub fn verify_linked(
                     }
                 }
                 (SecId::Text, RelocKind::GprelLow { sym, addend, hi_addend, .. }) => {
-                    match addrs.addr(mi, *sym) {
+                    match addr(mi, *sym) {
                         Ok(a) => {
                             let xh = a as i64 + hi_addend - gp;
                             let hi = (xh - (xh as i16) as i64) >> 16;
@@ -569,7 +569,7 @@ pub fn verify_linked(
                 }
                 (sec @ (SecId::Data | SecId::Sdata), RelocKind::RefQuad { sym, addend }) => {
                     let base = if sec == SecId::Data { b.data } else { b.sdata };
-                    match addrs.addr(mi, *sym) {
+                    match addr(mi, *sym) {
                         Ok(a) => {
                             let want = (a as i64 + addend) as u64;
                             r.check(read_u64(base + rel.offset) == Some(want), || {
@@ -628,13 +628,8 @@ fn check_gp_groups(
     // The module and text offset of the procedure symbol `sym` of module
     // `mi` names, if it names a defined procedure.
     let callee = |mi: usize, sym: SymId| -> Option<(usize, u64)> {
-        let s = modules[mi].symbols.get(sym.0 as usize)?;
-        let (dm, did) = if s.is_defined() && s.vis == Visibility::Local {
-            (mi, sym)
-        } else {
-            *symtab.globals.get(&s.name)?
-        };
-        match modules[dm].symbols.get(did.0 as usize)?.def {
+        let GlobalRef::Def { module: dm, sym: did } = symtab.target(mi, sym) else { return None };
+        match modules[dm].symbol(did).def {
             SymbolDef::Proc { offset, .. } => Some((dm, offset)),
             _ => None,
         }
@@ -798,27 +793,35 @@ mod tests {
     }
 
     #[test]
-    fn an_undefined_extern_reports_sym_addrs_error_in_the_image_and_the_verifier() {
+    fn an_unresolved_reference_reports_the_same_error_in_the_image_and_the_verifier() {
         use om_alpha::Reg;
         use om_linker::{build_image, build_symbol_table, layout, link_modules, LayoutOpts};
-        use om_objfile::{ModuleBuilder, Symbol};
-        // `m` loads `g`'s address, which `d` defines; a table without `g`
-        // leaves the reference unresolvable, and both readers of the
-        // address table quote `sym_addr`'s error.
-        let mut b = ModuleBuilder::new("m");
-        let g = b.external("g");
-        let lita = b.lita_slot(g, 0);
-        b.emit_reloc(Inst::ldq(Reg::T0, 0, Reg::GP), RelocKind::Literal { lita });
-        b.emit(Inst::ret());
-        b.define_proc("__start", 0, 0, Visibility::Exported);
+        use om_objfile::{Module, ModuleBuilder, Symbol, Visibility};
+        // `m` loads the address of its symbol `g`; `d` defines `g`.
+        let m = |g: Symbol| {
+            let mut b = ModuleBuilder::new("m");
+            let g = b.add_symbol(g);
+            let lita = b.lita_slot(g, 0);
+            b.emit_reloc(Inst::ldq(Reg::T0, 0, Reg::GP), RelocKind::Literal { lita });
+            b.emit(Inst::ret());
+            b.define_proc("__start", 0, 0, Visibility::Exported);
+            b.finish().unwrap()
+        };
         let mut d = ModuleBuilder::new("d");
         let off = d.append_data(SecId::Data, &[0; 8]);
         d.add_symbol(Symbol::data("g", SecId::Data, off, 8));
-        let modules = [b.finish().unwrap(), d.finish().unwrap()];
-        let (image, _) = link_modules(&modules, &[], &LayoutOpts::default()).unwrap();
-        let mut symtab = build_symbol_table(&modules).unwrap();
+        let d = d.finish().unwrap();
+        let linked = [m(Symbol::external("g")), d.clone()];
+        let (image, _) = link_modules(&linked, &[], &LayoutOpts::default()).unwrap();
+        // With `g` a local common, the table leaves the reference
+        // unresolved: a local common takes the storage of the exported
+        // common of its name, and there is none. The layout is the linked
+        // one; the image builder and the verifier report the same error.
+        let modules = [m(Symbol::common("g", 8, 8).local()), d];
+        let symtab = build_symbol_table(&modules).unwrap();
         let lay = layout(&modules, &symtab, &LayoutOpts::default()).unwrap();
-        symtab.globals.remove("g");
+        let linked_symtab = build_symbol_table(&linked).unwrap();
+        assert_eq!(lay, layout(&linked, &linked_symtab, &LayoutOpts::default()).unwrap());
 
         let undefined = "undefined symbol `g` (referenced by `m`)";
         let e = build_image(&modules, &symtab, &lay).unwrap_err();
@@ -826,6 +829,12 @@ mod tests {
         let report = verify_linked(&modules, &symtab, &lay, &image);
         let want = format!("m+0x0: GAT slot symbol unresolvable: {undefined}");
         assert_eq!(report.violations, [want]);
+        // Without `d`, the table reports the extern `g` first, before a
+        // later module's undefined `h`.
+        let mut n = Module::new("n");
+        n.symbols.push(Symbol::external("h"));
+        let e = build_symbol_table(&[m(Symbol::external("g")), n]).unwrap_err();
+        assert_eq!(e.to_string(), undefined);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::{optimize_and_link, OmLevel};
-use om_linker::Linker;
+use om_linker::{link_modules, LayoutOpts};
 use om_objfile::{Module, SecId, Symbol};
 use om_sim::run_image;
 
@@ -57,11 +57,7 @@ fn objects(sources: &[(&str, &str)]) -> Vec<Module> {
 /// must agree. Returns the stats of (simple, full).
 fn check(sources: &[(&str, &str)]) -> (om_core::OmStats, om_core::OmStats) {
     let objs = objects(sources);
-    let mut linker = Linker::new();
-    for o in objs.clone() {
-        linker = linker.object(o);
-    }
-    let (image, _) = linker.link().unwrap();
+    let (image, _) = link_modules(&objs, &[], &LayoutOpts::default()).unwrap();
     let baseline = run_image(&image, STEPS).unwrap();
 
     let mut out = Vec::new();
@@ -273,11 +269,7 @@ fn an_extern_binds_past_a_local_of_the_same_name() {
     let b = compile_source("b", "int x = 7;", &opts).unwrap();
     let objs = vec![crt0::module().unwrap(), a, b];
 
-    let mut linker = Linker::new();
-    for o in objs.clone() {
-        linker = linker.object(o);
-    }
-    let (image, _) = linker.link().unwrap();
+    let (image, _) = link_modules(&objs, &[], &LayoutOpts::default()).unwrap();
     assert_eq!(run_image(&image, STEPS).unwrap().result, 7, "standard link");
     for level in OmLevel::ALL {
         let o = optimize_and_link(&objs, &[], level)

@@ -8,9 +8,10 @@
 //! The programs are the 19 quick workloads in both compile modes and the
 //! split-GAT program of `tests/multigat.rs`, each in its canonical link
 //! order and in a seeded permutation of its user objects: a permuted order
-//! can make a common's first mention, the one `GlobalRef::Common` names, an
-//! `extern` declaration. Each is checked after translation and after
-//! OM-full stopped at 1, 2 and 3 rounds, with and without sorted commons.
+//! can make a common's first mention an `extern` declaration, and changes
+//! the order commons are first declared in. Each is checked after
+//! translation and after OM-full stopped at 1, 2 and 3 rounds, with and
+//! without sorted commons.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::analysis::Snapshot;

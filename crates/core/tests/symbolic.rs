@@ -6,7 +6,9 @@
 
 use om_alpha::{Inst, Reg};
 use om_codegen::{compile_source, crt0, CompileOpts};
-use om_core::analysis::{address_taken, call_sites, find_entry_pair, use_index, CallKind, UseKind};
+use om_core::analysis::{
+    address_taken, call_sites, find_entry_pair, ref_name, use_index, CallKind, UseKind,
+};
 use om_core::sym::{emit_all, translate, GlobalRef, SInst, SMark, SymProc, SymProgram};
 use om_core::{optimize_and_link_artifacts, OmLevel, OmOptions};
 use om_linker::{build_symbol_table, select_modules, Image};
@@ -105,12 +107,7 @@ fn address_taken_covers_fnptr_sources() {
          int main() { dyn_ = &f2; return init(1) + dyn_(2) + f3(3); }",
     )]);
     let taken = address_taken(&program);
-    let name_of = |r: &GlobalRef| match *r {
-        GlobalRef::Def { module, sym } | GlobalRef::Common { module, sym } => {
-            program.modules[module].source.symbol(sym).name.clone()
-        }
-    };
-    let names: HashSet<String> = taken.iter().map(name_of).collect();
+    let names: HashSet<&str> = taken.iter().map(|&r| ref_name(&program, r)).collect();
     assert!(names.contains("f1"), "data initializer: {names:?}");
     assert!(names.contains("f2"), "&f2 in code: {names:?}");
     assert!(!names.contains("f3"), "f3 only directly called: {names:?}");

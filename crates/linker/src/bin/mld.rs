@@ -1,12 +1,13 @@
 //! `mld` — the standard (non-optimizing) linker driver.
 //!
 //! ```text
-//! mld [-o OUT.exe] [--sort-commons] [--trace-json TRACE.json] FILE.o... [LIB.a...]
+//! mld [-o OUT.exe] [--trace-json TRACE.json] FILE.o... [LIB.a...]
 //! ```
 //!
 //! Inputs ending in `.a` are searched as archives (in the order given);
 //! everything else is an explicit object. Writes an executable image and
-//! prints link statistics.
+//! prints link statistics. Commons are placed in input order, as the
+//! standard linker places them.
 //!
 //! `--trace-json` records the link as a chrome://tracing trace-event file,
 //! as `om --trace-json` does: an `mld` span (with the process's
@@ -19,13 +20,12 @@
 //! read; an unreadable or malformed input, a failed link or an unwritable
 //! output or trace exits 1.
 
-use om_linker::{LayoutOpts, Linker};
+use om_linker::{link_modules, LayoutOpts};
 use om_objfile::binary;
 use std::path::PathBuf;
 use std::process::exit;
 
-const USAGE: &str =
-    "usage: mld [-o OUT.exe] [--sort-commons] [--trace-json TRACE.json] FILE.o... [LIB.a...]";
+const USAGE: &str = "usage: mld [-o OUT.exe] [--trace-json TRACE.json] FILE.o... [LIB.a...]";
 
 /// Reports a usage error and exits 2.
 fn usage(msg: &str) -> ! {
@@ -37,7 +37,6 @@ fn main() {
     om_obs::exit_quietly_on_closed_stdout();
     let mut inputs = Vec::new();
     let mut out = PathBuf::from("a.exe");
-    let mut opts = LayoutOpts::default();
     let mut trace_json: Option<PathBuf> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,7 +47,6 @@ fn main() {
                 i += 1;
                 out = PathBuf::from(args.get(i).unwrap_or_else(|| usage("-o needs a path")));
             }
-            "--sort-commons" => opts.sort_commons = true,
             "--trace-json" => {
                 i += 1;
                 let path = args.get(i).unwrap_or_else(|| usage("--trace-json needs a path"));
@@ -68,23 +66,18 @@ fn main() {
         exit(1);
     });
 
-    let mut linker = Linker::new().layout_opts(opts);
-    for o in objects {
-        linker = linker.object(o);
-    }
-    for l in libs {
-        linker = linker.library(l);
-    }
     let trace = trace_json.is_some().then(om_obs::Trace::new);
     let guard = trace.as_ref().map(om_obs::Trace::install);
     let result = {
         let mut span = om_obs::span("mld");
-        let result = linker.link();
+        let result = link_modules(&objects, &libs, &LayoutOpts::default());
         if let Some(kb) = om_obs::enabled().then(om_obs::peak_rss_kb).flatten() {
             span.arg("peak_rss_kb", kb);
         }
         result
     };
+    // The image is written from its own copy: free the inputs first.
+    drop((objects, libs));
     drop(guard);
     if let (Some(t), Some(path)) = (&trace, &trace_json) {
         if let Err(e) = std::fs::write(path, t.chrome_json("mld")) {

@@ -10,7 +10,7 @@
 
 use crate::error::LinkError;
 use crate::image::{Extent, LayoutInfo};
-use crate::resolve::SymbolTable;
+use crate::resolve::{GlobalRef, SymbolTable};
 use om_objfile::{
     LitaEntry, Module, SecId, Symbol, SymbolDef, SymId, Visibility, DATA_BASE, TEXT_BASE,
 };
@@ -56,14 +56,6 @@ impl ModuleBases {
     }
 }
 
-/// Identity of a GAT entry for deduplication: the resolved symbol plus
-/// addend. Locally-visible symbols are distinct per module.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GatKey<'a> {
-    Global(&'a str, i64),
-    Local(usize, SymId, i64),
-}
-
 /// The computed program layout.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProgramLayout {
@@ -74,8 +66,8 @@ pub struct ProgramLayout {
     pub gp_values: Vec<u64>,
     /// Per module, per local `.lita` index: the merged slot's address.
     pub lita_addr: Vec<Vec<u64>>,
-    /// Allocated common symbol addresses.
-    pub common_addr: HashMap<String, u64>,
+    /// Address of each common, by its index in [`SymbolTable::commons`].
+    pub common_addr: Vec<u64>,
     /// Deduplicated GAT slots in address order: (address, module, local index).
     pub slots: Vec<(u64, usize, u32)>,
     pub info: LayoutInfo,
@@ -161,9 +153,9 @@ impl Placed for Module {
 ///
 /// [`LinkError::Range`] when a single module's literal pool cannot fit one
 /// GAT group, as [`layout`] reports it.
-pub fn gat_slots<P: Placed>(modules: &[P]) -> Result<usize, LinkError> {
+pub fn gat_slots<P: Placed>(modules: &[P], symtab: &SymbolTable) -> Result<usize, LinkError> {
     let mut out = ProgramLayout::default();
-    merge_gat(modules, &mut out)?;
+    merge_gat(modules, symtab, &mut out)?;
     Ok(out.gat_slots)
 }
 
@@ -171,23 +163,39 @@ pub fn gat_slots<P: Placed>(modules: &[P]) -> Result<usize, LinkError> {
 /// up, deduplicating within a group and splitting when one fills. Fills
 /// `out`'s GAT fields (groups, GP values, slot addresses, counts and the
 /// `.lita` extent) and returns the first address past the GAT.
-fn merge_gat<P: Placed>(modules: &[P], out: &mut ProgramLayout) -> Result<u64, LinkError> {
+///
+/// A slot is a resolved target plus addend. A local definition's slot is
+/// its own module's: a local common shares the storage of the exported
+/// common of its name, but not that common's slot.
+fn merge_gat<P: Placed>(
+    modules: &[P],
+    symtab: &SymbolTable,
+    out: &mut ProgramLayout,
+) -> Result<u64, LinkError> {
     out.group_of_module = vec![0; modules.len()];
     out.lita_addr = modules.iter().map(|m| vec![0; m.lita().len()]).collect();
     let mut addr = DATA_BASE;
     let lita_base = addr;
     let mut group_start = addr;
-    let mut current: HashMap<GatKey, u64> = HashMap::new();
+    let mut current: HashMap<(GlobalRef, i64), u64> = HashMap::new();
     let mut group_id: u32 = 0;
     let mut group_bases: Vec<u64> = vec![group_start];
 
     for (mi, m) in modules.iter().enumerate() {
         out.gat_entries_input += m.lita().len();
         // How many new slots would this module add to the current group?
-        let keys: Vec<GatKey> = m
+        let keys: Vec<(GlobalRef, i64)> = m
             .lita()
             .iter()
-            .map(|e| gat_key(modules, mi, e.sym, e.addend))
+            .map(|e| {
+                let s = &m.symbols()[e.sym.0 as usize];
+                let target = if s.vis == Visibility::Local && s.is_defined() {
+                    GlobalRef::Def { module: mi, sym: e.sym }
+                } else {
+                    symtab.target(mi, e.sym)
+                };
+                (target, e.addend)
+            })
             .collect();
         let new = keys.iter().filter(|k| !current.contains_key(*k)).count();
         if current.len() + new > GAT_GROUP_CAPACITY {
@@ -257,7 +265,7 @@ pub fn layout<P: Placed>(
     }
     out.info.text = Extent { base: TEXT_BASE, size: pc - TEXT_BASE };
 
-    let mut addr = merge_gat(modules, &mut out)?;
+    let mut addr = merge_gat(modules, symtab, &mut out)?;
 
     // .sdata per module.
     let sdata_base = addr;
@@ -268,35 +276,19 @@ pub fn layout<P: Placed>(
     addr = align(addr, 8);
     out.info.sdata = Extent { base: sdata_base, size: addr - sdata_base };
 
-    // Commons, optionally sorted by size (OM-simple's improvement).
-    let mut commons: Vec<(&String, u64, u64)> = symtab
-        .commons
-        .iter()
-        .map(|(n, &(size, al))| (n, size, al))
-        .collect();
+    // Commons in the table's (input) order, or sorted by size and name
+    // (OM-simple's improvement).
+    let commons = symtab.commons();
+    let mut order: Vec<usize> = (0..commons.len()).collect();
     if opts.sort_commons {
-        commons.sort_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)));
-    } else {
-        // Deterministic "input" order: the order names first appear across
-        // modules.
-        let mut first_seen: HashMap<&str, usize> = HashMap::new();
-        let mut i = 0;
-        for m in modules {
-            for s in m.symbols() {
-                if matches!(s.def, SymbolDef::Common { .. })
-                    && !first_seen.contains_key(s.name.as_str())
-                {
-                    first_seen.insert(&s.name, i);
-                    i += 1;
-                }
-            }
-        }
-        commons.sort_by_key(|&(n, _, _)| first_seen.get(n.as_str()).copied().unwrap_or(usize::MAX));
+        order.sort_by_key(|&c| (commons[c].size, commons[c].name.as_str()));
     }
-    for (name, size, al) in commons {
-        addr = align(addr, al.max(8));
-        out.common_addr.insert(name.clone(), addr);
-        data_bump(&mut addr, size, || format!("common `{name}`"))?;
+    out.common_addr = vec![0; commons.len()];
+    for c in order {
+        let common = &commons[c];
+        addr = align(addr, common.align.max(8));
+        out.common_addr[c] = addr;
+        data_bump(&mut addr, common.size, || format!("common `{}`", common.name))?;
     }
 
     // .sbss per module.
@@ -331,22 +323,13 @@ pub fn layout<P: Placed>(
     Ok(out)
 }
 
-fn gat_key<P: Placed>(modules: &[P], mi: usize, sym: SymId, addend: i64) -> GatKey<'_> {
-    let s = &modules[mi].symbols()[sym.0 as usize];
-    if s.vis == Visibility::Local && s.is_defined() {
-        GatKey::Local(mi, sym, addend)
-    } else {
-        // Exported definition or external reference: identity is the name.
-        GatKey::Global(&s.name, addend)
-    }
-}
-
-/// Resolves the address of a symbol reference `(module, id)` under `layout`.
+/// The address symbol `id` of module `mi` names under `layout`: its
+/// [`GlobalRef`] in `symtab`, placed.
 ///
 /// # Errors
 ///
-/// Returns [`LinkError::Undefined`] for unresolvable externals (cannot occur
-/// after [`crate::resolve::build_symbol_table`] succeeded).
+/// Returns [`LinkError::Undefined`] for a symbol the table leaves
+/// unresolved.
 pub fn sym_addr<M: Borrow<Module>>(
     modules: &[M],
     symtab: &SymbolTable,
@@ -354,95 +337,22 @@ pub fn sym_addr<M: Borrow<Module>>(
     mi: usize,
     id: SymId,
 ) -> Result<u64, LinkError> {
-    let module = |m: usize| -> &Module { modules[m].borrow() };
-    let s = module(mi).symbol(id);
-    let defining = if s.is_defined() && (s.vis == Visibility::Local) {
-        Some((mi, id))
-    } else if let Some(&(dm, did)) = symtab.globals.get(&s.name) {
-        Some((dm, did))
-    } else {
-        None
-    };
-    if let Some((dm, did)) = defining {
-        let d = module(dm).symbol(did);
-        let b = &layout.bases[dm];
-        let addr = match &d.def {
-            SymbolDef::Proc { offset, .. } => b.text + offset,
-            SymbolDef::Data { sec, offset, .. } => b.of(*sec) + offset,
-            SymbolDef::Common { .. } | SymbolDef::Extern => {
-                // A "defined" local common cannot exist; fall through to the
-                // common allocation.
-                return layout
-                    .common_addr
-                    .get(&d.name)
-                    .copied()
-                    .ok_or_else(|| LinkError::Undefined {
-                        name: d.name.clone(),
-                        referenced_by: module(mi).name.clone(),
-                    });
+    let placed = match symtab.target(mi, id) {
+        GlobalRef::Def { module, sym } => {
+            let b = &layout.bases[module];
+            match modules[module].borrow().symbol(sym).def {
+                SymbolDef::Proc { offset, .. } => Some(b.text + offset),
+                SymbolDef::Data { sec, offset, .. } => Some(b.of(sec) + offset),
+                SymbolDef::Common { .. } | SymbolDef::Extern => None,
             }
-        };
-        return Ok(addr);
-    }
-    layout
-        .common_addr
-        .get(&s.name)
-        .copied()
-        .ok_or_else(|| LinkError::Undefined {
-            name: s.name.clone(),
-            referenced_by: module(mi).name.clone(),
-        })
-}
-
-/// [`sym_addr`] of every symbol of every module, computed once: a pass that
-/// reads the addresses of many references (the image's GAT slots and
-/// relocations, or the verifier's recomputation of them) looks each one up
-/// by index instead of hashing its name.
-#[derive(Debug)]
-pub struct AddrTable<'a, M> {
-    modules: &'a [M],
-    symtab: &'a SymbolTable,
-    layout: &'a ProgramLayout,
-    /// Index of each module's first symbol in `addrs`, plus the total.
-    first: Vec<usize>,
-    /// Each symbol's address; [`AddrTable::UNRESOLVED`] where `sym_addr`
-    /// failed.
-    addrs: Vec<u64>,
-}
-
-impl<'a, M: Borrow<Module>> AddrTable<'a, M> {
-    /// Marks a symbol whose address [`AddrTable::addr`] asks [`sym_addr`]
-    /// for again. A real address equal to it costs only that second call.
-    const UNRESOLVED: u64 = u64::MAX;
-
-    /// Resolves every symbol of `modules` under `layout`.
-    pub fn new(modules: &'a [M], symtab: &'a SymbolTable, layout: &'a ProgramLayout) -> Self {
-        let mut first = Vec::with_capacity(modules.len() + 1);
-        let mut addrs = Vec::new();
-        for (mi, m) in modules.iter().enumerate() {
-            first.push(addrs.len());
-            let n = m.borrow().symbols.len() as u32;
-            addrs.extend((0..n).map(|id| {
-                sym_addr(modules, symtab, layout, mi, SymId(id)).unwrap_or(Self::UNRESOLVED)
-            }));
         }
-        first.push(addrs.len());
-        AddrTable { modules, symtab, layout, first, addrs }
-    }
-
-    /// The address of symbol `id` of module `mi`: exactly what [`sym_addr`]
-    /// returns, its error included.
-    ///
-    /// # Errors
-    ///
-    /// [`sym_addr`]'s.
-    pub fn addr(&self, mi: usize, id: SymId) -> Result<u64, LinkError> {
-        let at = self.first[mi] + id.0 as usize;
-        match self.addrs.get(at) {
-            Some(&a) if at < self.first[mi + 1] && a != Self::UNRESOLVED => Ok(a),
-            _ => sym_addr(self.modules, self.symtab, self.layout, mi, id),
-        }
-    }
+        GlobalRef::Common(c) => Some(layout.common_addr[c as usize]),
+        GlobalRef::Unresolved => None,
+    };
+    placed.ok_or_else(|| {
+        let m = modules[mi].borrow();
+        LinkError::Undefined { name: m.symbol(id).name.clone(), referenced_by: m.name.clone() }
+    })
 }
 
 #[cfg(test)]
@@ -527,8 +437,39 @@ mod tests {
         let plain = layout(&mods, &t, &LayoutOpts { sort_commons: false }).unwrap();
         let sorted = layout(&mods, &t, &LayoutOpts { sort_commons: true }).unwrap();
         // Input order: big first. Sorted: tiny first.
-        assert!(plain.common_addr["big"] < plain.common_addr["tiny"]);
-        assert!(sorted.common_addr["tiny"] < sorted.common_addr["big"]);
+        let (big, tiny) = (0, 1);
+        assert_eq!(t.commons()[big].name, "big");
+        assert!(plain.common_addr[big] < plain.common_addr[tiny]);
+        assert!(sorted.common_addr[tiny] < sorted.common_addr[big]);
+    }
+
+    #[test]
+    fn input_order_places_commons_by_first_declaration() {
+        // `s` is declared common first but a strong definition takes it;
+        // `late` is first mentioned by an `extern`, then declared common
+        // after `b`, in a later module; `a` merges to its larger size.
+        let mut m0 = Module::new("m0");
+        m0.symbols.push(Symbol::common("s", 64, 8));
+        m0.symbols.push(Symbol::external("late"));
+        m0.symbols.push(Symbol::common("a", 24, 8));
+        let mut m1 = Module::new("m1");
+        m1.symbols.push(Symbol::common("b", 8, 8));
+        m1.symbols.push(Symbol::common("late", 16, 8));
+        let mut m2 = Module::new("m2");
+        m2.data = vec![0; 8];
+        m2.symbols.push(Symbol::data("s", SecId::Data, 0, 8));
+        m2.symbols.push(Symbol::common("a", 40, 8));
+        let mods = vec![m0, m1, m2];
+        let t = build_symbol_table(&mods).unwrap();
+        let l = layout(&mods, &t, &LayoutOpts { sort_commons: false }).unwrap();
+        let addr = |mi: usize, id: u32| sym_addr(&mods, &t, &l, mi, SymId(id)).unwrap();
+        let first = l.info.sdata.base + l.info.sdata.size;
+        assert_eq!(addr(0, 2), first, "`a` first");
+        assert_eq!(addr(2, 1), first);
+        assert_eq!(addr(1, 0), first + 40, "then `b`");
+        assert_eq!((addr(1, 1), addr(0, 1)), (first + 48, first + 48), "then `late`");
+        assert_eq!(l.info.sbss.base, first + 64, "and nothing for `s`");
+        assert_eq!((addr(0, 0), addr(2, 0)), (l.bases[2].data, l.bases[2].data));
     }
 
     #[test]

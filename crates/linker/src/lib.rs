@@ -11,15 +11,12 @@
 //!
 //! ```
 //! use om_codegen::{compile_source, CompileOpts, crt0};
-//! use om_linker::Linker;
+//! use om_linker::{link_modules, LayoutOpts};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let main_obj = compile_source("main", "int main() { return 42; }", &CompileOpts::o2())?;
-//! let image = Linker::new()
-//!     .object(crt0::module()?)
-//!     .object(main_obj)
-//!     .link()?
-//!     .0;
+//! let objects = [crt0::module()?, main_obj];
+//! let (image, _) = link_modules(&objects, &[], &LayoutOpts::default())?;
 //! assert!(image.symbols.contains_key("main"));
 //! # Ok(())
 //! # }
@@ -34,10 +31,12 @@ pub mod resolve;
 pub use error::LinkError;
 pub use image::{Extent, Image, LayoutInfo, Segment};
 pub use layout::{
-    gat_slots, layout, sym_addr, AddrTable, LayoutOpts, Placed, ProgramLayout, GAT_GROUP_CAPACITY,
+    gat_slots, layout, sym_addr, LayoutOpts, Placed, ProgramLayout, GAT_GROUP_CAPACITY,
 };
 pub use relocate::build_image;
-pub use resolve::{build_symbol_table, select_borrowed, select_modules, SymbolTable};
+pub use resolve::{
+    build_symbol_table, select_borrowed, select_modules, Common, GlobalRef, SymbolTable,
+};
 
 use om_objfile::{Archive, Module};
 use std::borrow::Borrow;
@@ -55,52 +54,6 @@ pub struct LinkStats {
     pub data_bytes: u64,
 }
 
-/// A builder-style linker front end.
-#[derive(Debug, Default)]
-pub struct Linker {
-    objects: Vec<Module>,
-    libs: Vec<Archive>,
-    opts: LayoutOpts,
-}
-
-impl Linker {
-    /// Creates a linker with standard layout policy.
-    pub fn new() -> Linker {
-        Linker::default()
-    }
-
-    /// Adds an explicit object module.
-    #[must_use]
-    pub fn object(mut self, m: Module) -> Linker {
-        self.objects.push(m);
-        self
-    }
-
-    /// Adds a library archive (searched in the order added).
-    #[must_use]
-    pub fn library(mut self, a: Archive) -> Linker {
-        self.libs.push(a);
-        self
-    }
-
-    /// Overrides layout policy (OM passes `sort_commons: true`).
-    #[must_use]
-    pub fn layout_opts(mut self, opts: LayoutOpts) -> Linker {
-        self.opts = opts;
-        self
-    }
-
-    /// Performs the link.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinkError`] for unresolved or duplicate symbols, malformed
-    /// modules, or out-of-range relocations.
-    pub fn link(self) -> Result<(Image, LinkStats), LinkError> {
-        link_modules(&self.objects, &self.libs, &self.opts)
-    }
-}
-
 /// Links `objects` (+ library members) with the given layout policy.
 ///
 /// Borrows its inputs: the selection is the objects and archive members
@@ -109,7 +62,8 @@ impl Linker {
 ///
 /// # Errors
 ///
-/// See [`Linker::link`].
+/// Returns [`LinkError`] for unresolved or duplicate symbols, malformed
+/// modules, or out-of-range relocations.
 pub fn link_modules(
     objects: &[Module],
     libs: &[Archive],
@@ -145,7 +99,7 @@ pub struct Linked {
 ///
 /// # Errors
 ///
-/// See [`Linker::link`].
+/// See [`link_modules`].
 pub fn link_selected(
     modules: &[Module],
     symtab: &SymbolTable,
@@ -202,13 +156,18 @@ mod tests {
         compile_source(name, src, &CompileOpts::o2()).unwrap()
     }
 
+    /// `crt0` and `objects`, linked with the standard layout policy.
+    fn link(
+        objects: impl IntoIterator<Item = Module>,
+        libs: &[Archive],
+    ) -> Result<(Image, LinkStats), LinkError> {
+        let objects: Vec<Module> = [crt0::module().unwrap()].into_iter().chain(objects).collect();
+        link_modules(&objects, libs, &LayoutOpts::default())
+    }
+
     #[test]
     fn links_a_minimal_program() {
-        let (image, stats) = Linker::new()
-            .object(crt0::module().unwrap())
-            .object(compile("m", "int main() { return 7; }"))
-            .link()
-            .unwrap();
+        let (image, stats) = link([compile("m", "int main() { return 7; }")], &[]).unwrap();
         assert_eq!(stats.gp_groups, 1);
         assert!(image.entry >= image.layout.text.base);
         assert!(stats.gat_slots >= 1); // main's address for crt0
@@ -216,10 +175,10 @@ mod tests {
 
     #[test]
     fn undefined_symbol_fails() {
-        let r = Linker::new()
-            .object(crt0::module().unwrap())
-            .object(compile("m", "extern int nowhere(int); int main() { return nowhere(1); }"))
-            .link();
+        let r = link(
+            [compile("m", "extern int nowhere(int); int main() { return nowhere(1); }")],
+            &[],
+        );
         assert!(matches!(r, Err(LinkError::Undefined { .. })));
     }
 
@@ -228,12 +187,8 @@ mod tests {
         let mut lib = om_objfile::Archive::new("libm");
         lib.add(compile("dblmod", "int dbl(int x) { return x * 2; }")).unwrap();
         lib.add(compile("unused", "int nobody(int x) { return x; }")).unwrap();
-        let (image, stats) = Linker::new()
-            .object(crt0::module().unwrap())
-            .object(compile("m", "extern int dbl(int); int main() { return dbl(21); }"))
-            .library(lib)
-            .link()
-            .unwrap();
+        let main = compile("m", "extern int dbl(int); int main() { return dbl(21); }");
+        let (image, stats) = link([main], &[lib]).unwrap();
         assert_eq!(stats.modules, 3, "crt0 + main + dbl, not `unused`");
         assert!(image.symbols.contains_key("dbl"));
         assert!(!image.symbols.contains_key("nobody"));
@@ -242,41 +197,36 @@ mod tests {
     #[test]
     fn gat_dedup_happens_across_modules() {
         // Both modules call `shared`, so both have a GAT entry for it.
-        let (_, stats) = Linker::new()
-            .object(crt0::module().unwrap())
-            .object(compile(
-                "a",
-                "extern int shared(int); extern int other(int);\n\
-                 int main() { return shared(1) + other(2); }",
-            ))
-            .object(compile(
-                "b",
-                "extern int shared(int);\n\
-                 int other(int x) { return shared(x); }\n\
-                 int shared(int x) { return x; }",
-            ))
-            .link()
-            .unwrap();
+        let a = compile(
+            "a",
+            "extern int shared(int); extern int other(int);\n\
+             int main() { return shared(1) + other(2); }",
+        );
+        let b = compile(
+            "b",
+            "extern int shared(int);\n\
+             int other(int x) { return shared(x); }\n\
+             int shared(int x) { return x; }",
+        );
+        let (_, stats) = link([a, b], &[]).unwrap();
         assert!(stats.gat_slots < stats.gat_entries_input);
     }
 
     #[test]
     fn duplicate_definition_fails() {
-        let r = Linker::new()
-            .object(crt0::module().unwrap())
-            .object(compile("a", "int f(int x) { return x; } int main() { return f(1); }"))
-            .object(compile("b", "int f(int x) { return x + 1; }"))
-            .link();
+        let r = link(
+            [
+                compile("a", "int f(int x) { return x; } int main() { return f(1); }"),
+                compile("b", "int f(int x) { return x + 1; }"),
+            ],
+            &[],
+        );
         assert!(matches!(r, Err(LinkError::Duplicate { .. })));
     }
 
     #[test]
     fn image_has_disjoint_segments() {
-        let (image, _) = Linker::new()
-            .object(crt0::module().unwrap())
-            .object(compile("m", "int g = 5; int main() { return g; }"))
-            .link()
-            .unwrap();
+        let (image, _) = link([compile("m", "int g = 5; int main() { return g; }")], &[]).unwrap();
         let t = &image.segments[0];
         let d = &image.segments[1];
         assert!(t.end() <= d.base);

@@ -2,7 +2,7 @@
 
 use crate::error::LinkError;
 use crate::image::{Image, Segment};
-use crate::layout::{AddrTable, ProgramLayout};
+use crate::layout::{sym_addr, ProgramLayout};
 use crate::resolve::SymbolTable;
 use om_objfile::{Module, RelocKind, SecId, SymbolDef, Visibility, DATA_BASE};
 use std::borrow::Borrow;
@@ -79,7 +79,7 @@ pub fn build_image<M: Borrow<Module>>(
     symtab: &SymbolTable,
     layout: &ProgramLayout,
 ) -> Result<Image, LinkError> {
-    let addrs = AddrTable::new(modules, symtab, layout);
+    let addr = |mi: usize, sym| sym_addr(modules, symtab, layout, mi, sym);
     let modules = || modules.iter().map(Borrow::borrow);
     // Text segment.
     let text_size = layout.info.text.size as usize;
@@ -104,7 +104,7 @@ pub fn build_image<M: Borrow<Module>>(
     // (deduplicated slots are written multiple times with identical values).
     for (mi, m) in modules().enumerate() {
         for (li, e) in m.lita.iter().enumerate() {
-            let v = (addrs.addr(mi, e.sym)? as i64 + e.addend) as u64;
+            let v = (addr(mi, e.sym)? as i64 + e.addend) as u64;
             let slot = layout.lita_addr[mi][li];
             patch64(&mut data, (slot - DATA_BASE) as usize, v)?;
         }
@@ -134,7 +134,7 @@ pub fn build_image<M: Borrow<Module>>(
                     patch16(&mut text, lo_off, lo)?;
                 }
                 (SecId::Text, RelocKind::BrAddr { sym, addend }) => {
-                    let target = (addrs.addr(mi, *sym)? as i64 + addend) as u64;
+                    let target = (addr(mi, *sym)? as i64 + addend) as u64;
                     let pc = bases.text + r.offset;
                     let delta = target as i64 - (pc as i64 + 4);
                     if delta % 4 != 0 {
@@ -149,7 +149,7 @@ pub fn build_image<M: Borrow<Module>>(
                     patch_branch(&mut text, off, (delta / 4) as i32)?;
                 }
                 (SecId::Text, RelocKind::Gprel16 { sym, addend, .. }) => {
-                    let target = addrs.addr(mi, *sym)? as i64 + addend;
+                    let target = addr(mi, *sym)? as i64 + addend;
                     let disp = target - gp as i64;
                     let d = i16::try_from(disp).map_err(|_| LinkError::Range {
                         what: format!("gprel16 {disp} in `{}`", m.name),
@@ -158,13 +158,13 @@ pub fn build_image<M: Borrow<Module>>(
                     patch16(&mut text, off, d)?;
                 }
                 (SecId::Text, RelocKind::GprelHigh { sym, addend, .. }) => {
-                    let target = addrs.addr(mi, *sym)? as i64 + addend;
+                    let target = addr(mi, *sym)? as i64 + addend;
                     let hi = gprel_high(target - gp as i64, "gprelhigh", &m.name)?;
                     let off = (bases.text - layout.info.text.base + r.offset) as usize;
                     patch16(&mut text, off, hi)?;
                 }
                 (SecId::Text, RelocKind::GprelLow { sym, addend, hi_addend, .. }) => {
-                    let target = addrs.addr(mi, *sym)?;
+                    let target = addr(mi, *sym)?;
                     let hi = gprel_high(target as i64 + hi_addend - gp as i64, "gprellow", &m.name)?;
                     let disp = target as i64 + addend - gp as i64 - ((hi as i64) << 16);
                     let d = i16::try_from(disp).map_err(|_| LinkError::Range {
@@ -175,7 +175,7 @@ pub fn build_image<M: Borrow<Module>>(
                 }
                 (SecId::Text, _) => {} // LITUSE hints need no patching
                 (sec, RelocKind::RefQuad { sym, addend }) => {
-                    let v = (addrs.addr(mi, *sym)? as i64 + addend) as u64;
+                    let v = (addr(mi, *sym)? as i64 + addend) as u64;
                     let base = match sec {
                         SecId::Data => bases.data,
                         SecId::Sdata => bases.sdata,
@@ -196,20 +196,24 @@ pub fn build_image<M: Borrow<Module>>(
         }
     }
 
-    // Symbol map: exported strong symbols plus local procedures (qualified).
+    // Symbol map: exported strong symbols and commons, plus local
+    // procedures (qualified), which never displace either.
     let mut symbols: HashMap<String, u64> = HashMap::new();
-    for (name, &(mi, id)) in &symtab.globals {
-        symbols.insert(name.clone(), addrs.addr(mi, id)?);
-    }
-    for (name, &addr) in &layout.common_addr {
-        symbols.insert(name.clone(), addr);
-    }
     for (mi, m) in modules().enumerate() {
         for (id, s) in m.symbols_with_ids() {
-            if s.vis == Visibility::Local && matches!(s.def, SymbolDef::Proc { .. }) {
-                symbols.entry(format!("{}.{}", s.name, m.name)).or_insert(addrs.addr(mi, id)?);
+            match (&s.def, s.vis) {
+                (SymbolDef::Proc { .. } | SymbolDef::Data { .. }, Visibility::Exported) => {
+                    symbols.insert(s.name.clone(), addr(mi, id)?);
+                }
+                (SymbolDef::Proc { .. }, Visibility::Local) => {
+                    symbols.entry(format!("{}.{}", s.name, m.name)).or_insert(addr(mi, id)?);
+                }
+                _ => {}
             }
         }
+    }
+    for (c, &a) in symtab.commons().iter().zip(&layout.common_addr) {
+        symbols.insert(c.name.clone(), a);
     }
 
     let entry = *symbols.get("__start").ok_or(LinkError::NoEntry)?;

@@ -5,6 +5,7 @@ use crate::error::LinkError;
 use crate::layout::Placed;
 use om_objfile::{Archive, Module, SymbolDef, SymId, Visibility};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Selects the modules participating in a link: all explicit objects plus
 /// any archive members (transitively) needed to satisfy undefined symbols,
@@ -79,68 +80,144 @@ pub fn select_modules(
     Ok(select_borrowed(objects, libs)?.into_iter().cloned().collect())
 }
 
-/// The program-wide symbol table.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SymbolTable {
-    /// Exported strong definitions: name → (module index, symbol id).
-    pub globals: HashMap<String, (usize, SymId)>,
-    /// Names defined only as commons: name → (max size, max align).
-    pub commons: HashMap<String, (u64, u64)>,
+/// What a symbol names program-wide. [`build_symbol_table`] decides it
+/// once for every symbol of every module; layout, the image, the verifier
+/// and OM's passes all read it from the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GlobalRef {
+    /// A procedure or data definition: `(module index, symbol id)`.
+    Def { module: usize, sym: SymId },
+    /// A merged common: its index in [`SymbolTable::commons`].
+    Common(u32),
+    /// Nothing. In a table [`build_symbol_table`] returned, only a local
+    /// common with no exported common of its name.
+    Unresolved,
 }
 
-/// Builds the symbol table over the selected modules.
-///
-/// Strong definitions (procedures, data) override common (tentative)
-/// definitions; duplicate strong definitions are an error; every referenced
-/// name must end up defined.
+/// A common symbol merged across modules: the largest size and alignment
+/// any exported declaration of its name asks for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Common {
+    pub name: String,
+    pub size: u64,
+    pub align: u64,
+}
+
+/// The program-wide symbol table: the [`GlobalRef`] of every symbol of
+/// every module, in one flat array, and the merged commons. A clone shares
+/// it, so OM's symbolic program holds the link's table, not a copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SymbolTable(Arc<Resolved>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct Resolved {
+    /// Index in `targets` of each module's first symbol, plus the total.
+    first: Vec<usize>,
+    targets: Vec<GlobalRef>,
+    commons: Vec<Common>,
+}
+
+impl SymbolTable {
+    /// What symbol `sym` of module `mi` names.
+    pub fn target(&self, mi: usize, sym: SymId) -> GlobalRef {
+        let t = &self.0;
+        t.targets[t.first[mi]..t.first[mi + 1]][sym.0 as usize]
+    }
+
+    /// The merged commons, in the order their names are first declared
+    /// common (by a local declaration too): the standard linker's
+    /// placement order.
+    pub fn commons(&self) -> &[Common] {
+        &self.0.commons
+    }
+}
+
+/// Builds the symbol table over the selected modules, resolving every
+/// symbol once. A local definition names itself. Any other symbol names the
+/// exported strong definition of its name, else the merged common of its
+/// name; a local common names only the common. Strong definitions
+/// (procedures, data) override common (tentative) definitions.
 ///
 /// # Errors
 ///
-/// Returns [`LinkError::Duplicate`] or [`LinkError::Undefined`].
+/// Returns [`LinkError::Duplicate`] for the first name two modules define,
+/// else [`LinkError::Undefined`] for the first `extern` that names nothing.
 pub fn build_symbol_table<P: Placed>(modules: &[P]) -> Result<SymbolTable, LinkError> {
-    let mut table = SymbolTable::default();
+    let mut globals: HashMap<&str, (usize, SymId)> = HashMap::new();
+    // Names declared common, in first-declaration order, each merged over
+    // its exported declarations and marked when there is one.
+    let mut declared: HashMap<&str, usize> = HashMap::new();
+    let mut decls: Vec<(Common, bool)> = Vec::new();
     for (mi, m) in modules.iter().enumerate() {
         for (id, s) in m.symbols().iter().enumerate() {
-            if s.vis != Visibility::Exported {
-                continue;
-            }
-            match &s.def {
-                SymbolDef::Proc { .. } | SymbolDef::Data { .. } => {
-                    if let Some(&(prev, _)) = table.globals.get(&s.name) {
+            match (&s.def, s.vis) {
+                (SymbolDef::Proc { .. } | SymbolDef::Data { .. }, Visibility::Exported) => {
+                    if let Some(&(prev, _)) = globals.get(s.name.as_str()) {
                         return Err(LinkError::Duplicate {
                             name: s.name.clone(),
                             modules: (modules[prev].name().to_string(), m.name().to_string()),
                         });
                     }
-                    table.globals.insert(s.name.clone(), (mi, SymId(id as u32)));
+                    globals.insert(&s.name, (mi, SymId(id as u32)));
                 }
-                SymbolDef::Common { size, align } => {
-                    let e = table.commons.entry(s.name.clone()).or_insert((0, 8));
-                    e.0 = e.0.max(*size);
-                    e.1 = e.1.max(*align);
+                (SymbolDef::Common { size, align }, vis) => {
+                    let d = *declared.entry(&s.name).or_insert_with(|| {
+                        decls.push((Common { name: s.name.clone(), size: 0, align: 8 }, false));
+                        decls.len() - 1
+                    });
+                    if vis == Visibility::Exported {
+                        let (c, exported) = &mut decls[d];
+                        c.size = c.size.max(*size);
+                        c.align = c.align.max(*align);
+                        *exported = true;
+                    }
                 }
-                SymbolDef::Extern => {}
+                _ => {}
             }
         }
     }
-    // Strong definitions override commons.
-    for name in table.globals.keys() {
-        table.commons.remove(name.as_str());
-    }
-    for m in modules {
-        for s in m.symbols() {
-            if !s.is_defined()
-                && !table.globals.contains_key(&s.name)
-                && !table.commons.contains_key(&s.name)
-            {
+    // Each declared name's index among the program's commons, if it is one.
+    let mut commons = Vec::new();
+    let common_of: Vec<Option<u32>> = decls
+        .into_iter()
+        .map(|(c, exported)| {
+            (exported && !globals.contains_key(c.name.as_str())).then(|| {
+                commons.push(c);
+                commons.len() as u32 - 1
+            })
+        })
+        .collect();
+    let common = |name: &str| {
+        let c = declared.get(name).and_then(|&d| common_of[d]);
+        c.map_or(GlobalRef::Unresolved, GlobalRef::Common)
+    };
+
+    let mut first = Vec::with_capacity(modules.len() + 1);
+    let mut targets = Vec::with_capacity(modules.iter().map(|m| m.symbols().len()).sum());
+    for (mi, m) in modules.iter().enumerate() {
+        first.push(targets.len());
+        for (id, s) in m.symbols().iter().enumerate() {
+            let target = match (&s.def, s.vis) {
+                (SymbolDef::Proc { .. } | SymbolDef::Data { .. }, _) => {
+                    GlobalRef::Def { module: mi, sym: SymId(id as u32) }
+                }
+                (SymbolDef::Common { .. }, Visibility::Local) => common(&s.name),
+                _ => match globals.get(s.name.as_str()) {
+                    Some(&(module, sym)) => GlobalRef::Def { module, sym },
+                    None => common(&s.name),
+                },
+            };
+            if target == GlobalRef::Unresolved && s.def == SymbolDef::Extern {
                 return Err(LinkError::Undefined {
                     name: s.name.clone(),
                     referenced_by: m.name().to_string(),
                 });
             }
+            targets.push(target);
         }
     }
-    Ok(table)
+    first.push(targets.len());
+    Ok(SymbolTable(Arc::new(Resolved { first, targets, commons })))
 }
 
 #[cfg(test)]
@@ -196,7 +273,10 @@ mod tests {
         let mut b = Module::new("b");
         b.symbols.push(Symbol::common("buf", 200, 16));
         let t = build_symbol_table(&[a.clone(), b]).unwrap();
-        assert_eq!(t.commons["buf"], (200, 16));
+        assert_eq!(t.commons(), [Common { name: "buf".into(), size: 200, align: 16 }]);
+        for mi in 0..2 {
+            assert_eq!(t.target(mi, SymId(0)), GlobalRef::Common(0));
+        }
 
         // Now a strong definition of buf appears: commons drop out.
         let mut strong = Module::new("s");
@@ -205,7 +285,7 @@ mod tests {
             .symbols
             .push(Symbol::data("buf", om_objfile::SecId::Data, 0, 8));
         let t = build_symbol_table(&[a, strong]).unwrap();
-        assert!(t.commons.is_empty());
-        assert!(t.globals.contains_key("buf"));
+        assert!(t.commons().is_empty());
+        assert_eq!(t.target(0, SymId(0)), GlobalRef::Def { module: 1, sym: SymId(0) });
     }
 }

@@ -4,7 +4,7 @@
 //! a long-running link server cannot afford to abort the process on one bad
 //! request.
 
-use om_linker::{build_symbol_table, link_modules, link_selected, LayoutOpts, LinkError, Linker};
+use om_linker::{build_symbol_table, link_modules, link_selected, LayoutOpts, LinkError};
 use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, Symbol};
 
 /// A well-formed standalone program: `__start` loads `g`'s address through
@@ -103,14 +103,6 @@ fn literal_indexing_missing_lita_slot_is_a_typed_error() {
     let mut m = base_module();
     m.relocs.push(Reloc::text(4, RelocKind::Literal { lita: 9 }));
     assert!(matches!(link(&[m]), Err(LinkError::Object(_))));
-}
-
-#[test]
-fn builder_api_reports_the_same_typed_error() {
-    let mut m = base_module();
-    m.relocs.push(Reloc::text(14, RelocKind::Gprel16 { sym: SymId(1), addend: 0, gp_group: 0 }));
-    let r = Linker::new().object(m).link();
-    assert!(matches!(r, Err(LinkError::Object(_))));
 }
 
 #[test]

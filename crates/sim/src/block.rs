@@ -874,12 +874,12 @@ pub fn run_covered_fast(
 mod tests {
     use super::*;
     use om_codegen::{compile_source, crt0, CompileOpts};
-    use om_linker::Linker;
+    use om_linker::{link_modules, LayoutOpts};
 
     fn image(src: &str) -> Image {
         let obj = compile_source("m", src, &CompileOpts::o2()).expect("compile");
-        let (image, _) =
-            Linker::new().object(crt0::module().expect("crt0")).object(obj).link().expect("link");
+        let objects = [crt0::module().expect("crt0"), obj];
+        let (image, _) = link_modules(&objects, &[], &LayoutOpts::default()).expect("link");
         image
     }
 

@@ -10,7 +10,7 @@
 //!
 //! ```
 //! use om_codegen::{compile_source, crt0, CompileOpts};
-//! use om_linker::Linker;
+//! use om_linker::{link_modules, LayoutOpts};
 //! use om_sim::run_timed;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +21,7 @@
 //!        return s; }",
 //!     &CompileOpts::o2(),
 //! )?;
-//! let (image, _) = Linker::new().object(crt0::module()?).object(obj).link()?;
+//! let (image, _) = link_modules(&[crt0::module()?, obj], &[], &LayoutOpts::default())?;
 //! let (result, timing) = run_timed(&image, 1_000_000)?;
 //! assert_eq!(result.result, 55);
 //! assert!(timing.cycles > 0);

@@ -4,7 +4,7 @@
 //! `--trace-json` writes a valid chrome://tracing file.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
-use om_linker::Linker;
+use om_linker::{link_modules, LayoutOpts};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -23,8 +23,8 @@ fn small_image(name: &str) -> PathBuf {
         &CompileOpts::o2(),
     )
     .expect("compile");
-    let (image, _) =
-        Linker::new().object(crt0::module().expect("crt0")).object(obj).link().expect("link");
+    let objects = [crt0::module().expect("crt0"), obj];
+    let (image, _) = link_modules(&objects, &[], &LayoutOpts::default()).expect("link");
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::write(&path, image.to_bytes()).expect("write image");
     path

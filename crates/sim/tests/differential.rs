@@ -3,21 +3,22 @@
 //! compile→link→execute pipeline, at both -O0 and -O2 (with scheduling).
 
 use om_codegen::{compile_source, crt0, CompileOpts};
-use om_linker::Linker;
+use om_linker::{link_modules, LayoutOpts};
 use om_minic::interp::run_sources;
 use om_sim::run_image;
 
 const STEPS: u64 = 5_000_000;
 
 fn run_compiled(sources: &[(&str, &str)], opts: &CompileOpts) -> i64 {
-    let mut linker = Linker::new().object(crt0::module().unwrap());
+    let mut objects = vec![crt0::module().unwrap()];
     for (name, src) in sources {
-        linker = linker.object(
+        objects.push(
             compile_source(name, src, opts)
                 .unwrap_or_else(|e| panic!("compiling {name}: {e}")),
         );
     }
-    let (image, _) = linker.link().unwrap_or_else(|e| panic!("link: {e}"));
+    let (image, _) = link_modules(&objects, &[], &LayoutOpts::default())
+        .unwrap_or_else(|e| panic!("link: {e}"));
     run_image(&image, STEPS)
         .unwrap_or_else(|e| panic!("run: {e}"))
         .result
@@ -270,12 +271,8 @@ fn compile_all_matches_compile_each() {
     let all_obj =
         om_codegen::compile_all_sources("prog", &sources[..2], &CompileOpts::o2()).unwrap();
     let div_obj = compile_source("divmod", DIV_SRC, &CompileOpts::o2()).unwrap();
-    let (image, _) = Linker::new()
-        .object(crt0::module().unwrap())
-        .object(all_obj)
-        .object(div_obj)
-        .link()
-        .unwrap();
+    let objects = [crt0::module().unwrap(), all_obj, div_obj];
+    let (image, _) = link_modules(&objects, &[], &LayoutOpts::default()).unwrap();
     assert_eq!(run_image(&image, STEPS).unwrap().result, expected);
 }
 
@@ -284,11 +281,8 @@ fn write_int_output() {
     let src = "extern int __write_int(int);
                int main() { __write_int(7); __write_int(-3); return 0; }";
     let obj = compile_source("t", src, &CompileOpts::o2()).unwrap();
-    let (image, _) = Linker::new()
-        .object(crt0::module().unwrap())
-        .object(obj)
-        .link()
-        .unwrap();
+    let objects = [crt0::module().unwrap(), obj];
+    let (image, _) = link_modules(&objects, &[], &LayoutOpts::default()).unwrap();
     let r = run_image(&image, STEPS).unwrap();
     assert_eq!(r.output, vec![7, -3]);
 }

@@ -4,7 +4,7 @@
 //! both compile modes.
 
 use om_core::{optimize_and_link, OmLevel};
-use om_linker::Linker;
+use om_linker::{link_modules, LayoutOpts};
 use om_sim::run_image;
 use om_workloads::build::{build, interp_reference, sources, CompileMode};
 use om_workloads::spec;
@@ -55,14 +55,8 @@ fn sampled_benchmarks_agree_across_all_build_variants() {
             let built = build(&s, mode).unwrap();
 
             // Standard link.
-            let mut linker = Linker::new();
-            for o in built.objects.clone() {
-                linker = linker.object(o);
-            }
-            for l in built.libs.iter() {
-                linker = linker.library(l.clone());
-            }
-            let (image, _) = linker.link().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (image, _) = link_modules(&built.objects, &built.libs, &LayoutOpts::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             let r = run_image(&image, SIM_STEPS).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(r.result, expected, "{name} {} standard link", mode.name());
 

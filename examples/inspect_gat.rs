@@ -8,7 +8,7 @@
 
 use om_repro::codegen::{compile_source, crt0, CompileOpts};
 use om_repro::core::{optimize_and_link, OmLevel};
-use om_repro::linker::Linker;
+use om_repro::linker::{link_modules, LayoutOpts};
 
 /// Three modules that share some globals and procedures: their GATs overlap,
 /// so the merged table is smaller than the sum.
@@ -46,11 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     per_module_entries += objects[0].lita.len();
 
-    let mut linker = Linker::new();
-    for o in objects.clone() {
-        linker = linker.object(o);
-    }
-    let (_, stats) = linker.link()?;
+    let (_, stats) = link_modules(&objects, &[], &LayoutOpts::default())?;
     println!(
         "\nstandard link: {} entries across modules -> {} merged slots ({} duplicates removed)",
         per_module_entries,

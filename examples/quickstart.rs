@@ -8,7 +8,7 @@
 
 use om_repro::codegen::{compile_source, crt0, CompileOpts};
 use om_repro::core::{optimize_and_link, OmLevel};
-use om_repro::linker::Linker;
+use om_repro::linker::{link_modules, LayoutOpts};
 use om_repro::sim::run_image;
 
 const MAIN_SRC: &str = "
@@ -33,11 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     // Standard link: the baseline the paper measures against.
-    let mut linker = Linker::new();
-    for o in objects.clone() {
-        linker = linker.object(o);
-    }
-    let (baseline, link_stats) = linker.link()?;
+    let (baseline, link_stats) = link_modules(&objects, &[], &LayoutOpts::default())?;
     let base_run = run_image(&baseline, 1_000_000)?;
     println!("standard link: {} modules, GAT {} slots", link_stats.modules, link_stats.gat_slots);
     println!("  result = {}, {} instructions retired", base_run.result, base_run.insts);

@@ -7,7 +7,7 @@
 //! ```
 
 use om_repro::core::{optimize_and_link, OmLevel};
-use om_repro::linker::Linker;
+use om_repro::linker::{link_modules, LayoutOpts};
 use om_repro::sim::run_timed;
 use om_repro::workloads::build::{build, CompileMode};
 use om_repro::workloads::spec;
@@ -30,14 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for mode in [CompileMode::Each, CompileMode::All] {
         let built = build(&spec, mode)?;
-        let mut linker = Linker::new();
-        for o in built.objects.clone() {
-            linker = linker.object(o);
-        }
-        for l in built.libs.iter() {
-            linker = linker.library(l.clone());
-        }
-        let (image, _) = linker.link()?;
+        let (image, _) = link_modules(&built.objects, &built.libs, &LayoutOpts::default())?;
         let (base_run, base) = run_timed(&image, 2_000_000_000)?;
         println!(
             "\n{}: checksum {}, baseline {} cycles / {} insts",

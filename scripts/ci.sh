@@ -13,6 +13,11 @@ seeds="${1:-200}"
 echo "== build (release, all targets) =="
 cargo build --release --workspace
 
+echo "== line count (scripts/loc.sh) =="
+# The north star's size figure: non-test lines under crates/*/src. Printed
+# in every CI log so a change's line delta is on record; nothing gates it.
+scripts/loc.sh
+
 echo "== tests =="
 cargo test -q --workspace
 

@@ -19,7 +19,7 @@ use om_repro::core::analysis::Snapshot;
 use om_repro::core::sym::translate;
 use om_repro::core::verify::verify_linked;
 use om_repro::core::{optimize_and_link, optimize_and_link_artifacts, OmLevel, OmOptions, OmOutput};
-use om_repro::linker::{build_symbol_table, select_modules, LayoutOpts, Linker};
+use om_repro::linker::{build_symbol_table, link_modules, select_modules, LayoutOpts};
 use om_repro::objfile::{Module, RelocKind, SecId, SymbolDef};
 use om_repro::sim::run_image;
 use om_repro::workloads::scale::{overflow_slots_per_module, pad_gat};
@@ -93,11 +93,7 @@ fn assert_gat_counts(objects: &[Module], out: &OmOutput) {
 #[test]
 fn standard_link_splits_groups_and_still_runs() {
     let objects = build_program();
-    let mut linker = Linker::new();
-    for o in objects {
-        linker = linker.object(o);
-    }
-    let (image, stats) = linker.link().unwrap();
+    let (image, stats) = link_modules(&objects, &[], &LayoutOpts::default()).unwrap();
     assert!(stats.gp_groups >= 2, "expected a group split, got {stats:?}");
     assert_eq!(run_image(&image, 10_000_000).unwrap().result, expected());
 }
@@ -170,10 +166,6 @@ fn om_full_collapses_dead_slots_back_to_one_group() {
 fn sorted_commons_layout_is_accepted_at_scale() {
     // Sanity: the OM layout policy handles ~8k commons without pathology.
     let objects = build_program();
-    let mut linker = Linker::new().layout_opts(LayoutOpts { sort_commons: true });
-    for o in objects {
-        linker = linker.object(o);
-    }
-    let (image, _) = linker.link().unwrap();
+    let (image, _) = link_modules(&objects, &[], &LayoutOpts { sort_commons: true }).unwrap();
     assert_eq!(run_image(&image, 10_000_000).unwrap().result, expected());
 }

@@ -3,7 +3,7 @@
 
 use om_repro::codegen::{compile_source, crt0, CompileOpts};
 use om_repro::core::{optimize_and_link, OmLevel};
-use om_repro::linker::Linker;
+use om_repro::linker::{link_modules, LayoutOpts};
 use om_repro::minic;
 use om_repro::objfile::{binary, Archive};
 use om_repro::sim::run_image;
@@ -68,11 +68,7 @@ fn objects_survive_the_on_disk_format_mid_pipeline() {
         .collect();
     assert_eq!(objects, reread);
 
-    let mut linker = Linker::new();
-    for o in reread {
-        linker = linker.object(o);
-    }
-    let (image, _) = linker.link().unwrap();
+    let (image, _) = link_modules(&reread, &[], &LayoutOpts::default()).unwrap();
     assert_eq!(run_image(&image, 10_000_000).unwrap().result, interp_result());
 }
 
@@ -83,12 +79,8 @@ fn archives_survive_the_on_disk_format() {
     ar.add(compile_source("mathlib", PROGRAM[1].1, &opts).unwrap()).unwrap();
     let ar = binary::read_archive(&binary::write_archive(&ar)).unwrap();
 
-    let (image, stats) = Linker::new()
-        .object(crt0::module().unwrap())
-        .object(compile_source("main", PROGRAM[0].1, &opts).unwrap())
-        .library(ar)
-        .link()
-        .unwrap();
+    let objects = [crt0::module().unwrap(), compile_source("main", PROGRAM[0].1, &opts).unwrap()];
+    let (image, stats) = link_modules(&objects, &[ar], &LayoutOpts::default()).unwrap();
     assert_eq!(stats.modules, 3);
     assert_eq!(run_image(&image, 10_000_000).unwrap().result, interp_result());
 }
@@ -103,11 +95,7 @@ fn om_none_is_a_faithful_passthrough() {
     for (n, s) in PROGRAM {
         objects.push(compile_source(n, s, &opts).unwrap());
     }
-    let mut linker = Linker::new();
-    for o in objects.clone() {
-        linker = linker.object(o);
-    }
-    let (std_image, _) = linker.link().unwrap();
+    let (std_image, _) = link_modules(&objects, &[], &LayoutOpts::default()).unwrap();
     let std_run = run_image(&std_image, 10_000_000).unwrap();
 
     let out = optimize_and_link(&objects, &[], OmLevel::None).unwrap();
