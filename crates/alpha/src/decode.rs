@@ -7,6 +7,7 @@
 //! our compiler, but the check keeps the translator honest, mirroring OM's
 //! conservative treatment of input object code).
 
+use crate::field;
 use crate::inst::{BrOp, FOprOp, Inst, JmpOp, MemOp, Operand, OprOp, PalOp};
 use crate::reg::Reg;
 use std::fmt;
@@ -142,9 +143,7 @@ pub fn decode(word: u32) -> Result<Inst, DecodeError> {
     }
 
     if let Some(op) = br_op(opcode) {
-        // Sign-extend the 21-bit word displacement.
-        let disp = ((word & 0x001F_FFFF) as i32) << 11 >> 11;
-        return Ok(Inst::Br { op, ra: reg(word >> 21), disp });
+        return Ok(Inst::Br { op, ra: reg(word >> 21), disp: field::branch_field(word) });
     }
 
     if opcode == 0x1A {

@@ -6,6 +6,7 @@
 //! function codes for the simulator's pseudo-OS live outside the architected
 //! range and are documented on [`Inst::Pal`](crate::inst::Inst).
 
+use crate::field;
 use crate::inst::{BrOp, FOprOp, Inst, JmpOp, MemOp, Operand, OprOp, PalOp};
 
 /// Returns the 6-bit major opcode for a memory-format operation.
@@ -127,13 +128,9 @@ pub fn encode(inst: Inst) -> u32 {
                 | u32::from(disp as u16)
         }
         Inst::Br { op, ra, disp } => {
-            assert!(
-                (-(1 << 20)..(1 << 20)).contains(&disp),
-                "branch displacement {disp} out of 21-bit range"
-            );
-            br_opcode(op) << 26
-                | u32::from(ra.number()) << 21
-                | (disp as u32 & 0x001F_FFFF)
+            let fits = field::branch_disp(disp.into()).is_some();
+            assert!(fits, "branch displacement {disp} out of 21-bit range");
+            field::with_branch_field(br_opcode(op) << 26 | u32::from(ra.number()) << 21, disp)
         }
         Inst::Jmp { op, ra, rb, hint } => {
             0x1A << 26

@@ -2,10 +2,10 @@
 //! reproduction (Srivastava & Wall, PLDI 1994).
 //!
 //! This crate is the bottom of the stack: a format-level instruction model
-//! ([`Inst`]), binary [`encode()`](encode())/[`decode()`](decode()), a disassembler, register
-//! define/use summaries ([`Effects`]) for dependence testing, and 21064-class
-//! latency/dual-issue tables used by both the compile-time scheduler and the
-//! `om-sim` timing model.
+//! ([`Inst`]), binary [`encode()`](encode())/[`decode()`](decode()), each address
+//! field's reach ([`field`]), a disassembler, register define/use summaries
+//! ([`Effects`]) for dependence testing, and 21064-class latency/dual-issue
+//! tables used by both the compile-time scheduler and the `om-sim` timing model.
 //!
 //! # Example
 //!
@@ -23,6 +23,7 @@ pub mod decode;
 pub mod disasm;
 pub mod effects;
 pub mod encode;
+pub mod field;
 pub mod inst;
 pub mod reg;
 pub mod timing;

@@ -13,18 +13,22 @@
 //!   (step limit) fails the case.
 //! * **Object cases** are raw modules past (or exactly on) a hard limit —
 //!   near-`i32::MAX` sections, `u64`-wrapping size sums, single-module GAT
-//!   overflow. The oracle is *typed failure*: the standard linker must
-//!   return [`LinkError::Range`] (or link fine on the boundary), never
-//!   panic — a long-running `omd` cannot afford to abort on one bad
-//!   request.
+//!   overflow, an address load beyond the LDAH/LDA pair's reach, an addend
+//!   at the end of `i64`. The oracle is agreement with the standard linker:
+//!   where it must return [`LinkError::Range`], OM at every level with the
+//!   verifier on fails with the same error, and where it links, so does
+//!   OM; nothing panics — a long-running `omd` cannot afford to abort on
+//!   one bad request.
 //!
 //! Unlike the random stream in [`crate::fuzz`], every case here is
 //! deterministic by construction, so a regression names the scenario that
 //! broke rather than a seed to re-derive.
 
 use crate::fuzz::{check_sources, Outcome};
+use om_alpha::{Inst, Reg};
+use om_core::{optimize_and_link_with, OmError, OmLevel, OmOptions};
 use om_linker::{link_modules, LayoutOpts, LinkError, GAT_GROUP_CAPACITY};
-use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, Symbol};
+use om_objfile::{Module, ModuleBuilder, RelocKind, SecId, Symbol, Visibility};
 use om_workloads::pad_gat;
 use std::fmt::Write as _;
 
@@ -32,10 +36,10 @@ use std::fmt::Write as _;
 pub enum CaseKind {
     /// Mini-C sources through [`check_sources`].
     Source(Vec<(String, String)>),
-    /// Raw modules the standard linker must reject with
+    /// Raw modules the standard linker and OM must reject with
     /// [`LinkError::Range`].
     RangeObjects(Vec<Module>),
-    /// Raw modules sitting exactly on a limit that must still link.
+    /// Raw modules on or past a limit that both must still link.
     BoundaryObjects(Vec<Module>),
 }
 
@@ -47,27 +51,20 @@ pub struct Case {
     pub kind: CaseKind,
 }
 
-/// The structural skeleton the object cases corrupt: `__start` plus one
-/// GAT-addressed global (mirrors the standalone program the linker's own
-/// malformed-input tests use).
-fn seed_module(name: &str) -> Module {
-    let mut m = Module::new(name);
-    m.text = vec![0; 16];
-    m.data = vec![0; 16];
-    m.symbols.push(Symbol::proc("__start", 0, 16, 0));
-    m.symbols.push(Symbol::data(&format!("{name}_g"), SecId::Data, 0, 8));
-    m.lita.push(LitaEntry { sym: SymId(1), addend: 0 });
-    m.relocs.push(Reloc::text(0, RelocKind::Literal { lita: 0 }));
-    m
-}
-
-/// A module like [`seed_module`] but with no `__start` and no text — a pure
-/// data contributor for multi-module object cases.
-fn data_module(name: &str) -> Module {
-    let mut m = Module::new(name);
-    m.data = vec![0; 16];
-    m.symbols.push(Symbol::data(&format!("{name}_g"), SecId::Data, 0, 8));
-    m
+/// The structural skeleton the object cases corrupt: `__start`, which
+/// loads the address of the global `{name}_g` plus `addend` from the GAT,
+/// reads through it and returns (well-formed code, so OM translates it).
+fn seed_module(name: &str, addend: i64) -> Module {
+    let mut b = ModuleBuilder::new(name);
+    let off = b.append_data(SecId::Data, &[0; 16]);
+    let g = b.add_symbol(Symbol::data(format!("{name}_g"), SecId::Data, off, 8));
+    let lita = b.lita_slot(g, addend);
+    let start = b.here();
+    let load = b.emit_reloc(Inst::ldq(Reg::T0, 0, Reg::GP), RelocKind::Literal { lita });
+    b.emit_reloc(Inst::ldq(Reg::V0, 0, Reg::T0), RelocKind::LituseBase { load_offset: load });
+    b.emit(Inst::ret());
+    b.define_proc("__start", start, 0, Visibility::Exported);
+    b.finish().expect("the seed module is well-formed")
 }
 
 /// Source case 1: globals whose combined span dwarfs GP-relative reach.
@@ -193,7 +190,7 @@ pub fn corpus() -> Vec<Case> {
         },
     ];
 
-    let mut near_max = seed_module("advo_nearmax");
+    let mut near_max = seed_module("advo_nearmax", 0);
     near_max.bss_size = i32::MAX as u64;
     cases.push(Case {
         name: "near-i32-max-section",
@@ -201,17 +198,16 @@ pub fn corpus() -> Vec<Case> {
         kind: CaseKind::RangeObjects(vec![near_max]),
     });
 
-    let mut wrap_a = seed_module("advo_wrap_a");
+    let mut wrap_a = seed_module("advo_wrap_a", 0);
     wrap_a.bss_size = u64::MAX - 64;
-    let mut wrap_b = data_module("advo_wrap_b");
-    wrap_b.bss_size = 128;
+    let wrap_b = Module { data: vec![0; 16], bss_size: 128, ..Module::new("advo_wrap_b") };
     cases.push(Case {
         name: "u64-wrapping-sections",
         detail: "section sizes whose sum wraps u64 must not lay out overlapping",
         kind: CaseKind::RangeObjects(vec![wrap_a, wrap_b]),
     });
 
-    let mut gat_over = seed_module("advo_gatover");
+    let mut gat_over = seed_module("advo_gatover", 0);
     pad_gat(&mut gat_over, GAT_GROUP_CAPACITY + 1, "advo");
     cases.push(Case {
         name: "single-module-gat-overflow",
@@ -219,7 +215,7 @@ pub fn corpus() -> Vec<Case> {
         kind: CaseKind::RangeObjects(vec![gat_over]),
     });
 
-    let mut gat_edge = seed_module("advo_gatedge");
+    let mut gat_edge = seed_module("advo_gatedge", 0);
     // The seed module already owns one slot; this fills the group exactly.
     pad_gat(&mut gat_edge, GAT_GROUP_CAPACITY - 1, "adve");
     cases.push(Case {
@@ -228,7 +224,27 @@ pub fn corpus() -> Vec<Case> {
         kind: CaseKind::BoundaryObjects(vec![gat_edge]),
     });
 
+    let wide = [
+        ("base-use-beyond-pair-reach", "a base use of `g + 2^33`, past the pair", 1 << 33),
+        ("i64-max-literal-addend", "a GAT slot holding `g + i64::MAX` wraps", i64::MAX),
+    ];
+    for (name, detail, addend) in wide {
+        let objects = vec![seed_module(&format!("advo_{addend}"), addend)];
+        cases.push(Case { name, detail, kind: CaseKind::BoundaryObjects(objects) });
+    }
+
     cases
+}
+
+/// The outcome of `link` when it failed with [`LinkError::Range`] if
+/// `range`, and linked otherwise; `Err` names any other.
+fn expect_outcome(who: &str, link: Result<(), OmError>, range: bool) -> Result<String, String> {
+    match link {
+        Err(OmError::Link(e @ LinkError::Range { .. })) if range => Ok(e.to_string()),
+        Ok(()) if !range => Ok("a clean link".to_string()),
+        Ok(()) => Err(format!("{who} linked cleanly where a Range error was required")),
+        Err(e) => Err(format!("{who}: {e}")),
+    }
 }
 
 /// Runs one case against its oracle. `Ok` carries a one-line summary of
@@ -244,20 +260,16 @@ pub fn run_case(case: &Case) -> Result<String, String> {
                 .collect::<Vec<_>>()
                 .join("; ")),
         },
-        CaseKind::RangeObjects(objects) => {
-            match link_modules(objects, &[], &LayoutOpts::default()) {
-                Err(e @ LinkError::Range { .. }) => {
-                    Ok(format!("typed Range error as required: {e}"))
-                }
-                Err(other) => Err(format!("wrong error kind: {other}")),
-                Ok(_) => Err("linked cleanly where a Range error was required".to_string()),
+        CaseKind::RangeObjects(objects) | CaseKind::BoundaryObjects(objects) => {
+            let range = matches!(case.kind, CaseKind::RangeObjects(_));
+            let mld = link_modules(objects, &[], &LayoutOpts::default());
+            let outcome = expect_outcome("mld", mld.map(drop).map_err(OmError::Link), range)?;
+            let options = OmOptions { verify: true, ..OmOptions::default() };
+            for level in OmLevel::ALL {
+                let om = optimize_and_link_with(objects, &[], level, &options).map(drop);
+                expect_outcome(&format!("om {}", level.name()), om, range)?;
             }
-        }
-        CaseKind::BoundaryObjects(objects) => {
-            match link_modules(objects, &[], &LayoutOpts::default()) {
-                Ok(_) => Ok("boundary input linked cleanly".to_string()),
-                Err(e) => Err(format!("boundary input must link, got: {e}")),
-            }
+            Ok(format!("{outcome}, from mld and from om at every level"))
         }
     }
 }

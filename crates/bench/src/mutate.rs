@@ -31,7 +31,7 @@
 //! every mutant killed.
 
 use crate::fuzz::{self, FuzzConfig, INTERP_STEPS};
-use om_alpha::{decode, encode, Inst, MemOp, Reg};
+use om_alpha::{decode, encode, field, Inst, MemOp, Reg};
 use om_core::analysis::Artifacts;
 use om_core::{
     optimize_and_link_artifacts, FaultKind, FaultPlan, OmError, OmLevel, OmOptions, OmOutput,
@@ -291,7 +291,7 @@ pub fn mutate_image(
                         if n == site {
                             let addr = layout.bases[mi].text + rel.offset;
                             let w = read_word(&image, addr)?;
-                            write_word(&mut image, addr, (w & 0xFFE0_0000) | (w.wrapping_add(1) & 0x1F_FFFF));
+                            write_word(&mut image, addr, field::with_branch_field(w, field::branch_field(w) + 1));
                             return Some((image, format!("branch at {addr:#x}: disp +1 word")));
                         }
                         n += 1;
@@ -320,7 +320,7 @@ pub fn mutate_image(
                     let w = read_word(&image, addr)?;
                     if matches!(decode(w), Ok(Inst::Br { .. })) {
                         if n == site {
-                            write_word(&mut image, addr, (w & 0xFFE0_0000) | (w.wrapping_add(1) & 0x1F_FFFF));
+                            write_word(&mut image, addr, field::with_branch_field(w, field::branch_field(w) + 1));
                             return Some((image, format!("local branch at {addr:#x}: disp +1 word")));
                         }
                         n += 1;

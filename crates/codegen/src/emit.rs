@@ -11,7 +11,7 @@
 
 use crate::code::{Anchor, CLabel, CodeBuffer, Mark};
 use crate::regalloc::{allocate, Allocation, Loc};
-use om_alpha::{BrOp, FOprOp, Inst, MemOp, Operand, OprOp, Reg};
+use om_alpha::{field, BrOp, FOprOp, Inst, MemOp, Operand, OprOp, Reg};
 use om_minic::ast::{Global, GlobalInit, Type};
 use om_minic::ir::{Class, Cmp, FBin, IBin, Ir, IrFunction, IrUnit, Val, VReg};
 use om_objfile::{ModuleBuilder, RelocKind, SecId, Symbol, Visibility};
@@ -64,25 +64,12 @@ impl ConstPool {
     }
 }
 
-/// Whether `v` fits a signed 16-bit immediate.
-fn fits_i16(v: i64) -> bool {
-    i16::try_from(v).is_ok()
-}
-
-/// Splits `v` into `(hi, lo)` such that `(hi << 16) + lo == v` with both
-/// halves signed 16-bit, if possible.
-pub fn split_hi_lo(v: i64) -> Option<(i16, i16)> {
-    let lo = v as i16;
-    let rest = v.wrapping_sub(lo as i64);
-    if rest & 0xFFFF != 0 {
-        return None;
-    }
-    let hi = i16::try_from(rest >> 16).ok()?;
-    // Verify exact reconstruction (wrapping ruled out).
-    if ((hi as i64) << 16).wrapping_add(lo as i64) == v {
-        Some((hi, lo))
-    } else {
-        None
+/// The displacement a constant element index folds into, if it fits a
+/// memory instruction's (addresses wrap, so the scaled index does too).
+fn elem_disp(index: Val) -> Option<i16> {
+    match index {
+        Val::I(c) => field::mem_disp(c.wrapping_mul(8)),
+        _ => None,
     }
 }
 
@@ -188,9 +175,9 @@ impl<'a> FnEmitter<'a> {
     fn load_imm(&mut self, v: i64, r: Reg) {
         if v == 0 {
             self.code.inst(Inst::mov(Reg::ZERO, r));
-        } else if fits_i16(v) {
-            self.code.inst(Inst::lda(r, v as i16, Reg::ZERO));
-        } else if let Some((hi, lo)) = split_hi_lo(v) {
+        } else if let Some(d) = field::mem_disp(v) {
+            self.code.inst(Inst::lda(r, d, Reg::ZERO));
+        } else if let Some((hi, lo)) = field::split_pair(v) {
             self.code.inst(Inst::ldah(r, hi, Reg::ZERO));
             if lo != 0 {
                 self.code.inst(Inst::lda(r, lo, r));
@@ -751,11 +738,11 @@ impl<'a> FnEmitter<'a> {
             }
             Ir::LdElem { dst, sym, index } => {
                 let (base, load) = self.address_load(sym, SCRATCH1);
-                let (addr, use_mark, disp) = match index {
+                let (addr, use_mark, disp) = match elem_disp(*index) {
                     // Constant index folds into the use's displacement: the
                     // use stays rewritable (LITUSE_BASE).
-                    Val::I(c) if fits_i16(8 * c) => (base, Mark::LituseBase { load }, (8 * c) as i16),
-                    _ => {
+                    Some(d) => (base, Mark::LituseBase { load }, d),
+                    None => {
                         let ri = self.use_int(*index, 1);
                         self.code.push(
                             Inst::Opr {
@@ -793,9 +780,9 @@ impl<'a> FnEmitter<'a> {
                 let is_fp = matches!(src, Val::F(_))
                     || matches!(src, Val::R(r) if r.class == Class::Fp);
                 let (base, load) = self.address_load(sym, SCRATCH1);
-                let (addr, use_mark, disp) = match index {
-                    Val::I(c) if fits_i16(8 * c) => (base, Mark::LituseBase { load }, (8 * c) as i16),
-                    _ => {
+                let (addr, use_mark, disp) = match elem_disp(*index) {
+                    Some(d) => (base, Mark::LituseBase { load }, d),
+                    None => {
                         let ri = self.use_int(*index, 1);
                         self.code.push(
                             Inst::Opr {

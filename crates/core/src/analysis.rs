@@ -16,7 +16,7 @@ use crate::sym::{
     gat_entries, Addend, GlobalRef, InstId, OmError, SInst, SMark, SymProc, SymProgram,
 };
 use om_alpha::{Effects, Inst, JmpOp, Reg};
-use om_linker::{layout, LayoutOpts, LinkError, Placed, ProgramLayout, SymbolTable};
+use om_linker::{layout, LayoutOpts, Placed, ProgramLayout, SymbolTable};
 use om_objfile::{LitaEntry, Module, RelocKind, SecId, SymId, Symbol, SymbolDef};
 use std::collections::HashSet;
 
@@ -87,9 +87,7 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Propagates layout failures, and [`LinkError::Undefined`] for a local
-    /// common the symbol table leaves unresolved (no exported common of its
-    /// name), so no target of a captured program is unresolved.
+    /// Propagates layout failures.
     pub fn capture_with(program: &SymProgram, sort_commons: bool) -> Result<Snapshot, OmError> {
         let _s = om_obs::span("snapshot");
         let sized: Vec<SizedModule> = program
@@ -107,20 +105,12 @@ impl Snapshot {
         let mut proc_addrs = Vec::with_capacity(sized.len());
         for (mi, m) in program.modules.iter().enumerate() {
             let b = layout.bases[mi];
-            let mut syms = Vec::with_capacity(m.source.symbols.len());
-            for (id, s) in m.source.symbols_with_ids() {
-                syms.push(match s.def {
-                    SymbolDef::Proc { .. } => 0, // placed below, in emit order
+            let mut syms: Vec<u64> = (m.source.symbols.iter())
+                .map(|s| match s.def {
                     SymbolDef::Data { sec, offset, .. } => b.of(sec) + offset,
-                    SymbolDef::Common { .. } if program.target(mi, id) == GlobalRef::Unresolved => {
-                        return Err(OmError::Link(LinkError::Undefined {
-                            name: s.name.clone(),
-                            referenced_by: m.source.name.clone(),
-                        }));
-                    }
-                    _ => 0, // a common or an extern: `addr` reads its target
-                });
-            }
+                    _ => 0, // a procedure is placed below; `addr` reads any other's target
+                })
+                .collect();
             let (mut procs, mut pc) = (Vec::with_capacity(m.procs.len()), b.text);
             for p in &m.procs {
                 syms[p.sym.0 as usize] = pc;
@@ -133,12 +123,13 @@ impl Snapshot {
         Ok(Snapshot { layout, sym_addrs, proc_addrs })
     }
 
-    /// Address of a resolved reference.
-    pub fn addr(&self, r: GlobalRef) -> u64 {
+    /// Address of a reference; `None` for one the symbol table leaves
+    /// unresolved, which OM's passes leave for the final link to report.
+    pub fn addr(&self, r: GlobalRef) -> Option<u64> {
         match r {
-            GlobalRef::Def { module, sym } => self.sym_addrs[module][sym.0 as usize],
-            GlobalRef::Common(c) => self.layout.common_addr[c as usize],
-            GlobalRef::Unresolved => unreachable!("a captured program resolves every target"),
+            GlobalRef::Def { module, sym } => Some(self.sym_addrs[module][sym.0 as usize]),
+            GlobalRef::Common(c) => Some(self.layout.common_addr[c as usize]),
+            GlobalRef::Unresolved => None,
         }
     }
 

@@ -23,10 +23,10 @@ use crate::analysis::{
     find_entry_pair, prologue_pair_at_entry, reads_pv_outside, CallKind, Residue, Snapshot,
 };
 use crate::pipeline::CallBook;
-use crate::simple::{bsr_reachable, convert_calls, transform_address_loads, Removal};
+use crate::simple::{convert_calls, transform_address_loads, Removal};
 use crate::stats::OmStats;
 use crate::sym::{Addend, GlobalRef, InstId, OmError, SInst, SMark, SymProgram};
-use om_alpha::{Effects, Reg};
+use om_alpha::{field, Effects, Reg};
 use std::collections::HashSet;
 
 /// Runs OM-full over the program under `options` (layout policy, fixpoint
@@ -191,12 +191,12 @@ fn drop_prologues(
         let (mi, pi) = residue.coords(proc);
         let p = &program.modules[mi].procs[pi];
         let Some((hi, lo)) = prologue_pair_at_entry(p) else { return true };
-        let entry_addr = snap.addr(GlobalRef::Def { module: mi, sym: p.sym });
+        let entry = snap.addr(GlobalRef::Def { module: mi, sym: p.sym }).expect("a procedure");
         // A procedure with no callers at all (dead) also qualifies.
         let all_ok = callers.iter().all(|&si| {
             let site_mi = residue.coords(residue.sites[si as usize].proc).0;
             snap.group(site_mi) == snap.group(mi)
-                && bsr_reachable(residue.site_addr(snap, si as usize), entry_addr)
+                && field::branch_reaches(residue.site_addr(snap, si as usize), entry)
         });
         let drop = all_ok && !reads_pv_outside(p, &[hi, lo]);
         if drop {

@@ -101,7 +101,7 @@ pub struct OmOptions {
     /// GAT-reduction fixpoint budget (1 = a single pass, no re-layout).
     pub max_rounds: usize,
     /// Symbols that dynamic linking may preempt (the paper's §6 discussion:
-    /// OM "does not currently support calls to shared libraries [but] there
+    /// OM "does not currently support calls to shared libraries \[but\] there
     /// is no fundamental problem with doing so ... calls to dynamically
     /// linked library routines cannot be optimized as statically linked
     /// calls can"). Every reference to a listed name stays fully

@@ -191,7 +191,7 @@ fn align_backward_targets(program: &mut SymProgram, stats: &mut OmStats) {
     align_backward_targets_where(program, stats, |_, _, _| true);
 }
 
-/// [`align_backward_targets`] restricted to the targets `keep` selects by
+/// `align_backward_targets` restricted to the targets `keep` selects by
 /// `(module index, proc index, target rank)` — the profile-guided layout
 /// pass aligns only *hot* targets through this hook.
 pub fn align_backward_targets_where(

@@ -30,19 +30,8 @@ use crate::fault::{armed, FaultKind, FaultPlan};
 use crate::pipeline::CallBook;
 use crate::stats::OmStats;
 use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProgram};
-use om_alpha::{BrOp, Inst, MemOp, Reg};
-use om_linker::relocate::split_gpdisp;
+use om_alpha::{field, BrOp, Inst, MemOp, Reg};
 use std::collections::HashSet;
-
-/// True if `disp` fits a branch's signed 21-bit word-displacement field.
-pub fn bsr_reachable(from: u64, to: u64) -> bool {
-    let delta = to as i64 - (from as i64 + 4);
-    if delta % 4 != 0 {
-        return false;
-    }
-    let words = delta / 4;
-    (-(1 << 20)..(1 << 20)).contains(&words)
-}
 
 /// Runs OM-simple over the program under `options` (layout policy,
 /// preemptible symbols, fault plan): one round of the passes OM-full
@@ -196,7 +185,8 @@ fn convert_jsr(
         return false;
     }
     let Some(callee) = residue.proc_of(target) else { return false };
-    if !bsr_reachable(residue.site_addr(snap, si), snap.addr(target)) {
+    let Some(entry) = snap.addr(target) else { return false };
+    if !field::branch_reaches(residue.site_addr(snap, si), entry) {
         return false;
     }
 
@@ -328,8 +318,9 @@ pub(crate) fn transform_address_loads(
             let SMark::Literal { sym, addend, escaping } = i.mark else { unreachable!() };
             let addend = program.modules[mi].addend(addend);
             let (rd, target) = (load_dest(i), program.target(mi, sym));
-            // A preemptible object's final address is unknown until
-            // dynamic-link time: its GAT slot must survive untouched.
+            // An unresolved target has no address, and a preemptible one's is
+            // unknown until dynamic-link time: its GAT slot survives untouched.
+            let Some(target_addr) = snap.addr(target) else { continue };
             if preempt.contains(ref_name(program, target)) {
                 continue;
             }
@@ -341,8 +332,7 @@ pub(crate) fn transform_address_loads(
                 continue;
             }
 
-            let target_addr = snap.addr(target).wrapping_add(addend as u64);
-            let disp = target_addr as i64 - gp as i64;
+            let disp = field::displacement(target_addr.wrapping_add_signed(addend), gp);
             let rewritable =
                 !escaping && !us.is_empty() && us.iter().all(|&(_, k)| k == UseKind::Base);
 
@@ -359,7 +349,8 @@ pub(crate) fn transform_address_loads(
                     })
                     .collect();
 
-                let all_fit_16 = use_disps.iter().all(|&(_, d)| i16::try_from(disp + d).is_ok());
+                let all_fit_16 =
+                    use_disps.iter().all(|&(_, d)| field::mem_disp(disp.wrapping_add(d)).is_some());
                 if all_fit_16 {
                     // Fault point: every use's rewritten addend is off by
                     // +8 — carried consistently into the relocations, so
@@ -368,9 +359,8 @@ pub(crate) fn transform_address_loads(
                     // Every use absorbs its own GP displacement, addressing
                     // directly off GP; the load goes.
                     for &(ui, d) in &use_disps {
-                        set_mem_disp(&mut proc_insts[ui].inst, 0);
-                        set_mem_base(&mut proc_insts[ui].inst, Reg::GP);
-                        let addend = addends.store(addend + d + skew);
+                        rebase(&mut proc_insts[ui].inst, Reg::GP);
+                        let addend = addends.store(addend.wrapping_add(d + skew));
                         proc_insts[ui].mark = SMark::Gprel { sym, addend };
                     }
                     if armed(fault, FaultKind::NullifyDelete) {
@@ -389,15 +379,16 @@ pub(crate) fn transform_address_loads(
                 // target within the pair's ±2 GB of GP; otherwise the load
                 // stays.
                 let d0 = use_disps[0].1;
-                if use_disps.iter().all(|&(_, d)| d == d0) && split_gpdisp(disp + d0).is_ok() {
+                if use_disps.iter().all(|&(_, d)| d == d0)
+                    && field::split_pair(disp.wrapping_add(d0)).is_some()
+                {
                     proc_insts[k].inst =
                         Inst::Mem { op: MemOp::Ldah, ra: rd, rb: Reg::GP, disp: 0 };
                     // One addend for both halves.
-                    let addend = addends.store(addend + d0);
+                    let addend = addends.store(addend.wrapping_add(d0));
                     proc_insts[k].mark = SMark::GprelHi { sym, addend };
                     for &(ui, _) in &use_disps {
-                        set_mem_disp(&mut proc_insts[ui].inst, 0);
-                        set_mem_base(&mut proc_insts[ui].inst, rd);
+                        rebase(&mut proc_insts[ui].inst, rd);
                         proc_insts[ui].mark = SMark::GprelLo { sym, addend };
                     }
                     residue.loads[li].live = false;
@@ -410,7 +401,7 @@ pub(crate) fn transform_address_loads(
             // Escaping (or use-free) load: the register must still receive
             // the exact address, so only a single-instruction LDA works —
             // and only within the 16-bit window.
-            if i16::try_from(disp).is_ok() {
+            if field::mem_disp(disp).is_some() {
                 proc_insts[k].inst = Inst::Mem { op: MemOp::Lda, ra: rd, rb: Reg::GP, disp: 0 };
                 proc_insts[k].mark = SMark::Gprel { sym, addend: addends.store(addend) };
                 // The load is no longer a GAT literal; detach its use links
@@ -441,18 +432,9 @@ pub(crate) fn transform_address_loads(
     changed
 }
 
-fn set_mem_disp(inst: &mut Inst, d: i16) {
-    if let Inst::Mem { disp, .. } = inst {
-        *disp = d;
-    } else {
-        panic!("displacement rewrite on non-memory instruction");
-    }
-}
-
-fn set_mem_base(inst: &mut Inst, base: Reg) {
-    if let Inst::Mem { rb, .. } = inst {
-        *rb = base;
-    } else {
-        panic!("base rewrite on non-memory instruction");
-    }
+/// Points memory instruction `inst` at `base` with a zero displacement,
+/// which the relocation of its new mark patches.
+fn rebase(inst: &mut Inst, base: Reg) {
+    let Inst::Mem { rb, disp, .. } = inst else { panic!("rebase of a non-memory instruction") };
+    (*rb, *disp) = (base, 0);
 }

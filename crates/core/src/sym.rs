@@ -5,7 +5,7 @@
 //! procedures become instruction lists whose positional information —
 //! branch displacements, GAT slot indices, GPDISP pair offsets, LITUSE
 //! links — is replaced by symbolic references that survive deletion and
-//! reordering. [`emit_module`] lowers a transformed module back to ordinary
+//! reordering. [`emit_all`] lowers a transformed program back to ordinary
 //! object code, recomputing every offset. This is what makes OM-full's code
 //! motion safe by construction.
 //!
@@ -16,7 +16,7 @@
 //! [`SymbolTable`], which resolved every symbol once: [`resolve_symbolic`]
 //! binds the translations to it, and passes read it through
 //! [`SymProgram::target`].
-//! [`emit_module`] writes each mark's id back unchanged, so every emitted
+//! Emit writes each mark's id back unchanged, so every emitted
 //! module keeps its input's symbol table.
 
 use om_alpha::{decode, Inst, MemOp, Reg};
@@ -647,7 +647,8 @@ pub fn translate(modules: &[Module], symtab: &SymbolTable) -> Result<SymProgram,
     Ok(resolve_symbolic(translated, symtab))
 }
 
-/// Lowers one symbolic module back to object code.
+/// Lowers symbolic module `sm` back to object code over `m`, its source,
+/// with `lita` as its `.lita`. Reads only `sm`'s procedures and addends.
 ///
 /// The returned module keeps the source's symbol table, with procedure
 /// offsets and sizes updated, so every mark's [`SymId`] and every
@@ -659,12 +660,8 @@ pub fn translate(modules: &[Module], symtab: &SymbolTable) -> Result<SymProgram,
 /// Returns [`OmError::Internal`] on dangling symbolic references — these
 /// indicate a transformation bug, but a link server must report them to the
 /// offending request rather than abort the process.
-pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
-    let sm = &program.modules[mi];
-    // The source's data sections, symbols and data relocations, with the
-    // text, `.lita` and text relocations rebuilt below.
-    let mut m = Module::clone(&sm.source);
-    m.lita = gat_entries(program, mi);
+fn emit_module(sm: &SymModule, mut m: Module, lita: Vec<LitaEntry>) -> Result<Module, OmError> {
+    m.lita = lita;
     let slot_of: HashMap<(SymId, i64), u32> =
         m.lita.iter().enumerate().map(|(k, e)| ((e.sym, e.addend), k as u32)).collect();
 
@@ -675,6 +672,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
     const NO_OFFSET: u64 = u64::MAX;
     let mut off_of: Vec<u64> = Vec::new();
     for p in &sm.procs {
+        let name = m.symbols.get(p.sym.0 as usize).map_or("", |s| s.name.as_str());
         let start = m.text.len() as u64;
         off_of.clear();
         off_of.resize(p.next_id as usize, NO_OFFSET);
@@ -692,7 +690,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
             off_of.get(id as usize).copied().filter(|&o| o != NO_OFFSET).ok_or_else(|| {
                 OmError::Internal {
                     context: "emit".into(),
-                    what: format!("dangling instruction id {id} in {}", sm.proc_name(p)),
+                    what: format!("dangling instruction id {id} in {name}"),
                 }
             })
         };
@@ -754,7 +752,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
                     } else {
                         return Err(OmError::Internal {
                             context: "emit".into(),
-                            what: format!("BrLocal on non-branch in {}", sm.proc_name(p)),
+                            what: format!("BrLocal on non-branch in {name}"),
                         });
                     }
                 }
@@ -782,7 +780,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         let size = m.text.len() as u64 - start;
         let entry = m.symbols.get_mut(p.sym.0 as usize).ok_or_else(|| OmError::Internal {
             context: "emit".into(),
-            what: format!("procedure symbol id {} out of range in {}", p.sym.0, sm.source.name),
+            what: format!("procedure symbol id {} out of range in {}", p.sym.0, m.name),
         })?;
         if let SymbolDef::Proc { offset, size: sz, .. } = &mut entry.def {
             *offset = start;
@@ -819,21 +817,25 @@ pub(crate) fn gat_entries(program: &SymProgram, mi: usize) -> Vec<LitaEntry> {
 /// # Errors
 ///
 /// Returns [`OmError::Internal`] if any module has dangling symbolic
-/// references (see [`emit_module`]).
+/// references (see `emit_module`).
 pub fn emit_all(program: &SymProgram) -> Result<Vec<Module>, OmError> {
-    (0..program.modules.len())
-        .map(|mi| emit_module(program, mi))
+    (program.modules.iter().enumerate())
+        .map(|(mi, sm)| emit_module(sm, Module::clone(&sm.source), gat_entries(program, mi)))
         .collect()
 }
 
 /// [`emit_all`] for a link done with the program: each module's procedures
 /// are freed once it is emitted, so the emitted modules reuse their memory
-/// instead of interleaving with a program about to be freed.
+/// instead of interleaving with a program about to be freed, and a source
+/// no module cache shares moves into its emitted module.
 pub(crate) fn emit_all_freeing(mut program: SymProgram) -> Result<Vec<Module>, OmError> {
     (0..program.modules.len())
         .map(|mi| {
-            let m = emit_module(&program, mi);
-            program.modules[mi].procs = Vec::new();
+            let lita = gat_entries(&program, mi);
+            let sm = &mut program.modules[mi];
+            let source = Arc::try_unwrap(std::mem::take(&mut sm.source));
+            let m = emit_module(sm, source.unwrap_or_else(|shared| Module::clone(&shared)), lita);
+            sm.procs = Vec::new();
             m
         })
         .collect()

@@ -341,6 +341,7 @@ pub fn verify_linked(
     for (mi, m) in modules.iter().enumerate() {
         let b = &layout.bases[mi];
         let gp = layout.gp_values[layout.group_of_module[mi] as usize] as i64;
+        let from_gp = |a: u64, addend: i64| (a as i64).wrapping_add(addend).wrapping_sub(gp);
         let m0 = b.text - t.base; // module text offset within the segment
         r.check(b.text >= t.base && b.text + m.text.len() as u64 <= t.base + t.size, || {
             format!("module `{}` text outside the .text extent", m.name)
@@ -377,7 +378,7 @@ pub fn verify_linked(
                     r.check((slot.wrapping_sub(lx.base)) % 8 == 0, || {
                         at(format!("GAT slot address {slot:#x} not 8-aligned"))
                     });
-                    let disp = slot as i64 - gp;
+                    let disp = (slot as i64).wrapping_sub(gp);
                     r.check(i16::try_from(disp).is_ok(), || {
                         at(format!("GAT slot {disp} bytes from GP, outside 16-bit reach"))
                     });
@@ -393,7 +394,7 @@ pub fn verify_linked(
                     let e = &m.lita[li];
                     match addr(mi, e.sym) {
                         Ok(a) => {
-                            let want = (a as i64 + e.addend) as u64;
+                            let want = a.wrapping_add_signed(e.addend);
                             r.check(read_u64(slot) == Some(want), || {
                                 at(format!("GAT slot {slot:#x} does not hold {want:#x}"))
                             });
@@ -476,9 +477,9 @@ pub fn verify_linked(
                             continue;
                         }
                     };
-                    let target = a as i64 + addend;
+                    let target = (a as i64).wrapping_add(*addend);
                     let pc = (b.text + rel.offset) as i64;
-                    let delta = target - (pc + 4);
+                    let delta = target.wrapping_sub(pc + 4);
                     r.check(delta % 4 == 0, || {
                         at(format!("branch target {target:#x} not instruction-aligned"))
                     });
@@ -500,7 +501,7 @@ pub fn verify_linked(
                 (SecId::Text, RelocKind::Gprel16 { sym, addend, .. }) => {
                     match addr(mi, *sym) {
                         Ok(a) => {
-                            let disp = a as i64 + addend - gp;
+                            let disp = from_gp(a, *addend);
                             r.check(i16::try_from(disp).is_ok(), || {
                                 at(format!("gprel16 target {disp} bytes from GP"))
                             });
@@ -524,8 +525,8 @@ pub fn verify_linked(
                 (SecId::Text, RelocKind::GprelHigh { sym, addend, .. }) => {
                     match addr(mi, *sym) {
                         Ok(a) => {
-                            let x = a as i64 + addend - gp;
-                            let hi = (x - (x as i16) as i64) >> 16;
+                            let x = from_gp(a, *addend);
+                            let hi = x.wrapping_sub((x as i16) as i64) >> 16;
                             r.check(i16::try_from(hi).is_ok(), || {
                                 at(format!("gprelhigh target {x} bytes from GP, outside ±2GB"))
                             });
@@ -549,9 +550,9 @@ pub fn verify_linked(
                 (SecId::Text, RelocKind::GprelLow { sym, addend, hi_addend, .. }) => {
                     match addr(mi, *sym) {
                         Ok(a) => {
-                            let xh = a as i64 + hi_addend - gp;
-                            let hi = (xh - (xh as i16) as i64) >> 16;
-                            let disp = a as i64 + addend - gp - (hi << 16);
+                            let xh = from_gp(a, *hi_addend);
+                            let hi = xh.wrapping_sub((xh as i16) as i64) >> 16;
+                            let disp = from_gp(a, *addend).wrapping_sub(hi << 16);
                             r.check(i16::try_from(disp).is_ok(), || {
                                 at(format!("gprellow residual {disp} does not fit 16 bits"))
                             });
@@ -571,7 +572,7 @@ pub fn verify_linked(
                     let base = if sec == SecId::Data { b.data } else { b.sdata };
                     match addr(mi, *sym) {
                         Ok(a) => {
-                            let want = (a as i64 + addend) as u64;
+                            let want = a.wrapping_add_signed(*addend);
                             r.check(read_u64(base + rel.offset) == Some(want), || {
                                 at(format!(
                                     "{sec} quad at {:#x} does not hold {want:#x}",

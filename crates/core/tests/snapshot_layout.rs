@@ -34,7 +34,7 @@ fn check(program: &SymProgram, sort_commons: bool, ctx: &str) {
         for (id, s) in m.symbols_with_ids() {
             let want = sym_addr(&emitted, &symtab, &lay, mi, id).expect("resolved symbol");
             let got = snap.addr(program.target(mi, id));
-            assert_eq!(got, want, "{ctx}: address of `{}` in `{}`", s.name, m.name);
+            assert_eq!(got, Some(want), "{ctx}: address of `{}` in `{}`", s.name, m.name);
         }
         for (pi, p) in program.modules[mi].procs.iter().enumerate() {
             let s = m.symbol(p.sym);

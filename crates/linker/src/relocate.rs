@@ -4,6 +4,7 @@ use crate::error::LinkError;
 use crate::image::{Image, Segment};
 use crate::layout::{sym_addr, ProgramLayout};
 use crate::resolve::SymbolTable;
+use om_alpha::field;
 use om_objfile::{Module, RelocKind, SecId, SymbolDef, Visibility, DATA_BASE};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -28,45 +29,6 @@ fn patch16(buf: &mut [u8], off: usize, v: i16) -> Result<(), LinkError> {
 fn patch64(buf: &mut [u8], off: usize, v: u64) -> Result<(), LinkError> {
     patched(buf, off, 8)?.copy_from_slice(&v.to_le_bytes());
     Ok(())
-}
-
-fn patch_branch(buf: &mut [u8], off: usize, disp: i32) -> Result<(), LinkError> {
-    if !(-(1 << 20)..(1 << 20)).contains(&disp) {
-        return Err(LinkError::Range { what: format!("branch displacement {disp}") });
-    }
-    let field = patched(buf, off, 4)?;
-    let mut word = u32::from_le_bytes(field[..4].try_into().unwrap());
-    word = (word & 0xFFE0_0000) | (disp as u32 & 0x001F_FFFF);
-    field.copy_from_slice(&word.to_le_bytes());
-    Ok(())
-}
-
-/// Splits a 32-bit displacement into LDAH/LDA halves (the low half is
-/// sign-extended by hardware, so the high half compensates).
-///
-/// # Errors
-///
-/// Returns [`LinkError::Range`] when `disp` exceeds the pair's ±2GB span.
-pub fn split_gpdisp(disp: i64) -> Result<(i16, i16), LinkError> {
-    let lo = disp as i16;
-    let rest = disp - lo as i64;
-    if rest & 0xFFFF != 0 {
-        // Unreachable arithmetically (disp - sign_extend(disp as i16) always
-        // clears the low half), but a real error beats silent truncation if
-        // the invariant is ever broken.
-        return Err(LinkError::Range { what: format!("gpdisp {disp} low half") });
-    }
-    let hi = i16::try_from(rest >> 16)
-        .map_err(|_| LinkError::Range { what: format!("gpdisp {disp}") })?;
-    Ok((hi, lo))
-}
-
-/// The high half of `disp` as a GPREL pair patches it: [`split_gpdisp`],
-/// with an overflow named after the relocation `kind` and its module.
-fn gprel_high(disp: i64, kind: &str, module: &str) -> Result<i16, LinkError> {
-    split_gpdisp(disp).map(|(hi, _)| hi).map_err(|_| LinkError::Range {
-        what: format!("{kind} {disp} in `{module}`"),
-    })
 }
 
 /// Applies all relocations and builds the final image.
@@ -104,7 +66,7 @@ pub fn build_image<M: Borrow<Module>>(
     // (deduplicated slots are written multiple times with identical values).
     for (mi, m) in modules().enumerate() {
         for (li, e) in m.lita.iter().enumerate() {
-            let v = (addr(mi, e.sym)? as i64 + e.addend) as u64;
+            let v = addr(mi, e.sym)?.wrapping_add_signed(e.addend);
             let slot = layout.lita_addr[mi][li];
             patch64(&mut data, (slot - DATA_BASE) as usize, v)?;
         }
@@ -114,68 +76,69 @@ pub fn build_image<M: Borrow<Module>>(
     for (mi, m) in modules().enumerate() {
         let bases = &layout.bases[mi];
         let gp = layout.gp_values[layout.group_of_module[mi] as usize];
+        let from_gp = |sym, addend: i64| {
+            addr(mi, sym).map(|a| field::displacement(a.wrapping_add_signed(addend), gp))
+        };
+        let range = |kind: &str, v: i64| LinkError::Range {
+            what: format!("{kind} {v} in `{}`", m.name),
+        };
         for r in &m.relocs {
+            // Where a text relocation's field lies in the text segment.
+            let off = (bases.text - layout.info.text.base + r.offset) as usize;
             match (r.sec, &r.kind) {
                 (SecId::Text, RelocKind::Literal { lita }) => {
-                    let slot = layout.lita_addr[mi][*lita as usize];
-                    let disp = slot as i64 - gp as i64;
-                    let d = i16::try_from(disp).map_err(|_| LinkError::Range {
+                    let disp = field::displacement(layout.lita_addr[mi][*lita as usize], gp);
+                    let d = field::mem_disp(disp).ok_or_else(|| LinkError::Range {
                         what: format!("GAT slot {disp} bytes from GP in `{}`", m.name),
                     })?;
-                    let off = (bases.text - layout.info.text.base + r.offset) as usize;
                     patch16(&mut text, off, d)?;
                 }
                 (SecId::Text, RelocKind::Gpdisp { pair_offset, anchor, .. }) => {
-                    let disp = gp as i64 - (bases.text + anchor) as i64;
-                    let (hi, lo) = split_gpdisp(disp)?;
-                    let hi_off = (bases.text - layout.info.text.base + r.offset) as usize;
-                    let lo_off = (hi_off as i64 + pair_offset) as usize;
-                    patch16(&mut text, hi_off, hi)?;
-                    patch16(&mut text, lo_off, lo)?;
+                    let disp = field::displacement(gp, bases.text.wrapping_add(*anchor));
+                    let (hi, lo) = field::split_pair(disp)
+                        .ok_or_else(|| LinkError::Range { what: format!("gpdisp {disp}") })?;
+                    patch16(&mut text, off, hi)?;
+                    patch16(&mut text, (off as i64 + pair_offset) as usize, lo)?;
                 }
                 (SecId::Text, RelocKind::BrAddr { sym, addend }) => {
-                    let target = (addr(mi, *sym)? as i64 + addend) as u64;
-                    let pc = bases.text + r.offset;
-                    let delta = target as i64 - (pc as i64 + 4);
-                    if delta % 4 != 0 {
-                        return Err(LinkError::Range {
-                            what: format!(
-                                "branch target {target:#x} not instruction-aligned in `{}`",
-                                m.name
-                            ),
-                        });
-                    }
-                    let off = (pc - layout.info.text.base) as usize;
-                    patch_branch(&mut text, off, (delta / 4) as i32)?;
+                    let target = addr(mi, *sym)?.wrapping_add_signed(*addend);
+                    let words = field::branch_words(bases.text + r.offset, target);
+                    let words = words.ok_or_else(|| LinkError::Range {
+                        what: format!(
+                            "branch target {target:#x} not instruction-aligned in `{}`",
+                            m.name
+                        ),
+                    })?;
+                    let disp = field::branch_disp(words).ok_or_else(|| LinkError::Range {
+                        what: format!("branch displacement {words}"),
+                    })?;
+                    let word = patched(&mut text, off, 4)?;
+                    let w = u32::from_le_bytes(word[..4].try_into().expect("a 4-byte patch"));
+                    word.copy_from_slice(&field::with_branch_field(w, disp).to_le_bytes());
                 }
                 (SecId::Text, RelocKind::Gprel16 { sym, addend, .. }) => {
-                    let target = addr(mi, *sym)? as i64 + addend;
-                    let disp = target - gp as i64;
-                    let d = i16::try_from(disp).map_err(|_| LinkError::Range {
-                        what: format!("gprel16 {disp} in `{}`", m.name),
-                    })?;
-                    let off = (bases.text - layout.info.text.base + r.offset) as usize;
+                    let disp = from_gp(*sym, *addend)?;
+                    let d = field::mem_disp(disp).ok_or_else(|| range("gprel16", disp))?;
                     patch16(&mut text, off, d)?;
                 }
                 (SecId::Text, RelocKind::GprelHigh { sym, addend, .. }) => {
-                    let target = addr(mi, *sym)? as i64 + addend;
-                    let hi = gprel_high(target - gp as i64, "gprelhigh", &m.name)?;
-                    let off = (bases.text - layout.info.text.base + r.offset) as usize;
+                    let disp = from_gp(*sym, *addend)?;
+                    let (hi, _) = field::split_pair(disp).ok_or_else(|| range("gprelhigh", disp))?;
                     patch16(&mut text, off, hi)?;
                 }
                 (SecId::Text, RelocKind::GprelLow { sym, addend, hi_addend, .. }) => {
-                    let target = addr(mi, *sym)?;
-                    let hi = gprel_high(target as i64 + hi_addend - gp as i64, "gprellow", &m.name)?;
-                    let disp = target as i64 + addend - gp as i64 - ((hi as i64) << 16);
-                    let d = i16::try_from(disp).map_err(|_| LinkError::Range {
-                        what: format!("gprellow {disp} in `{}`", m.name),
-                    })?;
-                    let off = (bases.text - layout.info.text.base + r.offset) as usize;
+                    // The LDA half under the LDAH half that `hi_addend` gave
+                    // the pair.
+                    let hi_disp = from_gp(*sym, *hi_addend)?;
+                    let (hi, _) =
+                        field::split_pair(hi_disp).ok_or_else(|| range("gprellow", hi_disp))?;
+                    let disp = from_gp(*sym, *addend)?.wrapping_sub(i64::from(hi) << 16);
+                    let d = field::mem_disp(disp).ok_or_else(|| range("gprellow", disp))?;
                     patch16(&mut text, off, d)?;
                 }
                 (SecId::Text, _) => {} // LITUSE hints need no patching
                 (sec, RelocKind::RefQuad { sym, addend }) => {
-                    let v = (addr(mi, *sym)? as i64 + addend) as u64;
+                    let v = addr(mi, *sym)?.wrapping_add_signed(*addend);
                     let base = match sec {
                         SecId::Data => bases.data,
                         SecId::Sdata => bases.sdata,
@@ -232,60 +195,6 @@ pub fn build_image<M: Borrow<Module>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gpdisp_split_reconstructs() {
-        for disp in [0i64, 1, -1, 32767, -32768, 32768, 0x1234_5678, -0x1234_5678, 0x7FFF_7FFF] {
-            let (hi, lo) = split_gpdisp(disp).unwrap();
-            assert_eq!(((hi as i64) << 16) + lo as i64, disp, "disp {disp:#x}");
-        }
-    }
-
-    #[test]
-    fn gpdisp_split_rejects_out_of_range() {
-        assert!(split_gpdisp(1 << 40).is_err());
-        assert!(split_gpdisp(-(1 << 40)).is_err());
-        // The exact boundary: hi must fit i16 after low-half compensation.
-        assert!(split_gpdisp(0x7FFF_7FFF).is_ok());
-        assert!(split_gpdisp(0x7FFF_8000).is_err());
-    }
-
-    #[test]
-    fn gpdisp_low_half_sign_compensation() {
-        // A displacement whose low 16 bits are "negative" forces hi up by 1.
-        let disp = 0x0001_8000; // lo = -32768, hi = 2
-        let (hi, lo) = split_gpdisp(disp).unwrap();
-        assert_eq!(lo, -32768);
-        assert_eq!(hi, 2);
-    }
-
-    #[test]
-    fn branch_patch_bounds() {
-        let mut buf = vec![0u8; 4];
-        assert!(patch_branch(&mut buf, 0, (1 << 20) - 1).is_ok());
-        assert!(patch_branch(&mut buf, 0, -(1 << 20)).is_ok());
-        assert!(patch_branch(&mut buf, 0, 1 << 20).is_err());
-        assert!(patch_branch(&mut buf, 0, -(1 << 20) - 1).is_err());
-    }
-
-    #[test]
-    fn branch_patch_preserves_opcode_bits() {
-        let word = om_alpha::encode(om_alpha::Inst::Br {
-            op: om_alpha::BrOp::Bsr,
-            ra: om_alpha::Reg::RA,
-            disp: 0,
-        });
-        let mut buf = word.to_le_bytes().to_vec();
-        patch_branch(&mut buf, 0, -7).unwrap();
-        let patched = u32::from_le_bytes(buf.try_into().unwrap());
-        match om_alpha::decode(patched).unwrap() {
-            om_alpha::Inst::Br { op: om_alpha::BrOp::Bsr, ra, disp } => {
-                assert_eq!(ra, om_alpha::Reg::RA);
-                assert_eq!(disp, -7);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
 
     #[test]
     fn a_gprel_pair_out_of_reach_names_its_kind_and_module() {

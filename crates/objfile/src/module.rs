@@ -181,7 +181,7 @@ impl Module {
                         return Err(err(format!("lituse points at non-literal: {r}")));
                     }
                 RelocKind::Gpdisp { pair_offset, anchor, .. } => {
-                    let lda = r.offset as i64 + pair_offset;
+                    let lda = (r.offset as i64).wrapping_add(pair_offset);
                     if r.offset % 4 != 0
                         || lda % 4 != 0
                         || lda < 0
@@ -257,6 +257,16 @@ mod tests {
     #[test]
     fn valid_module_passes() {
         tiny_module().validate().unwrap();
+    }
+
+    #[test]
+    fn a_gpdisp_pair_offset_at_the_ends_of_i64_fails() {
+        for pair_offset in [i64::MAX, i64::MIN] {
+            let mut m = tiny_module();
+            let gpdisp = RelocKind::Gpdisp { pair_offset, anchor: 0, gp_group: 0 };
+            m.relocs.insert(0, Reloc::text(4, gpdisp));
+            assert!(m.validate().is_err(), "{pair_offset}");
+        }
     }
 
     #[test]

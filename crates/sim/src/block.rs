@@ -5,7 +5,7 @@
 //! decode-dispatch, and a virtual `Observer::retire` per instruction, and
 //! the timing observer re-derives register effects and re-evaluates the
 //! pairing rule every retire. This module removes all of that from steady
-//! state: on first entry to a pc, the text is partitioned into a [`Block`]
+//! state: on first entry to a pc, the text is partitioned into a `Block`
 //! (instructions up to and including the next control transfer) carrying
 //!
 //! * a compact micro-op trace — pre-derived [`Effects`] masks, latencies,
@@ -37,7 +37,7 @@
 //!
 //! Profiling and coverage ride the same dispatch loop at block granularity:
 //! a block resolves once to per-procedure count segments
-//! ([`BlockProfiler`]) or to a block-id bitmap expanded to pcs at report
+//! (`BlockProfiler`) or to a block-id bitmap expanded to pcs at report
 //! time (coverage), so neither pays a per-instruction range lookup.
 
 use crate::exec::{ExecError, Machine, RunResult};

@@ -19,8 +19,8 @@
 //! never ran — and can number them by rank in code order, the key the
 //! profile format uses across relinks.
 //!
-//! The range map and counter store are split out ([`ProcMap`],
-//! [`ProfCounts`]) so the block engine's block-granularity profiler
+//! The range map and counter store are split out (`ProcMap`,
+//! `ProfCounts`) so the block engine's block-granularity profiler
 //! (`om_sim::block`) shares the exact attribution rules and produces
 //! byte-identical profiles.
 

@@ -21,6 +21,10 @@ scripts/loc.sh
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== rustdoc (warnings are errors) =="
+# A moved or deleted item must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== golden disassembly snapshots =="
 cargo test -q -p om-core --test snapshot
 
