@@ -105,7 +105,7 @@ impl Image {
         struct R<'a>(&'a [u8], usize);
         impl<'a> R<'a> {
             fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-                if self.1 + n > self.0.len() {
+                if n > self.left() {
                     return Err("truncated image".to_string());
                 }
                 let s = &self.0[self.1..self.1 + n];
@@ -113,7 +113,20 @@ impl Image {
                 Ok(s)
             }
             fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+                Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+            }
+            fn left(&self) -> usize {
+                self.0.len() - self.1
+            }
+            /// Reads a count of records of at least `min` bytes each,
+            /// rejecting one the remaining bytes cannot hold before anything
+            /// is reserved for it.
+            fn count(&mut self, min: usize, what: &str) -> Result<usize, String> {
+                let n = self.u64()?;
+                match usize::try_from(n) {
+                    Ok(n) if n <= self.left() / min => Ok(n),
+                    _ => Err(format!("implausible {what} count {n}")),
+                }
             }
         }
         let mut r = R(bytes, 0);
@@ -131,7 +144,8 @@ impl Image {
             let len = r.u64()? as usize;
             segments.push(Segment { base, bytes: r.take(len)?.to_vec() });
         }
-        let nsym = r.u64()? as usize;
+        // A symbol is a name length, the name and an address.
+        let nsym = r.count(16, "symbol")?;
         let mut symbols = HashMap::with_capacity(nsym);
         for _ in 0..nsym {
             let len = r.u64()? as usize;
@@ -144,7 +158,7 @@ impl Image {
             e.base = r.u64()?;
             e.size = r.u64()?;
         }
-        let ngp = r.u64()? as usize;
+        let ngp = r.count(8, "GP value")?;
         let mut gp_values = Vec::with_capacity(ngp);
         for _ in 0..ngp {
             gp_values.push(r.u64()?);
@@ -211,5 +225,39 @@ mod tests {
         }
         .to_bytes();
         assert!(Image::from_bytes(&good[..good.len() - 1]).is_err());
+    }
+
+    /// The bytes of an image with no segments whose symbol count is `nsym`
+    /// and GP-value count `ngp`, followed by no records.
+    fn counts_only(nsym: u64, ngp: u64) -> Vec<u8> {
+        let mut w = b"OMEXE01\0".to_vec();
+        for v in [0, 0, nsym].into_iter().chain([0; 12]).chain([ngp]) {
+            w.extend_from_slice(&v.to_le_bytes());
+        }
+        w
+    }
+
+    #[test]
+    fn counts_the_bytes_cannot_hold_are_rejected_before_reserving() {
+        assert!(Image::from_bytes(&counts_only(0, 0)).is_ok());
+        // Each of these reserved its count up front: 2^61 symbols panicked
+        // in `HashMap::with_capacity`, 2^40 GP values aborted the process.
+        let e = Image::from_bytes(&counts_only(1 << 61, 0)).unwrap_err();
+        assert_eq!(e, format!("implausible symbol count {}", 1u64 << 61));
+        let e = Image::from_bytes(&counts_only(0, 1 << 40)).unwrap_err();
+        assert_eq!(e, format!("implausible GP value count {}", 1u64 << 40));
+        // One GP value more than the bytes hold.
+        let mut w = counts_only(0, 2);
+        w.extend_from_slice(&7u64.to_le_bytes());
+        assert!(Image::from_bytes(&w).unwrap_err().contains("GP value count 2"));
+    }
+
+    #[test]
+    fn a_segment_longer_than_the_image_is_truncation() {
+        let mut w = b"OMEXE01\0".to_vec();
+        for v in [0, 1, 0x1000, u64::MAX] {
+            w.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(Image::from_bytes(&w).unwrap_err(), "truncated image");
     }
 }

@@ -26,8 +26,8 @@
 
 use om_linker::Image;
 use om_sim::{
-    run_fast, run_profiled_fast, run_timed_fast, run_timed_profiled_fast, Machine, NoTiming,
-    Pipeline, ProfileObserver, RunResult, Tee, TimingStats,
+    run_fast, run_profiled_fast, run_timed_fast, run_timed_profiled_fast, text_segment, Machine,
+    NoTiming, Pipeline, ProfileObserver, RunResult, Tee, TimingStats,
 };
 use om_core::profile::Profile;
 use std::process::exit;
@@ -135,7 +135,10 @@ fn main() {
     });
 
     if let Some(which) = disasm {
-        let text = &image.segments[0];
+        let text = text_segment(&image).unwrap_or_else(|e| {
+            eprintln!("asim: {path}: {e}");
+            exit(1);
+        });
         match which {
             None => print!("{}", om_alpha::disasm::section(text.base, &text.bytes)),
             Some(sym) => {

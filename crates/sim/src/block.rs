@@ -2,17 +2,19 @@
 //! fast path.
 //!
 //! The reference interpreter ([`crate::Machine::run`]) pays a fetch, a
-//! decode-dispatch, and a virtual `Observer::retire` per instruction, and
-//! the timing observer re-derives register effects and re-evaluates the
+//! lowering, and a virtual `Observer::retire` per instruction, and the
+//! timing observer re-derives register effects and re-evaluates the
 //! pairing rule every retire. This module removes all of that from steady
 //! state: on first entry to a pc, the text is partitioned into a `Block`
 //! (instructions up to and including the next control transfer) carrying
 //!
-//! * a compact micro-op trace — pre-derived [`Effects`] masks, latencies,
-//!   D-cache access kinds, nop/load flags — for architectural execution, and
+//! * its instructions lowered once into records — pre-resolved operations
+//!   for the executor the reference shares (`Machine::exec`) plus ready-file
+//!   slots, latencies, issue classes and D-cache, nop and load flags for
+//!   timing — and
 //! * a precomputed *static schedule* — dual-issue pairing, quadword
-//!   alignment, latencies by static dependence distance, I-cache line runs —
-//!   fused into a handful of offsets.
+//!   alignment, latencies by static dependence distance — fused into a
+//!   handful of offsets and one ready offset per record.
 //!
 //! Per dispatch the engine executes the whole block architecturally
 //! (recording effective addresses), then settles timing in one of two ways:
@@ -24,9 +26,9 @@
 //!   schedule shifted by the entry cycle, so the block commits with a few
 //!   counter additions;
 //! * **per-uop slow path**: otherwise the exact issue recurrence of
-//!   [`crate::Pipeline`] runs over the precomputed micro-ops (still several
-//!   times cheaper than the observer: no effect derivation, no 32-register
-//!   scans, no virtual dispatch).
+//!   [`crate::Pipeline`] runs over the records (still several times cheaper
+//!   than the observer: no effect derivation, no 32-register scans, no
+//!   virtual dispatch).
 //!
 //! Only the dynamic residue — taken-branch bubbles, I-cache line
 //! transitions, cross-block load-use stalls — is ever computed at run time,
@@ -40,11 +42,12 @@
 //! (`BlockProfiler`) or to a block-id bitmap expanded to pcs at report
 //! time (coverage), so neither pays a per-instruction range lookup.
 
-use crate::exec::{ExecError, Machine, RunResult};
-use crate::profile::{ProcMap, ProfCounts};
+use crate::exec::{End, ExecError, Machine, RunResult};
+use crate::profile::{ProcMap, ProfCounts, Transfer};
 use crate::timing::{Cache, TimingStats};
-use om_alpha::timing::{can_dual_issue, latency};
-use om_alpha::{Effects, Inst, MemOp, PalOp, Reg};
+use crate::uop::{lower, Uop, LINE_FIRST, NO_USE, PAIR, READY_SLOTS, SINK};
+use om_alpha::timing::{can_dual_issue, issue_class};
+use om_alpha::{Inst, PalOp};
 use om_core::profile::Profile;
 use om_linker::Image;
 use std::collections::HashSet;
@@ -55,51 +58,25 @@ use std::collections::HashSet;
 /// decode cost flat.
 const MAX_BLOCK: usize = 256;
 
-/// One predecoded instruction: everything the timing recurrence needs,
-/// derived once at block-build time.
-#[derive(Clone, Copy)]
-struct Uop {
-    inst: Inst,
-    eff: Effects,
-    /// Base result latency in cycles.
-    lat: u64,
-    /// `Some(is_store)` when the instruction performs a D-cache access
-    /// (matches exactly when the interpreter reports an effective address).
-    mem: Option<bool>,
-    is_nop: bool,
-    /// Counts toward [`TimingStats::loads`] (load opcodes except LDA/LDAH).
-    is_load: bool,
-    /// Opens a new I-cache line within the block (always true for uop 0).
-    line_first: bool,
-    /// Static dual-issue legality with the in-block predecessor: contiguous
-    /// pcs, predecessor on a quadword boundary, compatible pipes.
-    pair_static: bool,
-}
-
 /// The fused static schedule of a block: the timing recurrence evaluated
 /// once at entry cycle 0 with quiescent registers, no stalls, and no entry
 /// pairing. Under the fast-path preconditions the real schedule is exactly
-/// this one shifted by the entry cycle.
+/// this one shifted by the entry cycle. Each record's `avail` holds its
+/// def's ready offset in this schedule.
 struct Sched {
-    /// Registers read before written in the block.
-    live_int: u32,
-    live_fp: u32,
-    /// Distinct I-cache lines fetched, in order, with access counts.
-    lines: Vec<(u64, u32)>,
-    dual: u64,
-    nops: u64,
-    loads: u64,
+    /// Ready-file slots read before written in the block (bit = slot).
+    live: u64,
+    dual: u16,
+    nops: u16,
+    loads: u16,
     /// Issue-cycle offset of the final instruction.
-    term_issue: u64,
+    term_issue: u32,
     /// Cycle offset after the block falls through.
-    exit_ft: u64,
-    /// Cycle offset after a taken terminator (`term_issue` + bubble).
-    exit_taken: u64,
-    /// Final result-availability offsets: `(is_fp, reg, offset)`.
-    defs: Vec<(bool, u8, u64)>,
+    exit_ft: u32,
 }
 
-/// A decoded basic block: micro-op trace plus fused static timing.
+/// A basic block: its lowered records (the block's one allocation) plus
+/// the fused static timing.
 struct Block {
     start: u64,
     uops: Vec<Uop>,
@@ -117,101 +94,52 @@ impl Block {
 }
 
 /// Evaluates the issue recurrence statically (entry cycle 0, all registers
-/// ready, perfect caches, `last = None`).
-fn schedule(start: u64, uops: &[Uop], line_shift: u32, bubble: u64) -> Sched {
-    let mut int_ready = [0u64; 32];
-    let mut fp_ready = [0u64; 32];
-    let mut written_int: u32 = 0;
-    let mut written_fp: u32 = 0;
-    let mut live_int: u32 = 0;
-    let mut live_fp: u32 = 0;
-    let mut lines: Vec<(u64, u32)> = Vec::new();
+/// ready, perfect caches, no predecessor), writing each record's `avail`.
+fn schedule(uops: &mut [Uop]) -> Sched {
+    let mut ready = [0u64; READY_SLOTS];
+    let mut written: u64 = 0;
+    let mut live: u64 = 0;
     let mut cycle = 0u64;
     let mut last_issue: Option<u64> = None;
-    let mut dual = 0u64;
-    let mut nops = 0u64;
-    let mut loads = 0u64;
-    let mut term_issue = 0u64;
+    let (mut dual, mut nops, mut loads) = (0u16, 0u16, 0u16);
 
-    for (i, u) in uops.iter().enumerate() {
-        let pc = start + 4 * i as u64;
-        let line = pc >> line_shift;
-        match lines.last_mut() {
-            Some(l) if l.0 == line => l.1 += 1,
-            _ => lines.push((line, 1)),
+    for u in uops.iter_mut() {
+        nops += u16::from(u.is_nop());
+        loads += u16::from(u.is_load());
+        let mut operands = 0u64;
+        for &slot in &u.uses {
+            if slot != NO_USE {
+                live |= (1u64 << slot) & !written;
+            }
+            operands = operands.max(ready[slot as usize]);
         }
-        if u.is_nop {
-            nops += 1;
-        }
-        if u.is_load {
-            loads += 1;
-        }
-        live_int |= u.eff.int_uses & !written_int;
-        live_fp |= u.eff.fp_uses & !written_fp;
-
-        let mut ready = 0u64;
-        let mut m = u.eff.int_uses;
-        while m != 0 {
-            ready = ready.max(int_ready[m.trailing_zeros() as usize]);
-            m &= m - 1;
-        }
-        let mut m = u.eff.fp_uses;
-        while m != 0 {
-            ready = ready.max(fp_ready[m.trailing_zeros() as usize]);
-            m &= m - 1;
-        }
-        let mut issue = cycle.max(ready);
+        let mut issue = cycle.max(operands);
         if let Some(lc) = last_issue {
-            if u.pair_static && issue <= lc {
+            if u.flags & PAIR != 0 && issue <= lc {
                 issue = lc;
                 dual += 1;
             } else if issue == cycle {
                 issue = cycle + 1;
             }
         }
-        let avail = issue + u.lat;
-        let mut m = u.eff.int_defs;
-        while m != 0 {
-            int_ready[m.trailing_zeros() as usize] = avail;
-            m &= m - 1;
+        let avail = issue + u64::from(u.lat);
+        ready[u.def as usize] = avail;
+        if u.def != SINK {
+            written |= 1u64 << u.def;
         }
-        written_int |= u.eff.int_defs;
-        let mut m = u.eff.fp_defs;
-        while m != 0 {
-            fp_ready[m.trailing_zeros() as usize] = avail;
-            m &= m - 1;
-        }
-        written_fp |= u.eff.fp_defs;
+        u.avail = u16::try_from(avail).expect("a 256-record schedule fits 16 bits");
         cycle = issue.max(cycle);
         last_issue = Some(issue);
-        term_issue = issue;
     }
 
-    let mut defs = Vec::new();
-    let mut m = written_int;
-    while m != 0 {
-        let r = m.trailing_zeros();
-        defs.push((false, r as u8, int_ready[r as usize]));
-        m &= m - 1;
-    }
-    let mut m = written_fp;
-    while m != 0 {
-        let r = m.trailing_zeros();
-        defs.push((true, r as u8, fp_ready[r as usize]));
-        m &= m - 1;
-    }
-
+    let offset = |c: u64| u32::try_from(c).expect("a 256-record schedule fits 32 bits");
     Sched {
-        live_int,
-        live_fp,
-        lines,
+        live,
         dual,
         nops,
         loads,
-        term_issue,
-        exit_ft: cycle,
-        exit_taken: term_issue + bubble,
-        defs,
+        term_issue: offset(last_issue.unwrap_or(0)),
+        exit_ft: offset(cycle),
     }
 }
 
@@ -221,7 +149,6 @@ struct BlockCache {
     map: Vec<u32>,
     blocks: Vec<Block>,
     line_shift: u32,
-    bubble: u64,
     /// Total micro-ops across all resident blocks (occupancy reporting).
     uops_total: u64,
     /// Wall time spent decoding blocks, accumulated only while a trace is
@@ -230,12 +157,11 @@ struct BlockCache {
 }
 
 impl BlockCache {
-    fn new(m: &Machine, line_shift: u32, bubble: u64) -> BlockCache {
+    fn new(m: &Machine, line_shift: u32) -> BlockCache {
         BlockCache {
             map: vec![u32::MAX; m.text.len()],
             blocks: Vec::new(),
             line_shift,
-            bubble,
             uops_total: 0,
             decode_ns: 0,
         }
@@ -264,60 +190,53 @@ impl BlockCache {
         r
     }
 
+    /// Builds the block at `pc`: the instructions up to and including the
+    /// first control transfer (every branch, jump or HALT), ending before
+    /// an undecodable word or at [`MAX_BLOCK`], lowered into one exactly
+    /// sized allocation.
     fn build_inner(&mut self, m: &Machine, pc: u64, idx: usize) -> Result<u32, ExecError> {
-        let mut uops: Vec<Uop> = Vec::new();
-        for k in idx..m.text.len() {
-            if uops.len() == MAX_BLOCK {
-                break;
-            }
-            let inst = match &m.text[k] {
-                Ok(inst) => *inst,
+        let text = &m.text[idx..];
+        let mut n = 0;
+        for word in text.iter().take(MAX_BLOCK) {
+            match word {
+                Ok(inst) => {
+                    n += 1;
+                    if inst.is_control() {
+                        break;
+                    }
+                }
                 // Undecodable padding: end the block before it, so the next
                 // dispatch faults exactly like the reference fetch.
                 Err(_) => break,
-            };
-            let upc = pc + 4 * uops.len() as u64;
-            let mem = match inst {
-                Inst::Mem { op, ra, .. } => match op {
-                    MemOp::Ldl | MemOp::Ldq | MemOp::Ldt => Some(false),
-                    MemOp::LdqU => (!ra.is_zero()).then_some(false),
-                    MemOp::Stl | MemOp::Stq | MemOp::Stt => Some(true),
-                    MemOp::Lda | MemOp::Ldah => None,
-                },
-                _ => None,
-            };
-            let is_load = matches!(inst, Inst::Mem { op, .. }
-                if op.is_load() && !matches!(op, MemOp::Lda | MemOp::Ldah));
-            let pair_static = match uops.last() {
-                Some(prev) => (upc - 4) % 8 == 0 && can_dual_issue(&prev.inst, &inst),
-                None => false,
-            };
-            let line_first =
-                uops.is_empty() || (upc >> self.line_shift) != ((upc - 4) >> self.line_shift);
-            uops.push(Uop {
-                inst,
-                eff: Effects::of(&inst),
-                lat: latency(&inst) as u64,
-                mem,
-                is_nop: inst.is_nop(),
-                is_load,
-                line_first,
-                pair_static,
-            });
-            if matches!(inst, Inst::Br { .. } | Inst::Jmp { .. } | Inst::Pal { op: PalOp::Halt })
-            {
-                break;
             }
         }
-        if uops.is_empty() {
-            return match &m.text[idx] {
-                Err(word) => Err(ExecError::BadInstruction { pc, word: *word }),
+        if n == 0 {
+            return match text[0] {
+                Err(word) => Err(ExecError::BadInstruction { pc, word }),
                 Ok(_) => unreachable!("non-empty block for a decodable word"),
             };
         }
-        let sched = schedule(pc, &uops, self.line_shift, self.bubble);
+        let mut uops: Vec<Uop> = Vec::with_capacity(n);
+        let mut prev: Option<&Inst> = None;
+        for (k, word) in text[..n].iter().enumerate() {
+            let inst = word.as_ref().expect("decodable: counted above");
+            let upc = pc + 4 * k as u64;
+            let mut u = lower(upc, inst);
+            if k == 0 || (upc >> self.line_shift) != ((upc - 4) >> self.line_shift) {
+                u.flags |= LINE_FIRST;
+            }
+            // Static dual-issue legality with the in-block predecessor:
+            // contiguous pcs, predecessor on a quadword boundary, compatible
+            // pipes.
+            if prev.is_some_and(|p| (upc - 4).is_multiple_of(8) && can_dual_issue(p, inst)) {
+                u.flags |= PAIR;
+            }
+            uops.push(u);
+            prev = Some(inst);
+        }
+        let sched = schedule(&mut uops);
         let id = u32::try_from(self.blocks.len()).expect("block count fits u32");
-        self.uops_total += uops.len() as u64;
+        self.uops_total += n as u64;
         self.blocks.push(Block { start: pc, uops, sched });
         self.map[idx] = id;
         Ok(id)
@@ -329,9 +248,25 @@ impl BlockCache {
 trait BlockHook {
     /// `done` instructions of `b` retired (a prefix unless the block
     /// completed); `taken` reports whether a completed terminator
-    /// transferred control. `eas` holds the recorded effective addresses of
-    /// the executed prefix, in order.
+    /// transferred control. `eas[i]` is record `i`'s effective address when
+    /// it accessed memory.
     fn block(&mut self, b: &Block, id: u32, done: usize, eas: &[u64], taken: bool);
+}
+
+/// `can_dual_issue` tabulated by issue class, bit `4 * first + second`:
+/// the rule reads only the two classes, so one instruction of each class
+/// stands for all.
+fn pair_table() -> u16 {
+    let reps = [Inst::nop(), Inst::unop(), Inst::fnop(), Inst::Pal { op: PalOp::Halt }];
+    let mut table = 0;
+    for first in &reps {
+        for second in &reps {
+            if can_dual_issue(first, second) {
+                table |= 1 << (4 * issue_class(first) as u16 + issue_class(second) as u16);
+            }
+        }
+    }
+    table
 }
 
 /// The block-granularity twin of [`crate::Pipeline`]: same caches, same
@@ -339,11 +274,14 @@ trait BlockHook {
 struct BlockTiming {
     icache: Cache,
     dcache: Cache,
-    int_ready: [u64; 32],
-    fp_ready: [u64; 32],
+    /// Cycle at which each ready-file slot's value is available.
+    ready: [u64; READY_SLOTS],
     cycle: u64,
-    /// Last issued instruction (for cross-block pairing), with its pc.
-    last: Option<(u64, Inst, u64)>,
+    /// Last issued instruction (for cross-block pairing): its pc, issue
+    /// class and issue cycle.
+    last: Option<(u64, u8, u64)>,
+    /// [`pair_table`].
+    pairs: u16,
     insts: u64,
     dual: u64,
     nops: u64,
@@ -357,10 +295,10 @@ impl Default for BlockTiming {
         BlockTiming {
             icache: Cache::new(8 << 10, 32, 8),
             dcache: Cache::new(8 << 10, 32, 8),
-            int_ready: [0; 32],
-            fp_ready: [0; 32],
+            ready: [0; READY_SLOTS],
             cycle: 0,
             last: None,
+            pairs: pair_table(),
             insts: 0,
             dual: 0,
             nops: 0,
@@ -383,6 +321,12 @@ impl BlockTiming {
         }
     }
 
+    /// Whether an instruction of class `second` right after one of class
+    /// `first` on a quadword boundary may dual-issue.
+    fn pairs(&self, first: u8, second: u8) -> bool {
+        self.pairs >> (4 * first + second) & 1 != 0
+    }
+
     /// Commits a whole block from its static schedule if the dynamic state
     /// provably cannot perturb it. Mutates nothing on failure.
     fn try_fused(&mut self, b: &Block, eas: &[u64], taken: bool) -> bool {
@@ -390,10 +334,10 @@ impl BlockTiming {
         // Entry pairing: a cross-boundary dual issue needs the per-uop path.
         let base = match self.last {
             None => self.cycle,
-            Some((lpc, linst, _)) => {
+            Some((lpc, lclass, _)) => {
                 if b.start == lpc.wrapping_add(4)
                     && lpc % 8 == 0
-                    && can_dual_issue(&linst, &b.uops[0].inst)
+                    && self.pairs(lclass, b.uops[0].class())
                 {
                     return false;
                 }
@@ -404,22 +348,17 @@ impl BlockTiming {
             }
         };
         // Every live-in register must be ready at or before entry.
-        let mut m = s.live_int;
+        let mut m = s.live;
         while m != 0 {
-            if self.int_ready[m.trailing_zeros() as usize] > self.cycle {
-                return false;
-            }
-            m &= m - 1;
-        }
-        let mut m = s.live_fp;
-        while m != 0 {
-            if self.fp_ready[m.trailing_zeros() as usize] > self.cycle {
+            if self.ready[m.trailing_zeros() as usize] > self.cycle {
                 return false;
             }
             m &= m - 1;
         }
         // Every fetched line must hit (a miss both stalls and allocates).
-        for &(line, _) in &s.lines {
+        // The block's lines are consecutive.
+        let shift = self.icache.line_shift();
+        for line in b.start >> shift..=b.pc_of(b.len() - 1) >> shift {
             if !self.icache.peek_line(line) {
                 return false;
             }
@@ -428,17 +367,17 @@ impl BlockTiming {
         // so the probe sequence over frozen tags equals the real sequence.
         let mut d_hits = 0u64;
         let mut d_misses = 0u64;
-        let mut ea_i = 0;
-        for u in &b.uops {
-            let Some(is_store) = u.mem else { continue };
-            if self.dcache.peek(eas[ea_i]) {
+        for (u, &ea) in b.uops.iter().zip(eas) {
+            if !u.is_mem() {
+                continue;
+            }
+            if self.dcache.peek(ea) {
                 d_hits += 1;
-            } else if is_store {
+            } else if u.is_store() {
                 d_misses += 1;
             } else {
                 return false;
             }
-            ea_i += 1;
         }
 
         // All preconditions hold: commit the fused schedule.
@@ -446,42 +385,34 @@ impl BlockTiming {
         self.dcache.hits += d_hits;
         self.dcache.misses += d_misses;
         self.insts += b.len() as u64;
-        self.dual += s.dual;
-        self.nops += s.nops;
-        self.loads += s.loads;
-        for &(fp, r, off) in &s.defs {
-            if fp {
-                self.fp_ready[r as usize] = base + off;
-            } else {
-                self.int_ready[r as usize] = base + off;
-            }
+        self.dual += u64::from(s.dual);
+        self.nops += u64::from(s.nops);
+        self.loads += u64::from(s.loads);
+        // In program order, so each slot ends at its last writer's offset.
+        for u in &b.uops {
+            self.ready[u.def as usize] = base + u64::from(u.avail);
         }
+        let term_issue = base + u64::from(s.term_issue);
         if taken {
-            self.cycle = base + s.exit_taken;
+            self.cycle = term_issue + self.bubble;
             self.last = None;
         } else {
-            self.cycle = base + s.exit_ft;
+            self.cycle = base + u64::from(s.exit_ft);
             let t = b.len() - 1;
-            self.last = Some((b.pc_of(t), b.uops[t].inst, base + s.term_issue));
+            self.last = Some((b.pc_of(t), b.uops[t].class(), term_issue));
         }
         true
     }
 
     /// The exact per-instruction recurrence of [`crate::Pipeline::retire`]
-    /// over the precomputed micro-ops.
+    /// over the lowered records.
     fn slow(&mut self, b: &Block, done: usize, eas: &[u64], taken: bool) {
-        let mut ea_i = 0;
-        for i in 0..done {
-            let u = &b.uops[i];
+        for (i, u) in b.uops[..done].iter().enumerate() {
             let pc = b.pc_of(i);
             self.insts += 1;
-            if u.is_nop {
-                self.nops += 1;
-            }
-            if u.is_load {
-                self.loads += 1;
-            }
-            let ifetch_stall = if u.line_first {
+            self.nops += u64::from(u.is_nop());
+            self.loads += u64::from(u.is_load());
+            let ifetch_stall = if u.flags & LINE_FIRST != 0 {
                 self.icache.access(pc, true)
             } else {
                 // Same line as the previous uop, which just allocated it.
@@ -489,25 +420,14 @@ impl BlockTiming {
                 0
             };
 
-            let mut ready = 0u64;
-            let mut m = u.eff.int_uses;
-            while m != 0 {
-                ready = ready.max(self.int_ready[m.trailing_zeros() as usize]);
-                m &= m - 1;
-            }
-            let mut m = u.eff.fp_uses;
-            while m != 0 {
-                ready = ready.max(self.fp_ready[m.trailing_zeros() as usize]);
-                m &= m - 1;
-            }
-
+            let ready = u.uses.iter().fold(0, |r, &slot| r.max(self.ready[slot as usize]));
             let mut issue = self.cycle.max(ready) + ifetch_stall;
             let mut paired = false;
-            if let Some((lpc, linst, lcycle)) = self.last {
+            if let Some((lpc, lclass, lcycle)) = self.last {
                 let statically = if i == 0 {
-                    pc == lpc.wrapping_add(4) && lpc % 8 == 0 && can_dual_issue(&linst, &u.inst)
+                    pc == lpc.wrapping_add(4) && lpc % 8 == 0 && self.pairs(lclass, u.class())
                 } else {
-                    u.pair_static
+                    u.flags & PAIR != 0
                 };
                 if statically && issue <= lcycle && ifetch_stall == 0 {
                     issue = lcycle;
@@ -519,33 +439,21 @@ impl BlockTiming {
                 issue = self.cycle + 1;
             }
 
-            let mut lat = u.lat;
-            if let Some(is_store) = u.mem {
-                let stall = self.dcache.access(eas[ea_i], !is_store);
-                ea_i += 1;
-                if !is_store {
+            let mut lat = u64::from(u.lat);
+            if u.is_mem() {
+                let stall = self.dcache.access(eas[i], !u.is_store());
+                if !u.is_store() {
                     lat += stall;
                 }
             }
-
-            let avail = issue + lat;
-            let mut m = u.eff.int_defs;
-            while m != 0 {
-                self.int_ready[m.trailing_zeros() as usize] = avail;
-                m &= m - 1;
-            }
-            let mut m = u.eff.fp_defs;
-            while m != 0 {
-                self.fp_ready[m.trailing_zeros() as usize] = avail;
-                m &= m - 1;
-            }
+            self.ready[u.def as usize] = issue + lat;
 
             self.cycle = issue.max(self.cycle);
-            if taken && i + 1 == done && done == b.len() {
+            if taken && i + 1 == b.len() {
                 self.cycle = issue + self.bubble;
                 self.last = None;
             } else {
-                self.last = Some((pc, u.inst, issue));
+                self.last = Some((pc, u.class(), issue));
             }
         }
     }
@@ -589,8 +497,8 @@ struct BlockProfiler {
     counts: ProfCounts,
     meta: Vec<Option<BlockMeta>>,
     /// The terminator of the last dispatched block when it was a taken
-    /// transfer: `(pc, inst, range index)`.
-    prev_taken: Option<(u64, Inst, usize)>,
+    /// transfer: `(pc, kind, range index)`.
+    prev_taken: Option<(u64, Transfer, usize)>,
 }
 
 impl BlockProfiler {
@@ -641,7 +549,7 @@ impl BlockHook for BlockProfiler {
         if taken {
             let t = done - 1;
             let term_idx = meta.segs.last().expect("non-empty segs").0 as usize;
-            self.prev_taken = Some((b.pc_of(t), b.uops[t].inst, term_idx));
+            self.prev_taken = Some((b.pc_of(t), b.uops[t].transfer(), term_idx));
         }
     }
 }
@@ -734,66 +642,41 @@ fn run_block_loop(
     tally: &mut RunTally,
 ) -> Result<RunResult, ExecError> {
     let mut insts: u64 = 0;
-    let mut eas: Vec<u64> = Vec::with_capacity(MAX_BLOCK);
+    let mut eas = [0u64; MAX_BLOCK];
     loop {
         if insts >= limit {
             return Err(ExecError::StepLimit { limit });
         }
-        let pc = m.pc;
-        let id = cache.lookup(m, pc)?;
+        let id = cache.lookup(m, m.pc)?;
         let b = &cache.blocks[id as usize];
         let want = (b.len() as u64).min(limit - insts) as usize;
-
-        eas.clear();
-        let mut done = 0usize;
-        let mut taken = false;
-        let mut halted = false;
-        let mut fault: Option<ExecError> = None;
-        for i in 0..want {
-            match m.exec_one(b.pc_of(i), b.uops[i].inst) {
-                Ok(s) => {
-                    done = i + 1;
-                    if let Some(ea) = s.ea {
-                        eas.push(ea);
-                    }
-                    if s.halted {
-                        halted = true;
-                        break;
-                    }
-                    taken = s.taken;
-                    m.pc = s.next;
-                }
-                Err(e) => {
-                    fault = Some(e);
-                    break;
-                }
-            }
-        }
-        insts += done as u64;
+        let ran = m.exec(&b.uops[..want], &mut eas);
+        insts += ran.done as u64;
         tally.dispatches += 1;
-        tally.insts += done as u64;
-        let term_taken = taken && done == b.len();
+        tally.insts += ran.done as u64;
+        let term_taken = ran.taken && ran.done == b.len();
 
         for h in hooks.iter_mut() {
-            h.block(b, id, done, &eas, term_taken);
+            h.block(b, id, ran.done, &eas[..ran.done], term_taken);
         }
 
-        if halted {
-            return Ok(RunResult {
-                result: m.geti(Reg::V0) as i64,
-                insts,
-                output: std::mem::take(&mut m.output),
-            });
-        }
-        if let Some(e) = fault {
-            return Err(e);
+        match ran.end {
+            End::Next => {}
+            End::Halt => {
+                return Ok(RunResult {
+                    result: m.result(),
+                    insts,
+                    output: std::mem::take(&mut m.output),
+                })
+            }
+            End::Fault(e) => return Err(e),
         }
     }
 }
 
 fn engine(m: &Machine) -> (BlockCache, BlockTiming) {
     let t = BlockTiming::default();
-    let cache = BlockCache::new(m, t.icache.line_shift(), t.bubble);
+    let cache = BlockCache::new(m, t.icache.line_shift());
     (cache, t)
 }
 

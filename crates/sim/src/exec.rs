@@ -6,8 +6,9 @@
 //! producing a wrong number.
 
 use crate::mem::{Fault, Mem, STACK_TOP};
-use om_alpha::{decode, BrOp, FOprOp, Inst, MemOp, Operand, OprOp, PalOp, Reg};
-use om_linker::Image;
+use crate::uop::{lower, Op, Uop, REG_SLOTS};
+use om_alpha::{decode, Inst, Reg};
+use om_linker::{Image, Segment};
 use std::fmt;
 
 /// Execution errors.
@@ -17,6 +18,7 @@ pub enum ExecError {
     BadInstruction { pc: u64, word: u32 },
     BadPc { pc: u64 },
     StepLimit { limit: u64 },
+    NoText,
 }
 
 impl fmt::Display for ExecError {
@@ -28,6 +30,7 @@ impl fmt::Display for ExecError {
             }
             ExecError::BadPc { pc } => write!(f, "jump outside text: {pc:#x}"),
             ExecError::StepLimit { limit } => write!(f, "exceeded {limit} instructions"),
+            ExecError::NoText => write!(f, "image has no text segment"),
         }
     }
 }
@@ -66,10 +69,11 @@ impl Observer for NoTiming {
 /// Machine state.
 pub struct Machine {
     pub mem: Mem,
-    /// Integer registers; index 31 is forced to zero on read.
-    pub ir: [u64; 32],
-    /// FP registers (bit patterns of f64).
-    pub fr: [u64; 32],
+    /// Integer registers by executor slot: slot 31 is r31 and stays zero,
+    /// slot 32 takes writes to r31 (see [`crate::uop`]).
+    pub(crate) ir: [u64; REG_SLOTS],
+    /// FP registers (bit patterns of f64), slotted like `ir`.
+    pub(crate) fr: [u64; REG_SLOTS],
     pub pc: u64,
     pub(crate) text_base: u64,
     /// Pre-decoded text; `Err` holds undecodable words (inter-module
@@ -79,17 +83,23 @@ pub struct Machine {
     pub output: Vec<i64>,
 }
 
-/// Architectural outcome of one executed instruction (shared between the
-/// reference interpreter loop and the block engine).
-pub(crate) struct Step {
-    /// Effective address for loads/stores.
-    pub(crate) ea: Option<u64>,
-    /// True when a branch/jump actually transferred control.
+/// How a call of [`Machine::exec`] ended.
+pub(crate) struct Ran {
+    /// Records retired; a faulting record is not one.
+    pub(crate) done: usize,
+    /// The last retired record transferred control.
     pub(crate) taken: bool,
-    /// Next pc (unused when `halted`).
-    pub(crate) next: u64,
-    /// True when the instruction was HALT.
-    pub(crate) halted: bool,
+    pub(crate) end: End,
+}
+
+/// Why [`Machine::exec`] returned.
+pub(crate) enum End {
+    /// Control left the records (a transfer, or past the last one);
+    /// `Machine::pc` holds the next pc.
+    Next,
+    /// The last retired record was HALT.
+    Halt,
+    Fault(ExecError),
 }
 
 /// Result of a completed run.
@@ -146,6 +156,15 @@ impl fmt::Display for Divergence {
     }
 }
 
+/// The image's text segment (its first), which holds the entry point.
+///
+/// # Errors
+///
+/// [`ExecError::NoText`] for an image without segments.
+pub fn text_segment(image: &Image) -> Result<&Segment, ExecError> {
+    image.segments.first().ok_or(ExecError::NoText)
+}
+
 impl Machine {
     /// Loads an image, pre-decoding its text segment. Undecodable words
     /// (inter-module alignment padding) become lazy faults that trigger only
@@ -153,18 +172,18 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Infallible today; the `Result` reserves load-time validation.
+    /// [`ExecError::NoText`] for an image without a text segment.
     pub fn load(image: &Image) -> Result<Machine, ExecError> {
-        let text_seg = &image.segments[0];
+        let text_seg = text_segment(image)?;
         let mut text = Vec::with_capacity(text_seg.bytes.len() / 4);
         for w in text_seg.bytes.chunks_exact(4) {
-            let word = u32::from_le_bytes(w.try_into().unwrap());
+            let word = u32::from_le_bytes(w.try_into().expect("4-byte chunk"));
             text.push(decode(word).map_err(|_| word));
         }
         let mut m = Machine {
             mem: Mem::from_image(image),
-            ir: [0; 32],
-            fr: [0; 32],
+            ir: [0; REG_SLOTS],
+            fr: [0; REG_SLOTS],
             pc: image.entry,
             text_base: text_seg.base,
             text,
@@ -177,32 +196,9 @@ impl Machine {
         Ok(m)
     }
 
-    pub(crate) fn geti(&self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.ir[r.number() as usize]
-        }
-    }
-
-    fn seti(&mut self, r: Reg, v: u64) {
-        if !r.is_zero() {
-            self.ir[r.number() as usize] = v;
-        }
-    }
-
-    fn getf(&self, r: Reg) -> f64 {
-        if r.is_zero() {
-            0.0
-        } else {
-            f64::from_bits(self.fr[r.number() as usize])
-        }
-    }
-
-    fn setf(&mut self, r: Reg, v: f64) {
-        if !r.is_zero() {
-            self.fr[r.number() as usize] = v.to_bits();
-        }
+    /// `v0`: the program's result at HALT.
+    pub(crate) fn result(&self) -> i64 {
+        self.ir[Reg::V0.number() as usize] as i64
     }
 
     fn fetch(&self, pc: u64) -> Result<Inst, ExecError> {
@@ -218,225 +214,197 @@ impl Machine {
     }
 
     /// Runs until HALT or `limit` instructions, reporting each retired
-    /// instruction to `obs`.
+    /// instruction to `obs`. The reference interpreter: it lowers each
+    /// instruction it fetches and executes it alone.
     ///
     /// # Errors
     ///
     /// Any [`ExecError`]; well-linked programs only ever hit `StepLimit`.
     pub fn run(&mut self, limit: u64, obs: &mut dyn Observer) -> Result<RunResult, ExecError> {
         let mut insts: u64 = 0;
+        let mut ea = [0u64];
         loop {
             if insts >= limit {
                 return Err(ExecError::StepLimit { limit });
             }
             let pc = self.pc;
             let inst = self.fetch(pc)?;
-            insts += 1;
-            let s = self.exec_one(pc, inst)?;
-            if s.halted {
-                obs.retire(&Retired { pc, inst, ea: None, taken: false });
-                return Ok(RunResult {
-                    result: self.geti(Reg::V0) as i64,
-                    insts,
-                    output: std::mem::take(&mut self.output),
-                });
+            let u = lower(pc, &inst);
+            let ran = self.exec(std::slice::from_ref(&u), &mut ea);
+            insts += ran.done as u64;
+            match ran.end {
+                End::Next => {
+                    let ea = u.is_mem().then_some(ea[0]);
+                    obs.retire(&Retired { pc, inst, ea, taken: ran.taken });
+                }
+                End::Halt => {
+                    obs.retire(&Retired { pc, inst, ea: None, taken: false });
+                    return Ok(RunResult {
+                        result: self.result(),
+                        insts,
+                        output: std::mem::take(&mut self.output),
+                    });
+                }
+                End::Fault(e) => return Err(e),
             }
-            obs.retire(&Retired { pc, inst, ea: s.ea, taken: s.taken });
-            self.pc = s.next;
         }
     }
 
-    /// Executes one instruction architecturally (registers, memory, output)
-    /// without touching `self.pc` or any observer — the single source of
-    /// instruction semantics for both `run` and the block engine.
-    #[inline]
-    pub(crate) fn exec_one(&mut self, pc: u64, inst: Inst) -> Result<Step, ExecError> {
-        let mut ea: Option<u64> = None;
-        let mut taken = false;
-        let mut next = pc.wrapping_add(4);
-
-        match inst {
-                Inst::Mem { op, ra, rb, disp } => {
-                    let base = self.geti(rb);
-                    let addr = base.wrapping_add(disp as i64 as u64);
-                    match op {
-                        MemOp::Lda => self.seti(ra, addr),
-                        MemOp::Ldah => {
-                            self.seti(ra, base.wrapping_add(((disp as i64) << 16) as u64))
-                        }
-                        MemOp::Ldl => {
-                            ea = Some(addr);
-                            let v = self.mem.read_u32(addr)? as i32 as i64 as u64;
-                            self.seti(ra, v);
-                        }
-                        MemOp::Ldq => {
-                            ea = Some(addr);
-                            let v = self.mem.read_u64(addr)?;
-                            self.seti(ra, v);
-                        }
-                        MemOp::LdqU => {
-                            // Used only as UNOP (ra = r31); implement the
-                            // aligned-quadword semantics anyway.
-                            if !ra.is_zero() {
-                                ea = Some(addr & !7);
-                                let v = self.mem.read_u64(addr & !7)?;
-                                self.seti(ra, v);
-                            }
-                        }
-                        MemOp::Stl => {
-                            ea = Some(addr);
-                            self.mem.write_u32(addr, self.geti(ra) as u32)?;
-                        }
-                        MemOp::Stq => {
-                            ea = Some(addr);
-                            self.mem.write_u64(addr, self.geti(ra))?;
-                        }
-                        MemOp::Ldt => {
-                            ea = Some(addr);
-                            let v = self.mem.read_u64(addr)?;
-                            if !ra.is_zero() {
-                                self.fr[ra.number() as usize] = v;
-                            }
-                        }
-                        MemOp::Stt => {
-                            ea = Some(addr);
-                            let v = if ra.is_zero() { 0 } else { self.fr[ra.number() as usize] };
-                            self.mem.write_u64(addr, v)?;
-                        }
+    /// Executes `uops`, lowered from consecutive instructions starting at
+    /// `self.pc`, until one transfers control, halts or faults, or all
+    /// retire: the single source of instruction semantics for both the
+    /// reference interpreter and the block engine. A memory record writes
+    /// its effective address to its position in `eas`, which must be at
+    /// least as long as `uops`. On [`End::Next`] `self.pc` is the next pc.
+    pub(crate) fn exec(&mut self, uops: &[Uop], eas: &mut [u64]) -> Ran {
+        assert!(eas.len() >= uops.len(), "an address slot per record");
+        let ir = &mut self.ir;
+        let fr = &mut self.fr;
+        let mem = &mut self.mem;
+        let fault = |done: usize, f: Fault| Ran { done, taken: false, end: End::Fault(f.into()) };
+        let f = f64::from_bits;
+        let fcmp = |t: bool| if t { 2.0f64.to_bits() } else { 0 };
+        for (i, (u, ea)) in uops.iter().zip(eas.iter_mut()).enumerate() {
+            let (a, b, c) = (u.a as usize, u.b as usize, u.c as usize);
+            // The integer operands. An operate's second operand is a
+            // register, or a literal in `imm` with `b` the zero slot; a
+            // memory operation's address is the same sum.
+            let x = ir[a] as i64;
+            let y = ir[b].wrapping_add(u.imm) as i64;
+            match u.op {
+                Op::Lda => ir[c] = y as u64,
+                Op::Ldl => {
+                    *ea = y as u64;
+                    match mem.read_u32(*ea) {
+                        Ok(v) => ir[c] = v as i32 as i64 as u64,
+                        Err(e) => return fault(i, e),
                     }
                 }
-                Inst::Br { op, ra, disp } => {
-                    let target = pc.wrapping_add(4).wrapping_add((disp as i64 * 4) as u64);
-                    let cond = match op {
-                        BrOp::Br | BrOp::Bsr => true,
-                        BrOp::Beq => self.geti(ra) == 0,
-                        BrOp::Bne => self.geti(ra) != 0,
-                        BrOp::Blt => (self.geti(ra) as i64) < 0,
-                        BrOp::Ble => (self.geti(ra) as i64) <= 0,
-                        BrOp::Bgt => (self.geti(ra) as i64) > 0,
-                        BrOp::Bge => (self.geti(ra) as i64) >= 0,
-                        BrOp::Blbc => self.geti(ra) & 1 == 0,
-                        BrOp::Blbs => self.geti(ra) & 1 == 1,
-                        BrOp::Fbeq => self.getf(ra) == 0.0,
-                        BrOp::Fbne => self.getf(ra) != 0.0,
-                        BrOp::Fblt => self.getf(ra) < 0.0,
-                        BrOp::Fbge => self.getf(ra) >= 0.0,
-                    };
-                    if op.is_unconditional() {
-                        self.seti(ra, pc.wrapping_add(4));
-                    }
-                    if cond {
-                        next = target;
-                        taken = true;
+                Op::Ldq => {
+                    *ea = y as u64;
+                    match mem.read_u64(*ea) {
+                        Ok(v) => ir[c] = v,
+                        Err(e) => return fault(i, e),
                     }
                 }
-                Inst::Jmp { op, ra, rb, .. } => {
-                    let target = self.geti(rb) & !3;
-                    self.seti(ra, pc.wrapping_add(4));
-                    let _ = op; // JMP/JSR/RET differ only in prediction hints
-                    next = target;
-                    taken = true;
-                }
-                Inst::Opr { op, ra, rb, rc } => {
-                    let a = self.geti(ra) as i64;
-                    let b = match rb {
-                        Operand::Reg(r) => self.geti(r) as i64,
-                        Operand::Lit(l) => l as i64,
-                    };
-                    let v: i64 = match op {
-                        OprOp::Addq => a.wrapping_add(b),
-                        OprOp::Subq => a.wrapping_sub(b),
-                        OprOp::Addl => (a as i32).wrapping_add(b as i32) as i64,
-                        OprOp::Subl => (a as i32).wrapping_sub(b as i32) as i64,
-                        OprOp::Mulq => a.wrapping_mul(b),
-                        OprOp::Mull => (a as i32).wrapping_mul(b as i32) as i64,
-                        OprOp::S4Addq => (a << 2).wrapping_add(b),
-                        OprOp::S8Addq => (a << 3).wrapping_add(b),
-                        OprOp::And => a & b,
-                        OprOp::Bic => a & !b,
-                        OprOp::Bis => a | b,
-                        OprOp::Ornot => a | !b,
-                        OprOp::Xor => a ^ b,
-                        OprOp::Eqv => a ^ !b,
-                        OprOp::Sll => a.wrapping_shl((b & 63) as u32),
-                        OprOp::Srl => ((a as u64).wrapping_shr((b & 63) as u32)) as i64,
-                        OprOp::Sra => a.wrapping_shr((b & 63) as u32),
-                        OprOp::Cmpeq => (a == b) as i64,
-                        OprOp::Cmplt => (a < b) as i64,
-                        OprOp::Cmple => (a <= b) as i64,
-                        OprOp::Cmpult => ((a as u64) < b as u64) as i64,
-                        OprOp::Cmpule => ((a as u64) <= b as u64) as i64,
-                        OprOp::Cmoveq | OprOp::Cmovne | OprOp::Cmovlt | OprOp::Cmovge => {
-                            let take = match op {
-                                OprOp::Cmoveq => a == 0,
-                                OprOp::Cmovne => a != 0,
-                                OprOp::Cmovlt => a < 0,
-                                OprOp::Cmovge => a >= 0,
-                                _ => unreachable!(),
-                            };
-                            if take {
-                                b
-                            } else {
-                                self.geti(rc) as i64
-                            }
-                        }
-                    };
-                    self.seti(rc, v as u64);
-                }
-                Inst::FOpr { op, fa, fb, fc } => {
-                    let a = self.getf(fa);
-                    let b = self.getf(fb);
-                    match op {
-                        FOprOp::Addt => self.setf(fc, a + b),
-                        FOprOp::Subt => self.setf(fc, a - b),
-                        FOprOp::Mult => self.setf(fc, a * b),
-                        FOprOp::Divt => self.setf(fc, a / b),
-                        // Comparisons write 2.0 for true, +0.0 for false.
-                        FOprOp::Cmpteq => self.setf(fc, if a == b { 2.0 } else { 0.0 }),
-                        FOprOp::Cmptlt => self.setf(fc, if a < b { 2.0 } else { 0.0 }),
-                        FOprOp::Cmptle => self.setf(fc, if a <= b { 2.0 } else { 0.0 }),
-                        FOprOp::Cvtqt => {
-                            // Source is the integer bit pattern in fb.
-                            let bits = if fb.is_zero() { 0 } else { self.fr[fb.number() as usize] };
-                            self.setf(fc, bits as i64 as f64);
-                        }
-                        FOprOp::Cvttq => {
-                            // Truncate toward zero, saturating (matches the
-                            // reference interpreter's `as i64`).
-                            let v = b as i64;
-                            if !fc.is_zero() {
-                                self.fr[fc.number() as usize] = v as u64;
-                            }
-                        }
-                        FOprOp::Cpys => {
-                            let v = f64::from_bits(
-                                (a.to_bits() & 0x8000_0000_0000_0000)
-                                    | (b.to_bits() & 0x7FFF_FFFF_FFFF_FFFF),
-                            );
-                            self.setf(fc, v);
-                        }
-                        FOprOp::Cpysn => {
-                            let v = f64::from_bits(
-                                ((!a.to_bits()) & 0x8000_0000_0000_0000)
-                                    | (b.to_bits() & 0x7FFF_FFFF_FFFF_FFFF),
-                            );
-                            self.setf(fc, v);
-                        }
+                Op::LdqU => {
+                    *ea = y as u64 & !7;
+                    match mem.read_u64(*ea) {
+                        Ok(v) => ir[c] = v,
+                        Err(e) => return fault(i, e),
                     }
                 }
-                Inst::Pal { op } => match op {
-                    PalOp::Halt => {
-                        return Ok(Step { ea: None, taken: false, next: pc, halted: true });
+                Op::Ldt => {
+                    *ea = y as u64;
+                    match mem.read_u64(*ea) {
+                        Ok(v) => fr[c] = v,
+                        Err(e) => return fault(i, e),
                     }
-                    PalOp::WriteInt => {
-                        let v = self.geti(Reg::A0) as i64;
-                        self.output.push(v);
+                }
+                Op::Stl => {
+                    *ea = y as u64;
+                    if let Err(e) = mem.write_u32(*ea, x as u32) {
+                        return fault(i, e);
                     }
-                },
+                }
+                Op::Stq => {
+                    *ea = y as u64;
+                    if let Err(e) = mem.write_u64(*ea, x as u64) {
+                        return fault(i, e);
+                    }
+                }
+                Op::Stt => {
+                    *ea = y as u64;
+                    if let Err(e) = mem.write_u64(*ea, fr[a]) {
+                        return fault(i, e);
+                    }
+                }
+                Op::Nop => {}
+                Op::Addq => ir[c] = x.wrapping_add(y) as u64,
+                Op::Subq => ir[c] = x.wrapping_sub(y) as u64,
+                Op::Addl => ir[c] = (x as i32).wrapping_add(y as i32) as i64 as u64,
+                Op::Subl => ir[c] = (x as i32).wrapping_sub(y as i32) as i64 as u64,
+                Op::Mulq => ir[c] = x.wrapping_mul(y) as u64,
+                Op::Mull => ir[c] = (x as i32).wrapping_mul(y as i32) as i64 as u64,
+                Op::S4Addq => ir[c] = (x << 2).wrapping_add(y) as u64,
+                Op::S8Addq => ir[c] = (x << 3).wrapping_add(y) as u64,
+                Op::And => ir[c] = (x & y) as u64,
+                Op::Bic => ir[c] = (x & !y) as u64,
+                Op::Bis => ir[c] = (x | y) as u64,
+                Op::Ornot => ir[c] = (x | !y) as u64,
+                Op::Xor => ir[c] = (x ^ y) as u64,
+                Op::Eqv => ir[c] = (x ^ !y) as u64,
+                Op::Sll => ir[c] = x.wrapping_shl((y & 63) as u32) as u64,
+                Op::Srl => ir[c] = (x as u64).wrapping_shr((y & 63) as u32),
+                Op::Sra => ir[c] = x.wrapping_shr((y & 63) as u32) as u64,
+                Op::Cmpeq => ir[c] = u64::from(x == y),
+                Op::Cmplt => ir[c] = u64::from(x < y),
+                Op::Cmple => ir[c] = u64::from(x <= y),
+                Op::Cmpult => ir[c] = u64::from((x as u64) < y as u64),
+                Op::Cmpule => ir[c] = u64::from((x as u64) <= y as u64),
+                // A conditional move that is not taken leaves `c` alone.
+                Op::Cmoveq if x == 0 => ir[c] = y as u64,
+                Op::Cmovne if x != 0 => ir[c] = y as u64,
+                Op::Cmovlt if x < 0 => ir[c] = y as u64,
+                Op::Cmovge if x >= 0 => ir[c] = y as u64,
+                Op::Cmoveq | Op::Cmovne | Op::Cmovlt | Op::Cmovge => {}
+                Op::Addt => fr[c] = (f(fr[a]) + f(fr[b])).to_bits(),
+                Op::Subt => fr[c] = (f(fr[a]) - f(fr[b])).to_bits(),
+                Op::Mult => fr[c] = (f(fr[a]) * f(fr[b])).to_bits(),
+                Op::Divt => fr[c] = (f(fr[a]) / f(fr[b])).to_bits(),
+                // Comparisons write 2.0 for true, +0.0 for false.
+                Op::Cmpteq => fr[c] = fcmp(f(fr[a]) == f(fr[b])),
+                Op::Cmptlt => fr[c] = fcmp(f(fr[a]) < f(fr[b])),
+                Op::Cmptle => fr[c] = fcmp(f(fr[a]) <= f(fr[b])),
+                // Source is the integer bit pattern in fb.
+                Op::Cvtqt => fr[c] = (fr[b] as i64 as f64).to_bits(),
+                // Truncate toward zero, saturating (the mini-C interpreter's
+                // `as i64`).
+                Op::Cvttq => fr[c] = f(fr[b]) as i64 as u64,
+                Op::Cpys => fr[c] = (fr[a] & SIGN) | (fr[b] & !SIGN),
+                Op::Cpysn => fr[c] = (!fr[a] & SIGN) | (fr[b] & !SIGN),
+                Op::Br | Op::Bsr => {
+                    ir[c] = u.link;
+                    return branch(&mut self.pc, i, true, u);
+                }
+                Op::Beq => return branch(&mut self.pc, i, x == 0, u),
+                Op::Bne => return branch(&mut self.pc, i, x != 0, u),
+                Op::Blt => return branch(&mut self.pc, i, x < 0, u),
+                Op::Ble => return branch(&mut self.pc, i, x <= 0, u),
+                Op::Bgt => return branch(&mut self.pc, i, x > 0, u),
+                Op::Bge => return branch(&mut self.pc, i, x >= 0, u),
+                Op::Blbc => return branch(&mut self.pc, i, x & 1 == 0, u),
+                Op::Blbs => return branch(&mut self.pc, i, x & 1 == 1, u),
+                Op::Fbeq => return branch(&mut self.pc, i, f(fr[a]) == 0.0, u),
+                Op::Fbne => return branch(&mut self.pc, i, f(fr[a]) != 0.0, u),
+                Op::Fblt => return branch(&mut self.pc, i, f(fr[a]) < 0.0, u),
+                Op::Fbge => return branch(&mut self.pc, i, f(fr[a]) >= 0.0, u),
+                Op::Jmp | Op::Jsr => {
+                    // Read the target before writing the link: `jsr ra, (ra)`.
+                    let target = ir[b] & !3;
+                    ir[c] = u.link;
+                    self.pc = target;
+                    return Ran { done: i + 1, taken: true, end: End::Next };
+                }
+                Op::Halt => return Ran { done: i + 1, taken: false, end: End::Halt },
+                Op::WriteInt => self.output.push(x),
             }
-
-        Ok(Step { ea, taken, next, halted: false })
+        }
+        if let Some(last) = uops.last() {
+            self.pc = last.link;
+        }
+        Ran { done: uops.len(), taken: false, end: End::Next }
     }
+}
+
+/// The sign bit of an IEEE double.
+const SIGN: u64 = 1 << 63;
+
+/// Ends a [`Machine::exec`] call at the branch record `i`, taken or not.
+#[inline(always)]
+fn branch(pc: &mut u64, i: usize, taken: bool, u: &Uop) -> Ran {
+    *pc = if taken { u.imm } else { u.link };
+    Ran { done: i + 1, taken, end: End::Next }
 }
 
 /// Convenience: load and run an image functionally.

@@ -34,11 +34,14 @@ pub mod exec;
 pub mod mem;
 pub mod profile;
 pub mod timing;
+mod uop;
 
 pub use block::{
     run_covered_fast, run_fast, run_profiled_fast, run_timed_fast, run_timed_profiled_fast,
 };
-pub use exec::{run_image, Divergence, ExecError, Machine, NoTiming, Observer, Retired, RunResult};
+pub use exec::{
+    run_image, text_segment, Divergence, ExecError, Machine, NoTiming, Observer, Retired, RunResult,
+};
 pub use mem::{Fault, Mem, STACK_BASE, STACK_SIZE, STACK_TOP};
 pub use profile::{ProfileObserver, Tee};
 pub use timing::{Cache, Pipeline, TimingStats};

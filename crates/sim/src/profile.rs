@@ -24,8 +24,9 @@
 //! (`om_sim::block`) shares the exact attribution rules and produces
 //! byte-identical profiles.
 
-use crate::exec::{Observer, Retired};
-use om_alpha::{decode, BrOp, Inst, JmpOp};
+use crate::exec::{text_segment, Observer, Retired};
+use crate::uop::lower;
+use om_alpha::{decode, BrOp, Inst};
 use om_core::profile::{CallEdge, ProcProfile, Profile};
 use om_linker::Image;
 use std::collections::HashMap;
@@ -45,22 +46,25 @@ impl ProcMap {
     /// Extracts procedure ranges from the symbol map and statically scans
     /// each for backward-branch targets.
     pub(crate) fn new(image: &Image) -> ProcMap {
-        let text = &image.segments[0];
-        let text_end = text.base + text.bytes.len() as u64;
+        // An image without text has no procedures (and cannot be run:
+        // `Machine::load` rejects it through the same accessor).
+        let (text_base, text_bytes) =
+            text_segment(image).map_or((0, &[][..]), |t| (t.base, &t.bytes[..]));
+        let text_end = text_base + text_bytes.len() as u64;
         let mut syms: Vec<(u64, String)> = image
             .symbols
             .iter()
-            .filter(|&(_, &addr)| addr >= text.base && addr < text_end)
+            .filter(|&(_, &addr)| addr >= text_base && addr < text_end)
             .map(|(name, &addr)| (addr, name.clone()))
             .collect();
         // Deterministic ranges: sort by (address, name), one range per
         // address (aliased symbols collapse to the first name).
         syms.sort();
         syms.dedup_by_key(|(addr, _)| *addr);
-        if syms.first().map(|&(a, _)| a) != Some(text.base) {
+        if syms.first().map(|&(a, _)| a) != Some(text_base) {
             // Code below the first symbol (or a symbol-less image) still
             // needs an owner.
-            syms.insert(0, (text.base, "__text".to_string()));
+            syms.insert(0, (text_base, "__text".to_string()));
         }
 
         let starts: Vec<u64> = syms.iter().map(|&(a, _)| a).collect();
@@ -70,7 +74,7 @@ impl ProcMap {
             (0..n).map(|i| starts.get(i + 1).copied().unwrap_or(text_end)).collect();
 
         let targets = (0..n)
-            .map(|i| scan_backward_targets(text.base, &text.bytes, starts[i], ends[i]))
+            .map(|i| scan_backward_targets(text_base, text_bytes, starts[i], ends[i]))
             .collect();
 
         ProcMap { starts, ends, names, targets }
@@ -93,6 +97,18 @@ impl ProcMap {
     pub(crate) fn rank(&self, idx: usize, pc: u64) -> Option<usize> {
         self.targets[idx].binary_search(&pc).ok()
     }
+}
+
+/// How the profile counts a taken transfer at its target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Transfer {
+    /// BSR or JSR: a call edge.
+    Call,
+    /// Any other Br-format instruction: a backward branch when its target
+    /// lies at or before it in the same procedure.
+    Branch,
+    /// JMP or RET: not counted.
+    Jump,
 }
 
 /// The raw profile counters, attribution rules included — shared verbatim
@@ -123,23 +139,21 @@ impl ProfCounts {
         self.total = self.total.saturating_add(n);
     }
 
-    /// Attributes the arrival of a taken transfer `prev = (pc, inst, range)`
+    /// Attributes the arrival of a taken transfer `prev = (pc, kind, range)`
     /// at target `pc` whose range is `idx`: a call edge for BSR/JSR, a
     /// backward-target execution for an intra-procedure backward branch.
     pub(crate) fn arrive(
         &mut self,
         map: &ProcMap,
-        prev: (u64, Inst, usize),
+        prev: (u64, Transfer, usize),
         pc: u64,
         idx: usize,
     ) {
-        let (ppc, pinst, pidx) = prev;
-        let is_call = matches!(pinst, Inst::Br { op: BrOp::Bsr, .. })
-            || matches!(pinst, Inst::Jmp { op: JmpOp::Jsr, .. });
-        if is_call {
+        let (ppc, kind, pidx) = prev;
+        if kind == Transfer::Call {
             self.calls[idx] = self.calls[idx].saturating_add(1);
             *self.edges.entry((pidx, idx)).or_insert(0) += 1;
-        } else if matches!(pinst, Inst::Br { .. }) && pidx == idx && pc <= ppc {
+        } else if kind == Transfer::Branch && pidx == idx && pc <= ppc {
             if let Some(rank) = map.rank(idx, pc) {
                 self.back_counts[idx][rank] = self.back_counts[idx][rank].saturating_add(1);
             }
@@ -182,8 +196,8 @@ pub struct ProfileObserver {
     /// Cached range index of the current fetch stream.
     cur: usize,
     /// The last retired instruction when it was a taken transfer:
-    /// `(pc, inst, range index)`.
-    prev_taken: Option<(u64, Inst, usize)>,
+    /// `(pc, kind, range index)`.
+    prev_taken: Option<(u64, Transfer, usize)>,
 }
 
 impl ProfileObserver {
@@ -238,7 +252,8 @@ impl Observer for ProfileObserver {
             self.counts.arrive(&self.map, prev, r.pc, idx);
         }
         if r.taken {
-            self.prev_taken = Some((r.pc, r.inst, idx));
+            // Classified by the lowered record, as the block profiler does.
+            self.prev_taken = Some((r.pc, lower(r.pc, &r.inst).transfer(), idx));
         }
     }
 }

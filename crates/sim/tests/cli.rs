@@ -1,10 +1,11 @@
 //! `asim` argument handling and end-to-end runs: usage errors (no image, a
 //! second image, an unknown option) exit 2 with the usage text, an
-//! unreadable image exits 1, both engines print the same timing, and
-//! `--trace-json` writes a valid chrome://tracing file.
+//! unreadable or malformed image exits 1, both engines print the same
+//! timing, and `--trace-json` writes a valid chrome://tracing file.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
-use om_linker::{link_modules, LayoutOpts};
+use om_linker::{link_modules, Image, LayoutInfo, LayoutOpts};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -71,4 +72,57 @@ fn trace_json_writes_a_valid_trace_with_a_run_span() {
     let text = std::fs::read_to_string(&trace).expect("trace written");
     let spans = om_obs::validate_chrome_trace(&text).expect("trace validates");
     assert!(spans.iter().any(|s| s.name == "sim.run"), "{spans:?}");
+}
+
+/// Image bytes with no segments, no symbols, empty extents and the given
+/// symbol and GP-value counts, followed by no records.
+fn counts_only(nsym: u64, ngp: u64) -> Vec<u8> {
+    let mut w = b"OMEXE01\0".to_vec();
+    for v in [0, 0, nsym].into_iter().chain([0; 12]).chain([ngp]) {
+        w.extend_from_slice(&v.to_le_bytes());
+    }
+    w
+}
+
+#[test]
+fn malformed_images_exit_1_with_one_line_and_no_panic() {
+    let no_segment = Image {
+        segments: vec![],
+        entry: 0x1000,
+        symbols: HashMap::new(),
+        layout: LayoutInfo::default(),
+    };
+    let cases: [(&str, Vec<u8>, &str); 3] = [
+        ("no_segment.exe", no_segment.to_bytes(), "image has no text segment"),
+        ("huge_symbol_count.exe", counts_only(1 << 61, 0), "implausible symbol count"),
+        ("huge_gp_count.exe", counts_only(0, 1 << 40), "implausible GP value count"),
+    ];
+    for (name, bytes, want) in cases {
+        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&path, bytes).expect("write image");
+        let path = path.to_str().expect("utf-8 path");
+        for flags in [&[][..], &["--timing"], &["--reference", "--timing"], &["--disasm"]] {
+            let mut args = flags.to_vec();
+            args.push(path);
+            let out = asim(&args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {flags:?}: {err}");
+            assert!(err.contains(want), "{name} {flags:?}: {err}");
+            assert_eq!(err.lines().count(), 1, "{name} {flags:?}: {err}");
+            assert!(!err.contains("panicked"), "{name} {flags:?}: {err}");
+        }
+    }
+    // The profiler takes the same path on both engines.
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("no_segment.exe");
+    let prof = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("no_segment.json");
+    for reference in [false, true] {
+        let mut args = vec!["--profile", prof.to_str().unwrap(), path.to_str().unwrap()];
+        if reference {
+            args.insert(0, "--reference");
+        }
+        let out = asim(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(err.trim_end(), "asim: image has no text segment", "{args:?}");
+    }
 }

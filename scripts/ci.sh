@@ -102,6 +102,22 @@ cargo run --release -p om-core --bin om -- --level full-sched --verify \
 cargo run --release -p om-obs --bin omtrace -- check "$scaledir/trace.json" \
     --require snapshot --require verify --min-coverage pipeline=0.93
 cargo run --release -p om-obs --bin omtrace -- summarize "$scaledir/trace.json"
+# Both simulator engines on the linked image must print the same bytes and
+# exit with the same code (the program's result; 48 at N=256). This image
+# builds ~52k blocks over its whole text, where the block-engine tests'
+# largest input is a 10-module program.
+fast_rc=0
+target/release/asim --timing "$scaledir/scale.exe" \
+    >"$scaledir/fast.out" 2>&1 || fast_rc=$?
+ref_rc=0
+target/release/asim --timing --reference "$scaledir/scale.exe" \
+    >"$scaledir/ref.out" 2>&1 || ref_rc=$?
+cat "$scaledir/fast.out"
+cmp "$scaledir/fast.out" "$scaledir/ref.out"
+[ "$fast_rc" -eq "$ref_rc" ] || {
+    echo "asim exit codes differ: block engine $fast_rc, reference $ref_rc"
+    exit 1
+}
 cargo run --release -p om-linker --bin mld -- --trace-json "$scaledir/mld-trace.json" \
     -o "$scaledir/mld.exe" "$scaledir"/*.o "$scaledir/libstd.a"
 cargo run --release -p om-obs --bin omtrace -- check "$scaledir/mld-trace.json" \
