@@ -212,7 +212,7 @@ fn edge_inst(rng: &mut StdRng) -> Inst {
 
 #[test]
 fn encode_decode_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(0x0A11_CE5);
+    let mut rng = StdRng::seed_from_u64(0x00A1_1CE5);
     for _ in 0..20_000 {
         let inst = any_inst(&mut rng);
         let word = encode(inst);

@@ -121,7 +121,7 @@ struct ProcInfo {
 /// Generates the program for `seed`.
 pub fn generate(seed: u64, cfg: &FuzzConfig) -> FuzzProgram {
     // Salted so fuzz streams are distinct from the workload generator's.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF0_22_5A17);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF022_5A17);
     let n_modules = rng.gen_range(1..cfg.max_modules + 1);
     let mut roster: Vec<ProcInfo> = Vec::new();
     let mut modules = Vec::new();
@@ -649,7 +649,7 @@ pub fn shrink_with(
                         .filter(|(mj, _)| *mj != mi)
                         .flat_map(|(_, m)| &m.procs)
                         .flat_map(|pr| &pr.stmts)
-                        .any(|s| s.calls.iter().any(|c| *c == p.name))
+                        .any(|s| s.calls.contains(&p.name))
                 });
                 if externally_called {
                     continue;

@@ -35,7 +35,7 @@ fn push_row(out: &mut String, fig: &str, bench: &str, fields: &[(impl AsRef<str>
     for (k, v) in fields {
         let _ = write!(out, ",\"{}\":{v}", k.as_ref());
     }
-    out.push_str("}");
+    out.push('}');
 }
 
 fn rows_for(out: &mut String, r: &BenchRows) -> usize {

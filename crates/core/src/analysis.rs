@@ -7,15 +7,17 @@
 //!
 //! A [`Snapshot`] lays the symbolic program out from sizes alone: each
 //! procedure's instruction count, the `.lita` entries emit would write
-//! (`sym::gat_entries`) and the link's symbol table. It never emits a
-//! module or rebuilds the symbol table, so an OM-full round costs one layout.
+//! (`sym::gat_entries`, or, inside OM's passes, the residue's live loads)
+//! and the link's symbol table. It never emits a module or rebuilds the
+//! symbol table, so an OM-full round costs one layout.
 //! The final link's emitted modules, symbol table and layout are
 //! [`Artifacts`].
 
+use crate::pipeline::CallBook;
 use crate::sym::{
     gat_entries, Addend, GlobalRef, InstId, OmError, SInst, SMark, SymProc, SymProgram,
 };
-use om_alpha::{Effects, Inst, JmpOp, Reg};
+use om_alpha::{BrOp, Effects, Inst, JmpOp, Reg};
 use om_linker::{layout, LayoutOpts, Placed, ProgramLayout, SymbolTable};
 use om_objfile::{LitaEntry, Module, RelocKind, SecId, SymId, Symbol, SymbolDef};
 use std::collections::HashSet;
@@ -26,7 +28,7 @@ use std::collections::HashSet;
 /// Distances only shrink as OM deletes instructions and GAT slots, so any
 /// "fits in 16/21 bits" decision made against a snapshot remains valid for
 /// the final layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     pub layout: ProgramLayout,
     /// Per module, the address of each symbol id that defines a procedure
@@ -90,14 +92,34 @@ impl Snapshot {
     /// Propagates layout failures.
     pub fn capture_with(program: &SymProgram, sort_commons: bool) -> Result<Snapshot, OmError> {
         let _s = om_obs::span("snapshot");
-        let sized: Vec<SizedModule> = program
-            .modules
-            .iter()
-            .enumerate()
-            .map(|(mi, m)| SizedModule {
+        let litas = (0..program.modules.len()).map(|mi| gat_entries(program, mi)).collect();
+        Snapshot::lay_out(program, litas, sort_commons)
+    }
+
+    /// [`Snapshot::capture_with`] of a program whose `Literal` loads are
+    /// exactly `residue`'s live ones: each module's `.lita` is listed from
+    /// them ([`Residue::gat_entries`]), not from a walk over every
+    /// instruction.
+    pub(crate) fn of_residue(
+        program: &SymProgram,
+        residue: &Residue,
+        sort_commons: bool,
+    ) -> Result<Snapshot, OmError> {
+        let _s = om_obs::span("snapshot");
+        Snapshot::lay_out(program, residue.gat_entries(program.preserve_gat), sort_commons)
+    }
+
+    /// Lays `program` out with `litas` as its modules' `.lita`s.
+    fn lay_out(
+        program: &SymProgram,
+        litas: Vec<Vec<LitaEntry>>,
+        sort_commons: bool,
+    ) -> Result<Snapshot, OmError> {
+        let sized: Vec<SizedModule> = (program.modules.iter().zip(litas))
+            .map(|(m, lita)| SizedModule {
                 source: &m.source,
                 text: m.procs.iter().map(|p| 4 * p.insts.len() as u64).sum(),
-                lita: gat_entries(program, mi),
+                lita,
             })
             .collect();
         let layout = layout(&sized, &program.symtab, &LayoutOpts { sort_commons })?;
@@ -175,6 +197,33 @@ pub enum CallKind {
     Indirect,
 }
 
+impl CallKind {
+    /// How `i` calls, if it is a call site: the one rule [`call_sites`], the
+    /// translation's [`Census`] and the residue apply. `mark_of(load)` is
+    /// the mark of the procedure's instruction with id `load`, if it holds
+    /// one; a JSR whose load is no longer a `Literal` is indirect.
+    fn of(i: &SInst, mark_of: impl FnOnce(InstId) -> Option<SMark>) -> Option<CallKind> {
+        match (&i.inst, i.mark) {
+            (Inst::Jmp { op: JmpOp::Jsr, .. }, SMark::LituseJsr { load }) => {
+                Some(match mark_of(load) {
+                    Some(SMark::Literal { sym, .. }) => CallKind::DirectJsr { load, sym },
+                    _ => CallKind::Indirect,
+                })
+            }
+            (Inst::Jmp { op: JmpOp::Jsr, .. }, SMark::None) => Some(CallKind::Indirect),
+            (Inst::Br { op: BrOp::Bsr, .. }, SMark::BrSym { sym, addend }) => {
+                Some(CallKind::Bsr { sym, addend })
+            }
+            _ => None,
+        }
+    }
+
+    /// True when the call needs its PV load: every JSR.
+    fn needs_pv(self) -> bool {
+        !matches!(self, CallKind::Bsr { .. })
+    }
+}
+
 /// One recognized call site in a procedure.
 #[derive(Debug, Clone)]
 pub struct CallSite {
@@ -185,70 +234,86 @@ pub struct CallSite {
     pub gp_reset: Option<(InstId, InstId)>,
 }
 
-/// Finds the call sites of `proc`.
+/// Finds the call sites of `proc`. A `GpdispAfterCall` mark names the call
+/// it follows; where two name one call, the later one is its reset.
 pub fn call_sites(proc: &SymProc) -> Vec<CallSite> {
-    let mut scan = CallScan::default();
-    scan.scan(proc);
-    scan.sites
-}
-
-/// Finds call sites procedure after procedure, reusing its by-id tables
-/// and its site list: no procedure allocates.
-#[derive(Default)]
-pub(crate) struct CallScan {
-    at: Vec<u32>,
-    resets: Vec<Option<(InstId, InstId)>>,
-    sites: Vec<CallSite>,
-}
-
-impl CallScan {
-    /// The call sites of `proc`, as [`call_sites`] finds them.
-    pub(crate) fn scan(&mut self, proc: &SymProc) -> &[CallSite] {
-        self.at.clear();
-        self.at.resize(proc.id_limit(), GONE);
-        for (k, i) in proc.insts.iter().enumerate() {
-            self.at[i.id as usize] = k as u32;
-        }
-        self.sites.clear();
-        call_sites_into(proc, &self.at, &mut self.resets, &mut self.sites);
-        &self.sites
-    }
-}
-
-/// [`call_sites`] with the procedure's index of each instruction id in
-/// hand (`at`), and a by-id table `resets` to reuse, appending to `out`.
-fn call_sites_into(
-    proc: &SymProc,
-    at: &[u32],
-    resets: &mut Vec<Option<(InstId, InstId)>>,
-    out: &mut Vec<CallSite>,
-) {
-    // The after-call GP reset `(hi, lo)` anchored at each call, by call id.
-    resets.clear();
-    resets.resize(proc.id_limit(), None);
-    for i in &proc.insts {
+    let mut at = vec![GONE; proc.id_limit()];
+    let mut resets = vec![None; proc.id_limit()];
+    for (k, i) in proc.insts.iter().enumerate() {
+        at[i.id as usize] = k as u32;
         if let SMark::GpdispAfterCall { lo, call } = i.mark {
             if let Some(r) = resets.get_mut(call as usize) {
                 *r = Some((i.id, lo));
             }
         }
     }
-    for (k, i) in proc.insts.iter().enumerate() {
-        let kind = match (&i.inst, &i.mark) {
-            (Inst::Jmp { op: JmpOp::Jsr, .. }, SMark::LituseJsr { load }) => {
-                let load_at = at.get(*load as usize).and_then(|&l| proc.insts.get(l as usize));
-                match load_at.map(|l| l.mark) {
-                    Some(SMark::Literal { sym, .. }) => CallKind::DirectJsr { load: *load, sym },
-                    _ => CallKind::Indirect, // load already transformed
+    let mark_of = |load: InstId| {
+        at.get(load as usize).and_then(|&l| proc.insts.get(l as usize)).map(|l| l.mark)
+    };
+    (proc.insts.iter().enumerate())
+        .filter_map(|(k, i)| {
+            let kind = CallKind::of(i, mark_of)?;
+            Some(CallSite { at: k, kind, gp_reset: resets[i.id as usize] })
+        })
+        .collect()
+}
+
+/// What a translated module holds for OM's before-statistics (Figures 3–5):
+/// its instructions, its `Literal` address loads, and its call sites as
+/// [`call_sites`] finds them. [`crate::sym::translate_module`] counts them,
+/// so a cached translation carries them and the pipeline's census only
+/// sums modules.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Census {
+    pub insts: usize,
+    pub literal_loads: usize,
+    pub calls: usize,
+    /// Calls through a procedure variable.
+    pub calls_indirect: usize,
+    /// Calls that need a PV load (every JSR).
+    pub calls_pv: usize,
+    /// Calls followed by a GP reset.
+    pub calls_gp_reset: usize,
+}
+
+impl Census {
+    /// Counts a freshly translated procedure, whose instruction ids are
+    /// its indices. `reset` is a scratch table, reused from procedure to
+    /// procedure.
+    pub(crate) fn add(&mut self, proc: &SymProc, reset: &mut Vec<bool>) {
+        let insts = &proc.insts;
+        reset.clear();
+        reset.resize(insts.len(), false);
+        for i in insts {
+            if let SMark::GpdispAfterCall { call, .. } = i.mark {
+                if let Some(r) = reset.get_mut(call as usize) {
+                    *r = true;
                 }
             }
-            (Inst::Jmp { op: JmpOp::Jsr, .. }, SMark::None) => CallKind::Indirect,
-            (Inst::Br { op: om_alpha::BrOp::Bsr, .. }, SMark::BrSym { sym, addend }) => {
-                CallKind::Bsr { sym: *sym, addend: *addend }
+        }
+        self.insts += insts.len();
+        for i in insts {
+            if matches!(i.mark, SMark::Literal { .. }) {
+                self.literal_loads += 1;
             }
-            _ => continue,
-        };
-        out.push(CallSite { at: k, kind, gp_reset: resets[i.id as usize] });
+            let Some(kind) = CallKind::of(i, |l| insts.get(l as usize).map(|l| l.mark)) else {
+                continue;
+            };
+            self.calls += 1;
+            self.calls_indirect += usize::from(kind == CallKind::Indirect);
+            self.calls_pv += usize::from(kind.needs_pv());
+            self.calls_gp_reset += usize::from(reset[i.id as usize]);
+        }
+    }
+
+    /// Adds `other`'s counts to these.
+    pub(crate) fn merge(&mut self, other: &Census) {
+        self.insts += other.insts;
+        self.literal_loads += other.literal_loads;
+        self.calls += other.calls;
+        self.calls_indirect += other.calls_indirect;
+        self.calls_pv += other.calls_pv;
+        self.calls_gp_reset += other.calls_gp_reset;
     }
 }
 
@@ -272,61 +337,74 @@ impl UseKind {
     }
 }
 
-/// The LITUSE consumers of every address load of a procedure, by load id:
-/// `(index, kind)` in code order, stored flat and sliced by a prefix sum.
-#[derive(Debug, Clone, Default)]
-pub struct UseIndex {
+/// Items grouped by a dense key, stored flat and sliced by a prefix sum:
+/// key `k`'s are `items[start[k]..start[k + 1]]`, in the order given.
+#[derive(Debug, Clone)]
+struct Groups<T> {
     start: Vec<u32>,
-    next: Vec<u32>,
-    uses: Vec<(usize, UseKind)>,
+    items: Vec<T>,
 }
+
+impl<T> Default for Groups<T> {
+    fn default() -> Groups<T> {
+        Groups { start: Vec::new(), items: Vec::new() }
+    }
+}
+
+impl<T: Copy> Groups<T> {
+    /// Groups `pairs`, `(key, item)` with every key below `keys`: counted
+    /// per key, then placed.
+    fn new(keys: usize, pairs: &[(u32, T)]) -> Groups<T> {
+        let mut start = vec![0u32; keys + 1];
+        for &(k, _) in pairs {
+            start[k as usize + 1] += 1;
+        }
+        for k in 0..keys {
+            start[k + 1] += start[k];
+        }
+        let mut next = start.clone();
+        // Every slot is written below; the first item only fills them.
+        let mut items = pairs.first().map_or(Vec::new(), |&(_, t)| vec![t; pairs.len()]);
+        for &(k, t) in pairs {
+            let slot = &mut next[k as usize];
+            items[*slot as usize] = t;
+            *slot += 1;
+        }
+        Groups { start, items }
+    }
+
+    /// The items of key `k` (none for a key past the last).
+    fn of(&self, k: usize) -> &[T] {
+        match self.start.get(k..k + 2) {
+            Some(&[a, b]) => &self.items[a as usize..b as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// The LITUSE consumers of every address load of a procedure, by load id:
+/// `(index, kind)` in code order.
+#[derive(Debug, Clone, Default)]
+pub struct UseIndex(Groups<(usize, UseKind)>);
 
 impl UseIndex {
     /// The consumers of load `load`: `(index, kind)` in code order.
     pub fn of(&self, load: InstId) -> &[(usize, UseKind)] {
-        let l = load as usize;
-        match (self.start.get(l), self.start.get(l + 1)) {
-            (Some(&a), Some(&b)) => &self.uses[a as usize..b as usize],
-            _ => &[],
-        }
-    }
-
-    /// Re-indexes for `proc`, reusing the tables: count per load id, then
-    /// place.
-    fn rebuild(&mut self, proc: &SymProc) {
-        let n = proc.id_limit();
-        // A use naming an id the procedure never allocated has no load to
-        // index it by.
-        let marks = || {
-            proc.insts.iter().enumerate().filter_map(|(k, i)| {
-                UseKind::of(i.mark).filter(|&(load, _)| (load as usize) < n).map(|u| (k, u))
-            })
-        };
-        self.start.clear();
-        self.start.resize(n + 1, 0);
-        for (_, (load, _)) in marks() {
-            self.start[load as usize + 1] += 1;
-        }
-        for l in 0..n {
-            self.start[l + 1] += self.start[l];
-        }
-        self.next.clear();
-        self.next.extend_from_slice(&self.start);
-        self.uses.clear();
-        self.uses.resize(self.start[n] as usize, (0, UseKind::Base));
-        for (k, (load, kind)) in marks() {
-            let slot = &mut self.next[load as usize];
-            self.uses[*slot as usize] = (k, kind);
-            *slot += 1;
-        }
+        self.0.of(load as usize)
     }
 }
 
-/// Builds the use index of a procedure.
+/// Builds the use index of a procedure. A use naming an id the procedure
+/// never allocated has no load to index it by.
 pub fn use_index(proc: &SymProc) -> UseIndex {
-    let mut index = UseIndex::default();
-    index.rebuild(proc);
-    index
+    let n = proc.id_limit();
+    let uses: Vec<(u32, (usize, UseKind))> = (proc.insts.iter().enumerate())
+        .filter_map(|(k, i)| {
+            let (load, kind) = UseKind::of(i.mark).filter(|&(load, _)| (load as usize) < n)?;
+            Some((load, (k, kind)))
+        })
+        .collect();
+    UseIndex(Groups::new(n, &uses))
 }
 
 /// Computes the set of procedures whose address escapes: referenced by an
@@ -394,16 +472,19 @@ pub fn literal_loads(proc: &SymProc) -> Vec<usize> {
 const GONE: u32 = u32::MAX;
 
 /// What OM's passes have left to do in a program: its call sites, its
-/// `Literal` address loads with their consumers, and the current index of
-/// every instruction, collected once before the first round in
-/// module/procedure/code order (DESIGN §4.4).
+/// `Literal` address loads with their consumers and `.lita` entries, and
+/// the current index of every instruction, collected once before the
+/// first snapshot in module/procedure/code order (DESIGN §4.4).
 ///
 /// Each pass visits only the live part of a worklist and drops what it
 /// settles: a call site once it holds no GP reset and is no longer a JSR, a
 /// load once it is converted or removed. Nothing settled comes back, since
 /// OM creates no call, load or LITUSE link and moves no instruction in its
-/// rounds, so a round costs what the previous one left. Procedures are
-/// named by a dense index in program order.
+/// rounds, so a round costs what the previous one left. The live loads are
+/// exactly the program's `Literal` marks, so a snapshot lists each module's
+/// GAT from them ([`Residue::gat_entries`]), and each site keeps whether it
+/// still needs its PV load and its GP reset, which Figure 4 counts.
+/// Procedures are named by a dense index in program order.
 pub(crate) struct Residue {
     /// `(module, procedure)` of each dense procedure index.
     procs: Vec<(usize, usize)>,
@@ -418,16 +499,28 @@ pub(crate) struct Residue {
     /// within 16 bits of GP, and text sits 512 MB below the data segment
     /// that holds every GP.
     pub(crate) taken: Vec<bool>,
+    /// Per procedure, whether it held an entry GPDISP pair when collected.
+    pub(crate) entry_pair: Vec<bool>,
     pub(crate) sites: Vec<Site>,
     pub(crate) loads: Vec<Load>,
-    /// Each load's consumers by instruction id, in code order.
-    use_ids: Vec<InstId>,
+    /// Each load's consumers at collection by instruction id, in code order.
+    uses: Groups<InstId>,
     /// The sites that name each procedure as their callee (direct JSRs and
-    /// BSRs).
-    callers: Vec<Vec<u32>>,
+    /// BSRs), in site order.
+    callers: Groups<u32>,
+    /// The distinct `(symbol, addend)` entries of each module's loads and
+    /// input `.lita`, a module's together; a load names its entry by index.
+    entries: Vec<LitaEntry>,
+    /// The entry of each input `.lita` entry: module `m`'s are
+    /// `lita_entries[lita_start[m]..lita_start[m + 1]]`.
+    lita_entries: Vec<u32>,
+    lita_start: Vec<usize>,
     /// Indices of the sites and loads still in play, in program order.
     pub(crate) live_sites: Vec<u32>,
     pub(crate) live_loads: Vec<u32>,
+    /// Scratch for [`SymProc::delete_with`], reused from deletion to
+    /// deletion.
+    forward: Vec<InstId>,
 }
 
 /// One call site and how it stands now.
@@ -436,6 +529,8 @@ pub(crate) struct Site {
     pub(crate) jsr: InstId,
     pub(crate) kind: CallKind,
     pub(crate) gp_reset: Option<(InstId, InstId)>,
+    /// Still needs its PV load: any JSR, and a BSR whose PV load stayed.
+    pub(crate) pv: bool,
     /// A direct JSR's PV load, as an index into [`Residue::loads`].
     pub(crate) load: Option<usize>,
 }
@@ -444,85 +539,88 @@ pub(crate) struct Site {
 pub(crate) struct Load {
     pub(crate) proc: usize,
     pub(crate) id: InstId,
-    /// Its consumers at collection, as a range of `Residue::use_ids`.
-    uses: std::ops::Range<usize>,
+    /// Its `.lita` entry, an index into `Residue::entries`.
+    entry: u32,
     /// Still a `Literal`: neither converted nor removed.
     pub(crate) live: bool,
 }
 
+/// What [`Residue::collect`] gathers on its way: per procedure (reused
+/// from one to the next), per module, and for the whole program.
+#[derive(Default)]
+struct Scratch {
+    /// This procedure's loads' indices, in code order.
+    load_at: Vec<u32>,
+    /// LITUSE marks: `(load id, index, kind)`, in code order.
+    uses: Vec<(InstId, u32, UseKind)>,
+    /// `GpdispAfterCall` marks: `(call id, hi id, lo id)`, in code order.
+    resets: Vec<(InstId, InstId, InstId)>,
+    /// Indices of the JSR and BSR instructions, then of the call sites.
+    calls: Vec<u32>,
+    site_at: Vec<u32>,
+    /// This module's entries to number: `(symbol, addend, load or input
+    /// entry)`, an input entry tagged with `INPUT`.
+    keys: Vec<(u32, i64, u32)>,
+    /// Every load's consumers, `(load, id)`, in program order.
+    consumers: Vec<(u32, InstId)>,
+}
+
+/// Tags an input `.lita` entry among a module's keys.
+const INPUT: u32 = 1 << 31;
+
 impl Residue {
     /// Collects every call site and `Literal` load of `program`, all live,
-    /// and the procedures whose address is taken.
+    /// and the procedures whose address is taken: one pass over each
+    /// procedure's instructions, into tables sized from the translations'
+    /// [`Census`] (exact before any round; OM creates no call or load).
     pub(crate) fn collect(program: &SymProgram) -> Residue {
+        let mut census = Census::default();
+        let (mut procs, mut ids) = (0, 0);
+        for m in &program.modules {
+            census.merge(&m.census);
+            procs += m.procs.len();
+            ids += m.procs.iter().map(SymProc::id_limit).sum::<usize>();
+        }
         let mut r = Residue {
-            procs: Vec::new(),
-            proc_by_sym: Vec::new(),
-            pos_start: vec![0],
-            pos: Vec::new(),
-            taken: Vec::new(),
-            sites: Vec::new(),
-            loads: Vec::new(),
-            use_ids: Vec::new(),
-            callers: Vec::new(),
+            procs: Vec::with_capacity(procs),
+            proc_by_sym: Vec::with_capacity(program.modules.len()),
+            pos_start: Vec::with_capacity(procs + 1),
+            pos: Vec::with_capacity(ids),
+            taken: Vec::with_capacity(procs),
+            entry_pair: Vec::with_capacity(procs),
+            sites: Vec::with_capacity(census.calls),
+            loads: Vec::with_capacity(census.literal_loads),
+            uses: Groups::default(),
+            callers: Groups::default(),
+            entries: Vec::new(),
+            lita_entries: Vec::new(),
+            lita_start: vec![0],
             live_sites: Vec::new(),
             live_loads: Vec::new(),
+            forward: Vec::new(),
         };
-        // Per procedure, reused: its use index, its resets by call id, its
-        // call sites.
-        let (mut uses, mut resets, mut calls) = (UseIndex::default(), Vec::new(), Vec::new());
+        r.pos_start.push(0);
+        let mut s = Scratch::default();
         // References whose address escapes, resolved once every module's
         // procedures are numbered.
         let mut escapes: Vec<GlobalRef> = Vec::new();
         for (mi, m) in program.modules.iter().enumerate() {
             let mut by_sym = vec![GONE; m.source.symbols.len()];
+            s.keys.clear();
             for (pi, p) in m.procs.iter().enumerate() {
                 let proc = r.procs.len();
                 r.procs.push((mi, pi));
                 if let Some(b) = by_sym.get_mut(p.sym.0 as usize).filter(|b| **b == GONE) {
                     *b = proc as u32;
                 }
-                r.pos.resize(r.pos.len() + p.id_limit(), GONE);
-                r.pos_start.push(r.pos.len());
-                r.reindex(proc, p);
                 // The entry procedure is reached from outside the program.
                 r.taken.push(m.proc_name(p) == "__start");
-
-                uses.rebuild(p);
-                let first_load = r.loads.len();
-                for i in &p.insts {
-                    let SMark::Literal { sym, escaping, .. } = i.mark else { continue };
-                    let from = r.use_ids.len();
-                    let consumers = uses.of(i.id);
-                    r.use_ids.extend(consumers.iter().map(|&(u, _)| p.insts[u].id));
-                    r.loads.push(Load { proc, id: i.id, uses: from..r.use_ids.len(), live: true });
-                    // A value that feeds address arithmetic escapes too
-                    // (conservative: the computed address could be anything).
-                    if escaping || consumers.iter().any(|&(_, k)| k == UseKind::Addr) {
-                        escapes.push(program.target(mi, sym));
-                    }
-                }
-
-                calls.clear();
-                let at = &r.pos[r.pos_start[proc]..r.pos_start[proc + 1]];
-                call_sites_into(p, at, &mut resets, &mut calls);
-                for s in &calls {
-                    // A direct JSR's load is a `Literal` of this procedure,
-                    // and those are in code order.
-                    let load = match s.kind {
-                        CallKind::DirectJsr { load, .. } => {
-                            let k = r.at(proc, load);
-                            let ours = &r.loads[first_load..];
-                            ours.binary_search_by_key(&k, |l| r.at(proc, l.id))
-                                .ok()
-                                .map(|j| first_load + j)
-                        }
-                        _ => None,
-                    };
-                    let jsr = p.insts[s.at].id;
-                    r.sites.push(Site { proc, jsr, kind: s.kind, gp_reset: s.gp_reset, load });
-                }
+                r.index(program, mi, proc, &mut s, &mut escapes);
             }
             r.proc_by_sym.push(by_sym);
+            let inputs = m.source.lita.iter().enumerate();
+            s.keys.extend(inputs.map(|(x, e)| (e.sym.0, e.addend, INPUT | x as u32)));
+            r.number_entries(&mut s.keys);
             // Data-section pointers to procedures (initialized fnptr
             // globals): the only relocations a translation keeps.
             for rel in &m.source.relocs {
@@ -537,19 +635,140 @@ impl Residue {
             }
         }
 
-        // The callers of each procedure, in site order.
-        r.callers = vec![Vec::new(); r.procs.len()];
-        for (si, s) in r.sites.iter().enumerate() {
-            let (CallKind::DirectJsr { sym, .. } | CallKind::Bsr { sym, .. }) = s.kind else {
-                continue;
-            };
-            if let Some(callee) = r.proc_of(program.target(r.procs[s.proc].0, sym)) {
-                r.callers[callee].push(si as u32);
-            }
-        }
+        r.uses = Groups::new(r.loads.len(), &s.consumers);
+        let callers: Vec<(u32, u32)> = (r.sites.iter().enumerate())
+            .filter_map(|(si, site)| {
+                let (CallKind::DirectJsr { sym, .. } | CallKind::Bsr { sym, .. }) = site.kind
+                else {
+                    return None;
+                };
+                let callee = r.proc_of(program.target(r.procs[site.proc].0, sym))?;
+                Some((callee as u32, si as u32))
+            })
+            .collect();
+        r.callers = Groups::new(r.procs.len(), &callers);
         r.live_sites = (0..r.sites.len() as u32).collect();
         r.live_loads = (0..r.loads.len() as u32).collect();
         r
+    }
+
+    /// Indexes procedure `proc` of module `mi` in one pass over its
+    /// instructions: its positions by id, its loads, the LITUSE marks,
+    /// after-call resets and calls it holds, then the loads' consumers and
+    /// the call sites from those. Loads that escape join `escapes`.
+    fn index(
+        &mut self,
+        program: &SymProgram,
+        mi: usize,
+        proc: usize,
+        s: &mut Scratch,
+        escapes: &mut Vec<GlobalRef>,
+    ) {
+        let m = &program.modules[mi];
+        let p = &m.procs[self.procs[proc].1];
+        let base = self.pos.len();
+        self.pos.resize(base + p.id_limit(), GONE);
+        self.pos_start.push(self.pos.len());
+        let (first_load, first_site) = (self.loads.len(), self.sites.len());
+        s.load_at.clear();
+        s.uses.clear();
+        s.resets.clear();
+        s.calls.clear();
+        let mut entry_pair = false;
+        for (k, i) in p.insts.iter().enumerate() {
+            self.pos[base + i.id as usize] = k as u32;
+            match i.mark {
+                SMark::Literal { sym, addend, escaping } => {
+                    let li = self.loads.len() as u32;
+                    s.keys.push((sym.0, m.addend(addend), li));
+                    s.load_at.push(k as u32);
+                    self.loads.push(Load { proc, id: i.id, entry: 0, live: true });
+                    if escaping {
+                        escapes.push(program.target(mi, sym));
+                    }
+                }
+                SMark::GpdispEntry { .. } => entry_pair = true,
+                SMark::GpdispAfterCall { lo, call } => s.resets.push((call, i.id, lo)),
+                mark => {
+                    if let Some((load, kind)) = UseKind::of(mark) {
+                        s.uses.push((load, k as u32, kind));
+                    }
+                }
+            }
+            if matches!(i.inst, Inst::Jmp { op: JmpOp::Jsr, .. } | Inst::Br { op: BrOp::Bsr, .. }) {
+                s.calls.push(k as u32);
+            }
+        }
+        self.entry_pair.push(entry_pair);
+
+        // The load of this procedure an instruction id names, if any.
+        let pos = &self.pos[base..];
+        let load_at = &s.load_at;
+        let load_of = |id: InstId| {
+            let k = *pos.get(id as usize)?;
+            load_at.binary_search(&k).ok().map(|j| first_load + j)
+        };
+        // A value that feeds address arithmetic escapes too (conservative:
+        // the computed address could be anything).
+        for &(load, k, kind) in &s.uses {
+            let Some(li) = load_of(load) else { continue };
+            s.consumers.push((li as u32, p.insts[k as usize].id));
+            if kind == UseKind::Addr {
+                let SMark::Literal { sym, .. } = p.insts[load_at[li - first_load] as usize].mark
+                else {
+                    unreachable!("a load is a literal")
+                };
+                escapes.push(program.target(mi, sym));
+            }
+        }
+
+        s.site_at.clear();
+        for &k in &s.calls {
+            let i = &p.insts[k as usize];
+            let mark_of = |load: InstId| {
+                pos.get(load as usize).and_then(|&l| p.insts.get(l as usize)).map(|l| l.mark)
+            };
+            let Some(kind) = CallKind::of(i, mark_of) else { continue };
+            let load = match kind {
+                CallKind::DirectJsr { load, .. } => load_of(load),
+                _ => None,
+            };
+            let pv = kind.needs_pv();
+            self.sites.push(Site { proc, jsr: i.id, kind, gp_reset: None, pv, load });
+            s.site_at.push(k);
+        }
+        // A reset names the call it follows; where two name one call, the
+        // later is its reset.
+        for &(call, hi, lo) in &s.resets {
+            let Some(&k) = pos.get(call as usize) else { continue };
+            if let Ok(j) = s.site_at.binary_search(&k) {
+                self.sites[first_site + j].gp_reset = Some((hi, lo));
+            }
+        }
+    }
+
+    /// Numbers the distinct `(symbol, addend)` entries among one module's
+    /// `keys` (its loads' and its input `.lita`'s), sorting them: no hash,
+    /// and no walk longer than the keys.
+    fn number_entries(&mut self, keys: &mut [(u32, i64, u32)]) {
+        keys.sort_unstable();
+        let first_input = self.lita_entries.len();
+        let inputs = keys.iter().filter(|k| k.2 & INPUT != 0).count();
+        self.lita_entries.resize(first_input + inputs, 0);
+        let mut last = None;
+        for &(sym, addend, of) in keys.iter() {
+            if last != Some((sym, addend)) {
+                last = Some((sym, addend));
+                self.entries.push(LitaEntry { sym: SymId(sym), addend });
+            }
+            let e = (self.entries.len() - 1) as u32;
+            if of & INPUT != 0 {
+                self.lita_entries[first_input + (of & !INPUT) as usize] = e;
+            } else {
+                self.loads[of as usize].entry = e;
+            }
+        }
+        self.lita_start.push(self.lita_entries.len());
     }
 
     /// `(module, procedure)` of dense procedure `proc`.
@@ -570,12 +789,20 @@ impl Residue {
         (k != GONE).then_some(k as usize)
     }
 
-    /// Re-reads the index of each instruction of procedure `proc`, which is
-    /// `p` (after a deletion).
-    pub(crate) fn reindex(&mut self, proc: usize, p: &SymProc) {
+    /// Deletes the instructions `ids` from procedure `proc`, which is `p`,
+    /// and re-reads the positions that moved: those from the first deleted
+    /// instruction on.
+    pub(crate) fn delete(&mut self, proc: usize, p: &mut SymProc, ids: &[InstId]) {
         let table = &mut self.pos[self.pos_start[proc]..self.pos_start[proc + 1]];
-        table.fill(GONE);
-        for (k, i) in p.insts.iter().enumerate() {
+        let first = ids.iter().filter_map(|&id| table.get(id as usize)).filter(|&&k| k != GONE);
+        let Some(from) = first.copied().min() else { return };
+        p.delete_with(ids, &mut self.forward);
+        for &id in ids {
+            if let Some(k) = table.get_mut(id as usize) {
+                *k = GONE;
+            }
+        }
+        for (k, i) in p.insts.iter().enumerate().skip(from as usize) {
             table[i.id as usize] = k as u32;
         }
     }
@@ -590,7 +817,7 @@ impl Residue {
 
     /// The sites that name procedure `proc` as their callee.
     pub(crate) fn callers(&self, proc: usize) -> &[u32] {
-        &self.callers[proc]
+        self.callers.of(proc)
     }
 
     /// The current consumers of load `li`, `(index, kind)` in code order:
@@ -603,7 +830,7 @@ impl Residue {
         let l = &self.loads[li];
         let (mi, pi) = self.procs[l.proc];
         let insts = &program.modules[mi].procs[pi].insts;
-        self.use_ids[l.uses.clone()].iter().filter_map(move |&u| {
+        self.uses.of(li).iter().filter_map(move |&u| {
             let k = self.at(l.proc, u)?;
             let (load, kind) = UseKind::of(insts[k].mark)?;
             (load == l.id).then_some((k, kind))
@@ -614,6 +841,48 @@ impl Residue {
     pub(crate) fn sole_jsr_use(&self, program: &SymProgram, li: usize) -> bool {
         let mut uses = self.uses(program, li);
         matches!((uses.next(), uses.next()), (Some((_, UseKind::Jsr)), None))
+    }
+
+    /// Each module's `.lita` as emit would write it now (`sym::gat_entries`),
+    /// read off the live loads instead of every instruction: the distinct
+    /// entries of its `Literal` loads in code order, then, when the program
+    /// preserves its GAT, its input's entries not among them.
+    pub(crate) fn gat_entries(&self, preserve_gat: bool) -> Vec<Vec<LitaEntry>> {
+        let mut lists = vec![Vec::new(); self.proc_by_sym.len()];
+        let mut listed = vec![false; self.entries.len()];
+        let mut list = |mi: usize, e: u32| {
+            if !std::mem::replace(&mut listed[e as usize], true) {
+                lists[mi].push(self.entries[e as usize]);
+            }
+        };
+        for &li in &self.live_loads {
+            let l = &self.loads[li as usize];
+            list(self.procs[l.proc].0, l.entry);
+        }
+        if preserve_gat {
+            for mi in 0..self.lita_start.len() - 1 {
+                for &e in &self.lita_entries[self.lita_start[mi]..self.lita_start[mi + 1]] {
+                    list(mi, e);
+                }
+            }
+        }
+        lists
+    }
+
+    /// How many call sites still need their PV load and their GP reset
+    /// (Figure 4's after-counts).
+    pub(crate) fn call_counts(&self) -> (usize, usize) {
+        let count = |f: fn(&Site) -> bool| self.sites.iter().filter(|s| f(s)).count();
+        (count(|s| s.pv), count(|s| s.gp_reset.is_some()))
+    }
+
+    /// Records each site's `(needs PV load, needs GP reset)` in `book`,
+    /// keyed by `(module, procedure, call id)`.
+    pub(crate) fn fill_book(&self, book: &mut CallBook) {
+        for s in &self.sites {
+            let (mi, pi) = self.procs[s.proc];
+            book.insert((mi, pi, s.jsr), (s.pv, s.gp_reset.is_some()));
+        }
     }
 }
 

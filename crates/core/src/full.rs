@@ -25,12 +25,14 @@ use crate::analysis::{
 use crate::pipeline::CallBook;
 use crate::simple::{convert_calls, transform_address_loads, Removal};
 use crate::stats::OmStats;
-use crate::sym::{Addend, GlobalRef, InstId, OmError, SInst, SMark, SymProgram};
+use crate::sym::{Addend, GlobalRef, OmError, SMark, SymProgram};
 use om_alpha::{field, Effects, Reg};
 use std::collections::HashSet;
 
 /// Runs OM-full over the program under `options` (layout policy, fixpoint
-/// budget, preemptible symbols, fault plan).
+/// budget, preemptible symbols, fault plan). `book` gets each call site's
+/// `(needs PV load, needs GP reset)` as the rounds left it, keyed by
+/// `(module, procedure, call id)`.
 ///
 /// # Errors
 ///
@@ -41,6 +43,35 @@ pub fn run_with(
     book: &mut CallBook,
     options: &crate::pipeline::OmOptions,
 ) -> Result<(), OmError> {
+    run_observed(program, stats, book, options, &mut |_, _| {})
+}
+
+/// [`run_with`], handing `each_round` the program and the snapshot each
+/// round decides against, before the round changes anything (a test
+/// compares it with a fresh [`Snapshot::capture_with`]).
+///
+/// # Errors
+///
+/// Propagates snapshot (layout) failures.
+pub fn run_observed(
+    program: &mut SymProgram,
+    stats: &mut OmStats,
+    book: &mut CallBook,
+    options: &crate::pipeline::OmOptions,
+    each_round: &mut dyn FnMut(&SymProgram, &Snapshot),
+) -> Result<(), OmError> {
+    run(program, stats, options, each_round)?.fill_book(book);
+    Ok(())
+}
+
+/// [`run_observed`], returning the residue the rounds left instead of
+/// filling a call book.
+pub(crate) fn run(
+    program: &mut SymProgram,
+    stats: &mut OmStats,
+    options: &crate::pipeline::OmOptions,
+    each_round: &mut dyn FnMut(&SymProgram, &Snapshot),
+) -> Result<Residue, OmError> {
     program.preserve_gat = false;
     {
         let _s = om_obs::span("pass.restore");
@@ -50,29 +81,29 @@ pub fn run_with(
     // Iterate to the GAT-reduction fixpoint. Each round makes decisions
     // against a fresh layout of the *current* (already shrunk) program;
     // distances only shrink, so earlier decisions stay valid and a round
-    // visits only what the previous one left (the first collects it).
+    // visits only what the previous one left.
     let preempt: HashSet<&str> = options.preemptible.iter().map(String::as_str).collect();
-    let mut work: Option<(Residue, Vec<usize>)> = None;
+    let (mut residue, mut prologues) = {
+        let _s = om_obs::span("residue");
+        let residue = Residue::collect(program);
+        let prologues = prologue_candidates(program, &residue, &preempt);
+        (residue, prologues)
+    };
     for _round in 0..options.max_rounds {
-        let snap = Snapshot::capture_with(program, options.sort_commons)?;
+        let snap = Snapshot::of_residue(program, &residue, options.sort_commons)?;
+        each_round(program, &snap);
         let mut m = crate::obs::PassMeter::begin("calls", stats);
-        let (residue, prologues) = work.get_or_insert_with(|| {
-            let residue = Residue::collect(program);
-            let prologues = prologue_candidates(program, &residue, &preempt);
-            (residue, prologues)
-        });
         m.arg("sites", residue.live_sites.len());
         m.arg("prologues", prologues.len());
-        let dropped = drop_prologues(program, &snap, residue, prologues);
+        let dropped = drop_prologues(program, &snap, &residue, &mut prologues);
         let mut changed = !dropped.is_empty();
         changed |= convert_calls(
             program,
             &snap,
-            residue,
+            &mut residue,
             &dropped,
             Removal::Delete,
             stats,
-            book,
             &preempt,
             options.fault.as_ref(),
         );
@@ -82,7 +113,7 @@ pub fn run_with(
         changed |= transform_address_loads(
             program,
             &snap,
-            residue,
+            &mut residue,
             Removal::Delete,
             stats,
             &preempt,
@@ -94,7 +125,7 @@ pub fn run_with(
             break;
         }
     }
-    Ok(())
+    Ok(residue)
 }
 
 /// Moves each procedure's entry GPDISP pair back to instructions 0 and 1,
@@ -102,6 +133,9 @@ pub fn run_with(
 /// branch may target the skipped-over region (never the case for a prologue
 /// region).
 pub fn restore_prologues(program: &mut SymProgram) {
+    // By instruction id, whether a local branch targets it; reused from
+    // procedure to procedure, and filled only for one whose pair moves.
+    let mut targeted: Vec<bool> = Vec::new();
     for m in &mut program.modules {
         for p in &mut m.procs {
             let Some((hi_idx, lo_idx)) = find_entry_pair(p) else { continue };
@@ -112,14 +146,15 @@ pub fn restore_prologues(program: &mut SymProgram) {
             // GP (they would now see the new value) or write PV/GP, and must
             // not be branch targets or control transfers.
             let limit = hi_idx.max(lo_idx);
-            let targeted: HashSet<InstId> = p
-                .insts
-                .iter()
-                .filter_map(|i| match i.mark {
-                    SMark::BrLocal { target } => Some(target),
-                    _ => None,
-                })
-                .collect();
+            targeted.clear();
+            targeted.resize(p.id_limit(), false);
+            for i in &p.insts {
+                if let SMark::BrLocal { target } = i.mark {
+                    if let Some(t) = targeted.get_mut(target as usize) {
+                        *t = true;
+                    }
+                }
+            }
             let movable = p.insts[..limit].iter().enumerate().all(|(k, i)| {
                 if k == hi_idx || k == lo_idx {
                     return true;
@@ -129,7 +164,7 @@ pub fn restore_prologues(program: &mut SymProgram) {
                     && !e.writes_int(Reg::GP)
                     && !e.writes_int(Reg::PV)
                     && !e.control
-                    && !targeted.contains(&i.id)
+                    && targeted.get(i.id as usize) != Some(&true)
             });
             if !movable {
                 continue;
@@ -150,17 +185,15 @@ fn prologue_candidates(
     residue: &Residue,
     preempt: &HashSet<&str>,
 ) -> Vec<usize> {
-    let entry_hi = |i: &SInst| matches!(i.mark, SMark::GpdispEntry { .. });
     (0..residue.taken.len())
         .filter(|&proc| {
             let (mi, pi) = residue.coords(proc);
             let m = &program.modules[mi];
-            let p = &m.procs[pi];
             // A preemptible procedure may be entered by callers OM cannot
             // see (or replace a definition elsewhere): keep its prologue.
-            !residue.taken[proc]
-                && !preempt.contains(m.proc_name(p))
-                && p.insts.iter().any(entry_hi)
+            residue.entry_pair[proc]
+                && !residue.taken[proc]
+                && !preempt.contains(m.proc_name(&m.procs[pi]))
         })
         .collect()
 }

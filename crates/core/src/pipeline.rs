@@ -2,13 +2,11 @@
 //! link. This is the "optimizing linker" of §4 — it replaces the standard
 //! link step entirely.
 
-use crate::analysis::{Artifacts, CallKind, CallScan};
+use crate::analysis::Artifacts;
 use crate::cache::OmCaches;
 use crate::hash::{link_key, module_hash, ContentHash};
 use crate::stats::OmStats;
-use crate::sym::{
-    resolve_symbolic, translate_module, InstId, OmError, SMark, SymModule, SymProgram,
-};
+use crate::sym::{resolve_symbolic, translate_module, InstId, OmError, SymModule, SymProgram};
 use om_linker::{
     build_symbol_table, gat_slots, link_selected, select_borrowed, Image, LayoutOpts, LinkStats,
 };
@@ -30,8 +28,10 @@ pub fn pipeline_runs() -> u64 {
 }
 
 /// Per-call-site bookkeeping: `(needs PV load, needs GP reset)`, keyed by
-/// `(module, proc, jsr instruction id)`. Populated before transformation and
-/// updated as OM removes bookkeeping code; summed for Figure 4.
+/// `(module, proc, jsr instruction id)`. [`crate::simple::run_with`] and
+/// [`crate::full::run_with`] fill it from their residue once, at the end,
+/// for callers that rebuild the pipeline; the pipeline itself reads the two
+/// Figure 4 counts off the residue and keeps no book.
 pub type CallBook = HashMap<(usize, usize, InstId), (bool, bool)>;
 
 /// The optimization level applied at link time.
@@ -149,36 +149,20 @@ pub struct OmOutput {
     pub verify: Option<crate::verify::VerifyReport>,
 }
 
-/// Counts the pre-transformation statistics, with one set of call-site
-/// tables for the whole program.
-fn collect_before(program: &SymProgram, stats: &mut OmStats, book: &mut CallBook) {
-    stats.insts_before = program.inst_count();
-    let mut scan = CallScan::default();
-    for (mi, m) in program.modules.iter().enumerate() {
-        for (pi, p) in m.procs.iter().enumerate() {
-            let loads = p.insts.iter().filter(|i| matches!(i.mark, SMark::Literal { .. }));
-            stats.addr_loads_total += loads.count();
-            for s in scan.scan(p) {
-                stats.calls_total += 1;
-                let jsr_id = p.insts[s.at].id;
-                let (pv, reset) = match s.kind {
-                    CallKind::DirectJsr { .. } => (true, s.gp_reset.is_some()),
-                    CallKind::Bsr { .. } => (false, s.gp_reset.is_some()),
-                    CallKind::Indirect => {
-                        stats.calls_indirect += 1;
-                        (true, s.gp_reset.is_some())
-                    }
-                };
-                if pv {
-                    stats.calls_pv_before += 1;
-                }
-                if reset {
-                    stats.calls_gp_reset_before += 1;
-                }
-                book.insert((mi, pi, jsr_id), (pv, reset));
-            }
-        }
+/// Sets the pre-transformation statistics from the counts each module's
+/// translation carries ([`crate::analysis::Census`]): no walk over the
+/// program.
+fn census(program: &SymProgram, stats: &mut OmStats) {
+    let mut c = crate::analysis::Census::default();
+    for m in &program.modules {
+        c.merge(&m.census);
     }
+    stats.insts_before = c.insts;
+    stats.addr_loads_total = c.literal_loads;
+    stats.calls_total = c.calls;
+    stats.calls_indirect = c.calls_indirect;
+    stats.calls_pv_before = c.calls_pv;
+    stats.calls_gp_reset_before = c.calls_gp_reset;
 }
 
 /// Performs an optimizing link of `objects` (+ libraries) at `level`.
@@ -309,10 +293,9 @@ fn run_pipeline(
     };
 
     let mut stats = OmStats::default();
-    let mut book: CallBook = HashMap::new();
     {
         let _s = om_obs::span("census");
-        collect_before(&program, &mut stats, &mut book);
+        census(&program, &mut stats);
     }
     // The untransformed program's GAT is the inputs' GAT: translation keeps
     // every `.lita` entry, and the slot count depends on nothing else.
@@ -321,40 +304,45 @@ fn run_pipeline(
         gat_slots(&modules, &symtab)?
     };
 
-    match level {
-        OmLevel::None => {}
-        OmLevel::Simple => crate::simple::run_with(&mut program, &mut stats, &mut book, options)?,
-        OmLevel::Full => crate::full::run_with(&mut program, &mut stats, &mut book, options)?,
-        OmLevel::FullSched => {
-            crate::full::run_with(&mut program, &mut stats, &mut book, options)?;
-            match &options.profile {
-                None => {
-                    let m = crate::obs::PassMeter::begin("resched", &stats);
-                    crate::resched::run_with(
-                        &mut program,
-                        &mut stats,
-                        options.align_backward_targets,
-                        options.fault.as_ref(),
-                    );
-                    m.end(&stats);
-                }
-                Some(profile) => {
-                    // Schedule without the blind alignment pass; the PGO
-                    // layer reorders procedures and aligns hot targets only.
-                    let m = crate::obs::PassMeter::begin("resched", &stats);
-                    crate::resched::run_with(&mut program, &mut stats, false, options.fault.as_ref());
-                    m.end(&stats);
-                    let m = crate::obs::PassMeter::begin("pgo", &stats);
-                    crate::pgo::run_with(&mut program, &mut stats, profile, options);
-                    m.end(&stats);
-                }
+    // Each call site's bookkeeping as the passes left it (Figure 4); the
+    // residue goes before rescheduling, as it always has.
+    let residue = match level {
+        OmLevel::None => None,
+        OmLevel::Simple => {
+            Some(crate::simple::run(&mut program, &mut stats, options, &mut |_, _| {})?)
+        }
+        OmLevel::Full | OmLevel::FullSched => {
+            Some(crate::full::run(&mut program, &mut stats, options, &mut |_, _| {})?)
+        }
+    };
+    (stats.calls_pv_after, stats.calls_gp_reset_after) = match residue {
+        Some(r) => r.call_counts(),
+        None => (stats.calls_pv_before, stats.calls_gp_reset_before),
+    };
+    if level == OmLevel::FullSched {
+        match &options.profile {
+            None => {
+                let m = crate::obs::PassMeter::begin("resched", &stats);
+                crate::resched::run_with(
+                    &mut program,
+                    &mut stats,
+                    options.align_backward_targets,
+                    options.fault.as_ref(),
+                );
+                m.end(&stats);
+            }
+            Some(profile) => {
+                // Schedule without the blind alignment pass; the PGO
+                // layer reorders procedures and aligns hot targets only.
+                let m = crate::obs::PassMeter::begin("resched", &stats);
+                crate::resched::run_with(&mut program, &mut stats, false, options.fault.as_ref());
+                m.end(&stats);
+                let m = crate::obs::PassMeter::begin("pgo", &stats);
+                crate::pgo::run_with(&mut program, &mut stats, profile, options);
+                m.end(&stats);
             }
         }
     }
-
-    // Derived counters.
-    stats.calls_pv_after = book.values().filter(|&&(pv, _)| pv).count();
-    stats.calls_gp_reset_after = book.values().filter(|&&(_, reset)| reset).count();
 
     if crate::fault::armed(options.fault.as_ref(), crate::fault::FaultKind::CountSkew) {
         stats.insts_deleted += 1;

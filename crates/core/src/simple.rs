@@ -35,7 +35,8 @@ use std::collections::HashSet;
 
 /// Runs OM-simple over the program under `options` (layout policy,
 /// preemptible symbols, fault plan): one round of the passes OM-full
-/// repeats.
+/// repeats. `book` gets each call site's `(needs PV load, needs GP reset)`
+/// as the round left it, keyed by `(module, procedure, call id)`.
 ///
 /// # Errors
 ///
@@ -46,21 +47,54 @@ pub fn run_with(
     book: &mut CallBook,
     options: &crate::pipeline::OmOptions,
 ) -> Result<(), OmError> {
+    run_observed(program, stats, book, options, &mut |_, _| {})
+}
+
+/// [`run_with`], handing `each_round` the program and the snapshot the
+/// round decides against, before the round changes anything (a test
+/// compares it with a fresh [`Snapshot::capture_with`]).
+///
+/// # Errors
+///
+/// Propagates snapshot (layout) failures.
+pub fn run_observed(
+    program: &mut SymProgram,
+    stats: &mut OmStats,
+    book: &mut CallBook,
+    options: &crate::pipeline::OmOptions,
+    each_round: &mut dyn FnMut(&SymProgram, &Snapshot),
+) -> Result<(), OmError> {
+    run(program, stats, options, each_round)?.fill_book(book);
+    Ok(())
+}
+
+/// [`run_observed`], returning the residue the round left instead of
+/// filling a call book.
+pub(crate) fn run(
+    program: &mut SymProgram,
+    stats: &mut OmStats,
+    options: &crate::pipeline::OmOptions,
+    each_round: &mut dyn FnMut(&SymProgram, &Snapshot),
+) -> Result<Residue, OmError> {
     program.preserve_gat = true;
-    let snap = Snapshot::capture_with(program, options.sort_commons)?;
+    let mut residue = {
+        let _s = om_obs::span("residue");
+        Residue::collect(program)
+    };
+    let snap = Snapshot::of_residue(program, &residue, options.sort_commons)?;
+    each_round(program, &snap);
     let preempt: HashSet<&str> = options.preemptible.iter().map(String::as_str).collect();
     let fault = options.fault.as_ref();
     let mut m = crate::obs::PassMeter::begin("calls", stats);
-    let mut residue = Residue::collect(program);
     m.arg("sites", residue.live_sites.len());
     let removal = Removal::Nullify;
-    convert_calls(program, &snap, &mut residue, &[], removal, stats, book, &preempt, fault);
+    convert_calls(program, &snap, &mut residue, &[], removal, stats, &preempt, fault);
     m.end(stats);
     let mut m = crate::obs::PassMeter::begin("convert", stats);
     m.arg("loads", residue.live_loads.len());
     transform_address_loads(program, &snap, &mut residue, removal, stats, &preempt, fault);
     m.end(stats);
-    Ok(())
+    Ok(residue)
 }
 
 /// How a rewrite removes an instruction — the one difference the paper
@@ -89,7 +123,6 @@ pub(crate) fn convert_calls(
     dropped: &[usize],
     removal: Removal,
     stats: &mut OmStats,
-    book: &mut CallBook,
     preempt: &HashSet<&str>,
     fault: Option<&FaultPlan>,
 ) -> bool {
@@ -119,7 +152,6 @@ pub(crate) fn convert_calls(
             }
             next += 1;
             let s = &residue.sites[si];
-            let key = (mi, pi, s.jsr);
 
             // GP reset removal condition. A preemptible callee might be
             // replaced at dynamic-link time by code in another GAT group, so
@@ -138,12 +170,11 @@ pub(crate) fn convert_calls(
             if let Some((hi, lo)) = s.gp_reset.filter(|_| same_gp_target) {
                 doomed.extend([hi, lo]);
                 residue.sites[si].gp_reset = None;
-                book.entry(key).or_insert((false, true)).1 = false;
                 changed = true;
             }
             changed |= convert_jsr(
-                program, snap, residue, si, dropped, same_gp_target, &mut doomed, stats, book,
-                preempt, fault,
+                program, snap, residue, si, dropped, same_gp_target, &mut doomed, stats, preempt,
+                fault,
             );
         }
         remove(program, residue, proc, &doomed, removal, stats);
@@ -173,7 +204,6 @@ fn convert_jsr(
     same_gp_target: bool,
     doomed: &mut Vec<InstId>,
     stats: &mut OmStats,
-    book: &mut CallBook,
     preempt: &HashSet<&str>,
     fault: Option<&FaultPlan>,
 ) -> bool {
@@ -226,7 +256,7 @@ fn convert_jsr(
     }
 
     let at = residue.at(s.proc, s.jsr).expect("OM deletes no call");
-    let (jsr, li) = (s.jsr, s.load);
+    let li = s.load;
     let sm = &mut program.modules[mi];
     let addend = sm.addends.store(addend);
     let i = &mut sm.procs[pi].insts[at];
@@ -237,7 +267,7 @@ fn convert_jsr(
     if kill_load {
         doomed.push(load);
         stats.addr_loads_nullified += 1;
-        book.entry((mi, pi, jsr)).or_insert((true, false)).0 = false;
+        residue.sites[si].pv = false;
         if let Some(li) = li {
             residue.loads[li].live = false;
         }
@@ -274,8 +304,7 @@ pub(crate) fn remove(
             stats.insts_nullified += ids.len();
         }
         Removal::Delete => {
-            p.delete(ids);
-            residue.reindex(proc, p);
+            residue.delete(proc, p, ids);
             stats.insts_deleted += ids.len();
         }
     }
@@ -296,7 +325,9 @@ pub(crate) fn transform_address_loads(
 ) -> bool {
     let mut live = std::mem::take(&mut residue.live_loads);
     let mut changed = false;
+    // Reused from load to load: its consumers, and their displacements.
     let mut us: Vec<(usize, UseKind)> = Vec::new();
+    let mut use_disps: Vec<(usize, i64)> = Vec::new();
     let mut doomed: Vec<InstId> = Vec::new();
     let mut next = 0;
     while let Some(&first) = live.get(next) {
@@ -341,13 +372,11 @@ pub(crate) fn transform_address_loads(
             if rewritable {
                 // Translation guarantees every base use is a memory
                 // instruction.
-                let use_disps: Vec<(usize, i64)> = us
-                    .iter()
-                    .map(|&(ui, _)| match proc_insts[ui].inst {
-                        Inst::Mem { disp, .. } => (ui, disp as i64),
-                        _ => unreachable!("base use is a memory instruction"),
-                    })
-                    .collect();
+                use_disps.clear();
+                use_disps.extend(us.iter().map(|&(ui, _)| match proc_insts[ui].inst {
+                    Inst::Mem { disp, .. } => (ui, disp as i64),
+                    _ => unreachable!("base use is a memory instruction"),
+                }));
 
                 let all_fit_16 =
                     use_disps.iter().all(|&(_, d)| field::mem_disp(disp.wrapping_add(d)).is_some());
@@ -420,9 +449,7 @@ pub(crate) fn transform_address_loads(
             // Fault point: delete the load whatever the level, but count it
             // as nullified — the instruction accounting no longer balances
             // at either level.
-            let p = &mut program.modules[mi].procs[pi];
-            p.delete(&[id]);
-            residue.reindex(proc, p);
+            residue.delete(proc, &mut program.modules[mi].procs[pi], &[id]);
             stats.insts_nullified += 1;
         }
     }

@@ -19,6 +19,7 @@
 //! Emit writes each mark's id back unchanged, so every emitted
 //! module keeps its input's symbol table.
 
+use crate::analysis::Census;
 use om_alpha::{decode, Inst, MemOp, Reg};
 pub use om_linker::GlobalRef;
 use om_linker::SymbolTable;
@@ -233,6 +234,11 @@ impl SymProc {
     /// happen: [`translate_module`] rejects a procedure that does not end
     /// in a control instruction, and OM deletes none).
     pub fn delete(&mut self, doomed: &[InstId]) {
+        self.delete_with(doomed, &mut Vec::new());
+    }
+
+    /// [`SymProc::delete`] with a by-id table `forward` to reuse.
+    pub(crate) fn delete_with(&mut self, doomed: &[InstId], forward: &mut Vec<InstId>) {
         if doomed.is_empty() {
             return;
         }
@@ -241,7 +247,8 @@ impl SymProc {
         // procedure does not hold).
         const KEPT: InstId = InstId::MAX;
         const NONE: InstId = InstId::MAX - 1;
-        let mut forward = vec![KEPT; self.id_limit()];
+        forward.clear();
+        forward.resize(self.id_limit(), KEPT);
         for &id in doomed {
             if let Some(f) = forward.get_mut(id as usize) {
                 *f = NONE;
@@ -284,6 +291,9 @@ pub struct SymModule {
     /// The addends its marks do not hold inline.
     pub(crate) addends: Addends,
     pub procs: Vec<SymProc>,
+    /// What the translation counted: its instructions, `Literal` loads and
+    /// call sites, before any pass ran.
+    pub census: Census,
 }
 
 impl SymModule {
@@ -408,6 +418,7 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
     let mut addends = Addends::default();
     let proc_list = m.procedures();
     let by_word = RelocsByWord::new(m);
+    let (mut census, mut resets) = (Census::default(), Vec::new());
 
     // Check tiling.
     let mut expected = 0;
@@ -577,7 +588,9 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
             }
         }
 
-        procs.push(SymProc { sym: *sym_id, next_id: insts.len() as InstId, insts });
+        let proc = SymProc { sym: *sym_id, next_id: insts.len() as InstId, insts };
+        census.add(&proc, &mut resets);
+        procs.push(proc);
     }
     // Everything but the text, which the procedures now hold.
     let source = Module {
@@ -591,7 +604,7 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
         symbols: m.symbols.clone(),
         relocs: m.relocs.iter().filter(|r| r.sec != SecId::Text).copied().collect(),
     };
-    Ok(SymModule { source: Arc::new(source), addends, procs })
+    Ok(SymModule { source: Arc::new(source), addends, procs, census })
 }
 
 /// Binds per-module translations into a whole program against `symtab`,

@@ -267,9 +267,9 @@ pub fn verify_linked(
     }
 
     let t = layout.info.text;
-    r.check(t.size % 4 == 0, || format!("text size {:#x} not a multiple of 4", t.size));
+    r.check(t.size.is_multiple_of(4), || format!("text size {:#x} not a multiple of 4", t.size));
     r.check(
-        image.entry >= t.base && image.entry < t.base + t.size && image.entry % 4 == 0,
+        image.entry >= t.base && image.entry < t.base + t.size && image.entry.is_multiple_of(4),
         || format!("entry {:#x} outside .text or misaligned", image.entry),
     );
 
@@ -375,7 +375,7 @@ pub fn verify_linked(
                     r.check(slot >= lx.base && slot + 8 <= lx.base + lx.size, || {
                         at(format!("GAT slot address {slot:#x} outside .lita"))
                     });
-                    r.check((slot.wrapping_sub(lx.base)) % 8 == 0, || {
+                    r.check(slot.wrapping_sub(lx.base).is_multiple_of(8), || {
                         at(format!("GAT slot address {slot:#x} not 8-aligned"))
                     });
                     let disp = (slot as i64).wrapping_sub(gp);

@@ -85,7 +85,7 @@ fn rank_mismatch_falls_back_to_blind_alignment() {
     // Every target in the program is classified hot (= align): main via the
     // rank-mismatch fallback, every other procedure via the unknown-proc
     // fallback.
-    assert_eq!(stats.pgo_targets_hot as usize, n_all);
+    assert_eq!(stats.pgo_targets_hot, n_all);
     assert_eq!(stats.pgo_targets_cold, 0);
 }
 
@@ -103,7 +103,7 @@ fn unknown_procedure_falls_back_to_blind_alignment() {
     }]);
     let mut stats = OmStats::default();
     run_with(&mut program, &mut stats, &prof, &om_core::OmOptions::default());
-    assert_eq!(stats.pgo_targets_hot as usize, n_all);
+    assert_eq!(stats.pgo_targets_hot, n_all);
     assert_eq!(stats.pgo_targets_cold, 0);
 }
 
@@ -123,7 +123,7 @@ fn matching_cold_profile_is_trusted_not_blindly_aligned() {
     }]);
     let mut stats = OmStats::default();
     run_with(&mut program, &mut stats, &prof, &om_core::OmOptions::default());
-    assert_eq!(stats.pgo_targets_cold as usize, n_main);
+    assert_eq!(stats.pgo_targets_cold, n_main);
 }
 
 #[test]

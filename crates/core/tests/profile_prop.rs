@@ -55,7 +55,7 @@ fn gen_profile(rng: &mut StdRng) -> Profile {
 
 #[test]
 fn roundtrip_is_lossless_for_random_profiles() {
-    let mut rng = StdRng::seed_from_u64(0x0F11E_5EED);
+    let mut rng = StdRng::seed_from_u64(0xF11E_5EED);
     for case in 0..500 {
         let p = gen_profile(&mut rng);
         let json = p.to_json();

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 // slice turns any inconsistency into a typed error instead of a panic — a
 // daemon serving link requests must never abort on one bad input.
 
-fn patched<'a>(buf: &'a mut [u8], off: usize, width: usize) -> Result<&'a mut [u8], LinkError> {
+fn patched(buf: &mut [u8], off: usize, width: usize) -> Result<&mut [u8], LinkError> {
     buf.get_mut(off..off.saturating_add(width)).ok_or_else(|| LinkError::Range {
         what: format!("{width}-byte patch at +{off:#x} outside its segment"),
     })

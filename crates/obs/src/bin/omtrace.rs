@@ -20,7 +20,10 @@
 //! `summarize` reads k traces of the same link and prints, per span name,
 //! its instance count and the median and median absolute deviation (MAD) of
 //! its total milliseconds across the k traces: one link's layer table with
-//! its noise band. A span missing from a trace counts 0 ms there. Then, per
+//! its noise band. A span missing from a trace counts 0 ms there. A span
+//! that occurs the same number of times (more than once) in every trace,
+//! such as one `snapshot` per OM-full round, also gets the median of each
+//! instance's milliseconds, instances taken in start order. Then, per
 //! numeric span argument (`pipeline`'s `peak_rss_kb`, the passes' visit
 //! counts and deltas), the median across the traces of its sum over the
 //! span's instances in each; a trace without it counts 0. A one-shot link
@@ -149,9 +152,9 @@ fn summarize(paths: &[String]) -> ExitCode {
     if let Some(flag) = paths.iter().find(|p| p.starts_with('-')) {
         return usage(&format!("unexpected argument `{flag}`"));
     }
-    // Per span name, its (instances, total ms) in each trace; per (span,
+    // Per span name, its instances' `(start, ms)` in each trace; per (span,
     // argument), its sum in each trace.
-    let mut by_name: BTreeMap<String, Vec<(usize, f64)>> = BTreeMap::new();
+    let mut by_name: BTreeMap<String, Vec<Vec<(f64, f64)>>> = BTreeMap::new();
     let mut by_arg: BTreeMap<(String, String), Vec<f64>> = BTreeMap::new();
     for (k, path) in paths.iter().enumerate() {
         let Some((_, spans)) = read_spans(path) else { return ExitCode::FAILURE };
@@ -161,20 +164,35 @@ fn summarize(paths: &[String]) -> ExitCode {
                     by_arg.entry((s.name.clone(), arg)).or_insert_with(|| vec![0.0; paths.len()]);
                 per_trace[k] += v;
             }
-            let per_trace = by_name.entry(s.name).or_insert_with(|| vec![(0, 0.0); paths.len()]);
-            per_trace[k].0 += 1;
-            per_trace[k].1 += (s.end - s.start) / 1e3;
+            let per_trace = by_name.entry(s.name).or_insert_with(|| vec![Vec::new(); paths.len()]);
+            per_trace[k].push((s.start, (s.end - s.start) / 1e3));
         }
     }
-    println!("spans over {} traces (name, instances, median total ms, MAD ms):", paths.len());
-    for (name, per_trace) in &by_name {
-        let (lo, hi) =
-            per_trace.iter().fold((usize::MAX, 0), |(lo, hi), &(n, _)| (lo.min(n), hi.max(n)));
+    println!(
+        "spans over {} traces (name, instances, median total ms, MAD ms; then, for a span \
+         every trace holds equally often, the median ms of each instance in order):",
+        paths.len()
+    );
+    for (name, per_trace) in &mut by_name {
+        let (lo, hi) = per_trace.iter().fold((usize::MAX, 0), |(lo, hi), t| {
+            (lo.min(t.len()), hi.max(t.len()))
+        });
         let instances = if lo == hi { lo.to_string() } else { format!("{lo}-{hi}") };
-        let totals: Vec<f64> = per_trace.iter().map(|&(_, ms)| ms).collect();
+        let totals: Vec<f64> =
+            per_trace.iter().map(|t| t.iter().map(|&(_, ms)| ms).sum()).collect();
         let mid = median(&totals);
         let mad = median(&totals.iter().map(|t| (t - mid).abs()).collect::<Vec<_>>());
-        println!("  {name:<28} {instances:>9}  {mid:>10.3}  {mad:>8.3}");
+        let mut row = format!("  {name:<28} {instances:>9}  {mid:>10.3}  {mad:>8.3}");
+        if lo == hi && lo > 1 {
+            for t in per_trace.iter_mut() {
+                t.sort_by(|a, b| a.0.total_cmp(&b.0));
+            }
+            for j in 0..lo {
+                let each: Vec<f64> = per_trace.iter().map(|t| t[j].1).collect();
+                row += &format!("  {:>8.3}", median(&each));
+            }
+        }
+        println!("{row}");
     }
     if !by_arg.is_empty() {
         println!("span arguments (span, argument, median of per-trace sums):");

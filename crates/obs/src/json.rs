@@ -328,7 +328,7 @@ fn string(b: &[u8], at: &mut usize) -> Result<String, String> {
                 // Multi-byte UTF-8 passes through unchanged.
                 let len = match c {
                     0x00..=0x1f => return Err(format!("raw control byte at {at}")),
-                    0x00..=0x7f => 1,
+                    0x20..=0x7f => 1,
                     0xc0..=0xdf => 2,
                     0xe0..=0xef => 3,
                     _ => 4,

@@ -119,6 +119,11 @@ fn summarize_stops_quietly_when_stdout_closes() {
 /// A trace whose `pipeline` takes `pipeline_us` and holds one `a` per entry
 /// of `a_us`, back to back.
 fn timed_trace(pipeline_us: u32, a_us: &[u32]) -> String {
+    trace_of(timed_events(pipeline_us, a_us))
+}
+
+/// [`timed_trace`]'s events, in start order.
+fn timed_events(pipeline_us: u32, a_us: &[u32]) -> Vec<String> {
     let event = |name: &str, ts: u32, dur: u32, depth: u32| {
         format!(
             r#"{{"name":"{name}","ph":"X","ts":{ts}.000,"dur":{dur}.000,"pid":1,"tid":0,"args":{{"depth":{depth}}}}}"#
@@ -130,6 +135,10 @@ fn timed_trace(pipeline_us: u32, a_us: &[u32]) -> String {
         events.push(event("a", ts, d, 1));
         ts += d;
     }
+    events
+}
+
+fn trace_of(events: Vec<String>) -> String {
     format!(r#"{{"traceEvents":[{}],"counters":{{}}}}"#, events.join(","))
 }
 
@@ -148,14 +157,48 @@ fn summarize_prints_median_and_mad_per_span() {
     let lines: Vec<Vec<&str>> =
         stdout.lines().skip(1).map(|l| l.split_whitespace().collect()).collect();
     assert!(stdout.starts_with("spans over 3 traces"), "{stdout}");
-    assert_eq!(lines, [["a", "2", "6.000", "1.000"], ["pipeline", "1", "20.000", "10.000"]]);
+    // `a` runs twice in every trace, so each instance gets its median: the
+    // first ran 2, 4 and 1 ms, the second 4 ms each time.
+    assert_eq!(
+        lines,
+        [
+            vec!["a", "2", "6.000", "1.000", "2.000", "4.000"],
+            vec!["pipeline", "1", "20.000", "10.000"],
+        ]
+    );
 
     // A span some traces lack counts 0 ms there; its instance count is a
     // range.
     let out = summarize(&[timed_trace(10_000, &[]), timed_trace(10_000, &[3_000])]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("  a ") && stdout.contains(" 0-1 "), "{stdout}");
-    assert!(stdout.contains("1.500     1.500"), "{stdout}");
+    assert!(stdout.contains("1.500     1.500\n"), "{stdout}");
+
+    // Instances are taken in start order, whatever order the file lists
+    // them in; a span whose count differs between traces gets no
+    // per-instance medians.
+    let reversed = |pipeline_us, a_us: &[u32]| {
+        let mut events = timed_events(pipeline_us, a_us);
+        events.reverse();
+        trace_of(events)
+    };
+    let out = summarize(&[
+        reversed(10_000, &[1_000, 2_000, 3_000]),
+        timed_trace(20_000, &[3_000, 4_000, 5_000]),
+        timed_trace(10_000, &[2_000, 3_000]),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let a = stdout.lines().find(|l| l.starts_with("  a ")).unwrap_or_default();
+    let a: Vec<&str> = a.split_whitespace().collect();
+    assert_eq!(a, ["a", "2-3", "6.000", "1.000"], "{stdout}");
+    let out = summarize(&[
+        reversed(10_000, &[1_000, 2_000, 3_000]),
+        timed_trace(20_000, &[3_000, 4_000, 5_000]),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let a = stdout.lines().find(|l| l.starts_with("  a ")).unwrap_or_default();
+    let a: Vec<&str> = a.split_whitespace().collect();
+    assert_eq!(a, ["a", "3", "9.000", "3.000", "2.000", "3.000", "4.000"], "{stdout}");
 }
 
 #[test]

@@ -47,7 +47,7 @@ use crate::profile::{ProcMap, ProfCounts, Transfer};
 use crate::timing::{Cache, TimingStats};
 use crate::uop::{lower, Uop, LINE_FIRST, NO_USE, PAIR, READY_SLOTS, SINK};
 use om_alpha::timing::{can_dual_issue, issue_class};
-use om_alpha::{Inst, PalOp};
+use om_alpha::{decode, Inst, PalOp};
 use om_core::profile::Profile;
 use om_linker::Image;
 use std::collections::HashSet;
@@ -154,6 +154,8 @@ struct BlockCache {
     /// Wall time spent decoding blocks, accumulated only while a trace is
     /// installed (report-only; split out of dispatch time by `run_blocks`).
     decode_ns: u64,
+    /// The block being built, decoded; reused from block to block.
+    insts: Vec<Inst>,
 }
 
 impl BlockCache {
@@ -164,6 +166,7 @@ impl BlockCache {
             line_shift,
             uops_total: 0,
             decode_ns: 0,
+            insts: Vec::new(),
         }
     }
 
@@ -196,30 +199,24 @@ impl BlockCache {
     /// sized allocation.
     fn build_inner(&mut self, m: &Machine, pc: u64, idx: usize) -> Result<u32, ExecError> {
         let text = &m.text[idx..];
-        let mut n = 0;
-        for word in text.iter().take(MAX_BLOCK) {
-            match word {
-                Ok(inst) => {
-                    n += 1;
-                    if inst.is_control() {
-                        break;
-                    }
-                }
-                // Undecodable padding: end the block before it, so the next
-                // dispatch faults exactly like the reference fetch.
-                Err(_) => break,
+        let insts = &mut self.insts;
+        insts.clear();
+        for &word in text.iter().take(MAX_BLOCK) {
+            // Undecodable padding: end the block before it, so the next
+            // dispatch faults exactly like the reference fetch.
+            let Ok(inst) = decode(word) else { break };
+            insts.push(inst);
+            if inst.is_control() {
+                break;
             }
         }
-        if n == 0 {
-            return match text[0] {
-                Err(word) => Err(ExecError::BadInstruction { pc, word }),
-                Ok(_) => unreachable!("non-empty block for a decodable word"),
-            };
+        if insts.is_empty() {
+            return Err(ExecError::BadInstruction { pc, word: text[0] });
         }
+        let n = insts.len();
         let mut uops: Vec<Uop> = Vec::with_capacity(n);
         let mut prev: Option<&Inst> = None;
-        for (k, word) in text[..n].iter().enumerate() {
-            let inst = word.as_ref().expect("decodable: counted above");
+        for (k, inst) in insts.iter().enumerate() {
             let upc = pc + 4 * k as u64;
             let mut u = lower(upc, inst);
             if k == 0 || (upc >> self.line_shift) != ((upc - 4) >> self.line_shift) {

@@ -76,9 +76,12 @@ pub struct Machine {
     pub(crate) fr: [u64; REG_SLOTS],
     pub pc: u64,
     pub(crate) text_base: u64,
-    /// Pre-decoded text; `Err` holds undecodable words (inter-module
-    /// padding), fatal only if fetched.
-    pub(crate) text: Vec<Result<Inst, u32>>,
+    /// The text's words as loaded, decoded only where they execute: the
+    /// block engine decodes a word when it builds the block holding it, the
+    /// reference interpreter at each fetch. An undecodable word (inter-module
+    /// padding) is fatal only if fetched. A store into text writes data
+    /// memory's copy, never these words, so it cannot change what executes.
+    pub(crate) text: Vec<u32>,
     /// Debug output from `WriteInt`.
     pub output: Vec<i64>,
 }
@@ -166,20 +169,18 @@ pub fn text_segment(image: &Image) -> Result<&Segment, ExecError> {
 }
 
 impl Machine {
-    /// Loads an image, pre-decoding its text segment. Undecodable words
-    /// (inter-module alignment padding) become lazy faults that trigger only
-    /// if control ever reaches them.
+    /// Loads an image, keeping its text segment's words undecoded.
+    /// Undecodable words (inter-module alignment padding) become lazy faults
+    /// that trigger only if control ever reaches them.
     ///
     /// # Errors
     ///
     /// [`ExecError::NoText`] for an image without a text segment.
     pub fn load(image: &Image) -> Result<Machine, ExecError> {
         let text_seg = text_segment(image)?;
-        let mut text = Vec::with_capacity(text_seg.bytes.len() / 4);
-        for w in text_seg.bytes.chunks_exact(4) {
-            let word = u32::from_le_bytes(w.try_into().expect("4-byte chunk"));
-            text.push(decode(word).map_err(|_| word));
-        }
+        let text = (text_seg.bytes.chunks_exact(4))
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
+            .collect();
         let mut m = Machine {
             mem: Mem::from_image(image),
             ir: [0; REG_SLOTS],
@@ -207,8 +208,7 @@ impl Machine {
         }
         let idx = ((pc - self.text_base) / 4) as usize;
         match self.text.get(idx) {
-            Some(Ok(inst)) => Ok(*inst),
-            Some(Err(word)) => Err(ExecError::BadInstruction { pc, word: *word }),
+            Some(&word) => decode(word).map_err(|_| ExecError::BadInstruction { pc, word }),
             None => Err(ExecError::BadPc { pc }),
         }
     }

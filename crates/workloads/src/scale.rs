@@ -376,7 +376,7 @@ pub fn archive_pack(
 
     let mut libs = Vec::with_capacity(archives);
     for k in 0..archives {
-        let mut ar = Archive::new(&format!("libchain{k}"));
+        let mut ar = Archive::new(format!("libchain{k}"));
         for l in 0..members_per {
             let src = member_source(k, l, archives, members_per);
             ar.add(compile_source(&format!("lib{k}_{l}"), &src, &opts)?)?;

@@ -18,6 +18,11 @@ echo "== line count (scripts/loc.sh) =="
 # in every CI log so a change's line delta is on record; nothing gates it.
 scripts/loc.sh
 
+echo "== clippy (warnings are errors) =="
+# Every target of every crate, tests included: a new lint finding fails CI
+# instead of piling up.
+cargo clippy --workspace --all-targets -- -D warnings
+
 echo "== tests =="
 cargo test -q --workspace
 
