@@ -103,11 +103,21 @@ pub fn can_dual_issue(first: &Inst, second: &Inst) -> bool {
 /// ([`Effects::depends_on`]: register hazards, memory conflicts, control).
 /// Among ready instructions it picks the longest critical path, then the
 /// larger fan-out, then one that dual-issues with the previous pick, then
-/// source order. A pass over many blocks should keep one
-/// [`ListScheduler`] instead, so the working buffers are allocated once.
+/// source order. A block longer than [`WINDOW`] is scheduled in consecutive
+/// windows of that many instructions. A pass over many blocks should keep
+/// one [`ListScheduler`] instead, so the working buffers are allocated once.
 pub fn list_schedule<T>(block: &mut [T], inst: impl Fn(&T) -> &Inst) {
     ListScheduler::default().schedule(block, inst);
 }
+
+/// The most instructions [`ListScheduler`] schedules as one: a longer block
+/// is scheduled in consecutive windows of at most this many, each alone, so
+/// the successor sets, which grow with the square of a window, stay at most
+/// `WINDOW · ⌈WINDOW / 64⌉` words (128 KiB) and a block's time grows
+/// linearly. It is more than 4× the longest block the compiler or OM
+/// schedules in any workload here (DESIGN §4.3), so none of their schedules
+/// is cut.
+pub const WINDOW: usize = 1024;
 
 /// Rows of [`ListScheduler`]'s sweep masks: per register, the later
 /// instructions that read or write it, then the later memory readers,
@@ -217,8 +227,8 @@ fn pairing() -> &'static [u8; 4] {
 /// The dependence graph is a bitset of successors per instruction, built in
 /// one backward sweep from masks of the later instructions that use or
 /// define each register, read or write memory, or transfer control. A
-/// block of `n` instructions takes `⌈n / 64⌉` words per set, so every block
-/// size runs the same code.
+/// window of `n` instructions takes `⌈n / 64⌉` words per set, so every
+/// window size runs the same code.
 #[derive(Debug, Default)]
 pub struct ListScheduler {
     /// Issue class of each instruction.
@@ -242,19 +252,20 @@ pub struct ListScheduler {
 }
 
 impl ListScheduler {
-    /// Schedules one block in place; see [`list_schedule`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a block of 2^26 instructions or more, whose critical path
-    /// could overflow its key (its successor sets alone would take 2^49
-    /// bytes).
+    /// Schedules one block in place, [`WINDOW`] instructions at a time;
+    /// see [`list_schedule`].
     pub fn schedule<T>(&mut self, block: &mut [T], inst: impl Fn(&T) -> &Inst) {
+        for window in block.chunks_mut(WINDOW) {
+            self.schedule_window(window, &inst);
+        }
+    }
+
+    /// Schedules a window of at most [`WINDOW`] instructions in place.
+    fn schedule_window<T>(&mut self, block: &mut [T], inst: &impl Fn(&T) -> &Inst) {
         let n = block.len();
         if n < 2 {
             return;
         }
-        assert!(n < 1 << 26, "a block of {n} instructions");
         let words = n.div_ceil(64);
         let Self { class, succ, masks, preds, prio, key, ready, order } = self;
         let pairs = pairing();
@@ -528,6 +539,24 @@ mod tests {
             assert_eq!(got, want, "block {b} ({n} instructions)");
         }
         assert_eq!(seen, [true; 4], "every issue class is drawn");
+    }
+
+    #[test]
+    fn a_long_block_schedules_as_its_windows_alone() {
+        let mut rng = om_prng::StdRng::seed_from_u64(31);
+        let block: Vec<(usize, Inst)> =
+            (0..3 * WINDOW).map(|k| (k, random_inst(&mut rng, false))).collect();
+        let mut want = block.clone();
+        for window in want.chunks_mut(WINDOW) {
+            ListScheduler::default().schedule(window, |t| &t.1);
+        }
+        assert_ne!(want, block, "the windows' schedules move something");
+        let mut sched = ListScheduler::default();
+        let mut got = block;
+        sched.schedule(&mut got, |t| &t.1);
+        assert_eq!(got, want);
+        let words = sched.succ.len();
+        assert!(words <= WINDOW * WINDOW.div_ceil(64), "{words} successor words");
     }
 
     #[test]

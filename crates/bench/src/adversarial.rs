@@ -14,7 +14,8 @@
 //! * **Object cases** are raw modules past (or exactly on) a hard limit —
 //!   near-`i32::MAX` sections, `u64`-wrapping size sums, single-module GAT
 //!   overflow, an address load beyond the LDAH/LDA pair's reach, an addend
-//!   at the end of `i64`. The oracle is agreement with the standard linker:
+//!   at the end of `i64`, a basic block of 100,000 instructions. The oracle
+//!   is agreement with the standard linker:
 //!   where it must return [`LinkError::Range`], OM at every level with the
 //!   verifier on fails with the same error, and where it links, so does
 //!   OM; nothing panics — a long-running `omd` cannot afford to abort on
@@ -25,7 +26,7 @@
 //! broke rather than a seed to re-derive.
 
 use crate::fuzz::{check_sources, Outcome};
-use om_alpha::{Inst, Reg};
+use om_alpha::{Inst, Operand, OprOp, Reg};
 use om_core::{optimize_and_link_with, OmError, OmLevel, OmOptions};
 use om_linker::{link_modules, LayoutOpts, LinkError, GAT_GROUP_CAPACITY};
 use om_objfile::{Module, ModuleBuilder, RelocKind, SecId, Symbol, Visibility};
@@ -65,6 +66,26 @@ fn seed_module(name: &str, addend: i64) -> Module {
     b.emit(Inst::ret());
     b.define_proc("__start", start, 0, Visibility::Exported);
     b.finish().expect("the seed module is well-formed")
+}
+
+/// [`seed_module`] with `n` more instructions in its one basic block: two
+/// independent chains of adds, which OM's rescheduling takes as one block
+/// and schedules in windows ([`om_alpha::timing::WINDOW`]).
+fn straight_line_module(name: &str, n: usize) -> Module {
+    let mut b = ModuleBuilder::new(name);
+    let off = b.append_data(SecId::Data, &[0; 16]);
+    let g = b.add_symbol(Symbol::data(format!("{name}_g"), SecId::Data, off, 8));
+    let lita = b.lita_slot(g, 0);
+    let start = b.here();
+    let load = b.emit_reloc(Inst::ldq(Reg::T0, 0, Reg::GP), RelocKind::Literal { lita });
+    b.emit_reloc(Inst::ldq(Reg::V0, 0, Reg::T0), RelocKind::LituseBase { load_offset: load });
+    for k in 0..n {
+        let r = if k % 2 == 0 { Reg::A1 } else { Reg::A2 };
+        b.emit(Inst::Opr { op: OprOp::Addq, ra: r, rb: Operand::Lit(k as u8 | 1), rc: r });
+    }
+    b.emit(Inst::ret());
+    b.define_proc("__start", start, 0, Visibility::Exported);
+    b.finish().expect("the straight-line module is well-formed")
 }
 
 /// Source case 1: globals whose combined span dwarfs GP-relative reach.
@@ -222,6 +243,12 @@ pub fn corpus() -> Vec<Case> {
         name: "exact-gat-capacity-boundary",
         detail: "exactly GAT_GROUP_CAPACITY unique slots still fills one legal group",
         kind: CaseKind::BoundaryObjects(vec![gat_edge]),
+    });
+
+    cases.push(Case {
+        name: "straight-line-100k",
+        detail: "one 100,000-instruction basic block is scheduled in windows, not as a square",
+        kind: CaseKind::BoundaryObjects(vec![straight_line_module("advo_line", 100_000)]),
     });
 
     let wide = [

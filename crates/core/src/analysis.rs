@@ -7,7 +7,7 @@
 //!
 //! A [`Snapshot`] lays the symbolic program out from sizes alone: each
 //! procedure's instruction count, the `.lita` entries emit would write
-//! (`sym::gat_entries`, or, inside OM's passes, the residue's live loads)
+//! (`sym::GatLists`, or, inside OM's passes, the residue's live loads)
 //! and the link's symbol table. It never emits a module or rebuilds the
 //! symbol table, so an OM-full round costs one layout.
 //! The final link's emitted modules, symbol table and layout are
@@ -15,7 +15,7 @@
 
 use crate::pipeline::CallBook;
 use crate::sym::{
-    gat_entries, Addend, GlobalRef, InstId, OmError, SInst, SMark, SymProc, SymProgram,
+    literals, Addend, GatLists, GlobalRef, InstId, OmError, SInst, SMark, SymProc, SymProgram,
 };
 use om_alpha::{BrOp, Effects, Inst, JmpOp, Reg};
 use om_linker::{layout, LayoutOpts, Placed, ProgramLayout, SymbolTable};
@@ -92,7 +92,10 @@ impl Snapshot {
     /// Propagates layout failures.
     pub fn capture_with(program: &SymProgram, sort_commons: bool) -> Result<Snapshot, OmError> {
         let _s = om_obs::span("snapshot");
-        let litas = (0..program.modules.len()).map(|mi| gat_entries(program, mi)).collect();
+        let mut lists = GatLists::new(&program.symtab, program.preserve_gat);
+        let litas = (program.modules.iter().enumerate())
+            .map(|(mi, m)| lists.list(mi, literals(m), &m.source.lita))
+            .collect();
         Snapshot::lay_out(program, litas, sort_commons)
     }
 
@@ -106,7 +109,7 @@ impl Snapshot {
         sort_commons: bool,
     ) -> Result<Snapshot, OmError> {
         let _s = om_obs::span("snapshot");
-        Snapshot::lay_out(program, residue.gat_entries(program.preserve_gat), sort_commons)
+        Snapshot::lay_out(program, residue.gat_entries(program), sort_commons)
     }
 
     /// Lays `program` out with `litas` as its modules' `.lita`s.
@@ -508,13 +511,6 @@ pub(crate) struct Residue {
     /// The sites that name each procedure as their callee (direct JSRs and
     /// BSRs), in site order.
     callers: Groups<u32>,
-    /// The distinct `(symbol, addend)` entries of each module's loads and
-    /// input `.lita`, a module's together; a load names its entry by index.
-    entries: Vec<LitaEntry>,
-    /// The entry of each input `.lita` entry: module `m`'s are
-    /// `lita_entries[lita_start[m]..lita_start[m + 1]]`.
-    lita_entries: Vec<u32>,
-    lita_start: Vec<usize>,
     /// Indices of the sites and loads still in play, in program order.
     pub(crate) live_sites: Vec<u32>,
     pub(crate) live_loads: Vec<u32>,
@@ -539,8 +535,9 @@ pub(crate) struct Site {
 pub(crate) struct Load {
     pub(crate) proc: usize,
     pub(crate) id: InstId,
-    /// Its `.lita` entry, an index into `Residue::entries`.
-    entry: u32,
+    /// Its `.lita` entry, `sym + addend`.
+    sym: SymId,
+    addend: Addend,
     /// Still a `Literal`: neither converted nor removed.
     pub(crate) live: bool,
 }
@@ -558,15 +555,9 @@ struct Scratch {
     /// Indices of the JSR and BSR instructions, then of the call sites.
     calls: Vec<u32>,
     site_at: Vec<u32>,
-    /// This module's entries to number: `(symbol, addend, load or input
-    /// entry)`, an input entry tagged with `INPUT`.
-    keys: Vec<(u32, i64, u32)>,
     /// Every load's consumers, `(load, id)`, in program order.
     consumers: Vec<(u32, InstId)>,
 }
-
-/// Tags an input `.lita` entry among a module's keys.
-const INPUT: u32 = 1 << 31;
 
 impl Residue {
     /// Collects every call site and `Literal` load of `program`, all live,
@@ -592,9 +583,6 @@ impl Residue {
             loads: Vec::with_capacity(census.literal_loads),
             uses: Groups::default(),
             callers: Groups::default(),
-            entries: Vec::new(),
-            lita_entries: Vec::new(),
-            lita_start: vec![0],
             live_sites: Vec::new(),
             live_loads: Vec::new(),
             forward: Vec::new(),
@@ -606,7 +594,6 @@ impl Residue {
         let mut escapes: Vec<GlobalRef> = Vec::new();
         for (mi, m) in program.modules.iter().enumerate() {
             let mut by_sym = vec![GONE; m.source.symbols.len()];
-            s.keys.clear();
             for (pi, p) in m.procs.iter().enumerate() {
                 let proc = r.procs.len();
                 r.procs.push((mi, pi));
@@ -618,9 +605,6 @@ impl Residue {
                 r.index(program, mi, proc, &mut s, &mut escapes);
             }
             r.proc_by_sym.push(by_sym);
-            let inputs = m.source.lita.iter().enumerate();
-            s.keys.extend(inputs.map(|(x, e)| (e.sym.0, e.addend, INPUT | x as u32)));
-            r.number_entries(&mut s.keys);
             // Data-section pointers to procedures (initialized fnptr
             // globals): the only relocations a translation keeps.
             for rel in &m.source.relocs {
@@ -679,10 +663,8 @@ impl Residue {
             self.pos[base + i.id as usize] = k as u32;
             match i.mark {
                 SMark::Literal { sym, addend, escaping } => {
-                    let li = self.loads.len() as u32;
-                    s.keys.push((sym.0, m.addend(addend), li));
                     s.load_at.push(k as u32);
-                    self.loads.push(Load { proc, id: i.id, entry: 0, live: true });
+                    self.loads.push(Load { proc, id: i.id, sym, addend, live: true });
                     if escaping {
                         escapes.push(program.target(mi, sym));
                     }
@@ -745,30 +727,6 @@ impl Residue {
                 self.sites[first_site + j].gp_reset = Some((hi, lo));
             }
         }
-    }
-
-    /// Numbers the distinct `(symbol, addend)` entries among one module's
-    /// `keys` (its loads' and its input `.lita`'s), sorting them: no hash,
-    /// and no walk longer than the keys.
-    fn number_entries(&mut self, keys: &mut [(u32, i64, u32)]) {
-        keys.sort_unstable();
-        let first_input = self.lita_entries.len();
-        let inputs = keys.iter().filter(|k| k.2 & INPUT != 0).count();
-        self.lita_entries.resize(first_input + inputs, 0);
-        let mut last = None;
-        for &(sym, addend, of) in keys.iter() {
-            if last != Some((sym, addend)) {
-                last = Some((sym, addend));
-                self.entries.push(LitaEntry { sym: SymId(sym), addend });
-            }
-            let e = (self.entries.len() - 1) as u32;
-            if of & INPUT != 0 {
-                self.lita_entries[first_input + (of & !INPUT) as usize] = e;
-            } else {
-                self.loads[of as usize].entry = e;
-            }
-        }
-        self.lita_start.push(self.lita_entries.len());
     }
 
     /// `(module, procedure)` of dense procedure `proc`.
@@ -843,30 +801,18 @@ impl Residue {
         matches!((uses.next(), uses.next()), (Some((_, UseKind::Jsr)), None))
     }
 
-    /// Each module's `.lita` as emit would write it now (`sym::gat_entries`),
-    /// read off the live loads instead of every instruction: the distinct
-    /// entries of its `Literal` loads in code order, then, when the program
-    /// preserves its GAT, its input's entries not among them.
-    pub(crate) fn gat_entries(&self, preserve_gat: bool) -> Vec<Vec<LitaEntry>> {
-        let mut lists = vec![Vec::new(); self.proc_by_sym.len()];
-        let mut listed = vec![false; self.entries.len()];
-        let mut list = |mi: usize, e: u32| {
-            if !std::mem::replace(&mut listed[e as usize], true) {
-                lists[mi].push(self.entries[e as usize]);
-            }
-        };
-        for &li in &self.live_loads {
-            let l = &self.loads[li as usize];
-            list(self.procs[l.proc].0, l.entry);
-        }
-        if preserve_gat {
-            for mi in 0..self.lita_start.len() - 1 {
-                for &e in &self.lita_entries[self.lita_start[mi]..self.lita_start[mi + 1]] {
-                    list(mi, e);
-                }
-            }
-        }
-        lists
+    /// Each module's `.lita` as emit would write it now (`sym::GatLists`),
+    /// read off the live loads instead of every instruction.
+    pub(crate) fn gat_entries(&self, program: &SymProgram) -> Vec<Vec<LitaEntry>> {
+        let mut lists = GatLists::new(&program.symtab, program.preserve_gat);
+        let mut loads = self.live_loads.iter().map(|&li| &self.loads[li as usize]).peekable();
+        (program.modules.iter().enumerate())
+            .map(|(mi, m)| {
+                let live = std::iter::from_fn(|| loads.next_if(|l| self.procs[l.proc].0 == mi));
+                let literals = live.map(|l| LitaEntry { sym: l.sym, addend: m.addend(l.addend) });
+                lists.list(mi, literals, &m.source.lita)
+            })
+            .collect()
     }
 
     /// How many call sites still need their PV load and their GP reset

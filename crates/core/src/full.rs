@@ -25,7 +25,7 @@ use crate::analysis::{
 use crate::pipeline::CallBook;
 use crate::simple::{convert_calls, transform_address_loads, Removal};
 use crate::stats::OmStats;
-use crate::sym::{Addend, GlobalRef, OmError, SMark, SymProgram};
+use crate::sym::{Addend, GlobalRef, OmError, SymProgram};
 use om_alpha::{field, Effects, Reg};
 use std::collections::HashSet;
 
@@ -132,29 +132,27 @@ pub(crate) fn run(
 /// when it is safe: nothing before the pair may read GP or write PV, and no
 /// branch may target the skipped-over region (never the case for a prologue
 /// region).
+///
+/// Which pairs a branch pins is what `translate_module` recorded
+/// (`SymModule::pinned_pairs`), so `program` must hold its translations'
+/// instructions in their order: OM-full restores before any other pass. A
+/// deletion since keeps the record safe, as it retargets a branch forward,
+/// never into the region.
 pub fn restore_prologues(program: &mut SymProgram) {
-    // By instruction id, whether a local branch targets it; reused from
-    // procedure to procedure, and filled only for one whose pair moves.
-    let mut targeted: Vec<bool> = Vec::new();
     for m in &mut program.modules {
+        let mut pinned = m.pinned_pairs.iter().peekable();
         for p in &mut m.procs {
+            if pinned.next_if(|&&sym| sym == p.sym).is_some() {
+                continue;
+            }
             let Some((hi_idx, lo_idx)) = find_entry_pair(p) else { continue };
             if hi_idx == 0 && lo_idx == 1 {
                 continue;
             }
             // Safety: instructions currently before the pair must not read
             // GP (they would now see the new value) or write PV/GP, and must
-            // not be branch targets or control transfers.
+            // not be control transfers.
             let limit = hi_idx.max(lo_idx);
-            targeted.clear();
-            targeted.resize(p.id_limit(), false);
-            for i in &p.insts {
-                if let SMark::BrLocal { target } = i.mark {
-                    if let Some(t) = targeted.get_mut(target as usize) {
-                        *t = true;
-                    }
-                }
-            }
             let movable = p.insts[..limit].iter().enumerate().all(|(k, i)| {
                 if k == hi_idx || k == lo_idx {
                     return true;
@@ -164,15 +162,20 @@ pub fn restore_prologues(program: &mut SymProgram) {
                     && !e.writes_int(Reg::GP)
                     && !e.writes_int(Reg::PV)
                     && !e.control
-                    && targeted.get(i.id as usize) != Some(&true)
             });
             if !movable {
                 continue;
             }
-            let lo = p.insts.remove(lo_idx);
-            let hi = p.insts.remove(if hi_idx > lo_idx { hi_idx - 1 } else { hi_idx });
-            p.insts.insert(0, hi);
-            p.insts.insert(1, lo);
+            // The pair goes to the front and the region after it, in order;
+            // nothing past the pair moves.
+            let (hi, lo) = (p.insts[hi_idx], p.insts[lo_idx]);
+            let mut to = limit + 1;
+            for k in (0..=limit).rev().filter(|&k| k != hi_idx && k != lo_idx) {
+                to -= 1;
+                p.insts[to] = p.insts[k];
+            }
+            p.insts[0] = hi;
+            p.insts[1] = lo;
         }
     }
 }

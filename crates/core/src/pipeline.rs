@@ -271,6 +271,13 @@ fn run_pipeline(
         let _s = om_obs::span("symtab");
         build_symbol_table(&modules)?
     };
+    // The untransformed program's GAT is the inputs' GAT: translation keeps
+    // every `.lita` entry, and the slot count depends on nothing else. It is
+    // merged while the table's walk has left the `.lita`s in cache.
+    let gat_slots_before = {
+        let _s = om_obs::span("gat.before");
+        gat_slots(&modules, &symtab)?
+    };
     let mut program = {
         let translate_span = om_obs::span("pass.translate");
         om_obs::count("pass.translate.modules", modules.len() as u64);
@@ -292,17 +299,11 @@ fn run_pipeline(
         resolve_symbolic(translated, &symtab)
     };
 
-    let mut stats = OmStats::default();
+    let mut stats = OmStats { gat_slots_before, ..OmStats::default() };
     {
         let _s = om_obs::span("census");
         census(&program, &mut stats);
     }
-    // The untransformed program's GAT is the inputs' GAT: translation keeps
-    // every `.lita` entry, and the slot count depends on nothing else.
-    stats.gat_slots_before = {
-        let _s = om_obs::span("gat.before");
-        gat_slots(&modules, &symtab)?
-    };
 
     // Each call site's bookkeeping as the passes left it (Figure 4); the
     // residue goes before rescheduling, as it always has.

@@ -26,6 +26,10 @@ use om_alpha::{Effects, Inst};
 /// backward-branch targets (the paper itself ablated alignment on `ear`:
 /// "when we scheduled it without alignment the performance was improved").
 /// `fault` is an optional mutation-testing fault plan.
+///
+/// One walk per procedure: scheduling moves no block leader, branch target
+/// or control transfer, so the flags it marked still hold for alignment,
+/// which follows it procedure by procedure in module order.
 pub fn run_with(
     program: &mut SymProgram,
     stats: &mut OmStats,
@@ -34,21 +38,23 @@ pub fn run_with(
 ) {
     let mut scratch = Scratch::default();
     for m in &mut program.modules {
+        let mut base = 0u64;
         for p in &mut m.procs {
             scratch.schedule(&mut p.insts);
             // Fault point: procedures with an adjacent truly-dependent pair
             // are the candidate sites for a dependence-violating swap.
             if fault.is_some() {
-                if let Some(k) = dependent_adjacent_pair(&p.insts, &mut scratch) {
+                if let Some(k) = dependent_adjacent_pair(&p.insts, &scratch.flags) {
                     if crate::fault::armed(fault, FaultKind::SchedSwap) {
                         p.insts.swap(k, k + 1);
                     }
                 }
             }
+            if align {
+                scratch.align(p, base, |_| true, stats);
+            }
+            base += 4 * p.insts.len() as u64;
         }
-    }
-    if align {
-        align_backward_targets(program, stats);
     }
 }
 
@@ -109,6 +115,48 @@ impl Scratch {
         }
     }
 
+    /// Inserts UNOPs so that every backward-branch target of `p` that
+    /// `keep` selects by rank lands on an 8-byte boundary in the final image,
+    /// `p` starting `base` bytes into its module (procedure start offsets
+    /// are 16-aligned at layout time, so intra-module offsets determine
+    /// alignment). The flags must be `p`'s, as [`Scratch::mark`] left them.
+    fn align(
+        &mut self,
+        p: &mut SymProc,
+        base: u64,
+        mut keep: impl FnMut(usize) -> bool,
+        stats: &mut OmStats,
+    ) {
+        // Decide front to back which selected targets need a UNOP in front
+        // to land quadword-aligned: padding shifts later targets.
+        self.pads.clear();
+        let targets = (self.flags.iter().enumerate())
+            .filter(|(_, &f)| f & BACKWARD_TARGET != 0)
+            .map(|(k, _)| k);
+        for (rank, k) in targets.enumerate() {
+            let offset = base + 4 * (k + self.pads.len()) as u64;
+            if keep(rank) && !offset.is_multiple_of(8) {
+                self.pads.push(k);
+            }
+        }
+        if self.pads.is_empty() {
+            return;
+        }
+        // Then rebuild the procedure once.
+        let old = std::mem::replace(&mut p.insts, std::mem::take(&mut self.insts));
+        let mut pads = self.pads.iter().peekable();
+        for (k, &i) in old.iter().enumerate() {
+            if pads.next_if_eq(&&k).is_some() {
+                let fresh = p.fresh_id();
+                p.insts.push(SInst { id: fresh, inst: Inst::unop(), mark: SMark::None });
+            }
+            p.insts.push(i);
+        }
+        stats.unops_inserted += self.pads.len();
+        self.insts = old;
+        self.insts.clear();
+    }
+
     /// Splits `insts` into basic blocks and list-schedules each block in
     /// place.
     fn schedule(&mut self, insts: &mut [SInst]) {
@@ -156,11 +204,9 @@ pub fn schedule_proc(insts: &mut [SInst]) {
 
 /// First position `k` where instruction `k+1` truly depends on `k` (reads
 /// an integer register `k` writes), neither is a control transfer, and
-/// neither is a branch target — the site the [`FaultKind::SchedSwap`]
-/// mutation inverts.
-fn dependent_adjacent_pair(insts: &[SInst], scratch: &mut Scratch) -> Option<usize> {
-    scratch.mark(insts);
-    let flags = &scratch.flags;
+/// neither is a branch target (by `flags`, [`Scratch::mark`]'s) — the site
+/// the [`FaultKind::SchedSwap`] mutation inverts.
+fn dependent_adjacent_pair(insts: &[SInst], flags: &[u8]) -> Option<usize> {
     insts.windows(2).enumerate().position(|(k, w)| {
         let (a, b) = (Effects::of(&w[0].inst), Effects::of(&w[1].inst));
         !a.control
@@ -184,15 +230,8 @@ pub fn backward_target_ids(p: &SymProc) -> Vec<InstId> {
         .collect()
 }
 
-/// Inserts UNOPs so that every backward-branch target lands on an 8-byte
-/// boundary in the final image (procedure start offsets are 16-aligned at
-/// layout time, so intra-module offsets determine alignment).
-fn align_backward_targets(program: &mut SymProgram, stats: &mut OmStats) {
-    align_backward_targets_where(program, stats, |_, _, _| true);
-}
-
-/// `align_backward_targets` restricted to the targets `keep` selects by
-/// `(module index, proc index, target rank)` — the profile-guided layout
+/// [`run_with`]'s alignment alone, restricted to the targets `keep` selects
+/// by `(module index, proc index, target rank)` — the profile-guided layout
 /// pass aligns only *hot* targets through this hook.
 pub fn align_backward_targets_where(
     program: &mut SymProgram,
@@ -205,34 +244,8 @@ pub fn align_backward_targets_where(
         // inserted (procedures are laid out back to back).
         let mut base = 0u64;
         for (pi, p) in m.procs.iter_mut().enumerate() {
-            // Decide front to back which selected targets need a UNOP in
-            // front to land quadword-aligned: padding shifts later targets.
             scratch.mark(&p.insts);
-            scratch.pads.clear();
-            let targets = (scratch.flags.iter().enumerate())
-                .filter(|(_, &f)| f & BACKWARD_TARGET != 0)
-                .map(|(k, _)| k);
-            for (rank, k) in targets.enumerate() {
-                let offset = base + 4 * (k + scratch.pads.len()) as u64;
-                if keep(mi, pi, rank) && !offset.is_multiple_of(8) {
-                    scratch.pads.push(k);
-                }
-            }
-            // Then rebuild the procedure once.
-            if !scratch.pads.is_empty() {
-                let old = std::mem::replace(&mut p.insts, std::mem::take(&mut scratch.insts));
-                let mut pads = scratch.pads.iter().peekable();
-                for (k, &i) in old.iter().enumerate() {
-                    if pads.next_if_eq(&&k).is_some() {
-                        let fresh = p.fresh_id();
-                        p.insts.push(SInst { id: fresh, inst: Inst::unop(), mark: SMark::None });
-                    }
-                    p.insts.push(i);
-                }
-                stats.unops_inserted += scratch.pads.len();
-                scratch.insts = old;
-                scratch.insts.clear();
-            }
+            scratch.align(p, base, |rank| keep(mi, pi, rank), stats);
             base += 4 * p.insts.len() as u64;
         }
     }

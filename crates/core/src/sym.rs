@@ -24,7 +24,6 @@ use om_alpha::{decode, Inst, MemOp, Reg};
 pub use om_linker::GlobalRef;
 use om_linker::SymbolTable;
 use om_objfile::{LitaEntry, Module, Reloc, RelocKind, SecId, SymId, SymbolDef};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -294,6 +293,11 @@ pub struct SymModule {
     /// What the translation counted: its instructions, `Literal` loads and
     /// call sites, before any pass ran.
     pub census: Census,
+    /// The procedures whose entry pair translation found away from the
+    /// entry with a local branch into the instructions before it (other
+    /// than the pair's own halves), in procedure order: moving such a pair
+    /// to the entry would skip a branch target.
+    pub(crate) pinned_pairs: Vec<SymId>,
 }
 
 impl SymModule {
@@ -419,6 +423,7 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
     let proc_list = m.procedures();
     let by_word = RelocsByWord::new(m);
     let (mut census, mut resets) = (Census::default(), Vec::new());
+    let mut pinned_pairs = Vec::new();
 
     // Check tiling.
     let mut expected = 0;
@@ -554,7 +559,7 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
             .enumerate()
             .filter_map(|(k, i)| i.mark.gpdisp_lo().map(|lo| (k, lo)))
             .collect();
-        for (k, lo) in his {
+        for &(k, lo) in &his {
             let hi_id = insts[k].id;
             let lo_idx = lo as usize;
             if lo_idx >= insts.len() || !matches!(insts[lo_idx].mark, SMark::None) {
@@ -565,6 +570,14 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
             }
             insts[lo_idx].mark = SMark::GpdispLo { hi: hi_id };
         }
+        // Ids are positions here, so the entry pair is the first
+        // `GpdispEntry` and its low half's id, and moving it to the entry
+        // would skip every instruction before its later half but its own.
+        let pair = (his.iter())
+            .find(|&&(k, _)| matches!(insts[k].mark, SMark::GpdispEntry { .. }))
+            .map(|&(k, lo)| (k as i64, i64::from(lo)));
+        let skipped = |t: i64| pair.is_some_and(|(hi, lo)| t < hi.max(lo) && t != hi && t != lo);
+        let mut pinned = false;
         for k in 0..insts.len() {
             if let (Inst::Br { disp, .. }, SMark::None) = (&insts[k].inst, &insts[k].mark) {
                 let target = k as i64 + 1 + *disp as i64;
@@ -585,7 +598,11 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
                     });
                 }
                 insts[k].mark = SMark::BrLocal { target: target as InstId };
+                pinned |= skipped(target);
             }
+        }
+        if pinned {
+            pinned_pairs.push(*sym_id);
         }
 
         let proc = SymProc { sym: *sym_id, next_id: insts.len() as InstId, insts };
@@ -604,7 +621,7 @@ pub fn translate_module(m: &Module) -> Result<SymModule, OmError> {
         symbols: m.symbols.clone(),
         relocs: m.relocs.iter().filter(|r| r.sec != SecId::Text).copied().collect(),
     };
-    Ok(SymModule { source: Arc::new(source), addends, procs, census })
+    Ok(SymModule { source: Arc::new(source), addends, procs, census, pinned_pairs })
 }
 
 /// Binds per-module translations into a whole program against `symtab`,
@@ -660,8 +677,9 @@ pub fn translate(modules: &[Module], symtab: &SymbolTable) -> Result<SymProgram,
     Ok(resolve_symbolic(translated, symtab))
 }
 
-/// Lowers symbolic module `sm` back to object code over `m`, its source,
-/// with `lita` as its `.lita`. Reads only `sm`'s procedures and addends.
+/// Lowers symbolic module `sm`, module `mi` of its program, back to object
+/// code over `m`, its source, listing its `.lita` through `lists`. Reads
+/// only `sm`'s procedures and addends.
 ///
 /// The returned module keeps the source's symbol table, with procedure
 /// offsets and sizes updated, so every mark's [`SymId`] and every
@@ -673,10 +691,13 @@ pub fn translate(modules: &[Module], symtab: &SymbolTable) -> Result<SymProgram,
 /// Returns [`OmError::Internal`] on dangling symbolic references — these
 /// indicate a transformation bug, but a link server must report them to the
 /// offending request rather than abort the process.
-fn emit_module(sm: &SymModule, mut m: Module, lita: Vec<LitaEntry>) -> Result<Module, OmError> {
-    m.lita = lita;
-    let slot_of: HashMap<(SymId, i64), u32> =
-        m.lita.iter().enumerate().map(|(k, e)| ((e.sym, e.addend), k as u32)).collect();
+fn emit_module(
+    sm: &SymModule,
+    mi: usize,
+    mut m: Module,
+    lists: &mut GatLists,
+) -> Result<Module, OmError> {
+    m.lita = lists.list(mi, literals(sm), &m.lita);
 
     // Offsets by instruction id (dense per procedure, so sized by
     // `next_id`; an id past it would be a bug, and grows the table rather
@@ -713,7 +734,7 @@ fn emit_module(sm: &SymModule, mut m: Module, lita: Vec<LitaEntry>) -> Result<Mo
             match si.mark {
                 SMark::None => {}
                 SMark::Literal { sym, addend, escaping } => {
-                    let lita = slot_of[&(sym, sm.addend(addend))];
+                    let lita = lists.index(mi, LitaEntry { sym, addend: sm.addend(addend) });
                     m.relocs.push(Reloc::text(here, RelocKind::Literal { lita }));
                     if escaping {
                         m.relocs
@@ -810,19 +831,57 @@ fn emit_module(sm: &SymModule, mut m: Module, lita: Vec<LitaEntry>) -> Result<Mo
     Ok(m)
 }
 
-/// The `.lita` entries [`emit_module`] writes for module `mi`: each distinct
-/// `(symbol, addend)` of its `Literal` marks in code order, then, when the
-/// program preserves its GAT (OM-simple never shrinks it), the input's
-/// entries that no surviving instruction references.
-pub(crate) fn gat_entries(program: &SymProgram, mi: usize) -> Vec<LitaEntry> {
-    let sm = &program.modules[mi];
-    let mut seen: HashSet<(SymId, i64)> = HashSet::new();
-    let literals = sm.procs.iter().flat_map(|p| &p.insts).filter_map(|i| match i.mark {
+/// The `.lita` entries [`emit_module`] writes, listed one module at a time:
+/// the distinct GAT entries ([`SymbolTable::gat_entry`]) of a module's
+/// `Literal` marks in code order, then, when the program preserves its GAT
+/// (OM-simple never shrinks it), the input's entries that no surviving
+/// instruction references.
+pub(crate) struct GatLists<'t> {
+    symtab: &'t SymbolTable,
+    preserve_gat: bool,
+    /// By GAT entry: the stamp of the module that last listed it (its index
+    /// plus one) and its index in that module's list.
+    listed: Vec<(u32, u32)>,
+}
+
+impl<'t> GatLists<'t> {
+    pub(crate) fn new(symtab: &'t SymbolTable, preserve_gat: bool) -> GatLists<'t> {
+        GatLists { symtab, preserve_gat, listed: vec![(0, 0); symtab.gat_entry_count()] }
+    }
+
+    /// The `.lita` of module `mi`, whose `Literal` marks name `literals` in
+    /// code order and whose input `.lita` is `input`.
+    pub(crate) fn list(
+        &mut self,
+        mi: usize,
+        literals: impl Iterator<Item = LitaEntry>,
+        input: &[LitaEntry],
+    ) -> Vec<LitaEntry> {
+        let stamp = mi as u32 + 1;
+        let kept = if self.preserve_gat { input } else { &[] };
+        let mut lita = Vec::new();
+        for e in literals.chain(kept.iter().copied()) {
+            let l = &mut self.listed[self.symtab.gat_entry(mi, e)];
+            if l.0 != stamp {
+                *l = (stamp, lita.len() as u32);
+                lita.push(e);
+            }
+        }
+        lita
+    }
+
+    /// The index of entry `e` of module `mi` in the list `mi` was last given.
+    fn index(&self, mi: usize, e: LitaEntry) -> u32 {
+        self.listed[self.symtab.gat_entry(mi, e)].1
+    }
+}
+
+/// The `.lita` entries `sm`'s `Literal` marks name, in code order.
+pub(crate) fn literals(sm: &SymModule) -> impl Iterator<Item = LitaEntry> + '_ {
+    sm.procs.iter().flat_map(|p| &p.insts).filter_map(|i| match i.mark {
         SMark::Literal { sym, addend, .. } => Some(LitaEntry { sym, addend: sm.addend(addend) }),
         _ => None,
-    });
-    let kept = if program.preserve_gat { &sm.source.lita[..] } else { &[] };
-    literals.chain(kept.iter().copied()).filter(|e| seen.insert((e.sym, e.addend))).collect()
+    })
 }
 
 /// Emits every module of the program.
@@ -832,8 +891,9 @@ pub(crate) fn gat_entries(program: &SymProgram, mi: usize) -> Vec<LitaEntry> {
 /// Returns [`OmError::Internal`] if any module has dangling symbolic
 /// references (see `emit_module`).
 pub fn emit_all(program: &SymProgram) -> Result<Vec<Module>, OmError> {
+    let mut lists = GatLists::new(&program.symtab, program.preserve_gat);
     (program.modules.iter().enumerate())
-        .map(|(mi, sm)| emit_module(sm, Module::clone(&sm.source), gat_entries(program, mi)))
+        .map(|(mi, sm)| emit_module(sm, mi, Module::clone(&sm.source), &mut lists))
         .collect()
 }
 
@@ -842,12 +902,12 @@ pub fn emit_all(program: &SymProgram) -> Result<Vec<Module>, OmError> {
 /// instead of interleaving with a program about to be freed, and a source
 /// no module cache shares moves into its emitted module.
 pub(crate) fn emit_all_freeing(mut program: SymProgram) -> Result<Vec<Module>, OmError> {
-    (0..program.modules.len())
-        .map(|mi| {
-            let lita = gat_entries(&program, mi);
-            let sm = &mut program.modules[mi];
+    let mut lists = GatLists::new(&program.symtab, program.preserve_gat);
+    (program.modules.iter_mut().enumerate())
+        .map(|(mi, sm)| {
             let source = Arc::try_unwrap(std::mem::take(&mut sm.source));
-            let m = emit_module(sm, source.unwrap_or_else(|shared| Module::clone(&shared)), lita);
+            let source = source.unwrap_or_else(|shared| Module::clone(&shared));
+            let m = emit_module(sm, mi, source, &mut lists);
             sm.procs = Vec::new();
             m
         })

@@ -4,7 +4,7 @@
 //! symbolic form: what a translation keeps of its input, and addends too
 //! wide for a mark.
 
-use om_alpha::{Inst, Reg};
+use om_alpha::{BrOp, Inst, Reg};
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::analysis::{
     address_taken, call_sites, find_entry_pair, ref_name, use_index, CallKind, UseKind,
@@ -176,6 +176,49 @@ fn restore_prologues_brings_scheduled_pairs_home() {
     // Restoration is semantics-preserving structurally: emit must validate.
     for m in emit_all(&program).unwrap() {
         m.validate().unwrap();
+    }
+}
+
+/// Appends procedure `name` to `b`: `lead` moves, then the entry GPDISP
+/// pair (where a compile-time schedule could have sunk it), a branch back to
+/// instruction `target` and a return.
+fn sunk_pair(b: &mut ModuleBuilder, name: &str, lead: usize, target: usize) {
+    let start = b.here();
+    for _ in 0..lead {
+        b.emit(Inst::mov(Reg::A1, Reg::A2));
+    }
+    let pair = RelocKind::Gpdisp { pair_offset: 4, anchor: start, gp_group: 0 };
+    b.emit_reloc(Inst::ldah(Reg::GP, 0, Reg::PV), pair);
+    b.emit(Inst::lda(Reg::GP, 0, Reg::GP));
+    let disp = target as i32 - (lead as i32 + 3);
+    b.emit(Inst::Br { op: BrOp::Bne, ra: Reg::A1, disp });
+    b.emit(Inst::ret());
+    b.define_proc(name, start, 0, Visibility::Exported);
+}
+
+#[test]
+fn restore_keeps_a_pair_whose_skipped_region_a_branch_targets() {
+    let mut b = ModuleBuilder::new("r");
+    // `(name, lead, branch target, where the pair ends up)`: a branch into
+    // the region the pair would move over pins it; one to the pair's own
+    // high half does not. Deep in a long procedure, the same outcomes.
+    let cases = [
+        ("into_region", 1, 0, (1, 2)),
+        ("to_high_half", 1, 1, (0, 1)),
+        ("deep_into_region", 70, 66, (70, 71)),
+        ("deep_to_high_half", 70, 70, (0, 1)),
+    ];
+    for (name, lead, target, _) in cases {
+        sunk_pair(&mut b, name, lead, target);
+    }
+    let modules = vec![b.finish().unwrap()];
+    let mut program = translate(&modules, &build_symbol_table(&modules).unwrap()).unwrap();
+    for (name, lead, ..) in cases {
+        assert_eq!(find_entry_pair(proc_named(&program, 0, name)), Some((lead, lead + 1)));
+    }
+    om_core::full::restore_prologues(&mut program);
+    for (name, _, _, want) in cases {
+        assert_eq!(find_entry_pair(proc_named(&program, 0, name)), Some(want), "{name}");
     }
 }
 

@@ -11,11 +11,8 @@
 use crate::error::LinkError;
 use crate::image::{Extent, LayoutInfo};
 use crate::resolve::{GlobalRef, SymbolTable};
-use om_objfile::{
-    LitaEntry, Module, SecId, Symbol, SymbolDef, SymId, Visibility, DATA_BASE, TEXT_BASE,
-};
+use om_objfile::{LitaEntry, Module, SecId, Symbol, SymbolDef, SymId, DATA_BASE, TEXT_BASE};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 
 /// Maximum GAT slots per GP group: a signed 16-bit displacement spans 64KB
 /// around GP; with GP at `base + 0x8000` every slot of an 8191-entry table
@@ -147,7 +144,7 @@ impl Placed for Module {
 }
 
 /// The slot count of `modules`' merged GAT: [`layout`]'s GAT step alone,
-/// without placing text, data or commons.
+/// without placing text, data or commons, under the same contract.
 ///
 /// # Errors
 ///
@@ -164,9 +161,11 @@ pub fn gat_slots<P: Placed>(modules: &[P], symtab: &SymbolTable) -> Result<usize
 /// `out`'s GAT fields (groups, GP values, slot addresses, counts and the
 /// `.lita` extent) and returns the first address past the GAT.
 ///
-/// A slot is a resolved target plus addend. A local definition's slot is
-/// its own module's: a local common shares the storage of the exported
-/// common of its name, but not that common's slot.
+/// A slot is a resolved target plus addend, which the symbol table
+/// numbered once ([`SymbolTable::gat_entry`]); a local definition's slot is
+/// its own module's. So the merge is an array pass: each entry keeps the
+/// group that last placed it and its slot, and a new group starts a new
+/// stamp. Slots go in first-appearance order.
 fn merge_gat<P: Placed>(
     modules: &[P],
     symtab: &SymbolTable,
@@ -174,78 +173,78 @@ fn merge_gat<P: Placed>(
 ) -> Result<u64, LinkError> {
     out.group_of_module = vec![0; modules.len()];
     out.lita_addr = modules.iter().map(|m| vec![0; m.lita().len()]).collect();
-    let mut addr = DATA_BASE;
-    let lita_base = addr;
-    let mut group_start = addr;
-    let mut current: HashMap<(GlobalRef, i64), u64> = HashMap::new();
-    let mut group_id: u32 = 0;
-    let mut group_bases: Vec<u64> = vec![group_start];
+    let lita_base = DATA_BASE;
+    let slot_addr = |slot: u32| lita_base + 8 * u64::from(slot);
+    // By entry: the stamp of the group that last placed it (its index plus
+    // one) and its slot.
+    let mut placed: Vec<(u32, u32)> = vec![(0, 0); symtab.gat_entry_count()];
+    let (mut slots, mut group, mut group_first) = (0u32, 0u32, 0u32);
+    let mut group_bases: Vec<u64> = vec![lita_base];
+    let mut entries: Vec<usize> = Vec::new();
 
     for (mi, m) in modules.iter().enumerate() {
         out.gat_entries_input += m.lita().len();
+        entries.clear();
+        entries.extend(m.lita().iter().map(|&e| symtab.gat_entry(mi, e)));
         // How many new slots would this module add to the current group?
-        let keys: Vec<(GlobalRef, i64)> = m
-            .lita()
-            .iter()
-            .map(|e| {
-                let s = &m.symbols()[e.sym.0 as usize];
-                let target = if s.vis == Visibility::Local && s.is_defined() {
-                    GlobalRef::Def { module: mi, sym: e.sym }
-                } else {
-                    symtab.target(mi, e.sym)
-                };
-                (target, e.addend)
-            })
-            .collect();
-        let new = keys.iter().filter(|k| !current.contains_key(*k)).count();
-        if current.len() + new > GAT_GROUP_CAPACITY {
-            if !current.is_empty() {
-                // Seal the group and start a new one for this module.
-                group_id += 1;
-                group_start = addr;
-                group_bases.push(group_start);
-                current = HashMap::new();
-            }
-            // Groups split only at module boundaries, so a module whose own
-            // pool outgrows a fresh group can never be laid out — the wall
-            // a monolithic compile-all merge of a scale-sized program hits.
-            let distinct = keys.iter().collect::<std::collections::HashSet<_>>().len();
-            if distinct > GAT_GROUP_CAPACITY {
-                return Err(LinkError::Range {
-                    what: format!(
-                        "module `{}` alone needs {distinct} GAT slots but one GP group \
-                         holds {GAT_GROUP_CAPACITY}; groups split only at module \
-                         boundaries (recompile in smaller units)",
-                        m.name()
-                    ),
-                });
-            }
+        // An entry the module lists twice counts twice.
+        let new = entries.iter().filter(|&&e| placed[e].0 != group + 1).count();
+        let split = (slots - group_first) as usize + new > GAT_GROUP_CAPACITY;
+        if split && slots != group_first {
+            // Seal the group and start a new one for this module.
+            group += 1;
+            group_first = slots;
+            group_bases.push(slot_addr(slots));
         }
-        out.group_of_module[mi] = group_id;
-        for (li, k) in keys.into_iter().enumerate() {
-            let slot = *current.entry(k).or_insert_with(|| {
-                let a = addr;
-                addr += 8;
-                out.slots.push((a, mi, li as u32));
-                a
+        out.group_of_module[mi] = group;
+        for (li, &e) in entries.iter().enumerate() {
+            let p = &mut placed[e];
+            if p.0 != group + 1 {
+                *p = (group + 1, slots);
+                out.slots.push((slot_addr(slots), mi, li as u32));
+                slots += 1;
+            }
+            out.lita_addr[mi][li] = slot_addr(p.1);
+        }
+        // Groups split only at module boundaries, so a module whose own
+        // pool outgrows a fresh group can never be laid out — the wall a
+        // monolithic compile-all merge of a scale-sized program hits.
+        let distinct = (slots - group_first) as usize;
+        if split && distinct > GAT_GROUP_CAPACITY {
+            return Err(LinkError::Range {
+                what: format!(
+                    "module `{}` alone needs {distinct} GAT slots but one GP group \
+                     holds {GAT_GROUP_CAPACITY}; groups split only at module \
+                     boundaries (recompile in smaller units)",
+                    m.name()
+                ),
             });
-            out.lita_addr[mi][li] = slot;
         }
     }
-    out.gat_slots = ((addr - lita_base) / 8) as usize;
+    let addr = slot_addr(slots);
+    out.gat_slots = slots as usize;
     out.info.lita = Extent { base: lita_base, size: addr - lita_base };
     out.gp_values = group_bases.iter().map(|&b| b + 0x8000).collect();
     out.info.gp_values = out.gp_values.clone();
     Ok(addr)
 }
 
-/// Computes the layout of `modules`.
+/// Computes the layout of `modules` against `symtab`, which must number
+/// every entry of their `.lita`s: the table
+/// [`build_symbol_table`](crate::build_symbol_table) builds for them, or
+/// for modules with the same symbols whose `.lita`s hold those entries (as
+/// OM's inputs hold its emitted modules').
 ///
 /// # Errors
 ///
 /// [`LinkError::Range`] when a single module's literal pool cannot fit one
 /// GAT group (groups split only at module boundaries) or when the section
 /// sizes overflow the data segment's addressable span.
+///
+/// # Panics
+///
+/// Panics on a `.lita` entry the table did not number
+/// ([`SymbolTable::gat_entry`]).
 pub fn layout<P: Placed>(
     modules: &[P],
     symtab: &SymbolTable,

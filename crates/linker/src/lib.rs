@@ -93,13 +93,20 @@ pub struct Linked {
 
 /// Links an already-selected module list (no archive search, no copy of
 /// the modules) against the caller's symbol table, which must be
-/// [`build_symbol_table`]'s for these modules: OM's emitted modules keep
-/// their inputs' symbols, so the input selection's table is theirs. Every
+/// [`build_symbol_table`]'s for these modules or for modules with the same
+/// symbols whose `.lita`s hold every entry of these modules' `.lita`s: OM's
+/// emitted modules keep their inputs' symbols, and each emitted `.lita` is
+/// a subset of its input's, so the input selection's table is theirs. Every
 /// module is validated before it reaches [`build_image`].
 ///
 /// # Errors
 ///
 /// See [`link_modules`].
+///
+/// # Panics
+///
+/// Panics on a `.lita` entry the table did not number
+/// ([`SymbolTable::gat_entry`]).
 pub fn link_selected(
     modules: &[Module],
     symtab: &SymbolTable,

@@ -3,7 +3,7 @@
 
 use crate::error::LinkError;
 use crate::layout::Placed;
-use om_objfile::{Archive, Module, SymbolDef, SymId, Visibility};
+use om_objfile::{Archive, LitaEntry, Module, SymbolDef, SymId, Visibility};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -104,18 +104,41 @@ pub struct Common {
 }
 
 /// The program-wide symbol table: the [`GlobalRef`] of every symbol of
-/// every module, in one flat array, and the merged commons. A clone shares
-/// it, so OM's symbolic program holds the link's table, not a copy.
+/// every module, in one flat array, the merged commons, and the number of
+/// every distinct GAT entry. A clone shares it, so OM's symbolic program
+/// holds the link's table, not a copy. Two tables are equal when they
+/// resolve every symbol alike and merge the same commons: the GAT entry
+/// numbers are private to each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolTable(Arc<Resolved>);
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct Resolved {
     /// Index in `targets` of each module's first symbol, plus the total.
     first: Vec<usize>,
     targets: Vec<GlobalRef>,
     commons: Vec<Common>,
+    /// The GAT entry of each symbol at addend 0, parallel to `targets`:
+    /// what it names (its own, for a local common) numbered in the order
+    /// the `.lita`s first name it, at any addend, or [`UNNAMED`].
+    keys: Vec<u32>,
+    /// How many targets the `.lita`s name: the entries numbered by `keys`.
+    named: usize,
+    /// The distinct `(key, addend)` of the `.lita` entries with a nonzero
+    /// addend, sorted: entries numbered after the named targets.
+    offsets: Vec<(u32, i64)>,
 }
+
+/// The key of a symbol whose target no `.lita` names.
+const UNNAMED: u32 = u32::MAX;
+
+impl PartialEq for Resolved {
+    fn eq(&self, other: &Resolved) -> bool {
+        self.first == other.first && self.targets == other.targets && self.commons == other.commons
+    }
+}
+
+impl Eq for Resolved {}
 
 impl SymbolTable {
     /// What symbol `sym` of module `mi` names.
@@ -130,6 +153,35 @@ impl SymbolTable {
     pub fn commons(&self) -> &[Common] {
         &self.0.commons
     }
+
+    /// The GAT entry that `.lita` entry `e` of module `mi` names: a number
+    /// below [`SymbolTable::gat_entry_count`], equal for two entries exactly
+    /// when they share one slot of a GP group (the same resolved target and
+    /// addend; a local definition's entry is its module's own). Numbers mean
+    /// nothing outside their table.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an entry that no `.lita` of the table's modules holds, by
+    /// its target and addend: the table numbers only those (OM's emitted
+    /// `.lita`s hold a subset of their inputs', as OM creates no entry).
+    pub fn gat_entry(&self, mi: usize, e: LitaEntry) -> usize {
+        let t = &self.0;
+        let key = t.keys[t.first[mi]..t.first[mi + 1]][e.sym.0 as usize];
+        let entry = match (key, e.addend) {
+            (UNNAMED, _) => None,
+            (_, 0) => Some(key as usize),
+            _ => t.offsets.binary_search(&(key, e.addend)).ok().map(|k| t.named + k),
+        };
+        entry.expect("a `.lita` entry of the table's modules")
+    }
+
+    /// How many GAT entries the table numbers: the length of a table
+    /// indexed by [`SymbolTable::gat_entry`], about the number of distinct
+    /// entries the modules' `.lita`s hold.
+    pub fn gat_entry_count(&self) -> usize {
+        self.0.named + self.0.offsets.len()
+    }
 }
 
 /// Builds the symbol table over the selected modules, resolving every
@@ -137,6 +189,10 @@ impl SymbolTable {
 /// exported strong definition of its name, else the merged common of its
 /// name; a local common names only the common. Strong definitions
 /// (procedures, data) override common (tentative) definitions.
+///
+/// It also numbers every distinct GAT entry of the modules' `.lita`s once
+/// ([`SymbolTable::gat_entry`]), so a layout merges the GAT by number over
+/// a table as long as the distinct entries.
 ///
 /// # Errors
 ///
@@ -193,9 +249,18 @@ pub fn build_symbol_table<P: Placed>(modules: &[P]) -> Result<SymbolTable, LinkE
     };
 
     let mut first = Vec::with_capacity(modules.len() + 1);
-    let mut targets = Vec::with_capacity(modules.iter().map(|m| m.symbols().len()).sum());
+    first.push(0);
+    for m in modules {
+        first.push(first[first.len() - 1] + m.symbols().len());
+    }
+    let total = first[modules.len()];
+    let (mut targets, mut keys) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    let key_of = |r: GlobalRef| match r {
+        GlobalRef::Def { module, sym } => first[module] + sym.0 as usize,
+        GlobalRef::Common(c) => total + c as usize,
+        GlobalRef::Unresolved => total + commons.len(),
+    };
     for (mi, m) in modules.iter().enumerate() {
-        first.push(targets.len());
         for (id, s) in m.symbols().iter().enumerate() {
             let target = match (&s.def, s.vis) {
                 (SymbolDef::Proc { .. } | SymbolDef::Data { .. }, _) => {
@@ -213,11 +278,40 @@ pub fn build_symbol_table<P: Placed>(modules: &[P]) -> Result<SymbolTable, LinkE
                     referenced_by: m.name().to_string(),
                 });
             }
+            // A local common shares the storage of the common of its name,
+            // but keeps a GAT slot of its own module.
+            let key = match (&s.def, s.vis) {
+                (SymbolDef::Common { .. }, Visibility::Local) => first[mi] + id,
+                _ => key_of(target),
+            };
             targets.push(target);
+            keys.push(key as u32);
         }
     }
-    first.push(targets.len());
-    Ok(SymbolTable(Arc::new(Resolved { first, targets, commons })))
+    // Number the targets the `.lita`s name, in the order they first name
+    // them, so a merge walks its by-entry table nearly in order.
+    let mut number = vec![UNNAMED; total + commons.len() + 1];
+    let (mut named, mut offsets) = (0, Vec::new());
+    for (mi, m) in modules.iter().enumerate() {
+        let keys = &keys[first[mi]..first[mi + 1]];
+        for e in m.lita() {
+            let Some(&key) = keys.get(e.sym.0 as usize) else { continue };
+            let n = &mut number[key as usize];
+            if *n == UNNAMED {
+                *n = named as u32;
+                named += 1;
+            }
+            if e.addend != 0 {
+                offsets.push((*n, e.addend));
+            }
+        }
+    }
+    for key in &mut keys {
+        *key = number[*key as usize];
+    }
+    offsets.sort_unstable();
+    offsets.dedup();
+    Ok(SymbolTable(Arc::new(Resolved { first, targets, commons, keys, named, offsets })))
 }
 
 #[cfg(test)]

@@ -96,7 +96,8 @@ echo "== scale smoke (one mid-scale point through the tool pipeline) =="
 # (`pipeline`'s `peak_rss_kb`) in the CI log. `mld` links the same objects
 # traced: its `select`, `symtab`, `link.layout` and `link.image` must cover
 # at least 85% of its `mld` span (92.9-94.2% over 5 measured runs), and its
-# summary sits next to om's, layer by layer.
+# summary sits next to om's, layer by layer. `om --level none` links the same
+# objects to mld's exact bytes.
 scaledir=$(mktemp -d)
 trap 'rm -rf "$tracedir" "$scaledir"' EXIT
 cargo run --release -p om-workloads --bin genbench -- --scale 256 "$scaledir"
@@ -129,6 +130,11 @@ cargo run --release -p om-obs --bin omtrace -- check "$scaledir/mld-trace.json" 
     --require select --require symtab --require link.layout --require link.image \
     --min-coverage mld=0.85
 cargo run --release -p om-obs --bin omtrace -- summarize "$scaledir/mld-trace.json"
+# OM without optimization must write mld's exact bytes: both merge the same
+# GAT (4 GP groups here) through the symbol table's entry numbers.
+cargo run --release -p om-core --bin om -- --level none \
+    -o "$scaledir/none.exe" "$scaledir"/*.o "$scaledir/libstd.a"
+cmp "$scaledir/none.exe" "$scaledir/mld.exe"
 
 echo "== adversarial corpus (limit-straddling inputs; sources through the fuzz oracle, objects typed-error) =="
 cargo run --release -p om-bench --bin omfuzz -- --adversarial
