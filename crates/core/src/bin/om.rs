@@ -111,7 +111,12 @@ fn main() {
 
     let trace = (trace_json.is_some() || trace_summary).then(om_obs::Trace::new);
     let guard = trace.as_ref().map(om_obs::Trace::install);
-    let result = optimize_and_link_with(&objects, &libs, level, &options);
+    // The image is written under the trace, in a span of its own.
+    let result = optimize_and_link_with(&objects, &libs, level, &options).map(|output| {
+        let _s = om_obs::span("write");
+        let written = output.image.write_file(&out);
+        (output, written)
+    });
     drop(guard);
     if let Some(t) = &trace {
         if let Some(path) = &trace_json {
@@ -128,8 +133,8 @@ fn main() {
     }
 
     match result {
-        Ok(output) => {
-            if let Err(e) = std::fs::write(&out, output.image.to_bytes()) {
+        Ok((output, written)) => {
+            if let Err(e) = written {
                 eprintln!("om: cannot write {}: {e}", out.display());
                 exit(1);
             }

@@ -53,6 +53,9 @@ enum Slot<V> {
 
 struct Inner<K, V> {
     map: HashMap<K, Slot<V>>,
+    /// The `Ready` slots of `map`, counted where a slot becomes ready and
+    /// where one is evicted.
+    ready: usize,
     /// Monotonic touch counter; the ready entry with the smallest stamp is
     /// the least recently used.
     tick: u64,
@@ -77,6 +80,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         Lru {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                ready: 0,
                 tick: 0,
                 stats: CacheStats::default(),
             }),
@@ -104,8 +108,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     /// Number of ready entries.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner.map.values().filter(|s| matches!(s, Slot::Ready(..))).count()
+        self.inner.lock().unwrap().ready
     }
 
     /// True when no entry is ready.
@@ -197,12 +200,15 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
+        // The slot held this lookup's reservation, which nothing else
+        // removes: it becomes ready here.
         inner.map.insert(key, Slot::Ready(Arc::clone(&v), tick));
+        inner.ready += 1;
         // Respect the bound: evict least-recently-used ready entries.
         // In-flight reservations are never evicted (their computer will
         // insert shortly); the bound applies to ready entries only.
         let mut evicted = 0u64;
-        while inner.map.values().filter(|s| matches!(s, Slot::Ready(..))).count() > self.cap {
+        while inner.ready > self.cap {
             let oldest = inner
                 .map
                 .iter()
@@ -215,6 +221,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             match oldest {
                 Some(k) => {
                     inner.map.remove(&k);
+                    inner.ready -= 1;
                     inner.stats.evictions += 1;
                     evicted += 1;
                 }
@@ -262,6 +269,43 @@ impl Default for OmCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ready entries, counted slot by slot.
+    fn recount<K, V>(c: &Lru<K, V>) -> usize {
+        let inner = c.inner.lock().unwrap();
+        inner.map.values().filter(|s| matches!(s, Slot::Ready(..))).count()
+    }
+
+    #[test]
+    fn ready_count_equals_a_recount() {
+        let c: Arc<Lru<u32, u32>> = Arc::new(Lru::new(3));
+        let check = |what: &str| assert_eq!(c.len(), recount(&c), "after {what}");
+        check("nothing");
+        for k in 0..3 {
+            c.get_or_try::<()>(k, || Ok(k)).unwrap();
+        }
+        check("three misses");
+        c.get_or_try::<()>(1, || unreachable!()).unwrap();
+        check("a hit");
+        assert_eq!(c.get_or_try(7, || Err("boom")).unwrap_err(), "boom");
+        check("an abort");
+        let c2 = Arc::clone(&c);
+        let r = std::thread::spawn(move || {
+            let _ = c2.get_or_try::<()>(8, || panic!("mid-compute"));
+        })
+        .join();
+        assert!(r.is_err(), "the compute panicked");
+        check("a panic");
+        for k in 10..15 {
+            c.get_or_try::<()>(k, || Ok(k)).unwrap();
+        }
+        check("evictions");
+        let s = c.stats();
+        assert_eq!((c.len(), s.evictions, s.aborts), (3, 5, 2));
+        c.get_or_try::<()>(14, || unreachable!()).unwrap();
+        c.get_or_try::<()>(0, || Ok(0)).unwrap();
+        check("a hit and a miss that evicts");
+    }
 
     #[test]
     fn hit_miss_accounting() {

@@ -7,11 +7,26 @@
 //! discipline. The digest is BLAKE2s-256 (RFC 7693), implemented here by
 //! hand: the workspace builds fully offline, so no external crypto crate.
 //!
+//! A link request hashes all of its objects at once through
+//! [`module_hashes`]: on a CPU with AVX2 (detected at run time) it runs
+//! eight messages through one compression, a lane per message, and gives
+//! a lane the next module as soon as its digest is out. Each module is
+//! serialized only when a lane takes it, into one of eight reused buffers.
+//! The digests are [`module_hash`]'s, byte for byte: the same function over
+//! the same bytes. [`Blake2s`] is the only path on other CPUs and for a
+//! batch of one, and it is the oracle the batch is tested against.
+//!
 //! [`OmOptions`]: crate::pipeline::OmOptions
 
 use crate::pipeline::{OmLevel, OmOptions};
 use om_objfile::{binary, Archive, Module};
+use std::borrow::Borrow;
 use std::fmt;
+
+#[allow(unsafe_code)]
+mod avx2;
+
+use avx2::{Avx2, Lanes, LANES};
 
 /// BLAKE2s round constants: the initialization vector (shared with SHA-256).
 const IV: [u32; 8] = [
@@ -161,6 +176,108 @@ pub fn module_hash(m: &Module) -> ContentHash {
     ContentHash(blake2s(&binary::write_module(m)))
 }
 
+/// [`module_hash`] of each module, in order, hashed as one batch.
+pub fn module_hashes<M: Borrow<Module>>(modules: &[M]) -> Vec<ContentHash> {
+    digest_modules(modules).0
+}
+
+/// [`module_hashes`], and the serialized bytes they cover.
+pub(crate) fn digest_modules<M: Borrow<Module>>(modules: &[M]) -> (Vec<ContentHash>, u64) {
+    let mut bytes = 0;
+    let digests = digests(Kernel::for_batch(modules.len()), modules.len(), |i, buf| {
+        binary::write_module_into(modules[i].borrow(), buf);
+        bytes += buf.len() as u64;
+    });
+    (digests.into_iter().map(ContentHash).collect(), bytes)
+}
+
+/// How a batch is hashed.
+#[derive(Clone, Copy)]
+enum Kernel {
+    /// [`Blake2s`], one message after another.
+    Scalar,
+    /// [`LANES`] messages at once in AVX2 registers.
+    Lanes(Avx2),
+}
+
+impl Kernel {
+    /// The lanes for a batch of more than one message on a CPU with AVX2.
+    fn for_batch(n: usize) -> Kernel {
+        match Avx2::detect() {
+            Some(k) if n > 1 => Kernel::Lanes(k),
+            _ => Kernel::Scalar,
+        }
+    }
+}
+
+/// The BLAKE2s-256 digests of `n` messages, in order. `fill(i, buf)`
+/// writes message `i` into `buf` (replacing what it held) when a lane is
+/// ready for it, so at most [`LANES`] messages exist at once.
+fn digests(kernel: Kernel, n: usize, mut fill: impl FnMut(usize, &mut Vec<u8>)) -> Vec<[u8; 32]> {
+    let k = match kernel {
+        Kernel::Lanes(k) => k,
+        Kernel::Scalar => {
+            let mut buf = Vec::new();
+            return (0..n)
+                .map(|i| {
+                    fill(i, &mut buf);
+                    blake2s(&buf)
+                })
+                .collect();
+        }
+    };
+    let mut out = vec![[0u8; 32]; n];
+    let mut lanes = Lanes::default();
+    let mut bufs: [Vec<u8>; LANES] = Default::default();
+    // Per lane: the message it holds and how many of its bytes are
+    // compressed (`None` when idle); a final block's zero-padded copy.
+    let mut held: [Option<(usize, usize)>; LANES] = [None; LANES];
+    let mut pads = [[0u8; 64]; LANES];
+    let mut next = 0;
+    loop {
+        for (lane, (slot, buf)) in held.iter_mut().zip(&mut bufs).enumerate() {
+            if slot.is_none() && next < n {
+                fill(next, buf);
+                *slot = Some((next, 0));
+                lanes.start(lane);
+                next += 1;
+            }
+        }
+        if held.iter().all(Option::is_none) {
+            return out;
+        }
+        // Each live lane's next block. Like `Blake2s`, a message's last
+        // block is the one that leaves no byte after it, even when full,
+        // and an empty message is one block of zeros.
+        for (lane, (slot, pad)) in held.iter_mut().zip(&mut pads).enumerate() {
+            let Some((_, done)) = slot else { continue };
+            let rest = bufs[lane].len() - *done;
+            let last = rest <= 64;
+            if last {
+                pad[..rest].copy_from_slice(&bufs[lane][*done..]);
+                pad[rest..].fill(0);
+            }
+            *done += rest.min(64);
+            lanes.set_block(lane, *done as u64, last);
+        }
+        let blocks: [&[u8; 64]; LANES] = std::array::from_fn(|lane| match held[lane] {
+            Some((_, done)) if lanes.last[lane] == 0 => {
+                bufs[lane][done - 64..done].try_into().expect("a whole block")
+            }
+            _ => &pads[lane],
+        });
+        k.compress(&mut lanes, blocks);
+        for (lane, slot) in held.iter_mut().enumerate() {
+            if let Some((i, _)) = *slot {
+                if lanes.last[lane] != 0 {
+                    out[i] = lanes.finish(lane);
+                    *slot = None;
+                }
+            }
+        }
+    }
+}
+
 /// Digest of an archive (its serialized members, in order).
 pub fn archive_hash(a: &Archive) -> ContentHash {
     let mut h = Blake2s::new();
@@ -275,6 +392,108 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), one, "split at {split}");
         }
+    }
+
+    /// Messages of the given lengths, each of different bytes, with their
+    /// `blake2s` digests.
+    fn messages(lengths: impl IntoIterator<Item = usize>) -> Vec<(Vec<u8>, [u8; 32])> {
+        let mut rng = om_prng::StdRng::seed_from_u64(7);
+        lengths
+            .into_iter()
+            .map(|n| (0..n).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>())
+            .map(|m| {
+                let d = blake2s(&m);
+                (m, d)
+            })
+            .collect()
+    }
+
+    /// Every message through `kernel` in batches of 1 to 17, with lengths
+    /// ascending, descending and shuffled, so lanes refill at different
+    /// steps and sit idle at the end; each digest must be `blake2s`'s.
+    fn check_batches(kernel: Kernel, msgs: &[(Vec<u8>, [u8; 32])]) {
+        let mut order: Vec<_> = msgs.iter().collect();
+        order.sort_by_key(|(m, _)| m.len());
+        let ascending = order.clone();
+        order.reverse();
+        let descending = order.clone();
+        let mut rng = om_prng::StdRng::seed_from_u64(11);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        for (name, msgs) in [("ascending", ascending), ("descending", descending), ("shuffled", order)] {
+            for batch in 1..=17 {
+                for chunk in msgs.chunks(batch) {
+                    let got = digests(kernel, chunk.len(), |i, buf| buf.clone_from(&chunk[i].0));
+                    for ((m, want), d) in chunk.iter().zip(&got) {
+                        assert_eq!(d, want, "{name}, batch {batch}, length {}", m.len());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `check` through the scalar kernel and, where the CPU has it,
+    /// through AVX2.
+    fn on_every_kernel(check: impl Fn(Kernel)) {
+        check(Kernel::Scalar);
+        match Avx2::detect() {
+            Some(k) => check(Kernel::Lanes(k)),
+            None => println!("this CPU has no AVX2: the AVX2 run was skipped"),
+        }
+    }
+
+    #[test]
+    fn batches_equal_blake2s_at_every_length_to_300() {
+        let msgs = messages(0..=300);
+        on_every_kernel(|k| check_batches(k, &msgs));
+    }
+
+    #[test]
+    fn batches_equal_blake2s_at_random_lengths_to_100k() {
+        // Log-uniform below 64 KiB, so most lanes finish long before the
+        // longest message, plus one of 100 KB.
+        let mut rng = om_prng::StdRng::seed_from_u64(3);
+        let lengths: Vec<usize> = (0..19)
+            .map(|_| {
+                let top = 64usize << rng.gen_range(0..11);
+                rng.gen_range(0..top)
+            })
+            .collect();
+        let msgs = messages(lengths.into_iter().chain([100_000]));
+        on_every_kernel(|k| check_batches(k, &msgs));
+    }
+
+    #[test]
+    fn module_hash_is_pinned() {
+        // A change to the serialized form or to the hash moves this digest;
+        // that must fail here, not show up as silent relink-cache misses.
+        use om_objfile::{LitaEntry, Reloc, RelocKind, SecId, SymId, Symbol, SymbolDef};
+        let mut m = Module::new("pinned");
+        m.text = (0..64u8).collect();
+        m.data = vec![1, 2, 3];
+        m.sdata = vec![9; 17];
+        m.sbss_size = 24;
+        m.bss_size = 4096;
+        m.lita = vec![LitaEntry { sym: SymId(1), addend: -8 }];
+        m.symbols = vec![
+            Symbol {
+                name: "main".into(),
+                vis: om_objfile::Visibility::Exported,
+                def: SymbolDef::Proc { offset: 0, size: 64, gp_group: 0 },
+            },
+            Symbol::external("counter"),
+        ];
+        m.relocs = vec![
+            Reloc::text(0, RelocKind::Literal { lita: 0 }),
+            Reloc::text(4, RelocKind::LituseBase { load_offset: 0 }),
+            Reloc { sec: SecId::Data, offset: 0, kind: RelocKind::RefQuad { sym: SymId(1), addend: 4 } },
+        ];
+        assert_eq!(
+            hex(&module_hash(&m).0),
+            "442beca97bab74ebfb6a267f68dcf438427e7affffe11ff49d313ad6bf11b3fe"
+        );
+        assert_eq!(module_hashes(&[&m, &m]), [module_hash(&m); 2]);
     }
 
     #[test]

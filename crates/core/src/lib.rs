@@ -37,6 +37,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod analysis;
 pub mod cache;
 pub mod fault;
@@ -54,7 +56,9 @@ pub mod verify;
 
 pub use cache::{CacheStats, Lru, OmCaches};
 pub use fault::{FaultKind, FaultPlan};
-pub use hash::{archive_hash, link_key, module_hash, options_fingerprint, ContentHash};
+pub use hash::{
+    archive_hash, link_key, module_hash, module_hashes, options_fingerprint, ContentHash,
+};
 pub use pipeline::{
     optimize_and_link, optimize_and_link_artifacts, optimize_and_link_keyed,
     optimize_and_link_with, pipeline_runs, CallBook, OmLevel, OmOptions, OmOutput,

@@ -4,13 +4,14 @@
 
 use crate::analysis::Artifacts;
 use crate::cache::OmCaches;
-use crate::hash::{link_key, module_hash, ContentHash};
+use crate::hash::{digest_modules, link_key, ContentHash};
 use crate::stats::OmStats;
 use crate::sym::{resolve_symbolic, translate_module, InstId, OmError, SymModule, SymProgram};
 use om_linker::{
     build_symbol_table, gat_slots, link_selected, select_borrowed, Image, LayoutOpts, LinkStats,
 };
 use om_objfile::{Archive, Module};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -235,18 +236,31 @@ pub fn optimize_and_link_keyed(
     options: &OmOptions,
     caches: &OmCaches,
 ) -> Result<(Arc<OmOutput>, bool), OmError> {
-    let module_hashes: Vec<ContentHash> = objects.iter().map(module_hash).collect();
-    let key = link_key(&module_hashes, lib_hashes, level, options);
+    let (module_hashes, key) = {
+        let mut span = om_obs::span("hash");
+        let hashes = hash_modules(objects, &mut span);
+        let key = link_key(&hashes, lib_hashes, level, options);
+        (hashes, key)
+    };
     caches.links.get_or_try(key, || {
         run_pipeline(objects, libs, level, options, Some((caches, &module_hashes)))
             .map(|(out, _)| out)
     })
 }
 
+/// The batch digests of `modules`, recording on `span` how many modules
+/// and serialized bytes they cover.
+fn hash_modules<M: Borrow<Module>>(modules: &[M], span: &mut om_obs::Span) -> Vec<ContentHash> {
+    let (hashes, bytes) = digest_modules(modules);
+    span.arg("modules", hashes.len() as u64);
+    span.arg("bytes", bytes);
+    hashes
+}
+
 /// One link. With `cached`, each module's translation goes through the
 /// per-module cache, keyed by `object_hashes` for the explicit objects
-/// (which [`select_borrowed`] returns first, in order) and by a fresh hash
-/// for each archive member it selects.
+/// (which [`select_borrowed`] returns first, in order) and by the digests
+/// of the archive members it selects, hashed in one more batch.
 ///
 /// Each input is used in place (the selection borrows it) and tabled once:
 /// the emitted modules keep their inputs' symbols, so the final link takes
@@ -267,6 +281,10 @@ fn run_pipeline(
     };
     pipeline_span.arg("modules", modules.len() as u64);
     om_obs::count("pipeline.modules", modules.len() as u64);
+    let cached = cached.map(|(c, object_hashes)| {
+        let members = modules.get(object_hashes.len()..).unwrap_or_default();
+        (c, [object_hashes, &hash_modules(members, &mut om_obs::span("hash"))].concat())
+    });
     let symtab = {
         let _s = om_obs::span("symtab");
         build_symbol_table(&modules)?
@@ -284,13 +302,12 @@ fn run_pipeline(
         let translated = modules
             .iter()
             .enumerate()
-            .map(|(mi, m)| match cached {
+            .map(|(mi, m)| match &cached {
                 None => translate_module(m).map(Arc::new),
                 // Per-module translation through the shared cache: an edited
                 // module re-translates; everything else is reused by content.
-                Some((c, object_hashes)) => {
-                    let hash = object_hashes.get(mi).copied().unwrap_or_else(|| module_hash(m));
-                    c.modules.get_or_try(hash, || translate_module(m)).map(|(v, _)| v)
+                Some((c, hashes)) => {
+                    c.modules.get_or_try(hashes[mi], || translate_module(m)).map(|(v, _)| v)
                 }
             })
             .collect::<Result<Vec<Arc<SymModule>>, OmError>>()?;

@@ -76,8 +76,13 @@ fn main() {
         }
         result
     };
-    // The image is written from its own copy: free the inputs first.
+    // The image holds its own bytes: free the inputs before writing it,
+    // under the trace in a span of its own.
     drop((objects, libs));
+    let result = result.map(|(image, stats)| {
+        let _s = om_obs::span("write");
+        (stats, image.write_file(&out))
+    });
     drop(guard);
     if let (Some(t), Some(path)) = (&trace, &trace_json) {
         if let Err(e) = std::fs::write(path, t.chrome_json("mld")) {
@@ -88,8 +93,8 @@ fn main() {
     }
 
     match result {
-        Ok((image, stats)) => {
-            if let Err(e) = std::fs::write(&out, image.to_bytes()) {
+        Ok((stats, written)) => {
+            if let Err(e) = written {
                 eprintln!("mld: cannot write {}: {e}", out.display());
                 exit(1);
             }

@@ -1,6 +1,9 @@
 //! Executable images.
 
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
 /// A loaded memory segment.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,41 +62,71 @@ pub struct Image {
 impl Image {
     /// Serializes the image to the on-disk executable format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w: Vec<u8> = Vec::new();
-        w.extend_from_slice(b"OMEXE01\0");
-        let pu64 = |w: &mut Vec<u8>, v: u64| w.extend_from_slice(&v.to_le_bytes());
-        pu64(&mut w, self.entry);
-        pu64(&mut w, self.segments.len() as u64);
+        let mut w = Vec::with_capacity(self.byte_len());
+        self.write_to(&mut w).expect("writing to a Vec cannot fail");
+        w
+    }
+
+    /// Writes [`Image::to_bytes`]'s bytes to `w` segment by segment, without
+    /// building them in one buffer first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `w` reports.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let put = |w: &mut W, v: u64| w.write_all(&v.to_le_bytes());
+        w.write_all(b"OMEXE01\0")?;
+        put(w, self.entry)?;
+        put(w, self.segments.len() as u64)?;
         for s in &self.segments {
-            pu64(&mut w, s.base);
-            pu64(&mut w, s.bytes.len() as u64);
-            w.extend_from_slice(&s.bytes);
+            put(w, s.base)?;
+            put(w, s.bytes.len() as u64)?;
+            w.write_all(&s.bytes)?;
         }
         let mut syms: Vec<(&String, &u64)> = self.symbols.iter().collect();
         syms.sort();
-        pu64(&mut w, syms.len() as u64);
+        put(w, syms.len() as u64)?;
         for (name, &addr) in syms {
-            pu64(&mut w, name.len() as u64);
-            w.extend_from_slice(name.as_bytes());
-            pu64(&mut w, addr);
+            put(w, name.len() as u64)?;
+            w.write_all(name.as_bytes())?;
+            put(w, addr)?;
         }
         // Layout info: the extents plus GP values.
-        for e in [
-            self.layout.text,
-            self.layout.lita,
-            self.layout.sdata,
-            self.layout.sbss,
-            self.layout.data,
-            self.layout.bss,
-        ] {
-            pu64(&mut w, e.base);
-            pu64(&mut w, e.size);
+        for e in self.extents() {
+            put(w, e.base)?;
+            put(w, e.size)?;
         }
-        pu64(&mut w, self.layout.gp_values.len() as u64);
+        put(w, self.layout.gp_values.len() as u64)?;
         for &g in &self.layout.gp_values {
-            pu64(&mut w, g);
+            put(w, g)?;
         }
-        w
+        Ok(())
+    }
+
+    /// Creates (or truncates) the file at `path` and writes the image to it
+    /// through a [`BufWriter`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error creating, writing or flushing the file.
+    pub fn write_file(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        let mut w = BufWriter::new(File::create(path)?);
+        self.write_to(&mut w)?;
+        w.flush()
+    }
+
+    /// The length of [`Image::to_bytes`]'s result.
+    fn byte_len(&self) -> usize {
+        let segments: usize = self.segments.iter().map(|s| 16 + s.bytes.len()).sum();
+        let symbols: usize = self.symbols.keys().map(|name| 16 + name.len()).sum();
+        let layout = 16 * self.extents().len() + 8 + 8 * self.layout.gp_values.len();
+        24 + segments + 8 + symbols + layout
+    }
+
+    /// The section extents the on-disk format records, in its order.
+    fn extents(&self) -> [Extent; 6] {
+        let l = &self.layout;
+        [l.text, l.lita, l.sdata, l.sbss, l.data, l.bss]
     }
 
     /// Deserializes an image written by [`Image::to_bytes`].
@@ -210,8 +243,13 @@ mod tests {
                 ..LayoutInfo::default()
             },
         };
-        let back = Image::from_bytes(&img.to_bytes()).unwrap();
-        assert_eq!(back, img);
+        let bytes = img.to_bytes();
+        assert_eq!(Image::from_bytes(&bytes).unwrap(), img);
+        // Presized exactly, and the same bytes as a write in small pieces.
+        assert_eq!((bytes.len(), bytes.capacity()), (img.byte_len(), img.byte_len()));
+        let mut out = std::io::BufWriter::with_capacity(5, Vec::new());
+        img.write_to(&mut out).unwrap();
+        assert_eq!(out.into_inner().unwrap(), bytes);
     }
 
     #[test]

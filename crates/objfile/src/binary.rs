@@ -228,7 +228,17 @@ fn read_reloc(r: &mut R) -> Result<Reloc, ObjError> {
 
 /// Serializes a module.
 pub fn write_module(m: &Module) -> Vec<u8> {
-    let mut w = W(Vec::new());
+    let mut out = Vec::new();
+    write_module_into(m, &mut out);
+    out
+}
+
+/// Serializes a module into `out`, replacing its contents but keeping its
+/// allocation, so a caller that serializes many modules one after another
+/// can reuse one buffer.
+pub fn write_module_into(m: &Module, out: &mut Vec<u8>) {
+    out.clear();
+    let mut w = W(std::mem::take(out));
     w.0.extend_from_slice(MODULE_MAGIC);
     w.str(&m.name);
     w.bytes(&m.text);
@@ -249,7 +259,7 @@ pub fn write_module(m: &Module) -> Vec<u8> {
     for r in &m.relocs {
         write_reloc(&mut w, r);
     }
-    w.0
+    *out = w.0;
 }
 
 /// Deserializes a module and validates it.

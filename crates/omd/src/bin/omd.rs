@@ -197,7 +197,7 @@ fn cmd_link(rest: &[String]) -> ExitCode {
     };
     match client.link(&modules, level, verify) {
         Ok(Ok((cached, image))) => {
-            if let Err(e) = std::fs::write(&out_path, image.to_bytes()) {
+            if let Err(e) = image.write_file(&out_path) {
                 return fail(&format!("write {out_path}: {e}"));
             }
             eprintln!("omd: linked {} ({})", out_path, if cached { "cached" } else { "fresh" });

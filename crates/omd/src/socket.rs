@@ -62,10 +62,13 @@ pub fn serve(path: impl AsRef<Path>, server: Arc<LinkServer>) -> io::Result<Serv
 }
 
 /// [`serve`], with an optional [`om_obs::Trace`] installed on every
-/// connection thread: each served request becomes an `omd.<endpoint>` span
-/// (with the whole link pipeline's spans nested inside it for link
-/// requests). `omd serve --trace-json` writes the collected trace when the
-/// server shuts down.
+/// connection thread: each served request is an `omd.decode` span (the
+/// frame's decode, which names the endpoint) followed by an
+/// `omd.<endpoint>` span that ends with the reply's `omd.reply` encoding.
+/// A link request's span holds the rest: the module reads (`omd.decode`),
+/// the key's `hash`, the whole pipeline on a link-cache miss, and the
+/// served image's bytes (`omd.reply`). `omd serve --trace-json` writes the
+/// collected trace when the server shuts down.
 pub fn serve_traced(
     path: impl AsRef<Path>,
     server: Arc<LinkServer>,
@@ -113,7 +116,10 @@ fn serve_connection(mut stream: UnixStream, server: &LinkServer, stop: &AtomicBo
         };
         let t0 = Instant::now();
         server.metrics().note_request();
-        let decoded = decode_request(&payload);
+        let decoded = {
+            let _s = om_obs::span("omd.decode");
+            decode_request(&payload)
+        };
         // An undecodable payload has no endpoint of its own; it lands in
         // the `error` bucket so corrupt-client storms show up in stats.
         let endpoint = match &decoded {
@@ -143,7 +149,10 @@ fn serve_connection(mut stream: UnixStream, server: &LinkServer, stop: &AtomicBo
                 handle_link(server, level, verify, &objects)
             }
         };
-        let reply_bytes = encode_reply(&reply);
+        let reply_bytes = {
+            let _s = om_obs::span("omd.reply");
+            encode_reply(&reply)
+        };
         // Frame overheads (the 4-byte length prefixes) count as wire bytes.
         server.metrics().note_bytes(payload.len() as u64 + 4, reply_bytes.len() as u64 + 4);
         span.arg("bytes_in", payload.len() as u64 + 4);
@@ -162,7 +171,11 @@ fn serve_connection(mut stream: UnixStream, server: &LinkServer, stop: &AtomicBo
     }
 }
 
+/// Links a request's objects. Inside the `omd.link` span, the module reads
+/// are an `omd.decode` span and the served image's bytes an `omd.reply`
+/// span, like the frame's decode and encoding around it.
 fn handle_link(server: &LinkServer, level: OmLevel, verify: bool, objects: &[Vec<u8>]) -> Reply {
+    let decode = om_obs::span("omd.decode");
     let mut modules = Vec::with_capacity(objects.len());
     for (i, bytes) in objects.iter().enumerate() {
         match binary::read_module(bytes) {
@@ -170,9 +183,13 @@ fn handle_link(server: &LinkServer, level: OmLevel, verify: bool, objects: &[Vec
             Err(e) => return Reply::Error(format!("object {i}: {e}")),
         }
     }
+    drop(decode);
     let options = OmOptions { verify, ..OmOptions::default() };
     match server.link(&modules, level, &options) {
-        Ok(reply) => Reply::Linked { cached: reply.cached, image: reply.output.image.to_bytes() },
+        Ok(reply) => {
+            let _s = om_obs::span("omd.reply");
+            Reply::Linked { cached: reply.cached, image: reply.output.image.to_bytes() }
+        }
         Err(e) => Reply::Error(e.to_string()),
     }
 }

@@ -7,7 +7,7 @@ use om_core::{
     optimize_and_link_with, FaultKind, FaultPlan, OmError, OmLevel, OmOptions,
 };
 use om_objfile::{Module, Reloc, RelocKind, SymId, Symbol};
-use om_omd::{serve, Client, LinkServer};
+use om_omd::{serve, serve_traced, Client, LinkServer};
 use std::sync::Arc;
 
 const MAIN_SRC: &str = "extern int helper(int);
@@ -230,4 +230,49 @@ fn socket_round_trip_serves_cached_links_and_shuts_down() {
         Client::connect(&path).is_err(),
         "socket file must be gone after shutdown"
     );
+}
+
+#[test]
+fn a_traced_hit_attributes_its_link_span() {
+    let path = std::env::temp_dir().join(format!("omd-trace-test-{}.sock", std::process::id()));
+    let trace = om_obs::Trace::new();
+    let handle =
+        serve_traced(&path, Arc::new(LinkServer::new(vec![])), Some(trace.clone())).unwrap();
+    let objects = program(HELPER_SRC);
+    let mut client = Client::connect(&path).unwrap();
+    let (cached, _) = client.link(&objects, OmLevel::FullSched, true).unwrap().unwrap();
+    assert!(!cached);
+    let (cached, _) = client.link(&objects, OmLevel::FullSched, true).unwrap().unwrap();
+    assert!(cached);
+    client.shutdown().unwrap();
+    handle.wait();
+
+    // Each request: the frame's decode, then its endpoint span. The hit's
+    // `omd.link` holds the module reads, the key's digests and the image
+    // bytes, then the reply's encoding; the miss also holds the pipeline.
+    let spans = trace.sink().spans;
+    let links: Vec<_> = spans.iter().filter(|s| s.name == "omd.link").collect();
+    assert_eq!(links.len(), 2);
+    let children = |link: &om_obs::SpanEvent| {
+        let mut inside: Vec<_> = spans
+            .iter()
+            .filter(|s| s.tid == link.tid && s.depth == link.depth + 1)
+            .filter(|s| s.start_ns >= link.start_ns)
+            .filter(|s| s.start_ns + s.dur_ns <= link.start_ns + link.dur_ns)
+            .collect();
+        inside.sort_by_key(|s| s.start_ns);
+        inside.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
+    };
+    let (miss, hit) = if links[0].start_ns < links[1].start_ns {
+        (links[0], links[1])
+    } else {
+        (links[1], links[0])
+    };
+    assert_eq!(children(hit), ["omd.decode", "hash", "omd.reply", "omd.reply"]);
+    assert_eq!(children(miss), ["omd.decode", "hash", "pipeline", "omd.reply", "omd.reply"]);
+    let hash = spans.iter().find(|s| s.name == "hash" && s.depth == hit.depth + 1).unwrap();
+    let arg = |k: &str| hash.args.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
+    assert_eq!(arg("modules"), Some(3));
+    assert!(arg("bytes").is_some_and(|b| b > 0));
+    assert_eq!(spans.iter().filter(|s| s.name == "omd.decode" && s.depth == 0).count(), 3);
 }

@@ -97,7 +97,10 @@ echo "== scale smoke (one mid-scale point through the tool pipeline) =="
 # traced: its `select`, `symtab`, `link.layout` and `link.image` must cover
 # at least 85% of its `mld` span (92.9-94.2% over 5 measured runs), and its
 # summary sits next to om's, layer by layer. `om --level none` links the same
-# objects to mld's exact bytes.
+# objects to mld's exact bytes. Last, `omd serve` relinks the objects twice:
+# both served images must equal om's, the second link must be served from
+# the link cache, and the server's trace must hold the request, the key's
+# hash and the pipeline.
 scaledir=$(mktemp -d)
 trap 'rm -rf "$tracedir" "$scaledir"' EXIT
 cargo run --release -p om-workloads --bin genbench -- --scale 256 "$scaledir"
@@ -135,6 +138,32 @@ cargo run --release -p om-obs --bin omtrace -- summarize "$scaledir/mld-trace.js
 cargo run --release -p om-core --bin om -- --level none \
     -o "$scaledir/none.exe" "$scaledir"/*.o "$scaledir/libstd.a"
 cmp "$scaledir/none.exe" "$scaledir/mld.exe"
+# The server runs in the background; the trap stops it if a step fails, so
+# no process outlives the script.
+target/release/omd serve "$scaledir/omd.sock" --trace-json "$scaledir/omd-trace.json" &
+omd_pid=$!
+trap 'kill "$omd_pid" 2>/dev/null || true; rm -rf "$tracedir" "$scaledir"' EXIT
+tries=0
+until target/release/omd ping "$scaledir/omd.sock" >/dev/null 2>&1; do
+    tries=$((tries + 1))
+    [ "$tries" -le 100 ] || { echo "omd serve did not start"; exit 1; }
+    sleep 0.1
+done
+for n in 1 2; do
+    target/release/omd link "$scaledir/omd.sock" --level full-sched --verify \
+        -o "$scaledir/served$n.exe" "$scaledir"/*.o 2>"$scaledir/link$n.log"
+    cat "$scaledir/link$n.log"
+    cmp "$scaledir/served$n.exe" "$scaledir/scale.exe"
+done
+grep -q '(cached)' "$scaledir/link2.log" || { echo "the second link was not a cache hit"; exit 1; }
+target/release/omd stats "$scaledir/omd.sock" >"$scaledir/stats.txt"
+cat "$scaledir/stats.txt"
+grep -q 'links: 1 entries, 1 hits' "$scaledir/stats.txt" ||
+    { echo "omd stats: want links: 1 entries, 1 hits"; exit 1; }
+target/release/omd shutdown "$scaledir/omd.sock"
+wait "$omd_pid"
+cargo run --release -p om-obs --bin omtrace -- check "$scaledir/omd-trace.json" \
+    --require omd.link --require hash --require pipeline
 
 echo "== adversarial corpus (limit-straddling inputs; sources through the fuzz oracle, objects typed-error) =="
 cargo run --release -p om-bench --bin omfuzz -- --adversarial
