@@ -13,26 +13,28 @@
 //! byte-identical at any width. `--json` additionally writes machine-
 //! readable per-figure rows; Figure 7's wall-clock table is printed only,
 //! so the report is byte-identical at any width too. `--bench` filters the
-//! paper benchmarks, so it needs a figure that measures them.
+//! paper benchmarks: naming a figure that measures programs of its own
+//! with it is an error, and `all` then selects only the per-benchmark
+//! figures.
 //!
 //! `check` is the BENCH drift gate ([`json::check`]): it checks a `--json`
 //! report's figure coverage and oracle markers and, given a baseline,
 //! compares its deterministic rows field by field. It exits 1 on any
 //! finding or an unreadable report, 2 on bad arguments.
 
-use om_bench::figures::{self, Prepared, FIGURES, OWN_PROGRAMS};
-use om_bench::fleet::{self, FleetConfig};
+use om_bench::figures::{self, figure, Measure, Prepared, Run, FIGURES};
 use om_bench::par::{default_jobs, parallel_map};
-use om_bench::{json, mutate, render, scale};
+use om_bench::{json, render};
 use om_obs::json::JsonValue;
 use om_workloads::spec;
 
 fn usage(msg: &str) -> ! {
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     eprintln!("error: {msg}");
     eprintln!(
         "usage: reproduce [{}|all] [--quick] [--bench NAME]... [--jobs N] [--json PATH]\n       \
          reproduce check RUN [BASELINE]",
-        FIGURES.join("|")
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -75,6 +77,7 @@ fn main() {
         check(&args[1..]);
     }
     let mut which: Vec<&str> = Vec::new();
+    let mut named: Vec<&str> = Vec::new();
     let mut quick = false;
     let mut filter: Vec<String> = Vec::new();
     let mut jobs = default_jobs();
@@ -107,27 +110,34 @@ fn main() {
                 }
             }
             "all" => {
-                for fig in FIGURES {
-                    if !which.contains(&fig) {
-                        which.push(fig);
+                for fig in &FIGURES {
+                    if !which.contains(&fig.name) {
+                        which.push(fig.name);
                     }
                 }
             }
-            f => match FIGURES.iter().find(|x| **x == f) {
-                Some(fig) if !which.contains(fig) => which.push(fig),
-                Some(_) => {}
+            f => match figure(f) {
+                Some(fig) => {
+                    named.push(fig.name);
+                    if !which.contains(&fig.name) {
+                        which.push(fig.name);
+                    }
+                }
                 None => usage(&format!("unknown argument `{f}`")),
             },
         }
         i += 1;
     }
     if which.is_empty() {
-        which.extend(FIGURES);
+        which.extend(FIGURES.iter().map(|f| f.name));
     }
 
-    let per_bench = which.iter().any(|f| !OWN_PROGRAMS.contains(f));
-    if !filter.is_empty() && !per_bench {
-        usage("--bench filters the paper benchmarks, and no selected figure measures them");
+    let own = |f: &str| figure(f).is_some_and(|fig| matches!(fig.measure, Measure::Own(_)));
+    if !filter.is_empty() {
+        if let Some(f) = named.iter().find(|f| own(f)) {
+            usage(&format!("--bench filters the paper benchmarks, and `{f}` measures its own"));
+        }
+        which.retain(|f| !own(f));
     }
     let specs: Vec<_> = spec::all()
         .into_iter()
@@ -137,96 +147,22 @@ fn main() {
     if specs.is_empty() {
         usage("no benchmarks match the filter");
     }
-    // The scale and mutants figures measure programs of their own; skip
-    // building the 19 paper benchmarks when nothing else was asked for.
-    let specs = if per_bench { specs } else { Vec::new() };
-    if per_bench {
-        eprintln!(
-            "building {} benchmarks (both compile modes, {jobs} jobs)...",
-            specs.len()
-        );
+    // Skip building the 19 paper benchmarks when only figures with
+    // programs of their own were asked for.
+    let specs = if which.iter().all(|f| own(f)) { Vec::new() } else { specs };
+    if !specs.is_empty() {
+        eprintln!("building {} benchmarks (both compile modes, {jobs} jobs)...", specs.len());
     }
     let prepared: Vec<Prepared> = parallel_map(jobs, &specs, Prepared::new);
+    let entries = figures::measure(&prepared, &which, &Run { quick, jobs });
 
-    if which.contains(&"fig6") {
-        eprintln!("fig6: simulating 8 variants per benchmark...");
-    }
-    if which.contains(&"pgo") {
-        eprintln!("pgo: profiling + relinking + simulating the ninth variant...");
-    }
-    if which.contains(&"ablations") {
-        eprintln!("ablations: three ablated links, simulated, per benchmark...");
-    }
-    let mut rows = parallel_map(jobs, &prepared, |p| figures::measure(p, &which));
-    // Figure 7 measures pipeline wall-clock, so it runs sequentially after
-    // the parallel pass — concurrent workers would contend and inflate it.
-    if which.contains(&"fig7") {
-        for (r, p) in rows.iter_mut().zip(&prepared) {
-            r.fig7 = Some(figures::fig7(p));
-        }
-    }
-    if which.contains(&"fleet") {
-        // Sequential across benchmarks: the storm is internally parallel.
-        let cfg = if quick { FleetConfig::quick() } else { FleetConfig::full() };
-        eprintln!("fleet: relink storm ({} edits x {} repeats, {} threads)...",
-            cfg.edits, cfg.repeats, cfg.jobs);
-        for (r, p) in rows.iter_mut().zip(&prepared) {
-            r.fleet = Some(fleet::fleet(&p.each, &cfg));
-        }
-    }
-    // The own-program figures are appended after the 19 paper benchmarks.
-    if which.contains(&"scale") && filter.is_empty() {
-        for n in scale::points(quick) {
-            eprintln!("scale: measuring scale{n} ({n} modules, all oracles)...");
-            rows.push(scale::bench_rows(n));
-        }
-    }
-    if which.contains(&"mutants") && filter.is_empty() {
-        eprintln!(
-            "mutants: {} seeds x {} sites per class on {jobs} jobs...",
-            mutate::DEFAULT_SEEDS.len(),
-            mutate::SITES_PER_CLASS
-        );
-        rows.push(mutate::bench_rows(jobs));
-    }
-
-    for w in &which {
-        // Collect each figure's `(name, row)` pairs in spec order.
-        macro_rules! rows_of {
-            ($field:ident) => {
-                rows.iter()
-                    .filter_map(|r| r.$field.map(|x| (r.name.clone(), x)))
-                    .collect::<Vec<_>>()
-            };
-        }
-        match *w {
-            "fig3" => println!("{}", render::fig3(&rows_of!(fig3))),
-            "fig4" => println!("{}", render::fig4(&rows_of!(fig4))),
-            "fig5" => println!("{}", render::fig5(&rows_of!(fig5))),
-            "fig6" => println!("{}", render::fig6(&rows_of!(fig6))),
-            "fig7" => println!("{}", render::fig7(&rows_of!(fig7))),
-            "gat" => println!("{}", render::gat(&rows_of!(gat))),
-            "pgo" => println!("{}", render::pgo(&rows_of!(pgo))),
-            "fleet" => println!("{}", render::fleet(&rows_of!(fleet))),
-            "passes" => println!("{}", render::passes(&rows_of!(passes))),
-            "scale" => {
-                let pairs = rows_of!(scale);
-                if !pairs.is_empty() {
-                    println!("{}", render::scale(&pairs));
-                }
-            }
-            "ablations" => println!("{}", render::ablations(&rows_of!(ablations))),
-            "mutants" => {
-                for card in rows.iter().filter_map(|r| r.mutants.as_ref()) {
-                    println!("{}", render::mutants(card));
-                }
-            }
-            _ => unreachable!(),
-        }
+    for name in &which {
+        let fig = figure(name).expect("a selected figure");
+        println!("{}", render::print(&fig.print, &figures::rows_of(&entries, name)));
     }
 
     if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, json::report(&rows, quick)) {
+        if let Err(e) = std::fs::write(&path, json::report(&entries, quick)) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         }

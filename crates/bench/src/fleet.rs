@@ -14,6 +14,7 @@
 //! The row records the outcome, which `reproduce check` requires to be
 //! true; [`fleet`] itself panics if the hit rate drops below the 80% floor.
 
+use crate::figures::{field, Fields, Prepared, Run};
 use crate::par::parallel_map;
 use om_core::{optimize_and_link_with, OmLevel, OmOptions};
 use om_objfile::Module;
@@ -46,33 +47,6 @@ impl FleetConfig {
     }
 }
 
-/// One benchmark's fleet results, deterministic at any `jobs` width
-/// (in-flight coalescing guarantees one miss per unique key).
-#[derive(Debug, Clone, Copy)]
-pub struct FleetRow {
-    /// Measured relink requests (`edits × repeats`).
-    pub requests: usize,
-    /// Client threads the requests were issued from.
-    pub threads: usize,
-    /// Modules per link after selection (user objects + library members).
-    pub modules: usize,
-    /// Module-translation cache hits across the measured requests.
-    pub module_hits: u64,
-    /// Module-translation cache misses (exactly one per edition).
-    pub module_misses: u64,
-    /// Whole-link cache hits (repeat requests for an edition).
-    pub link_hits: u64,
-    /// Whole-link cache misses (exactly one per edition).
-    pub link_misses: u64,
-    /// Per-module hit rate: `1 − module_misses / (requests × modules)`.
-    /// A link-cache hit touches no module at all, so it counts as all
-    /// `modules` lookups avoided.
-    pub hit_rate: f64,
-    /// True iff every edition's served image matched a fresh one-shot
-    /// pipeline run byte for byte.
-    pub byte_identical: bool,
-}
-
 /// Edition `e`: the compile-each objects with a marker appended to one user
 /// module's `.data`. The content hash changes (it is a different module),
 /// the behavior does not (nothing references the appended bytes).
@@ -84,14 +58,35 @@ fn edition(objects: &[Module], e: usize) -> Vec<Module> {
     objs
 }
 
-/// Runs the relink storm over one benchmark's compile-each build.
+/// The `fleet` figure's row for one benchmark: the relink storm over its
+/// compile-each build, in the quick or the full shape.
+pub fn measure(p: &Prepared, run: &Run) -> Fields {
+    let cfg = if run.quick { FleetConfig::quick() } else { FleetConfig::full() };
+    eprintln!(
+        "  fleet: {} ({} edits x {} repeats, {} threads)",
+        p.spec.name, cfg.edits, cfg.repeats, cfg.jobs
+    );
+    fleet(&p.each, &cfg)
+}
+
+/// Runs the relink storm over one benchmark's compile-each build. Every
+/// field is deterministic at any `jobs` width (in-flight coalescing
+/// guarantees one miss per unique key): the measured relink requests
+/// (`edits × repeats`), the client threads they came from, the modules per
+/// link after selection (user objects and library members), the module
+/// translation cache's hits and misses (exactly one miss per edition), the
+/// whole-link cache's hits (repeat requests) and misses (one per edition),
+/// the per-module hit rate `1 − module_misses / (requests × modules)` (a
+/// link-cache hit touches no module, so it counts as all `modules` lookups
+/// avoided), and whether every edition's served image matched a fresh
+/// one-shot pipeline run byte for byte.
 ///
 /// # Panics
 ///
 /// Panics if any relink fails — the editions are well-formed by
 /// construction, so a failure is a pipeline or cache bug — or if the
 /// per-module hit rate is below [`HIT_RATE_FLOOR`].
-pub fn fleet(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
+pub fn fleet(b: &BuiltBenchmark, cfg: &FleetConfig) -> Fields {
     let server = LinkServer::new(b.libs.to_vec());
     let level = OmLevel::FullSched;
     let options = OmOptions { verify: true, ..OmOptions::default() };
@@ -147,22 +142,23 @@ pub fn fleet(b: &BuiltBenchmark, cfg: &FleetConfig) -> FleetRow {
         served == fresh
     });
 
-    FleetRow {
-        requests,
-        threads: cfg.jobs,
-        modules,
-        module_hits,
-        module_misses,
-        link_hits: link1.hits - link0.hits,
-        link_misses: link1.misses - link0.misses,
-        hit_rate,
-        byte_identical,
-    }
+    vec![
+        field("requests", requests),
+        field("threads", cfg.jobs),
+        field("modules", modules),
+        field("module_hits", module_hits),
+        field("module_misses", module_misses),
+        field("link_hits", link1.hits - link0.hits),
+        field("link_misses", link1.misses - link0.misses),
+        field("hit_rate", hit_rate),
+        field("byte_identical", byte_identical),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{Row, Value};
     use om_workloads::build::{build, CompileMode};
     use om_workloads::spec;
 
@@ -170,11 +166,12 @@ mod tests {
     fn fleet_counters_are_deterministic_and_identical() {
         let b = build(&spec::quick(&spec::all()[0]), CompileMode::Each).unwrap();
         let cfg = FleetConfig { edits: 3, repeats: 3, jobs: 4 };
-        let row = fleet(&b, &cfg);
-        assert_eq!(row.requests, 9);
-        assert_eq!(row.module_misses, 3, "one new translation per edition");
-        assert_eq!(row.link_misses, 3, "one whole-link compute per edition");
-        assert_eq!(row.link_hits, 6, "every repeat is a link-cache hit");
-        assert!(row.byte_identical);
+        let row = Row { bench: b.name.clone(), fields: fleet(&b, &cfg) };
+        let get = |k| row.get(k).cloned();
+        assert_eq!(get("requests"), Some(Value::Int(9)));
+        assert_eq!(get("module_misses"), Some(Value::Int(3)), "one new translation per edition");
+        assert_eq!(get("link_misses"), Some(Value::Int(3)), "one whole-link compute per edition");
+        assert_eq!(get("link_hits"), Some(Value::Int(6)), "every repeat is a link-cache hit");
+        assert_eq!(get("byte_identical"), Some(Value::Bool(true)));
     }
 }

@@ -32,5 +32,5 @@ pub mod par;
 pub mod render;
 pub mod scale;
 
-pub use figures::{fig3, fig4, fig5, fig6, fig7, gat, Prepared};
+pub use figures::Prepared;
 pub use par::{default_jobs, parallel_map};

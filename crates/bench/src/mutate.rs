@@ -30,6 +30,7 @@
 //! compares every oracle column against `BENCH_baseline.json` and requires
 //! every mutant killed.
 
+use crate::figures::{self, Row, Run, Value};
 use crate::fuzz::{self, FuzzConfig, INTERP_STEPS};
 use om_alpha::{decode, encode, field, Inst, MemOp, Reg};
 use om_core::analysis::Artifacts;
@@ -240,6 +241,20 @@ pub struct MutantRecord {
 impl MutantRecord {
     pub fn killed(&self) -> bool {
         self.verify || self.checksum || self.interp
+    }
+
+    /// The mutant's `mutants` row, keyed `<class>/<seed>/<site>`.
+    pub fn row(&self) -> Row {
+        Row {
+            bench: format!("{}/{}/{}", self.class, self.seed, self.site),
+            fields: vec![
+                figures::field("verify", self.verify),
+                figures::field("checksum", self.checksum),
+                figures::field("interp", self.interp),
+                figures::field("killed", self.killed()),
+                figures::field("detail", self.detail.clone()),
+            ],
+        }
     }
 }
 
@@ -595,20 +610,18 @@ pub fn run_campaign(seeds: &[u64], sites: usize, jobs: usize) -> Result<Vec<Muta
 }
 
 /// The `mutants` figure: the committed corpus ([`DEFAULT_SEEDS`] ×
-/// [`SITES_PER_CLASS`]) on `jobs` workers, as a [`crate::figures::BenchRows`]
-/// carrying only the scorecard.
+/// [`SITES_PER_CLASS`]) on `run.jobs` workers, as one entry of a row per
+/// mutant.
 ///
 /// # Panics
 ///
 /// Panics if a corpus seed cannot be built cleanly.
-pub fn bench_rows(jobs: usize) -> crate::figures::BenchRows {
-    let rows = run_campaign(DEFAULT_SEEDS, SITES_PER_CLASS, jobs)
+pub fn measure(run: &Run) -> Vec<Vec<Row>> {
+    let (seeds, jobs) = (DEFAULT_SEEDS.len(), run.jobs);
+    eprintln!("mutants: {seeds} seeds x {SITES_PER_CLASS} sites per class on {jobs} jobs...");
+    let records = run_campaign(DEFAULT_SEEDS, SITES_PER_CLASS, jobs)
         .unwrap_or_else(|e| panic!("mutants: corpus build failed: {e}"));
-    crate::figures::BenchRows {
-        name: "mutants".to_string(),
-        mutants: Some(scorecard(rows)),
-        ..Default::default()
-    }
+    vec![records.iter().map(MutantRecord::row).collect()]
 }
 
 // ---------------------------------------------------------------------------
@@ -616,7 +629,7 @@ pub fn bench_rows(jobs: usize) -> crate::figures::BenchRows {
 // ---------------------------------------------------------------------------
 
 /// Per-class kill tally.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassScore {
     pub class: String,
     pub total: usize,
@@ -633,36 +646,41 @@ pub struct Scorecard {
     pub killed: usize,
     pub escaped: usize,
     pub classes: Vec<ClassScore>,
-    pub rows: Vec<MutantRecord>,
+    /// Each mutant that escaped every oracle, as `<class> seed <seed> site
+    /// <site>: <detail>`.
+    pub escapes: Vec<String>,
 }
 
-/// Tallies records into a scorecard (classes sorted by name).
-pub fn scorecard(rows: Vec<MutantRecord>) -> Scorecard {
+/// Tallies `mutants` rows ([`MutantRecord::row`]) into a scorecard (classes
+/// sorted by name).
+pub fn scorecard(rows: &[Row]) -> Scorecard {
     let mut classes: Vec<ClassScore> = Vec::new();
-    for r in &rows {
-        let c = match classes.iter_mut().find(|c| c.class == r.class) {
-            Some(c) => c,
-            None => {
-                classes.push(ClassScore {
-                    class: r.class.to_string(),
-                    total: 0,
-                    verify: 0,
-                    checksum: 0,
-                    interp: 0,
-                    escaped: 0,
-                });
-                classes.last_mut().expect("just pushed")
-            }
-        };
+    let mut escapes = Vec::new();
+    for r in rows {
+        let on = |k| r.get(k) == Some(&Value::Bool(true));
+        let class = r.bench.split('/').next().unwrap_or_default();
+        let i = classes.iter().position(|c| c.class == class).unwrap_or_else(|| {
+            classes.push(ClassScore { class: class.to_string(), ..ClassScore::default() });
+            classes.len() - 1
+        });
+        let c = &mut classes[i];
         c.total += 1;
-        c.verify += usize::from(r.verify);
-        c.checksum += usize::from(r.checksum);
-        c.interp += usize::from(r.interp);
-        c.escaped += usize::from(!r.killed());
+        c.verify += usize::from(on("verify"));
+        c.checksum += usize::from(on("checksum"));
+        c.interp += usize::from(on("interp"));
+        if !on("killed") {
+            c.escaped += 1;
+            let detail = match r.get("detail") {
+                Some(Value::Text(d)) => d.as_str(),
+                _ => "",
+            };
+            let key = r.bench.replacen('/', " seed ", 1).replacen('/', " site ", 1);
+            escapes.push(format!("{key}: {detail}"));
+        }
     }
     classes.sort_by(|a, b| a.class.cmp(&b.class));
-    let killed = rows.iter().filter(|r| r.killed()).count();
-    Scorecard { mutants: rows.len(), killed, escaped: rows.len() - killed, classes, rows }
+    let escaped = escapes.len();
+    Scorecard { mutants: rows.len(), killed: rows.len() - escaped, escaped, classes, escapes }
 }
 
 #[cfg(test)]
@@ -695,16 +713,21 @@ mod tests {
 
     #[test]
     fn scorecard_tallies_and_sorts() {
-        let card = scorecard(vec![
+        let rows: Vec<Row> = [
             record("img-b", true, false),
             record("img-a", false, true),
             record("img-b", false, false), // escape
-        ]);
+        ]
+        .iter()
+        .map(MutantRecord::row)
+        .collect();
+        let card = scorecard(&rows);
         assert_eq!(card.mutants, 3);
         assert_eq!(card.killed, 2);
         assert_eq!(card.escaped, 1);
         assert_eq!(card.classes.len(), 2);
         assert_eq!(card.classes[0].class, "img-a");
         assert_eq!(card.classes[1].escaped, 1);
+        assert_eq!(card.escapes, ["img-b seed 1 site 0: "]);
     }
 }

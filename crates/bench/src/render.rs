@@ -1,487 +1,194 @@
-//! Text rendering of the reproduced figures, in the layout of the paper's
-//! plots (per-benchmark rows plus the unweighted arithmetic mean the paper's
-//! figure keys show).
+//! The one table writer: every figure's [`Table`]s, declared in
+//! [`crate::figures::FIGURES`], laid over its rows in the layout of the
+//! paper's plots (per-benchmark rows plus the summary lines the paper's
+//! figure keys show), and the mutation scorecard's printer.
 
-use crate::figures::{Fig3Row, Fig4Row, Fig5Row, Fig6Row, Fig7Row, GatRow, PgoRow};
+use crate::figures::{Row, Value};
+use crate::mutate::Scorecard;
+use std::fmt::Write as _;
 
-fn pct(v: f64) -> String {
-    format!("{:5.1}", v * 100.0)
+/// How `reproduce` prints a figure.
+#[derive(Clone, Copy)]
+pub enum Print {
+    /// Column tables over the figure's rows, one after another.
+    Tables(&'static [Table]),
+    /// A printer of the figure's own.
+    With(fn(&[Row]) -> String),
 }
 
-/// Renders Figure 3.
-pub fn fig3(rows: &[(String, Fig3Row)]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 3: static fraction of address loads removed (%)\n");
-    out.push_str("  (cv = converted to load-address, nu = nullified/deleted)\n\n");
-    out.push_str(&format!(
-        "{:10} | {:^11} | {:^11} | {:^11} | {:^11}\n",
-        "", "each/simple", "each/full", "all/simple", "all/full"
-    ));
-    out.push_str(&format!(
-        "{:10} | {:>5} {:>5} | {:>5} {:>5} | {:>5} {:>5} | {:>5} {:>5}\n",
-        "benchmark", "cv", "nu", "cv", "nu", "cv", "nu", "cv", "nu"
-    ));
-    out.push_str(&"-".repeat(66));
-    out.push('\n');
-    let mut sums = [0.0f64; 8];
-    for (name, r) in rows {
-        let v = [
-            r.each_simple.0,
-            r.each_simple.1,
-            r.each_full.0,
-            r.each_full.1,
-            r.all_simple.0,
-            r.all_simple.1,
-            r.all_full.0,
-            r.all_full.1,
-        ];
-        for (s, x) in sums.iter_mut().zip(v) {
-            *s += x;
+/// One text table over a figure's rows: one line per row, labeled with its
+/// `bench`.
+#[derive(Clone, Copy)]
+pub struct Table {
+    /// Printed first, as written.
+    pub title: &'static str,
+    /// The head of the label column.
+    pub label: &'static str,
+    /// The columns, in groups separated by `|`. Where any group is named,
+    /// a line of group names heads them.
+    pub groups: &'static [Group],
+    /// Length of the rules under the heads and under the rows.
+    pub rule: usize,
+    /// Lines under the rows' rule, each a statistic of every fractional
+    /// ([`Fmt::Pct`], [`Fmt::Dec`]) column; it leaves the other columns
+    /// blank and ends after the last fractional one.
+    pub stats: &'static [Stat],
+    /// Printed last: a legend, or a line worked out from the rows.
+    pub note: fn(&[Row]) -> String,
+}
+
+/// The defaults a [`Table`] declaration fills in the rest from.
+pub const TABLE: Table = Table {
+    title: "",
+    label: "benchmark",
+    groups: &[],
+    rule: 0,
+    stats: &[],
+    note: |_| String::new(),
+};
+
+/// A group of columns and its name (`""` for none), centered over them.
+#[derive(Clone, Copy)]
+pub struct Group(pub &'static str, pub &'static [Col]);
+
+/// A column: its head, its width (cells are right-aligned), the row field
+/// it shows and how. A field a row leaves out reads 0 (the `passes` rows
+/// write only nonzero deltas).
+#[derive(Clone, Copy)]
+pub struct Col(pub &'static str, pub usize, pub &'static str, pub Fmt);
+
+/// How a [`Col`] shows its field.
+#[derive(Clone, Copy)]
+pub enum Fmt {
+    /// A fraction as a percentage, one decimal.
+    Pct,
+    /// A number with this many decimals.
+    Dec(usize),
+    /// The value as the report writes it.
+    Plain,
+    /// A flag as one of two words, for true and for false.
+    Flag(&'static str, &'static str),
+    /// The field as a percentage of another (taken as at least 1), one
+    /// decimal and a `%`.
+    PctOf(&'static str),
+    /// The field and another as `a/b`, each in half the width.
+    Over(&'static str),
+}
+
+/// A summary line's statistic.
+#[derive(Clone, Copy)]
+pub enum Stat {
+    Mean,
+    /// The middle value; the mean of the two middle values of an even count.
+    Median,
+}
+
+impl Stat {
+    fn name(self) -> &'static str {
+        match self {
+            Stat::Mean => "MEAN",
+            Stat::Median => "MEDIAN",
         }
-        out.push_str(&format!(
-            "{:10} | {} {} | {} {} | {} {} | {} {}\n",
-            name,
-            pct(v[0]),
-            pct(v[1]),
-            pct(v[2]),
-            pct(v[3]),
-            pct(v[4]),
-            pct(v[5]),
-            pct(v[6]),
-            pct(v[7])
-        ));
     }
-    let n = rows.len() as f64;
-    out.push_str(&"-".repeat(66));
-    out.push('\n');
-    out.push_str(&format!(
-        "{:10} | {} {} | {} {} | {} {} | {} {}\n",
-        "MEAN",
-        pct(sums[0] / n),
-        pct(sums[1] / n),
-        pct(sums[2] / n),
-        pct(sums[3] / n),
-        pct(sums[4] / n),
-        pct(sums[5] / n),
-        pct(sums[6] / n),
-        pct(sums[7] / n)
-    ));
-    out
-}
 
-/// Renders Figure 4.
-pub fn fig4(rows: &[(String, Fig4Row)]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 4: fraction of calls still requiring PV loads (top)\n");
-    out.push_str("          and GP-reset code (bottom), %\n\n");
-    for (title, pick) in [
-        ("PV loads", 0usize),
-        ("GP resets", 1usize),
-    ] {
-        out.push_str(&format!(
-            "{title}:\n{:10} | {:^17} | {:^17}\n",
-            "", "compile-each", "compile-all"
-        ));
-        out.push_str(&format!(
-            "{:10} | {:>5} {:>5} {:>5} | {:>5} {:>5} {:>5}\n",
-            "benchmark", "noOM", "simp", "full", "noOM", "simp", "full"
-        ));
-        out.push_str(&"-".repeat(50));
-        out.push('\n');
-        let mut sums = [0.0f64; 6];
-        for (name, r) in rows {
-            let m = if pick == 0 { r.pv } else { r.gp_reset };
-            let v = [m[0][0], m[0][1], m[0][2], m[1][0], m[1][1], m[1][2]];
-            for (s, x) in sums.iter_mut().zip(v) {
-                *s += x;
-            }
-            out.push_str(&format!(
-                "{:10} | {} {} {} | {} {} {}\n",
-                name,
-                pct(v[0]),
-                pct(v[1]),
-                pct(v[2]),
-                pct(v[3]),
-                pct(v[4]),
-                pct(v[5])
-            ));
-        }
-        let n = rows.len() as f64;
-        out.push_str(&"-".repeat(50));
-        out.push('\n');
-        out.push_str(&format!(
-            "{:10} | {} {} {} | {} {} {}\n\n",
-            "MEAN",
-            pct(sums[0] / n),
-            pct(sums[1] / n),
-            pct(sums[2] / n),
-            pct(sums[3] / n),
-            pct(sums[4] / n),
-            pct(sums[5] / n)
-        ));
-    }
-    out
-}
-
-/// Renders Figure 5.
-pub fn fig5(rows: &[(String, Fig5Row)]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 5: static fraction of instructions nullified/deleted (%)\n\n");
-    out.push_str(&format!(
-        "{:10} | {:>11} {:>9} | {:>10} {:>8}\n",
-        "benchmark", "each/simple", "each/full", "all/simple", "all/full"
-    ));
-    out.push_str(&"-".repeat(57));
-    out.push('\n');
-    let mut sums = [0.0f64; 4];
-    for (name, r) in rows {
-        let v = [r.each_simple, r.each_full, r.all_simple, r.all_full];
-        for (s, x) in sums.iter_mut().zip(v) {
-            *s += x;
-        }
-        out.push_str(&format!(
-            "{:10} | {:>11} {:>9} | {:>10} {:>8}\n",
-            name,
-            pct(v[0]),
-            pct(v[1]),
-            pct(v[2]),
-            pct(v[3])
-        ));
-    }
-    let n = rows.len() as f64;
-    out.push_str(&"-".repeat(57));
-    out.push('\n');
-    out.push_str(&format!(
-        "{:10} | {:>11} {:>9} | {:>10} {:>8}\n",
-        "MEAN",
-        pct(sums[0] / n),
-        pct(sums[1] / n),
-        pct(sums[2] / n),
-        pct(sums[3] / n)
-    ));
-    out
-}
-
-/// Renders Figure 6, including medians (the paper quotes both).
-pub fn fig6(rows: &[(String, Fig6Row)]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 6: dynamic improvement over no link-time optimization (%)\n\n");
-    out.push_str(&format!(
-        "{:10} | {:^20} | {:^20}\n",
-        "", "compile-each", "compile-all"
-    ));
-    out.push_str(&format!(
-        "{:10} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6}\n",
-        "benchmark", "simp", "full", "sched", "simp", "full", "sched"
-    ));
-    out.push_str(&"-".repeat(58));
-    out.push('\n');
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 6];
-    for (name, r) in rows {
-        let v = [
-            r.improvement[0][0],
-            r.improvement[0][1],
-            r.improvement[0][2],
-            r.improvement[1][0],
-            r.improvement[1][1],
-            r.improvement[1][2],
-        ];
-        for (c, x) in cols.iter_mut().zip(v) {
-            c.push(x);
-        }
-        out.push_str(&format!(
-            "{:10} | {:>6.2} {:>6.2} {:>6.2} | {:>6.2} {:>6.2} {:>6.2}\n",
-            name, v[0], v[1], v[2], v[3], v[4], v[5]
-        ));
-    }
-    out.push_str(&"-".repeat(58));
-    out.push('\n');
-    let mean = |c: &Vec<f64>| c.iter().sum::<f64>() / c.len() as f64;
-    let median = |c: &Vec<f64>| {
-        let mut s = c.clone();
-        s.sort_by(f64::total_cmp);
-        s[s.len() / 2]
-    };
-    out.push_str(&format!(
-        "{:10} | {:>6.2} {:>6.2} {:>6.2} | {:>6.2} {:>6.2} {:>6.2}\n",
-        "MEAN",
-        mean(&cols[0]),
-        mean(&cols[1]),
-        mean(&cols[2]),
-        mean(&cols[3]),
-        mean(&cols[4]),
-        mean(&cols[5])
-    ));
-    out.push_str(&format!(
-        "{:10} | {:>6.2} {:>6.2} {:>6.2} | {:>6.2} {:>6.2} {:>6.2}\n",
-        "MEDIAN",
-        median(&cols[0]),
-        median(&cols[1]),
-        median(&cols[2]),
-        median(&cols[3]),
-        median(&cols[4]),
-        median(&cols[5])
-    ));
-    out
-}
-
-/// Renders Figure 7.
-pub fn fig7(rows: &[(String, Fig7Row)]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 7: build times in seconds\n\n");
-    out.push_str(&format!(
-        "{:10} | {:>8} {:>9} | {:>7} {:>7} {:>7} {:>8}\n",
-        "benchmark", "std-link", "interproc", "OM-none", "OM-simp", "OM-full", "OM-sched"
-    ));
-    out.push_str(&"-".repeat(66));
-    out.push('\n');
-    for (name, r) in rows {
-        out.push_str(&format!(
-            "{:10} | {:>8.3} {:>9.3} | {:>7.3} {:>7.3} {:>7.3} {:>8.3}\n",
-            name,
-            r.standard_link,
-            r.interproc_build,
-            r.om_none,
-            r.om_simple,
-            r.om_full,
-            r.om_full_sched
-        ));
-    }
-    out
-}
-
-/// Renders the §5.1 GAT-reduction table.
-pub fn gat(rows: &[(String, GatRow)]) -> String {
-    let mut out = String::new();
-    out.push_str("GAT reduction under OM-full (merged slots)\n\n");
-    out.push_str(&format!(
-        "{:10} | {:>7} {:>7} {:>6} | {:>7} {:>7} {:>6}\n",
-        "benchmark", "each:in", "out", "ratio", "all:in", "out", "ratio"
-    ));
-    out.push_str(&"-".repeat(60));
-    out.push('\n');
-    for (name, r) in rows {
-        out.push_str(&format!(
-            "{:10} | {:>7} {:>7} {:>5.1}% | {:>7} {:>7} {:>5.1}%\n",
-            name,
-            r.each_before,
-            r.each_after,
-            100.0 * r.each_after as f64 / r.each_before.max(1) as f64,
-            r.all_before,
-            r.all_after,
-            100.0 * r.all_after as f64 / r.all_before.max(1) as f64
-        ));
-    }
-    out
-}
-
-/// Renders the profile-guided-layout comparison table.
-pub fn pgo(rows: &[(String, PgoRow)]) -> String {
-    let mut out = String::new();
-    out.push_str("Profile-guided layout vs OM-full w/sched (cycles; + = PGO faster)\n\n");
-    out.push_str(&format!(
-        "{:10} | {:^28} | {:^28}\n",
-        "", "compile-each", "compile-all"
-    ));
-    out.push_str(&format!(
-        "{:10} | {:>10} {:>10} {:>6} | {:>10} {:>10} {:>6}\n",
-        "benchmark", "sched", "pgo", "imp%", "sched", "pgo", "imp%"
-    ));
-    out.push_str(&"-".repeat(73));
-    out.push('\n');
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 2];
-    let mut wins = [0usize; 2];
-    let mut ties = [0usize; 2];
-    for (name, r) in rows {
-        for mi in 0..2 {
-            cols[mi].push(r.improvement[mi]);
-            if r.pgo_cycles[mi] < r.sched_cycles[mi] {
-                wins[mi] += 1;
-            } else if r.pgo_cycles[mi] == r.sched_cycles[mi] {
-                ties[mi] += 1;
+    fn of(self, mut v: Vec<f64>) -> f64 {
+        let n = v.len();
+        match self {
+            Stat::Mean => v.iter().fold(0.0, |a, b| a + b) / n as f64,
+            Stat::Median => {
+                v.sort_by(f64::total_cmp);
+                if n % 2 == 1 {
+                    v[n / 2]
+                } else {
+                    (v[n / 2 - 1] + v[n / 2]) / 2.0
+                }
             }
         }
-        out.push_str(&format!(
-            "{:10} | {:>10} {:>10} {:>6.2} | {:>10} {:>10} {:>6.2}\n",
-            name,
-            r.sched_cycles[0],
-            r.pgo_cycles[0],
-            r.improvement[0],
-            r.sched_cycles[1],
-            r.pgo_cycles[1],
-            r.improvement[1]
-        ));
     }
-    out.push_str(&"-".repeat(73));
-    out.push('\n');
-    let mean = |c: &Vec<f64>| c.iter().sum::<f64>() / c.len() as f64;
-    let median = |c: &Vec<f64>| {
-        let mut s = c.clone();
-        s.sort_by(f64::total_cmp);
-        s[s.len() / 2]
-    };
-    out.push_str(&format!(
-        "{:10} | {:>10} {:>10} {:>6.2} | {:>10} {:>10} {:>6.2}\n",
-        "MEAN", "", "", mean(&cols[0]), "", "", mean(&cols[1])
-    ));
-    out.push_str(&format!(
-        "{:10} | {:>10} {:>10} {:>6.2} | {:>10} {:>10} {:>6.2}\n",
-        "MEDIAN", "", "", median(&cols[0]), "", "", median(&cols[1])
-    ));
-    let n = rows.len();
-    out.push_str(&format!(
-        "PGO no worse: each {}/{n} ({} faster, {} tied), all {}/{n} ({} faster, {} tied)\n",
-        wins[0] + ties[0],
-        wins[0],
-        ties[0],
-        wins[1] + ties[1],
-        wins[1],
-        ties[1]
-    ));
-    out
 }
 
-/// Renders the per-pass counter table (deltas from one traced
-/// OM-full-scheduled run per benchmark).
-pub fn passes(rows: &[(String, crate::figures::PassesRow)]) -> String {
-    use crate::figures::PASS_NAMES;
-    use om_core::obs::DELTA_FIELDS;
-    let col = |pass: &str, field: &str| {
-        let pi = PASS_NAMES.iter().position(|p| *p == pass).unwrap();
-        let fi = DELTA_FIELDS.iter().position(|(f, _)| *f == field).unwrap();
-        (pi, fi)
-    };
-    let cols = [
-        ("jsr>bsr", col("calls", "calls_jsr_to_bsr")),
-        ("conv", col("convert", "addr_loads_converted")),
-        ("null", col("convert", "addr_loads_nullified")),
-        ("del", col("convert", "insts_deleted")),
-        ("unop", col("resched", "unops_inserted")),
-    ];
-    let mut out = String::new();
-    out.push_str("Per-pass counter deltas (OM-full w/sched, compile-each; deterministic)\n\n");
-    out.push_str(&format!("{:10} |", "benchmark"));
-    for (h, _) in &cols {
-        out.push_str(&format!(" {h:>7}"));
+/// Prints a figure's `rows` as `print` says.
+pub fn print(print: &Print, rows: &[Row]) -> String {
+    match print {
+        Print::Tables(tables) => tables.iter().map(|t| table(t, rows)).collect(),
+        Print::With(printer) => printer(rows),
     }
-    out.push_str(&format!(" | {:>6} {:>5}\n", "rounds", "recon"));
-    out.push_str(&"-".repeat(12 + cols.len() * 8 + 16));
-    out.push('\n');
-    for (name, r) in rows {
-        out.push_str(&format!("{name:10} |"));
-        for &(_, (pi, fi)) in &cols {
-            out.push_str(&format!(" {:>7}", r.deltas[pi][fi]));
+}
+
+fn table(t: &Table, rows: &[Row]) -> String {
+    let mut out = t.title.to_string();
+    if t.groups.iter().any(|g| !g.0.is_empty()) {
+        let _ = write!(out, "{:10}", "");
+        for Group(name, cols) in t.groups {
+            let w = cols.iter().map(|c| c.1 + 1).sum::<usize>() - 1;
+            let _ = write!(out, " | {name:^w$}");
         }
-        out.push_str(&format!(
-            " | {:>6} {:>5}\n",
-            r.full_rounds,
-            if r.reconciled { "ok" } else { "FAIL" }
-        ));
+        out.push('\n');
     }
-    out
+    out += &line(t.label, t.groups, |c| Some(c.0.to_string()));
+    let rule = format!("{}\n", "-".repeat(t.rule));
+    out += &rule;
+    for r in rows {
+        out += &line(&r.bench, t.groups, |c| Some(cell(c, r)));
+    }
+    if !t.stats.is_empty() && !rows.is_empty() {
+        out += &rule;
+        for stat in t.stats {
+            out += &line(stat.name(), t.groups, |c| {
+                let column = rows.iter().map(|r| r.get(c.2).map_or(0.0, Value::num));
+                frac(c.3, stat.of(column.collect()))
+            });
+        }
+    }
+    out + &(t.note)(rows)
 }
 
-/// Renders the CI-fleet relink table.
-pub fn fleet(rows: &[(String, crate::fleet::FleetRow)]) -> String {
-    let mut out = String::new();
-    out.push_str("CI fleet: cached relinks after single-module edits (omd link server)\n\n");
-    out.push_str(&format!(
-        "{:10} | {:>4} {:>3} {:>4} | {:>6} {:>6} | {:>6} | {:>5}\n",
-        "benchmark", "req", "thr", "mods", "l.hit", "l.miss", "hit%", "ident"
-    ));
-    out.push_str(&"-".repeat(59));
-    out.push('\n');
-    let mut rates = Vec::new();
-    for (name, r) in rows {
-        rates.push(r.hit_rate);
-        out.push_str(&format!(
-            "{:10} | {:>4} {:>3} {:>4} | {:>6} {:>6} | {:>6} | {:>5}\n",
-            name,
-            r.requests,
-            r.threads,
-            r.modules,
-            r.link_hits,
-            r.link_misses,
-            pct(r.hit_rate),
-            if r.byte_identical { "yes" } else { "NO" }
-        ));
+/// `label`, then each group's cells after a `|`, up to the last column
+/// `cell` fills; a column it leaves empty is blank.
+fn line(label: &str, groups: &[Group], cell: impl Fn(&Col) -> Option<String>) -> String {
+    let mut out = format!("{label:10}");
+    let mut end = out.len();
+    for Group(_, cols) in groups {
+        out.push_str(" |");
+        for c in *cols {
+            let text = cell(c);
+            let _ = write!(out, " {:>w$}", text.as_deref().unwrap_or(""), w = c.1);
+            if text.is_some() {
+                end = out.len();
+            }
+        }
     }
-    out.push_str(&"-".repeat(59));
-    out.push('\n');
-    if !rates.is_empty() {
-        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
-        out.push_str(&format!(
-            "{:10} | {:>4} {:>3} {:>4} | {:>6} {:>6} | {:>6}\n",
-            "MEAN", "", "", "", "", "", pct(mean)
-        ));
-    }
-    out
+    out.truncate(end);
+    out + "\n"
 }
 
-/// Renders the scaling-curve table: geometry and oracle fields per point.
-pub fn scale(rows: &[(String, crate::scale::ScaleRow)]) -> String {
-    let mut out = String::new();
-    out.push_str("Scaling curves: oracle-gated scale points (all variants verified)\n\n");
-    out.push_str(&format!(
-        "{:10} | {:>6} {:>7} | {:>8} {:>8} {:>5} {:>5} | {:>4} {:>6} | {:>5} | {:>5}\n",
-        "point", "mods", "procs", "gat.in", "slots", "gp.e", "gp.a", "vars", "hit%", "arch", "ident"
-    ));
-    out.push_str(&"-".repeat(89));
-    out.push('\n');
-    for (name, r) in rows {
-        out.push_str(&format!(
-            "{:10} | {:>6} {:>7} | {:>8} {:>8} {:>5} {:>5} | {:>4} {:>6} | {:>2}/{:>2} | {:>5}\n",
-            name,
-            r.n,
-            r.procs,
-            r.gat_entries_input,
-            r.gat_slots,
-            r.gp_groups_each,
-            r.gp_groups_all,
-            r.verified_variants,
-            pct(r.edit_hit_rate),
-            r.archive_members_live,
-            r.archive_members_total,
-            if r.shared_identical { "yes" } else { "NO" }
-        ));
+fn cell(&Col(_, w, field, fmt): &Col, r: &Row) -> String {
+    let zero = Value::Int(0);
+    let get = |f| r.get(f).unwrap_or(&zero);
+    let v = get(field);
+    match fmt {
+        Fmt::Pct | Fmt::Dec(_) => frac(fmt, v.num()).unwrap_or_default(),
+        Fmt::Plain => v.to_string(),
+        Fmt::Flag(yes, no) => (if *v == Value::Bool(true) { yes } else { no }).to_string(),
+        Fmt::PctOf(base) => format!("{:.1}%", 100.0 * v.num() / get(base).num().max(1.0)),
+        Fmt::Over(total) => {
+            format!("{:>h$}/{:>h$}", v.to_string(), get(total).to_string(), h = (w - 1) / 2)
+        }
     }
-    out
 }
 
-/// Renders the ablations table: each design choice with its default value,
-/// then switched off.
-pub fn ablations(rows: &[(String, crate::figures::AblationsRow)]) -> String {
-    let mut out = String::new();
-    out.push_str("Ablations: one OM design choice switched off at a time (compile-each)\n\n");
-    out.push_str(&format!(
-        "{:10} | {:>9} {:>9} | {:>8} {:>8} | {:>10} {:>10}\n",
-        "bench", "nu(sort)", "nu(!sort)", "gat(fix)", "gat(1rd)", "cyc(align)", "cyc(!algn)"
-    ));
-    out.push_str(&"-".repeat(78));
-    out.push('\n');
-    for (name, r) in rows {
-        out.push_str(&format!(
-            "{:10} | {:>9} {:>9} | {:>8} {:>8} | {:>10} {:>10}\n",
-            name,
-            r.nullified_sorted,
-            r.nullified_unsorted,
-            r.gat_fixpoint,
-            r.gat_one_round,
-            r.cycles_aligned,
-            r.cycles_unaligned,
-        ));
+/// A fractional column's text for `x`; `None` for the other formats.
+fn frac(fmt: Fmt, x: f64) -> Option<String> {
+    match fmt {
+        Fmt::Pct => Some(format!("{:.1}", x * 100.0)),
+        Fmt::Dec(places) => Some(format!("{x:.places$}")),
+        _ => None,
     }
-    out.push_str(
-        "\nnu    = address loads nullified by OM-simple (with/without sorted commons)\n\
-         gat   = GAT slots after OM-full (fixpoint vs one reduction round)\n\
-         cyc   = cycles after OM-full w/sched (with/without quadword alignment)\n",
-    );
-    out
 }
 
 /// Renders the mutation-kill scorecard: kills per class and oracle, then
 /// one line per mutant that escaped every oracle.
-pub fn mutants(card: &crate::mutate::Scorecard) -> String {
+pub fn mutants(card: &Scorecard) -> String {
     let mut out = format!(
         "Mutation kill scorecard: {} classes, {} of {} mutants killed\n\n",
         card.classes.len(),
@@ -500,8 +207,8 @@ pub fn mutants(card: &crate::mutate::Scorecard) -> String {
             c.class, c.total, c.verify, c.checksum, c.interp, c.escaped
         ));
     }
-    for r in card.rows.iter().filter(|r| !r.killed()) {
-        out.push_str(&format!("ESCAPED {} seed {} site {}: {}\n", r.class, r.seed, r.site, r.detail));
+    for escape in &card.escapes {
+        out.push_str(&format!("ESCAPED {escape}\n"));
     }
     out
 }
@@ -509,49 +216,47 @@ pub fn mutants(card: &crate::mutate::Scorecard) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{field, figure, Fields};
+
+    fn rows(pairs: Vec<(&str, Fields)>) -> Vec<Row> {
+        pairs.into_iter().map(|(bench, fields)| Row { bench: bench.into(), fields }).collect()
+    }
+
+    fn print_fig(fig: &str, rows: &[Row]) -> String {
+        print(&figure(fig).expect("a figure").print, rows)
+    }
 
     #[test]
     fn tables_render_and_average() {
-        let rows = vec![
-            (
-                "a".to_string(),
-                Fig5Row { each_simple: 0.06, each_full: 0.11, all_simple: 0.05, all_full: 0.10 },
-            ),
-            (
-                "b".to_string(),
-                Fig5Row { each_simple: 0.08, each_full: 0.13, all_simple: 0.07, all_full: 0.12 },
-            ),
-        ];
-        let t = fig5(&rows);
+        let fig5 = |v: [f64; 4]| {
+            let names = ["each_simple", "each_full", "all_simple", "all_full"];
+            names.into_iter().zip(v).map(|(k, x)| field(k, x)).collect()
+        };
+        let (a, b) = (fig5([0.06, 0.11, 0.05, 0.10]), fig5([0.08, 0.13, 0.07, 0.12]));
+        let t = print_fig("fig5", &rows(vec![("a", a), ("b", b)]));
         assert!(t.contains("MEAN"));
         assert!(t.contains("7.0"), "{t}"); // mean of 6% and 8%
     }
 
+    fn pgo_row(sched: [u64; 2], pgo: [u64; 2], imp: [f64; 2]) -> Fields {
+        let mut out = Fields::new();
+        for (mi, m) in ["each", "all"].into_iter().enumerate() {
+            out.push(field(format!("sched_cycles_{m}"), sched[mi]));
+            out.push(field(format!("pgo_cycles_{m}"), pgo[mi]));
+            out.push(field(format!("imp_{m}"), imp[mi]));
+        }
+        out
+    }
+
     #[test]
     fn pgo_table_counts_wins() {
-        let rows = vec![
-            (
-                "a".to_string(),
-                PgoRow {
-                    sched_cycles: [1000, 2000],
-                    pgo_cycles: [900, 2000],
-                    improvement: [11.11, 0.0],
-                    procs_moved: [3, 0],
-                    targets: [(2, 1), (4, 0)],
-                },
-            ),
-            (
-                "b".to_string(),
-                PgoRow {
-                    sched_cycles: [500, 600],
-                    pgo_cycles: [510, 580],
-                    improvement: [-1.96, 3.45],
-                    procs_moved: [1, 2],
-                    targets: [(1, 1), (1, 2)],
-                },
-            ),
-        ];
-        let t = pgo(&rows);
+        let t = print_fig(
+            "pgo",
+            &rows(vec![
+                ("a", pgo_row([1000, 2000], [900, 2000], [11.11, 0.0])),
+                ("b", pgo_row([500, 600], [510, 580], [-1.96, 3.45])),
+            ]),
+        );
         assert!(t.contains("each 1/2 (1 faster, 0 tied)"), "{t}");
         assert!(t.contains("all 2/2 (1 faster, 1 tied)"), "{t}");
         assert!(t.contains("MEDIAN"), "{t}");
@@ -569,26 +274,89 @@ mod tests {
             interp: checksum,
             detail: format!("site {site}"),
         };
-        let t = mutants(&scorecard(vec![
-            record("img-a", 0, true),
-            record("img-b", 0, true),
-            record("img-b", 1, false),
-        ]));
+        let rows: Vec<Row> =
+            [record("img-a", 0, true), record("img-b", 0, true), record("img-b", 1, false)]
+                .iter()
+                .map(MutantRecord::row)
+                .collect();
+        let t = mutants(&scorecard(&rows));
+        assert_eq!(t, print_fig("mutants", &rows));
         assert!(t.starts_with("Mutation kill scorecard: 2 classes, 2 of 3 mutants killed"), "{t}");
         assert!(t.contains("\nimg-b                    2      0        1      1       1\n"), "{t}");
         assert!(t.ends_with("\nESCAPED img-b seed 3 site 1: site 1\n"), "{t}");
     }
 
+    fn fig6_row(v: f64) -> Fields {
+        let keys = ["imp_each_simple", "imp_each_full", "imp_each_sched"];
+        let all = ["imp_all_simple", "imp_all_full", "imp_all_sched"];
+        keys.into_iter().chain(all).map(|k| field(k, v)).collect()
+    }
+
     #[test]
     fn fig6_median_is_robust() {
-        let mk = |v: f64| Fig6Row { improvement: [[v; 3]; 2], base_cycles: [1, 1] };
-        let rows = vec![
-            ("a".into(), mk(1.0)),
-            ("b".into(), mk(2.0)),
-            ("c".into(), mk(50.0)),
-        ];
-        let t = fig6(&rows);
+        let t = print_fig(
+            "fig6",
+            &rows(vec![("a", fig6_row(1.0)), ("b", fig6_row(2.0)), ("c", fig6_row(50.0))]),
+        );
         assert!(t.contains("MEDIAN"));
         assert!(t.lines().last().unwrap().contains("2.00"), "{t}");
+    }
+
+    #[test]
+    fn the_median_of_an_even_count_is_the_mean_of_its_middle_values() {
+        let t = print_fig("fig6", &rows(vec![("a", fig6_row(0.75)), ("b", fig6_row(0.35))]));
+        let mean = t.lines().find(|l| l.starts_with("MEAN ")).unwrap();
+        let median = t.lines().find(|l| l.starts_with("MEDIAN")).unwrap();
+        assert_eq!(mean[10..], median[10..], "{t}");
+        assert!(median.ends_with("|   0.55   0.55   0.55 |   0.55   0.55   0.55"), "{t}");
+        let pgo = print_fig(
+            "pgo",
+            &rows(vec![
+                ("a", pgo_row([1, 1], [1, 1], [1.0, 4.0])),
+                ("b", pgo_row([1, 1], [1, 1], [2.0, 8.0])),
+                ("c", pgo_row([1, 1], [1, 1], [9.0, 5.0])),
+                ("d", pgo_row([1, 1], [1, 1], [3.0, 1.0])),
+            ]),
+        );
+        let median = pgo.lines().find(|l| l.starts_with("MEDIAN")).unwrap();
+        assert!(median.ends_with("2.50 |                         4.50"), "{pgo}");
+    }
+
+    #[test]
+    fn a_summary_line_stops_after_its_last_fractional_column() {
+        let row = vec![
+            field("requests", 12usize),
+            field("threads", 4usize),
+            field("modules", 9usize),
+            field("link_hits", 8u64),
+            field("link_misses", 4u64),
+            field("hit_rate", 0.9375),
+            field("byte_identical", false),
+        ];
+        let t = print_fig("fleet", &rows(vec![("li", row)]));
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines[2], "benchmark  |  req thr mods |  l.hit l.miss |   hit% | ident");
+        assert_eq!(lines[4], "li         |   12   4    9 |      8      4 |   93.8 |    NO");
+        assert_eq!(lines[6], "MEAN       |               |               |   93.8");
+        assert_eq!(lines.len(), 7, "{t}");
+    }
+
+    #[test]
+    fn ratio_and_pair_columns() {
+        let gat = vec![
+            field("each_before", 40usize),
+            field("each_after", 5usize),
+            field("all_before", 0usize),
+            field("all_after", 0usize),
+        ];
+        let t = print_fig("gat", &rows(vec![("li", gat)]));
+        let row = "li         |      40       5  12.5% |       0       0   0.0%";
+        assert!(t.ends_with(&format!("\n{row}\n")), "{t}");
+        let live = field("archive_members_live", 16usize);
+        let scale = vec![live, field("archive_members_total", 24u64)];
+        let t = print_fig("scale", &rows(vec![("scale16", scale)]));
+        let row = t.lines().last().unwrap();
+        assert!(row.starts_with("scale16    |      0       0 |"), "{t}");
+        assert!(row.ends_with("| 16/24 |    NO"), "{t}");
     }
 }

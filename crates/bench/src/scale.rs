@@ -7,14 +7,14 @@
 //! variant's simulated result must equal the standard link's and the mini-C
 //! interpreter's), and the interpreter differential itself.
 //!
-//! Each point records one [`ScaleRow`] (`"fig":"scale"`): GAT geometry,
-//! checksums, scenario-pack outcomes and cache-invalidation counts, all
-//! bit-deterministic. `reproduce check` ([`crate::json::check`]) compares it
+//! Each point records one row (`"fig":"scale"`, [`measure_scale`]): GAT
+//! geometry, checksums, scenario-pack outcomes and cache-invalidation
+//! counts, all bit-deterministic. `reproduce check` ([`crate::json::check`]) compares it
 //! against `BENCH_baseline.json` like fig3–fig5 and checks its oracle
 //! markers on every row. Link time at a scale point is measured by
 //! `omperf` or `om --trace-summary`, not here.
 
-use crate::figures::SIM_LIMIT;
+use crate::figures::{field, Fields, Row, Run, SIM_LIMIT};
 use om_core::{optimize_and_link_with, OmCaches, OmLevel, OmOptions, OmOutput};
 use om_linker::{link_modules, LayoutOpts};
 use om_objfile::Module;
@@ -38,65 +38,42 @@ pub fn points(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Deterministic fields of one scale point (drift-gated).
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleRow {
-    /// User modules.
-    pub n: usize,
-    /// User procedures.
-    pub procs: usize,
-    /// Link inputs per mode (crt0 + user objects; compile-all is
-    /// partitioned, so more than one merged unit).
-    pub objects_each: usize,
-    pub objects_all: usize,
-    /// GAT geometry of the compile-each standard link.
-    pub gat_entries_input: usize,
-    pub gat_slots: usize,
-    /// GP groups per mode — ≥ 2 at every point (the multi-GAT split).
-    pub gp_groups_each: usize,
-    pub gp_groups_all: usize,
-    /// GAT slots surviving OM-full's reduction (compile-each).
-    pub gat_slots_after_full: usize,
-    /// GP resets surviving OM-full (compile-each): nonzero while the live
-    /// pool still spans several groups.
-    pub gp_resets_after_full: usize,
-    /// The program checksum every oracle agreed on.
-    pub checksum: i64,
-    /// Instructions retired by the compile-each OM-full-sched run.
-    pub insts: u64,
-    /// (mode × level) variants that linked with verification on and matched
-    /// the checksum (8 = 2 modes × 4 levels).
-    pub verified_variants: usize,
-    /// Shared-library pack: GP resets the preemptible image must keep.
-    pub shared_gp_resets_kept: usize,
-    /// Shared-library pack: the dynamic image computed the same checksum.
-    pub shared_identical: bool,
-    /// Archive pack: members the resolver pulled / total members offered.
-    pub archive_members_live: usize,
-    pub archive_members_total: usize,
-    /// Archive pack: depth of the library-to-library call chain.
-    pub archive_chain_depth: usize,
-    /// Archive pack checksum (verified against its interpreter run).
-    pub archive_checksum: i64,
-    /// Relink cache: module translations recomputed after a single-module
-    /// edit (must be exactly 1).
-    pub edit_module_misses: u64,
-    /// Relink cache: fraction of the edited relink served from cache.
-    pub edit_hit_rate: f64,
-}
-
 fn run_checksum(out: &OmOutput, what: &str) -> (i64, u64) {
     let (r, _) = run_timed_fast(&out.image, SIM_LIMIT).unwrap_or_else(|e| panic!("{what}: {e}"));
     (r.result, r.insts)
 }
 
-/// Measures one scale point, running every oracle along the way.
+/// The scale figure: one entry per point of [`points`], each holding its
+/// one `scale{N}` row.
+pub fn measure(run: &Run) -> Vec<Vec<Row>> {
+    let row = |n| {
+        eprintln!("scale: measuring scale{n} ({n} modules, all oracles)...");
+        vec![Row { bench: format!("scale{n}"), fields: measure_scale(n) }]
+    };
+    points(run.quick).into_iter().map(row).collect()
+}
+
+/// Measures one scale point, running every oracle along the way. Its
+/// fields: user modules `n` and procedures; link inputs per mode (crt0 and
+/// the user objects; compile-all is partitioned, so more than one merged
+/// unit); the compile-each standard link's GAT entries and slots; GP groups
+/// per mode (at least 2 at every point: the multi-GAT split); the GAT slots
+/// and GP resets surviving OM-full on compile-each (resets stay while the
+/// live pool still spans several groups); the checksum every oracle agreed
+/// on; the instructions the compile-each OM-full-sched run retired; the
+/// (mode × level) variants that linked with verification on and matched
+/// the checksum (8 = 2 modes × 4 levels); the shared-library pack's kept GP
+/// resets and whether its dynamic image computed the same checksum; the
+/// archive pack's members pulled of those offered, its call-chain depth and
+/// its checksum (verified against its interpreter run); and, for the relink
+/// cache, the module translations recomputed after a single-module edit
+/// (exactly 1) and the fraction of the edited relink served from cache.
 ///
 /// # Panics
 ///
 /// Panics if any oracle disagrees — a scale point that cannot be verified
 /// must fail the harness, never record a row.
-pub fn measure_scale(n: usize) -> ScaleRow {
+pub fn measure_scale(n: usize) -> Fields {
     let spec = scale_spec(n);
     let expected = interp_reference_scale(&spec, INTERP_STEPS)
         .unwrap_or_else(|e| panic!("scale{n} interpreter reference: {e}"));
@@ -120,7 +97,7 @@ pub fn measure_scale(n: usize) -> ScaleRow {
     // Every (mode × level) variant with om --verify's machinery on, each
     // checksum-diffed against the interpreter.
     let verify_opts = OmOptions { verify: true, ..OmOptions::default() };
-    let mut verified_variants = 0;
+    let mut verified_variants = 0usize;
     let mut full_each: Option<OmOutput> = None;
     let mut insts = 0;
     for (b, mode) in [(&each, CompileMode::Each), (&all, CompileMode::All)] {
@@ -213,42 +190,31 @@ pub fn measure_scale(n: usize) -> ScaleRow {
         "scale{n}: the edited relink must equal a one-shot link of the edited objects"
     );
 
-    let row = ScaleRow {
-        n,
-        procs: total_procs(&spec),
-        objects_each: each.objects.len(),
-        objects_all: all.objects.len(),
-        gat_entries_input: std_stats.gat_entries_input,
-        gat_slots: std_stats.gat_slots,
-        gp_groups_each: std_stats.gp_groups,
-        gp_groups_all: all_gp_groups,
-        gat_slots_after_full: full_each.stats.gat_slots_after,
-        gp_resets_after_full: full_each.stats.calls_gp_reset_after,
-        checksum: expected,
-        insts,
-        verified_variants,
-        shared_gp_resets_kept: shared.0,
-        shared_identical: shared.1,
-        archive_members_live: archive.0,
-        archive_members_total: archive.1,
-        archive_chain_depth: archive.2,
-        archive_checksum: archive.3,
-        edit_module_misses,
-        edit_hit_rate,
-    };
-    assert!(row.gp_groups_each >= 2, "scale{n}: compile-each must split GAT groups");
-    assert!(row.gp_groups_all >= 2, "scale{n}: compile-all must split GAT groups");
-    row
-}
-
-/// A [`crate::figures::BenchRows`] carrying only this scale point (the 19
-/// paper benchmarks leave `scale` `None`).
-pub fn bench_rows(n: usize) -> crate::figures::BenchRows {
-    crate::figures::BenchRows {
-        name: format!("scale{n}"),
-        scale: Some(measure_scale(n)),
-        ..Default::default()
-    }
+    assert!(std_stats.gp_groups >= 2, "scale{n}: compile-each must split GAT groups");
+    assert!(all_gp_groups >= 2, "scale{n}: compile-all must split GAT groups");
+    vec![
+        field("n", n),
+        field("procs", total_procs(&spec)),
+        field("objects_each", each.objects.len()),
+        field("objects_all", all.objects.len()),
+        field("gat_entries_input", std_stats.gat_entries_input),
+        field("gat_slots", std_stats.gat_slots),
+        field("gp_groups_each", std_stats.gp_groups),
+        field("gp_groups_all", all_gp_groups),
+        field("gat_slots_after_full", full_each.stats.gat_slots_after),
+        field("gp_resets_after_full", full_each.stats.calls_gp_reset_after),
+        field("checksum", expected),
+        field("insts", insts),
+        field("verified_variants", verified_variants),
+        field("shared_gp_resets_kept", shared.0),
+        field("shared_identical", shared.1),
+        field("archive_members_live", archive.0),
+        field("archive_members_total", archive.1),
+        field("archive_chain_depth", archive.2),
+        field("archive_checksum", archive.3),
+        field("edit_module_misses", edit_module_misses),
+        field("edit_hit_rate", edit_hit_rate),
+    ]
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! arguments, 1 for an unreadable or unparsable report or any finding, and 0
 //! for the committed baseline checked against itself. A figure run exits 2
 //! with the usage line, before building anything, on a bad argument or a
-//! `--bench` filter that selects nothing to measure, and stops quietly when
-//! its reader closes the pipe.
+//! `--bench` filter next to a figure that measures programs of its own, and
+//! stops quietly when its reader closes the pipe.
 
 use std::process::{Command, Stdio};
 
@@ -15,6 +15,7 @@ fn bad_figure_arguments_exit_2_with_usage() {
         &["--bench"],
         &["scale", "--bench", "li", "--quick"],
         &["mutants", "--bench", "li"],
+        &["scale", "fig3", "--bench", "li", "--quick"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
             .args(args)

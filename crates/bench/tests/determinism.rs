@@ -1,9 +1,12 @@
 //! The parallel harness must be invisible in the output: any `--jobs` width
 //! produces byte-identical rendered figures and `--json` report, and the
-//! memoized pipeline must not change simulated checksums.
+//! memoized pipeline must not change simulated checksums. The rows also
+//! equal the committed baseline's, so a change in how a figure builds its
+//! fields fails here and not only in `scripts/bench.sh`.
 
-use om_bench::figures::{self, BenchRows, FIGURES};
-use om_bench::{json, mutate, parallel_map, render, Prepared};
+use om_bench::figures::{self, figure, Measure, Run, FIGURES};
+use om_bench::{json, parallel_map, render, Prepared};
+use om_obs::json::JsonValue;
 use om_workloads::build::CompileMode;
 use om_workloads::{spec, BenchSpec};
 
@@ -16,35 +19,25 @@ fn quick_specs() -> Vec<BenchSpec> {
         .collect()
 }
 
-/// Renders every figure of the parallel pass plus a one-seed slice of the
-/// mutants figure, and the JSON report, from one harness pass at the given
-/// width (fig7 is wall-clock timing; fleet and scale have tests of their
-/// own).
+/// Renders every figure of the parallel pass, the pass `--jobs` fans out,
+/// then the JSON report, from one harness pass at the given width. The
+/// other figures run one benchmark or program at a time; `scripts/ci.sh`
+/// compares the whole quick run at two widths.
 fn run_at(jobs: usize) -> (String, Vec<i64>) {
     let specs = quick_specs();
     let prepared: Vec<Prepared> = parallel_map(jobs, &specs, Prepared::new);
-    let mut rows = parallel_map(jobs, &prepared, |p| figures::measure(p, &FIGURES));
-    let card = mutate::scorecard(mutate::run_campaign(&[3], 1, jobs).expect("corpus seed 3"));
-
+    let which: Vec<&str> = FIGURES
+        .iter()
+        .filter(|f| matches!(f.measure, Measure::Parallel(_)))
+        .map(|f| f.name)
+        .collect();
+    let entries = figures::measure(&prepared, &which, &Run { quick: true, jobs });
     let mut out = String::new();
-    macro_rules! rows_of {
-        ($field:ident) => {
-            rows.iter()
-                .filter_map(|r| r.$field.map(|x| (r.name.clone(), x)))
-                .collect::<Vec<_>>()
-        };
+    for fig in &which {
+        let rows = figures::rows_of(&entries, fig);
+        out.push_str(&render::print(&figure(fig).expect("a figure").print, &rows));
     }
-    out.push_str(&render::fig3(&rows_of!(fig3)));
-    out.push_str(&render::fig4(&rows_of!(fig4)));
-    out.push_str(&render::fig5(&rows_of!(fig5)));
-    out.push_str(&render::fig6(&rows_of!(fig6)));
-    out.push_str(&render::gat(&rows_of!(gat)));
-    out.push_str(&render::pgo(&rows_of!(pgo)));
-    out.push_str(&render::passes(&rows_of!(passes)));
-    out.push_str(&render::ablations(&rows_of!(ablations)));
-    out.push_str(&render::mutants(&card));
-    rows.push(BenchRows { name: "mutants".into(), mutants: Some(card), ..BenchRows::default() });
-    out.push_str(&json::report(&rows, true));
+    out.push_str(&json::report(&entries, true));
 
     let checksums = prepared
         .iter()
@@ -89,6 +82,10 @@ fn every_pipeline_stage_is_deterministic_in_process() {
     }
 }
 
+fn rows(doc: &JsonValue) -> &[JsonValue] {
+    doc.get("rows").and_then(JsonValue::as_arr).unwrap_or_default()
+}
+
 #[test]
 fn parallel_output_is_byte_identical_to_sequential() {
     let (seq, seq_sums) = run_at(1);
@@ -96,4 +93,16 @@ fn parallel_output_is_byte_identical_to_sequential() {
     assert!(!seq.is_empty());
     assert_eq!(seq, par, "rendered figures must not depend on --jobs");
     assert_eq!(seq_sums, par_sums, "checksums must not depend on --jobs");
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let parse = |text: &str| om_obs::json::parse(text).expect("a report");
+    let base = parse(&std::fs::read_to_string(path).expect("BENCH_baseline.json"));
+    let run = parse(&seq[seq.find("{\n  \"schema\"").expect("the report")..]);
+    let key = |row: &JsonValue| (row.get("fig").cloned(), row.get("bench").cloned());
+    let base_rows = rows(&base);
+    assert!(!rows(&run).is_empty());
+    for row in rows(&run) {
+        let want = base_rows.iter().find(|b| key(b) == key(row));
+        assert_eq!(want, Some(row), "the committed baseline's row");
+    }
 }

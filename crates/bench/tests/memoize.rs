@@ -1,19 +1,20 @@
 //! Proof that `Prepared` memoization works: overlapping figures share one
 //! pipeline run per `(mode, level)`, and the cached results are identical
-//! to fresh uncached runs.
-//!
-//! `om_core::pipeline_runs` is a process-global counter, so everything that
-//! counts runs lives in this one test function (integration tests get their
-//! own process, and a single `#[test]` can't race with itself).
+//! to fresh uncached runs. Runs are counted on the `pipeline.runs` counter
+//! of a trace installed on this test's thread, so links on other threads
+//! do not count.
 
 use om_bench::figures::{self, Prepared};
-use om_core::{optimize_and_link, pipeline_runs, OmLevel};
+use om_core::{optimize_and_link, OmLevel};
 use om_workloads::build::{build, CompileMode};
 use om_workloads::spec;
 
 #[test]
 fn overlapping_figures_share_pipeline_runs_and_match_fresh_results() {
     let s = spec::quick(&spec::by_name("compress").unwrap());
+    let trace = om_obs::Trace::new();
+    let _on = trace.install();
+    let pipeline_runs = || trace.counters().get("pipeline.runs").copied().unwrap_or(0);
     let p = Prepared::new(&s);
     assert_eq!(pipeline_runs(), 0, "building must not run the OM pipeline");
 

@@ -61,7 +61,7 @@ pub use hash::{
 };
 pub use pipeline::{
     optimize_and_link, optimize_and_link_artifacts, optimize_and_link_keyed,
-    optimize_and_link_with, pipeline_runs, CallBook, OmLevel, OmOptions, OmOutput,
+    optimize_and_link_with, CallBook, OmLevel, OmOptions, OmOutput,
 };
 pub use profile::{CallEdge, ProcProfile, Profile, ProfileError};
 pub use stats::OmStats;

@@ -13,25 +13,12 @@ use om_linker::{
 use om_objfile::{Archive, Module};
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-wide count of real OM pipeline executions (cache hits in
-/// [`optimize_and_link_keyed`] do not count). The evaluation harness and
-/// the relink-cache tests use this counter to prove each unique
-/// `(benchmark, mode, level)` configuration runs at most once per
-/// invocation.
-static PIPELINE_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`optimize_and_link_with`] executions in this process so far.
-pub fn pipeline_runs() -> u64 {
-    PIPELINE_RUNS.load(Ordering::Relaxed)
-}
-
 /// Per-call-site bookkeeping: `(needs PV load, needs GP reset)`, keyed by
-/// `(module, proc, jsr instruction id)`. [`crate::simple::run_with`] and
-/// [`crate::full::run_with`] fill it from their residue once, at the end,
-/// for callers that rebuild the pipeline; the pipeline itself reads the two
+/// `(module, proc, jsr instruction id)`. [`crate::full::run_with`] and both
+/// levels' `run_observed` fill it from their residue once, at the end, for
+/// callers that rebuild the pipeline; the pipeline itself reads the two
 /// Figure 4 counts off the residue and keeps no book.
 pub type CallBook = HashMap<(usize, usize, InstId), (bool, bool)>;
 
@@ -272,7 +259,6 @@ fn run_pipeline(
     options: &OmOptions,
     cached: Option<(&OmCaches, &[ContentHash])>,
 ) -> Result<(OmOutput, Artifacts), OmError> {
-    PIPELINE_RUNS.fetch_add(1, Ordering::Relaxed);
     let mut pipeline_span = om_obs::span("pipeline");
     om_obs::count("pipeline.runs", 1);
     let modules = {

@@ -37,22 +37,9 @@ use std::collections::HashSet;
 /// preemptible symbols, fault plan): one round of the passes OM-full
 /// repeats. `book` gets each call site's `(needs PV load, needs GP reset)`
 /// as the round left it, keyed by `(module, procedure, call id)`.
-///
-/// # Errors
-///
-/// Propagates snapshot (layout) failures.
-pub fn run_with(
-    program: &mut SymProgram,
-    stats: &mut OmStats,
-    book: &mut CallBook,
-    options: &crate::pipeline::OmOptions,
-) -> Result<(), OmError> {
-    run_observed(program, stats, book, options, &mut |_, _| {})
-}
-
-/// [`run_with`], handing `each_round` the program and the snapshot the
-/// round decides against, before the round changes anything (a test
-/// compares it with a fresh [`Snapshot::capture_with`]).
+/// `each_round` gets the program and the snapshot the round decides
+/// against, before the round changes anything (a test compares it with a
+/// fresh [`Snapshot::capture_with`]).
 ///
 /// # Errors
 ///

@@ -1,5 +1,5 @@
 //! Counter tests of the cached pipeline entry points, mirroring the
-//! `pipeline_runs()` memoization tests in `om-bench`: cache hits must skip
+//! `pipeline.runs` memoization test in `om-bench`: cache hits must skip
 //! the pipeline entirely, and a single-module edit must invalidate exactly
 //! that module's translation entry.
 
@@ -47,9 +47,8 @@ fn program(tag: &str, helper_body: &str) -> Vec<Module> {
 fn link_cache_hits_skip_the_pipeline() {
     // Unique sources so this test's keys cannot collide with other tests
     // sharing the process (mirrors the memoize.rs convention). Runs are
-    // counted on this thread's trace, not by the process-wide
-    // `pipeline_runs()`, which also counts the links of the tests running
-    // beside this one.
+    // counted on this thread's trace, so the links of the tests running
+    // beside this one do not count.
     let objects = program("skip", "int helper(int x) { return x + 7; }");
     let caches = OmCaches::default();
     let options = OmOptions::default();

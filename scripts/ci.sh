@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full CI gate: build, test, the figure-drift check (which also gates the
-# ablations and the mutation-kill scorecard), and a bounded differential
-# fuzz campaign. Any step failing fails the script.
+# ablations and the mutation-kill scorecard), the quick figure run compared
+# at two --jobs widths, and a bounded differential fuzz campaign. Any step
+# failing fails the script.
 #
 # Usage: scripts/ci.sh [FUZZ_SEEDS]
 #   FUZZ_SEEDS   seeds for the omfuzz campaign (default 200)
@@ -83,6 +84,21 @@ echo "== figure drift =="
 # mutation-kill scorecard: every mutant of the committed corpus, each of its
 # three oracle columns compared exactly, and every mutant killed.
 scripts/bench.sh
+
+echo "== figures at two --jobs widths =="
+# The whole quick run at --jobs 1 and at --jobs 2: the two reports must be
+# byte-identical, and so must the printed tables of every figure but fig7,
+# whose cells are wall-clock seconds (its table runs from its title to the
+# second blank line after it).
+for j in 1 2; do
+    target/release/reproduce all --quick --jobs "$j" --json "$tracedir/jobs$j.json" \
+        >"$tracedir/all$j.out" 2>"$tracedir/all$j.err" ||
+        { cat "$tracedir/all$j.err"; exit 1; }
+    awk '/^Figure 7:/ { skip = 2 } skip && /^$/ { skip--; next } !skip' \
+        "$tracedir/all$j.out" >"$tracedir/tables$j.out"
+done
+cmp "$tracedir/jobs1.json" "$tracedir/jobs2.json"
+cmp "$tracedir/tables1.out" "$tracedir/tables2.out"
 
 echo "== scale smoke (one mid-scale point through the tool pipeline) =="
 # A 256-module / 25k-procedure program end to end through the command-line
