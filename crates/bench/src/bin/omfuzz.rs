@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! omfuzz [--seeds N] [--start S] [--jobs N] [--out DIR]
-//!        [--modules N] [--procs N] [--stmts N]
 //! omfuzz --adversarial
 //! ```
 //!
@@ -27,15 +26,14 @@
 //! Every argument is parsed before any work starts; a usage error exits 2
 //! with the usage text.
 
-use om_bench::fuzz::{check, generate, shrink, write_repro, FuzzConfig, Outcome};
+use om_bench::fuzz::{check, generate, shrink, write_repro, Outcome};
 use om_bench::par::{default_jobs, parallel_map};
 use std::process::exit;
 
 fn usage(msg: &str) -> ! {
     eprintln!("omfuzz: {msg}");
     eprintln!(
-        "usage: omfuzz [--seeds N] [--start S] [--jobs N] [--out DIR] \
-         [--modules N] [--procs N] [--stmts N]\n       omfuzz --adversarial"
+        "usage: omfuzz [--seeds N] [--start S] [--jobs N] [--out DIR]\n       omfuzz --adversarial"
     );
     exit(2);
 }
@@ -46,7 +44,6 @@ fn main() {
     let mut start: u64 = 0;
     let mut jobs: usize = default_jobs();
     let mut out_dir = String::from("target/omfuzz");
-    let mut cfg = FuzzConfig::default();
     let mut adversarial = false;
     let mut other_options = false;
 
@@ -69,9 +66,6 @@ fn main() {
                     _ => usage("--jobs needs a thread count >= 1"),
                 }
             }
-            "--modules" => cfg.max_modules = number() as usize,
-            "--procs" => cfg.max_procs_per_module = number() as usize,
-            "--stmts" => cfg.max_stmts = number() as usize,
             "--out" => out_dir = value.unwrap_or_else(|| usage("--out needs a directory")),
             other => usage(&format!("unknown option {other}")),
         }
@@ -93,7 +87,7 @@ fn main() {
     // times and is itself the bottleneck — one failure at a time keeps the
     // repro output readable).
     for chunk in all_seeds.chunks(jobs.max(1) * 4) {
-        let outcomes = parallel_map(jobs, chunk, |&seed| check(&generate(seed, &cfg)));
+        let outcomes = parallel_map(jobs, chunk, |&seed| check(&generate(seed)));
         for (&seed, outcome) in chunk.iter().zip(outcomes) {
             match outcome {
                 Outcome::Pass => passed += 1,
@@ -103,7 +97,7 @@ fn main() {
                 }
                 outcome @ Outcome::Fail { .. } => {
                     eprintln!("omfuzz: seed {seed}: FAILED, shrinking…");
-                    let small = shrink(generate(seed, &cfg), 300);
+                    let small = shrink(generate(seed), 300);
                     let final_outcome = check(&small);
                     let report = match &final_outcome {
                         Outcome::Fail { .. } => write_repro(&small, &final_outcome),

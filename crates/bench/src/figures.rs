@@ -351,7 +351,7 @@ pub struct Figure {
     pub name: &'static str,
     pub measure: Measure,
     /// Whether `--json` writes its rows; `reproduce check` requires rows of
-    /// every figure written. Figure 7's wall-clock seconds are only printed.
+    /// every figure written. Figure 7's wall-clock milliseconds are only printed.
     pub json: bool,
     /// Oracle markers, checked on every row by `reproduce check`: `(field,
     /// value as written)`, where `None` only requires the field. The harness
@@ -475,7 +475,7 @@ pub static FIGURES: [Figure; 12] = [
     Figure {
         json: false,
         ..Figure::new("fig7", Measure::After(|p, _| fig7(p)), &[Table {
-            title: "Figure 7: build times in seconds\n\n",
+            title: "Figure 7: build times in milliseconds\n\n",
             groups: &[
                 Group("", &[
                     Col("std-link", 8, "standard_link", Dec(3)),
@@ -731,7 +731,7 @@ pub fn fig6(p: &Prepared) -> Fields {
     out
 }
 
-/// Figure 7: build-time comparison in seconds — standard link, the
+/// Figure 7: build-time comparison in milliseconds — standard link, the
 /// interprocedural build (compile-all from source), and OM at each level.
 /// One wall-clock sample per cell, so `reproduce fig7` prints it and the
 /// BENCH JSON leaves it out; `omperf` is the repeatable timing harness.
@@ -741,23 +741,24 @@ pub fn fig6(p: &Prepared) -> Fields {
 /// consulted.
 pub fn fig7(p: &Prepared) -> Fields {
     use std::time::Instant;
+    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
 
     let b = &p.each;
     let t0 = Instant::now();
     let _ = link_modules(&b.objects, &b.libs, &LayoutOpts::default()).expect("standard link");
-    let mut out = vec![field("standard_link", t0.elapsed().as_secs_f64())];
+    let mut out = vec![field("standard_link", ms(t0))];
 
     // The paper's "interproc build": full recompilation of all sources with
     // interprocedural optimization, then a standard link.
     let t0 = Instant::now();
     let all = build(&p.spec, CompileMode::All).expect("compile-all");
     let _ = link_modules(&all.objects, &all.libs, &LayoutOpts::default()).expect("link");
-    out.push(field("interproc_build", t0.elapsed().as_secs_f64()));
+    out.push(field("interproc_build", ms(t0)));
 
     for (level, name) in OmLevel::ALL.into_iter().zip(["none", "simple", "full", "full_sched"]) {
         let t0 = Instant::now();
         let _ = optimize_and_link(&b.objects, &b.libs, level).expect("om link");
-        out.push(field(format!("om_{name}"), t0.elapsed().as_secs_f64()));
+        out.push(field(format!("om_{name}"), ms(t0)));
     }
     out
 }

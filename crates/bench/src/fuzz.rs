@@ -97,19 +97,11 @@ pub struct FuzzProgram {
     pub use_fnptr: bool,
 }
 
-/// Size knobs for generation.
-#[derive(Debug, Clone, Copy)]
-pub struct FuzzConfig {
-    pub max_modules: usize,
-    pub max_procs_per_module: usize,
-    pub max_stmts: usize,
-}
-
-impl Default for FuzzConfig {
-    fn default() -> Self {
-        FuzzConfig { max_modules: 4, max_procs_per_module: 4, max_stmts: 8 }
-    }
-}
+/// A program's size bounds: at most this many modules, procedures per
+/// module and statements per procedure.
+const MAX_MODULES: usize = 4;
+const MAX_PROCS: usize = 4;
+const MAX_STMTS: usize = 8;
 
 struct ProcInfo {
     name: String,
@@ -119,14 +111,14 @@ struct ProcInfo {
 }
 
 /// Generates the program for `seed`.
-pub fn generate(seed: u64, cfg: &FuzzConfig) -> FuzzProgram {
+pub fn generate(seed: u64) -> FuzzProgram {
     // Salted so fuzz streams are distinct from the workload generator's.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF022_5A17);
-    let n_modules = rng.gen_range(1..cfg.max_modules + 1);
+    let n_modules = rng.gen_range(1..MAX_MODULES + 1);
     let mut roster: Vec<ProcInfo> = Vec::new();
     let mut modules = Vec::new();
     for mi in 0..n_modules {
-        let n_procs = rng.gen_range(2..cfg.max_procs_per_module + 1);
+        let n_procs = rng.gen_range(2..MAX_PROCS + 1);
         let scalars = rng.gen_range(1..4);
         let arrays: Vec<u32> = (0..rng.gen_range(1..3)).map(|_| rng.gen_range(3..7)).collect();
         let mut procs = Vec::new();
@@ -135,7 +127,7 @@ pub fn generate(seed: u64, cfg: &FuzzConfig) -> FuzzProgram {
             let is_float = !entry && rng.gen_bool(0.2);
             let is_static = !entry && !is_float && rng.gen_bool(0.3);
             let name = format!("fz{mi}_p{pj}");
-            let n_stmts = rng.gen_range(1..cfg.max_stmts + 1);
+            let n_stmts = rng.gen_range(1..MAX_STMTS + 1);
             let mut stmts = Vec::new();
             for s in 0..n_stmts {
                 stmts.push(gen_stmt(&mut rng, mi, s, is_float, scalars, &arrays, &roster));
@@ -740,18 +732,16 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = FuzzConfig::default();
-        let a = render(&generate(42, &cfg));
-        let b = render(&generate(42, &cfg));
+        let a = render(&generate(42));
+        let b = render(&generate(42));
         assert_eq!(a, b);
-        assert_ne!(a, render(&generate(43, &cfg)));
+        assert_ne!(a, render(&generate(43)));
     }
 
     #[test]
     fn every_program_has_entries() {
-        let cfg = FuzzConfig::default();
         for seed in 0..20 {
-            let prog = generate(seed, &cfg);
+            let prog = generate(seed);
             assert!(!prog.modules.is_empty(), "seed {seed}");
             for md in &prog.modules {
                 let entry = md.procs.last().expect("entry proc");
@@ -764,10 +754,9 @@ mod tests {
     fn shrinker_minimizes_against_synthetic_oracle() {
         // "Fails" whenever any surviving statement calls mix64: the shrinker
         // should strip everything else down to one module with that one call.
-        let cfg = FuzzConfig { max_modules: 4, max_procs_per_module: 4, max_stmts: 8 };
         let mut found = false;
         for seed in 0..50 {
-            let prog = generate(seed, &cfg);
+            let prog = generate(seed);
             let trigger = |p: &FuzzProgram| {
                 p.modules
                     .iter()
@@ -792,7 +781,7 @@ mod tests {
 
     #[test]
     fn repro_header_lists_mismatches() {
-        let prog = generate(7, &FuzzConfig::default());
+        let prog = generate(7);
         let outcome = Outcome::Fail {
             reference: Some(123),
             mismatches: vec![Mismatch {

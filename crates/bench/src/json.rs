@@ -79,7 +79,8 @@ fn show(v: Option<&JsonValue>) -> String {
 }
 
 /// Gates a `reproduce --json` report: every figure of [`FIGURES`] the
-/// report carries has a row, and every row carries its figure's markers.
+/// report carries has a row, every row is of such a figure, and every row
+/// carries its figure's markers.
 /// Against a `baseline`, every row must also appear in both reports under
 /// the same `(fig, bench)` with the same fields, each value equal exactly as
 /// written. Row order and formatting do not matter.
@@ -95,7 +96,11 @@ pub fn check(run: &JsonValue, baseline: Option<&JsonValue>) -> Vec<String> {
         }
     }
     for ((fig, bench), fields) in &rows {
-        for (field, want) in figure(fig).map_or(&[][..], |f| f.markers) {
+        let Some(f) = figure(fig).filter(|f| f.json) else {
+            findings.push(format!("{fig} {bench}: not a figure the report carries"));
+            continue;
+        };
+        for (field, want) in f.markers {
             let got = fields.get(*field);
             let ok = match (got, want) {
                 (None, _) => false,
@@ -301,6 +306,23 @@ mod tests {
         assert_eq!(
             check_text(&no_fig6, Some(&with_fig6)),
             ["fig6: run has no rows", "fig6 alpha: row missing from run"]
+        );
+    }
+
+    #[test]
+    fn check_rejects_rows_of_figures_the_report_never_carries() {
+        // An unknown figure, and Figure 7, whose wall-clock rows are only
+        // printed.
+        let good = two_bench_report();
+        let gat = good.lines().find(|l| l.contains("\"fig\":\"gat\"")).unwrap();
+        let row = |fig: &str| gat.replacen("\"gat\"", &format!("\"{fig}\""), 1);
+        let run = good.replacen(gat, &format!("{gat}\n{}\n{}", row("fig33"), row("fig7")), 1);
+        assert_eq!(
+            check_text(&run, None),
+            [
+                "fig33 alpha: not a figure the report carries",
+                "fig7 alpha: not a figure the report carries"
+            ]
         );
     }
 

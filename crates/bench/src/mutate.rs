@@ -31,7 +31,7 @@
 //! every mutant killed.
 
 use crate::figures::{self, Row, Run, Value};
-use crate::fuzz::{self, FuzzConfig, INTERP_STEPS};
+use crate::fuzz::{self, INTERP_STEPS};
 use om_alpha::{decode, encode, field, Inst, MemOp, Reg};
 use om_core::analysis::Artifacts;
 use om_core::{
@@ -198,7 +198,7 @@ impl CleanBuild {
 /// Any failure here means the seed is unusable as a corpus program (the
 /// clean build must link, verify, and reproduce the interpreter's checksum).
 pub fn build_clean(seed: u64) -> Result<CleanBuild, String> {
-    let sources = fuzz::render(&fuzz::generate(seed, &FuzzConfig::default()));
+    let sources = fuzz::render(&fuzz::generate(seed));
     let reference = interp_sources(&sources, INTERP_STEPS)
         .map_err(|e| format!("seed {seed}: interpreter: {e}"))?;
     let BuiltBenchmark { objects, libs, .. } = build_sources("fz", &sources, CompileMode::Each)

@@ -6,13 +6,12 @@
 //! transformation, profiling, or the simulator fails here — not just in
 //! the standalone `omfuzz` binary.
 
-use om_bench::fuzz::{check, generate, FuzzConfig, Outcome};
+use om_bench::fuzz::{check, generate, Outcome};
 
 #[test]
 fn fixed_seed_slice_is_clean() {
-    let cfg = FuzzConfig::default();
     for seed in 0..10 {
-        let prog = generate(seed, &cfg);
+        let prog = generate(seed);
         match check(&prog) {
             Outcome::Pass => {}
             Outcome::Skip(why) => panic!("seed {seed} skipped: {why}"),

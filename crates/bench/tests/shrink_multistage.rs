@@ -4,7 +4,7 @@
 //! interacting pair, and — the property that matters for triage — the
 //! minimized repro must still reproduce the kill.
 
-use om_bench::fuzz::{generate, render, shrink_with, write_repro, FuzzConfig, FuzzProgram, Outcome};
+use om_bench::fuzz::{generate, render, shrink_with, write_repro, FuzzProgram, Outcome};
 
 /// A seed whose generated program has at least three modules, several
 /// procedures, and statements to strip (asserted below, so a generator
@@ -13,10 +13,7 @@ use om_bench::fuzz::{generate, render, shrink_with, write_repro, FuzzConfig, Fuz
 const SEED: u64 = 8;
 
 fn multi_module_program() -> FuzzProgram {
-    let prog = generate(
-        SEED,
-        &FuzzConfig { max_modules: 4, max_procs_per_module: 4, max_stmts: 8 },
-    );
+    let prog = generate(SEED);
     assert!(
         prog.modules.len() >= 3,
         "seed {SEED} must generate >= 3 modules for this test, got {}",

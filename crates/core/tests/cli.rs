@@ -23,3 +23,19 @@ fn usage_errors_exit_2_an_unreadable_object_exits_1() {
     assert!(err.contains("cannot read /nonexistent/x.o"), "{err}");
     assert!(!err.contains("usage:"), "{err}");
 }
+
+#[test]
+fn a_name_length_near_2_pow_64_is_a_bad_object_not_a_panic() {
+    // 24 bytes: the magic, a name length of 2^64 - 8, then eight bytes.
+    let mut object = b"OMOBJ01\0".to_vec();
+    object.extend_from_slice(&(u64::MAX - 7).to_le_bytes());
+    object.extend_from_slice(&[0; 8]);
+    let path = std::env::temp_dir().join(format!("om-hostile-{}.o", std::process::id()));
+    std::fs::write(&path, object).unwrap();
+    let out = om(&[path.to_str().unwrap()]);
+    std::fs::remove_file(&path).unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("bad object format: truncated object"), "{err}");
+}

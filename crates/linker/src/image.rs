@@ -1,5 +1,6 @@
 //! Executable images.
 
+use om_objfile::binary::Reader;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -135,56 +136,25 @@ impl Image {
     ///
     /// Returns a message describing the first malformed field.
     pub fn from_bytes(bytes: &[u8]) -> Result<Image, String> {
-        struct R<'a>(&'a [u8], usize);
-        impl<'a> R<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-                if n > self.left() {
-                    return Err("truncated image".to_string());
-                }
-                let s = &self.0[self.1..self.1 + n];
-                self.1 += n;
-                Ok(s)
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-            }
-            fn left(&self) -> usize {
-                self.0.len() - self.1
-            }
-            /// Reads a count of records of at least `min` bytes each,
-            /// rejecting one the remaining bytes cannot hold before anything
-            /// is reserved for it.
-            fn count(&mut self, min: usize, what: &str) -> Result<usize, String> {
-                let n = self.u64()?;
-                match usize::try_from(n) {
-                    Ok(n) if n <= self.left() / min => Ok(n),
-                    _ => Err(format!("implausible {what} count {n}")),
-                }
-            }
-        }
-        let mut r = R(bytes, 0);
+        let mut r = Reader::new(bytes, "image");
         if r.take(8)? != b"OMEXE01\0" {
             return Err("bad image magic".to_string());
         }
         let entry = r.u64()?;
-        let nseg = r.u64()? as usize;
+        let nseg = r.u64()?;
         if nseg > 1024 {
             return Err("implausible segment count".to_string());
         }
-        let mut segments = Vec::with_capacity(nseg);
+        let mut segments = Vec::with_capacity(nseg as usize);
         for _ in 0..nseg {
             let base = r.u64()?;
-            let len = r.u64()? as usize;
-            segments.push(Segment { base, bytes: r.take(len)?.to_vec() });
+            segments.push(Segment { base, bytes: r.bytes()?.to_vec() });
         }
         // A symbol is a name length, the name and an address.
         let nsym = r.count(16, "symbol")?;
         let mut symbols = HashMap::with_capacity(nsym);
         for _ in 0..nsym {
-            let len = r.u64()? as usize;
-            let name = String::from_utf8(r.take(len)?.to_vec())
-                .map_err(|_| "bad symbol name".to_string())?;
-            symbols.insert(name, r.u64()?);
+            symbols.insert(r.str("symbol name")?, r.u64()?);
         }
         let mut ext = [Extent::default(); 6];
         for e in &mut ext {
@@ -291,11 +261,21 @@ mod tests {
     }
 
     #[test]
-    fn a_segment_longer_than_the_image_is_truncation() {
-        let mut w = b"OMEXE01\0".to_vec();
-        for v in [0, 1, 0x1000, u64::MAX] {
-            w.extend_from_slice(&v.to_le_bytes());
+    fn a_length_longer_than_the_image_is_truncation() {
+        let image = |fields: &[u64]| {
+            let mut w = b"OMEXE01\0".to_vec();
+            fields.iter().for_each(|v| w.extend_from_slice(&v.to_le_bytes()));
+            w
+        };
+        // A segment of 2^64 - 1 bytes; then a segment, and a symbol name, of
+        // 2^64 - 8 bytes with eight bytes after the length.
+        let hostile = u64::MAX - 7;
+        for fields in [
+            &[0, 1, 0x1000, u64::MAX][..],
+            &[0, 1, 0x1000, hostile, 0],
+            &[0, 0, 1, hostile, 0],
+        ] {
+            assert_eq!(Image::from_bytes(&image(fields)).unwrap_err(), "truncated image");
         }
-        assert_eq!(Image::from_bytes(&w).unwrap_err(), "truncated image");
     }
 }

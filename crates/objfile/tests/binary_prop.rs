@@ -5,8 +5,8 @@
 //! no proptest); module shapes match what the original strategies generated.
 
 use om_objfile::{
-    binary, Archive, LitaEntry, Module, Reloc, RelocKind, SecId, SymId, Symbol, SymbolDef,
-    Visibility,
+    binary, Archive, LitaEntry, Module, ObjError, Reloc, RelocKind, SecId, SymId, Symbol,
+    SymbolDef, Visibility,
 };
 use om_prng::StdRng;
 
@@ -144,4 +144,23 @@ fn reader_never_panics_on_noise() {
         let _ = binary::read_module(&bytes);
         let _ = binary::read_archive(&bytes);
     }
+}
+
+/// `magic`, a name length of 2^64 - 8, then eight bytes: 24 bytes in all.
+/// The length wraps a position-plus-length sum back inside the input.
+fn hostile_name(magic: &[u8; 8]) -> Vec<u8> {
+    let mut bytes = magic.to_vec();
+    bytes.extend_from_slice(&(u64::MAX - 7).to_le_bytes());
+    bytes.extend_from_slice(&[0; 8]);
+    bytes
+}
+
+#[test]
+fn a_name_length_near_2_pow_64_is_a_typed_error() {
+    // The random tests above practically never draw such a prefix.
+    let truncated = |what: &str| ObjError::BadFormat { what: format!("truncated {what}") };
+    let object = binary::read_module(&hostile_name(b"OMOBJ01\0"));
+    assert_eq!(object.unwrap_err(), truncated("object"));
+    let archive = binary::read_archive(&hostile_name(b"OMLIB01\0"));
+    assert_eq!(archive.unwrap_err(), truncated("archive"));
 }

@@ -107,7 +107,9 @@ pub fn serve_traced(
 /// Serves one connection until EOF or a shutdown request. Every failure
 /// mode — unreadable frame, undecodable request, malformed module, link
 /// error, pipeline panic — is a `Reply::Error` (or a dropped connection),
-/// never a dead server.
+/// never a dead server. Requests and modules are read through the
+/// bounds-checked [`om_objfile::binary::Reader`], so no length prefix, however
+/// large, panics the connection's thread.
 fn serve_connection(mut stream: UnixStream, server: &LinkServer, stop: &AtomicBool, path: &Path) {
     loop {
         let payload = match read_frame(&mut stream) {

@@ -5,9 +5,11 @@
 //! tag-specific. Module and image bodies reuse the existing serializers
 //! ([`om_objfile::binary::write_module`] and
 //! [`om_linker::Image::to_bytes`]) — the wire never invents a second
-//! encoding for either.
+//! encoding for either — and the payloads themselves are written and read
+//! through the same [`Writer`] and [`Reader`] as objects and images.
 
 use om_core::OmLevel;
+use om_objfile::binary::{Reader, Writer};
 use om_obs::Histogram;
 use std::io::{self, Read, Write};
 
@@ -132,185 +134,116 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn take_u32(bytes: &[u8], at: &mut usize) -> Result<u32, String> {
-    let end = at.checked_add(4).filter(|&e| e <= bytes.len()).ok_or("truncated u32")?;
-    let v = u32::from_le_bytes(bytes[*at..end].try_into().unwrap());
-    *at = end;
-    Ok(v)
-}
-
-fn take_bytes(bytes: &[u8], at: &mut usize) -> Result<Vec<u8>, String> {
-    let len = take_u32(bytes, at)? as usize;
-    let end = at.checked_add(len).filter(|&e| e <= bytes.len()).ok_or("truncated body")?;
-    let v = bytes[*at..end].to_vec();
-    *at = end;
-    Ok(v)
-}
-
-fn take_u64(bytes: &[u8], at: &mut usize) -> Result<u64, String> {
-    let end = at.checked_add(8).filter(|&e| e <= bytes.len()).ok_or("truncated u64")?;
-    let v = u64::from_le_bytes(bytes[*at..end].try_into().unwrap());
-    *at = end;
-    Ok(v)
-}
-
-fn take_string(bytes: &[u8], at: &mut usize, what: &str) -> Result<String, String> {
-    String::from_utf8(take_bytes(bytes, at)?).map_err(|e| format!("{what} not utf8: {e}"))
-}
-
-fn put_hist(out: &mut Vec<u8>, h: &Histogram) {
-    out.extend_from_slice(&h.min().to_le_bytes());
-    out.extend_from_slice(&h.max().to_le_bytes());
+fn put_hist(w: &mut Writer, h: &Histogram) {
     let pairs = h.nonzero();
-    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+    w.u64(h.min()).u64(h.max()).u32(pairs.len() as u32);
     for (bucket, count) in pairs {
-        out.push(bucket as u8);
-        out.extend_from_slice(&count.to_le_bytes());
+        w.u8(bucket as u8).u64(count);
     }
 }
 
-fn take_hist(bytes: &[u8], at: &mut usize) -> Result<Histogram, String> {
-    let min = take_u64(bytes, at)?;
-    let max = take_u64(bytes, at)?;
-    let n = take_u32(bytes, at)?;
+fn read_hist(r: &mut Reader) -> Result<Histogram, String> {
+    let (min, max) = (r.u64()?, r.u64()?);
     let mut pairs = Vec::new();
-    for _ in 0..n {
-        let bucket = *bytes.get(*at).ok_or("truncated histogram bucket")? as usize;
-        *at += 1;
-        pairs.push((bucket, take_u64(bytes, at)?));
+    for _ in 0..r.u32()? {
+        pairs.push((r.u8()? as usize, r.u64()?));
     }
     Histogram::from_sparse(min, max, &pairs)
 }
 
 /// Serializes a request payload (frame it with [`write_frame`]).
 pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut w = Writer::default();
     match req {
-        Request::Ping => vec![REQ_PING],
-        Request::Stats => vec![REQ_STATS],
-        Request::Shutdown => vec![REQ_SHUTDOWN],
+        Request::Ping => w.u8(REQ_PING),
+        Request::Stats => w.u8(REQ_STATS),
+        Request::Shutdown => w.u8(REQ_SHUTDOWN),
         Request::Link { level, verify, objects } => {
-            let mut out = vec![REQ_LINK, level.index() as u8, u8::from(*verify)];
-            out.extend_from_slice(&(objects.len() as u32).to_le_bytes());
+            let w = w.u8(REQ_LINK).u8(level.index() as u8).u8(u8::from(*verify));
+            w.u32(objects.len() as u32);
             for obj in objects {
-                put_bytes(&mut out, obj);
+                w.bytes32(obj);
             }
-            out
+            w
         }
-    }
+    };
+    w.0
 }
 
 /// Parses a request payload. Malformed input is an error string, never a
 /// panic — the serve loop turns it into a [`Reply::Error`].
 pub fn decode_request(bytes: &[u8]) -> Result<Request, String> {
-    match bytes.first() {
-        None => Err("empty request".to_string()),
-        Some(&REQ_PING) => Ok(Request::Ping),
-        Some(&REQ_STATS) => Ok(Request::Stats),
-        Some(&REQ_SHUTDOWN) => Ok(Request::Shutdown),
-        Some(&REQ_LINK) => {
-            let mut at = 1;
-            let level_index =
-                *bytes.get(at).ok_or("truncated link request: missing level")? as usize;
+    let mut r = Reader::new(bytes, "request");
+    Ok(match r.u8()? {
+        REQ_PING => Request::Ping,
+        REQ_STATS => Request::Stats,
+        REQ_SHUTDOWN => Request::Shutdown,
+        REQ_LINK => {
+            let level_index = r.u8()? as usize;
             let level = *OmLevel::ALL
                 .get(level_index)
                 .ok_or_else(|| format!("unknown level index {level_index}"))?;
-            at += 1;
-            let verify = match bytes.get(at) {
-                Some(0) => false,
-                Some(1) => true,
-                Some(v) => return Err(format!("bad verify flag {v}")),
-                None => return Err("truncated link request: missing verify flag".to_string()),
+            let verify = match r.u8()? {
+                0 => false,
+                1 => true,
+                v => return Err(format!("bad verify flag {v}")),
             };
-            at += 1;
-            let count = take_u32(bytes, &mut at)?;
             let mut objects = Vec::new();
-            for _ in 0..count {
-                objects.push(take_bytes(bytes, &mut at)?);
+            for _ in 0..r.u32()? {
+                objects.push(r.bytes32()?.to_vec());
             }
-            Ok(Request::Link { level, verify, objects })
+            Request::Link { level, verify, objects }
         }
-        Some(tag) => Err(format!("unknown request tag {tag}")),
-    }
+        tag => return Err(format!("unknown request tag {tag}")),
+    })
 }
 
 /// Serializes a reply payload (frame it with [`write_frame`]).
 pub fn encode_reply(rep: &Reply) -> Vec<u8> {
+    let mut w = Writer::default();
     match rep {
         Reply::Pong(p) => {
-            let mut out = vec![REP_PONG];
-            put_bytes(&mut out, p.version.as_bytes());
-            out.extend_from_slice(&p.uptime_ms.to_le_bytes());
-            out.extend_from_slice(&p.requests.to_le_bytes());
-            out
+            w.u8(REP_PONG).bytes32(p.version.as_bytes()).u64(p.uptime_ms).u64(p.requests)
         }
-        Reply::ShuttingDown => vec![REP_SHUTDOWN],
+        Reply::ShuttingDown => w.u8(REP_SHUTDOWN),
         Reply::Stats(s) => {
-            let mut out = vec![REP_STATS];
-            put_bytes(&mut out, s.caches.as_bytes());
-            put_bytes(&mut out, s.version.as_bytes());
-            out.extend_from_slice(&s.uptime_ms.to_le_bytes());
-            out.extend_from_slice(&s.requests.to_le_bytes());
-            out.extend_from_slice(&s.bytes_in.to_le_bytes());
-            out.extend_from_slice(&s.bytes_out.to_le_bytes());
-            out.extend_from_slice(&(s.endpoints.len() as u32).to_le_bytes());
+            let w = w.u8(REP_STATS).bytes32(s.caches.as_bytes()).bytes32(s.version.as_bytes());
+            w.u64(s.uptime_ms).u64(s.requests).u64(s.bytes_in).u64(s.bytes_out);
+            w.u32(s.endpoints.len() as u32);
             for ep in &s.endpoints {
-                put_bytes(&mut out, ep.name.as_bytes());
-                put_hist(&mut out, &ep.latency_us);
+                put_hist(w.bytes32(ep.name.as_bytes()), &ep.latency_us);
             }
-            out
+            w
         }
-        Reply::Error(msg) => {
-            let mut out = vec![REP_ERROR];
-            out.extend_from_slice(msg.as_bytes());
-            out
-        }
-        Reply::Linked { cached, image } => {
-            let mut out = vec![REP_LINKED, u8::from(*cached)];
-            put_bytes(&mut out, image);
-            out
-        }
-    }
+        Reply::Error(msg) => w.u8(REP_ERROR).put(msg.as_bytes()),
+        Reply::Linked { cached, image } => w.u8(REP_LINKED).u8(u8::from(*cached)).bytes32(image),
+    };
+    w.0
 }
 
 /// Parses a reply payload.
 pub fn decode_reply(bytes: &[u8]) -> Result<Reply, String> {
-    match bytes.first() {
-        None => Err("empty reply".to_string()),
-        Some(&REP_PONG) => {
-            let mut at = 1;
-            let version = take_string(bytes, &mut at, "pong version")?;
-            let uptime_ms = take_u64(bytes, &mut at)?;
-            let requests = take_u64(bytes, &mut at)?;
-            if at != bytes.len() {
-                return Err(format!("{} trailing bytes after pong", bytes.len() - at));
-            }
-            Ok(Reply::Pong(Pong { version, uptime_ms, requests }))
+    let mut r = Reader::new(bytes, "reply");
+    Ok(match r.u8()? {
+        REP_PONG => {
+            let version = r.str32("pong version")?;
+            let (uptime_ms, requests) = (r.u64()?, r.u64()?);
+            r.finish()?;
+            Reply::Pong(Pong { version, uptime_ms, requests })
         }
-        Some(&REP_SHUTDOWN) => Ok(Reply::ShuttingDown),
-        Some(&REP_STATS) => {
-            let mut at = 1;
-            let caches = take_string(bytes, &mut at, "stats cache line")?;
-            let version = take_string(bytes, &mut at, "stats version")?;
-            let uptime_ms = take_u64(bytes, &mut at)?;
-            let requests = take_u64(bytes, &mut at)?;
-            let bytes_in = take_u64(bytes, &mut at)?;
-            let bytes_out = take_u64(bytes, &mut at)?;
-            let n = take_u32(bytes, &mut at)?;
+        REP_SHUTDOWN => Reply::ShuttingDown,
+        REP_STATS => {
+            let caches = r.str32("stats cache line")?;
+            let version = r.str32("stats version")?;
+            let (uptime_ms, requests) = (r.u64()?, r.u64()?);
+            let (bytes_in, bytes_out) = (r.u64()?, r.u64()?);
             let mut endpoints = Vec::new();
-            for _ in 0..n {
-                let name = take_string(bytes, &mut at, "endpoint name")?;
-                let latency_us = take_hist(bytes, &mut at)?;
-                endpoints.push(EndpointStats { name, latency_us });
+            for _ in 0..r.u32()? {
+                let name = r.str32("endpoint name")?;
+                endpoints.push(EndpointStats { name, latency_us: read_hist(&mut r)? });
             }
-            if at != bytes.len() {
-                return Err(format!("{} trailing bytes after stats", bytes.len() - at));
-            }
-            Ok(Reply::Stats(ServerStats {
+            r.finish()?;
+            Reply::Stats(ServerStats {
                 caches,
                 version,
                 uptime_ms,
@@ -318,24 +251,21 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, String> {
                 bytes_in,
                 bytes_out,
                 endpoints,
-            }))
+            })
         }
-        Some(&REP_ERROR) => String::from_utf8(bytes[1..].to_vec())
+        REP_ERROR => String::from_utf8(r.rest().to_vec())
             .map(Reply::Error)
-            .map_err(|e| format!("error reply not utf8: {e}")),
-        Some(&REP_LINKED) => {
-            let cached = match bytes.get(1) {
-                Some(0) => false,
-                Some(1) => true,
-                Some(v) => return Err(format!("bad cached flag {v}")),
-                None => return Err("truncated linked reply".to_string()),
+            .map_err(|e| format!("error reply not utf8: {e}"))?,
+        REP_LINKED => {
+            let cached = match r.u8()? {
+                0 => false,
+                1 => true,
+                v => return Err(format!("bad cached flag {v}")),
             };
-            let mut at = 2;
-            let image = take_bytes(bytes, &mut at)?;
-            Ok(Reply::Linked { cached, image })
+            Reply::Linked { cached, image: r.bytes32()?.to_vec() }
         }
-        Some(tag) => Err(format!("unknown reply tag {tag}")),
-    }
+        tag => return Err(format!("unknown reply tag {tag}")),
+    })
 }
 
 #[cfg(test)]
@@ -410,19 +340,17 @@ mod tests {
         // Version body longer than the payload.
         assert!(decode_reply(&[REP_PONG, 9, 0, 0, 0, b'x']).is_err());
         // Version present but the u64s truncated.
-        let mut short = vec![REP_PONG];
-        put_bytes(&mut short, b"0.1.0");
-        short.extend_from_slice(&[0; 4]);
-        assert!(decode_reply(&short).is_err());
+        let mut short = Writer::default();
+        short.u8(REP_PONG).bytes32(b"0.1.0").put(&[0; 4]);
+        assert!(decode_reply(&short.0).is_err());
         // Trailing garbage after a well-formed pong.
         let mut long = encode_reply(&Reply::Pong(Pong::default()));
         long.push(0xAA);
         assert!(decode_reply(&long).is_err());
         // Non-utf8 version bytes.
-        let mut bad = vec![REP_PONG];
-        put_bytes(&mut bad, &[0xFF, 0xFE]);
-        bad.extend_from_slice(&[0; 16]);
-        assert!(decode_reply(&bad).is_err());
+        let mut bad = Writer::default();
+        bad.u8(REP_PONG).bytes32(&[0xFF, 0xFE]).put(&[0; 16]);
+        assert!(decode_reply(&bad.0).is_err());
     }
 
     #[test]
@@ -442,20 +370,14 @@ mod tests {
         // Histogram-level rejection, via from_sparse: out-of-range bucket,
         // duplicate bucket, min > max, and a count sum that overflows.
         let hist_reply = |min: u64, max: u64, pairs: &[(u8, u64)]| {
-            let mut out = vec![REP_STATS];
-            put_bytes(&mut out, b"caches");
-            put_bytes(&mut out, b"0.1.0");
-            out.extend_from_slice(&[0; 32]); // uptime, requests, bytes in/out
-            out.extend_from_slice(&1u32.to_le_bytes());
-            put_bytes(&mut out, b"ping");
-            out.extend_from_slice(&min.to_le_bytes());
-            out.extend_from_slice(&max.to_le_bytes());
-            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+            let mut w = Writer::default();
+            // Uptime, requests, bytes in and out, then one endpoint.
+            w.u8(REP_STATS).bytes32(b"caches").bytes32(b"0.1.0").put(&[0; 32]).u32(1);
+            w.bytes32(b"ping").u64(min).u64(max).u32(pairs.len() as u32);
             for &(b, c) in pairs {
-                out.push(b);
-                out.extend_from_slice(&c.to_le_bytes());
+                w.u8(b).u64(c);
             }
-            out
+            w.0
         };
         assert!(decode_reply(&hist_reply(0, 0, &[(64, 1)])).is_err(), "bucket out of range");
         assert!(decode_reply(&hist_reply(0, 9, &[(3, 1), (3, 1)])).is_err(), "duplicate bucket");
@@ -478,13 +400,49 @@ mod tests {
             &[REQ_LINK, 0, 7],
             &[REQ_LINK, 0, 1, 5, 0, 0, 0, 1, 0, 0, 0], // count=5, one short body
             &[REQ_LINK, 0, 1, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F], // huge body len
+            &[REQ_LINK, 0, 1, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4], // 4 bytes left
         ];
         for c in cases {
             assert!(decode_request(c).is_err(), "{c:?} should fail to decode");
         }
+        // A stats reply whose cache line claims 0xFFFF_FFFF bytes, with four
+        // bytes left.
+        let rep = [REP_STATS, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4];
+        assert_eq!(decode_reply(&rep).unwrap_err(), "truncated reply");
         assert!(decode_reply(&[]).is_err());
         assert!(decode_reply(&[REP_LINKED, 2]).is_err());
         assert!(decode_reply(&[0xEE]).is_err());
+    }
+
+    #[test]
+    fn encodings_are_pinned() {
+        // Clients and servers built from different commits must agree.
+        let hex = |b: Vec<u8>| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let req = Request::Link {
+            level: OmLevel::Full,
+            verify: true,
+            objects: vec![vec![1, 2, 3], vec![]],
+        };
+        assert_eq!(hex(encode_request(&req)), "010201020000000300000001020300000000");
+        let mut ping = Histogram::new();
+        for v in [3, 40, 40] {
+            ping.record(v);
+        }
+        let rep = Reply::Stats(ServerStats {
+            caches: "links: 1".to_string(),
+            version: "0.1.0".to_string(),
+            uptime_ms: 9,
+            requests: 2,
+            bytes_in: 300,
+            bytes_out: 70_000,
+            endpoints: vec![EndpointStats { name: "ping".to_string(), latency_us: ping }],
+        });
+        assert_eq!(
+            hex(encode_reply(&rep)),
+            "02080000006c696e6b733a203105000000302e312e30090000000000000002000000000000002c01\
+             0000000000007011010000000000010000000400000070696e670300000000000000280000000000\
+             000002000000020100000000000000060200000000000000"
+        );
     }
 
     #[test]

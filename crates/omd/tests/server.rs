@@ -233,6 +233,29 @@ fn socket_round_trip_serves_cached_links_and_shuts_down() {
 }
 
 #[test]
+fn a_hostile_object_length_is_an_error_reply_and_the_connection_survives() {
+    use om_omd::wire::{decode_reply, encode_request, read_frame, write_frame, Reply, Request};
+    let path = std::env::temp_dir().join(format!("omd-hostile-{}.sock", std::process::id()));
+    let handle = serve(&path, Arc::new(LinkServer::new(vec![]))).unwrap();
+    // 24 bytes: the magic, a name length of 2^64 - 8, then eight bytes.
+    let mut object = b"OMOBJ01\0".to_vec();
+    object.extend_from_slice(&(u64::MAX - 7).to_le_bytes());
+    object.extend_from_slice(&[0; 8]);
+    let link = Request::Link { level: OmLevel::Full, verify: false, objects: vec![object] };
+    let mut raw = std::os::unix::net::UnixStream::connect(&path).unwrap();
+    let mut round_trip = |req: &Request| {
+        write_frame(&mut raw, &encode_request(req)).unwrap();
+        decode_reply(&read_frame(&mut raw).unwrap()).unwrap()
+    };
+    match round_trip(&link) {
+        Reply::Error(msg) => assert_eq!(msg, "object 0: bad object format: truncated object"),
+        other => panic!("got {other:?}"),
+    }
+    assert!(matches!(round_trip(&Request::Ping), Reply::Pong(_)));
+    handle.shutdown();
+}
+
+#[test]
 fn a_traced_hit_attributes_its_link_span() {
     let path = std::env::temp_dir().join(format!("omd-trace-test-{}.sock", std::process::id()));
     let trace = om_obs::Trace::new();

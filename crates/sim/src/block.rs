@@ -44,7 +44,7 @@
 
 use crate::exec::{End, ExecError, Machine, RunResult};
 use crate::profile::{ProcMap, ProfCounts, Transfer};
-use crate::timing::{Cache, TimingStats};
+use crate::timing::{Cache, TimingStats, BRANCH_BUBBLE};
 use crate::uop::{lower, Uop, LINE_FIRST, NO_USE, PAIR, READY_SLOTS, SINK};
 use om_alpha::timing::{can_dual_issue, issue_class};
 use om_alpha::{decode, Inst, PalOp};
@@ -283,15 +283,13 @@ struct BlockTiming {
     dual: u64,
     nops: u64,
     loads: u64,
-    bubble: u64,
 }
 
 impl Default for BlockTiming {
-    /// Must match [`crate::Pipeline::default`] parameter-for-parameter.
     fn default() -> Self {
         BlockTiming {
-            icache: Cache::new(8 << 10, 32, 8),
-            dcache: Cache::new(8 << 10, 32, 8),
+            icache: Cache::default(),
+            dcache: Cache::default(),
             ready: [0; READY_SLOTS],
             cycle: 0,
             last: None,
@@ -300,7 +298,6 @@ impl Default for BlockTiming {
             dual: 0,
             nops: 0,
             loads: 0,
-            bubble: 1,
         }
     }
 }
@@ -391,7 +388,7 @@ impl BlockTiming {
         }
         let term_issue = base + u64::from(s.term_issue);
         if taken {
-            self.cycle = term_issue + self.bubble;
+            self.cycle = term_issue + BRANCH_BUBBLE;
             self.last = None;
         } else {
             self.cycle = base + u64::from(s.exit_ft);
@@ -447,7 +444,7 @@ impl BlockTiming {
 
             self.cycle = issue.max(self.cycle);
             if taken && i + 1 == b.len() {
-                self.cycle = issue + self.bubble;
+                self.cycle = issue + BRANCH_BUBBLE;
                 self.last = None;
             } else {
                 self.last = Some((pc, u.class(), issue));

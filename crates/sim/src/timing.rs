@@ -29,6 +29,18 @@ pub struct Cache {
     pub misses: u64,
 }
 
+/// The taken-branch fetch bubble both engines charge, in cycles.
+pub(crate) const BRANCH_BUBBLE: u64 = 1;
+
+/// The caches both engines model, I and D alike: DECstation 3000/400-ish
+/// 8 KB direct-mapped caches with 32-byte lines and an 8-cycle
+/// backing-cache miss.
+impl Default for Cache {
+    fn default() -> Cache {
+        Cache::new(8 << 10, 32, 8)
+    }
+}
+
 impl Cache {
     /// `size` and `line` in bytes (powers of two).
     pub fn new(size: u64, line: u64, penalty: u64) -> Cache {
@@ -103,33 +115,25 @@ pub struct Pipeline {
     /// Last issued instruction (for pairing), with its pc.
     last: Option<(u64, Inst, u64)>, // (pc, inst, issue_cycle)
     stats: TimingStats,
-    /// Extra cycles for a taken branch (fetch bubble).
-    branch_bubble: u64,
 }
 
-/// DECstation 3000/400-ish parameters: 8KB I-cache, 8KB D-cache, 32-byte
-/// lines, backing-cache miss penalty, one-cycle taken-branch bubble.
+/// The modelled machine: [`Cache::default`]'s caches and a one-cycle
+/// taken-branch bubble.
 impl Default for Pipeline {
     fn default() -> Self {
-        Pipeline::new(Cache::new(8 << 10, 32, 8), Cache::new(8 << 10, 32, 8), 1)
-    }
-}
-
-impl Pipeline {
-    /// Builds a pipeline with explicit cache models.
-    pub fn new(icache: Cache, dcache: Cache, branch_bubble: u64) -> Pipeline {
         Pipeline {
-            icache,
-            dcache,
+            icache: Cache::default(),
+            dcache: Cache::default(),
             int_ready: [0; 32],
             fp_ready: [0; 32],
             cycle: 0,
             last: None,
             stats: TimingStats::default(),
-            branch_bubble,
         }
     }
+}
 
+impl Pipeline {
     /// Final statistics.
     pub fn stats(&self) -> TimingStats {
         let mut s = self.stats;
@@ -216,7 +220,7 @@ impl Observer for Pipeline {
 
         self.cycle = issue.max(self.cycle);
         if r.taken {
-            self.cycle = issue + self.branch_bubble;
+            self.cycle = issue + BRANCH_BUBBLE;
             self.last = None; // new fetch stream
         } else {
             self.last = Some((r.pc, r.inst, issue));

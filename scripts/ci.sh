@@ -88,7 +88,7 @@ scripts/bench.sh
 echo "== figures at two --jobs widths =="
 # The whole quick run at --jobs 1 and at --jobs 2: the two reports must be
 # byte-identical, and so must the printed tables of every figure but fig7,
-# whose cells are wall-clock seconds (its table runs from its title to the
+# whose cells are wall-clock milliseconds (its table runs from its title to the
 # second blank line after it).
 for j in 1 2; do
     target/release/reproduce all --quick --jobs "$j" --json "$tracedir/jobs$j.json" \
